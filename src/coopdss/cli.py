@@ -5,7 +5,9 @@ verify-secrecy.  Every path is a thin wrapper over the library; outputs are
 deterministic given flags and seed (no timestamps).
 
 Exit codes: 0 success/secure, 1 secrecy violation, 2 usage or parameter
-error, 3 I/O error.  COOPDSS_SEED provides the default seed.
+error, 3 I/O error or a protocol fault in `simulate` (replay mismatch or a
+repair round whose bandwidth is not t*gamma).  COOPDSS_SEED provides the
+default seed.
 
 Byte <-> symbol packing: GF(p) takes one byte per symbol (values >= p are
 rejected); GF(p^m) takes m base-field coordinates per symbol, coordinate 0
@@ -210,7 +212,11 @@ def _sim_config_from_ini(path: str, ns) -> sim_mod.SimConfig:
 
 def cmd_simulate(ns) -> int:
     config = _sim_config_from_ini(ns.config, ns)
-    trace = sim_mod.run(config)
+    try:
+        trace = sim_mod.run(config)
+    except sim_mod.ProtocolError as exc:
+        print(f"protocol fault: {exc}", file=sys.stderr)
+        return 3
     text = sim_mod.trace_to_text(trace)
     if ns.trace_out:
         Path(ns.trace_out).write_text(text)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ..field import Matrix
+from ..field import Matrix, moore_matrix
 from ..precode import random_symbols
 
 
@@ -98,38 +98,69 @@ class RepairTranscript:
         return live + coop
 
 
-@dataclass(frozen=True)
 class ObservationMatrix:
     """Eavesdropper view e = A_u u + A_r r over the scheme's field."""
 
-    a_u: Matrix
-    a_r: Matrix
-    labels: tuple[tuple, ...]
+    points: Matrix | None = None  # GF(p) evaluation points; see PointObservation
 
-    def __post_init__(self):
-        if self.a_u.nrows != self.a_r.nrows or self.a_u.nrows != len(self.labels):
+    def __init__(self, a_u: Matrix, a_r: Matrix, labels: Sequence[tuple]):
+        if a_u.nrows != a_r.nrows or a_u.nrows != len(labels):
             raise ValueError("row count mismatch")
-
-    @property
-    def field(self):
-        return self.a_u.field
+        self.a_u = a_u
+        self.a_r = a_r
+        self.labels = tuple(labels)
+        self.field = a_u.field
+        self.n_secret = a_u.ncols
+        self.n_random = a_r.ncols
 
     @property
     def n_rows(self) -> int:
-        return self.a_u.nrows
-
-    @property
-    def n_secret(self) -> int:
-        return self.a_u.ncols
-
-    @property
-    def n_random(self) -> int:
-        return self.a_r.ncols
+        return len(self.labels)
 
     def joint(self) -> Matrix:
         """[A_r | A_u]; putting the r columns first lets one elimination
         yield both rank([A_u|A_r]) and rank(A_r)."""
         return self.a_r.hstack(self.a_u)
+
+
+class PointObservation(ObservationMatrix):
+    """View of a Gabidulin-precoded scheme, kept as GF(p) evaluation points.
+
+    Every observed symbol is f(h) for the precoding polynomial
+    f(X) = sum_i c_i X^(p^i) with coefficients c = (r || u) and a point h in
+    GF(p)^M; row j of `points` holds the base coordinates of h_j.  Row j of
+    [A_r | A_u] is the Moore row (h_j, h_j^p, ..., h_j^(p^(M-1))) over
+    GF(p^M).  A rank verdict needs only the GF(p) rank of `points`, so the
+    Moore rows are built on first access to `a_u` or `a_r`.
+    """
+
+    def __init__(self, field, points: Matrix, n_random: int, labels: Sequence[tuple]):
+        if points.nrows != len(labels):
+            raise ValueError("row count mismatch")
+        self.points = points
+        self.labels = tuple(labels)
+        self.field = field
+        self.n_secret = points.ncols - n_random
+        self.n_random = n_random
+        self._moore_rows: tuple[Matrix, Matrix] | None = None
+
+    def _split_moore_rows(self) -> tuple[Matrix, Matrix]:
+        if self._moore_rows is None:
+            f = self.field
+            rows = moore_matrix(f, [f.from_coords(pt) for pt in self.points.rows],
+                                self.points.ncols).rows
+            nr = self.n_random
+            self._moore_rows = (Matrix(f, [row[nr:] for row in rows], ncols=self.n_secret),
+                                Matrix(f, [row[:nr] for row in rows], ncols=nr))
+        return self._moore_rows
+
+    @property
+    def a_u(self) -> Matrix:
+        return self._split_moore_rows()[0]
+
+    @property
+    def a_r(self) -> Matrix:
+        return self._split_moore_rows()[1]
 
 
 class Scheme:
@@ -249,3 +280,49 @@ class Scheme:
                 for m in sorted(failed - {i}):
                     out.extend(tr.coop_transfers.get((m, i), ()))
         return out
+
+
+class GabidulinScheme(Scheme):
+    """A scheme whose every stored or transferred symbol is f(h) for the
+    Gabidulin precoding polynomial f and a point h in GF(p)^M.
+
+    Subclasses give the points: `stored_points(node)` and
+    `_download_points(transcript, newcomer)`, the latter as (label, point)
+    pairs in transfer order with labels lacking the transcript index.  Each
+    subclass still defines `observation_matrix` (as `_point_observation`)
+    in its own class body, like the other contract methods, because the
+    benchmark's tracer wraps those per scheme class.
+    """
+
+    base: object  # the prime field GF(p) of the point coordinates
+
+    def stored_points(self, node: int) -> list[list[int]]:
+        raise NotImplementedError
+
+    def _download_points(self, tr: RepairTranscript,
+                         newcomer: int) -> list[tuple[tuple, list[int]]]:
+        raise NotImplementedError
+
+    def _point_observation(self, e1: Iterable[int], e2: Iterable[int],
+                           transcripts: Sequence[RepairTranscript]) -> PointObservation:
+        """The observation in the shared row order, as evaluation points."""
+        e1, e2 = self._validate_eaves(e1, e2, transcripts)
+        points: list[list[int]] = []
+        labels: list[tuple] = []
+        for e in e1 + e2:
+            for idx, pt in enumerate(self.stored_points(e)):
+                points.append(pt)
+                labels.append(("stored", e, idx))
+        for t_idx, tr in enumerate(transcripts):
+            for i in sorted(tr.failed & set(e2)):
+                for label, pt in self._download_points(tr, i):
+                    points.append(pt)
+                    labels.append((label[0], t_idx) + label[1:])
+        return PointObservation(self.field, Matrix(self.base, points, ncols=self.file_size),
+                                self.n_random, labels)
+
+    def observation_point_matrix(self, e1: Iterable[int], e2: Iterable[int],
+                                 transcripts: Sequence[RepairTranscript] = ()) -> Matrix:
+        """GF(p) matrix of the observation points, one row per observed
+        symbol; its rank equals rank([A_u | A_r]) over GF(p^M)."""
+        return self.observation_matrix(e1, e2, transcripts).points

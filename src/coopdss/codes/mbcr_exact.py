@@ -14,10 +14,10 @@ evaluations x_1..x_M over GF(p^M).  Stage 2 places them:
 
 Every stored symbol is therefore a base-field combination of the M Gabidulin
 evaluations, i.e. an evaluation of the precoding polynomial at a point of
-GF(p)^M; secrecy reduces to ranks of Moore matrices on those points.  The
-base prime p is the smallest prime >= n with p = 1 mod rad(M) (and mod 4 when
-4 | M, so a binomial modulus X^M - c exists and reduction is one fold) for
-which the Phi minor search succeeds.
+GF(p)^M; secrecy reduces to the GF(p) rank of those points (the Moore-rank
+lemma, see coopdss.secrecy).  The base prime p is the smallest prime >= n
+with p = 1 mod rad(M) (and mod 4 when 4 | M, so a binomial modulus X^M - c
+exists and reduction is one fold) for which the Phi minor search succeeds.
 
 Repair of a failure set T (|T| = t = n - d): each survivor sends the z value
 it stores for each failed node (one symbol; the d of them pin down the failed
@@ -36,18 +36,17 @@ from ..field import (
     Matrix,
     basis_elements,
     ext_field,
-    frobenius_powers,
     moore_matrix,
     prime_field,
     _is_prime,
 )
 from ..precode import coefficients
 from .base import (
+    GabidulinScheme,
     NodeContent,
     ObservationMatrix,
     ParameterError,
     RepairTranscript,
-    Scheme,
     SchemeParams,
 )
 
@@ -103,7 +102,7 @@ def find_structure(n: int, d: int, m_total: int) -> tuple[int, tuple[int, ...]]:
         # no point set worked at this prime; try the next admissible prime
 
 
-class MbcrExactScheme(Scheme):
+class MbcrExactScheme(GabidulinScheme):
     """Secrecy-capacity-achieving exact-repair MBCR code for n = d + t."""
 
     name = "mbcr-exact"
@@ -318,48 +317,17 @@ class MbcrExactScheme(Scheme):
 
     # -- observation ----------------------------------------------------------------
 
-    def _row_from_point(self, point_vec: Sequence[int]) -> list[int]:
-        h = self.field.from_coords(list(point_vec))
-        return frobenius_powers(self.field, h, self.file_size)
+    def _download_points(self, tr: RepairTranscript,
+                         newcomer: int) -> list[tuple[tuple, list[int]]]:
+        i = newcomer
+        out = []
+        for h in tr.helpers:
+            out.append((("live", h, i, 0), self._z_point(i, h)))
+            out.append((("live", h, i, 1), self._z_point(h, i)))
+        for m in sorted(tr.failed - {i}):
+            out.append((("coop", m, i, 0), self._z_point(m, i)))
+        return out
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
-        e1, e2 = self._validate_eaves(e1, e2, transcripts)
-        points: list[list[int]] = []
-        labels: list[tuple] = []
-        for e in e1 + e2:
-            for idx, pt in enumerate(self.stored_points(e)):
-                points.append(pt)
-                labels.append(("stored", e, idx))
-        for t_idx, tr in enumerate(transcripts):
-            for i in sorted(tr.failed & set(e2)):
-                for h in tr.helpers:
-                    points.append(self._z_point(i, h))
-                    labels.append(("live", t_idx, h, i, 0))
-                    points.append(self._z_point(h, i))
-                    labels.append(("live", t_idx, h, i, 1))
-                for m in sorted(tr.failed - {i}):
-                    points.append(self._z_point(m, i))
-                    labels.append(("coop", t_idx, m, i, 0))
-        rows = [self._row_from_point(pt) for pt in points]
-        nr = self.n_random
-        a_r = Matrix(self.field, [row[:nr] for row in rows], ncols=nr)
-        a_u = Matrix(self.field, [row[nr:] for row in rows], ncols=self.secure_size)
-        return ObservationMatrix(a_u=a_u, a_r=a_r, labels=tuple(labels))
-
-    def observation_point_matrix(self, e1, e2, transcripts=()) -> Matrix:
-        """Base-field matrix of observation points; its GF(p) rank equals
-        rank([A_u | A_r]) because the Moore map on a basis is invertible.
-        Used as an independent cross-check of the extension-field ranks."""
-        e1, e2 = self._validate_eaves(e1, e2, transcripts)
-        points = []
-        for e in e1 + e2:
-            points.extend(self.stored_points(e))
-        for tr in transcripts:
-            for i in sorted(tr.failed & set(e2)):
-                for h in tr.helpers:
-                    points.append(self._z_point(i, h))
-                    points.append(self._z_point(h, i))
-                for m in sorted(tr.failed - {i}):
-                    points.append(self._z_point(m, i))
-        return Matrix(self.base, points, ncols=self.file_size)
+        return self._point_observation(e1, e2, transcripts)

@@ -21,18 +21,17 @@ from ..field import (
     _is_prime,
     basis_elements,
     ext_field,
-    frobenius_powers,
     moore_matrix,
     prime_field,
 )
 from ..precode import coefficients
 from .base import (
+    GabidulinScheme,
     NodeContent,
     ObservationMatrix,
     ParameterError,
     PositiveSecrecyImpossibleError,
     RepairTranscript,
-    Scheme,
     SchemeParams,
 )
 
@@ -43,7 +42,7 @@ def _next_prime(n: int) -> int:
     return n
 
 
-class MscrDkScheme(Scheme):
+class MscrDkScheme(GabidulinScheme):
     """MSCR code with d = k, any n >= d + t."""
 
     name = "mscr-dk"
@@ -159,10 +158,6 @@ class MscrDkScheme(Scheme):
 
     # -- observation ------------------------------------------------------------------
 
-    def _row_from_point(self, point_vec: Sequence[int]) -> list[int]:
-        h = self.field.from_coords(list(point_vec))
-        return frobenius_powers(self.field, h, self.file_size)
-
     def _download_points(self, tr: RepairTranscript,
                          newcomer: int) -> list[tuple[tuple, list[int]]]:
         order = sorted(tr.failed)
@@ -179,31 +174,4 @@ class MscrDkScheme(Scheme):
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
-        e1, e2 = self._validate_eaves(e1, e2, transcripts)
-        points: list[list[int]] = []
-        labels: list[tuple] = []
-        for e in e1 + e2:
-            for idx, pt in enumerate(self.stored_points(e)):
-                points.append(pt)
-                labels.append(("stored", e, idx))
-        for t_idx, tr in enumerate(transcripts):
-            for i in sorted(tr.failed & set(e2)):
-                for label, pt in self._download_points(tr, i):
-                    points.append(pt)
-                    labels.append((label[0], t_idx) + label[1:])
-        rows = [self._row_from_point(pt) for pt in points]
-        nr = self.n_random
-        a_r = Matrix(self.field, [row[:nr] for row in rows], ncols=nr)
-        a_u = Matrix(self.field, [row[nr:] for row in rows], ncols=self.secure_size)
-        return ObservationMatrix(a_u=a_u, a_r=a_r, labels=tuple(labels))
-
-    def observation_point_matrix(self, e1, e2, transcripts=()) -> Matrix:
-        """Base-field point matrix; GF(p) rank == rank([A_u | A_r])."""
-        e1, e2 = self._validate_eaves(e1, e2, transcripts)
-        points = []
-        for e in e1 + e2:
-            points.extend(self.stored_points(e))
-        for tr in transcripts:
-            for i in sorted(tr.failed & set(e2)):
-                points.extend(pt for _, pt in self._download_points(tr, i))
-        return Matrix(self.base, points, ncols=self.file_size)
+        return self._point_observation(e1, e2, transcripts)

@@ -50,10 +50,20 @@ def write_nodes(scheme: Scheme, contents: Sequence[NodeContent]) -> bytes:
     return head + body
 
 
+def _unpack(fmt: str, data: bytes, off: int, what: str) -> tuple:
+    end = off + struct.calcsize(fmt)
+    if end > len(data):
+        raise ParameterError(
+            f"node file truncated: {len(data)} bytes, the {what} needs {end}")
+    return struct.unpack_from(fmt, data, off)
+
+
 def read_nodes(data: bytes) -> tuple[SchemeParams, list[NodeContent]]:
-    tag, n, k, d, t, l1, l2 = struct.unpack_from("<B6H", data, 0)
+    """Parse a node file; malformed, short or truncated input raises
+    ParameterError."""
+    tag, n, k, d, t, l1, l2 = _unpack("<B6H", data, 0, "header")
     off = 13
-    p, m, modlen = struct.unpack_from("<IHH", data, off)
+    p, m, modlen = _unpack("<IHH", data, off, "field descriptor")
     off += 8
     if tag not in _TAG_TO_SCHEME:
         raise ParameterError(f"unknown scheme tag {tag}")
@@ -65,14 +75,21 @@ def read_nodes(data: bytes) -> tuple[SchemeParams, list[NodeContent]]:
             f"file field GF({p}^{m}) does not match the scheme's {field!r}")
     if modlen:
         w = field.coord_width
-        coeffs = tuple(int.from_bytes(data[off + i * w:off + (i + 1) * w], "little")
+        (raw,) = _unpack(f"{modlen * w}s", data, off, "field modulus")
+        coeffs = tuple(int.from_bytes(raw[i * w:(i + 1) * w], "little")
                        for i in range(modlen))
         off += modlen * w
         if isinstance(field, ExtField) and coeffs != field.modulus:
             raise ParameterError("modulus mismatch; file from an incompatible build")
-    (count,) = struct.unpack_from("<H", data, off)
+    (count,) = _unpack("<H", data, off, "record count")
     off += 2
     sym_bytes = field.symbol_bytes
+    end = off + count * (2 + scheme.alpha * sym_bytes)
+    if end > len(data):
+        raise ParameterError(
+            f"node file truncated: {len(data)} bytes, {count} records need {end}")
+    if end < len(data):
+        raise ParameterError("trailing bytes in node file")
     contents = []
     for _ in range(count):
         (node_id,) = struct.unpack_from("<H", data, off)
@@ -82,6 +99,4 @@ def read_nodes(data: bytes) -> tuple[SchemeParams, list[NodeContent]]:
             syms.append(field.symbol_from_bytes(data[off:off + sym_bytes]))
             off += sym_bytes
         contents.append(NodeContent(node_id, tuple(syms), scheme.layout))
-    if off != len(data):
-        raise ParameterError("trailing bytes in node file")
     return params, contents

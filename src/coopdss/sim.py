@@ -26,6 +26,10 @@ from .codes.base import NodeContent, ParameterError, RepairTranscript, Scheme, S
 from .precode import random_symbols, splitmix64
 
 
+class ProtocolError(RuntimeError):
+    """A repair round broke the protocol contract (wrong repair bandwidth)."""
+
+
 @dataclass(frozen=True)
 class SimConfig:
     params: SchemeParams
@@ -119,7 +123,7 @@ def run(config: SimConfig) -> SimTrace:
         bw = sum(tr.downloads(i) for i in failed)
         expected = config.params.t * scheme.gamma
         if bw != expected:
-            raise AssertionError(f"round {round_idx}: bandwidth {bw} != t*gamma {expected}")
+            raise ProtocolError(f"round {round_idx}: bandwidth {bw} != t*gamma {expected}")
         bandwidth.append(bw)
         for res in tr.results:
             states[res.node_id] = res

@@ -1,12 +1,14 @@
+import dataclasses
 import io
 import os
 from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from coopdss import bounds as bounds_mod
+from coopdss import sim as sim_mod
 from coopdss.cli import main
-from coopdss.codes import make_scheme, nodeio
-from coopdss.codes.base import SchemeParams
+from coopdss.codes import MscrDkScheme, make_scheme, nodeio
+from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.precode import random_symbols
 
 
@@ -48,6 +50,33 @@ def test_nodeio_rejects_truncation():
     blob = nodeio.write_nodes(scheme, scheme.encode(u, r))
     with pytest.raises(Exception):
         nodeio.read_nodes(blob + b"\x00")
+
+
+def test_nodeio_rejects_every_proper_prefix():
+    scheme = make_scheme(SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme="mscr-dk"))
+    u, r = scheme.random_inputs(4)
+    blob = nodeio.write_nodes(scheme, scheme.encode(u, r)[:2])
+    for cut in range(len(blob)):
+        with pytest.raises(ParameterError, match="truncated"):
+            nodeio.read_nodes(blob[:cut])
+
+
+@pytest.mark.parametrize("size", [0, 3, 20, 30])
+def test_reconstruct_short_node_file_exit2(tmp_path, size):
+    # 0 and 3 bytes stop in the header, 20 in the field descriptor,
+    # 30 inside the first record
+    scheme = make_scheme(SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme="mscr-dk"))
+    u, r = scheme.random_inputs(4)
+    good = [nodeio.write_nodes(scheme, [c]) for c in scheme.encode(u, r)]
+    assert len(good[0]) > 30
+    paths = []
+    for i, blob in enumerate((good[0][:size], good[1]), start=1):
+        path = tmp_path / f"node_{i:02d}.bin"
+        path.write_bytes(blob)
+        paths.append(str(path))
+    code, out, err = run_cli(["reconstruct", "--nodes", *paths])
+    assert code == 2
+    assert "truncated" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------
@@ -196,6 +225,28 @@ def test_simulate_and_verify_from_trace(tmp_path):
     assert text.strip().endswith("final,ok")
     code, out, _ = run_cli(["verify-secrecy", "--trace", str(trace_file), "--e2", "1"])
     assert code == 0 and "leakage_qunits=0" in out
+
+
+def test_simulate_bandwidth_fault_exit3(tmp_path, monkeypatch):
+    # a repair that drops one live transfer misses the t*gamma bandwidth
+    real_repair = MscrDkScheme.cooperative_repair
+
+    def short_repair(self, failed, survivors, helpers=None):
+        tr = real_repair(self, failed, survivors, helpers)
+        live = dict(tr.live_transfers)
+        live.pop(min(live))
+        return dataclasses.replace(tr, live_transfers=live)
+
+    monkeypatch.setattr(MscrDkScheme, "cooperative_repair", short_repair)
+    params = SchemeParams(n=4, k=2, d=2, t=2, l2=1, scheme="mscr-dk")
+    with pytest.raises(sim_mod.ProtocolError, match="bandwidth 5 != t[*]gamma 6"):
+        sim_mod.run(sim_mod.SimConfig(params=params, rounds=1,
+                                      failure_plan=(frozenset({1, 2}),), e2=(1,)))
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(SIM_INI)
+    code, out, err = run_cli(["simulate", "--config", str(cfg)])
+    assert code == 3
+    assert "protocol fault: round 0: bandwidth" in err
 
 
 def test_verify_secrecy_sweep_exit_codes():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from coopdss import secrecy as S
@@ -42,15 +44,17 @@ def test_rank_leakage_empty_observation():
     assert v.lemma_cond_entropy_ok and not v.lemma_recoverable_ok
 
 
-def test_check_secrecy_lemma_booleans():
+def test_rank_leakage_lemma_booleans():
     scheme = make_scheme(SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme="mbcr-exact"))
     obs = scheme.observation_matrix([2], [])
-    assert S.check_secrecy_lemma(obs) == (True, True)
+    v = S.rank_leakage(obs)
+    assert (v.lemma_cond_entropy_ok, v.lemma_recoverable_ok) == (True, True)
     assert obs.joint().rank() == 5 == obs.n_random  # H(e) = H(r)
     # bivariate: rank = l1*alpha - l1(l1-1) = 5 = |r|
     scheme = make_scheme(SchemeParams(n=5, k=2, d=2, t=2, l1=1, scheme="mbcr-bivariate"))
     obs = scheme.observation_matrix([4], [])
-    assert S.check_secrecy_lemma(obs) == (True, True)
+    v = S.rank_leakage(obs)
+    assert (v.lemma_cond_entropy_ok, v.lemma_recoverable_ok) == (True, True)
     assert obs.joint().rank() == 5 == obs.n_random
 
 
@@ -151,3 +155,83 @@ def test_lemma_implication_across_verdicts():
     for v in checks:
         if v.lemma_cond_entropy_ok and v.lemma_recoverable_ok:
             assert v.leakage_qunits == 0
+
+
+# ---------------------------------------------------------
+# Gabidulin schemes: GF(p) point rank vs GF(p^M) Moore elimination
+# ---------------------------------------------------------
+
+def _verdict(v):
+    return v.leakage_qunits, v.lemma_cond_entropy_ok, v.lemma_recoverable_ok
+
+
+def _assert_point_rank_matches_moore(scheme, e1, e2=(), transcripts=()):
+    obs = scheme.observation_matrix(e1, e2, transcripts)
+    assert obs.points is not None
+    fast = S.rank_leakage(obs)
+    oracle = S.joint_rank_leakage(obs)  # builds the Moore rows on first access
+    assert fast.method == "rank"
+    assert _verdict(fast) == _verdict(oracle), (scheme.params, e1, e2)
+    return fast
+
+
+def test_point_rank_verdict_matches_moore_mbcr_exact():
+    for n in (4, 5):
+        for t in (1, 2, 3):
+            d = n - t
+            for k in range(1, d + 1):
+                for l1 in range(k):
+                    s = make_scheme(SchemeParams(n=n, k=k, d=d, t=t, l1=l1,
+                                                 scheme="mbcr-exact"))
+                    if l1:
+                        for e1 in itertools.combinations(range(1, n + 1), l1):
+                            assert _assert_point_rank_matches_moore(s, e1).secure
+                    # one storage node more than the scheme is built for leaks
+                    # its 2d+t-2l1-1 evaluations independent of the other l1
+                    for e1 in itertools.combinations(range(1, n + 1), l1 + 1):
+                        v = _assert_point_rank_matches_moore(s, e1)
+                        assert v.leakage_qunits == 2 * d + t - 2 * l1 - 1
+
+
+def test_point_rank_verdict_matches_moore_mscr_dk():
+    for k in (2, 3):
+        for t in (2, 3):
+            n = k + t
+            for l1 in range(k):
+                for l2 in range(k - l1):
+                    s = make_scheme(SchemeParams(n=n, k=k, d=k, t=t, l1=l1, l2=l2,
+                                                 scheme="mscr-dk"))
+                    if s.secure_size == 0:
+                        continue
+                    e2 = tuple(range(1, l2 + 1))
+                    transcripts = ()
+                    if e2:
+                        nodes = s.encode(*s.random_inputs(3))
+                        failed = frozenset(range(1, t + 1))
+                        survivors = {c.node_id: c for c in nodes if c.node_id not in failed}
+                        transcripts = (s.cooperative_repair(failed, survivors),)
+                    rest = range(l2 + 1, n + 1)
+                    for e1 in itertools.combinations(rest, l1):
+                        if e1 or e2:
+                            v = _assert_point_rank_matches_moore(s, e1, e2, transcripts)
+                            assert v.secure
+                    # an extra storage node reveals its t - l2 unseen vectors
+                    for e1 in itertools.combinations(rest, l1 + 1):
+                        v = _assert_point_rank_matches_moore(s, e1, e2, transcripts)
+                        assert v.leakage_qunits == t - l2
+    s = make_scheme(SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme="mscr-dk"))
+    assert _assert_point_rank_matches_moore(s, (1, 2)).leakage_qunits == 2
+
+
+@pytest.mark.parametrize("scheme, n, k, d, t", [
+    ("mbcr-exact", 2, 1, 1, 1),
+    ("mscr-dk", 3, 1, 1, 2),
+])
+def test_point_rank_verdict_matches_brute_force(scheme, n, k, d, t):
+    # M = 2 instances built for no eavesdropper: node 1 alone leaks both symbols
+    s = make_scheme(SchemeParams(n=n, k=k, d=d, t=t, scheme=scheme))
+    assert s.file_size == 2
+    v = _assert_point_rank_matches_moore(s, (1,))
+    bf = S.brute_force_leakage(s, [1], [])
+    assert _verdict(v) == _verdict(bf)
+    assert v.leakage_qunits == 2
