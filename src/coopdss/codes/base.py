@@ -20,8 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ..field import Matrix, moore_matrix
-from ..precode import random_symbols
+from ..field import (
+    Matrix,
+    basis_elements,
+    basis_moore_inverse,
+    basis_moore_matrix,
+    moore_matrix,
+)
+from ..precode import coefficients, random_symbols
 
 
 class ParameterError(ValueError):
@@ -286,6 +292,10 @@ class GabidulinScheme(Scheme):
     """A scheme whose every stored or transferred symbol is f(h) for the
     Gabidulin precoding polynomial f and a point h in GF(p)^M.
 
+    The field is GF(p^M) with M = file_size, and f is evaluated at its
+    canonical basis, so the precoding Moore matrix and its inverse depend on
+    the field alone and come from the per-field cache in coopdss.field.
+
     Subclasses give the points: `stored_points(node)` and
     `_download_points(transcript, newcomer)`, the latter as (label, point)
     pairs in transfer order with labels lacking the transcript index.  Each
@@ -295,6 +305,19 @@ class GabidulinScheme(Scheme):
     """
 
     base: object  # the prime field GF(p) of the point coordinates
+
+    @property
+    def points(self) -> tuple[int, ...]:
+        """The M precoding evaluation points: the canonical basis of GF(p^M)."""
+        return tuple(basis_elements(self.field, self.file_size))
+
+    def _precode(self, u: Sequence[int], r: Sequence[int]) -> list[int]:
+        """The M Gabidulin evaluations x = Moore . (r || u)."""
+        return basis_moore_matrix(self.field).matvec(coefficients(u, r))
+
+    def _secret_from_evaluations(self, x: Sequence[int]) -> tuple[int, ...]:
+        """u from the M evaluations: (r || u) = Moore^-1 . x."""
+        return tuple(basis_moore_inverse(self.field).matvec(x)[self.n_random:])
 
     def stored_points(self, node: int) -> list[list[int]]:
         raise NotImplementedError

@@ -34,13 +34,11 @@ from typing import Iterable, Mapping, Sequence
 
 from ..field import (
     Matrix,
-    basis_elements,
     ext_field,
-    moore_matrix,
+    moore_matrix,  # noqa: F401  re-exported: perfbench's tracer wraps it by this name
     prime_field,
     _is_prime,
 )
-from ..precode import coefficients
 from .base import (
     GabidulinScheme,
     NodeContent,
@@ -126,9 +124,6 @@ class MbcrExactScheme(GabidulinScheme):
         p, phi_points = find_structure(n, d, m_total)
         self.base = prime_field(p)
         self.field = ext_field(p, m_total)
-        self.points = tuple(basis_elements(self.field, m_total))
-        self._moore = moore_matrix(self.field, self.points, m_total)
-        self._moore_inv = None
         # base-field generator matrices (plain ints mod p)
         self.y_code = [[pow(x, i, p) for x in range(n)] for i in range(k)]  # k x n
         self.phi = [[pow(x, i, p) for x in phi_points] for i in range(d)]   # d x (n-1)
@@ -212,7 +207,7 @@ class MbcrExactScheme(GabidulinScheme):
 
     def encode(self, u: Sequence[int], r: Sequence[int]) -> list[NodeContent]:
         self._check_inputs(u, r)
-        x = self._moore.matvec(list(coefficients(u, r)))
+        x = self._precode(u, r)
         primaries = self._primaries_from_x(x)
         nodes = []
         for i in range(1, self.params.n + 1):
@@ -263,10 +258,7 @@ class MbcrExactScheme(GabidulinScheme):
             head = Matrix(f, rows, ncols=k).solve(rhs)
             for s in range(k):
                 x[(i - 1) * k + s] = head[s]
-        if self._moore_inv is None:
-            self._moore_inv = self._moore.inverse()
-        coeffs = self._moore_inv.matvec(x)
-        return tuple(coeffs[self.n_random:])
+        return self._secret_from_evaluations(x)
 
     # -- repair -------------------------------------------------------------------
 

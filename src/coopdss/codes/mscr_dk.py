@@ -16,15 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..field import (
-    Matrix,
-    _is_prime,
-    basis_elements,
-    ext_field,
-    moore_matrix,
-    prime_field,
-)
-from ..precode import coefficients
+from ..field import Matrix, _is_prime, ext_field, prime_field
 from .base import (
     GabidulinScheme,
     NodeContent,
@@ -62,9 +54,6 @@ class MscrDkScheme(GabidulinScheme):
         p = _next_prime(n)
         self.base = prime_field(p)
         self.field = ext_field(p, self.file_size)
-        self.points = tuple(basis_elements(self.field, self.file_size))
-        self._moore = moore_matrix(self.field, self.points, self.file_size)
-        self._moore_inv = None
         self.vand = [[pow(x, i, p) for x in range(n)] for i in range(k)]  # k x n
         self.layout = (("shares", t),)
 
@@ -94,7 +83,7 @@ class MscrDkScheme(GabidulinScheme):
                 f"(l1,l2)=({self.params.l1},{self.params.l2}) leaves no secure symbols "
                 f"(l2 >= t)")
         self._check_inputs(u, r)
-        x = self._moore.matvec(list(coefficients(u, r)))
+        x = self._precode(u, r)
         k, t = self.params.k, self.params.t
         m_vecs = [x[j * k:(j + 1) * k] for j in range(t)]
         return [
@@ -116,10 +105,7 @@ class MscrDkScheme(GabidulinScheme):
         for j in range(t):
             vals = [by_id[i].symbols[j] for i in ids]
             x.extend(system.solve(vals))
-        if self._moore_inv is None:
-            self._moore_inv = self._moore.inverse()
-        coeffs = self._moore_inv.matvec(x)
-        return tuple(coeffs[self.n_random:])
+        return self._secret_from_evaluations(x)
 
     # -- repair --------------------------------------------------------------------
 

@@ -370,8 +370,8 @@ class MscrIaScheme(Scheme):
             e_diag, f_diag = ef[m]
             vx = [f.div(cx[j], f_diag[j]) for j in range(alpha)]
             vy = [f.div(cy[j], e_diag[j]) for j in range(alpha)]
-            vals_x[m] = _dot(f, vx, survivors[m].symbols)
-            vals_y[m] = _dot(f, vy, survivors[m].symbols)
+            vals_x[m] = f.dot(vx, survivors[m].symbols)
+            vals_y[m] = f.dot(vy, survivors[m].symbols)
             live[(m, x_id)] = (vals_x[m],)
             live[(m, y_id)] = (vals_y[m],)
         rows_x = self._helper_rows(ef, helpers, cx, recover_first=True)
@@ -473,11 +473,3 @@ class MscrIaScheme(Scheme):
         a_u = Matrix(self.field, u_rows, ncols=self.secure_size)
         a_r = Matrix(self.field, r_rows, ncols=self.n_random)
         return ObservationMatrix(a_u=a_u, a_r=a_r, labels=tuple(labels))
-
-
-def _dot(f, xs, ys):
-    acc = f.zero
-    for a, b in zip(xs, ys):
-        if a != f.zero and b != f.zero:
-            acc = f.add(acc, f.mul(a, b))
-    return acc

@@ -59,7 +59,8 @@ def _unpack(fmt: str, data: bytes, off: int, what: str) -> tuple:
 
 
 def read_nodes(data: bytes) -> tuple[SchemeParams, list[NodeContent]]:
-    """Parse a node file; malformed, short or truncated input raises
+    """Parse a node file; malformed, short or truncated input, a record node
+    id outside [1, n] and a node id repeated within the file raise
     ParameterError."""
     tag, n, k, d, t, l1, l2 = _unpack("<B6H", data, 0, "header")
     off = 13
@@ -91,9 +92,15 @@ def read_nodes(data: bytes) -> tuple[SchemeParams, list[NodeContent]]:
     if end < len(data):
         raise ParameterError("trailing bytes in node file")
     contents = []
+    seen: set[int] = set()
     for _ in range(count):
         (node_id,) = struct.unpack_from("<H", data, off)
         off += 2
+        if not 1 <= node_id <= n:
+            raise ParameterError(f"record node id {node_id} outside [1, {n}]")
+        if node_id in seen:
+            raise ParameterError(f"node id {node_id} appears twice in one file")
+        seen.add(node_id)
         syms = []
         for _ in range(scheme.alpha):
             syms.append(field.symbol_from_bytes(data[off:off + sym_bytes]))

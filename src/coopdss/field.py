@@ -12,13 +12,21 @@ The irreducible modulus is found by deterministic search in lexicographic
 order of coefficient vectors (constant coefficient varying fastest), so every
 encoded byte is reproducible across runs and platforms.
 
+Dot products (and so matrix-vector products) use delayed reduction: reduced
+products are summed as packed ints and normalised once, since the digit slots
+have headroom for many terms (Dumas, Giorgi & Pernet, FFLAS-FFPACK, 2008).
+
 Rank and solving use fraction-free Gaussian elimination with first-nonzero
 pivoting: no divisions during elimination, no tolerances, deterministic.
+
+The Moore matrix of a field's canonical basis, the Gabidulin precoding map,
+and its inverse are built once per field and cached like the fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul as _int_mul
 from typing import Iterable, Iterator, Sequence
 
 
@@ -222,6 +230,10 @@ class PrimeField:
         """Multiply by a base-field scalar (same as mul in a prime field)."""
         return (c * a) % self.p
 
+    def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
+        """sum_i xs[i] * ys[i], reduced once."""
+        return sum(map(_int_mul, xs, ys)) % self.p
+
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -288,7 +300,7 @@ class ExtField:
     __slots__ = (
         "base", "p", "m", "modulus", "order", "char", "degree", "zero", "one",
         "coord_width", "_db", "_mask", "_low_mask", "_all_p", "_red",
-        "_binomial_c",
+        "_binomial_c", "_dot_chunk",
     )
 
     def __init__(self, base: PrimeField, m: int, modulus: Sequence[int] | None = None):
@@ -315,6 +327,9 @@ class ExtField:
         self._mask = (1 << db) - 1
         self._low_mask = (1 << (db * m)) - 1
         self._all_p = sum(p << (db * i) for i in range(m))
+        # reduced digits are <= p-1, so this many reduced elements sum
+        # without any digit overflowing its slot (see dot)
+        self._dot_chunk = self._mask // (p - 1)
         self.zero = 0
         self.one = 1
         self.coord_width = base.coord_width
@@ -454,6 +469,25 @@ class ExtField:
         if c == 1:
             return a
         return self._normalize(c * a)
+
+    def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
+        """sum_i xs[i] * ys[i] with delayed reduction.
+
+        The reduced products are added as packed ints and the sum is
+        normalised once per `_dot_chunk` terms, the most that fit the digit
+        slots, instead of once per addition.
+        """
+        mul, normalize, chunk = self.mul, self._normalize, self._dot_chunk
+        acc = 0
+        terms = 0
+        for a, b in zip(xs, ys):
+            if a and b:
+                if terms == chunk:
+                    acc = normalize(acc)  # digits back to <= p-1: one term's worth
+                    terms = 1
+                acc += mul(a, b)
+                terms += 1
+        return normalize(acc)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -613,25 +647,10 @@ class Matrix:
                       ncols=self.ncols + other.ncols)
 
     def matvec(self, vec: Sequence[int]) -> list[int]:
-        f = self.field
         if len(vec) != self.ncols:
             raise ValueError("dimension mismatch")
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for a, x in zip(row, vec):
-                if a != f.zero and x != f.zero:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return out
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if other.nrows != self.ncols:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        ot = other.transpose()
-        return Matrix(f, [[_dot(f, row, col) for col in ot.rows] for row in self.rows],
-                      ncols=other.ncols)
+        dot = self.field.dot
+        return [dot(row, vec) for row in self.rows]
 
     # -- elimination ----------------------------------------------------------
 
@@ -758,14 +777,6 @@ class Matrix:
         return Matrix(f, inv)
 
 
-def _dot(f, xs: Sequence[int], ys: Sequence[int]) -> int:
-    acc = f.zero
-    for a, b in zip(xs, ys):
-        if a != f.zero and b != f.zero:
-            acc = f.add(acc, f.mul(a, b))
-    return acc
-
-
 def rank(m: Matrix) -> int:
     """Row rank by exact Gaussian elimination."""
     return m.rank()
@@ -828,6 +839,37 @@ def moore_matrix(field: ExtField, points: Sequence[int], ncoeffs: int) -> Matrix
     """len(points) x ncoeffs matrix with row j = (g_j, g_j^q, ..., g_j^(q^(ncoeffs-1)))."""
     return Matrix(field, [frobenius_powers(field, g, ncoeffs) for g in points],
                   ncols=ncoeffs)
+
+
+# field -> [Moore matrix of the canonical basis, its inverse or None]
+_BASIS_MOORE_CACHE: dict[object, list] = {}
+
+
+def _basis_moore_entry(field) -> list:
+    entry = _BASIS_MOORE_CACHE.get(field)
+    if entry is None:
+        m = field.degree
+        entry = [moore_matrix(field, basis_elements(field, m), m), None]
+        _BASIS_MOORE_CACHE[field] = entry
+    return entry
+
+
+def basis_moore_matrix(field) -> Matrix:
+    """m x m Moore matrix of the canonical basis 1, X, ..., X^(m-1) of GF(p^m).
+
+    It depends on the field alone, so it is built once per field and shared
+    by every caller; treat it as read-only.
+    """
+    return _basis_moore_entry(field)[0]
+
+
+def basis_moore_inverse(field) -> Matrix:
+    """Inverse of `basis_moore_matrix(field)`: built on first request, then
+    shared like the matrix itself."""
+    entry = _basis_moore_entry(field)
+    if entry[1] is None:
+        entry[1] = entry[0].inverse()
+    return entry[1]
 
 
 def interpolate_linearized(field: ExtField, points: Sequence[tuple[int, int]],

@@ -79,6 +79,35 @@ def test_reconstruct_short_node_file_exit2(tmp_path, size):
     assert "truncated" in err and "Traceback" not in err
 
 
+def _reconstruct_with_first_record(tmp_path, scheme_name, rewrite):
+    """CLI reconstruct of node 1's file, rewritten by `rewrite`, plus node 2's."""
+    scheme = make_scheme(SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme=scheme_name))
+    u, r = scheme.random_inputs(4)
+    contents = scheme.encode(u, r)
+    paths = []
+    for i, records in enumerate((rewrite(contents[0]), [contents[1]]), start=1):
+        path = tmp_path / f"node_{i:02d}.bin"
+        path.write_bytes(nodeio.write_nodes(scheme, records))
+        paths.append(str(path))
+    return run_cli(["reconstruct", "--nodes", *paths])
+
+
+@pytest.mark.parametrize("scheme_name", ["mscr-dk", "mbcr-exact"])
+@pytest.mark.parametrize("node_id", [0, 5])
+def test_reconstruct_node_id_out_of_range_exit2(tmp_path, scheme_name, node_id):
+    code, out, err = _reconstruct_with_first_record(
+        tmp_path, scheme_name, lambda c: [dataclasses.replace(c, node_id=node_id)])
+    assert code == 2 and out == ""
+    assert f"node id {node_id} outside [1, 4]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scheme_name", ["mscr-dk", "mbcr-exact"])
+def test_reconstruct_node_id_repeated_in_file_exit2(tmp_path, scheme_name):
+    code, out, err = _reconstruct_with_first_record(tmp_path, scheme_name, lambda c: [c, c])
+    assert code == 2 and out == ""
+    assert "node id 1 appears twice" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------
 # bounds / table commands (golden vs library)
 # ---------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopdss import field as F
 
@@ -31,6 +32,18 @@ def det_by_permutations(field, rows):
 def rand_elems(field, count, seed):
     rng = random.Random(seed)
     return [field.from_int(rng.randrange(field.order)) for _ in range(count)]
+
+
+def dot_per_add(field, xs, ys):
+    """Dot product with one reduction per addition; reference for field.dot."""
+    acc = field.zero
+    for a, b in zip(xs, ys):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+# deterministic examples, no example database on disk
+KERNEL_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 # ---------------------------------------------------------
@@ -164,11 +177,73 @@ def test_inverse_and_nullspace():
     gf = F.prime_field(11)
     m = F.Matrix(gf, [[1, 2], [3, 4]])
     inv = m.inverse()
-    assert m.matmul(inv).rows == F.Matrix.identity(gf, 2).rows
+    # columns of m @ inv, one matvec per column of inv
+    assert [m.matvec(col) for col in inv.transpose().rows] == F.Matrix.identity(gf, 2).rows
     singular = F.Matrix(gf, [[1, 2, 3], [2, 4, 6]])
     for vec in singular.nullspace():
         assert singular.matvec(vec) == [0, 0]
     assert len(singular.nullspace()) == 2
+
+
+# ---------------------------------------------------------
+# dot-product kernel (delayed reduction)
+# ---------------------------------------------------------
+
+def _headroom(field) -> int:
+    """Terms one ExtField.dot sums before it must reduce; 0 for GF(p)."""
+    return getattr(field, "_dot_chunk", 0)
+
+
+@st.composite
+def dot_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    m = draw(st.integers(1, 3 if p == 13 else 4))
+    f = F.ext_field(p, m)  # GF(p) itself when m = 1
+    chunk = _headroom(f)
+    # short inputs, and inputs one to two reductions past the slot headroom
+    length = draw(st.one_of(st.integers(0, 12), st.integers(chunk + 1, 2 * chunk + 3)))
+    elem = st.integers(0, f.order - 1).map(f.from_int)
+    xs = draw(st.lists(elem, min_size=length, max_size=length))
+    ys = draw(st.lists(elem, min_size=length, max_size=length))
+    return f, xs, ys
+
+
+@KERNEL_SETTINGS
+@given(dot_inputs())
+def test_dot_matches_per_add_reference(case):
+    f, xs, ys = case
+    assert f.dot(xs, ys) == dot_per_add(f, xs, ys)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 3), (7, 2)])
+def test_dot_worst_case_digits_past_headroom(p, m):
+    # every product has all digits p-1, the most a slot sum can grow per term
+    f = F.ext_field(p, m)
+    top = f.from_coords([p - 1] * m)
+    for length in (f._dot_chunk, f._dot_chunk + 1, 3 * f._dot_chunk + 2):
+        xs, ys = [top] * length, [f.one] * length
+        assert f.dot(xs, ys) == dot_per_add(f, xs, ys)
+        assert f.dot(xs, ys) == f.from_coords([(length * (p - 1)) % p] * m)
+
+
+@st.composite
+def matvec_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 31]))
+    m = draw(st.integers(1, 4))
+    f = F.ext_field(p, m)
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    elem = st.integers(0, f.order - 1).map(f.from_int)
+    rows = draw(st.lists(st.lists(elem, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    vec = draw(st.lists(elem, min_size=ncols, max_size=ncols))
+    return F.Matrix(f, rows, ncols=ncols), vec
+
+
+@KERNEL_SETTINGS
+@given(matvec_inputs())
+def test_matvec_matches_per_add_reference(case):
+    mat, vec = case
+    assert mat.matvec(vec) == [dot_per_add(mat.field, row, vec) for row in mat.rows]
 
 
 # ---------------------------------------------------------
@@ -271,3 +346,17 @@ def test_moore_matrix_rank_matches_point_independence():
     assert F.moore_matrix(gf, pts, 3).rank() == 3
     dep = pts + [gf.add(pts[0], pts[1])]
     assert F.moore_matrix(gf, dep, 4).rank() == 3
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (5, 4), (7, 9), (11, 15)])
+def test_basis_moore_cache_inverse(p, m):
+    gf = F.ext_field(p, m)
+    moore = F.basis_moore_matrix(gf)
+    assert moore is F.basis_moore_matrix(gf)
+    assert moore == F.moore_matrix(gf, F.basis_elements(gf, m), m)
+    inv = F.basis_moore_inverse(gf)
+    assert inv is F.basis_moore_inverse(gf)
+    # Moore . Moore^-1 = I, one column at a time
+    identity = F.Matrix.identity(gf, m).rows
+    assert [moore.matvec(col) for col in inv.transpose().rows] == identity
+    assert F._BASIS_MOORE_CACHE[gf] == [moore, inv]

@@ -1,8 +1,11 @@
 """Cross-scheme invariants: observation faithfulness across many draws,
 serialization determinism, and the scheme contract's shared guarantees."""
 
+import hashlib
+
 import pytest
 
+from coopdss import field as F
 from coopdss.codes import make_scheme, nodeio
 from coopdss.codes.base import ParameterError, SchemeParams
 
@@ -54,6 +57,34 @@ def test_encode_deterministic_bytes(params):
     scheme2 = make_scheme(params)
     blob2 = nodeio.write_nodes(scheme2, scheme2.encode(u, r))
     assert blob1 == blob2
+
+
+# sha256 of write_nodes(encode(random_inputs(11))), fixed before the Moore
+# matrices moved to the per-field cache
+GOLDEN_ENCODE = [
+    (SchemeParams(n=6, k=5, d=5, t=1, l1=4, scheme="mbcr-exact"), 1866,
+     "bbbc160e26237994ee88ca0c5a0461c76266497468c96c7a0e3485d64b9b13dd"),
+    (SchemeParams(n=7, k=3, d=3, t=3, l1=1, scheme="mscr-dk"), 236,
+     "74e92960f447f62cb70547eb69273deb5ff81854b139c47b90aefeef0ed952eb"),
+]
+
+
+@pytest.mark.parametrize("params,size,digest", GOLDEN_ENCODE,
+                         ids=[p.scheme for p, _, _ in GOLDEN_ENCODE])
+def test_gabidulin_schemes_share_the_field_moore_matrix(params, size, digest):
+    first, second = make_scheme(params), make_scheme(params)
+    assert first is not second
+    assert first.field is second.field
+    blobs = []
+    for scheme in (first, second):
+        u, r = scheme.random_inputs(11)
+        blobs.append(nodeio.write_nodes(scheme, scheme.encode(u, r)))
+        # no per-instance Moore matrix: encode used the one cached for the field
+        assert not any(isinstance(v, F.Matrix) for v in vars(scheme).values())
+    assert F._BASIS_MOORE_CACHE[first.field][0] is F.basis_moore_matrix(second.field)
+    assert blobs[0] == blobs[1]
+    assert len(blobs[0]) == size
+    assert hashlib.sha256(blobs[0]).hexdigest() == digest
 
 
 def test_params_validation():
