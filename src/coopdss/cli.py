@@ -134,6 +134,7 @@ def cmd_encode(ns) -> int:
 def _load_nodes(paths):
     params = None
     contents = []
+    seen: set[int] = set()
     for spec in paths:
         want_id = None
         path = spec
@@ -148,6 +149,9 @@ def _load_nodes(paths):
         for c in cs:
             if want_id is not None and c.node_id != want_id:
                 raise UsageError(f"{path}: holds node {c.node_id}, expected {want_id}")
+            if c.node_id in seen:
+                raise UsageError(f"{path}: node {c.node_id} is also in another node file")
+            seen.add(c.node_id)
             contents.append(c)
     if params is None:
         raise UsageError("no node files given")
@@ -157,7 +161,7 @@ def _load_nodes(paths):
 def cmd_reconstruct(ns) -> int:
     params, contents = _load_nodes(ns.nodes)
     scheme = make_scheme(params)
-    if len({c.node_id for c in contents}) < params.k:
+    if len(contents) < params.k:
         raise UsageError(f"need at least k={params.k} distinct nodes")
     u = scheme.reconstruct(contents)
     data = _symbols_to_bytes(scheme.field, u)

@@ -1,20 +1,33 @@
 """Exact arithmetic in GF(p) and GF(p^m), plus the linear algebra used everywhere else.
 
 Prime-field elements are plain ints in [0, p).  Extension-field elements are
-packed ints: m base-p digits, one per fixed-width bit slot, digit i holding the
-coefficient of X^i.  Multiplication is one big-int multiply (Kronecker
-substitution keeps digit slots carry-free) followed by reduction modulo the
-field's irreducible polynomial; when the modulus is a binomial X^m - c the
-reduction is a single scalar fold, which is why constructions prefer primes
-where a binomial modulus exists.
+packed ints: m base-p digits, digit i holding the coefficient of X^i in a
+whole little-endian machine word (bits [W*i, W*(i+1)), W = 32, or 64 when 32
+bits cannot hold the sum of m unreduced products).  A product of two packed
+elements is one big-int multiply (Kronecker substitution): its 2m-1 digits
+are the coefficient sums of the polynomial product, carry-free because a word
+outgrows any digit sum the field can produce.
+
+Every GF(p^m) result goes through one reduction, `_reduce`: fold the digits
+at X^m and above back with the rows X^(m+j) mod the modulus (a single scalar
+multiply when the modulus is a binomial X^m - c, which is why constructions
+prefer primes where one exists), then bring each digit into [0, p) in one
+`to_bytes`/`struct` pass over the words.  The word is wide enough that
+`_dot_chunk` = word mask // (the largest folded digit one product can give)
+products sum before a reduction is due, so work is reduced once per result,
+not once per multiply (delayed reduction; Dumas, Giorgi & Pernet,
+FFLAS-FFPACK, 2008):
+
+- `mul` reduces once per product;
+- `dot` (and so `Matrix.matvec`) sums raw products and reduces once per dot
+  product, or once per `_dot_chunk` terms;
+- each elimination entry, pv*a - c*b, is two raw products reduced once;
+- each back-substitution entry is a `dot` over the solved tail.
 
 The irreducible modulus is found by deterministic search in lexicographic
 order of coefficient vectors (constant coefficient varying fastest), so every
-encoded byte is reproducible across runs and platforms.
-
-Dot products (and so matrix-vector products) use delayed reduction: reduced
-products are summed as packed ints and normalised once, since the digit slots
-have headroom for many terms (Dumas, Giorgi & Pernet, FFLAS-FFPACK, 2008).
+encoded byte is reproducible across runs and platforms.  Serialisation goes
+through the base-field coordinates, so bytes do not depend on the slot layout.
 
 Rank and solving use fraction-free Gaussian elimination with first-nonzero
 pivoting: no divisions during elimination, no tolerances, deterministic.
@@ -25,6 +38,7 @@ and its inverse are built once per field and cached like the fields.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from operator import mul as _int_mul
 from typing import Iterable, Iterator, Sequence
@@ -234,6 +248,10 @@ class PrimeField:
         """sum_i xs[i] * ys[i], reduced once."""
         return sum(map(_int_mul, xs, ys)) % self.p
 
+    def _reduce(self, v: int) -> int:
+        """A nonnegative sum of products back into [0, p)."""
+        return v % self.p
+
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -293,14 +311,15 @@ class PrimeField:
 class ExtField:
     """GF(p^m) with a fixed irreducible modulus over the prime base field.
 
-    Elements are packed ints: digit i (a fixed-width bit slot) holds the
-    coefficient of X^i.  All public operations take and return packed ints.
+    Elements are packed ints: digit i, in a 32- or 64-bit word slot, holds
+    the coefficient of X^i.  All public operations take and return packed
+    ints with every digit in [0, p).
     """
 
     __slots__ = (
         "base", "p", "m", "modulus", "order", "char", "degree", "zero", "one",
         "coord_width", "_db", "_mask", "_low_mask", "_all_p", "_red",
-        "_binomial_c", "_dot_chunk",
+        "_binomial_c", "_dot_chunk", "_words", "_top_words",
     )
 
     def __init__(self, base: PrimeField, m: int, modulus: Sequence[int] | None = None):
@@ -312,24 +331,34 @@ class ExtField:
         self.degree = m
         self.char = base.p
         self.order = base.p ** m
+
+        p = base.p
+        # largest digit one product of reduced elements leaves after the fold:
+        # m*(p-1)^2 per product digit, plus m-1 folded top digits times p-1
+        bound = m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
+        # 32-bit words when m products fit them, else 64-bit
+        self._db = db = 32 if 0xFFFFFFFF // bound >= m else 64
+        self._mask = mask = (1 << db) - 1
+        # terms a sum may hold before it must be reduced (see dot); an
+        # elimination entry needs 2
+        self._dot_chunk = mask // bound
+        if self._dot_chunk < 2:
+            raise ValueError(f"GF({p}^{m}) is too large for 64-bit digit slots")
+
         if modulus is None:
-            modulus = find_irreducible(base.p, m)
-        modulus = tuple(c % base.p for c in modulus)
+            modulus = find_irreducible(p, m)
+        modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
-        if not is_irreducible(modulus, base.p):
+        if not is_irreducible(modulus, p):
             raise ValueError("modulus is not irreducible")
         self.modulus = modulus
 
-        p = base.p
-        bound = m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
-        self._db = db = bound.bit_length() + 1
-        self._mask = (1 << db) - 1
+        code = "I" if db == 32 else "Q"
+        self._words = struct.Struct(f"<{m}{code}")
+        self._top_words = struct.Struct(f"<{m - 1}{code}")
         self._low_mask = (1 << (db * m)) - 1
-        self._all_p = sum(p << (db * i) for i in range(m))
-        # reduced digits are <= p-1, so this many reduced elements sum
-        # without any digit overflowing its slot (see dot)
-        self._dot_chunk = self._mask // (p - 1)
+        self._all_p = self._pack([p] * m)
         self.zero = 0
         self.one = 1
         self.coord_width = base.coord_width
@@ -374,30 +403,39 @@ class ExtField:
     # -- packing ------------------------------------------------------------
 
     def _pack(self, coords: Sequence[int]) -> int:
-        db = self._db
-        v = 0
-        for i, c in enumerate(coords):
-            if c:
-                v |= c << (db * i)
-        return v
+        # at most m nonnegative digits below 2^_db
+        pad = (0,) * (self.m - len(coords))
+        return int.from_bytes(self._words.pack(*coords, *pad), "little")
 
     def _normalize(self, v: int) -> int:
-        db, mask, p = self._db, self._mask, self.p
-        out = 0
-        shift = 0
-        while v:
-            d = v & mask
-            if d >= p:
-                d %= p
-            if d:
-                out |= d << shift
-            v >>= db
-            shift += db
-        return out
+        """Every digit of v (m words, no carries) into [0, p)."""
+        p = self.p
+        if v <= self._mask:
+            return v % p  # one digit: a base-field constant
+        words = self._words
+        digits = words.unpack(v.to_bytes(words.size, "little"))
+        return int.from_bytes(words.pack(*[d % p for d in digits]), "little")
+
+    def _reduce(self, v: int) -> int:
+        """A nonnegative sum of at most `_dot_chunk` products of reduced
+        elements (2m-1 digits) back to a reduced element: fold the digits at
+        X^m and above, then normalise."""
+        top = v >> (self._db * self.m)
+        if top:
+            v &= self._low_mask
+            c = self._binomial_c
+            if c is not None:
+                v += c * top
+            else:
+                words = self._top_words
+                for d, r in zip(words.unpack(top.to_bytes(words.size, "little")), self._red):
+                    if d:
+                        v += d * r
+        return self._normalize(v)
 
     def coords(self, a: int) -> tuple[int, ...]:
-        db, mask = self._db, self._mask
-        return tuple((a >> (db * i)) & mask for i in range(self.m))
+        words = self._words
+        return words.unpack(a.to_bytes(words.size, "little"))
 
     def from_coords(self, coords: Sequence[int]) -> int:
         if len(coords) > self.m:
@@ -420,7 +458,7 @@ class ExtField:
 
     def element(self, value: int) -> int:
         """Embed a base-field int as a constant."""
-        return (value % self.p) & self._mask
+        return value % self.p
 
     def basis_element(self, i: int) -> int:
         if not 0 <= i < self.m:
@@ -443,23 +481,7 @@ class ExtField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        v = a * b
-        low = v & self._low_mask
-        top = v >> (self._db * self.m)
-        if top:
-            c = self._binomial_c
-            if c is not None:
-                low += c * top
-            else:
-                db, mask = self._db, self._mask
-                j = 0
-                while top:
-                    d = top & mask
-                    if d:
-                        low += d * self._red[j]
-                    top >>= db
-                    j += 1
-        return self._normalize(low)
+        return self._reduce(a * b)
 
     def scalar_mul(self, c: int, a: int) -> int:
         """Multiply by a base-field scalar: digit-wise scale, one reduction."""
@@ -473,21 +495,17 @@ class ExtField:
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         """sum_i xs[i] * ys[i] with delayed reduction.
 
-        The reduced products are added as packed ints and the sum is
-        normalised once per `_dot_chunk` terms, the most that fit the digit
-        slots, instead of once per addition.
+        The raw products are summed as packed ints and reduced once, or once
+        per `_dot_chunk` terms, the most that fit the digit words.
         """
-        mul, normalize, chunk = self.mul, self._normalize, self._dot_chunk
+        reduce, chunk = self._reduce, self._dot_chunk
+        if len(xs) <= chunk:
+            return reduce(sum(map(_int_mul, xs, ys)))
+        step = chunk - 1  # a reduced partial sum takes one term's room
         acc = 0
-        terms = 0
-        for a, b in zip(xs, ys):
-            if a and b:
-                if terms == chunk:
-                    acc = normalize(acc)  # digits back to <= p-1: one term's worth
-                    terms = 1
-                acc += mul(a, b)
-                terms += 1
-        return normalize(acc)
+        for i in range(0, len(xs), step):
+            acc = reduce(acc + sum(map(_int_mul, xs[i:i + step], ys[i:i + step])))
+        return acc
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -540,26 +558,34 @@ class ExtField:
             yield self.from_int(i)
 
     # -- serialization --------------------------------------------------------
+    # A symbol is its m coordinates, coord_width little-endian bytes each: the
+    # low coord_width bytes of each word of the packed element.
 
     @property
     def symbol_bytes(self) -> int:
         return self.m * self.coord_width
 
     def symbol_to_bytes(self, a: int) -> bytes:
-        w = self.coord_width
-        return b"".join(c.to_bytes(w, "little") for c in self.coords(a))
+        w, wb = self.coord_width, self._db // 8
+        words = a.to_bytes(self._words.size, "little")
+        out = bytearray(self.m * w)
+        for i in range(w):
+            out[i::w] = words[i::wb]
+        return bytes(out)
 
     def symbol_from_bytes(self, bs: bytes) -> int:
-        w = self.coord_width
+        w, wb = self.coord_width, self._db // 8
         if len(bs) != self.m * w:
             raise ValueError("wrong symbol width")
-        coords = []
-        for i in range(self.m):
-            v = int.from_bytes(bs[i * w:(i + 1) * w], "little")
-            if v >= self.p:
-                raise ValueError(f"coordinate {v} out of range for GF({self.p})")
-            coords.append(v)
-        return self._pack(coords)
+        words = bytearray(self._words.size)
+        for i in range(w):
+            words[i::wb] = bs[i::w]
+        p = self.p
+        coords = self._words.unpack(words)
+        if max(coords) >= p:
+            bad = next(c for c in coords if c >= p)
+            raise ValueError(f"coordinate {bad} out of range for GF({p})")
+        return int.from_bytes(words, "little")
 
 
 _FIELD_CACHE: dict[tuple[int, int], object] = {}
@@ -657,9 +683,11 @@ class Matrix:
     def _echelon(self, aug: list[list[int]] | None = None):
         """Fraction-free row echelon, in place on a copy.
 
-        Returns (work_rows, aug_rows, pivot_columns).
+        Each entry below a pivot becomes pv*a - c*b, two raw products and one
+        field reduction.  Returns (work_rows, aug_rows, pivot_columns).
         """
         f = self.field
+        reduce = f._reduce
         a = [r[:] for r in self.rows]
         b = [r[:] for r in aug] if aug is not None else None
         nr, nc = self.nrows, self.ncols
@@ -683,19 +711,34 @@ class Matrix:
                 if aic == f.zero:
                     continue  # row op would be a pure scaling; equivalence preserved
                 row = a[i]
+                naic = f.neg(aic)
                 for j in range(c + 1, nc):
-                    row[j] = f.sub(f.mul(pv, row[j]), f.mul(aic, prow[j]))
+                    row[j] = reduce(pv * row[j] + naic * prow[j])
                 row[c] = f.zero
                 if b is not None:
-                    brow = b[i]
-                    pbrow = b[r]
+                    brow, pbrow = b[i], b[r]
                     for j in range(len(brow)):
-                        brow[j] = f.sub(f.mul(pv, brow[j]), f.mul(aic, pbrow[j]))
+                        brow[j] = reduce(pv * brow[j] + naic * pbrow[j])
             pivots.append(c)
             r += 1
             if r == nr:
                 break
         return a, b, pivots
+
+    def _back_substitute(self, a: list[list[int]], pivots: list[int],
+                         inv_pivots: list[int], rhs: Sequence[int], x: list[int]) -> list[int]:
+        """Solve the echelon rows for the pivot entries of x, in place:
+        x[c] = (rhs[i] - row[c+1:] . x[c+1:]) / row[c] for pivot row i, last
+        row first.  The other entries of x stay as given."""
+        f = self.field
+        for i in range(len(pivots) - 1, -1, -1):
+            c = pivots[i]
+            row = a[i]
+            x[c] = f.mul(f.sub(rhs[i], f.dot(row[c + 1:], x[c + 1:])), inv_pivots[i])
+        return x
+
+    def _pivot_inverses(self, a: list[list[int]], pivots: list[int]) -> list[int]:
+        return [self.field.inv(a[i][c]) for i, c in enumerate(pivots)]
 
     def rank(self) -> int:
         return len(self._echelon()[2])
@@ -721,36 +764,22 @@ class Matrix:
                 raise NoSolutionError("inconsistent linear system")
         if rank < self.ncols:
             raise UnderdeterminedError(f"rank {rank} < {self.ncols} unknowns")
-        x = [f.zero] * self.ncols
-        for i in range(rank - 1, -1, -1):
-            c = pivots[i]
-            acc = b[i][0]
-            row = a[i]
-            for j in range(c + 1, self.ncols):
-                if row[j] != f.zero and x[j] != f.zero:
-                    acc = f.sub(acc, f.mul(row[j], x[j]))
-            x[c] = f.div(acc, row[c])
-        return x
+        return self._back_substitute(a, pivots, self._pivot_inverses(a, pivots),
+                                     [row[0] for row in b], [f.zero] * self.ncols)
 
     def nullspace(self) -> list[list[int]]:
         """Deterministic right-nullspace basis (one vector per free column)."""
         f = self.field
         a, _, pivots = self._echelon()
+        inv_pivots = self._pivot_inverses(a, pivots)
+        zeros = [f.zero] * len(pivots)
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
         for fc in free:
             x = [f.zero] * self.ncols
             x[fc] = f.one
-            for i in range(len(pivots) - 1, -1, -1):
-                c = pivots[i]
-                acc = f.zero
-                row = a[i]
-                for j in range(c + 1, self.ncols):
-                    if row[j] != f.zero and x[j] != f.zero:
-                        acc = f.sub(acc, f.mul(row[j], x[j]))
-                x[c] = f.div(acc, row[c])
-            basis.append(x)
+            basis.append(self._back_substitute(a, pivots, inv_pivots, zeros, x))
         return basis
 
     def inverse(self) -> "Matrix":
@@ -761,20 +790,11 @@ class Matrix:
         a, b, pivots = self._echelon(aug=Matrix.identity(f, n).rows)
         if len(pivots) != n:
             raise UnderdeterminedError("matrix is singular")
-        inv = [[f.zero] * n for _ in range(n)]
-        for col in range(n):
-            x = [f.zero] * n
-            for i in range(n - 1, -1, -1):
-                c = pivots[i]
-                acc = b[i][col]
-                row = a[i]
-                for j in range(c + 1, n):
-                    if row[j] != f.zero and x[j] != f.zero:
-                        acc = f.sub(acc, f.mul(row[j], x[j]))
-                x[c] = f.div(acc, row[c])
-            for i in range(n):
-                inv[i][col] = x[i]
-        return Matrix(f, inv)
+        inv_pivots = self._pivot_inverses(a, pivots)
+        cols = [self._back_substitute(a, pivots, inv_pivots, [row[col] for row in b],
+                                      [f.zero] * n)
+                for col in range(n)]
+        return Matrix(f, [list(r) for r in zip(*cols)], ncols=n)
 
 
 def rank(m: Matrix) -> int:

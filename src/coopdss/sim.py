@@ -19,7 +19,7 @@ Symbols are hex-encoded little-endian base-field coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from .codes import make_scheme
 from .codes.base import NodeContent, ParameterError, RepairTranscript, Scheme, SchemeParams
@@ -76,6 +76,10 @@ class SimTrace:
     transcripts: tuple[RepairTranscript, ...]
     bandwidth: tuple[int, ...]
     final: tuple[NodeContent, ...]
+    # (ok, diffs) of replay_check on this object; not an init field, so a
+    # copy made with dataclasses.replace is replayed afresh
+    _replay_verdict: tuple[bool, tuple[str, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def total_bandwidth(self) -> int:
@@ -141,8 +145,20 @@ def observation(trace: SimTrace):
 def replay_check(trace: SimTrace) -> tuple[bool, list[str]]:
     """Re-derive every transfer from survivor states; confirm exact repair.
 
-    Returns (ok, diffs); diffs name the first few mismatching records.
+    Returns (ok, diffs); diffs name the first few mismatching records.  The
+    trace keeps the verdict: checking the same trace object again (as
+    `trace_to_text` does) returns it without replaying, while a copy made
+    with dataclasses.replace is replayed afresh.  Traces are values, never
+    changed in place.
     """
+    if trace._replay_verdict is None:
+        ok, diffs = _replay(trace)
+        object.__setattr__(trace, "_replay_verdict", (ok, tuple(diffs)))
+    ok, diffs = trace._replay_verdict
+    return ok, list(diffs)
+
+
+def _replay(trace: SimTrace) -> tuple[bool, list[str]]:
     scheme = make_scheme(trace.config.params)
     states: dict[int, NodeContent] = {c.node_id: c for c in trace.initial}
     diffs: list[str] = []

@@ -108,6 +108,27 @@ def test_reconstruct_node_id_repeated_in_file_exit2(tmp_path, scheme_name):
     assert "node id 1 appears twice" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tampered_last", [True, False])
+def test_reconstruct_node_id_repeated_across_files_exit2(tmp_path, tampered_last):
+    # node 1, node 2 and a copy of node 1 with one symbol replaced: either
+    # order used to exit 0, one of them with a wrong secret
+    scheme = make_scheme(SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme="mscr-dk"))
+    u, r = scheme.random_inputs(4)
+    node1, node2 = scheme.encode(u, r)[:2]
+    f = scheme.field
+    tampered = dataclasses.replace(
+        node1, symbols=(f.add(node1.symbols[0], f.one),) + node1.symbols[1:])
+    files = [node1, node2, tampered] if tampered_last else [tampered, node2, node1]
+    paths = []
+    for i, content in enumerate(files):
+        path = tmp_path / f"file_{i}.bin"
+        path.write_bytes(nodeio.write_nodes(scheme, [content]))
+        paths.append(str(path))
+    code, out, err = run_cli(["reconstruct", "--nodes", *paths])
+    assert code == 2 and out == ""
+    assert "node 1 is also in another node file" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------
 # bounds / table commands (golden vs library)
 # ---------------------------------------------------------
@@ -254,6 +275,24 @@ def test_simulate_and_verify_from_trace(tmp_path):
     assert text.strip().endswith("final,ok")
     code, out, _ = run_cli(["verify-secrecy", "--trace", str(trace_file), "--e2", "1"])
     assert code == 0 and "leakage_qunits=0" in out
+
+
+def test_simulate_repairs_run_twice_per_round(tmp_path, monkeypatch):
+    # one repair per round in sim.run, one in the replay that writes the
+    # trace text; the replay line on stderr reuses that verdict
+    calls = []
+    real_repair = MscrDkScheme.cooperative_repair
+
+    def counted(self, failed, survivors, helpers=None):
+        calls.append(failed)
+        return real_repair(self, failed, survivors, helpers)
+
+    monkeypatch.setattr(MscrDkScheme, "cooperative_repair", counted)
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(SIM_INI)
+    code, out, err = run_cli(["simulate", "--config", str(cfg)])
+    assert code == 0 and out.strip().endswith("final,ok") and "replay=ok" in err
+    assert len(calls) == 2 * 2
 
 
 def test_simulate_bandwidth_fault_exit3(tmp_path, monkeypatch):

@@ -194,18 +194,47 @@ def _headroom(field) -> int:
     return getattr(field, "_dot_chunk", 0)
 
 
+def _product_bound(p, m):
+    """Largest digit one product of reduced GF(p^m) elements leaves after the
+    fold: m*(p-1)^2 per product digit, plus m-1 folded digits times p-1."""
+    return m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
+
+
+def _all_digits_top(f):
+    """The element with every digit p-1, whose products are the largest."""
+    return f.from_coords([f.p - 1] * f.degree)
+
+
+# fields whose headroom a test can cross: 32-bit words with a binomial
+# modulus (GF(31^30), GF(29^32)) or a general one (GF(257^3), GF(251^4)),
+# and 64-bit words (GF(65537^8))
+CHUNKED_FIELDS = [(31, 30), (29, 32), (257, 3), (251, 4), (65537, 8)]
+
+
 @st.composite
 def dot_inputs(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
-    m = draw(st.integers(1, 3 if p == 13 else 4))
-    f = F.ext_field(p, m)  # GF(p) itself when m = 1
-    chunk = _headroom(f)
-    # short inputs, and inputs one to two reductions past the slot headroom
-    length = draw(st.one_of(st.integers(0, 12), st.integers(chunk + 1, 2 * chunk + 3)))
-    elem = st.integers(0, f.order - 1).map(f.from_int)
-    xs = draw(st.lists(elem, min_size=length, max_size=length))
-    ys = draw(st.lists(elem, min_size=length, max_size=length))
-    return f, xs, ys
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        # any small field, short inputs
+        p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+        f = F.ext_field(p, draw(st.integers(1, 3 if p == 13 else 4)))  # GF(p) when m = 1
+        length = draw(st.integers(0, 12))
+    else:
+        # one to two reductions past the headroom
+        f = F.ext_field(*draw(st.sampled_from(CHUNKED_FIELDS)))
+        length = draw(st.integers(_headroom(f) + 1, 2 * _headroom(f) + 3))
+    top = _all_digits_top(f)
+
+    def elem():
+        # random elements, with zeros and all-(p-1) elements mixed in
+        roll = rng.random()
+        if roll < 0.15:
+            return f.zero
+        if roll < 0.3:
+            return top
+        return f.from_int(rng.randrange(f.order))
+
+    return f, [elem() for _ in range(length)], [elem() for _ in range(length)]
 
 
 @KERNEL_SETTINGS
@@ -215,15 +244,54 @@ def test_dot_matches_per_add_reference(case):
     assert f.dot(xs, ys) == dot_per_add(f, xs, ys)
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 3), (7, 2)])
+@pytest.mark.parametrize("p,m", CHUNKED_FIELDS)
 def test_dot_worst_case_digits_past_headroom(p, m):
-    # every product has all digits p-1, the most a slot sum can grow per term
+    # all digits p-1 on both operands: every raw product has the largest
+    # digits there are
     f = F.ext_field(p, m)
-    top = f.from_coords([p - 1] * m)
-    for length in (f._dot_chunk, f._dot_chunk + 1, 3 * f._dot_chunk + 2):
-        xs, ys = [top] * length, [f.one] * length
-        assert f.dot(xs, ys) == dot_per_add(f, xs, ys)
-        assert f.dot(xs, ys) == f.from_coords([(length * (p - 1)) % p] * m)
+    assert f._db in (32, 64)
+    top = _all_digits_top(f)
+    square = f.mul(top, top)
+    chunk = f._dot_chunk
+    for length in (chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 2):
+        xs = ys = [top] * length
+        got = f.dot(xs, ys)
+        assert got == dot_per_add(f, xs, ys)
+        assert got == f.scalar_mul(length, square)
+
+
+def _acceptance_grid_fields():
+    """Every field the acceptance grids build: mbcr-exact (criteria 2 and 6)
+    and mscr-dk (criteria 5 and 6); l1, l2 do not change the field."""
+    from coopdss.codes import make_scheme
+    from coopdss.codes.base import SchemeParams
+    params = [SchemeParams(n=n, k=k, d=n - t, t=t, scheme="mbcr-exact")
+              for n in (4, 5, 6) for t in (1, 2, 3) for k in range(1, n - t + 1)]
+    params += [SchemeParams(n=k + t, k=k, d=k, t=t, scheme="mscr-dk")
+               for k in (2, 3) for t in (2, 3)]
+    return {make_scheme(pa).field for pa in params}
+
+
+def test_headroom_holds_on_acceptance_fields():
+    fields = _acceptance_grid_fields()
+    assert len(fields) > 10
+    for f in fields:
+        bound = _product_bound(f.p, f.degree)
+        assert f._dot_chunk * bound < 2 ** f._db, f
+        # one word holds m products, so a Moore row takes one reduction
+        assert f._dot_chunk >= f.degree, f
+        assert f._db == 32, f  # 64-bit words only where 32 bits do not suffice
+
+
+def test_word_width_follows_the_field():
+    # 32-bit words while they hold m products; 64-bit past that
+    for (p, m), db in [((31, 30), 32), ((257, 3), 32), ((251, 8), 64), ((65537, 8), 64)]:
+        f = F.ext_field(p, m)
+        assert f._db == db
+        assert f._dot_chunk == (2 ** db - 1) // _product_bound(p, m) >= 2
+    assert (2 ** 32 - 1) // _product_bound(251, 8) < 8
+    with pytest.raises(ValueError, match="too large"):
+        F.ExtField(F.prime_field(2 ** 31 - 1), 2)
 
 
 @st.composite
@@ -244,6 +312,178 @@ def matvec_inputs(draw):
 def test_matvec_matches_per_add_reference(case):
     mat, vec = case
     assert mat.matvec(vec) == [dot_per_add(mat.field, row, vec) for row in mat.rows]
+
+
+# ---------------------------------------------------------
+# elimination kernel against a per-operation reference
+# ---------------------------------------------------------
+
+def echelon_per_op(f, rows, aug=None):
+    """Fraction-free echelon with f.mul/f.sub per entry: the reference for
+    Matrix._echelon, which reduces each entry once."""
+    a = [r[:] for r in rows]
+    b = [r[:] for r in aug] if aug is not None else None
+    nc = len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(nc):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != f.zero), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        if b is not None:
+            b[r], b[piv] = b[piv], b[r]
+        pv = a[r][c]
+        for i in range(r + 1, len(a)):
+            aic = a[i][c]
+            if aic == f.zero:
+                continue
+            a[i] = [f.sub(f.mul(pv, x), f.mul(aic, y)) for x, y in zip(a[i], a[r])]
+            if b is not None:
+                b[i] = [f.sub(f.mul(pv, x), f.mul(aic, y)) for x, y in zip(b[i], b[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a, b, pivots
+
+
+def back_substitute_per_op(f, a, pivots, rhs, x):
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        acc = rhs[i]
+        for j in range(c + 1, len(x)):
+            acc = f.sub(acc, f.mul(a[i][j], x[j]))
+        x[c] = f.div(acc, a[i][c])
+    return x
+
+
+def solve_per_op(f, rows, ncols, rhs):
+    a, b, pivots = echelon_per_op(f, rows, [[v] for v in rhs])
+    if any(b[i][0] != f.zero for i in range(len(pivots), len(rows))):
+        raise F.NoSolutionError
+    if len(pivots) < ncols:
+        raise F.UnderdeterminedError
+    return back_substitute_per_op(f, a, pivots, [row[0] for row in b], [f.zero] * ncols)
+
+
+def nullspace_per_op(f, rows, ncols):
+    a, _, pivots = echelon_per_op(f, rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        x = [f.zero] * ncols
+        x[fc] = f.one
+        basis.append(back_substitute_per_op(f, a, pivots, [f.zero] * len(pivots), x))
+    return basis
+
+
+def inverse_per_op(f, rows):
+    n = len(rows)
+    a, b, pivots = echelon_per_op(f, rows, F.Matrix.identity(f, n).rows)
+    if len(pivots) != n:
+        raise F.UnderdeterminedError
+    cols = [back_substitute_per_op(f, a, pivots, [row[col] for row in b], [f.zero] * n)
+            for col in range(n)]
+    return [list(r) for r in zip(*cols)]
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the linear-algebra error it raised."""
+    try:
+        return fn(*args)
+    except (F.NoSolutionError, F.UnderdeterminedError) as exc:
+        return type(exc)
+
+
+# one field on 64-bit words, GF(251^8), and one with p >= 256, GF(257^3)
+WIDE_FIELDS = [(251, 8), (257, 3)]
+
+
+@st.composite
+def ext_matrices(draw, square=False):
+    p, m = draw(st.one_of(
+        st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13, 31]), st.integers(2, 6)),
+        st.sampled_from(WIDE_FIELDS)))
+    f = F.ext_field(p, m)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.7]))
+
+    def elem():
+        return f.zero if rng.random() < zero_share else f.from_int(rng.randrange(f.order))
+
+    rows = [[elem() for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        # make the last row a combination of the others: rank deficient
+        coeffs = [elem() for _ in range(nrows - 1)]
+        rows[-1] = [f.dot(coeffs, [row[j] for row in rows[:-1]]) for j in range(ncols)]
+    rhs = [elem() for _ in range(nrows)]
+    if draw(st.booleans()):
+        rhs = F.Matrix(f, rows).matvec([elem() for _ in range(ncols)])  # consistent
+    return f, rows, rhs
+
+
+@KERNEL_SETTINGS
+@given(ext_matrices())
+def test_solve_and_rank_profile_match_per_op_reference(case):
+    f, rows, rhs = case
+    mat = F.Matrix(f, rows)
+    _, _, ref_pivots = echelon_per_op(f, rows)
+    assert mat.rank_profile() == (len(ref_pivots), ref_pivots)
+    got = outcome(mat.solve, rhs)
+    assert got == outcome(solve_per_op, f, rows, mat.ncols, rhs)
+    if isinstance(got, list):
+        assert mat.matvec(got) == rhs
+
+
+@KERNEL_SETTINGS
+@given(ext_matrices())
+def test_nullspace_matches_per_op_reference(case):
+    f, rows, _ = case
+    mat = F.Matrix(f, rows)
+    basis = mat.nullspace()
+    assert basis == nullspace_per_op(f, rows, mat.ncols)
+    assert len(basis) == mat.ncols - mat.rank()
+    for vec in basis:
+        assert mat.matvec(vec) == [f.zero] * mat.nrows
+
+
+@KERNEL_SETTINGS
+@given(ext_matrices(square=True))
+def test_inverse_matches_per_op_reference(case):
+    f, rows, _ = case
+    mat = F.Matrix(f, rows)
+    got = outcome(mat.inverse)
+    ref = outcome(inverse_per_op, f, rows)
+    if isinstance(got, F.Matrix):
+        assert got.rows == ref
+        identity = F.Matrix.identity(f, mat.nrows).rows
+        assert [mat.matvec(col) for col in got.transpose().rows] == identity
+    else:
+        assert got is ref is F.UnderdeterminedError
+
+
+# p >= 256: two coordinate bytes (GF(257^3)), three on 64-bit words (GF(65537^8))
+@pytest.mark.parametrize("p,m", [(257, 3), (65537, 8), (31, 30)])
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_symbol_bytes_roundtrip_and_range(p, m, data):
+    f = F.ext_field(p, m)
+    w = f.coord_width
+    coords = data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+    a = f.from_coords(coords)
+    raw = b"".join(c.to_bytes(w, "little") for c in coords)  # coordinate 0 first
+    assert f.symbol_to_bytes(a) == raw
+    assert f.symbol_from_bytes(raw) == a
+    assert f.coords(a) == tuple(coords)
+    # any coordinate at or past p is rejected
+    idx = data.draw(st.integers(0, m - 1))
+    bad = data.draw(st.integers(p, 256 ** w - 1))
+    bad_raw = raw[:idx * w] + bad.to_bytes(w, "little") + raw[(idx + 1) * w:]
+    with pytest.raises(ValueError, match=f"coordinate {bad} out of range"):
+        f.symbol_from_bytes(bad_raw)
+    with pytest.raises(ValueError, match="wrong symbol width"):
+        f.symbol_from_bytes(raw[:-1])
 
 
 # ---------------------------------------------------------

@@ -120,3 +120,50 @@ def test_trace_text_roundtrip():
         table = tr.live_transfers if kind == "live" else tr.coop_transfers
         vals = tuple(f.symbol_from_bytes(bytes.fromhex(h)) for h in hexvals.split(":"))
         assert table[(src, dst)] == vals
+
+
+def _count_repairs(monkeypatch, scheme_cls):
+    calls = []
+    real_repair = scheme_cls.cooperative_repair
+
+    def counted(self, failed, survivors, helpers=None):
+        calls.append(failed)
+        return real_repair(self, failed, survivors, helpers)
+
+    monkeypatch.setattr(scheme_cls, "cooperative_repair", counted)
+    return calls
+
+
+def test_lifetime_repairs_run_twice_per_round(monkeypatch):
+    # sim.run repairs once per round and replay_check once more; trace_to_text
+    # reuses the trace's replay verdict instead of replaying a third time
+    from coopdss.codes import MbcrExactScheme
+    calls = _count_repairs(monkeypatch, MbcrExactScheme)
+    cfg = config_for(l1=1, rounds=3,
+                     failure_plan=(frozenset({1, 2}), frozenset({3, 4}), frozenset({2, 3})),
+                     e1=(1,))
+    trace = sim_mod.run(cfg)
+    ok, _ = sim_mod.replay_check(trace)
+    text = sim_mod.trace_to_text(trace)
+    assert ok and text.endswith("final,ok\n")
+    assert sim_mod.replay_check(trace) == (ok, [])
+    assert len(calls) == 2 * 3
+    # without an earlier replay, trace_to_text replays by itself
+    fresh = dataclasses.replace(trace)
+    assert sim_mod.trace_to_text(fresh) == text
+    assert len(calls) == 3 * 3
+
+
+def test_trace_text_of_tampered_copy_reports_mismatch():
+    cfg = config_for(l1=1, rounds=1, failure_plan=(frozenset({1, 2}),), e1=(3,))
+    trace = sim_mod.run(cfg)
+    assert sim_mod.replay_check(trace)[0]
+    tr = trace.transcripts[0]
+    key, vals = min(tr.live_transfers.items())
+    f = __import__("coopdss.codes", fromlist=["make_scheme"]).make_scheme(cfg.params).field
+    live = dict(tr.live_transfers)
+    live[key] = (f.add(vals[0], f.one),) + vals[1:]
+    bad_trace = dataclasses.replace(
+        trace, transcripts=(dataclasses.replace(tr, live_transfers=live),))
+    assert sim_mod.trace_to_text(bad_trace).endswith("final,MISMATCH\n")
+    assert sim_mod.trace_to_text(trace).endswith("final,ok\n")
