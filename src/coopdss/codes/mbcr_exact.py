@@ -8,16 +8,18 @@ evaluations x_1..x_M over GF(p^M).  Stage 2 places them:
             spread over all n nodes through a base-field (n,k) Vandermonde
             MDS code (values y_{j,i});
   secondary each node's d primary symbols (its x block plus its y values) are
-            re-encoded by a base-field d x (n-1) Vandermonde Phi whose square
-            minors are all nonsingular ([I_d Phi] generates an MDS code); the
-            n-1 outputs are scattered one per other node (z values).
+            re-encoded by a base-field d x (n-1) Cauchy matrix Phi, every
+            square minor of which is nonsingular ([I_d Phi] generates an MDS
+            code); the n-1 outputs are scattered one per other node (z values).
 
 Every stored symbol is therefore a base-field combination of the M Gabidulin
 evaluations, i.e. an evaluation of the precoding polynomial at a point of
 GF(p)^M; secrecy reduces to the GF(p) rank of those points (the Moore-rank
-lemma, see coopdss.secrecy).  The base prime p is the smallest prime >= n
-with p = 1 mod rad(M) (and mod 4 when 4 | M, so a binomial modulus X^M - c
-exists and reduction is one fold) for which the Phi minor search succeeds.
+lemma, see coopdss.secrecy).  Phi and p are closed forms, not a search (see
+`find_structure`): p is the smallest prime >= d+n-1 with p = 1 mod rad(M) (and
+mod 4 when 4 | M, so a binomial modulus X^M - c exists and reduction is one
+fold); p >= d+n-1 leaves room for the d+n-1 distinct Cauchy points, so any
+n = d + t can be built.
 
 Repair of a failure set T (|T| = t = n - d): each survivor sends the z value
 it stores for each failed node (one symbol; the d of them pin down the failed
@@ -29,7 +31,6 @@ beta' = 1 from each cooperating newcomer, gamma = 2d+t-1 = alpha.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from ..field import (
@@ -61,43 +62,27 @@ def _rad(n: int) -> int:
     return r * (n if n > 1 else 1)
 
 
-def _all_minors_nonsingular(rows: list[list[int]], p: int) -> bool:
-    """Every square submatrix nonsingular == [I | A] generates an MDS code."""
-    nr, nc = len(rows), len(rows[0])
-    for size in range(1, min(nr, nc) + 1):
-        for rsel in combinations(range(nr), size):
-            sub_rows = [rows[i] for i in rsel]
-            for csel in combinations(range(nc), size):
-                m = Matrix(prime_field(p), [[row[c] for c in csel] for row in sub_rows])
-                if m.rank() < size:
-                    return False
-    return True
+def find_structure(n: int, d: int, m_total: int) -> tuple[int, list[list[int]]]:
+    """The base prime p and the d x (n-1) secondary generator Phi over GF(p).
 
-
-_STRUCTURE_CACHE: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
-
-
-def find_structure(n: int, d: int, m_total: int) -> tuple[int, tuple[int, ...]]:
-    """Deterministic (p, Phi points) search for the given (n, d, M)."""
-    key = (n, d, m_total)
-    if key in _STRUCTURE_CACHE:
-        return _STRUCTURE_CACHE[key]
+    Phi is the Cauchy matrix C[s][c] = 1/(x_s - y_c) on x_s = s and
+    y_c = d + c, scaled so that row 0 and column 0 are all ones:
+    Phi[s][c] = C[s][c] C[0][0] / (C[s][0] C[0][c]) = (d-s)(d+c) / (d(d+c-s)).
+    A Cauchy matrix on distinct, disjoint points is superregular, every
+    square minor is nonsingular (MacWilliams & Sloane ch. 11), and nonzero
+    row and column scalings keep it so.  The d+n-1 points are distinct in
+    GF(p) because p >= d+n-1.
+    """
     radm = _rad(m_total)
     if m_total % 4 == 0 and radm % 4 != 0:
         radm *= 2  # force p = 1 mod 4 as well
-    p = 2
-    while True:
-        p += 1
-        if not _is_prime(p) or p < n or (p - 1) % radm != 0:
-            continue
-        # lexicographically first tuple of d' = n-1 distinct nonzero points
-        # whose Vandermonde has all square minors nonsingular
-        for points in combinations(range(1, p), n - 1):
-            rows = [[pow(x, i, p) for x in points] for i in range(d)]
-            if _all_minors_nonsingular(rows, p):
-                _STRUCTURE_CACHE[key] = (p, points)
-                return p, points
-        # no point set worked at this prime; try the next admissible prime
+    p = 1 + radm * -(-(d + n - 2) // radm)  # least p = 1 mod radm with p >= d+n-1
+    while not _is_prime(p):
+        p += radm
+    inv_d = pow(d, p - 2, p)
+    phi = [[(d - s) * (d + c) * inv_d * pow(d + c - s, p - 2, p) % p for c in range(n - 1)]
+           for s in range(d)]
+    return p, phi
 
 
 class MbcrExactScheme(GabidulinScheme):
@@ -121,12 +106,11 @@ class MbcrExactScheme(GabidulinScheme):
         self.secure_size = (k - self.ell) * (2 * d + t - k - self.ell)
 
         m_total = self.file_size
-        p, phi_points = find_structure(n, d, m_total)
+        p, self.phi = find_structure(n, d, m_total)  # phi: d x (n-1)
         self.base = prime_field(p)
         self.field = ext_field(p, m_total)
         # base-field generator matrices (plain ints mod p)
         self.y_code = [[pow(x, i, p) for x in range(n)] for i in range(k)]  # k x n
-        self.phi = [[pow(x, i, p) for x in phi_points] for i in range(d)]   # d x (n-1)
         self.layout = (("x", k), ("y", d - k), ("z", n - 1))
 
         # point vectors (length-M base coordinates) of every stored symbol

@@ -511,6 +511,8 @@ class ExtField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         p = self.p
+        if a < p:  # a base-field constant
+            return pow(a, p - 2, p)
         # extended Euclid over GF(p) coefficient lists
         r0, r1 = list(self.modulus), _poly_trim(list(self.coords(a)))
         s0, s1 = [], [1]

@@ -1,13 +1,14 @@
 import dataclasses
 import io
 import os
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from coopdss import bounds as bounds_mod
 from coopdss import sim as sim_mod
 from coopdss.cli import main
-from coopdss.codes import MscrDkScheme, make_scheme, nodeio
+from coopdss.codes import SCHEME_TAGS, MscrDkScheme, make_scheme, nodeio
 from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.precode import random_symbols
 
@@ -127,6 +128,20 @@ def test_reconstruct_node_id_repeated_across_files_exit2(tmp_path, tampered_last
     code, out, err = run_cli(["reconstruct", "--nodes", *paths])
     assert code == 2 and out == ""
     assert "node 1 is also in another node file" in err and "Traceback" not in err
+
+
+def test_forged_large_n_header_field_mismatch_exit2(tmp_path):
+    # an n = 8 mbcr-exact header (its field is GF(89^44)) that names GF(31^44):
+    # building the scheme is a closed form, so the mismatch is reported at once
+    blob = (struct.pack("<B6H", SCHEME_TAGS["mbcr-exact"], 8, 4, 7, 1, 2, 0)
+            + struct.pack("<IHH", 31, 44, 0) + struct.pack("<H", 0))
+    with pytest.raises(ParameterError, match="does not match"):
+        nodeio.read_nodes(blob)
+    path = tmp_path / "node_01.bin"
+    path.write_bytes(blob)
+    code, out, err = run_cli(["reconstruct", "--nodes", str(path)])
+    assert code == 2 and out == ""
+    assert "GF(31^44) does not match" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------

@@ -294,6 +294,17 @@ def test_word_width_follows_the_field():
         F.ExtField(F.prime_field(2 ** 31 - 1), 2)
 
 
+@pytest.mark.parametrize("p,m", [(31, 30), (43, 21), (7, 9), (251, 8)])
+def test_inv_of_base_field_constants(p, m):
+    # a packed constant c < p inverts to a constant; X still takes extended Euclid
+    f = F.ext_field(p, m)
+    for c in range(1, p):
+        inv = f.inv(c)
+        assert inv < p and f.mul(c, inv) == f.one, c
+    x = f.basis_element(1)
+    assert f.mul(x, f.inv(x)) == f.one
+
+
 @st.composite
 def matvec_inputs(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 31]))

@@ -1,8 +1,9 @@
 import itertools
+from math import prod
 
 import pytest
 
-from coopdss.codes import make_scheme
+from coopdss.codes import make_scheme, nodeio
 from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.codes.mbcr_exact import find_structure
 from coopdss.field import Matrix, prime_field
@@ -128,22 +129,95 @@ def test_point_matrix_cross_check():
         assert s.observation_point_matrix(e1, []).rank() == obs.joint().rank()
 
 
+def _criterion_2_keys():
+    """(n, d, M) of every acceptance-criterion-2 instance."""
+    return sorted({(n, n - t, k * (2 * (n - t) + t - k))
+                   for n in (4, 5, 6) for t in (1, 2, 3) for k in range(1, n - t + 1)})
+
+
+# the prime the former Vandermonde search settled on for each criterion-2 key;
+# the closed form may only shrink the field
+SEARCHED_PRIME = {
+    (4, 1, 4): 5, (4, 2, 5): 11, (4, 2, 8): 5, (4, 3, 6): 7, (4, 3, 10): 11,
+    (4, 3, 12): 13, (5, 2, 6): 7, (5, 2, 10): 11, (5, 3, 7): 29, (5, 3, 12): 13,
+    (5, 3, 15): 31, (5, 4, 8): 13, (5, 4, 14): 29, (5, 4, 18): 13, (5, 4, 20): 41,
+    (6, 3, 8): 13, (6, 3, 14): 29, (6, 3, 18): 13, (6, 4, 9): 19, (6, 4, 16): 17,
+    (6, 4, 21): 43, (6, 4, 24): 37, (6, 5, 10): 11, (6, 5, 18): 31, (6, 5, 24): 37,
+    (6, 5, 28): 29, (6, 5, 30): 31,
+}
+
+
+def _all_minors_nonsingular(rows, p):
+    """Oracle: every square submatrix has full rank over GF(p)."""
+    base = prime_field(p)
+    nr, nc = len(rows), len(rows[0])
+    for size in range(1, min(nr, nc) + 1):
+        for rsel in itertools.combinations(range(nr), size):
+            for csel in itertools.combinations(range(nc), size):
+                sub = Matrix(base, [[rows[i][j] for j in csel] for i in rsel])
+                if sub.rank() < size:
+                    return False
+    return True
+
+
 def test_phi_structure_is_mds():
     # [I_d Phi] generates an MDS code: every square minor of Phi nonsingular
-    p, points = find_structure(5, 3, 15)
-    base = prime_field(p)
-    phi = [[pow(x, i, p) for x in points] for i in range(3)]
-    for size in (1, 2, 3):
-        for rsel in itertools.combinations(range(3), size):
-            for csel in itertools.combinations(range(4), size):
-                sub = Matrix(base, [[phi[i][j] for j in csel] for i in rsel])
-                assert sub.rank() == size
+    for key in _criterion_2_keys() + [(7, 5, 32), (7, 6, 42), (8, 7, 56)]:
+        n, d, m_total = key
+        p, phi = find_structure(n, d, m_total)
+        assert len(phi) == d and all(len(row) == n - 1 for row in phi)
+        # the scaled Cauchy matrix, from its definition C[s][c] = 1/(s - (d+c))
+        cauchy = [[pow(s - d - c, p - 2, p) for c in range(n - 1)] for s in range(d)]
+        assert phi == [[cauchy[s][c] * cauchy[0][0]
+                        * pow(cauchy[s][0] * cauchy[0][c], p - 2, p) % p
+                        for c in range(n - 1)] for s in range(d)], key
+        assert phi[0] == [1] * (n - 1) and [row[0] for row in phi] == [1] * d
+        assert _all_minors_nonsingular(phi, p), key
 
 
-def test_structure_search_is_deterministic():
-    assert find_structure(4, 2, 8) == find_structure(4, 2, 8)
-    p, pts = find_structure(4, 2, 8)
-    assert p == 5 and pts == (1, 2, 3)
+def _rad(m):
+    return prod(q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q)))
+
+
+def _admissible(q, m_total):
+    """q prime, q = 1 mod rad(M), and q = 1 mod 4 when 4 | M."""
+    step = 4 if m_total % 4 == 0 else 1
+    return (q > 1 and all(q % r for r in range(2, q))
+            and (q - 1) % _rad(m_total) == 0 and (q - 1) % step == 0)
+
+
+def test_prime_rule_is_least_admissible_prime():
+    for key in _criterion_2_keys() + [(7, 5, 32), (8, 7, 44), (8, 7, 56)]:
+        n, d, m_total = key
+        p, phi = find_structure(n, d, m_total)
+        assert find_structure(n, d, m_total) == (p, phi)  # deterministic
+        assert p >= d + n - 1 and _admissible(p, m_total), key
+        assert not any(_admissible(q, m_total) for q in range(d + n - 1, p)), key
+        if key in SEARCHED_PRIME:
+            assert p <= SEARCHED_PRIME[key], key
+    assert set(_criterion_2_keys()) == set(SEARCHED_PRIME)
+    assert find_structure(6, 5, 18)[0] == 13  # the search needed GF(31)
+
+
+# n >= 7: instances the former minor search took seconds (n = 7) or did not
+# finish (n = 8) to build
+@pytest.mark.parametrize("n,k,d,t", [(7, 4, 5, 2), (8, 4, 7, 1)])
+def test_large_n_roundtrip_repair_and_secrecy(n, k, d, t):
+    l1 = 2
+    s = scheme_for(n, k, d, t, l1=l1)
+    u, r = s.random_inputs(8)
+    nodes = s.encode(u, r)
+    for ids in [(1, 2, 3, 4), (n - 3, n - 2, n - 1, n), (1, 3, 5, 7), (2, 4, 6, n)]:
+        assert s.reconstruct([nodes[i - 1] for i in ids]) == u, ids
+    failed = {2, n - 1} if t == 2 else {3}
+    survivors = {c.node_id: c for c in nodes if c.node_id not in failed}
+    tr = s.cooperative_repair(failed, survivors)
+    for res in tr.results:
+        assert (nodeio.write_nodes(s, [res])
+                == nodeio.write_nodes(s, [nodes[res.node_id - 1]])), res.node_id
+    assert all(tr.downloads(i) == s.gamma for i in failed)
+    assert leakage_of(s, (3, 5)).leakage_qunits == 0
+    assert leakage_of(s, (1, 3, 5)).leakage_qunits == 2 * d + t - 2 * l1 - 1
 
 
 def test_achieved_size_matches_proposition():
