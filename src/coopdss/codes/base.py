@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Sequence
 
 from ..field import (
     Matrix,
-    basis_elements,
     basis_moore_inverse,
     basis_moore_matrix,
     moore_matrix,
@@ -305,11 +304,6 @@ class GabidulinScheme(Scheme):
     """
 
     base: object  # the prime field GF(p) of the point coordinates
-
-    @property
-    def points(self) -> tuple[int, ...]:
-        """The M precoding evaluation points: the canonical basis of GF(p^M)."""
-        return tuple(basis_elements(self.field, self.file_size))
 
     def _precode(self, u: Sequence[int], r: Sequence[int]) -> list[int]:
         """The M Gabidulin evaluations x = Moore . (r || u)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..field import Matrix, _is_prime, prime_field, vandermonde
+from ..field import Matrix, next_prime, prime_field, vandermonde
 from .base import (
     NodeContent,
     ObservationMatrix,
@@ -65,10 +65,7 @@ class MbcrBivariateScheme(Scheme):
         self.beta_prime = 1
         self.secure_size = self.file_size - self.ell * (2 * d + t - self.ell)
 
-        q = n + 1
-        while not _is_prime(q):
-            q += 1
-        self.field = prime_field(q)
+        self.field = prime_field(next_prime(n + 1))
         self.x_points = tuple(range(n))
         self.y_points = tuple(range(n))
         support = []

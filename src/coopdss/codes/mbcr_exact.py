@@ -31,6 +31,7 @@ beta' = 1 from each cooperating newcomer, gamma = 2d+t-1 = alpha.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from ..field import (
@@ -39,6 +40,7 @@ from ..field import (
     moore_matrix,  # noqa: F401  re-exported: perfbench's tracer wraps it by this name
     prime_field,
     _is_prime,
+    _prime_factors,
 )
 from .base import (
     GabidulinScheme,
@@ -48,18 +50,6 @@ from .base import (
     RepairTranscript,
     SchemeParams,
 )
-
-
-def _rad(n: int) -> int:
-    r = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            r *= d
-            while n % d == 0:
-                n //= d
-        d += 1
-    return r * (n if n > 1 else 1)
 
 
 def find_structure(n: int, d: int, m_total: int) -> tuple[int, list[list[int]]]:
@@ -73,7 +63,7 @@ def find_structure(n: int, d: int, m_total: int) -> tuple[int, list[list[int]]]:
     row and column scalings keep it so.  The d+n-1 points are distinct in
     GF(p) because p >= d+n-1.
     """
-    radm = _rad(m_total)
+    radm = prod(_prime_factors(m_total))  # rad(M)
     if m_total % 4 == 0 and radm % 4 != 0:
         radm *= 2  # force p = 1 mod 4 as well
     p = 1 + radm * -(-(d + n - 2) // radm)  # least p = 1 mod radm with p >= d+n-1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..field import Matrix, _is_prime, ext_field, prime_field
+from ..field import Matrix, ext_field, next_prime, prime_field
 from .base import (
     GabidulinScheme,
     NodeContent,
@@ -26,12 +26,6 @@ from .base import (
     RepairTranscript,
     SchemeParams,
 )
-
-
-def _next_prime(n: int) -> int:
-    while not _is_prime(n):
-        n += 1
-    return n
 
 
 class MscrDkScheme(GabidulinScheme):
@@ -51,7 +45,7 @@ class MscrDkScheme(GabidulinScheme):
         self.beta_prime = 1
         self.secure_size = (k - params.l1 - params.l2) * max(0, t - params.l2)
 
-        p = _next_prime(n)
+        p = next_prime(n)
         self.base = prime_field(p)
         self.field = ext_field(p, self.file_size)
         self.vand = [[pow(x, i, p) for x in range(n)] for i in range(k)]  # k x n

@@ -39,7 +39,6 @@ and its inverse are built once per field and cached like the fields.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from operator import mul as _int_mul
 from typing import Iterable, Iterator, Sequence
 
@@ -50,10 +49,6 @@ class NoSolutionError(ValueError):
 
 class UnderdeterminedError(ValueError):
     """The linear system is consistent but rank-deficient."""
-
-
-class DependentPointsError(ValueError):
-    """Interpolation points are linearly dependent over the base field."""
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +189,13 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def next_prime(n: int) -> int:
+    """The least prime >= n."""
+    while not _is_prime(n):
+        n += 1
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -650,19 +652,12 @@ class Matrix:
         return cls(field, [[field.one if i == j else field.zero for j in range(n)]
                            for i in range(n)])
 
-    @classmethod
-    def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols=ncols)
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field
                 and other.rows == self.rows and other.ncols == self.ncols)
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [r[:] for r in self.rows], ncols=self.ncols)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
@@ -799,16 +794,6 @@ class Matrix:
         return Matrix(f, [list(r) for r in zip(*cols)], ncols=n)
 
 
-def rank(m: Matrix) -> int:
-    """Row rank by exact Gaussian elimination."""
-    return m.rank()
-
-
-def solve_linear(a: Matrix, b: Sequence[int]) -> list[int]:
-    """Unique solution of a @ x = b; see Matrix.solve for failure modes."""
-    return a.solve(b)
-
-
 def vandermonde(field, nrows: int, points: Sequence[int]) -> Matrix:
     """nrows x len(points) Vandermonde matrix, column j = (1, x_j, x_j^2, ...)."""
     cols = []
@@ -822,30 +807,8 @@ def vandermonde(field, nrows: int, points: Sequence[int]) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# linearized polynomials (Gabidulin evaluation/interpolation)
+# Moore matrices (Gabidulin precoding)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearizedPolynomial:
-    """f(g) = sum_i coeffs[i] * g^(q^i) over GF(q^m); GF(q)-linear in g."""
-
-    field: ExtField
-    coeffs: tuple[int, ...]
-
-    def evaluate(self, g: int) -> int:
-        f = self.field
-        acc = f.zero
-        power = g  # g^(q^0)
-        for c in self.coeffs:
-            if c != f.zero and power != f.zero:
-                acc = f.add(acc, f.mul(c, power))
-            power = f.frobenius(power)
-        return acc
-
-
-def eval_linearized(poly: LinearizedPolynomial, g: int) -> int:
-    return poly.evaluate(g)
-
 
 def frobenius_powers(field: ExtField, g: int, count: int) -> list[int]:
     """[g, g^q, g^(q^2), ...] of length count."""
@@ -892,23 +855,3 @@ def basis_moore_inverse(field) -> Matrix:
     if entry[1] is None:
         entry[1] = entry[0].inverse()
     return entry[1]
-
-
-def interpolate_linearized(field: ExtField, points: Sequence[tuple[int, int]],
-                           count: int) -> LinearizedPolynomial:
-    """Unique linearized polynomial with `count` coefficients through the points.
-
-    Points must be (g, value) pairs with the g's linearly independent over
-    the base field; raises DependentPointsError otherwise.
-    """
-    if len(points) != count:
-        raise ValueError("need exactly `count` points")
-    gs = [g for g, _ in points]
-    vals = [v for _, v in points]
-    system = moore_matrix(field, gs, count)
-    try:
-        coeffs = system.solve(vals)
-    except (NoSolutionError, UnderdeterminedError) as exc:
-        raise DependentPointsError(
-            "evaluation points are dependent over the base field") from exc
-    return LinearizedPolynomial(field, tuple(coeffs))

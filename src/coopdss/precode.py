@@ -1,35 +1,21 @@
-"""Secrecy precoding with Gabidulin linearized polynomials.
+"""Coefficient order and seeded randomness for the Gabidulin precoding.
 
-The secret symbols u and uniform random symbols r become the coefficients of a
-linearized polynomial f over GF(q^m); the coded block is f evaluated at M
-points that are linearly independent over GF(q).  Coefficient order is fixed:
-r occupies indices [0, M-Ms), u occupies [Ms, M).  Putting the randomness at
-the low Frobenius powers makes the eavesdropper's r-recovery system a square
-Moore matrix on independent points, hence invertible, which is exactly the
-condition the secrecy argument needs.
+The secret symbols u and uniform random symbols r are the coefficients of the
+linearized polynomial that `codes.base.GabidulinScheme` evaluates at the
+canonical basis of GF(p^M).  Coefficient order is fixed: r occupies indices
+[0, M-Ms), u occupies [Ms, M).  Putting the randomness at the low Frobenius
+powers makes the eavesdropper's r-recovery system a square Moore matrix on
+independent points, hence invertible, which is exactly the condition the
+secrecy argument needs.
 
-Randomness is generated by a splitmix64 stream (constants below) reduced to
+Random symbols come from a splitmix64 stream (constants below) reduced to
 field coordinates by rejection sampling, so encoded byte streams are
-reproducible from a 64-bit seed.  Externally supplied randomness is accepted
-everywhere.
+reproducible from a 64-bit seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-from .field import (
-    DependentPointsError,
-    ExtField,
-    LinearizedPolynomial,
-    Matrix,
-    NoSolutionError,
-    UnderdeterminedError,
-    basis_elements,
-    frobenius_powers,
-    moore_matrix,
-)
+from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
 
@@ -68,117 +54,6 @@ def random_symbols(field, count: int, seed: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SecretMessage:
-    """The secure file: Ms field symbols."""
-
-    symbols: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-@dataclass(frozen=True)
-class Randomness:
-    """M - Ms uniform symbols, optionally tagged with the seed that made them."""
-
-    symbols: tuple[int, ...]
-    seed: int | None = None
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-@dataclass(frozen=True)
-class PrecodedBlock:
-    """Evaluations values[j] = f(points[j]) of the precoding polynomial."""
-
-    values: tuple[int, ...]
-    points: tuple[int, ...]
-
-
-def generate_randomness(field, count: int, seed: int) -> Randomness:
-    return Randomness(tuple(random_symbols(field, count, seed)), seed=seed)
-
-
-def _symbols(x) -> tuple[int, ...]:
-    return tuple(getattr(x, "symbols", x))
-
-
 def coefficients(u, r) -> tuple[int, ...]:
     """Coefficient vector in the documented order: r first, then u."""
-    return _symbols(r) + _symbols(u)
-
-
-def precode(u, r, ext: ExtField, points: Sequence[int] | None = None) -> PrecodedBlock:
-    """Evaluate the linearized polynomial with coefficients (r || u) at the points.
-
-    Points default to the canonical basis elements; they must be linearly
-    independent over the base field and match |u| + |r| in number.
-    """
-    coeffs = coefficients(u, r)
-    m_total = len(coeffs)
-    if points is None:
-        points = basis_elements(ext, m_total)
-    if len(points) != m_total:
-        raise ValueError(f"need {m_total} evaluation points, got {len(points)}")
-    if ext.degree < m_total:
-        raise ValueError("extension degree smaller than coefficient count")
-    if moore_matrix(ext, points, m_total).rank() < m_total:
-        raise DependentPointsError("evaluation points are dependent over the base field")
-    poly = LinearizedPolynomial(ext, coeffs)
-    values = tuple(poly.evaluate(g) for g in points)
-    return PrecodedBlock(values, tuple(points))
-
-
-def decode_precode(ext: ExtField, block: PrecodedBlock,
-                   split: tuple[int, int]) -> tuple[SecretMessage, Randomness]:
-    """Invert precode: interpolate the full block and split into (u, r).
-
-    `split` is (Ms, M - Ms).
-    """
-    ms, nr = split
-    m_total = ms + nr
-    if len(block.values) != m_total or len(block.points) != m_total:
-        raise ValueError("block size does not match split")
-    poly = interpolated = _interpolate(ext, block.points, block.values, m_total)
-    coeffs = poly.coeffs
-    r = Randomness(tuple(coeffs[:nr]))
-    u = SecretMessage(tuple(coeffs[nr:]))
-    return u, r
-
-
-def _interpolate(ext, points, values, count) -> LinearizedPolynomial:
-    system = moore_matrix(ext, points, count)
-    try:
-        coeffs = system.solve(list(values))
-    except (NoSolutionError, UnderdeterminedError) as exc:
-        raise DependentPointsError(
-            "evaluation points are dependent over the base field") from exc
-    return LinearizedPolynomial(ext, tuple(coeffs))
-
-
-def solve_randomness_given_secret(ext: ExtField,
-                                  observations: Sequence[tuple[int, int]],
-                                  u, num_random: int) -> Randomness:
-    """Recover r from observed (point, value) pairs and the known secret u.
-
-    This operationalizes H(r | u, e) = 0: subtract the u-contribution from
-    every observation and solve the remaining Moore system in the r
-    coefficients.  Raises UnderdeterminedError when the observation points
-    span fewer than `num_random` directions (the recoverability condition of
-    the secrecy lemma would fail).
-    """
-    u_syms = _symbols(u)
-    rows = []
-    rhs = []
-    for g, val in observations:
-        powers = frobenius_powers(ext, g, num_random + len(u_syms))
-        acc = val
-        for i, us in enumerate(u_syms):
-            if us != ext.zero:
-                acc = ext.sub(acc, ext.mul(us, powers[num_random + i]))
-        rows.append(powers[:num_random])
-        rhs.append(acc)
-    system = Matrix(ext, rows, ncols=num_random)
-    return Randomness(tuple(system.solve(rhs)))
+    return tuple(r) + tuple(u)

@@ -206,10 +206,6 @@ def _sym_hex(field, value: int) -> str:
     return field.symbol_to_bytes(value).hex()
 
 
-def _sym_unhex(field, text: str) -> int:
-    return field.symbol_from_bytes(bytes.fromhex(text))
-
-
 def trace_to_text(trace: SimTrace) -> str:
     scheme = make_scheme(trace.config.params)
     f = scheme.field
@@ -229,12 +225,19 @@ def trace_to_text(trace: SimTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RECORD_FIELDS = {"header": 10, "transfer": 6}
+
+
 def trace_transfers_from_text(text: str):
     """Parse a trace file back into (header dict, transfer records)."""
     header = None
     transfers = []
-    for line in text.strip().splitlines():
+    for lineno, line in enumerate(text.strip().splitlines(), 1):
         parts = line.split(",")
+        want = _RECORD_FIELDS.get(parts[0])
+        if want is not None and len(parts) != want:
+            raise ValueError(f"trace line {lineno}: {parts[0]} record has "
+                             f"{len(parts)} fields, expected {want}")
         if parts[0] == "header":
             header = {
                 "scheme": parts[1],

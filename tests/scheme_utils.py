@@ -1,4 +1,4 @@
-"""Shared sweep helpers for the scheme test modules."""
+"""Shared sweep helpers and oracles for the test modules."""
 
 import itertools
 
@@ -38,3 +38,15 @@ def check_faithful(scheme, u, r, e1, e2=(), transcripts=()):
     model = [f.add(a, b) for a, b in
              zip(obs.a_u.matvec(list(u)), obs.a_r.matvec(list(r)))]
     assert model == direct
+
+
+def linearized_eval(field, coeffs, g):
+    """sum_i coeffs[i] * g^(p^i), term by term with field.pow.
+
+    Oracle for the Gabidulin precoding: independent of frobenius_powers,
+    Matrix.matvec and the per-field Moore cache that the schemes run on.
+    """
+    acc = field.zero
+    for i, c in enumerate(coeffs):
+        acc = field.add(acc, field.mul(c, field.pow(g, field.char ** i)))
+    return acc

@@ -292,6 +292,19 @@ def test_simulate_and_verify_from_trace(tmp_path):
     assert code == 0 and "leakage_qunits=0" in out
 
 
+@pytest.mark.parametrize("text,record", [
+    ("header,mbcr-exact,4\n", "header"),
+    ("header,mscr-dk,4,2,2,2,0,1,2,9\ntransfer,0,1\n", "transfer"),
+], ids=["short-header", "short-transfer"])
+def test_verify_secrecy_malformed_trace_exit2(tmp_path, text, record):
+    # exit 1 is reserved for a secrecy violation; a truncated record is bad input
+    trace_file = tmp_path / "trace.log"
+    trace_file.write_text(text)
+    code, out, err = run_cli(["verify-secrecy", "--trace", str(trace_file), "--e2", "1"])
+    assert code == 2 and out == ""
+    assert f"{record} record has" in err
+
+
 def test_simulate_repairs_run_twice_per_round(tmp_path, monkeypatch):
     # one repair per round in sim.run, one in the replay that writes the
     # trace text; the replay line on stderr reuses that verdict

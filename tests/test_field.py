@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from coopdss import field as F
 
+from scheme_utils import linearized_eval
+
 
 # ---------------------------------------------------------
 # independent oracles
@@ -111,12 +113,12 @@ def test_modulus_is_lex_first_irreducible():
 
 def test_rank_identity_gf3():
     gf = F.prime_field(3)
-    assert F.rank(F.Matrix.identity(gf, 2)) == 2
+    assert F.Matrix.identity(gf, 2).rank() == 2
 
 
 def test_rank_zeros():
     gf = F.prime_field(3)
-    assert F.rank(F.Matrix.zeros(gf, 2, 2)) == 0
+    assert F.Matrix(gf, [[0, 0], [0, 0]]).rank() == 0
 
 
 def test_rank_vandermonde_gf7():
@@ -124,7 +126,7 @@ def test_rank_vandermonde_gf7():
     rows = [[1, 1, 1], [1, 2, 4], [1, 3, 2]]
     # oracle: permutation-expansion determinant is nonzero
     assert det_by_permutations(gf, rows) != 0
-    assert F.rank(F.Matrix(gf, rows)) == 3
+    assert F.Matrix(gf, rows).rank() == 3
 
 
 def test_rank_equals_rank_of_transpose():
@@ -141,19 +143,19 @@ def test_rank_equals_rank_of_transpose():
 
 def test_solve_identity():
     gf = F.prime_field(7)
-    assert F.solve_linear(F.Matrix.identity(gf, 3), [1, 5, 2]) == [1, 5, 2]
+    assert F.Matrix.identity(gf, 3).solve([1, 5, 2]) == [1, 5, 2]
 
 
 def test_solve_inconsistent():
     gf = F.prime_field(7)
     with pytest.raises(F.NoSolutionError):
-        F.solve_linear(F.Matrix.zeros(gf, 2, 2), [1, 0])
+        F.Matrix(gf, [[0, 0], [0, 0]]).solve([1, 0])
 
 
 def test_solve_underdetermined():
     gf = F.prime_field(7)
     with pytest.raises(F.UnderdeterminedError):
-        F.solve_linear(F.Matrix(gf, [[1, 1], [2, 2]]), [3, 6])
+        F.Matrix(gf, [[1, 1], [2, 2]]).solve([3, 6])
 
 
 def test_solve_vandermonde_roundtrip():
@@ -162,7 +164,7 @@ def test_solve_vandermonde_roundtrip():
     points = [1, 2, 3]
     vals = [gf.add(1, gf.mul(2, x)) for x in points]
     system = F.Matrix(gf, [[1, x, gf.mul(x, x)] for x in points])
-    assert F.solve_linear(system, vals) == [1, 2, 0]
+    assert system.solve(vals) == [1, 2, 0]
 
 
 def test_rank_profile_counts_leading_columns():
@@ -498,72 +500,76 @@ def test_symbol_bytes_roundtrip_and_range(p, m, data):
 
 
 # ---------------------------------------------------------
-# linearized polynomials
+# linearized polynomials: Moore matrices against the term-by-term oracle
 # ---------------------------------------------------------
+
+def moore_eval(gf, coeffs, g):
+    return F.moore_matrix(gf, [g], len(coeffs)).matvec(list(coeffs))[0]
+
 
 def test_eval_linearized_degree_zero():
     gf = F.ext_field(2, 4)
     c = gf.from_int(9)
     g = gf.from_int(13)
-    poly = F.LinearizedPolynomial(gf, (c,))
-    assert poly.evaluate(g) == gf.mul(c, g)
-    assert poly.evaluate(gf.zero) == gf.zero
+    assert F.moore_matrix(gf, [g, gf.zero], 1).matvec([c]) == [gf.mul(c, g), gf.zero]
+    assert linearized_eval(gf, (c,), g) == gf.mul(c, g)
 
 
 def test_linearized_is_base_field_linear():
     gf = F.ext_field(3, 4)
-    poly = F.LinearizedPolynomial(gf, tuple(rand_elems(gf, 3, 21)))
+    coeffs = rand_elems(gf, 3, 21)
     rng = random.Random(22)
     for _ in range(20):
         a1, a2 = rng.randrange(3), rng.randrange(3)
         g1, g2 = rand_elems(gf, 2, rng.randrange(10 ** 6))
-        lhs = poly.evaluate(gf.add(gf.scalar_mul(a1, g1), gf.scalar_mul(a2, g2)))
-        rhs = gf.add(gf.scalar_mul(a1, poly.evaluate(g1)),
-                     gf.scalar_mul(a2, poly.evaluate(g2)))
+        combo = gf.add(gf.scalar_mul(a1, g1), gf.scalar_mul(a2, g2))
+        lhs = moore_eval(gf, coeffs, combo)
+        rhs = gf.add(gf.scalar_mul(a1, moore_eval(gf, coeffs, g1)),
+                     gf.scalar_mul(a2, moore_eval(gf, coeffs, g2)))
         assert lhs == rhs
+        assert lhs == linearized_eval(gf, coeffs, combo)
 
 
 def test_interpolate_single_point():
     gf = F.ext_field(2, 3)
     c = gf.from_int(5)
     g = gf.basis_element(1)
-    poly = F.interpolate_linearized(gf, [(g, gf.mul(c, g))], 1)
-    assert poly.coeffs == (c,)
+    assert F.moore_matrix(gf, [g], 1).solve([gf.mul(c, g)]) == [c]
 
 
 def test_interpolate_roundtrip():
     gf = F.ext_field(3, 5)
-    coeffs = tuple(rand_elems(gf, 5, 31))
-    poly = F.LinearizedPolynomial(gf, coeffs)
-    pts = [(g, poly.evaluate(g)) for g in F.basis_elements(gf, 5)]
-    assert F.interpolate_linearized(gf, pts, 5).coeffs == coeffs
+    coeffs = rand_elems(gf, 5, 31)
+    pts = F.basis_elements(gf, 5)
+    vals = [linearized_eval(gf, coeffs, g) for g in pts]
+    assert F.moore_matrix(gf, pts, 5).solve(vals) == coeffs
+    assert F.basis_moore_inverse(gf).matvec(vals) == coeffs
 
 
 def test_interpolate_frobenius_on_gf4_basis():
     # f(g) = g^2 over GF(2^2) has linearized coefficients (0, 1)
     gf = F.ext_field(2, 2)
-    pts = [(g, gf.mul(g, g)) for g in F.basis_elements(gf, 2)]
-    poly = F.interpolate_linearized(gf, pts, 2)
-    assert poly.coeffs == (gf.zero, gf.one)
+    pts = F.basis_elements(gf, 2)
+    vals = [gf.mul(g, g) for g in pts]
+    assert F.moore_matrix(gf, pts, 2).solve(vals) == [gf.zero, gf.one]
 
 
 def test_interpolate_rejects_dependent_points():
     gf = F.ext_field(2, 3)
     g = gf.basis_element(0)
-    with pytest.raises(F.DependentPointsError):
-        F.interpolate_linearized(gf, [(g, g), (g, g)], 2)
+    with pytest.raises(F.UnderdeterminedError):
+        F.moore_matrix(gf, [g, g], 2).solve([g, g])
 
 
 def test_evaluation_map_injective_on_independent_points():
     # distinct coefficient vectors give distinct value vectors when the
     # point count reaches the coefficient count
     gf = F.ext_field(2, 3)
-    pts = F.basis_elements(gf, 2)
+    moore = F.moore_matrix(gf, F.basis_elements(gf, 2), 2)
     seen = {}
     for c0 in gf.elements():
         for c1 in gf.elements():
-            poly = F.LinearizedPolynomial(gf, (c0, c1))
-            key = tuple(poly.evaluate(g) for g in pts)
+            key = tuple(moore.matvec([c0, c1]))
             assert key not in seen, "evaluation map collided"
             seen[key] = (c0, c1)
 

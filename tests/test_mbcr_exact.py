@@ -6,9 +6,15 @@ import pytest
 from coopdss.codes import make_scheme, nodeio
 from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.codes.mbcr_exact import find_structure
-from coopdss.field import Matrix, prime_field
+from coopdss.field import Matrix, basis_elements, prime_field
 
-from scheme_utils import check_faithful, leakage_of, sweep_reconstruct, sweep_repair
+from scheme_utils import (
+    check_faithful,
+    leakage_of,
+    linearized_eval,
+    sweep_reconstruct,
+    sweep_repair,
+)
 
 
 def scheme_for(n, k, d, t, l1=0, l2=0):
@@ -43,14 +49,16 @@ def test_requires_n_equal_d_plus_t():
 
 
 def test_direct_part_is_stored_verbatim():
-    # node i stores x_{(i-1)k+1..ik}: check against a raw precode evaluation
+    # node i stores x_{(i-1)k+1..ik}: check against a term-by-term
+    # evaluation of the precoding polynomial at the canonical basis
     s = scheme_for(4, 2, 2, 2, l1=1)
     u, r = s.random_inputs(3)
-    from coopdss.precode import precode
-    block = precode(u, r, s.field, list(s.points))
+    coeffs = tuple(r) + tuple(u)
+    block = tuple(linearized_eval(s.field, coeffs, g)
+                  for g in basis_elements(s.field, s.file_size))
     nodes = s.encode(u, r)
     for i in range(1, 5):
-        assert nodes[i - 1].segment("x") == block.values[(i - 1) * 2:i * 2]
+        assert nodes[i - 1].segment("x") == block[(i - 1) * 2:i * 2]
 
 
 def test_reconstruct_all_collectors():

@@ -1,14 +1,45 @@
+"""Coefficient order, seeded randomness, and the Gabidulin precoding map
+x = Moore . (r || u) that GabidulinScheme runs, checked against the
+term-by-term linearized-polynomial oracle."""
+
 import random
 
 import pytest
 
 from coopdss import field as F
 from coopdss import precode as P
+from coopdss.codes import make_scheme
+from coopdss.codes.base import SchemeParams
+
+from scheme_utils import linearized_eval
+
+
+GABIDULIN = [
+    SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme="mbcr-exact"),
+    SchemeParams(n=5, k=3, d=3, t=2, l1=1, scheme="mbcr-exact"),
+    SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme="mscr-dk"),
+]
 
 
 def rand_symbols(gf, count, seed):
     rng = random.Random(seed)
     return tuple(gf.from_int(rng.randrange(gf.order)) for _ in range(count))
+
+
+def runtime_precode(gf, u, r):
+    """GabidulinScheme._precode for a scheme over `gf`: the cached basis
+    Moore matrix applied to (r || u)."""
+    return F.basis_moore_matrix(gf).matvec(list(P.coefficients(u, r)))
+
+
+def oracle_precode(gf, u, r):
+    coeffs = P.coefficients(u, r)
+    return [linearized_eval(gf, coeffs, g) for g in F.basis_elements(gf, len(coeffs))]
+
+
+def recover_r(gf, a_r, a_u, u, e):
+    """Solve A_r r = e - A_u u: r is determined by u and the view e."""
+    return a_r.solve([gf.sub(x, y) for x, y in zip(e, a_u.matvec(list(u)))])
 
 
 def test_splitmix64_known_stream():
@@ -34,8 +65,19 @@ def test_precode_single_random_symbol():
     gf = F.ext_field(2, 4)
     c = gf.from_int(11)
     g = gf.basis_element(2)
-    block = P.precode((), (c,), gf, [g])
-    assert block.values == (gf.mul(c, g),)
+    assert P.coefficients((), (c,)) == (c,)
+    assert F.moore_matrix(gf, [g], 1).matvec([c]) == [gf.mul(c, g)]
+
+
+@pytest.mark.parametrize("params", GABIDULIN,
+                         ids=lambda p: f"{p.scheme}-{p.n}{p.k}{p.d}{p.t}")
+def test_scheme_precode_matches_oracle(params):
+    scheme = make_scheme(params)
+    gf = scheme.field
+    u, r = scheme.random_inputs(5)
+    x = scheme._precode(u, r)
+    assert x == oracle_precode(gf, u, r)
+    assert scheme._secret_from_evaluations(x) == tuple(u)
 
 
 def test_precode_decode_roundtrip_gf256():
@@ -43,30 +85,29 @@ def test_precode_decode_roundtrip_gf256():
     gf = F.ext_field(2, 8)
     u = rand_symbols(gf, 3, 1)
     r = rand_symbols(gf, 5, 2)
-    block = P.precode(u, r, gf)
-    assert len(block.values) == 8
-    u2, r2 = P.decode_precode(gf, block, (3, 5))
-    assert u2.symbols == u and r2.symbols == r
+    x = runtime_precode(gf, u, r)
+    assert x == oracle_precode(gf, u, r)
+    assert F.basis_moore_inverse(gf).matvec(x) == list(r + u)
 
 
 def test_decode_all_zero():
-    gf = F.ext_field(2, 8)
-    block = P.precode((gf.zero,) * 3, (gf.zero,) * 5, gf)
-    assert set(block.values) == {gf.zero}
-    u, r = P.decode_precode(gf, block, (3, 5))
-    assert set(u.symbols) == {gf.zero} and set(r.symbols) == {gf.zero}
+    scheme = make_scheme(GABIDULIN[0])
+    zero = scheme.field.zero
+    u, r = (zero,) * scheme.secure_size, (zero,) * scheme.n_random
+    x = scheme._precode(u, r)
+    assert set(x) == {zero}
+    assert scheme._secret_from_evaluations(x) == u
 
 
 def test_precode_injective_in_inputs():
     gf = F.ext_field(2, 4)
-    pts = F.basis_elements(gf, 4)
     seen = set()
     for i in range(gf.order):
         u = (gf.from_int(i % 4), )
         r = tuple(gf.from_int(x) for x in divmod(i // 4, 4))
-        block = P.precode(u, (r + (gf.zero,))[:3], gf, pts)
-        assert block.values not in seen
-        seen.add(block.values)
+        x = tuple(runtime_precode(gf, u, (r + (gf.zero,))[:3]))
+        assert x not in seen
+        seen.add(x)
 
 
 def test_decode_from_base_field_recombined_points():
@@ -76,7 +117,8 @@ def test_decode_from_base_field_recombined_points():
     base = F.prime_field(3)
     u = rand_symbols(gf, 2, 5)
     r = rand_symbols(gf, 4, 6)
-    block = P.precode(u, r, gf)
+    points = F.basis_elements(gf, 6)
+    values = runtime_precode(gf, u, r)
     rng = random.Random(7)
     while True:
         t_rows = [[rng.randrange(3) for _ in range(6)] for _ in range(6)]
@@ -85,67 +127,76 @@ def test_decode_from_base_field_recombined_points():
     new_pts, new_vals = [], []
     for row in t_rows:
         gp, vp = gf.zero, gf.zero
-        for c, g, v in zip(row, block.points, block.values):
+        for c, g, v in zip(row, points, values):
             gp = gf.add(gp, gf.scalar_mul(c, g))
             vp = gf.add(vp, gf.scalar_mul(c, v))
         new_pts.append(gp)
         new_vals.append(vp)
-    u2, r2 = P.decode_precode(gf, P.PrecodedBlock(tuple(new_vals), tuple(new_pts)), (2, 4))
-    assert u2.symbols == u and r2.symbols == r
+    assert F.moore_matrix(gf, new_pts, 6).solve(new_vals) == list(r + u)
 
 
 def test_precode_rejects_dependent_points():
     gf = F.ext_field(2, 4)
     g = gf.basis_element(0)
-    with pytest.raises(F.DependentPointsError):
-        P.precode((), (gf.one, gf.one), gf, [g, g])
+    moore = F.moore_matrix(gf, [g, g], 2)
+    assert moore.rank() == 1
+    with pytest.raises(F.UnderdeterminedError):
+        moore.solve(moore.matvec([gf.one, gf.one]))
 
 
 def test_precode_rejects_wrong_point_count():
-    gf = F.ext_field(2, 4)
+    scheme = make_scheme(GABIDULIN[0])
+    u, r = scheme.random_inputs(1)
     with pytest.raises(ValueError):
-        P.precode((gf.one,), (gf.one,), gf, [gf.one])
+        scheme._precode(u[:-1], r)
+    with pytest.raises(ValueError):
+        scheme._secret_from_evaluations(scheme._precode(u, r)[:-1])
 
 
 def test_solve_randomness_single_unknown():
+    # f = r0 X + u0 X^2 seen at one point: subtracting the known u-term
+    # leaves one equation in the single unknown r0
     gf = F.ext_field(2, 4)
-    r0 = gf.from_int(7)
+    r0, u0 = gf.from_int(7), gf.from_int(12)
     g = gf.basis_element(1)
-    got = P.solve_randomness_given_secret(gf, [(g, gf.mul(r0, g))], (), 1)
-    assert got.symbols == (r0,)
+    rows = F.moore_matrix(gf, [g], 2).rows
+    e = [linearized_eval(gf, (r0, u0), g)]
+    a_r = F.Matrix(gf, [row[:1] for row in rows])
+    a_u = F.Matrix(gf, [row[1:] for row in rows])
+    assert recover_r(gf, a_r, a_u, (u0,), e) == [r0]
 
 
 def test_solve_randomness_full_block():
+    # the first |r| = 5 of the 8 evaluations over GF(2^8) pin r down given u
     gf = F.ext_field(2, 8)
     u = rand_symbols(gf, 3, 8)
     r = rand_symbols(gf, 5, 9)
-    block = P.precode(u, r, gf)
-    got = P.solve_randomness_given_secret(
-        gf, list(zip(block.points, block.values))[:5], u, 5)
-    assert got.symbols == r
+    e = runtime_precode(gf, u, r)[:5]
+    rows = F.basis_moore_matrix(gf).rows[:5]
+    a_r = F.Matrix(gf, [row[:5] for row in rows])
+    a_u = F.Matrix(gf, [row[5:] for row in rows])
+    assert recover_r(gf, a_r, a_u, u, e) == list(r)
 
 
 def test_solve_randomness_underdetermined_signals():
     gf = F.ext_field(2, 4)
     g = gf.basis_element(0)
     with pytest.raises(F.UnderdeterminedError):
-        P.solve_randomness_given_secret(gf, [(g, g)], (), 2)
+        F.moore_matrix(gf, [g], 2).solve([g])
 
 
 def test_solve_randomness_from_eavesdropped_mbcr_node():
-    # an eavesdropped node's 5 stored symbols are evaluations at 5
-    # independent points; with |r| = 5 the randomness is recoverable from
-    # them and the secret (H(r | u, e) = 0 made executable)
-    from coopdss.codes import make_scheme
-    from coopdss.codes.base import SchemeParams
-
-    scheme = make_scheme(SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme="mbcr-exact"))
-    gf = scheme.field
-    u, r = scheme.random_inputs(12)
-    contents = {c.node_id: c for c in scheme.encode(u, r)}
-    node = 1
-    observations = []
-    for pt_vec, val in zip(scheme.stored_points(node), contents[node].symbols):
-        observations.append((gf.from_coords(pt_vec), val))
-    got = P.solve_randomness_given_secret(gf, observations, u, scheme.n_random)
-    assert got.symbols == r
+    # an eavesdropped node stores exactly |r| symbols at independent points,
+    # so r is recoverable from them and the secret: H(r | u, e) = 0 made
+    # executable on the scheme's own observation; one row fewer cannot
+    for params in GABIDULIN:
+        scheme = make_scheme(params)
+        gf = scheme.field
+        u, r = scheme.random_inputs(12)
+        obs = scheme.observation_matrix([1], [])
+        e = scheme.observed_symbols(u, r, [1], [])
+        assert len(e) == scheme.n_random, params
+        assert recover_r(gf, obs.a_r, obs.a_u, u, e) == list(r), params
+        with pytest.raises(F.UnderdeterminedError):
+            recover_r(gf, F.Matrix(gf, obs.a_r.rows[:-1]),
+                      F.Matrix(gf, obs.a_u.rows[:-1]), u, e[:-1])
