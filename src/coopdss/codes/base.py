@@ -245,12 +245,22 @@ class Scheme:
         return failed
 
     def _validate_eaves(self, e1, e2, transcripts):
+        n, d, t = self.params.n, self.params.d, self.params.t
+        ids = set(range(1, n + 1))
         e1 = tuple(sorted(set(e1)))
         e2 = tuple(sorted(set(e2)))
+        if not ids.issuperset(e1 + e2):
+            raise ParameterError(f"eavesdropped node ids must lie in [1, {n}]")
         if set(e1) & set(e2):
             raise ParameterError("E1 and E2 must be disjoint")
         repaired = set()
         for tr in transcripts:
+            helpers = set(tr.helpers)
+            if (len(tr.failed) != t or len(tr.helpers) != d or len(helpers) != d
+                    or helpers & tr.failed or not ids.issuperset(tr.failed | helpers)):
+                raise ParameterError(
+                    f"a repair needs t={t} failed ids and d={d} distinct helper ids, "
+                    f"all in [1, {n}] and no helper failed")
             repaired |= tr.failed
         missing = [i for i in e2 if i not in repaired]
         if missing:

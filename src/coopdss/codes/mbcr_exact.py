@@ -16,9 +16,9 @@ Every stored symbol is therefore a base-field combination of the M Gabidulin
 evaluations, i.e. an evaluation of the precoding polynomial at a point of
 GF(p)^M; secrecy reduces to the GF(p) rank of those points (the Moore-rank
 lemma, see coopdss.secrecy).  Phi and p are closed forms, not a search (see
-`find_structure`): p is the smallest prime >= d+n-1 with p = 1 mod rad(M) (and
-mod 4 when 4 | M, so a binomial modulus X^M - c exists and reduction is one
-fold); p >= d+n-1 leaves room for the d+n-1 distinct Cauchy points, so any
+`find_structure`): p = binomial_prime(d+n-1, M), the smallest prime >= d+n-1
+with p = 1 mod rad(M) (and mod 4 when 4 | M), so GF(p^M) has a binomial
+modulus; p >= d+n-1 leaves room for the d+n-1 distinct Cauchy points, so any
 n = d + t can be built.
 
 Repair of a failure set T (|T| = t = n - d): each survivor sends the z value
@@ -31,16 +31,14 @@ beta' = 1 from each cooperating newcomer, gamma = 2d+t-1 = alpha.
 
 from __future__ import annotations
 
-from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from ..field import (
     Matrix,
+    binomial_prime,
     ext_field,
     moore_matrix,  # noqa: F401  re-exported: perfbench's tracer wraps it by this name
     prime_field,
-    _is_prime,
-    _prime_factors,
 )
 from .base import (
     GabidulinScheme,
@@ -63,12 +61,7 @@ def find_structure(n: int, d: int, m_total: int) -> tuple[int, list[list[int]]]:
     row and column scalings keep it so.  The d+n-1 points are distinct in
     GF(p) because p >= d+n-1.
     """
-    radm = prod(_prime_factors(m_total))  # rad(M)
-    if m_total % 4 == 0 and radm % 4 != 0:
-        radm *= 2  # force p = 1 mod 4 as well
-    p = 1 + radm * -(-(d + n - 2) // radm)  # least p = 1 mod radm with p >= d+n-1
-    while not _is_prime(p):
-        p += radm
+    p = binomial_prime(d + n - 1, m_total)
     inv_d = pow(d, p - 2, p)
     phi = [[(d - s) * (d + c) * inv_d * pow(d + c - s, p - 2, p) % p for c in range(n - 1)]
            for s in range(d)]
@@ -96,9 +89,11 @@ class MbcrExactScheme(GabidulinScheme):
         self.secure_size = (k - self.ell) * (2 * d + t - k - self.ell)
 
         m_total = self.file_size
+        # the field first: its word-width check rejects an oversized M (a
+        # forged header) before the d x (n-1) Phi is built
+        self.field = ext_field(binomial_prime(d + n - 1, m_total), m_total)
         p, self.phi = find_structure(n, d, m_total)  # phi: d x (n-1)
         self.base = prime_field(p)
-        self.field = ext_field(p, m_total)
         # base-field generator matrices (plain ints mod p)
         self.y_code = [[pow(x, i, p) for x in range(n)] for i in range(k)]  # k x n
         self.layout = (("x", k), ("y", d - k), ("z", n - 1))

@@ -8,6 +8,11 @@ sorted position s downloads the s-th stored symbol from each of d = k helpers
 (one symbol, beta = 1), solves m_s, then hands m_s^T g_{i'} to each fellow
 newcomer i' (beta' = 1).
 
+The base prime is p = binomial_prime(n, kt): the least prime >= n (room for
+n distinct Vandermonde points) with p = 1 mod rad(kt), and mod 4 when 4 | kt,
+so GF(p^kt) has a binomial modulus.  It is next_prime(n) whenever that prime
+already admits one.
+
 Secure size: Ms = (k - l1 - l2) * max(0, t - l2); encode
 refuses when it is zero (an E2 eavesdropper with l2 >= t sees every m_j).
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..field import Matrix, ext_field, next_prime, prime_field
+from ..field import Matrix, binomial_prime, ext_field, prime_field
 from .base import (
     GabidulinScheme,
     NodeContent,
@@ -45,7 +50,7 @@ class MscrDkScheme(GabidulinScheme):
         self.beta_prime = 1
         self.secure_size = (k - params.l1 - params.l2) * max(0, t - params.l2)
 
-        p = next_prime(n)
+        p = binomial_prime(n, self.file_size)
         self.base = prime_field(p)
         self.field = ext_field(p, self.file_size)
         self.vand = [[pow(x, i, p) for x in range(n)] for i in range(k)]  # k x n

@@ -8,15 +8,16 @@ elements is one big-int multiply (Kronecker substitution): its 2m-1 digits
 are the coefficient sums of the polynomial product, carry-free because a word
 outgrows any digit sum the field can produce.
 
+Every extension field is a binomial field: its modulus is X^m + c0, in
+closed form by Lidl & Niederreiter, Thm 3.75 (see `find_irreducible`), and
+the constructions pick their prime with `binomial_prime` so that one exists.
 Every GF(p^m) result goes through one reduction, `_reduce`: fold the digits
-at X^m and above back with the rows X^(m+j) mod the modulus (a single scalar
-multiply when the modulus is a binomial X^m - c, which is why constructions
-prefer primes where one exists), then bring each digit into [0, p) in one
-`to_bytes`/`struct` pass over the words.  The word is wide enough that
-`_dot_chunk` = word mask // (the largest folded digit one product can give)
-products sum before a reduction is due, so work is reduced once per result,
-not once per multiply (delayed reduction; Dumas, Giorgi & Pernet,
-FFLAS-FFPACK, 2008):
+at X^m and above back with one scalar multiply (X^m = -c0), then bring each
+digit into [0, p) in one `to_bytes`/`struct` pass over the words.  The word
+is wide enough that `_dot_chunk` = word mask // (the largest folded digit one
+product can give) products sum before a reduction is due, so work is reduced
+once per result, not once per multiply (delayed reduction; Dumas, Giorgi &
+Pernet, FFLAS-FFPACK, 2008):
 
 - `mul` reduces once per product;
 - `dot` (and so `Matrix.matvec`) sums raw products and reduces once per dot
@@ -24,10 +25,9 @@ FFLAS-FFPACK, 2008):
 - each elimination entry, pv*a - c*b, is two raw products reduced once;
 - each back-substitution entry is a `dot` over the solved tail.
 
-The irreducible modulus is found by deterministic search in lexicographic
-order of coefficient vectors (constant coefficient varying fastest), so every
-encoded byte is reproducible across runs and platforms.  Serialisation goes
-through the base-field coordinates, so bytes do not depend on the slot layout.
+The modulus depends on (p, m) alone, so every encoded byte is reproducible
+across runs and platforms.  Serialisation goes through the base-field
+coordinates, so bytes do not depend on the slot layout.
 
 Rank and solving use fraction-free Gaussian elimination with first-nonzero
 pivoting: no divisions during elimination, no tolerances, deterministic.
@@ -39,6 +39,7 @@ and its inverse are built once per field and cached like the fields.
 from __future__ import annotations
 
 import struct
+from math import prod
 from operator import mul as _int_mul
 from typing import Iterable, Iterator, Sequence
 
@@ -61,16 +62,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_divmod(out, f, p)[1]
-
-
 def _poly_divmod(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
     a = a[:]
     _poly_trim(a)
@@ -87,26 +78,6 @@ def _poly_divmod(a: list[int], f: list[int], p: int) -> tuple[list[int], list[in
     return q, a
 
 
-def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_divmod(a, f, p)[1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
-    _poly_trim(a)
-    _poly_trim(b)
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    return a
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -119,65 +90,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin test for a monic polynomial over GF(p)."""
-    f = list(coeffs)
-    m = len(f) - 1
-    if m < 1 or f[-1] != 1:
-        return False
-    if m == 1:
-        return True
-    if f[0] == 0:
-        return False
-    x = [0, 1]
-    # h_j = X^(p^j) mod f, built by repeated p-th powering
-    h = x[:]
-    hs = {}
-    for j in range(1, m + 1):
-        h = _poly_powmod(h, p, f, p)
-        hs[j] = h[:]
-    if hs[m] != x:
-        return False
-    for ell in _prime_factors(m):
-        g = hs[m // ell][:]
-        # gcd(h - X, f) must be 1
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
-        if len(_poly_gcd(g, f, p)) != 1:
-            return False
-    return True
-
-
-_IRREDUCIBLE_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
-def find_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """First monic irreducible of degree m over GF(p), in lexicographic
-    order of coefficient vectors (c_0 varying fastest)."""
-    key = (p, m)
-    if key in _IRREDUCIBLE_CACHE:
-        return _IRREDUCIBLE_CACHE[key]
-    if m == 1:
-        mod = (0, 1)
-        _IRREDUCIBLE_CACHE[key] = mod
-        return mod
-    for v in range(1, p ** m):
-        coeffs = []
-        w = v
-        for _ in range(m):
-            coeffs.append(w % p)
-            w //= p
-        coeffs.append(1)
-        if coeffs[0] == 0:
-            continue
-        if is_irreducible(coeffs, p):
-            mod = tuple(coeffs)
-            _IRREDUCIBLE_CACHE[key] = mod
-            return mod
-    raise ValueError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
 def _is_prime(n: int) -> bool:
@@ -196,6 +108,38 @@ def next_prime(n: int) -> int:
     while not _is_prime(n):
         n += 1
     return n
+
+
+def binomial_prime(lo: int, m: int) -> int:
+    """The least prime p >= lo over which GF(p^m) has a binomial modulus:
+    p = 1 mod rad(m), and p = 1 mod 4 when 4 | m (see `find_irreducible`)."""
+    step = prod(_prime_factors(m))  # rad(m)
+    if m % 4 == 0:
+        step *= 2  # rad(m) is squarefree, so this forces p = 1 mod 4 too
+    p = 1 + step * -(-(lo - 1) // step)  # least p = 1 mod step with p >= lo
+    while not _is_prime(p):
+        p += step
+    return p
+
+
+def find_irreducible(p: int, m: int) -> tuple[int, ...]:
+    """The modulus of GF(p^m): X^m + c0 with the least c0 in [1, p) that
+    makes it irreducible, as coefficients (c0, 0, ..., 0, 1).
+
+    X^m - a (a != 0) is irreducible over GF(p) iff every prime r | m divides
+    p - 1 and a^((p-1)/r) != 1, and p = 1 mod 4 when 4 | m (Lidl &
+    Niederreiter, *Finite Fields*, Thm 3.75).  Binomials come first in the
+    lexicographic order of monic polynomials (c0 varying fastest), so this
+    is the lex-first irreducible of degree m.  Raises ValueError when no
+    binomial of degree m is irreducible over GF(p).
+    """
+    primes = _prime_factors(m)
+    if any((p - 1) % r for r in primes) or (m % 4 == 0 and p % 4 != 1):
+        raise ValueError(f"GF({p}^{m}) has no binomial modulus")
+    # a primitive root a = p - c0 passes, so the search stops below p
+    c0 = next(c for c in range(1, p)
+              if all(pow(p - c, (p - 1) // r, p) != 1 for r in primes))
+    return (c0,) + (0,) * (m - 1) + (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +255,7 @@ class PrimeField:
 
 
 class ExtField:
-    """GF(p^m) with a fixed irreducible modulus over the prime base field.
+    """GF(p^m) with its binomial modulus X^m + c0 over the prime base field.
 
     Elements are packed ints: digit i, in a 32- or 64-bit word slot, holds
     the coefficient of X^i.  All public operations take and return packed
@@ -320,23 +264,18 @@ class ExtField:
 
     __slots__ = (
         "base", "p", "m", "modulus", "order", "char", "degree", "zero", "one",
-        "coord_width", "_db", "_mask", "_low_mask", "_all_p", "_red",
-        "_binomial_c", "_dot_chunk", "_words", "_top_words",
+        "coord_width", "_db", "_mask", "_low_mask", "_all_p", "_binomial_c",
+        "_dot_chunk", "_words",
     )
 
-    def __init__(self, base: PrimeField, m: int, modulus: Sequence[int] | None = None):
+    def __init__(self, base: PrimeField, m: int):
         if m < 1:
             raise ValueError("extension degree must be >= 1")
-        self.base = base
-        self.p = base.p
-        self.m = m
-        self.degree = m
-        self.char = base.p
-        self.order = base.p ** m
-
         p = base.p
-        # largest digit one product of reduced elements leaves after the fold:
-        # m*(p-1)^2 per product digit, plus m-1 folded top digits times p-1
+        # bound on the largest digit one product of reduced elements leaves
+        # after the fold: m*(p-1)^2 per product digit, plus m-1 folded top
+        # digits times p-1 (a general modulus's worst case; the binomial
+        # fold adds one top digit times c < p, so the bound has room to spare)
         bound = m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
         # 32-bit words when m products fit them, else 64-bit
         self._db = db = 32 if 0xFFFFFFFF // bound >= m else 64
@@ -347,57 +286,29 @@ class ExtField:
         if self._dot_chunk < 2:
             raise ValueError(f"GF({p}^{m}) is too large for 64-bit digit slots")
 
-        if modulus is None:
-            modulus = find_irreducible(p, m)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        if not is_irreducible(modulus, p):
-            raise ValueError("modulus is not irreducible")
-        self.modulus = modulus
+        self.base = base
+        self.p = p
+        self.m = m
+        self.degree = m
+        self.char = p
+        self.order = p ** m
+        self.modulus = find_irreducible(p, m)
+        self._binomial_c = p - self.modulus[0]  # X^m = -c0
 
         code = "I" if db == 32 else "Q"
         self._words = struct.Struct(f"<{m}{code}")
-        self._top_words = struct.Struct(f"<{m - 1}{code}")
         self._low_mask = (1 << (db * m)) - 1
         self._all_p = self._pack([p] * m)
         self.zero = 0
         self.one = 1
         self.coord_width = base.coord_width
 
-        # reduction rows: X^(m+j) mod modulus, packed
-        red = []
-        row = [(-c) % p for c in modulus[:m]]  # X^m mod f
-        for _ in range(m - 1):
-            red.append(self._pack(row))
-            row = self._shift_mod(row)
-        self._red = red
-        # binomial fast path: modulus X^m + c0  ->  X^m = -c0
-        if all(c == 0 for c in modulus[1:m]):
-            self._binomial_c = (-modulus[0]) % p
-        else:
-            self._binomial_c = None
-
-    def _shift_mod(self, row: list[int]) -> list[int]:
-        # multiply by X modulo the modulus, coefficient-list form
-        p = self.p
-        lead = row[-1]
-        out = [0] + row[:-1]
-        if lead:
-            for i in range(self.m):
-                out[i] = (out[i] - lead * self.modulus[i]) % p
-        return out
-
     def __eq__(self, other):
-        return (
-            isinstance(other, ExtField)
-            and other.p == self.p
-            and other.m == self.m
-            and other.modulus == self.modulus
-        )
+        # the modulus is a function of (p, m)
+        return isinstance(other, ExtField) and other.p == self.p and other.m == self.m
 
     def __hash__(self):
-        return hash(("ExtField", self.p, self.m, self.modulus))
+        return hash(("ExtField", self.p, self.m))
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})"
@@ -421,18 +332,10 @@ class ExtField:
     def _reduce(self, v: int) -> int:
         """A nonnegative sum of at most `_dot_chunk` products of reduced
         elements (2m-1 digits) back to a reduced element: fold the digits at
-        X^m and above, then normalise."""
+        X^m and above with one scalar multiply, then normalise."""
         top = v >> (self._db * self.m)
         if top:
-            v &= self._low_mask
-            c = self._binomial_c
-            if c is not None:
-                v += c * top
-            else:
-                words = self._top_words
-                for d, r in zip(words.unpack(top.to_bytes(words.size, "little")), self._red):
-                    if d:
-                        v += d * r
+            v = (v & self._low_mask) + self._binomial_c * top
         return self._normalize(v)
 
     def coords(self, a: int) -> tuple[int, ...]:
@@ -603,7 +506,8 @@ def prime_field(p: int) -> PrimeField:
 
 
 def ext_field(p: int, m: int) -> ExtField:
-    """GF(p^m) with the canonical (lex-first) modulus; cached."""
+    """GF(p^m) with its binomial modulus; cached.  Raises ValueError when
+    GF(p^m) has none (see `binomial_prime`)."""
     key = (p, m)
     if key not in _FIELD_CACHE:
         if m == 1:

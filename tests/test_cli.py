@@ -2,6 +2,7 @@ import dataclasses
 import io
 import os
 import struct
+import time
 from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
@@ -142,6 +143,27 @@ def test_forged_large_n_header_field_mismatch_exit2(tmp_path):
     code, out, err = run_cli(["reconstruct", "--nodes", str(path)])
     assert code == 2 and out == ""
     assert "GF(31^44) does not match" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scheme_name,n,k,d,t,budget_s,error", [
+    # GF(1181^1180): 64-bit words, named by 23 bytes
+    ("mbcr-exact", 40, 20, 39, 1, 5.0, "does not match"),
+    # GF(241^10000); GF(211^10000), over next_prime(200), has no binomial
+    ("mscr-dk", 200, 100, 100, 100, 5.0, "does not match"),
+    # M = 10^6 and M = 11998000: the word-width check comes before p^M and Phi
+    ("mscr-dk", 2000, 1000, 1000, 1000, 1.0, "too large"),
+    ("mbcr-exact", 4000, 2000, 3999, 1, 1.0, "too large"),
+], ids=["mbcr-exact-40", "mscr-dk-200", "mscr-dk-2000", "mbcr-exact-4000"])
+def test_forged_header_exits_2_quickly(tmp_path, scheme_name, n, k, d, t, budget_s, error):
+    blob = (struct.pack("<B6H", SCHEME_TAGS[scheme_name], n, k, d, t, 0, 0)
+            + struct.pack("<IHH", 31, 44, 0) + struct.pack("<H", 0))
+    path = tmp_path / "node_01.bin"
+    path.write_bytes(blob)
+    started = time.perf_counter()
+    code, out, err = run_cli(["reconstruct", "--nodes", str(path)])
+    assert time.perf_counter() - started < budget_s
+    assert code == 2 and out == ""
+    assert error in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------
@@ -303,6 +325,36 @@ def test_verify_secrecy_malformed_trace_exit2(tmp_path, text, record):
     code, out, err = run_cli(["verify-secrecy", "--trace", str(trace_file), "--e2", "1"])
     assert code == 2 and out == ""
     assert f"{record} record has" in err
+
+
+def _edit_trace(text, edit):
+    if edit == "helper-0":  # helper 3 of round 0 renamed to 0, which would index node n
+        return text.replace("transfer,0,3,", "transfer,0,0,")
+    # drop helper 4 of round 0: one helper where d = 2
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("transfer,0,4,"))
+
+
+@pytest.mark.parametrize("edit", ["helper-0", "one-helper"])
+def test_verify_secrecy_invalid_transcript_exit2(tmp_path, edit):
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(SIM_INI)
+    trace_file = tmp_path / "trace.log"
+    assert run_cli(["simulate", "--config", str(cfg), "--trace-out", str(trace_file)])[0] == 0
+    trace_file.write_text(_edit_trace(trace_file.read_text(), edit))
+    code, out, err = run_cli(["verify-secrecy", "--trace", str(trace_file), "--e2", "1"])
+    assert code == 2 and out == ""
+    assert "d=2 distinct helper ids" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--e1", "--e2"])
+@pytest.mark.parametrize("node", ["0", "5"])
+def test_verify_secrecy_eavesdropper_outside_nodes_exit2(flag, node):
+    code, out, err = run_cli(["verify-secrecy", "--scheme", "mscr-dk", "--n", "4", "--k", "2",
+                              "--d", "2", "--t", "2", "--l1", "1", flag, node])
+    # an E2 node outside [1, n] already fails the default repair plan
+    assert code == 2 and out == ""
+    assert "node ids must lie in [1, " in err and "Traceback" not in err
 
 
 def test_simulate_repairs_run_twice_per_round(tmp_path, monkeypatch):

@@ -36,6 +36,85 @@ def rand_elems(field, count, seed):
     return [field.from_int(rng.randrange(field.order)) for _ in range(count)]
 
 
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mod(a, f, p):
+    """a mod the monic f over GF(p), coefficient lists (index i = X^i)."""
+    a = _poly_trim(a[:])
+    df = len(f) - 1
+    while len(a) - 1 >= df:
+        c, shift = a[-1], len(a) - 1 - df
+        for i, fi in enumerate(f):
+            a[shift + i] = (a[shift + i] - c * fi) % p
+        _poly_trim(a)
+    return a
+
+
+def _poly_mulmod(a, b, f, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _poly_mod(out, f, p)
+
+
+def _poly_powmod(a, e, f, p):
+    result, base = [1], _poly_mod(a, f, p)
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, base, f, p)
+        base = _poly_mulmod(base, base, f, p)
+        e >>= 1
+    return result
+
+
+def _poly_gcd(a, b, p):
+    a, b = _poly_trim(a[:]), _poly_trim(b[:])
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        a, b = b, _poly_mod(a, [c * inv % p for c in b], p)
+    return a
+
+
+def is_irreducible(coeffs, p):
+    """Rabin's test for a monic polynomial over GF(p): X^(p^m) = X mod f, and
+    gcd(X^(p^(m/r)) - X, f) = 1 for every prime r | m.  Independent of the
+    closed form in find_irreducible."""
+    f = list(coeffs)
+    m = len(f) - 1
+    h, hs = [0, 1], {}  # h_j = X^(p^j) mod f
+    for j in range(1, m + 1):
+        h = _poly_powmod(h, p, f, p)
+        hs[j] = h
+    if hs[m] != [0, 1]:
+        return False
+    for r in (r for r in range(2, m + 1) if m % r == 0 and all(r % q for q in range(2, r))):
+        g = hs[m // r] + [0] * 2
+        g[1] = (g[1] - 1) % p
+        if len(_poly_gcd(g, f, p)) != 1:
+            return False
+    return True
+
+
+def lex_first_irreducible(p, m):
+    """First monic irreducible of degree m over GF(p) in lexicographic order
+    of coefficient vectors, c0 varying fastest (the search the closed form
+    replaced)."""
+    for v in range(1, p ** m):
+        coeffs = [v // p ** i % p for i in range(m)] + [1]
+        if coeffs[0] and is_irreducible(coeffs, p):
+            return tuple(coeffs)
+
+
+def has_binomial(p, m):
+    """Some X^m + c0 is irreducible over GF(p), by the Rabin oracle."""
+    return any(is_irreducible([c] + [0] * (m - 1) + [1], p) for c in range(1, p))
+
+
 def dot_per_add(field, xs, ys):
     """Dot product with one reduction per addition; reference for field.dot."""
     acc = field.zero
@@ -69,7 +148,7 @@ def test_prime_field_axioms_exhaustive(p):
                 assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 4), (7, 3)])
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (5, 4), (7, 3), (13, 6)])
 def test_ext_field_axioms_sampled(p, m):
     gf = F.ext_field(p, m)
     triples = zip(rand_elems(gf, 40, 1), rand_elems(gf, 40, 2), rand_elems(gf, 40, 3))
@@ -89,7 +168,7 @@ def test_ext_field_axioms_sampled(p, m):
 
 
 def test_ext_field_element_roundtrips():
-    gf = F.ext_field(3, 4)
+    gf = F.ext_field(5, 4)
     for i in [0, 1, 5, 17, 80, gf.order - 1]:
         a = gf.from_int(i)
         assert gf.to_int(a) == i
@@ -98,13 +177,58 @@ def test_ext_field_element_roundtrips():
 
 
 def test_modulus_is_lex_first_irreducible():
-    # GF(4): x^2 + x + 1 is the only (hence first) irreducible quadratic
-    assert F.ext_field(2, 2).modulus == (1, 1, 1)
     # degree-2 over GF(3): candidates by ascending constant-first counter:
     # x^2+1 has no root (1+1=2, 4+1=2 mod 3 != 0 -> irreducible); lex-first
     assert F.ext_field(3, 2).modulus == (1, 0, 1)
-    mod = F.ext_field(5, 6).modulus
-    assert F.is_irreducible(mod, 5) and len(mod) == 7
+    # over GF(5), x^2+1 = (x-2)(x-3); x^2+2 has no root (-2 = 3 is no square)
+    assert F.ext_field(5, 2).modulus == (2, 0, 1)
+    mod = F.ext_field(7, 6).modulus
+    assert is_irreducible(mod, 7) and len(mod) == 7
+
+
+def _scheme_fields():
+    """Every extension field mbcr-exact builds for n <= 8 and mscr-dk for
+    n <= 11 (l1, l2 do not change the field)."""
+    from coopdss.codes import make_scheme
+    from coopdss.codes.base import SchemeParams
+    params = [SchemeParams(n=n, k=k, d=n - t, t=t, scheme="mbcr-exact")
+              for n in range(2, 9) for t in range(1, n) for k in range(1, n - t + 1)]
+    params += [SchemeParams(n=n, k=k, d=k, t=t, scheme="mscr-dk")
+               for n in range(2, 12) for t in range(1, n) for k in range(1, n - t + 1)]
+    return {f for f in (make_scheme(pa).field for pa in params) if f.degree > 1}
+
+
+def test_find_irreducible_matches_lex_search_oracle():
+    fields = _scheme_fields()
+    assert len(fields) > 40
+    for f in fields:
+        assert f.modulus == F.find_irreducible(f.p, f.degree) == \
+            lex_first_irreducible(f.p, f.degree), f
+
+
+def test_find_irreducible_rejects_fields_without_binomial():
+    # GF(2^2): 2 does not divide p - 1; GF(5^6): 3 does not divide 4
+    for p, m in [(2, 2), (5, 6)]:
+        assert not has_binomial(p, m)
+        with pytest.raises(ValueError, match="no binomial modulus"):
+            F.find_irreducible(p, m)
+        with pytest.raises(ValueError, match="no binomial modulus"):
+            F.ext_field(p, m)
+
+
+def test_binomial_prime_keeps_next_prime_where_it_has_a_binomial():
+    # mscr-dk's prime moved from next_prime(n) to binomial_prime(n, kt); both
+    # agree, and so do its node bytes, wherever next_prime(n) already admits
+    # a binomial; elsewhere the new prime is larger and admits one
+    for n in range(3, 12):
+        for t in range(1, n):
+            for k in range(1, n - t + 1):
+                m, q = k * t, F.next_prime(n)
+                p = F.binomial_prime(n, m)
+                if m == 1 or has_binomial(q, m):
+                    assert p == q, (n, k, t)
+                else:
+                    assert p > q and has_binomial(p, m), (n, k, t)
 
 
 # ---------------------------------------------------------
@@ -207,10 +331,13 @@ def _all_digits_top(f):
     return f.from_coords([f.p - 1] * f.degree)
 
 
-# fields whose headroom a test can cross: 32-bit words with a binomial
-# modulus (GF(31^30), GF(29^32)) or a general one (GF(257^3), GF(251^4)),
-# and 64-bit words (GF(65537^8))
-CHUNKED_FIELDS = [(31, 30), (29, 32), (257, 3), (251, 4), (65537, 8)]
+# fields whose headroom a test can cross: 32-bit words (GF(31^30),
+# GF(29^32), GF(257^2), GF(241^6)) and 64-bit words (GF(65537^8))
+CHUNKED_FIELDS = [(31, 30), (29, 32), (257, 2), (241, 6), (65537, 8)]
+
+# small binomial fields, GF(p) included (m = 1)
+SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7, 13, 31) for m in range(1, 5)
+                if m == 1 or has_binomial(p, m)]
 
 
 @st.composite
@@ -218,8 +345,7 @@ def dot_inputs(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if draw(st.booleans()):
         # any small field, short inputs
-        p = draw(st.sampled_from([2, 3, 5, 7, 13]))
-        f = F.ext_field(p, draw(st.integers(1, 3 if p == 13 else 4)))  # GF(p) when m = 1
+        f = F.ext_field(*draw(st.sampled_from(SMALL_FIELDS)))  # GF(p) when m = 1
         length = draw(st.integers(0, 12))
     else:
         # one to two reductions past the headroom
@@ -287,16 +413,16 @@ def test_headroom_holds_on_acceptance_fields():
 
 def test_word_width_follows_the_field():
     # 32-bit words while they hold m products; 64-bit past that
-    for (p, m), db in [((31, 30), 32), ((257, 3), 32), ((251, 8), 64), ((65537, 8), 64)]:
+    for (p, m), db in [((31, 30), 32), ((257, 2), 32), ((257, 8), 64), ((65537, 8), 64)]:
         f = F.ext_field(p, m)
         assert f._db == db
         assert f._dot_chunk == (2 ** db - 1) // _product_bound(p, m) >= 2
-    assert (2 ** 32 - 1) // _product_bound(251, 8) < 8
+    assert (2 ** 32 - 1) // _product_bound(257, 8) < 8
     with pytest.raises(ValueError, match="too large"):
         F.ExtField(F.prime_field(2 ** 31 - 1), 2)
 
 
-@pytest.mark.parametrize("p,m", [(31, 30), (43, 21), (7, 9), (251, 8)])
+@pytest.mark.parametrize("p,m", [(31, 30), (43, 21), (7, 9), (257, 8)])
 def test_inv_of_base_field_constants(p, m):
     # a packed constant c < p inverts to a constant; X still takes extended Euclid
     f = F.ext_field(p, m)
@@ -309,9 +435,7 @@ def test_inv_of_base_field_constants(p, m):
 
 @st.composite
 def matvec_inputs(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7, 31]))
-    m = draw(st.integers(1, 4))
-    f = F.ext_field(p, m)
+    f = F.ext_field(*draw(st.sampled_from(SMALL_FIELDS)))
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     elem = st.integers(0, f.order - 1).map(f.from_int)
     rows = draw(st.lists(st.lists(elem, min_size=ncols, max_size=ncols),
@@ -407,15 +531,17 @@ def outcome(fn, *args):
         return type(exc)
 
 
-# one field on 64-bit words, GF(251^8), and one with p >= 256, GF(257^3)
-WIDE_FIELDS = [(251, 8), (257, 3)]
+# one field on 64-bit words, GF(257^8), and one with p >= 256, GF(257^2)
+WIDE_FIELDS = [(257, 8), (257, 2)]
+
+# binomial fields of degree 2..6 over small primes
+SMALL_EXT_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13, 31) for m in range(2, 7)
+                    if has_binomial(p, m)]
 
 
 @st.composite
 def ext_matrices(draw, square=False):
-    p, m = draw(st.one_of(
-        st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13, 31]), st.integers(2, 6)),
-        st.sampled_from(WIDE_FIELDS)))
+    p, m = draw(st.one_of(st.sampled_from(SMALL_EXT_FIELDS), st.sampled_from(WIDE_FIELDS)))
     f = F.ext_field(p, m)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     nrows = draw(st.integers(1, 5))
@@ -476,8 +602,8 @@ def test_inverse_matches_per_op_reference(case):
         assert got is ref is F.UnderdeterminedError
 
 
-# p >= 256: two coordinate bytes (GF(257^3)), three on 64-bit words (GF(65537^8))
-@pytest.mark.parametrize("p,m", [(257, 3), (65537, 8), (31, 30)])
+# p >= 256: two coordinate bytes (GF(257^2)), three on 64-bit words (GF(65537^8))
+@pytest.mark.parametrize("p,m", [(257, 2), (65537, 8), (31, 30)])
 @KERNEL_SETTINGS
 @given(data=st.data())
 def test_symbol_bytes_roundtrip_and_range(p, m, data):
@@ -508,7 +634,7 @@ def moore_eval(gf, coeffs, g):
 
 
 def test_eval_linearized_degree_zero():
-    gf = F.ext_field(2, 4)
+    gf = F.ext_field(5, 2)
     c = gf.from_int(9)
     g = gf.from_int(13)
     assert F.moore_matrix(gf, [g, gf.zero], 1).matvec([c]) == [gf.mul(c, g), gf.zero]
@@ -516,11 +642,11 @@ def test_eval_linearized_degree_zero():
 
 
 def test_linearized_is_base_field_linear():
-    gf = F.ext_field(3, 4)
+    gf = F.ext_field(7, 3)
     coeffs = rand_elems(gf, 3, 21)
     rng = random.Random(22)
     for _ in range(20):
-        a1, a2 = rng.randrange(3), rng.randrange(3)
+        a1, a2 = rng.randrange(7), rng.randrange(7)
         g1, g2 = rand_elems(gf, 2, rng.randrange(10 ** 6))
         combo = gf.add(gf.scalar_mul(a1, g1), gf.scalar_mul(a2, g2))
         lhs = moore_eval(gf, coeffs, combo)
@@ -531,14 +657,14 @@ def test_linearized_is_base_field_linear():
 
 
 def test_interpolate_single_point():
-    gf = F.ext_field(2, 3)
+    gf = F.ext_field(7, 3)
     c = gf.from_int(5)
     g = gf.basis_element(1)
     assert F.moore_matrix(gf, [g], 1).solve([gf.mul(c, g)]) == [c]
 
 
 def test_interpolate_roundtrip():
-    gf = F.ext_field(3, 5)
+    gf = F.ext_field(11, 5)
     coeffs = rand_elems(gf, 5, 31)
     pts = F.basis_elements(gf, 5)
     vals = [linearized_eval(gf, coeffs, g) for g in pts]
@@ -547,15 +673,16 @@ def test_interpolate_roundtrip():
 
 
 def test_interpolate_frobenius_on_gf4_basis():
-    # f(g) = g^2 over GF(2^2) has linearized coefficients (0, 1)
-    gf = F.ext_field(2, 2)
+    # f(g) = g^p on a quadratic field has linearized coefficients (0, 1);
+    # GF(3^2) stands in for GF(4), which has no binomial modulus
+    gf = F.ext_field(3, 2)
     pts = F.basis_elements(gf, 2)
-    vals = [gf.mul(g, g) for g in pts]
+    vals = [gf.mul(gf.mul(g, g), g) for g in pts]
     assert F.moore_matrix(gf, pts, 2).solve(vals) == [gf.zero, gf.one]
 
 
 def test_interpolate_rejects_dependent_points():
-    gf = F.ext_field(2, 3)
+    gf = F.ext_field(7, 3)
     g = gf.basis_element(0)
     with pytest.raises(F.UnderdeterminedError):
         F.moore_matrix(gf, [g, g], 2).solve([g, g])
@@ -564,7 +691,7 @@ def test_interpolate_rejects_dependent_points():
 def test_evaluation_map_injective_on_independent_points():
     # distinct coefficient vectors give distinct value vectors when the
     # point count reaches the coefficient count
-    gf = F.ext_field(2, 3)
+    gf = F.ext_field(3, 2)
     moore = F.moore_matrix(gf, F.basis_elements(gf, 2), 2)
     seen = {}
     for c0 in gf.elements():
@@ -579,33 +706,33 @@ def test_evaluation_map_injective_on_independent_points():
 # ---------------------------------------------------------
 
 def test_basis_elements_first_is_one():
-    gf = F.ext_field(2, 3)
+    gf = F.ext_field(7, 3)
     assert F.basis_elements(gf, 1) == [gf.one]
 
 
 def test_basis_elements_full_rank():
-    gf = F.ext_field(2, 3)
+    gf = F.ext_field(7, 3)
     for count in (2, 3):
         basis = F.basis_elements(gf, count)
         rows = [list(gf.coords(b)) for b in basis]
-        assert F.Matrix(F.prime_field(2), rows).rank() == count
+        assert F.Matrix(F.prime_field(7), rows).rank() == count
 
 
 def test_basis_elements_rejects_overlong():
-    gf = F.ext_field(2, 3)
+    gf = F.ext_field(7, 3)
     with pytest.raises(ValueError):
         F.basis_elements(gf, 4)
 
 
 def test_moore_matrix_rank_matches_point_independence():
-    gf = F.ext_field(3, 4)
+    gf = F.ext_field(5, 4)
     pts = F.basis_elements(gf, 3)
     assert F.moore_matrix(gf, pts, 3).rank() == 3
     dep = pts + [gf.add(pts[0], pts[1])]
     assert F.moore_matrix(gf, dep, 4).rank() == 3
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (5, 4), (7, 9), (11, 15)])
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (5, 4), (7, 9), (31, 15)])
 def test_basis_moore_cache_inverse(p, m):
     gf = F.ext_field(p, m)
     moore = F.basis_moore_matrix(gf)

@@ -52,17 +52,17 @@ def test_splitmix64_known_stream():
 
 
 def test_random_symbols_in_range_and_deterministic():
-    gf = F.ext_field(5, 3)
+    gf = F.ext_field(7, 3)
     a = P.random_symbols(gf, 20, 99)
     b = P.random_symbols(gf, 20, 99)
     assert a == b
-    assert all(all(c < 5 for c in gf.coords(v)) for v in a)
+    assert all(all(c < 7 for c in gf.coords(v)) for v in a)
     assert P.random_symbols(gf, 20, 100) != a
 
 
 def test_precode_single_random_symbol():
     # Ms = 0, r = (c), one point g: the block is (c*g)
-    gf = F.ext_field(2, 4)
+    gf = F.ext_field(5, 4)
     c = gf.from_int(11)
     g = gf.basis_element(2)
     assert P.coefficients((), (c,)) == (c,)
@@ -81,8 +81,9 @@ def test_scheme_precode_matches_oracle(params):
 
 
 def test_precode_decode_roundtrip_gf256():
-    # the MBCR n=4,k=2,d=2,t=2 shape: M=8, Ms=3, |r|=5 over GF(2^8)
-    gf = F.ext_field(2, 8)
+    # the MBCR n=4,k=2,d=2,t=2 shape: M=8, Ms=3, |r|=5 over GF(5^8), the
+    # scheme's own field (GF(2^8) has no binomial modulus)
+    gf = F.ext_field(5, 8)
     u = rand_symbols(gf, 3, 1)
     r = rand_symbols(gf, 5, 2)
     x = runtime_precode(gf, u, r)
@@ -100,7 +101,7 @@ def test_decode_all_zero():
 
 
 def test_precode_injective_in_inputs():
-    gf = F.ext_field(2, 4)
+    gf = F.ext_field(5, 4)
     seen = set()
     for i in range(gf.order):
         u = (gf.from_int(i % 4), )
@@ -113,15 +114,15 @@ def test_precode_injective_in_inputs():
 def test_decode_from_base_field_recombined_points():
     # apply a random invertible base-field matrix jointly to points and
     # values; interpolation must still recover the same coefficients
-    gf = F.ext_field(3, 6)
-    base = F.prime_field(3)
+    gf = F.ext_field(7, 6)
+    base = F.prime_field(7)
     u = rand_symbols(gf, 2, 5)
     r = rand_symbols(gf, 4, 6)
     points = F.basis_elements(gf, 6)
     values = runtime_precode(gf, u, r)
     rng = random.Random(7)
     while True:
-        t_rows = [[rng.randrange(3) for _ in range(6)] for _ in range(6)]
+        t_rows = [[rng.randrange(7) for _ in range(6)] for _ in range(6)]
         if F.Matrix(base, t_rows).rank() == 6:
             break
     new_pts, new_vals = [], []
@@ -136,7 +137,7 @@ def test_decode_from_base_field_recombined_points():
 
 
 def test_precode_rejects_dependent_points():
-    gf = F.ext_field(2, 4)
+    gf = F.ext_field(5, 4)
     g = gf.basis_element(0)
     moore = F.moore_matrix(gf, [g, g], 2)
     assert moore.rank() == 1
@@ -156,7 +157,7 @@ def test_precode_rejects_wrong_point_count():
 def test_solve_randomness_single_unknown():
     # f = r0 X + u0 X^2 seen at one point: subtracting the known u-term
     # leaves one equation in the single unknown r0
-    gf = F.ext_field(2, 4)
+    gf = F.ext_field(5, 4)
     r0, u0 = gf.from_int(7), gf.from_int(12)
     g = gf.basis_element(1)
     rows = F.moore_matrix(gf, [g], 2).rows
@@ -167,8 +168,8 @@ def test_solve_randomness_single_unknown():
 
 
 def test_solve_randomness_full_block():
-    # the first |r| = 5 of the 8 evaluations over GF(2^8) pin r down given u
-    gf = F.ext_field(2, 8)
+    # the first |r| = 5 of the 8 evaluations over GF(5^8) pin r down given u
+    gf = F.ext_field(5, 8)
     u = rand_symbols(gf, 3, 8)
     r = rand_symbols(gf, 5, 9)
     e = runtime_precode(gf, u, r)[:5]
@@ -179,7 +180,7 @@ def test_solve_randomness_full_block():
 
 
 def test_solve_randomness_underdetermined_signals():
-    gf = F.ext_field(2, 4)
+    gf = F.ext_field(5, 4)
     g = gf.basis_element(0)
     with pytest.raises(F.UnderdeterminedError):
         F.moore_matrix(gf, [g], 2).solve([g])

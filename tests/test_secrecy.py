@@ -121,8 +121,8 @@ def test_agreement_mscr_ia_all_placements():
 
 
 def test_brute_force_small_ext_field():
-    # tiny GF(4) toy: e = u + r is secure, e = u leaks
-    gf = ext_field(2, 2)
+    # tiny GF(9) toy: e = u + r is secure, e = u leaks
+    gf = ext_field(3, 2)
 
     class Toy:
         field = gf
