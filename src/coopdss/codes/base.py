@@ -229,7 +229,8 @@ class Scheme:
         if helpers is None:
             helpers = sorted(survivors)[:d]
         helpers = tuple(sorted(helpers))
-        if len(helpers) != d or any(h in failed or h not in survivors for h in helpers):
+        if (len(helpers) != d or len(set(helpers)) != d
+                or any(h in failed or h not in survivors for h in helpers)):
             raise ParameterError("helpers must be d distinct surviving nodes")
         return helpers
 

@@ -17,13 +17,17 @@ Repair of failure set T: helper h sends f_h(y_i) and g_h(x_i) to newcomer i
 (beta = 2); newcomer j first rebuilds g_j from its d column evidences, then
 sends g_j(x_i) to each peer (beta' = 1); i then holds d+t row evaluations
 (helpers, peers, own g_i(x_i)) and interpolates f_i.
+
+Every interpolation, in repair and in reconstruction, applies the closed-form
+inverse of its Vandermonde matrix (`vandermonde_inverse`, Lagrange
+coefficients), so no system is eliminated.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..field import Matrix, next_prime, prime_field, vandermonde
+from ..field import Matrix, next_prime, prime_field, vandermonde_inverse
 from .base import (
     NodeContent,
     ObservationMatrix,
@@ -34,17 +38,19 @@ from .base import (
 )
 
 
-def _poly_eval(field, coeffs: Sequence[int], x: int) -> int:
-    acc = field.zero
+def _poly_eval(q: int, coeffs: Sequence[int], x: int) -> int:
+    """The polynomial at x over GF(q), by Horner's rule on ints."""
+    acc = 0
     for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
+        acc = (acc * x + c) % q
     return acc
 
 
-def _interpolate(field, xs: Sequence[int], ys: Sequence[int], degree_bound: int) -> list[int]:
-    """Coefficients (low first) of the unique poly of degree < degree_bound."""
-    system = vandermonde(field, degree_bound, xs).transpose()
-    return system.solve(list(ys))
+def _interpolate(field, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """Coefficients (low first) of the unique poly of degree < len(xs)
+    through the points (xs, ys)."""
+    dot = field.dot
+    return [dot(row, ys) for row in vandermonde_inverse(field.p, xs)]
 
 
 class MbcrBivariateScheme(Scheme):
@@ -127,7 +133,7 @@ class MbcrBivariateScheme(Scheme):
         d, t = self.params.d, self.params.t
         i = content.node_id
         ys = [self.y_points[self._wrap(i, s) - 1] for s in range(d + t)]
-        return _interpolate(self.field, ys, content.segment("row"), d + t)
+        return _interpolate(self.field, ys, content.segment("row"))
 
     def _col_poly(self, content: NodeContent) -> list[int]:
         """g_i(X), degree < d, from F(x_i,y_i) plus the column segment."""
@@ -136,7 +142,7 @@ class MbcrBivariateScheme(Scheme):
         xs = [self.x_points[i - 1]] + [self.x_points[self._wrap(i, s) - 1]
                                        for s in range(1, d)]
         vals = [content.segment("row")[0]] + list(content.segment("col"))
-        return _interpolate(self.field, xs, vals, d)
+        return _interpolate(self.field, xs, vals)
 
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
         k, d, t = self.params.k, self.params.d, self.params.t
@@ -152,10 +158,9 @@ class MbcrBivariateScheme(Scheme):
         phi: dict[int, list[int]] = {}
         for j in range(k, d + t):
             vals = [rows[i][j] for i in ids]
-            phi[j] = _interpolate(f, xs, vals, k)
+            phi[j] = _interpolate(f, xs, vals)
         # degree < d for j < k, determined coefficient-wise from the column polys
-        w = Matrix(f, [[pow(self.y_points[i - 1], j, f.p) for j in range(k)]
-                       for i in ids])
+        w_inv = vandermonde_inverse(f.p, [self.y_points[i - 1] for i in ids])
         residues = []
         for i in ids:
             g = list(cols[i]) + [f.zero] * (d - len(cols[i]))
@@ -166,7 +171,8 @@ class MbcrBivariateScheme(Scheme):
                     g[a] = f.sub(g[a], f.mul(yj, phi[j][a]))
             residues.append(g)
         for a in range(d):
-            sol = w.solve([residues[idx][a] for idx in range(k)])
+            column = [residues[idx][a] for idx in range(k)]
+            sol = [f.dot(row, column) for row in w_inv]
             for j in range(k):
                 phi.setdefault(j, [f.zero] * d)[a] = sol[j]
         coeffs = {}
@@ -182,6 +188,7 @@ class MbcrBivariateScheme(Scheme):
                            survivors: Mapping[int, NodeContent],
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
         f = self.field
+        q = f.p
         d, t = self.params.d, self.params.t
         failed = self._validate_failed(failed, survivors)
         helpers = self._pick_helpers(failed, survivors, helpers)
@@ -193,8 +200,8 @@ class MbcrBivariateScheme(Scheme):
         row_evidence: dict[int, dict[int, int]] = {i: {} for i in sorted(failed)}
         for i in sorted(failed):
             for h in helpers:
-                f_h_at_yi = _poly_eval(f, helper_rows[h], self.y_points[i - 1])
-                g_h_at_xi = _poly_eval(f, helper_cols[h], self.x_points[i - 1])
+                f_h_at_yi = _poly_eval(q, helper_rows[h], self.y_points[i - 1])
+                g_h_at_xi = _poly_eval(q, helper_cols[h], self.x_points[i - 1])
                 live[(h, i)] = (f_h_at_yi, g_h_at_xi)
                 col_evidence[i].append(f_h_at_yi)
                 row_evidence[i][h] = g_h_at_xi
@@ -202,11 +209,11 @@ class MbcrBivariateScheme(Scheme):
         new_cols = {}
         for i in sorted(failed):
             xs = [self.x_points[h - 1] for h in helpers]
-            new_cols[i] = _interpolate(f, xs, col_evidence[i], d)
+            new_cols[i] = _interpolate(f, xs, col_evidence[i])
         # cooperative phase: peers trade g_j(x_i)
         for i in sorted(failed):
             for j in sorted(failed - {i}):
-                val = _poly_eval(f, new_cols[j], self.x_points[i - 1])
+                val = _poly_eval(q, new_cols[j], self.x_points[i - 1])
                 coop[(j, i)] = (val,)
                 row_evidence[i][j] = val
         results = []
@@ -217,11 +224,11 @@ class MbcrBivariateScheme(Scheme):
                 ys.append(self.y_points[j - 1])
                 vals.append(row_evidence[i][j])
             ys.append(self.y_points[i - 1])
-            vals.append(_poly_eval(f, new_cols[i], self.x_points[i - 1]))
-            f_i = _interpolate(f, ys, vals, d + t)
-            row_seg = [_poly_eval(f, f_i, self.y_points[self._wrap(i, s) - 1])
+            vals.append(_poly_eval(q, new_cols[i], self.x_points[i - 1]))
+            f_i = _interpolate(f, ys, vals)
+            row_seg = [_poly_eval(q, f_i, self.y_points[self._wrap(i, s) - 1])
                        for s in range(d + t)]
-            col_seg = [_poly_eval(f, new_cols[i], self.x_points[self._wrap(i, s) - 1])
+            col_seg = [_poly_eval(q, new_cols[i], self.x_points[self._wrap(i, s) - 1])
                        for s in range(1, d)]
             results.append(NodeContent(i, tuple(row_seg + col_seg), self.layout))
         return RepairTranscript(failed=failed, helpers=helpers,

@@ -27,6 +27,12 @@ node's d primary symbols through Phi), then every node, survivors and fellow
 newcomers alike, re-derives and sends the z value the failed node used to
 store for it (one more symbol).  That is beta = 2 from each live node and
 beta' = 1 from each cooperating newcomer, gamma = 2d+t-1 = alpha.
+
+Repair and reconstruction eliminate nothing: the y-code is inverted by
+`vandermonde_inverse` on the contacted nodes' points, and a square block of
+Phi, a scaled Cauchy matrix, by `cauchy_inverse` and the scales
+(`_phi_block_inverse`).  Each solved symbol is one `dot` of a GF(p) row with
+GF(p^M) values.
 """
 
 from __future__ import annotations
@@ -34,11 +40,12 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from ..field import (
-    Matrix,
     binomial_prime,
+    cauchy_inverse,
     ext_field,
     moore_matrix,  # noqa: F401  re-exported: perfbench's tracer wraps it by this name
     prime_field,
+    vandermonde_inverse,
 )
 from .base import (
     GabidulinScheme,
@@ -68,6 +75,25 @@ def find_structure(n: int, d: int, m_total: int) -> tuple[int, list[list[int]]]:
     return p, phi
 
 
+def _phi_block_inverse(p: int, d: int, cols: Sequence[int], size: int) -> list[list[int]]:
+    """Inverse over GF(p) of the block R[h][s] = Phi[s][cols[h]], s < size,
+    with len(cols) = size.
+
+    Phi[s][c] = a_s b_c / (y_c - x_s) with x_s = s, y_c = b_c = d + c and
+    a_s = (d - s) / d (see `find_structure`), so R = diag(b) C diag(a) for
+    the Cauchy matrix C[h][s] = 1/(y_{cols[h]} - s), and
+    R^-1[s][h] = C^-1[s][h] / (a_s b_{cols[h]}).
+    """
+    ys = [d + c for c in cols]
+    c_inv = cauchy_inverse(p, ys, range(size))
+    inv_b = [pow(y, p - 2, p) for y in ys]
+    out = []
+    for s, row in enumerate(c_inv):
+        inv_a = d * pow(d - s, p - 2, p)
+        out.append([ci * inv_a * ib % p for ci, ib in zip(row, inv_b)])
+    return out
+
+
 class MbcrExactScheme(GabidulinScheme):
     """Secrecy-capacity-achieving exact-repair MBCR code for n = d + t."""
 
@@ -92,10 +118,13 @@ class MbcrExactScheme(GabidulinScheme):
         # the field first: its word-width check rejects an oversized M (a
         # forged header) before the d x (n-1) Phi is built
         self.field = ext_field(binomial_prime(d + n - 1, m_total), m_total)
-        p, self.phi = find_structure(n, d, m_total)  # phi: d x (n-1)
+        p, phi = find_structure(n, d, m_total)  # phi: d x (n-1)
         self.base = prime_field(p)
-        # base-field generator matrices (plain ints mod p)
-        self.y_code = [[pow(x, i, p) for x in range(n)] for i in range(k)]  # k x n
+        # base-field generator matrices (plain ints mod p), one list per column:
+        # Phi's n-1 columns, and the y-code's column (1, x, ..., x^(k-1)) at
+        # the point x = i-1 of node i
+        self.phi_cols = [list(col) for col in zip(*phi)]
+        self.y_cols = [[pow(x, l, p) for l in range(k)] for x in range(n)]
         self.layout = (("x", k), ("y", d - k), ("z", n - 1))
 
         # point vectors (length-M base coordinates) of every stored symbol
@@ -113,7 +142,6 @@ class MbcrExactScheme(GabidulinScheme):
     def _compute_primary_points(self, i: int) -> list[list[int]]:
         n, k, d = self.params.n, self.params.k, self.params.d
         m_total = self.file_size
-        p = self.base.p
         pts = []
         for s in range(k):  # x block: unit vectors
             v = [0] * m_total
@@ -121,18 +149,15 @@ class MbcrExactScheme(GabidulinScheme):
             pts.append(v)
         for j in range(d - k):  # y values: V-combination of part-b group j
             v = [0] * m_total
-            for l in range(k):
-                v[n * k + j * k + l] = self.y_code[l][i - 1] % p
+            v[n * k + j * k:n * k + (j + 1) * k] = self.y_cols[i - 1]
             pts.append(v)
         return pts
 
     def _z_point(self, source: int, stored_at: int) -> list[int]:
         p = self.base.p
-        col = self._phi_col(source, stored_at)
         prim = self._primary_points[source]
         v = [0] * self.file_size
-        for s in range(self.params.d):
-            c = self.phi[s][col]
+        for s, c in enumerate(self.phi_cols[self._phi_col(source, stored_at)]):
             if c:
                 row = prim[s]
                 for idx in range(self.file_size):
@@ -150,29 +175,14 @@ class MbcrExactScheme(GabidulinScheme):
     # -- encode -----------------------------------------------------------------
 
     def _z_value(self, primary: Sequence[int], source: int, stored_at: int) -> int:
-        f = self.field
-        col = self._phi_col(source, stored_at)
-        acc = f.zero
-        for s in range(self.params.d):
-            c = self.phi[s][col]
-            if c:
-                acc = f.add(acc, f.scalar_mul(c, primary[s]))
-        return acc
+        return self.field.dot(self.phi_cols[self._phi_col(source, stored_at)], primary)
 
     def _primaries_from_x(self, x: Sequence[int]) -> dict[int, list[int]]:
         n, k, d = self.params.n, self.params.k, self.params.d
-        f = self.field
-        primaries = {}
-        for i in range(1, n + 1):
-            prim = list(x[(i - 1) * k:i * k])
-            for j in range(d - k):
-                group = x[n * k + j * k: n * k + (j + 1) * k]
-                acc = f.zero
-                for l in range(k):
-                    acc = f.add(acc, f.scalar_mul(self.y_code[l][i - 1], group[l]))
-                prim.append(acc)
-            primaries[i] = prim
-        return primaries
+        dot = self.field.dot
+        groups = [x[n * k + j * k:n * k + (j + 1) * k] for j in range(d - k)]
+        return {i: list(x[(i - 1) * k:i * k]) + [dot(self.y_cols[i - 1], g) for g in groups]
+                for i in range(1, n + 1)}
 
     def encode(self, u: Sequence[int], r: Sequence[int]) -> list[NodeContent]:
         self._check_inputs(u, r)
@@ -191,42 +201,31 @@ class MbcrExactScheme(GabidulinScheme):
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
         n, k, d = self.params.n, self.params.k, self.params.d
         f = self.field
+        p = self.base.p
         by_id = {c.node_id: c for c in contents}
         if len(by_id) < k:
             raise ParameterError(f"need k={k} distinct nodes, got {len(by_id)}")
         ids = sorted(by_id)[:k]
         x = [f.zero] * self.file_size
         for i in ids:
-            for s, val in enumerate(by_id[i].segment("x")):
-                x[(i - 1) * k + s] = val
+            x[(i - 1) * k:i * k] = by_id[i].segment("x")
         # part (b): invert the y-code on the contacted columns
+        y_inv = vandermonde_inverse(p, [i - 1 for i in ids])
         for j in range(d - k):
             vals = [by_id[i].segment("y")[j] for i in ids]
-            vmat = Matrix(f, [[f.element(self.y_code[row][i - 1]) for row in range(k)]
-                              for i in ids])
-            group = vmat.solve(vals)
-            for l in range(k):
-                x[n * k + j * k + l] = group[l]
+            x[n * k + j * k:n * k + (j + 1) * k] = [f.dot(row, vals) for row in y_inv]
         # remaining nodes: d known codeword coordinates of [I_d Phi] pin the primary
         primaries = self._primaries_from_x(x)  # y parts correct everywhere now
         for i in range(1, n + 1):
             if i in ids:
                 continue
-            rows = []
-            rhs = []
-            for c in ids:
-                col = self._phi_col(i, c)
-                z_val = by_id[c].segment("z")[self._others(c).index(i)]
-                acc = z_val
-                for s in range(k, d):
-                    coeff = self.phi[s][col]
-                    if coeff:
-                        acc = f.sub(acc, f.scalar_mul(coeff, primaries[i][s]))
-                rows.append([f.element(self.phi[s][col]) for s in range(k)])
-                rhs.append(acc)
-            head = Matrix(f, rows, ncols=k).solve(rhs)
-            for s in range(k):
-                x[(i - 1) * k + s] = head[s]
+            cols = [self._phi_col(i, c) for c in ids]
+            # z value minus the known y part: the x block's share of it
+            rhs = [f.sub(by_id[c].segment("z")[self._others(c).index(i)],
+                         f.dot(self.phi_cols[col][k:], primaries[i][k:]))
+                   for c, col in zip(ids, cols)]
+            x[(i - 1) * k:i * k] = [f.dot(row, rhs)
+                                    for row in _phi_block_inverse(p, d, cols, k)]
         return self._secret_from_evaluations(x)
 
     # -- repair -------------------------------------------------------------------
@@ -244,15 +243,14 @@ class MbcrExactScheme(GabidulinScheme):
         coop: dict[tuple[int, int], list[int]] = {}
         new_primary: dict[int, list[int]] = {}
         for i in sorted(failed):
-            rows = []
             rhs = []
             for h in helpers:
                 z_hi = survivors[h].segment("z")[self._others(h).index(i)]
-                live.setdefault((h, i), []).append(z_hi)
-                col = self._phi_col(i, h)
-                rows.append([f.element(self.phi[s][col]) for s in range(d)])
+                live[(h, i)] = [z_hi]
                 rhs.append(z_hi)
-            new_primary[i] = Matrix(f, rows, ncols=d).solve(rhs)
+            cols = [self._phi_col(i, h) for h in helpers]
+            new_primary[i] = [f.dot(row, rhs)
+                              for row in _phi_block_inverse(self.base.p, d, cols, d)]
         # second phase: every other node contributes the failed node's z value
         results = []
         for i in sorted(failed):

@@ -5,8 +5,10 @@ symbols; a base-field k x n Vandermonde with columns g_1..g_n spreads them:
 node i stores {m_j^T g_i : j in [t]}, alpha = t.  Any k nodes invert the
 Vandermonde per vector.  When the t failures are repaired, the newcomer at
 sorted position s downloads the s-th stored symbol from each of d = k helpers
-(one symbol, beta = 1), solves m_s, then hands m_s^T g_{i'} to each fellow
-newcomer i' (beta' = 1).
+(one symbol, beta = 1), recovers m_s, then hands m_s^T g_{i'} to each fellow
+newcomer i' (beta' = 1).  Both steps apply the closed-form inverse of the
+k x k Vandermonde on the contacted nodes' points (`vandermonde_inverse`),
+so no system is eliminated.
 
 The base prime is p = binomial_prime(n, kt): the least prime >= n (room for
 n distinct Vandermonde points) with p = 1 mod rad(kt), and mod 4 when 4 | kt,
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..field import Matrix, binomial_prime, ext_field, prime_field
+from ..field import binomial_prime, ext_field, prime_field, vandermonde_inverse
 from .base import (
     GabidulinScheme,
     NodeContent,
@@ -53,7 +55,8 @@ class MscrDkScheme(GabidulinScheme):
         p = binomial_prime(n, self.file_size)
         self.base = prime_field(p)
         self.field = ext_field(p, self.file_size)
-        self.vand = [[pow(x, i, p) for x in range(n)] for i in range(k)]  # k x n
+        # column g_i = (1, x, ..., x^(k-1)) at the point x = i-1 of node i
+        self.g = [[pow(x, l, p) for l in range(k)] for x in range(n)]
         self.layout = (("shares", t),)
 
     # -- placement ---------------------------------------------------------------
@@ -62,19 +65,22 @@ class MscrDkScheme(GabidulinScheme):
         """Base-coordinate evaluation point of m_j^T g_node (j is 0-based)."""
         k = self.params.k
         v = [0] * self.file_size
-        for l in range(k):
-            v[j * k + l] = self.vand[l][node - 1]
+        v[j * k:(j + 1) * k] = self.g[node - 1]
         return v
 
     def stored_points(self, node: int) -> list[list[int]]:
         return [self._share_point(node, j) for j in range(self.params.t)]
 
     def _share_value(self, m_vec: Sequence[int], node: int) -> int:
-        f = self.field
-        acc = f.zero
-        for l, sym in enumerate(m_vec):
-            acc = f.add(acc, f.scalar_mul(self.vand[l][node - 1], sym))
-        return acc
+        return self.field.dot(self.g[node - 1], m_vec)
+
+    def _solve_vectors(self, nodes: Sequence[int],
+                       values: Sequence[Sequence[int]]) -> list[list[int]]:
+        """m from the shares m^T g_i at the given nodes, one vector per
+        entry of `values` (its shares in node order)."""
+        dot = self.field.dot
+        inv = vandermonde_inverse(self.base.p, [i - 1 for i in nodes])
+        return [[dot(row, vals) for row in inv] for vals in values]
 
     def encode(self, u: Sequence[int], r: Sequence[int]) -> list[NodeContent]:
         if self.secure_size == 0:
@@ -93,18 +99,13 @@ class MscrDkScheme(GabidulinScheme):
 
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
         k, t = self.params.k, self.params.t
-        f = self.field
         by_id = {c.node_id: c for c in contents}
         if len(by_id) < k:
             raise ParameterError(f"need k={k} distinct nodes, got {len(by_id)}")
         ids = sorted(by_id)[:k]
-        system = Matrix(f, [[f.element(self.vand[l][i - 1]) for l in range(k)]
-                            for i in ids])
-        x = []
-        for j in range(t):
-            vals = [by_id[i].symbols[j] for i in ids]
-            x.extend(system.solve(vals))
-        return self._secret_from_evaluations(x)
+        m_vecs = self._solve_vectors(ids, [[by_id[i].symbols[j] for i in ids]
+                                           for j in range(t)])
+        return self._secret_from_evaluations([sym for m in m_vecs for sym in m])
 
     # -- repair --------------------------------------------------------------------
 
@@ -112,20 +113,18 @@ class MscrDkScheme(GabidulinScheme):
                            survivors: Mapping[int, NodeContent],
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
         f = self.field
-        k = self.params.k
         failed = self._validate_failed(failed, survivors)
         helpers = self._pick_helpers(failed, survivors, helpers)
         order = sorted(failed)
         live: dict[tuple[int, int], tuple[int, ...]] = {}
         coop: dict[tuple[int, int], tuple[int, ...]] = {}
-        system = Matrix(f, [[f.element(self.vand[l][h - 1]) for l in range(k)]
-                            for h in helpers])
-        m_vecs: dict[int, list[int]] = {}
+        downloads = []
         for s, i in enumerate(order):
             vals = [survivors[h].symbols[s] for h in helpers]
             for h, v in zip(helpers, vals):
                 live[(h, i)] = (v,)
-            m_vecs[i] = system.solve(vals)
+            downloads.append(vals)
+        m_vecs = dict(zip(order, self._solve_vectors(helpers, downloads)))
         results = []
         for s, i in enumerate(order):
             shares = [f.zero] * self.params.t

@@ -31,6 +31,9 @@ coordinates, so bytes do not depend on the slot layout.
 
 Rank and solving use fraction-free Gaussian elimination with first-nonzero
 pivoting: no divisions during elimination, no tolerances, deterministic.
+The schemes' repair and reconstruct systems run no elimination: they are
+base-field Vandermonde and Cauchy matrices, whose inverses are closed forms
+(`vandermonde_inverse`, `cauchy_inverse`) applied with `dot`.
 
 The Moore matrix of a field's canonical basis, the Gabidulin precoding map,
 and its inverse are built once per field and cached like the fields.
@@ -273,17 +276,18 @@ class ExtField:
             raise ValueError("extension degree must be >= 1")
         p = base.p
         # bound on the largest digit one product of reduced elements leaves
-        # after the fold: m*(p-1)^2 per product digit, plus m-1 folded top
-        # digits times p-1 (a general modulus's worst case; the binomial
-        # fold adds one top digit times c < p, so the bound has room to spare)
-        bound = m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
+        # after the fold: m*(p-1)^2 per product digit, plus one top digit
+        # times the binomial's scalar c < p
+        bound = m * (p - 1) ** 2 * p
         # 32-bit words when m products fit them, else 64-bit
         self._db = db = 32 if 0xFFFFFFFF // bound >= m else 64
         self._mask = mask = (1 << db) - 1
-        # terms a sum may hold before it must be reduced (see dot); an
-        # elimination entry needs 2
+        # terms a sum may hold before it must be reduced (see dot).  A field
+        # whose 64-bit words cannot hold m products (one Moore row) or the 2
+        # of an elimination entry is refused; this also caps the extension
+        # degree before p^m is built (about m^2 p^3 < 2^64)
         self._dot_chunk = mask // bound
-        if self._dot_chunk < 2:
+        if self._dot_chunk < max(m, 2):
             raise ValueError(f"GF({p}^{m}) is too large for 64-bit digit slots")
 
         self.base = base
@@ -698,16 +702,81 @@ class Matrix:
         return Matrix(f, [list(r) for r in zip(*cols)], ncols=n)
 
 
-def vandermonde(field, nrows: int, points: Sequence[int]) -> Matrix:
-    """nrows x len(points) Vandermonde matrix, column j = (1, x_j, x_j^2, ...)."""
+# ---------------------------------------------------------------------------
+# closed-form inverses of base-field systems
+# ---------------------------------------------------------------------------
+# The repair and reconstruct systems of the schemes have GF(p) entries and a
+# known structure, so their inverses are formulas on plain ints.  A row of
+# the inverse applied with `field.dot` to GF(p^m) values gives one solved
+# symbol with one reduction; `Matrix.solve` is their test oracle.
+
+def _distinct_mod(p: int, points: Iterable[int], what: str) -> list[int]:
+    pts = [x % p for x in points]
+    if len(set(pts)) != len(pts):
+        raise ValueError(f"repeated {what} point mod {p}")
+    return pts
+
+
+def vandermonde_inverse(p: int, xs: Sequence[int]) -> list[list[int]]:
+    """Rows of V^-1 over GF(p) for the square Vandermonde V[j][e] = xs[j]^e.
+
+    Column j of V^-1 holds the coefficients (low first) of the Lagrange
+    basis polynomial L_j(X) = prod_{i != j} (X - x_i) / (x_j - x_i), so
+    V^-1 . y is the polynomial that takes the values y at xs (Berrut &
+    Trefethen, SIAM Rev. 2004).  Each L_j is the master polynomial
+    prod_i (X - x_i) divided synthetically by X - x_j and scaled by its
+    barycentric weight, one `pow` per point: O(k^2) in all.  Raises
+    ValueError on a repeated point.
+    """
+    xs = _distinct_mod(p, xs, "Vandermonde")
+    k = len(xs)
+    master = [1]  # prod_i (X - x_i), low first
+    for x in xs:
+        master = [(a - x * b) % p for a, b in zip([0] + master, master + [0])]
     cols = []
-    for x in points:
-        col = [field.one]
-        for _ in range(nrows - 1):
-            col.append(field.mul(col[-1], x))
-        cols.append(col)
-    return Matrix(field, [[cols[j][i] for j in range(len(points))] for i in range(nrows)],
-                  ncols=len(points))
+    for x in xs:
+        quot = [0] * k  # master / (X - x)
+        acc = 0
+        for e in range(k, 0, -1):
+            acc = quot[e - 1] = (master[e] + x * acc) % p
+        den = 1
+        for y in xs:
+            if y != x:
+                den = den * (x - y) % p
+        w = pow(den, p - 2, p)
+        cols.append([c * w % p for c in quot])
+    return [list(row) for row in zip(*cols)]
+
+
+def cauchy_inverse(p: int, us: Sequence[int], vs: Sequence[int]) -> list[list[int]]:
+    """Rows of C^-1 over GF(p) for the square Cauchy C[i][j] = 1/(us[i] - vs[j]).
+
+    With A(z) = prod_i (z - u_i) and B(z) = prod_j (z - v_j),
+    C^-1[j][i] = A(v_j) B(u_i) / ((v_j - u_i) A'(u_i) B'(v_j)) (Schechter,
+    1959; Knuth, TAOCP vol. 1, 1.2.3 ex. 41).  Raises ValueError on a
+    repeated point or a point shared by us and vs.
+    """
+    us = _distinct_mod(p, us, "Cauchy")
+    vs = _distinct_mod(p, vs, "Cauchy")
+    if len(us) != len(vs):
+        raise ValueError("a Cauchy matrix to invert must be square")
+    if set(us) & set(vs):
+        raise ValueError(f"Cauchy points shared by both sides mod {p}")
+
+    def ratio(z, same, other):
+        # prod over `other` of (z - w), over prod over `same` but z of (z - w)
+        num = den = 1
+        for w in other:
+            num = num * (z - w) % p
+        for w in same:
+            if w != z:
+                den = den * (z - w) % p
+        return num * pow(den, p - 2, p) % p
+
+    row_scale = [ratio(v, vs, us) for v in vs]  # A(v_j) / B'(v_j)
+    col_scale = [ratio(u, us, vs) for u in us]  # B(u_i) / A'(u_i)
+    return [[rj * ci * pow(v - u, p - 2, p) % p for u, ci in zip(us, col_scale)]
+            for v, rj in zip(vs, row_scale)]
 
 
 # ---------------------------------------------------------------------------

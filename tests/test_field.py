@@ -322,8 +322,9 @@ def _headroom(field) -> int:
 
 def _product_bound(p, m):
     """Largest digit one product of reduced GF(p^m) elements leaves after the
-    fold: m*(p-1)^2 per product digit, plus m-1 folded digits times p-1."""
-    return m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
+    binomial fold: m*(p-1)^2 per product digit, plus one folded digit times
+    the scalar c0 < p."""
+    return m * (p - 1) ** 2 * p
 
 
 def _all_digits_top(f):
@@ -413,16 +414,23 @@ def test_headroom_holds_on_acceptance_fields():
 
 def test_word_width_follows_the_field():
     # 32-bit words while they hold m products; 64-bit past that
-    for (p, m), db in [((31, 30), 32), ((257, 2), 32), ((257, 8), 64), ((65537, 8), 64)]:
+    for (p, m), db in [((31, 30), 32), ((257, 2), 32), ((257, 8), 32), ((257, 16), 64),
+                       ((65537, 8), 64)]:
         f = F.ext_field(p, m)
         assert f._db == db
-        assert f._dot_chunk == (2 ** db - 1) // _product_bound(p, m) >= 2
-    assert (2 ** 32 - 1) // _product_bound(257, 8) < 8
+        assert f._dot_chunk == (2 ** db - 1) // _product_bound(p, m) >= m
+    assert F.ext_field(31, 30)._dot_chunk == 5131
+    assert (2 ** 32 - 1) // _product_bound(257, 16) < 16
+    # 64-bit words that cannot hold 2 products, or m products (a Moore row)
     with pytest.raises(ValueError, match="too large"):
         F.ExtField(F.prime_field(2 ** 31 - 1), 2)
+    assert 2 <= (2 ** 64 - 1) // _product_bound(2081, 10 ** 6) < 10 ** 6
+    with pytest.raises(ValueError, match="too large"):
+        F.ExtField(F.prime_field(2081), 10 ** 6)
 
 
-@pytest.mark.parametrize("p,m", [(31, 30), (43, 21), (7, 9), (257, 8)])
+# GF(257^8) on 32-bit words, GF(257^16) on 64-bit words
+@pytest.mark.parametrize("p,m", [(31, 30), (43, 21), (7, 9), (257, 8), (257, 16)])
 def test_inv_of_base_field_constants(p, m):
     # a packed constant c < p inverts to a constant; X still takes extended Euclid
     f = F.ext_field(p, m)
@@ -449,6 +457,54 @@ def matvec_inputs(draw):
 def test_matvec_matches_per_add_reference(case):
     mat, vec = case
     assert mat.matvec(vec) == [dot_per_add(mat.field, row, vec) for row in mat.rows]
+
+
+# ---------------------------------------------------------
+# closed-form inverses against Matrix.inverse
+# ---------------------------------------------------------
+
+INVERSE_PRIMES = [2, 3, 5, 7, 13, 31, 257, 65537]
+
+
+@st.composite
+def point_sets(draw, sides):
+    """A prime p and `sides` lists of one size, all points distinct mod p;
+    each point may be shifted by a multiple of p (the forms reduce mod p)."""
+    p = draw(st.sampled_from(INVERSE_PRIMES))
+    size = draw(st.integers(1, min(7, p // sides)))
+    pts = draw(st.lists(st.integers(0, p - 1), min_size=sides * size,
+                        max_size=sides * size, unique=True))
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=len(pts), max_size=len(pts)))
+    pts = [x + s * p for x, s in zip(pts, shifts)]
+    return p, [pts[i * size:(i + 1) * size] for i in range(sides)]
+
+
+@KERNEL_SETTINGS
+@given(point_sets(1))
+def test_vandermonde_inverse_matches_elimination(case):
+    p, (xs,) = case
+    system = F.Matrix(F.prime_field(p), [[pow(x, e, p) for e in range(len(xs))] for x in xs])
+    assert F.vandermonde_inverse(p, xs) == system.inverse().rows
+
+
+@KERNEL_SETTINGS
+@given(point_sets(2))
+def test_cauchy_inverse_matches_elimination(case):
+    p, (us, vs) = case
+    system = F.Matrix(F.prime_field(p), [[pow(u - v, p - 2, p) for v in vs] for u in us])
+    assert F.cauchy_inverse(p, us, vs) == system.inverse().rows
+
+
+def test_closed_form_inverses_reject_repeated_points():
+    for xs in ([1, 2, 1], [1, 8]):  # 8 = 1 mod 7
+        with pytest.raises(ValueError, match="repeated"):
+            F.vandermonde_inverse(7, xs)
+    for us, vs in (([1, 1], [2, 3]), ([1, 2], [3, 10])):
+        with pytest.raises(ValueError, match="repeated"):
+            F.cauchy_inverse(7, us, vs)
+    with pytest.raises(ValueError, match="shared"):
+        F.cauchy_inverse(7, [1, 2], [9, 3])  # 9 = 2 mod 7
+    assert F.vandermonde_inverse(7, []) == []
 
 
 # ---------------------------------------------------------
@@ -531,8 +587,8 @@ def outcome(fn, *args):
         return type(exc)
 
 
-# one field on 64-bit words, GF(257^8), and one with p >= 256, GF(257^2)
-WIDE_FIELDS = [(257, 8), (257, 2)]
+# one field on 64-bit words, GF(257^16), and one with p >= 256, GF(257^2)
+WIDE_FIELDS = [(257, 16), (257, 2)]
 
 # binomial fields of degree 2..6 over small primes
 SMALL_EXT_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13, 31) for m in range(2, 7)

@@ -4,6 +4,7 @@ serialization determinism, and the scheme contract's shared guarantees."""
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopdss import field as F
 from coopdss.codes import make_scheme, nodeio
@@ -105,3 +106,56 @@ def test_eavesdropper_validation():
         scheme.observation_matrix([1], [1], [])  # overlap
     with pytest.raises(ParameterError):
         scheme.observation_matrix([], [1], [])  # E2 never repaired
+
+
+# a repeated helper must be refused up front: the closed-form inverses would
+# raise on the repeated point, or repair wrong contents silently
+@pytest.mark.parametrize("params", [
+    SchemeParams(n=4, k=2, d=2, t=2, scheme="mscr-dk"),
+    SchemeParams(n=5, k=2, d=2, t=2, scheme="mbcr-bivariate"),
+], ids=lambda p: p.scheme)
+def test_repeated_helpers_are_rejected(params):
+    scheme = make_scheme(params)
+    nodes = scheme.encode(*scheme.random_inputs(3))
+    survivors = {c.node_id: c for c in nodes if c.node_id not in (1, 2)}
+    with pytest.raises(ParameterError, match="distinct"):
+        scheme.cooperative_repair({1, 2}, survivors, [3, 3])
+
+
+# schemes with exact repair from any d helpers (mbcr-exact: n = d + t, so
+# its helpers are all survivors, in a drawn order)
+REPAIR_INSTANCES = [
+    SchemeParams(n=6, k=3, d=3, t=2, l2=1, scheme="mscr-dk"),
+    SchemeParams(n=7, k=2, d=2, t=3, l1=1, scheme="mscr-dk"),
+    SchemeParams(n=7, k=2, d=3, t=2, l1=1, scheme="mbcr-bivariate"),
+    SchemeParams(n=8, k=3, d=4, t=3, l1=1, scheme="mbcr-bivariate"),
+    SchemeParams(n=6, k=2, d=4, t=2, l1=1, scheme="mbcr-exact"),
+    SchemeParams(n=7, k=3, d=5, t=2, l1=2, scheme="mbcr-exact"),
+]
+
+
+@st.composite
+def repair_plans(draw):
+    params = draw(st.sampled_from(REPAIR_INSTANCES))
+    ids = list(range(1, params.n + 1))
+    failed = draw(st.lists(st.sampled_from(ids), min_size=params.t,
+                           max_size=params.t, unique=True))
+    rest = [i for i in ids if i not in failed]
+    helpers = draw(st.lists(st.sampled_from(rest), min_size=params.d,
+                            max_size=params.d, unique=True))
+    return params, failed, helpers, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(repair_plans())
+def test_repair_is_exact_under_random_plans(plan):
+    params, failed, helpers, seed = plan
+    scheme = make_scheme(params)
+    nodes = {c.node_id: c for c in scheme.encode(*scheme.random_inputs(seed))}
+    survivors = {i: c for i, c in nodes.items() if i not in failed}
+    tr = scheme.cooperative_repair(failed, survivors, helpers)
+    assert tr.helpers == tuple(sorted(helpers))
+    assert sorted(res.node_id for res in tr.results) == sorted(failed)
+    for res in tr.results:
+        assert res == nodes[res.node_id], res.node_id
+        assert tr.downloads(res.node_id) == scheme.gamma

@@ -5,7 +5,7 @@ import pytest
 
 from coopdss.codes import make_scheme, nodeio
 from coopdss.codes.base import ParameterError, SchemeParams
-from coopdss.codes.mbcr_exact import find_structure
+from coopdss.codes.mbcr_exact import _phi_block_inverse, find_structure
 from coopdss.field import Matrix, basis_elements, prime_field
 
 from scheme_utils import (
@@ -181,6 +181,21 @@ def test_phi_structure_is_mds():
                         for c in range(n - 1)] for s in range(d)], key
         assert phi[0] == [1] * (n - 1) and [row[0] for row in phi] == [1] * d
         assert _all_minors_nonsingular(phi, p), key
+
+
+def test_phi_block_inverse_inverts_every_block():
+    # every square block of Phi that repair (size d) or reconstruction
+    # (size k) can meet: rows are Phi columns, columns the first `size` s
+    for key in _criterion_2_keys() + [(7, 5, 32), (7, 6, 42), (8, 7, 56)]:
+        n, d, m_total = key
+        p, phi = find_structure(n, d, m_total)
+        for size in range(1, d + 1):
+            identity = [[int(i == j) for j in range(size)] for i in range(size)]
+            for cols in itertools.combinations(range(n - 1), size):
+                block = [[phi[s][c] for s in range(size)] for c in cols]
+                inv = _phi_block_inverse(p, d, cols, size)
+                assert [[sum(inv[s][h] * block[h][s2] for h in range(size)) % p
+                         for s2 in range(size)] for s in range(size)] == identity, (key, cols)
 
 
 def _rad(m):
