@@ -5,9 +5,10 @@ verify-secrecy.  Every path is a thin wrapper over the library; outputs are
 deterministic given flags and seed (no timestamps).
 
 Exit codes: 0 success/secure, 1 secrecy violation, 2 usage or parameter
-error, 3 I/O error or a protocol fault in `simulate` (replay mismatch or a
-repair round whose bandwidth is not t*gamma).  COOPDSS_SEED provides the
-default seed.
+error, 3 I/O error or a program fault: in `simulate` a replay mismatch or a
+repair round whose bandwidth is not t*gamma, in `verify-secrecy --mode both`
+a rank verdict that differs from the brute-force one in leakage or in either
+lemma flag.  COOPDSS_SEED provides the default seed.
 
 Byte <-> symbol packing: GF(p) takes one byte per symbol (values >= p are
 rejected); GF(p^m) takes m base-field coordinates per symbol, coordinate 0
@@ -255,6 +256,10 @@ def _default_plan(params: SchemeParams, e2: tuple[int, ...]):
     return tuple(plan)
 
 
+def _verdict_fields(v) -> tuple[int, bool, bool]:
+    return v.leakage_qunits, v.lemma_cond_entropy_ok, v.lemma_recoverable_ok
+
+
 def cmd_verify_secrecy(ns) -> int:
     if ns.trace:
         header, transfers = sim_mod.trace_transfers_from_text(Path(ns.trace).read_text())
@@ -308,9 +313,10 @@ def cmd_verify_secrecy(ns) -> int:
         print(f"method={v.method} leakage_qunits={v.leakage_qunits} "
               f"lemma_entropy_ok={v.lemma_cond_entropy_ok} "
               f"lemma_recoverable_ok={v.lemma_recoverable_ok}")
-    if len(verdicts) == 2 and verdicts[0].leakage_qunits != verdicts[1].leakage_qunits:
+    if len(verdicts) == 2 and _verdict_fields(verdicts[0]) != _verdict_fields(verdicts[1]):
+        # a fault in the program, not a secrecy violation
         print("rank and brute-force verdicts disagree", file=sys.stderr)
-        return 1
+        return 3
     return 0 if all(v.secure for v in verdicts) else 1
 
 

@@ -24,10 +24,18 @@ How the ranks are found depends on the scheme:
   Gabidulin schemes' lazily built Moore rows as an oracle in the tests.
 
 The brute-force oracle never touches the analytic observation matrices: it
-probes the encode/repair protocol itself on basis inputs, verifies linearity
-on random spot checks, then enumerates every (u, r) assignment and compares
-the conditional distributions of e across u values.  Guarded to
-|alphabet|^M <= 2^22 joint assignments.
+probes the encode/repair protocol itself, verifies linearity on random spot
+checks, then enumerates every (u, r) assignment and compares the
+conditional distributions of e across u values.  Every scheme is GF(p)-linear
+on coordinates, so one path serves every field GF(p^m): each input slot is
+probed with each coordinate unit, giving a GF(p) map from the M*m input
+digits to the n_obs*m observed coordinates.  The enumeration never builds
+the assignment grid.  Each observed coordinate is built over all p^(M*m)
+assignments in mixed radix, u digits major, and folded into one int64 code
+per assignment (relabelled densely before it could overflow).  After one
+sort per u row, the support of e given u is that row's count of distinct
+codes.  Guarded to |alphabet|^M <= 2^22 joint assignments; the leakage is
+in log-|alphabet| units.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import numpy as np
 from .codes.base import ObservationMatrix, RepairTranscript, Scheme
 
 BRUTE_FORCE_GUARD = 1 << 22
+_CODE_LIMIT = 1 << 62  # codes stay below this, clear of int64 overflow
 
 
 class InstanceTooLargeError(ValueError):
@@ -103,96 +112,69 @@ def brute_force_leakage(scheme: Scheme, e1: Iterable[int], e2: Iterable[int],
                         spot_checks: int = 8) -> SecrecyVerdict:
     """Exact I(u; e) from the joint distribution over all (u, r) assignments.
 
-    The observation map is obtained by probing the protocol (encode plus
-    transcript replay) on basis inputs and verified against `spot_checks`
-    random assignments before the vectorized enumeration.
+    The observation map is obtained as a GF(p) map on coordinates by probing
+    the protocol (encode plus transcript replay) on unit inputs, and is
+    verified against `spot_checks` random inputs before the enumeration.
     """
     field = scheme.field
-    m_total = scheme.file_size
     ms, nr = scheme.secure_size, scheme.n_random
     order = field.order
-    if order ** m_total > guard:
+    if order ** scheme.file_size > guard:
         raise InstanceTooLargeError(
-            f"|F|^M = {order}^{m_total} exceeds the 2^22 brute-force guard")
+            f"|F|^M = {order}^{scheme.file_size} exceeds the 2^22 brute-force guard")
+    p, m = field.char, field.degree
+    n_digits = (ms + nr) * m
     e1 = tuple(sorted(set(e1)))
     e2 = tuple(sorted(set(e2)))
     plans = _plans(transcripts)
 
-    def observe(u, r):
-        return scheme.observed_symbols(u, r, e1, e2, plans)
+    def observe(x):
+        """Observed coordinates for the input whose u then r slots hold the
+        base digits x, m per slot."""
+        slots = [field.from_coords(x[i:i + m]) for i in range(0, n_digits, m)]
+        symbols = scheme.observed_symbols(slots[:ms], slots[ms:], e1, e2, plans)
+        return [c for v in symbols for c in field.coords(v)]
 
-    zero_u = [field.zero] * ms
-    zero_r = [field.zero] * nr
-    base_obs = observe(zero_u, zero_r)
-    n_obs = len(base_obs)
-    if any(v != field.zero for v in base_obs):
+    if any(observe([0] * n_digits)):
         raise ValueError("scheme is not linear: nonzero observation at zero input")
+    # column j is the observation at the j-th unit digit
+    a = np.array([observe([int(i == j) for i in range(n_digits)])
+                  for j in range(n_digits)], dtype=np.int64).T
+    rng = np.random.default_rng(0xB0BA)
+    for _ in range(spot_checks):
+        x = [int(v) for v in rng.integers(0, p, n_digits)]
+        if [int(v) for v in (a @ np.array(x, dtype=np.int64)) % p] != observe(x):
+            raise ValueError("scheme is not linear: probe mismatch")
 
-    # probe columns; integer-encode symbols so numpy can enumerate
-    def col(vec_u, vec_r):
-        return [field.to_int(v) for v in observe(vec_u, vec_r)]
+    # e over every assignment in mixed radix, first digit most significant
+    # (so u is major), folded row by row into one code per assignment
+    digits = np.arange(p, dtype=np.int64)
+    codes = np.zeros(p ** n_digits, dtype=np.int64)
+    span = 1  # every code lies in [0, span)
+    for row in a:
+        e = np.zeros(1, dtype=np.int64)
+        for coef in row:
+            e = (e[:, None] + int(coef) * digits).reshape(-1)
+        e %= p
+        if span > _CODE_LIMIT // p:  # relabel densely before int64 overflows
+            distinct, codes = np.unique(codes, return_inverse=True)
+            span = len(distinct)
+        codes *= p
+        codes += e
+        span *= p
 
-    cols = []
-    for i in range(ms):
-        u = list(zero_u)
-        u[i] = field.one
-        cols.append(col(u, zero_r))
-    for i in range(nr):
-        r = list(zero_r)
-        r[i] = field.one
-        cols.append(col(zero_u, r))
-
-    # columns of ints -> per-symbol linear map over the canonical int encoding
-    # works coordinate-wise only for prime fields; for extension fields fall
-    # back to a python enumeration over raw elements
-    if field.degree == 1:
-        q = order
-        a = np.array(cols, dtype=np.int64).T % q  # n_obs x (ms+nr)
-        # linearity spot checks against the protocol
-        rng = np.random.default_rng(0xB0BA)
-        for _ in range(spot_checks):
-            u = [int(x) for x in rng.integers(0, q, ms)]
-            r = [int(x) for x in rng.integers(0, q, nr)]
-            direct = observe(u, r)
-            model = (a @ np.array(u + r, dtype=np.int64)) % q
-            if [int(x) for x in model] != [field.to_int(v) for v in direct]:
-                raise ValueError("scheme is not linear: probe mismatch")
-        grids = np.meshgrid(*([np.arange(q, dtype=np.int64)] * m_total), indexing="ij")
-        assigns = np.stack([g.reshape(-1) for g in grids], axis=1)  # q^M x M
-        del grids
-        e_vals = (assigns @ a.T) % q
-        if n_obs == 0:
-            codes = np.zeros(len(assigns), dtype=np.int64)
-        elif q ** n_obs < 2 ** 62:
-            weights = np.array([q ** i for i in range(n_obs - 1, -1, -1)], dtype=np.int64)
-            codes = e_vals @ weights
-        else:  # row codes would overflow int64; fall back to python ints
-            weights = [q ** i for i in range(n_obs - 1, -1, -1)]
-            codes = np.array([sum(int(v) * w for v, w in zip(row, weights))
-                              for row in e_vals], dtype=object)
-        codes = codes.reshape(q ** ms, q ** nr)
-    else:
-        codes_list = []
-        elements = list(field.elements())
-        from itertools import product
-        for u in product(elements, repeat=ms):
-            for r in product(elements, repeat=nr):
-                e_vec = observe(list(u), list(r))
-                code = 0
-                for v in e_vec:
-                    code = code * order + field.to_int(v)
-                codes_list.append(code)
-        codes = np.array(codes_list, dtype=object).reshape(order ** ms, order ** nr)
-
-    # conditional distribution of e given u: one row per u assignment
-    sorted_rows = np.sort(codes, axis=1)
-    identical = bool((sorted_rows == sorted_rows[0]).all())
+    # conditional distribution of e given u: one sorted row per u assignment
+    codes = codes.reshape(order ** ms, order ** nr)
+    codes.sort(axis=1)
+    identical = bool((codes == codes[0]).all())
     # support sizes per u must agree for a linear scheme
-    n_e_given_u = {len(np.unique(row)) for row in codes}
-    if len(n_e_given_u) != 1:
+    supports = (codes[:, 1:] != codes[:, :-1]).sum(axis=1) + 1
+    n_cond = int(supports[0])
+    if (supports != n_cond).any():
         raise ValueError("non-uniform conditional supports; scheme not linear?")
-    n_cond = n_e_given_u.pop()
-    n_e = len(np.unique(codes.reshape(-1)))
+    flat = codes.reshape(-1)  # a view: the rows are no longer needed
+    flat.sort()
+    n_e = int((flat[1:] != flat[:-1]).sum()) + 1
     leakage = _exact_log(order, n_e // n_cond) if n_e % n_cond == 0 else None
     if leakage is None:
         raise ValueError("support ratio is not a power of the alphabet size")

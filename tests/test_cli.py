@@ -12,6 +12,7 @@ from coopdss.cli import main
 from coopdss.codes import SCHEME_TAGS, MscrDkScheme, make_scheme, nodeio
 from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.precode import random_symbols
+from coopdss.secrecy import rank_leakage
 
 
 def run_cli(args):
@@ -441,3 +442,19 @@ def test_env_seed_default(tmp_path, monkeypatch):
 def test_usage_error_exit2():
     code, _, _ = run_cli(["verify-secrecy", "--e1", "1"])  # no scheme, no trace
     assert code == 2
+
+
+def test_verify_secrecy_mode_both_disagreement_exit3(monkeypatch):
+    # a lemma flag that differs is a fault in the program, not a violation
+    def wrong_flag(scheme, e1, e2, transcripts):
+        return dataclasses.replace(rank_leakage(scheme.observation_matrix(e1, e2, transcripts)),
+                                   lemma_recoverable_ok=False, method="bruteforce")
+
+    monkeypatch.setattr("coopdss.cli.brute_force_leakage", wrong_flag)
+    code, out, err = run_cli(["verify-secrecy", "--scheme", "mscr-ia", "--n", "4",
+                              "--k", "2", "--d", "2", "--t", "2", "--l1", "1",
+                              "--e1", "3", "--mode", "both"])
+    assert code == 3
+    assert "method=rank leakage_qunits=0 lemma_entropy_ok=True lemma_recoverable_ok=True" in out
+    assert "method=bruteforce leakage_qunits=0 lemma_entropy_ok=True lemma_recoverable_ok=False" in out
+    assert "disagree" in err

@@ -1,6 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopdss import secrecy as S
 from coopdss.codes import make_scheme
@@ -235,3 +239,140 @@ def test_point_rank_verdict_matches_brute_force(scheme, n, k, d, t):
     bf = S.brute_force_leakage(s, [1], [])
     assert _verdict(v) == _verdict(bf)
     assert v.leakage_qunits == 2
+
+
+# ---------------------------------------------------------
+# brute force: mixed-radix enumeration against the rank verdicts
+# ---------------------------------------------------------
+
+class _LinearToy:
+    """Toy scheme whose eavesdropper sees rows . (u || r) over GF(q)."""
+
+    def __init__(self, q, secure_size, n_random, rows):
+        self.field = prime_field(q)
+        self.secure_size = secure_size
+        self.n_random = n_random
+        self.file_size = secure_size + n_random
+        self.rows = rows
+
+    def observed_symbols(self, u, r, e1, e2, plans):
+        return [self.field.dot(row, list(u) + list(r)) for row in self.rows]
+
+    def rank_verdict(self):
+        ms = self.secure_size
+        gf = self.field
+        obs = ObservationMatrix(a_u=Matrix(gf, [row[:ms] for row in self.rows], ncols=ms),
+                                a_r=Matrix(gf, [row[ms:] for row in self.rows],
+                                           ncols=self.n_random),
+                                labels=tuple(("row", i) for i in range(len(self.rows))))
+        return S.joint_rank_leakage(obs)
+
+
+@st.composite
+def _linear_toys(draw):
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    m_total = draw(st.integers(1, 6))
+    ms = draw(st.integers(1, m_total))
+    n_obs = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=m_total,
+                                  max_size=m_total),
+                         min_size=n_obs, max_size=n_obs))
+    return _LinearToy(q, ms, m_total - ms, rows)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_linear_toys())
+def test_brute_force_matches_joint_rank_on_random_maps(toy):
+    assert _verdict(S.brute_force_leakage(toy, [1], [])) == _verdict(toy.rank_verdict())
+
+
+def _balanced_digits(value, base, count):
+    """Digits in [-base//2, base//2], most significant first."""
+    digits = []
+    for _ in range(count):
+        d = (value + base // 2) % base - base // 2
+        digits.append(d)
+        value = (value - d) // base
+    assert value == 0
+    return digits[::-1]
+
+
+@pytest.mark.parametrize("leak", [False, True])
+def test_brute_force_codes_past_int64(leak):
+    # 19 observed GF(11) symbols, so codes reach 11^19 > 2^64.  With d the
+    # balanced base-11 digits of 2^64, e = 5 + d and e = (5, ..., 5) are both
+    # observed and their base-11 codes differ by exactly 2^64: folding past
+    # int64 without a dense relabel would merge them
+    d = _balanced_digits(1 << 64, 11, 19)
+    if leak:  # e = u a + r 1: u shifts e along a
+        rows = [[di % 11, 1] for di in d]
+    else:  # e = (u + r1) a + r2 1: r hides u
+        rows = [[di % 11, di % 11, 1] for di in d]
+    toy = _LinearToy(11, 1, len(rows[0]) - 1, rows)
+    bf = S.brute_force_leakage(toy, [1], [])
+    expected = (1, False, True) if leak else (0, True, True)
+    assert _verdict(bf) == _verdict(toy.rank_verdict()) == expected
+
+
+def _assert_brute_force_matches_rank(scheme, e1, e2=(), transcripts=()):
+    bf = S.brute_force_leakage(scheme, e1, e2, transcripts)
+    rk = S.rank_leakage(scheme.observation_matrix(e1, e2, transcripts))
+    assert _verdict(bf) == _verdict(rk), (scheme.params, e1, e2)
+    return bf
+
+
+@pytest.mark.parametrize("n, p", [(4, 5), (3, 3)])
+def test_brute_force_matches_rank_mscr_dk_ext_field(n, p):
+    s = make_scheme(SchemeParams(n=n, k=2, d=2, t=1, l1=1, scheme="mscr-dk"))
+    assert (s.field.char, s.field.degree) == (p, 2)
+    for e in range(1, n + 1):
+        assert _assert_brute_force_matches_rank(s, (e,)).secure
+    # two storage nodes, one more than the scheme is built for
+    for e1 in itertools.combinations(range(1, n + 1), 2):
+        assert _assert_brute_force_matches_rank(s, e1).leakage_qunits == 1
+
+
+def test_brute_force_matches_rank_mbcr_bivariate():
+    s = make_scheme(SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme="mbcr-bivariate"))
+    assert s.field.order ** s.file_size == 5 ** 8
+    for e in range(1, 5):
+        assert _assert_brute_force_matches_rank(s, (e,)).secure
+    for e1 in itertools.combinations(range(1, 5), 2):
+        assert not _assert_brute_force_matches_rank(s, e1).secure
+    s = make_scheme(SchemeParams(n=4, k=2, d=2, t=2, l2=1, scheme="mbcr-bivariate"))
+    nodes = s.encode(*s.random_inputs(1))
+    for failed in itertools.combinations(range(1, 5), 2):
+        survivors = {c.node_id: c for c in nodes if c.node_id not in failed}
+        tr = s.cooperative_repair(failed, survivors)
+        for e in failed:
+            assert _assert_brute_force_matches_rank(s, (), (e,), (tr,)).secure
+
+
+def test_brute_force_matches_rank_insecure_demo():
+    s = make_scheme(SchemeParams(n=3, k=2, d=2, t=1, l1=1, scheme="insecure-demo"))
+    leaks = [_assert_brute_force_matches_rank(s, (e,)).leakage_qunits for e in (1, 2, 3)]
+    assert leaks == [1, 0, 0]
+
+
+_RSS_PROBE = """
+import resource
+from coopdss import secrecy
+from coopdss.codes import make_scheme
+from coopdss.codes.base import SchemeParams
+scheme = make_scheme(SchemeParams(n=5, k=2, d=3, t=2, l1=1, scheme="mscr-ia"))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+verdict = secrecy.brute_force_leakage(scheme, [1], [])
+assert verdict.secure
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_brute_force_peak_memory_growth():
+    # the largest oracle instance, 11^6 assignments, in a fresh process;
+    # ru_maxrss is in KiB on Linux
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert int(out) / 1024 <= 100
