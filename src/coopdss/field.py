@@ -36,7 +36,10 @@ base-field Vandermonde and Cauchy matrices, whose inverses are closed forms
 (`vandermonde_inverse`, `cauchy_inverse`) applied with `dot`.
 
 The Moore matrix of a field's canonical basis, the Gabidulin precoding map,
-and its inverse are built once per field and cached like the fields.
+and its inverse are built once per field and cached like the fields.  Both
+are closed forms on a binomial field: `frobenius` is a scaled digit
+permutation, and the inverse is the Moore matrix of the trace-dual basis, a
+scaled and permuted transpose (`basis_moore_inverse`); no elimination runs.
 """
 
 from __future__ import annotations
@@ -268,7 +271,7 @@ class ExtField:
     __slots__ = (
         "base", "p", "m", "modulus", "order", "char", "degree", "zero", "one",
         "coord_width", "_db", "_mask", "_low_mask", "_all_p", "_binomial_c",
-        "_dot_chunk", "_words",
+        "_dot_chunk", "_words", "_frobenius_table",
     )
 
     def __init__(self, base: PrimeField, m: int):
@@ -303,6 +306,7 @@ class ExtField:
         self._words = struct.Struct(f"<{m}{code}")
         self._low_mask = (1 << (db * m)) - 1
         self._all_p = self._pack([p] * m)
+        self._frobenius_table = None  # built on first use (see frobenius)
         self.zero = 0
         self.one = 1
         self.coord_width = base.coord_width
@@ -461,8 +465,29 @@ class ExtField:
         return result
 
     def frobenius(self, a: int) -> int:
-        """a^p, the base-field Frobenius."""
-        return self.pow(a, self.p)
+        """a^p, the base-field Frobenius, as a scaled digit permutation.
+
+        Coefficients are fixed by the p-th power and X^m = c (c the
+        binomial's scalar, `_binomial_c`), so (sum_j a_j X^j)^p =
+        sum_j a_j X^(jp) = sum_j a_j c^floor(jp/m) X^(jp mod m).
+        p = 1 mod rad(m) keeps p prime to m, so j -> jp mod m permutes the
+        digits: output digit i is one source digit times one base-field
+        scale, from a table built once per field.  One unpack, m products
+        mod p and one pack; `pow(a, p)` is its test oracle.
+        """
+        table = self._frobenius_table
+        if table is None:
+            table = self._frobenius_table = self._build_frobenius_table()
+        p, digits = self.p, self.coords(a)
+        return self._pack([digits[j] * s % p for j, s in table])
+
+    def _build_frobenius_table(self) -> tuple[tuple[int, int], ...]:
+        """(source digit, scale) for each output digit of `frobenius`."""
+        p, m, c = self.p, self.m, self._binomial_c
+        table = [None] * m
+        for j in range(m):
+            table[j * p % m] = (j, pow(c, j * p // m, p))
+        return tuple(table)
 
     def elements(self) -> Iterator[int]:
         for i in range(self.order):
@@ -822,9 +847,26 @@ def basis_moore_matrix(field) -> Matrix:
 
 
 def basis_moore_inverse(field) -> Matrix:
-    """Inverse of `basis_moore_matrix(field)`: built on first request, then
-    shared like the matrix itself."""
+    """Inverse of `basis_moore_matrix(field)`, in closed form: a scaled,
+    permuted transpose of the Moore matrix B[i][j] = (X^i)^(p^j).
+
+    The trace-dual basis of 1, X, ..., X^(m-1) (Lidl & Niederreiter,
+    *Finite Fields*, ch. 2) is d_0 = 1/m and d_l = X^(m-l) / (m c) for
+    0 < l < m, with X^m = c: Tr(X^e) = 0 unless m | e, Tr(1) = m, and p does
+    not divide m.  With D[l][j] = d_l^(p^j), (B D^T)[i][l] =
+    Tr(X^i d_l) = [i = l], so B^-1 = D^T.  Frobenius fixes the scales, so
+    B^-1[i][l] = s_l B[(m - l) mod m][i] with s_0 = 1/m and s_l = 1/(m c):
+    no elimination (`Matrix.inverse` is its test oracle).  Built on first
+    request, then shared like the matrix itself.
+    """
     entry = _basis_moore_entry(field)
     if entry[1] is None:
-        entry[1] = entry[0].inverse()
+        moore = entry[0].rows
+        m, p = field.degree, field.char
+        scales = [pow(m, p - 2, p)]
+        if m > 1:
+            scales += [pow(m * field._binomial_c, p - 2, p)] * (m - 1)
+        entry[1] = Matrix(field, [[field.scalar_mul(s, moore[-l % m][i])
+                                   for l, s in enumerate(scales)]
+                                  for i in range(m)], ncols=m)
     return entry[1]

@@ -47,7 +47,8 @@ import numpy as np
 
 from .codes.base import ObservationMatrix, RepairTranscript, Scheme
 
-BRUTE_FORCE_GUARD = 1 << 22
+BRUTE_FORCE_GUARD = 1 << 22  # joint (u, r) assignments the oracle may enumerate
+SPOT_CHECKS = 8  # random inputs the probed map must reproduce before enumerating
 _CODE_LIMIT = 1 << 62  # codes stay below this, clear of int64 overflow
 
 
@@ -107,21 +108,21 @@ def _plans(transcripts: Sequence[RepairTranscript]):
 
 
 def brute_force_leakage(scheme: Scheme, e1: Iterable[int], e2: Iterable[int],
-                        transcripts: Sequence[RepairTranscript] = (),
-                        guard: int = BRUTE_FORCE_GUARD,
-                        spot_checks: int = 8) -> SecrecyVerdict:
+                        transcripts: Sequence[RepairTranscript] = ()) -> SecrecyVerdict:
     """Exact I(u; e) from the joint distribution over all (u, r) assignments.
 
     The observation map is obtained as a GF(p) map on coordinates by probing
     the protocol (encode plus transcript replay) on unit inputs, and is
-    verified against `spot_checks` random inputs before the enumeration.
+    verified against `SPOT_CHECKS` random inputs before the enumeration.
+    Raises `InstanceTooLargeError` past `BRUTE_FORCE_GUARD` assignments.
     """
     field = scheme.field
     ms, nr = scheme.secure_size, scheme.n_random
     order = field.order
-    if order ** scheme.file_size > guard:
+    if order ** scheme.file_size > BRUTE_FORCE_GUARD:
         raise InstanceTooLargeError(
-            f"|F|^M = {order}^{scheme.file_size} exceeds the 2^22 brute-force guard")
+            f"|F|^M = {order}^{scheme.file_size} exceeds the "
+            f"2^{BRUTE_FORCE_GUARD.bit_length() - 1} brute-force guard")
     p, m = field.char, field.degree
     n_digits = (ms + nr) * m
     e1 = tuple(sorted(set(e1)))
@@ -141,7 +142,7 @@ def brute_force_leakage(scheme: Scheme, e1: Iterable[int], e2: Iterable[int],
     a = np.array([observe([int(i == j) for i in range(n_digits)])
                   for j in range(n_digits)], dtype=np.int64).T
     rng = np.random.default_rng(0xB0BA)
-    for _ in range(spot_checks):
+    for _ in range(SPOT_CHECKS):
         x = [int(v) for v in rng.integers(0, p, n_digits)]
         if [int(v) for v in (a @ np.array(x, dtype=np.int64)) % p] != observe(x):
             raise ValueError("scheme is not linear: probe mismatch")

@@ -800,3 +800,70 @@ def test_basis_moore_cache_inverse(p, m):
     identity = F.Matrix.identity(gf, m).rows
     assert [moore.matvec(col) for col in inv.transpose().rows] == identity
     assert F._BASIS_MOORE_CACHE[gf] == [moore, inv]
+
+
+# binomial fields on 32-bit words, GF(29^56) the largest degree, and on
+# 64-bit words (GF(257^16), GF(65537^8))
+FROBENIUS_FIELDS = [(3, 2), (5, 4), (7, 9), (13, 6), (31, 15), (31, 30), (43, 21),
+                    (29, 56), (257, 16), (65537, 8)]
+
+
+@st.composite
+def frobenius_inputs(draw):
+    f = F.ext_field(*draw(st.sampled_from(FROBENIUS_FIELDS)))
+    kind = draw(st.sampled_from(("zero", "top", "constant", "random")))
+    if kind == "zero":
+        return f, f.zero
+    if kind == "top":
+        return f, _all_digits_top(f)
+    if kind == "constant":
+        return f, f.element(draw(st.integers(0, f.p - 1)))
+    return f, f.from_int(draw(st.integers(0, f.order - 1)))
+
+
+@KERNEL_SETTINGS
+@given(frobenius_inputs())
+def test_frobenius_matches_pow(case):
+    f, a = case
+    assert f.frobenius(a) == f.pow(a, f.p)
+
+
+def _moore_inverse_fields():
+    """The Gabidulin fields of the acceptance grids (criteria 2, 5 and 6),
+    of the benchmark's datapath and lifetime instances, of mbcr-exact
+    (8,4,7,1) (GF(89^44)) and the M = 1 prime field of mscr-dk (2,1,1,1)."""
+    from coopdss.codes import make_scheme
+    from coopdss.codes.base import SchemeParams
+    params = [SchemeParams(n=n, k=k, d=d, t=t, scheme=scheme) for scheme, n, k, d, t in (
+        ("mbcr-exact", 5, 3, 3, 2), ("mbcr-exact", 6, 5, 5, 1), ("mscr-dk", 7, 3, 3, 3),
+        ("mscr-dk", 6, 3, 3, 3), ("mbcr-exact", 6, 3, 4, 2), ("mbcr-exact", 8, 4, 7, 1),
+        ("mscr-dk", 2, 1, 1, 1))]
+    return _acceptance_grid_fields() | {make_scheme(pa).field for pa in params}
+
+
+def test_basis_moore_inverse_matches_elimination():
+    fields = _moore_inverse_fields()
+    assert F.ext_field(89, 44) in fields and F.prime_field(2) in fields
+    for f in sorted(fields, key=lambda f: (f.char, f.degree)):
+        assert F.basis_moore_inverse(f).rows == F.basis_moore_matrix(f).inverse().rows, f
+    assert F.basis_moore_inverse(F.prime_field(2)).rows == [[1]]
+
+
+def test_basis_moore_inverse_runs_no_elimination(monkeypatch):
+    calls = []
+    echelon = F.Matrix._echelon
+
+    def counting_echelon(self, *args, **kwargs):
+        calls.append(self.nrows)
+        return echelon(self, *args, **kwargs)
+
+    # an empty cache, put back afterwards, so the matrix and its inverse are built
+    monkeypatch.setattr(F, "_BASIS_MOORE_CACHE", {})
+    monkeypatch.setattr(F.Matrix, "_echelon", counting_echelon)
+    for p, m in [(31, 30), (7, 9), (2, 1)]:
+        gf = F.ext_field(p, m)
+        inv = F.basis_moore_inverse(gf)
+        assert calls == [], (p, m)
+        identity = F.Matrix.identity(gf, m).rows
+        assert [F.basis_moore_matrix(gf).matvec(col) for col in inv.transpose().rows] \
+            == identity

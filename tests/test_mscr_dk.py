@@ -62,6 +62,18 @@ def test_reconstruct_and_repair_sweeps():
         sweep_repair(s, nodes)
 
 
+def test_prime_field_gabidulin_round_trip():
+    # M = kt = 1: the field is GF(2) itself and the Moore matrix is [[1]]
+    s = scheme_for(2, 1, 1)
+    assert s.file_size == 1 and s.field.degree == 1 and s.field.order == 2
+    for u in s.field.elements():
+        nodes = s.encode((u,), ())
+        for node in nodes:
+            assert s.reconstruct([node]) == (u,)
+        tr = s.cooperative_repair({1}, {2: nodes[1]})
+        assert tr.results == (nodes[0],)
+
+
 def test_repair_with_chosen_helpers():
     s = scheme_for(6, 2, 2)
     u, r = s.random_inputs(2)

@@ -81,6 +81,13 @@ def test_brute_force_guard():
         S.brute_force_leakage(scheme, [1], [])
 
 
+def test_brute_force_guard_message_follows_the_constant(monkeypatch):
+    scheme = make_scheme(SchemeParams(n=3, k=2, d=2, t=1, l1=1, scheme="insecure-demo"))
+    monkeypatch.setattr(S, "BRUTE_FORCE_GUARD", 1 << 2)
+    with pytest.raises(S.InstanceTooLargeError, match=r"exceeds the 2\^2 brute-force guard"):
+        S.brute_force_leakage(scheme, [1], [])
+
+
 def test_brute_force_negative_control():
     scheme = make_scheme(SchemeParams(n=3, k=2, d=2, t=1, l1=1, scheme="insecure-demo"))
     v = S.brute_force_leakage(scheme, [1], [])
