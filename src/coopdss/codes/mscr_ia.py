@@ -9,16 +9,22 @@ b_j = r_j + u_j (one-time pad per coordinate).  Case 2, (l1,l2) = (0,1),
 Ms = alpha - 1: additionally b_alpha = r_{alpha+1}, pure randomness.  With
 (0,0) the whole file is data.
 
-Field and exponent profile are found by a deterministic exhaustive search
-(per n, cached): the smallest odd prime q and profile in ("arithmetic",
-"vandermonde") such that the placement is per-coordinate MDS, every repair
-pair's alignment systems are invertible, and the Case-1/Case-2 secrecy rank
-checks pass for every placement.  A field of size n-1 cannot work: per
-coordinate the n-2 distinct multipliers cannot all avoid -1, and a
-multiplier of -1 strips the pad off one secret symbol.  The "arithmetic"
-profile e(i,j) = (i-1)+j yields pairwise-proportional B_i, making
-cooperative repair infeasible for alpha >= 3, hence the "vandermonde"
-profile e(i,j) = (i-1)*(j+1) used from n = 5 up.
+Field and exponent profile come from a two-entry table, `_PLACEMENTS`:
+
+    n = 4 (alpha = 2):  q = 7,  profile "arithmetic"
+    n = 5 (alpha = 3):  q = 11, profile "vandermonde"
+
+Each entry is the smallest odd prime q, and then the first profile in
+("arithmetic", "vandermonde"), such that the placement is per-coordinate MDS,
+every repair pair's alignment systems are invertible, and the Case-1/Case-2
+secrecy rank checks pass for every placement.  The exhaustive search that
+establishes the table lives in the tests as its oracle; it finds no placement
+for n = 6 with q < 512, so every other n is rejected at once.  A field of
+size n-1 cannot work: per coordinate the n-2 distinct multipliers cannot all
+avoid -1, and a multiplier of -1 strips the pad off one secret symbol.  The
+"arithmetic" profile e(i,j) = (i-1)+j yields pairwise-proportional B_i,
+making cooperative repair infeasible for alpha >= 3, hence the "vandermonde"
+profile e(i,j) = (i-1)*(j+1) at n = 5.
 
 Repair of a failed pair {X, Y}: write each survivor's content as
 E_m sX + F_m sY (diagonal E_m, F_m).  For X's side every helper m sends
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..field import Matrix, _is_prime, prime_field
+from ..field import Matrix, prime_field
 from .base import (
     NodeContent,
     ObservationMatrix,
@@ -44,9 +50,8 @@ from .base import (
     SchemeParams,
 )
 
-_PROFILES = ("arithmetic", "vandermonde")
-_PLACEMENT_CACHE: dict[int, tuple[int, str]] = {}
-_SEARCH_LIMIT = 512
+# n -> (q, profile); see the module docstring for why no other n appears
+_PLACEMENTS = {4: (7, "arithmetic"), 5: (11, "vandermonde")}
 
 
 def _exponent(profile: str, i: int, j: int) -> int:
@@ -59,74 +64,18 @@ def _exponent(profile: str, i: int, j: int) -> int:
 
 
 def find_placement(n: int) -> tuple[int, str]:
-    """Smallest (q, profile) passing the full validation suite for this n."""
-    if n in _PLACEMENT_CACHE:
-        return _PLACEMENT_CACHE[n]
-    q = 2
-    while q < _SEARCH_LIMIT:
-        q += 2 if q > 2 else 1
-        if not _is_prime(q):
-            continue
-        for profile in _PROFILES:
-            if _prefilter_placement(n, q, profile) and _validate_placement(n, q, profile):
-                _PLACEMENT_CACHE[n] = (q, profile)
-                return q, profile
-    raise ParameterError(f"no secure k=t=2 placement found for n={n}")
-
-
-def _prefilter_placement(n: int, q: int, profile: str) -> bool:
-    """Cheap necessary conditions: per-coordinate MDS distinctness, nonzero
-    multipliers, and no multiplier equal to -1 (which would strip the pad)."""
-    alpha = n - 2
-    field = prime_field(q)
+    """(q, profile) of the placement table for this n."""
     try:
-        w = field.primitive_element()
-    except ValueError:
-        return False
-    for j in range(alpha):
-        col = [pow(w, _exponent(profile, i, j), q) for i in range(1, alpha + 1)]
-        if len(set(col)) != alpha or 0 in col or (q - 1) in col:
-            return False
-    return True
+        return _PLACEMENTS[n]
+    except KeyError:
+        raise ParameterError(f"mscr-ia has a placement only for n in {{4, 5}}, not n={n}") from None
 
 
-def _validate_placement(n: int, q: int, profile: str) -> bool:
-    from itertools import combinations
-
-    for l1, l2 in ((1, 0), (0, 1)):
-        try:
-            params = SchemeParams(n=n, k=2, d=n - 2, t=2, l1=l1, l2=l2, scheme="mscr-ia")
-            scheme = MscrIaScheme(params, _placement=(q, profile))
-        except (ParameterError, ZeroDivisionError):
-            return False
-        u, r = scheme.random_inputs(0x1A)
-        try:
-            nodes = scheme.encode(u, r)
-            for pair in combinations(range(1, n + 1), 2):
-                if scheme.reconstruct([nodes[i - 1] for i in pair]) != u:
-                    return False
-            transcripts = {}
-            for pair in combinations(range(1, n + 1), 2):
-                surv = {c.node_id: c for c in nodes if c.node_id not in pair}
-                tr = scheme.cooperative_repair(pair, surv)
-                if any(res != nodes[res.node_id - 1] for res in tr.results):
-                    return False
-                transcripts[pair] = tr
-        except (RepairInfeasibleError, ParameterError, ZeroDivisionError, ValueError):
-            return False
-        # secrecy for every admissible placement of this case
-        if (l1, l2) == (1, 0):
-            checks = [((e,), (), ()) for e in range(1, n + 1)]
-        else:
-            checks = [((), (e,), (transcripts[pair],))
-                      for pair in transcripts for e in pair]
-        for e1, e2, trs in checks:
-            obs = scheme.observation_matrix(e1, e2, trs)
-            rank, pivots = obs.joint().rank_profile()
-            rank_r = sum(1 for c in pivots if c < obs.n_random)
-            if rank != rank_r:
-                return False
-    return True
+def _solve2(p: int, m00: int, m01: int, m10: int, m11: int,
+            v0: int, v1: int) -> tuple[int, int]:
+    """Cramer's rule for [[m00, m01], [m10, m11]] x = (v0, v1) over GF(p)."""
+    inv = pow(m00 * m11 - m01 * m10, -1, p)
+    return (v0 * m11 - m01 * v1) * inv % p, (m00 * v1 - v0 * m10) * inv % p
 
 
 class MscrIaScheme(Scheme):
@@ -134,7 +83,7 @@ class MscrIaScheme(Scheme):
 
     name = "mscr-ia"
 
-    def __init__(self, params: SchemeParams, _placement: tuple[int, str] | None = None):
+    def __init__(self, params: SchemeParams):
         params.validate()
         n, k, d, t = params.n, params.k, params.d, params.t
         if k != 2 or t != 2:
@@ -155,7 +104,7 @@ class MscrIaScheme(Scheme):
         else:
             self.secure_size = self.file_size
 
-        q, profile = _placement if _placement is not None else find_placement(n)
+        q, profile = find_placement(n)
         self.field = prime_field(q)
         self.profile = profile
         self.w = self.field.primitive_element()
@@ -230,12 +179,12 @@ class MscrIaScheme(Scheme):
         return nodes
 
     def _solve_file(self, c1: NodeContent, c2: NodeContent) -> tuple[list[int], list[int]]:
-        f = self.field
+        pa1, pb1 = self._pa[c1.node_id], self._pb[c1.node_id]
+        pa2, pb2 = self._pa[c2.node_id], self._pb[c2.node_id]
         a, b = [], []
         for j in range(self.alpha):
-            m = Matrix(f, [[self._pa[c1.node_id][j], self._pb[c1.node_id][j]],
-                           [self._pa[c2.node_id][j], self._pb[c2.node_id][j]]])
-            aj, bj = m.solve([c1.symbols[j], c2.symbols[j]])
+            aj, bj = _solve2(self.field.p, pa1[j], pb1[j], pa2[j], pb2[j],
+                             c1.symbols[j], c2.symbols[j])
             a.append(aj)
             b.append(bj)
         return a, b
@@ -258,7 +207,7 @@ class MscrIaScheme(Scheme):
 
     def _ef_diagonals(self, failed_pair: tuple[int, int]) -> dict[int, tuple[list[int], list[int]]]:
         """Per-survivor diagonals (E_m, F_m) with s_m = E_m sX + F_m sY."""
-        f = self.field
+        pa, pb = self._pa, self._pb
         x_id, y_id = failed_pair
         out = {}
         for m in range(1, self.params.n + 1):
@@ -266,9 +215,8 @@ class MscrIaScheme(Scheme):
                 continue
             e_diag, f_diag = [], []
             for j in range(self.alpha):
-                tj = Matrix(f, [[self._pa[x_id][j], self._pb[x_id][j]],
-                                [self._pa[y_id][j], self._pb[y_id][j]]])
-                em, fm = tj.transpose().solve([self._pa[m][j], self._pb[m][j]])
+                em, fm = _solve2(self.field.p, pa[x_id][j], pa[y_id][j], pb[x_id][j], pb[y_id][j],
+                                 pa[m][j], pb[m][j])
                 e_diag.append(em)
                 f_diag.append(fm)
             out[m] = (e_diag, f_diag)

@@ -592,10 +592,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)], ncols=self.nrows)
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if other.nrows != self.nrows:
             raise ValueError("row count mismatch")

@@ -1,7 +1,12 @@
-"""Every public function and class of coopdss.field and coopdss.precode has a
-caller in the program (src/ or perfbench/), so no API lives only for its own
-tests.  A reference is a name, an attribute, an imported name, or a string
-equal to the name (perfbench wraps functions by name)."""
+"""Every public function and class of a coopdss module has a caller in the
+program (src/ or perfbench/), so no API lives only for its own tests.  A
+reference is a name, an attribute, an imported name, or a string equal to the
+name (perfbench wraps functions by name).
+
+coopdss.bounds is left out.  Nine of its public names (s_max, cutset_value,
+coop_cutset_bound, compositions, CutConfig, ...) have only test callers: they
+are the mincut reference oracles the closed-form bounds are checked against,
+and whether they stay in src/ is a separate decision."""
 
 import ast
 from pathlib import Path
@@ -9,7 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-GUARDED = ["src/coopdss/field.py", "src/coopdss/precode.py"]
+GUARDED = sorted(path.relative_to(ROOT).as_posix()
+                 for path in (ROOT / "src/coopdss").rglob("*.py") if path.name != "bounds.py")
 
 
 def public_defs(tree):
@@ -56,7 +62,9 @@ def unreferenced(trees):
 
 def test_public_api_has_a_program_caller():
     trees = program_trees()
-    assert all(public_defs(trees[module]) for module in GUARDED)
+    # only the package's own __init__ defines nothing
+    assert [module for module in GUARDED if not public_defs(trees[module])] \
+        == ["src/coopdss/__init__.py"]
     assert unreferenced(trees) == []
 
 

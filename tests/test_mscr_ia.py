@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import pytest
 
-from coopdss.codes import make_scheme
-from coopdss.codes.base import ParameterError, SchemeParams
+from coopdss.codes import make_scheme, mscr_ia
+from coopdss.codes.base import ParameterError, RepairInfeasibleError, SchemeParams
 from coopdss.codes.mscr_ia import find_placement
+from coopdss.field import prime_field
 
 from scheme_utils import check_faithful, leakage_of, sweep_reconstruct, sweep_repair
 
@@ -16,9 +18,93 @@ def scheme_for(n, l1, l2):
 
 def test_placement_search_results():
     # n=4 keeps the literal exponent profile over the first secure prime;
-    # n=5 needs the Vandermonde profile (see decisions ledger)
+    # n=5 needs the Vandermonde profile (see the mscr_ia module docstring)
     assert find_placement(4) == (7, "arithmetic")
     assert find_placement(5) == (11, "vandermonde")
+
+
+# -- the placement search: the oracle behind mscr_ia's table ----------------------
+
+PROFILES = ("arithmetic", "vandermonde")
+SEARCH_LIMIT = 512
+
+
+def prefilter_placement(n, q, profile):
+    """Cheap necessary conditions: per-coordinate MDS distinctness, nonzero
+    multipliers, and no multiplier equal to -1 (which would strip the pad)."""
+    alpha = n - 2
+    try:
+        w = prime_field(q).primitive_element()
+    except ValueError:
+        return False
+    for j in range(alpha):
+        col = [pow(w, mscr_ia._exponent(profile, i, j), q) for i in range(1, alpha + 1)]
+        if len(set(col)) != alpha or 0 in col or (q - 1) in col:
+            return False
+    return True
+
+
+def validate_placement(n):
+    """Every reconstruction and cooperative repair works, and the Case-1/Case-2
+    secrecy rank checks pass for every placement, under the current
+    find_placement."""
+    for l1, l2 in ((1, 0), (0, 1)):
+        try:
+            scheme = scheme_for(n, l1, l2)
+        except (ParameterError, ZeroDivisionError):
+            return False
+        u, r = scheme.random_inputs(0x1A)
+        try:
+            nodes = scheme.encode(u, r)
+            for pair in itertools.combinations(range(1, n + 1), 2):
+                if scheme.reconstruct([nodes[i - 1] for i in pair]) != u:
+                    return False
+            transcripts = {}
+            for pair in itertools.combinations(range(1, n + 1), 2):
+                surv = {c.node_id: c for c in nodes if c.node_id not in pair}
+                tr = scheme.cooperative_repair(pair, surv)
+                if any(res != nodes[res.node_id - 1] for res in tr.results):
+                    return False
+                transcripts[pair] = tr
+        except (RepairInfeasibleError, ParameterError, ZeroDivisionError, ValueError):
+            return False
+        if (l1, l2) == (1, 0):
+            checks = [((e,), (), ()) for e in range(1, n + 1)]
+        else:
+            checks = [((), (e,), (transcripts[pair],))
+                      for pair in transcripts for e in pair]
+        for e1, e2, trs in checks:
+            obs = scheme.observation_matrix(e1, e2, trs)
+            rank, pivots = obs.joint().rank_profile()
+            if rank != sum(1 for c in pivots if c < obs.n_random):
+                return False
+    return True
+
+
+def search_placement(n, monkeypatch):
+    """Smallest odd prime q, then first profile, passing both checks; None if
+    there is none below SEARCH_LIMIT."""
+    for q in range(3, SEARCH_LIMIT, 2):
+        if any(q % f == 0 for f in range(3, math.isqrt(q) + 1, 2)):
+            continue
+        for profile in PROFILES:
+            if not prefilter_placement(n, q, profile):
+                continue
+            monkeypatch.setattr(mscr_ia, "find_placement", lambda _n, qp=(q, profile): qp)
+            if validate_placement(n):
+                return q, profile
+    return None
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_search_agrees_with_table(n, monkeypatch):
+    assert search_placement(n, monkeypatch) == find_placement(n)
+
+
+def test_search_finds_nothing_past_the_table(monkeypatch):
+    assert search_placement(6, monkeypatch) is None
+    with pytest.raises(ParameterError, match=r"only for n in \{4, 5\}, not n=6"):
+        find_placement(6)
 
 
 def test_requires_k_t_two_and_n_d_plus_t():
