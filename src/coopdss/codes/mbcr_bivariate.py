@@ -14,13 +14,22 @@ effective eavesdropper budget) are the randomness; the remaining
 M - l(2d+t-l) are the data.
 
 Repair of failure set T: helper h sends f_h(y_i) and g_h(x_i) to newcomer i
-(beta = 2); newcomer j first rebuilds g_j from its d column evidences, then
-sends g_j(x_i) to each peer (beta' = 1); i then holds d+t row evaluations
-(helpers, peers, own g_i(x_i)) and interpolates f_i.
+(beta = 2); newcomer j sends g_j(x_i) to each peer (beta' = 1), where g_j is
+pinned by its d column evidences f_h(y_j) at the helpers' x_h; i then holds
+d+t row evaluations of f_i (helpers, peers, own g_i(x_i)).  Every transfer
+and every rebuilt symbol is one value of a polynomial at one point, so repair
+never builds a polynomial: `_lagrange_at` returns a stored value when the
+point is one of the polynomial's evaluation points (y_i in helper h's row
+window, x_i in its column window, every row point of f_i when n = d+t) and
+evaluates the barycentric form otherwise.
 
-Every interpolation, in repair and in reconstruction, applies the closed-form
-inverse of its Vandermonde matrix (`vandermonde_inverse`, Lagrange
-coefficients), so no system is eliminated.
+Reconstruction needs coefficients: each of its interpolations applies the
+closed-form inverse of its Vandermonde matrix (`vandermonde_inverse`,
+Lagrange coefficients), so no system is eliminated.
+
+Encoding evaluates F in two Horner stages (the Y-polynomial of each
+X-degree, then X).  The support has M entries and the joint-rank verdict
+costs O(rows * M^2) in pure Python, so M is capped at MAX_FILE_SIZE.
 """
 
 from __future__ import annotations
@@ -38,12 +47,31 @@ from .base import (
 )
 
 
-def _poly_eval(q: int, coeffs: Sequence[int], x: int) -> int:
-    """The polynomial at x over GF(q), by Horner's rule on ints."""
+MAX_FILE_SIZE = 1 << 16  # largest M = k(2d+t-k) a scheme is built for
+
+
+def _lagrange_at(q: int, xs: Sequence[int], ys: Sequence[int], x: int) -> int:
+    """The value at x of the polynomial of degree < len(xs) through the
+    points (xs, ys) over GF(q), without its coefficients.
+
+    When x is one of the points this is its stored value; otherwise the
+    barycentric form l(x) * sum_j w_j ys[j] / (x - xs[j]) with
+    l(x) = prod_j (x - xs[j]) and w_j = 1 / prod_{i != j} (xs[j] - xs[i])
+    (Berrut & Trefethen, SIAM Rev. 2004).
+    """
+    for xj, yj in zip(xs, ys):
+        if xj == x:
+            return yj
+    ell = 1
     acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % q
-    return acc
+    for xj, yj in zip(xs, ys):
+        ell = ell * (x - xj) % q
+        den = x - xj
+        for xi in xs:
+            if xi != xj:
+                den = den * (xj - xi) % q
+        acc += yj * pow(den, q - 2, q)
+    return ell * acc % q
 
 
 def _interpolate(field, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
@@ -63,9 +91,12 @@ class MbcrBivariateScheme(Scheme):
         n, k, d, t = params.n, params.k, params.d, params.t
         if n < d + t:
             raise ParameterError(f"{self.name} requires n >= d + t")
+        self.file_size = k * (2 * d + t - k)
+        if self.file_size > MAX_FILE_SIZE:
+            raise ParameterError(f"{self.name} file size M={self.file_size} too large "
+                                 f"(at most {MAX_FILE_SIZE})")
         self.params = params
         self.ell = params.l1 + params.l2  # downloads = stored at MBCR
-        self.file_size = k * (2 * d + t - k)
         self.alpha = 2 * d + t - 1
         self.beta = 2
         self.beta_prime = 1
@@ -95,54 +126,65 @@ class MbcrBivariateScheme(Scheme):
         pts += [(self._wrap(i, s), i) for s in range(1, d)]       # (x_*, y_i)
         return pts
 
-    def _monomial_row(self, xi: int, yi: int, support: Sequence[tuple[int, int]]) -> list[int]:
+    def _monomial_rows(self, xi: int, yi: int) -> tuple[list[int], list[int]]:
+        """The rows x^i y^j of the point (x_xi, y_yi) over the u and the r support."""
         q = self.field.p
         x = self.x_points[xi - 1]
         y = self.y_points[yi - 1]
-        return [(pow(x, i, q) * pow(y, j, q)) % q for i, j in support]
+        xp, yp = [1], [1]
+        for _ in range(self.params.d + self.params.t - 1):  # no degree reaches d+t
+            xp.append(xp[-1] * x % q)
+            yp.append(yp[-1] * y % q)
+        return ([xp[i] * yp[j] % q for i, j in self.u_support],
+                [xp[i] * yp[j] % q for i, j in self.r_support])
 
-    def _coeff_map(self, u: Sequence[int], r: Sequence[int]) -> dict[tuple[int, int], int]:
-        coeffs = dict(zip(self.r_support, r))
-        coeffs.update(zip(self.u_support, u))
-        return coeffs
+    def _coeff_rows(self, u: Sequence[int], r: Sequence[int]) -> list[list[int]]:
+        """Row i holds the Y-coefficients (low first) of X^i in F."""
+        k, d, t = self.params.k, self.params.d, self.params.t
+        rows = [[0] * (d + t if i < k else k) for i in range(d)]
+        for (i, j), c in zip(self.r_support, r):
+            rows[i][j] = c
+        for (i, j), c in zip(self.u_support, u):
+            rows[i][j] = c
+        return rows
 
-    def _eval_f(self, coeffs: Mapping[tuple[int, int], int], xi: int, yi: int) -> int:
+    def _eval_f(self, rows: Sequence[Sequence[int]], xi: int, yi: int) -> int:
+        """F(x_xi, y_yi) by Horner's rule: each row in Y, then the rows in X."""
         q = self.field.p
         x = self.x_points[xi - 1]
         y = self.y_points[yi - 1]
         acc = 0
-        for (i, j), c in coeffs.items():
-            if c:
-                acc = (acc + c * pow(x, i, q) * pow(y, j, q)) % q
+        for row in reversed(rows):
+            inner = 0
+            for c in reversed(row):
+                inner = (inner * y + c) % q
+            acc = (acc * x + inner) % q
         return acc
 
     def encode(self, u: Sequence[int], r: Sequence[int]) -> list[NodeContent]:
         self._check_inputs(u, r)
-        coeffs = self._coeff_map(u, r)
+        rows = self._coeff_rows(u, r)
         nodes = []
         for i in range(1, self.params.n + 1):
-            syms = tuple(self._eval_f(coeffs, xi, yi)
+            syms = tuple(self._eval_f(rows, xi, yi)
                          for xi, yi in self._stored_eval_points(i))
             nodes.append(NodeContent(i, syms, self.layout))
         return nodes
 
     # -- reconstruction ----------------------------------------------------------------
 
-    def _row_poly(self, content: NodeContent) -> list[int]:
-        """f_i(Y), degree < d+t, from the stored row segment."""
-        d, t = self.params.d, self.params.t
-        i = content.node_id
-        ys = [self.y_points[self._wrap(i, s) - 1] for s in range(d + t)]
-        return _interpolate(self.field, ys, content.segment("row"))
+    def _row_points(self, i: int) -> list[int]:
+        """The d+t points y_* at which node i stores its row polynomial f_i."""
+        return [self.y_points[self._wrap(i, s) - 1]
+                for s in range(self.params.d + self.params.t)]
 
-    def _col_poly(self, content: NodeContent) -> list[int]:
-        """g_i(X), degree < d, from F(x_i,y_i) plus the column segment."""
-        d = self.params.d
-        i = content.node_id
-        xs = [self.x_points[i - 1]] + [self.x_points[self._wrap(i, s) - 1]
-                                       for s in range(1, d)]
-        vals = [content.segment("row")[0]] + list(content.segment("col"))
-        return _interpolate(self.field, xs, vals)
+    def _col_points(self, i: int) -> list[int]:
+        """The d points x_* at which node i stores its column polynomial g_i;
+        x_i first, whose value F(x_i, y_i) opens the row segment."""
+        return [self.x_points[self._wrap(i, s) - 1] for s in range(self.params.d)]
+
+    def _col_values(self, content: NodeContent) -> list[int]:
+        return [content.segment("row")[0]] + list(content.segment("col"))
 
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
         k, d, t = self.params.k, self.params.d, self.params.t
@@ -151,8 +193,10 @@ class MbcrBivariateScheme(Scheme):
         if len(by_id) < k:
             raise ParameterError(f"need k={k} distinct nodes, got {len(by_id)}")
         ids = sorted(by_id)[:k]
-        rows = {i: self._row_poly(by_id[i]) for i in ids}
-        cols = {i: self._col_poly(by_id[i]) for i in ids}
+        # f_i(Y), degree < d+t, and g_i(X), degree < d, from the stored values
+        rows = {i: _interpolate(f, self._row_points(i), by_id[i].segment("row")) for i in ids}
+        cols = {i: _interpolate(f, self._col_points(i), self._col_values(by_id[i]))
+                for i in ids}
         xs = [self.x_points[i - 1] for i in ids]
         # phi_j(X) = X-polynomial multiplying Y^j; degree < k for j >= k
         phi: dict[int, list[int]] = {}
@@ -187,52 +231,43 @@ class MbcrBivariateScheme(Scheme):
     def cooperative_repair(self, failed: Iterable[int],
                            survivors: Mapping[int, NodeContent],
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
-        f = self.field
-        q = f.p
-        d, t = self.params.d, self.params.t
+        q = self.field.p
+        x, y = self.x_points, self.y_points
         failed = self._validate_failed(failed, survivors)
         helpers = self._pick_helpers(failed, survivors, helpers)
-        live: dict[tuple[int, int], tuple[int, ...]] = {}
-        coop: dict[tuple[int, int], tuple[int, ...]] = {}
-        helper_rows = {h: self._row_poly(survivors[h]) for h in helpers}
-        helper_cols = {h: self._col_poly(survivors[h]) for h in helpers}
-        col_evidence: dict[int, list[int]] = {i: [] for i in sorted(failed)}
-        row_evidence: dict[int, dict[int, int]] = {i: {} for i in sorted(failed)}
-        for i in sorted(failed):
-            for h in helpers:
-                f_h_at_yi = _poly_eval(q, helper_rows[h], self.y_points[i - 1])
-                g_h_at_xi = _poly_eval(q, helper_cols[h], self.x_points[i - 1])
-                live[(h, i)] = (f_h_at_yi, g_h_at_xi)
-                col_evidence[i].append(f_h_at_yi)
-                row_evidence[i][h] = g_h_at_xi
-        # each newcomer rebuilds its column polynomial from the d column evidences
-        new_cols = {}
-        for i in sorted(failed):
-            xs = [self.x_points[h - 1] for h in helpers]
-            new_cols[i] = _interpolate(f, xs, col_evidence[i])
+        newcomers = sorted(failed)
+        live: dict[tuple[int, int], tuple[int, int]] = {}
+        coop: dict[tuple[int, int], tuple[int]] = {}
+        stored = [(self._row_points(h), survivors[h].segment("row"),
+                   self._col_points(h), self._col_values(survivors[h])) for h in helpers]
+        for i in newcomers:
+            for h, (row_pts, row_vals, col_pts, col_vals) in zip(helpers, stored):
+                live[(h, i)] = (_lagrange_at(q, row_pts, row_vals, y[i - 1]),   # f_h(y_i)
+                                _lagrange_at(q, col_pts, col_vals, x[i - 1]))   # g_h(x_i)
+        # newcomer j's column polynomial g_j takes the value f_h(y_j) at x_h
+        helper_xs = [x[h - 1] for h in helpers]
+        col_evidence = {j: [live[(h, j)][0] for h in helpers] for j in newcomers}
         # cooperative phase: peers trade g_j(x_i)
-        for i in sorted(failed):
-            for j in sorted(failed - {i}):
-                val = _poly_eval(q, new_cols[j], self.x_points[i - 1])
-                coop[(j, i)] = (val,)
-                row_evidence[i][j] = val
+        for i in newcomers:
+            for j in newcomers:
+                if j != i:
+                    coop[(j, i)] = (_lagrange_at(q, helper_xs, col_evidence[j], x[i - 1]),)
         results = []
-        for i in sorted(failed):
-            ys = [self.y_points[h - 1] for h in helpers]
-            vals = [row_evidence[i][h] for h in helpers]
-            for j in sorted(failed - {i}):
-                ys.append(self.y_points[j - 1])
-                vals.append(row_evidence[i][j])
-            ys.append(self.y_points[i - 1])
-            vals.append(_poly_eval(q, new_cols[i], self.x_points[i - 1]))
-            f_i = _interpolate(f, ys, vals)
-            row_seg = [_poly_eval(q, f_i, self.y_points[self._wrap(i, s) - 1])
-                       for s in range(d + t)]
-            col_seg = [_poly_eval(q, new_cols[i], self.x_points[self._wrap(i, s) - 1])
-                       for s in range(1, d)]
+        for i in newcomers:
+            # f_i takes g_h(x_i) at y_h, g_j(x_i) at y_j and g_i(x_i) at y_i
+            ys = [y[h - 1] for h in helpers]
+            vals = [live[(h, i)][1] for h in helpers]
+            for j in newcomers:
+                if j != i:
+                    ys.append(y[j - 1])
+                    vals.append(coop[(j, i)][0])
+            ys.append(y[i - 1])
+            vals.append(_lagrange_at(q, helper_xs, col_evidence[i], x[i - 1]))
+            row_seg = [_lagrange_at(q, ys, vals, pt) for pt in self._row_points(i)]
+            col_seg = [_lagrange_at(q, helper_xs, col_evidence[i], pt)
+                       for pt in self._col_points(i)[1:]]
             results.append(NodeContent(i, tuple(row_seg + col_seg), self.layout))
-        return RepairTranscript(failed=failed, helpers=helpers,
-                                live_transfers={k2: tuple(v) for k2, v in live.items()},
+        return RepairTranscript(failed=failed, helpers=helpers, live_transfers=live,
                                 coop_transfers=coop, results=tuple(results))
 
     # -- observation -----------------------------------------------------------------------
@@ -261,8 +296,10 @@ class MbcrBivariateScheme(Scheme):
                 for label, pt in self._download_eval_points(tr, i):
                     eval_points.append(pt)
                     labels.append((label[0], t_idx) + label[1:])
-        a_u = Matrix(self.field, [self._monomial_row(x, y, self.u_support)
-                                  for x, y in eval_points], ncols=self.secure_size)
-        a_r = Matrix(self.field, [self._monomial_row(x, y, self.r_support)
-                                  for x, y in eval_points], ncols=self.n_random)
+        # a lifetime observes the same point many times: one pair of rows each
+        monomials = {pt: self._monomial_rows(*pt) for pt in dict.fromkeys(eval_points)}
+        a_u = Matrix(self.field, [monomials[pt][0] for pt in eval_points],
+                     ncols=self.secure_size)
+        a_r = Matrix(self.field, [monomials[pt][1] for pt in eval_points],
+                     ncols=self.n_random)
         return ObservationMatrix(a_u=a_u, a_r=a_r, labels=tuple(labels))

@@ -46,6 +46,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .codes.base import ObservationMatrix, RepairTranscript, Scheme
+from .field import Matrix
 
 BRUTE_FORCE_GUARD = 1 << 22  # joint (u, r) assignments the oracle may enumerate
 SPOT_CHECKS = 8  # random inputs the probed map must reproduce before enumerating
@@ -92,8 +93,16 @@ def rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
 def joint_rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
     """Rank verdict from one elimination of [A_r | A_u] over the scheme's
     field (pivots in the leading |r| columns count rank(A_r)).  For the
-    Gabidulin schemes this is the GF(p^M) oracle of `rank_leakage`."""
-    joint, pivots = obs.joint().rank_profile()
+    Gabidulin schemes this is the GF(p^M) oracle of `rank_leakage`.
+
+    Only the distinct rows are eliminated: a repeated row (one evaluation
+    point observed twice, as lifetimes do) changes neither the row space nor,
+    hence, the rank or the pivot columns of the echelon form."""
+    matrix = obs.joint()
+    distinct = dict.fromkeys(map(tuple, matrix.rows))
+    if len(distinct) < matrix.nrows:
+        matrix = Matrix(matrix.field, distinct, ncols=matrix.ncols)
+    joint, pivots = matrix.rank_profile()
     rank_r = sum(1 for c in pivots if c < obs.n_random)
     return SecrecyVerdict(
         leakage_qunits=joint - rank_r,

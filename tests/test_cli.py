@@ -156,7 +156,10 @@ def test_forged_large_n_header_field_mismatch_exit2(tmp_path):
     ("mbcr-exact", 4000, 2000, 3999, 1, 1.0, "too large"),
     # mscr-ia's placement is a table over n in {4, 5}: no search for n = 30
     ("mscr-ia", 30, 2, 28, 2, 1.0, "only for n in {4, 5}, not n=30"),
-], ids=["mbcr-exact-40", "mscr-dk-200", "mscr-dk-2000", "mbcr-exact-4000", "mscr-ia-30"])
+    # M = 47996000 coefficients: refused before the support is built
+    ("mbcr-bivariate", 8000, 4000, 7999, 1, 1.0, "too large"),
+], ids=["mbcr-exact-40", "mscr-dk-200", "mscr-dk-2000", "mbcr-exact-4000", "mscr-ia-30",
+        "mbcr-bivariate-8000"])
 def test_forged_header_exits_2_quickly(tmp_path, scheme_name, n, k, d, t, budget_s, error):
     blob = (struct.pack("<B6H", SCHEME_TAGS[scheme_name], n, k, d, t, 0, 0)
             + struct.pack("<IHH", 31, 44, 0) + struct.pack("<H", 0))

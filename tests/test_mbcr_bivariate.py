@@ -1,7 +1,12 @@
+import itertools
+import random
+import time
+
 import pytest
 
-from coopdss.codes import make_scheme
+from coopdss.codes import make_scheme, mbcr_bivariate
 from coopdss.codes.base import ParameterError, SchemeParams
+from coopdss.field import vandermonde_inverse
 
 from scheme_utils import check_faithful, leakage_of, sweep_reconstruct, sweep_repair
 
@@ -98,3 +103,102 @@ def test_achieved_size_matches_proposition():
         for l1 in range(min(k, 2)):
             s = scheme_for(n, k, d, t, l1=l1)
             assert s.secure_size == k * (2 * d - k + t) - l1 * (2 * d - l1 + t)
+
+
+def test_file_size_cap_raises_before_the_support():
+    # k = 1: M = 2d + t - 1 sits exactly on the cap, one more is refused
+    d = mbcr_bivariate.MAX_FILE_SIZE // 2
+    assert scheme_for(d + 1, 1, d, 1).file_size == mbcr_bivariate.MAX_FILE_SIZE
+    with pytest.raises(ParameterError, match="too large"):
+        scheme_for(d + 2, 1, d, 2)
+    started = time.perf_counter()
+    with pytest.raises(ParameterError, match="too large"):
+        scheme_for(8000, 4000, 7999, 1)  # M = 48 million
+    assert time.perf_counter() - started < 0.1
+
+
+# ---------------------------------------------------------
+# repair by evaluation against interpolate-then-evaluate
+# ---------------------------------------------------------
+
+def _interpolate(q, xs, ys):
+    return [sum(a * b for a, b in zip(row, ys)) % q for row in vandermonde_inverse(q, xs)]
+
+
+def _horner(q, coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % q
+    return acc
+
+
+def oracle_repair(s, failed, survivors, helpers):
+    """Every helper's row and column polynomial, each newcomer's column and
+    row polynomial built whole by interpolation, then evaluated.  Returns
+    (live transfers, coop transfers, repaired symbols) in transcript order."""
+    q = s.field.p
+    d, t = s.params.d, s.params.t
+    x, y = s.x_points, s.y_points
+    window = lambda i, count: [s._wrap(i, j) for j in range(count)]
+    rows, cols = {}, {}
+    for h in helpers:
+        c = survivors[h]
+        rows[h] = _interpolate(q, [y[w - 1] for w in window(h, d + t)], c.segment("row"))
+        cols[h] = _interpolate(q, [x[w - 1] for w in window(h, d)],
+                               [c.segment("row")[0]] + list(c.segment("col")))
+    newcomers = sorted(failed)
+    live = {(h, i): (_horner(q, rows[h], y[i - 1]), _horner(q, cols[h], x[i - 1]))
+            for i in newcomers for h in helpers}
+    new_cols = {j: _interpolate(q, [x[h - 1] for h in helpers],
+                                [live[(h, j)][0] for h in helpers]) for j in newcomers}
+    coop = {(j, i): (_horner(q, new_cols[j], x[i - 1]),)
+            for i in newcomers for j in newcomers if j != i}
+    results = []
+    for i in newcomers:
+        peers = [j for j in newcomers if j != i]
+        ys = [y[h - 1] for h in helpers] + [y[j - 1] for j in peers] + [y[i - 1]]
+        vals = ([live[(h, i)][1] for h in helpers] + [coop[(j, i)][0] for j in peers]
+                + [_horner(q, new_cols[i], x[i - 1])])
+        f_i = _interpolate(q, ys, vals)
+        results.append(tuple(_horner(q, f_i, y[w - 1]) for w in window(i, d + t))
+                       + tuple(_horner(q, new_cols[i], x[w - 1]) for w in window(i, d)[1:]))
+    return list(live.items()), list(coop.items()), results
+
+
+@pytest.mark.parametrize("n, k, d, t", [
+    (5, 2, 2, 3), (6, 3, 4, 2),                                   # n = d+t
+    (7, 3, 4, 2), (8, 3, 4, 2), (9, 3, 4, 2), (10, 4, 5, 3), (12, 3, 5, 2),
+])
+def test_repair_matches_interpolation_oracle(n, k, d, t):
+    s = scheme_for(n, k, d, t, l1=1)
+    u, r = s.random_inputs(n + t)
+    nodes = s.encode(u, r)
+    rng = random.Random(n * 100 + d * 10 + t)
+    for failed in itertools.combinations(range(1, n + 1), t):
+        survivors = {c.node_id: c for c in nodes if c.node_id not in failed}
+        for helpers in (sorted(survivors)[:d], rng.sample(sorted(survivors), d)):
+            tr = s.cooperative_repair(failed, survivors, helpers)
+            live, coop, results = oracle_repair(s, failed, survivors, tr.helpers)
+            assert list(tr.live_transfers.items()) == live, (failed, helpers)
+            assert list(tr.coop_transfers.items()) == coop, (failed, helpers)
+            assert [c.symbols for c in tr.results] == results, (failed, helpers)
+            assert all(c == nodes[c.node_id - 1] for c in tr.results)
+
+
+def test_repair_builds_no_vandermonde_inverse(monkeypatch):
+    calls = []
+
+    def counting(p, xs):
+        calls.append(len(xs))
+        return vandermonde_inverse(p, xs)
+
+    monkeypatch.setattr(mbcr_bivariate, "vandermonde_inverse", counting)
+    s = scheme_for(9, 3, 4, 2, l1=1)  # n > d+t: the barycentric branch runs
+    u, r = s.random_inputs(5)
+    nodes = s.encode(u, r)
+    survivors = {c.node_id: c for c in nodes if c.node_id not in (2, 6)}
+    tr = s.cooperative_repair({2, 6}, survivors, (1, 4, 7, 9))
+    assert calls == []
+    assert all(c == nodes[c.node_id - 1] for c in tr.results)
+    s.reconstruct(nodes[:3])  # reconstruction still interpolates: the counter is live
+    assert calls

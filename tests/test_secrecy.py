@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coopdss import secrecy as S
+from coopdss import sim as sim_mod
 from coopdss.codes import make_scheme
 from coopdss.codes.base import ObservationMatrix, SchemeParams
 from coopdss.field import Matrix, ext_field, prime_field
@@ -291,6 +292,64 @@ def _linear_toys(draw):
 @given(_linear_toys())
 def test_brute_force_matches_joint_rank_on_random_maps(toy):
     assert _verdict(S.brute_force_leakage(toy, [1], [])) == _verdict(toy.rank_verdict())
+
+
+# ---------------------------------------------------------
+# joint verdict on distinct rows
+# ---------------------------------------------------------
+
+def _assert_distinct_rows_verdict(obs):
+    """joint_rank_leakage eliminates the distinct rows only, and that
+    elimination has the full matrix's verdict and pivot columns."""
+    rank, pivots = obs.joint().rank_profile()
+    rank_r = sum(1 for c in pivots if c < obs.n_random)
+    eliminated = []
+    rank_profile = Matrix.rank_profile
+
+    def spy(matrix):
+        out = rank_profile(matrix)
+        eliminated.append((matrix.nrows, out[1]))
+        return out
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(Matrix, "rank_profile", spy)
+        got = _verdict(S.joint_rank_leakage(obs))
+    assert got == (rank - rank_r, rank <= obs.n_random, rank_r == obs.n_random)
+    assert eliminated == [(len(set(map(tuple, obs.joint().rows))), pivots)]
+
+
+def test_joint_verdict_on_distinct_rows_of_a_lifetime():
+    params = SchemeParams(n=7, k=3, d=4, t=2, l1=1, l2=1, scheme="mbcr-bivariate")
+    # the E2 node 2 fails in every other round
+    plan = tuple(frozenset({2, 3 + r % 5} if r % 2 == 0 else {3 + r % 5, 4 + r % 4})
+                 for r in range(10))
+    trace = sim_mod.run(sim_mod.SimConfig(params=params, rounds=10, failure_plan=plan,
+                                          seed=3, e1=(1,), e2=(2,), helper_mode="random"))
+    obs = sim_mod.observation(trace)
+    assert len(set(map(tuple, obs.joint().rows))) < obs.n_rows
+    _assert_distinct_rows_verdict(obs)
+    assert S.joint_rank_leakage(obs).leakage_qunits == 0
+
+
+@st.composite
+def _matrices_with_repeats(draw):
+    q = draw(st.sampled_from((2, 3, 7, 11)))
+    n_random = draw(st.integers(0, 4))
+    n_secret = draw(st.integers(1, 4))
+    width = n_random + n_secret
+    base = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=12))
+    rows = base + [base[i] for i in picks]
+    rows = draw(st.permutations(rows))
+    return obs_from_rows(prime_field(q), [row[n_random:] for row in rows],
+                         [row[:n_random] for row in rows])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_matrices_with_repeats())
+def test_joint_verdict_on_distinct_rows_of_random_matrices(obs):
+    _assert_distinct_rows_verdict(obs)
 
 
 def _balanced_digits(value, base, count):
