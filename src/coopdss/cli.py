@@ -5,10 +5,11 @@ verify-secrecy.  Every path is a thin wrapper over the library; outputs are
 deterministic given flags and seed (no timestamps).
 
 Exit codes: 0 success/secure, 1 secrecy violation, 2 usage or parameter
-error, 3 I/O error or a program fault: in `simulate` a replay mismatch or a
-repair round whose bandwidth is not t*gamma, in `verify-secrecy --mode both`
-a rank verdict that differs from the brute-force one in leakage or in either
-lemma flag.  COOPDSS_SEED provides the default seed.
+error, 3 I/O error or a program fault: in `simulate` a replay mismatch, in
+`simulate` or `verify-secrecy --e2` a repair round whose bandwidth is not
+t*gamma, in `verify-secrecy --mode both` a rank verdict that differs from the
+brute-force one in leakage or in either lemma flag.  COOPDSS_SEED provides
+the default seed.
 
 Byte <-> symbol packing: GF(p) takes one byte per symbol (values >= p are
 rejected); GF(p^m) takes m base-field coordinates per symbol, coordinate 0
@@ -191,15 +192,27 @@ def cmd_repair(ns) -> int:
 
 
 def _sim_config_from_ini(path: str, ns) -> sim_mod.SimConfig:
-    ini = configparser.ConfigParser()
-    if not ini.read(path):
+    # no interpolation: a '%' in a value is then an ordinary bad value
+    ini = configparser.ConfigParser(interpolation=None)
+    try:
+        found = ini.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"config {path}: {exc}") from None
+    if not found:
         raise OSError(f"cannot read config file {path}")
+    if not ini.has_section("scheme"):
+        raise UsageError(f"config {path}: no [scheme] section")
     sch = ini["scheme"]
+    missing = [key for key in ("scheme", "n", "k", "d", "t") if key not in sch]
+    if missing:
+        raise UsageError(f"config {path}: [scheme] lacks {', '.join(missing)}")
     params = SchemeParams(
         n=sch.getint("n"), k=sch.getint("k"), d=sch.getint("d"), t=sch.getint("t"),
         l1=sch.getint("l1", 0), l2=sch.getint("l2", 0), scheme=sch.get("scheme"))
     simc = ini["simulate"] if ini.has_section("simulate") else {}
     rounds = int(simc.get("rounds", "1"))
+    if rounds < 0:
+        raise UsageError(f"config {path}: rounds must be >= 0, got {rounds}")
     seed = int(simc.get("seed", str(ns.seed)))
     helper_mode = simc.get("helpers", "lowest")
     plan = None
@@ -217,11 +230,7 @@ def _sim_config_from_ini(path: str, ns) -> sim_mod.SimConfig:
 
 def cmd_simulate(ns) -> int:
     config = _sim_config_from_ini(ns.config, ns)
-    try:
-        trace = sim_mod.run(config)
-    except sim_mod.ProtocolError as exc:
-        print(f"protocol fault: {exc}", file=sys.stderr)
-        return 3
+    trace = sim_mod.run(config)
     text = sim_mod.trace_to_text(trace)
     if ns.trace_out:
         Path(ns.trace_out).write_text(text)
@@ -290,15 +299,9 @@ def cmd_verify_secrecy(ns) -> int:
     if e2 and not transcripts:
         plan = ns.plan and tuple(frozenset(_ids(g)) for g in ns.plan.split(";")) \
             or _default_plan(params, e2)
-        u = random_symbols(scheme.field, scheme.secure_size, ns.seed)
-        r = random_symbols(scheme.field, scheme.n_random, ns.seed ^ 0xC0DE5EED)
-        states = {c.node_id: c for c in scheme.encode(u, r)}
-        for failed in plan:
-            survivors = {i: c for i, c in states.items() if i not in failed}
-            tr = scheme.cooperative_repair(failed, survivors)
-            transcripts.append(tr)
-            for res in tr.results:
-                states[res.node_id] = res
+        config = sim_mod.SimConfig(params=params, rounds=len(plan), failure_plan=plan,
+                                   seed=ns.seed, e2=e2)
+        transcripts = sim_mod.run(config).transcripts
     verdicts = []
     if ns.mode in ("rank", "both"):
         verdicts.append(rank_leakage(scheme.observation_matrix(e1, e2, transcripts)))
@@ -394,6 +397,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except sim_mod.ProtocolError as exc:
+        print(f"protocol fault: {exc}", file=sys.stderr)
         return 3
 
 

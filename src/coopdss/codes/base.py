@@ -5,7 +5,7 @@ alpha symbols each, reconstructs u from any k nodes, repairs any t
 simultaneous failures exactly with per-newcomer bandwidth d*beta+(t-1)*beta',
 and exposes the eavesdropper's view as an explicit linear map e = A_u u + A_r r.
 
-Observation row order (shared by observation_matrix and observed_symbols):
+Observation row order:
 
   1. for each node in sorted(E1): its alpha stored symbols in segment order;
   2. for each node in sorted(E2): its alpha stored symbols;
@@ -13,6 +13,20 @@ Observation row order (shared by observation_matrix and observed_symbols):
      sorted(failed & E2): live downloads grouped by helper id ascending
      (symbols in transfer order), then cooperative downloads grouped by
      peer id ascending.
+
+`Scheme._observation_rows` is the one implementation of this order.  A
+scheme supplies one row per symbol (`_stored_rows`, `_download_rows`); the
+base labels every row itself:
+
+  ("stored", node, idx)            idx < alpha, a stored symbol;
+  ("live", round, helper, newcomer, idx)
+                                   idx < beta, a helper's download;
+  ("coop", round, peer, newcomer, idx)
+                                   idx < beta', a fellow newcomer's download;
+
+with `round` the transcript's index.  `Scheme.observed_symbols` walks the
+same order over replayed values, separately, so that the brute-force oracle
+and the faithfulness checks compare two independent walks.
 """
 
 from __future__ import annotations
@@ -269,6 +283,51 @@ class Scheme:
                 f"E2 nodes {missing} never appear as newcomers in the transcripts")
         return e1, e2
 
+    def _stored_rows(self, node: int) -> list:
+        """One observation row per symbol stored at `node`, in segment order."""
+        raise NotImplementedError
+
+    def _download_rows(self, tr: RepairTranscript, newcomer: int) -> list:
+        """One observation row per symbol `newcomer` downloaded in `tr`, in
+        transfer order: beta per helper of `tr.helpers`, then beta' per
+        fellow newcomer ascending."""
+        raise NotImplementedError
+
+    def _observation_rows(self, e1: Iterable[int], e2: Iterable[int],
+                          transcripts: Sequence[RepairTranscript]) -> tuple[list, list[tuple]]:
+        """The eavesdropper's rows and their labels, in the shared row order.
+
+        Plain loops, not comprehensions: a sweep verdict observes a few rows,
+        so the per-call cost of a comprehension shows in its time."""
+        e1, e2 = self._validate_eaves(e1, e2, transcripts)
+        rows: list = []
+        labels: list[tuple] = []
+        for node in e1 + e2:
+            rows += self._stored_rows(node)
+            for idx in range(self.alpha):
+                labels.append(("stored", node, idx))
+        for rnd, tr in enumerate(transcripts):
+            for i in sorted(tr.failed & set(e2)):
+                rows += self._download_rows(tr, i)
+                for h in tr.helpers:
+                    for idx in range(self.beta):
+                        labels.append(("live", rnd, h, i, idx))
+                for m in sorted(tr.failed - {i}):
+                    for idx in range(self.beta_prime):
+                        labels.append(("coop", rnd, m, i, idx))
+        return rows, labels
+
+    def _linear_observation(self, rows: Sequence[tuple[Sequence[int], Sequence[int]]],
+                            labels: Sequence[tuple]) -> ObservationMatrix:
+        """The observation from one (u-row, r-row) pair per observed symbol."""
+        u_rows, r_rows = [], []
+        for ru, rr in rows:
+            u_rows.append(ru)
+            r_rows.append(rr)
+        return ObservationMatrix(a_u=Matrix(self.field, u_rows, ncols=self.secure_size),
+                                 a_r=Matrix(self.field, r_rows, ncols=self.n_random),
+                                 labels=labels)
+
     def observed_symbols(self, u: Sequence[int], r: Sequence[int],
                          e1: Iterable[int], e2: Iterable[int],
                          plans: Sequence[tuple[Iterable[int], Sequence[int] | None]] = (),
@@ -306,11 +365,9 @@ class GabidulinScheme(Scheme):
     canonical basis, so the precoding Moore matrix and its inverse depend on
     the field alone and come from the per-field cache in coopdss.field.
 
-    Subclasses give the points: `stored_points(node)` and
-    `_download_points(transcript, newcomer)`, the latter as (label, point)
-    pairs in transfer order with labels lacking the transcript index.  Each
-    subclass still defines `observation_matrix` (as `_point_observation`)
-    in its own class body, like the other contract methods, because the
+    Subclasses give the points as `_stored_rows` and `_download_rows`, and
+    each still defines `observation_matrix` (as `_point_observation`) in its
+    own class body, like the other contract methods, because the
     benchmark's tracer wraps those per scheme class.
     """
 
@@ -324,28 +381,10 @@ class GabidulinScheme(Scheme):
         """u from the M evaluations: (r || u) = Moore^-1 . x."""
         return tuple(basis_moore_inverse(self.field).matvec(x)[self.n_random:])
 
-    def stored_points(self, node: int) -> list[list[int]]:
-        raise NotImplementedError
-
-    def _download_points(self, tr: RepairTranscript,
-                         newcomer: int) -> list[tuple[tuple, list[int]]]:
-        raise NotImplementedError
-
     def _point_observation(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript]) -> PointObservation:
-        """The observation in the shared row order, as evaluation points."""
-        e1, e2 = self._validate_eaves(e1, e2, transcripts)
-        points: list[list[int]] = []
-        labels: list[tuple] = []
-        for e in e1 + e2:
-            for idx, pt in enumerate(self.stored_points(e)):
-                points.append(pt)
-                labels.append(("stored", e, idx))
-        for t_idx, tr in enumerate(transcripts):
-            for i in sorted(tr.failed & set(e2)):
-                for label, pt in self._download_points(tr, i):
-                    points.append(pt)
-                    labels.append((label[0], t_idx) + label[1:])
+        """The observation as GF(p) evaluation points."""
+        points, labels = self._observation_rows(e1, e2, transcripts)
         return PointObservation(self.field, Matrix(self.base, points, ncols=self.file_size),
                                 self.n_random, labels)
 

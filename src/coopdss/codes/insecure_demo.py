@@ -76,20 +76,12 @@ class InsecureDemoScheme(Scheme):
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
-        e1, e2 = self._validate_eaves(e1, e2, transcripts)
-        u_rows, r_rows, labels = [], [], []
-        for e in e1 + e2:
-            cu, cr = self._rows[e]
-            u_rows.append([cu])
-            r_rows.append([cr])
-            labels.append(("stored", e, 0))
-        for t_idx, tr in enumerate(transcripts):
-            for i in sorted(tr.failed & set(e2)):
-                for h in tr.helpers:
-                    cu, cr = self._rows[h]
-                    u_rows.append([cu])
-                    r_rows.append([cr])
-                    labels.append(("live", t_idx, h, i))
-        a_u = Matrix(self.field, u_rows, ncols=1)
-        a_r = Matrix(self.field, r_rows, ncols=1)
-        return ObservationMatrix(a_u=a_u, a_r=a_r, labels=tuple(labels))
+        return self._linear_observation(*self._observation_rows(e1, e2, transcripts))
+
+    def _stored_rows(self, node: int) -> list[tuple[list[int], list[int]]]:
+        cu, cr = self._rows[node]
+        return [([cu], [cr])]
+
+    def _download_rows(self, tr: RepairTranscript,
+                       newcomer: int) -> list[tuple[list[int], list[int]]]:
+        return [row for h in tr.helpers for row in self._stored_rows(h)]

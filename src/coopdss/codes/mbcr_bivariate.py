@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..field import Matrix, next_prime, prime_field, vandermonde_inverse
+from ..field import next_prime, prime_field, vandermonde_inverse
 from .base import (
     NodeContent,
     ObservationMatrix,
@@ -120,7 +120,8 @@ class MbcrBivariateScheme(Scheme):
     def _wrap(self, i: int, s: int) -> int:
         return (i - 1 + s) % self.params.n + 1
 
-    def _stored_eval_points(self, i: int) -> list[tuple[int, int]]:
+    def _stored_rows(self, i: int) -> list[tuple[int, int]]:
+        """The points at which node i stores F, as index pairs into (x_points, y_points)."""
         d, t = self.params.d, self.params.t
         pts = [(i, self._wrap(i, s)) for s in range(d + t)]       # (x_i, y_*)
         pts += [(self._wrap(i, s), i) for s in range(1, d)]       # (x_*, y_i)
@@ -167,7 +168,7 @@ class MbcrBivariateScheme(Scheme):
         nodes = []
         for i in range(1, self.params.n + 1):
             syms = tuple(self._eval_f(rows, xi, yi)
-                         for xi, yi in self._stored_eval_points(i))
+                         for xi, yi in self._stored_rows(i))
             nodes.append(NodeContent(i, syms, self.layout))
         return nodes
 
@@ -272,34 +273,15 @@ class MbcrBivariateScheme(Scheme):
 
     # -- observation -----------------------------------------------------------------------
 
-    def _download_eval_points(self, tr: RepairTranscript,
-                              newcomer: int) -> list[tuple[tuple, tuple[int, int]]]:
-        out = []
+    def _download_rows(self, tr: RepairTranscript, i: int) -> list[tuple[int, int]]:
+        rows = []
         for h in tr.helpers:
-            out.append((("live", h, newcomer, 0), (h, newcomer)))        # f_h(y_i)
-            out.append((("live", h, newcomer, 1), (newcomer, h)))        # g_h(x_i)
-        for j in sorted(tr.failed - {newcomer}):
-            out.append((("coop", j, newcomer, 0), (newcomer, j)))        # g_j(x_i)
-        return out
+            rows += [(h, i), (i, h)]                                # f_h(y_i), g_h(x_i)
+        return rows + [(i, j) for j in sorted(tr.failed - {i})]     # g_j(x_i)
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
-        e1, e2 = self._validate_eaves(e1, e2, transcripts)
-        eval_points: list[tuple[int, int]] = []
-        labels: list[tuple] = []
-        for e in e1 + e2:
-            for idx, pt in enumerate(self._stored_eval_points(e)):
-                eval_points.append(pt)
-                labels.append(("stored", e, idx))
-        for t_idx, tr in enumerate(transcripts):
-            for i in sorted(tr.failed & set(e2)):
-                for label, pt in self._download_eval_points(tr, i):
-                    eval_points.append(pt)
-                    labels.append((label[0], t_idx) + label[1:])
+        points, labels = self._observation_rows(e1, e2, transcripts)
         # a lifetime observes the same point many times: one pair of rows each
-        monomials = {pt: self._monomial_rows(*pt) for pt in dict.fromkeys(eval_points)}
-        a_u = Matrix(self.field, [monomials[pt][0] for pt in eval_points],
-                     ncols=self.secure_size)
-        a_r = Matrix(self.field, [monomials[pt][1] for pt in eval_points],
-                     ncols=self.n_random)
-        return ObservationMatrix(a_u=a_u, a_r=a_r, labels=tuple(labels))
+        monomials = {pt: self._monomial_rows(*pt) for pt in dict.fromkeys(points)}
+        return self._linear_observation([monomials[pt] for pt in points], labels)

@@ -165,12 +165,9 @@ class MbcrExactScheme(GabidulinScheme):
                         v[idx] = (v[idx] + c * row[idx]) % p
         return v
 
-    def stored_points(self, i: int) -> list[list[int]]:
+    def _stored_rows(self, i: int) -> list[list[int]]:
         """Evaluation-point vectors (base coordinates) of node i's symbols."""
-        pts = [row[:] for row in self._primary_points[i]]
-        for src in self._others(i):
-            pts.append(self._z_point(src, i))
-        return pts
+        return self._primary_points[i] + [self._z_point(src, i) for src in self._others(i)]
 
     # -- encode -----------------------------------------------------------------
 
@@ -276,16 +273,11 @@ class MbcrExactScheme(GabidulinScheme):
 
     # -- observation ----------------------------------------------------------------
 
-    def _download_points(self, tr: RepairTranscript,
-                         newcomer: int) -> list[tuple[tuple, list[int]]]:
-        i = newcomer
-        out = []
+    def _download_rows(self, tr: RepairTranscript, i: int) -> list[list[int]]:
+        rows = []
         for h in tr.helpers:
-            out.append((("live", h, i, 0), self._z_point(i, h)))
-            out.append((("live", h, i, 1), self._z_point(h, i)))
-        for m in sorted(tr.failed - {i}):
-            out.append((("coop", m, i, 0), self._z_point(m, i)))
-        return out
+            rows += [self._z_point(i, h), self._z_point(h, i)]
+        return rows + [self._z_point(m, i) for m in sorted(tr.failed - {i})]
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:

@@ -68,7 +68,7 @@ class MscrDkScheme(GabidulinScheme):
         v[j * k:(j + 1) * k] = self.g[node - 1]
         return v
 
-    def stored_points(self, node: int) -> list[list[int]]:
+    def _stored_rows(self, node: int) -> list[list[int]]:
         return [self._share_point(node, j) for j in range(self.params.t)]
 
     def _share_value(self, m_vec: Sequence[int], node: int) -> int:
@@ -142,19 +142,14 @@ class MscrDkScheme(GabidulinScheme):
 
     # -- observation ------------------------------------------------------------------
 
-    def _download_points(self, tr: RepairTranscript,
-                         newcomer: int) -> list[tuple[tuple, list[int]]]:
+    def _download_rows(self, tr: RepairTranscript, newcomer: int) -> list[list[int]]:
         order = sorted(tr.failed)
         s = order.index(newcomer)
-        out = []
-        for h in tr.helpers:
-            out.append((("live", h, newcomer), self._share_point(h, s)))
-        for peer in order:
-            if peer == newcomer:
-                continue
-            s2 = order.index(peer)
-            out.append((("coop", peer, newcomer), self._share_point(newcomer, s2)))
-        return out
+        rows = [self._share_point(h, s) for h in tr.helpers]
+        for s2, peer in enumerate(order):
+            if peer != newcomer:
+                rows.append(self._share_point(newcomer, s2))
+        return rows
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:

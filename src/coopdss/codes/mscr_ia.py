@@ -120,6 +120,7 @@ class MscrIaScheme(Scheme):
         for i in range(1, self.alpha + 1):
             self._pa[i + 2] = [1] * self.alpha
             self._pb[i + 2] = self.multipliers[i - 1][:]
+        self._strategy_cache: dict = {}  # (pair, helpers) -> _repair_strategy's result
 
     # -- file packing -------------------------------------------------------------
 
@@ -259,9 +260,7 @@ class MscrIaScheme(Scheme):
         candidate in the fixed search order wins; cached per (pair, helpers).
         """
         key = (pair, helpers)
-        cache = getattr(self, "_strategy_cache", None)
-        if cache is None:
-            cache = self._strategy_cache = {}
+        cache = self._strategy_cache
         if key in cache:
             return cache[key]
         f = self.field
@@ -350,7 +349,7 @@ class MscrIaScheme(Scheme):
 
     # -- observation ------------------------------------------------------------------------
 
-    def _content_rows(self, node: int) -> list[tuple[list[int], list[int]]]:
+    def _stored_rows(self, node: int) -> list[tuple[list[int], list[int]]]:
         """(u-row, r-row) pairs for node's stored symbols."""
         f = self.field
         a_rows, b_rows = self._ab_rows()
@@ -375,49 +374,28 @@ class MscrIaScheme(Scheme):
                     ar[idx] = (ar[idx] + c * rr[idx]) % f.p
         return au, ar
 
-    def _download_rows(self, tr: RepairTranscript, newcomer: int):
-        """(label, u-row, r-row) for each symbol `newcomer` downloaded."""
+    def _download_rows(self, tr: RepairTranscript,
+                       newcomer: int) -> list[tuple[list[int], list[int]]]:
         f = self.field
         alpha = self.alpha
         x_id, y_id = sorted(tr.failed)
         ef = self._ef_diagonals((x_id, y_id))
         cx, cy, combo_x, combo_y = self._repair_strategy((x_id, y_id), tr.helpers)
         recover_first = newcomer == x_id
-        peer = y_id if recover_first else x_id
         own_c, peer_c = (cx, cy) if recover_first else (cy, cx)
         lam, _ = combo_x if recover_first else combo_y
-        out = []
+        own_rows, peer_rows = [], []
         for m in tr.helpers:
             e_diag, f_diag = ef[m]
-            den = f_diag if recover_first else e_diag
-            v = [f.div(own_c[j], den[j]) for j in range(alpha)]
-            au, ar = self._combine_rows(v, self._content_rows(m))
-            out.append((("live", m, newcomer), au, ar))
-        peer_phase1 = []
-        for m in tr.helpers:
-            e_diag, f_diag = ef[m]
-            den = e_diag if recover_first else f_diag
-            v = [f.div(peer_c[j], den[j]) for j in range(alpha)]
-            peer_phase1.append(self._combine_rows(v, self._content_rows(m)))
-        au, ar = self._combine_rows(lam, peer_phase1)
-        out.append((("coop", peer, newcomer), au, ar))
-        return out
+            own_den, peer_den = (f_diag, e_diag) if recover_first else (e_diag, f_diag)
+            stored = self._stored_rows(m)
+            own_rows.append(self._combine_rows(
+                [f.div(own_c[j], own_den[j]) for j in range(alpha)], stored))
+            peer_rows.append(self._combine_rows(
+                [f.div(peer_c[j], peer_den[j]) for j in range(alpha)], stored))
+        # the peer's one cooperative symbol combines its own phase-1 downloads
+        return own_rows + [self._combine_rows(lam, peer_rows)]
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
-        e1, e2 = self._validate_eaves(e1, e2, transcripts)
-        u_rows, r_rows, labels = [], [], []
-        for e in e1 + e2:
-            for idx, (au, ar) in enumerate(self._content_rows(e)):
-                u_rows.append(au)
-                r_rows.append(ar)
-                labels.append(("stored", e, idx))
-        for t_idx, tr in enumerate(transcripts):
-            for i in sorted(tr.failed & set(e2)):
-                for label, au, ar in self._download_rows(tr, i):
-                    u_rows.append(au)
-                    r_rows.append(ar)
-                    labels.append((label[0], t_idx) + label[1:])
-        a_u = Matrix(self.field, u_rows, ncols=self.secure_size)
-        a_r = Matrix(self.field, r_rows, ncols=self.n_random)
-        return ObservationMatrix(a_u=a_u, a_r=a_r, labels=tuple(labels))
+        return self._linear_observation(*self._observation_rows(e1, e2, transcripts))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from .codes import make_scheme
 from .codes.base import NodeContent, ParameterError, RepairTranscript, Scheme, SchemeParams
-from .precode import random_symbols, splitmix64
+from .precode import splitmix64
 
 
 class ProtocolError(RuntimeError):
@@ -52,7 +52,7 @@ class SimConfig:
             if len(fs) != self.params.t:
                 raise ParameterError("every failure set must have size t")
             if any(not 1 <= i <= self.params.n for i in fs):
-                raise ParameterError("failure sets must reference nodes in [1, n]")
+                raise ParameterError(f"failure set node ids must lie in [1, {self.params.n}]")
         repaired = set().union(*plan) if plan else set()
         missing = [i for i in self.e2 if i not in repaired]
         if missing:
@@ -87,11 +87,9 @@ class SimTrace:
 
 
 def _build_inputs(scheme: Scheme, config: SimConfig):
+    u, r = scheme.random_inputs(config.seed)
     if config.secret is not None:
         u = tuple(config.secret)
-    else:
-        u = tuple(random_symbols(scheme.field, scheme.secure_size, config.seed))
-    r = tuple(random_symbols(scheme.field, scheme.n_random, config.seed ^ 0xC0DE5EED))
     return u, r
 
 

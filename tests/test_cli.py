@@ -4,6 +4,8 @@ import os
 import struct
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import pytest
 
 from coopdss import bounds as bounds_mod
@@ -401,6 +403,48 @@ def test_simulate_bandwidth_fault_exit3(tmp_path, monkeypatch):
     code, out, err = run_cli(["simulate", "--config", str(cfg)])
     assert code == 3
     assert "protocol fault: round 0: bandwidth" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[simulate]\nrounds = 1\n", "no [scheme] section"),
+    ("scheme = mscr-dk\nn = 4\n", "no section headers"),
+    ("[scheme]\nscheme = mscr-dk\nn = 4\nk = 2\nd = 2\n", "[scheme] lacks t"),
+    (SIM_INI.split("[simulate]")[0] + "[simulate]\nrounds = -1\n",
+     "rounds must be >= 0, got -1"),
+    ("[scheme]\nscheme = mscr-dk\nn = 4%\nk = 2\nd = 2\nt = 2\n", "invalid literal"),
+], ids=["no-scheme-section", "no-section-header", "no-t", "negative-rounds", "percent-in-value"])
+def test_simulate_malformed_config_exit2(tmp_path, text, message):
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(text)
+    code, out, err = run_cli(["simulate", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_readme_simulate_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A `simulate` config file mirrors the flags:")[1]
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(block.split("```ini\n")[1].split("```")[0])
+    code, _, err = run_cli(["simulate", "--config", str(cfg)])
+    assert code == 0 and "replay=ok" in err and "leakage_qunits=0" in err
+
+
+def test_verify_secrecy_e2_bandwidth_fault_exit3(monkeypatch):
+    # the --e2 repair plan runs through sim.run, which checks every round
+    real_repair = MscrDkScheme.cooperative_repair
+
+    def short_repair(self, failed, survivors, helpers=None):
+        tr = real_repair(self, failed, survivors, helpers)
+        live = dict(tr.live_transfers)
+        live.pop(min(live))
+        return dataclasses.replace(tr, live_transfers=live)
+
+    monkeypatch.setattr(MscrDkScheme, "cooperative_repair", short_repair)
+    code, out, err = run_cli(["verify-secrecy", "--scheme", "mscr-dk", "--n", "4", "--k", "2",
+                              "--d", "2", "--t", "2", "--l2", "1", "--e2", "1"])
+    assert code == 3 and out == ""
+    assert "protocol fault: round 0: bandwidth 5 != t*gamma 6" in err
 
 
 def test_verify_secrecy_sweep_exit_codes():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coopdss import field as F
+from coopdss import sim as sim_mod
 from coopdss.codes import make_scheme, nodeio
 from coopdss.codes.base import ParameterError, SchemeParams
 
@@ -48,6 +49,39 @@ def test_observation_faithfulness_100_draws(params):
         model = [f.add(a, b) for a, b in
                  zip(obs.a_u.matvec(list(u)), obs.a_r.matvec(list(r)))]
         assert model == direct, (params.scheme, seed)
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+@pytest.mark.parametrize("params", INSTANCES + [
+    SchemeParams(n=3, k=2, d=2, t=1, l1=1, scheme="insecure-demo")], ids=lambda p: p.scheme)
+def test_observation_labels_name_stored_symbols_and_transfers(params, rounds):
+    # every label is ("stored", node, idx) or (kind, round, src, dst, idx), and
+    # the download labels are exactly the symbols sent to the E2 newcomers
+    scheme = make_scheme(params)
+    n, t = params.n, params.t
+    e1, e2 = (n,), (1,)
+    plan = tuple(frozenset({1, *range(2 + rnd, 1 + rnd + t)}) for rnd in range(rounds))
+    transcripts = sim_mod.run(sim_mod.SimConfig(params=params, rounds=rounds, failure_plan=plan,
+                                                seed=rounds, e1=e1, e2=e2)).transcripts
+    obs = scheme.observation_matrix(e1, e2, transcripts)
+    u, r = scheme.random_inputs(rounds)
+    plans = [(tr.failed, tr.helpers) for tr in transcripts]
+    symbols = scheme.observed_symbols(u, r, e1, e2, plans)
+    assert len(obs.labels) == obs.n_rows == len(symbols)
+    stored = [label for label in obs.labels if label[0] == "stored"]
+    assert stored == [("stored", node, idx) for node in e1 + e2 for idx in range(scheme.alpha)]
+    downloads = [label for label in obs.labels if label[0] != "stored"]
+    sent = set()
+    for rnd, tr in enumerate(transcripts):
+        for kind, transfers in (("live", tr.live_transfers), ("coop", tr.coop_transfers)):
+            for (src, dst), values in transfers.items():
+                if dst in e2:
+                    sent |= {(kind, rnd, src, dst, idx) for idx in range(len(values))}
+    for kind, rnd, src, dst, idx in downloads:
+        tr = transcripts[rnd]
+        transfers = tr.live_transfers if kind == "live" else tr.coop_transfers
+        assert idx < len(transfers[(src, dst)])
+    assert sorted(downloads) == sorted(sent)
 
 
 @pytest.mark.parametrize("params", INSTANCES, ids=lambda p: p.scheme)
