@@ -70,11 +70,7 @@ def _pack_bytes_to_symbols(field, data: bytes) -> list[int]:
     if len(data) % width:
         raise UsageError(
             f"secret length {len(data)} is not a multiple of the {width}-byte symbol width")
-    return [field.symbol_from_bytes(data[i:i + width]) for i in range(0, len(data), width)]
-
-
-def _symbols_to_bytes(field, symbols) -> bytes:
-    return b"".join(field.symbol_to_bytes(s) for s in symbols)
+    return field.symbols_from_bytes(data)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +162,7 @@ def cmd_reconstruct(ns) -> int:
     if len(contents) < params.k:
         raise UsageError(f"need at least k={params.k} distinct nodes")
     u = scheme.reconstruct(contents)
-    data = _symbols_to_bytes(scheme.field, u)
+    data = scheme.field.symbols_to_bytes(u)
     if ns.out:
         Path(ns.out).write_bytes(data)
         print(f"wrote {len(data)} bytes to {ns.out}")

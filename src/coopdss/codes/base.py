@@ -195,6 +195,14 @@ class Scheme:
     beta: int
     beta_prime: int
 
+    @classmethod
+    def node_format(cls, params: SchemeParams) -> tuple[int, int, int, tuple[tuple[str, int], ...]]:
+        """(p, m, alpha, layout): every node stores alpha symbols of GF(p^m)
+        in the named segments of `layout`.  A closed form of the params, so a
+        node file is read without building the scheme; it runs the
+        constructor's parameter checks, with the same errors."""
+        raise NotImplementedError
+
     @property
     def n_random(self) -> int:
         return self.file_size - self.secure_size
@@ -225,8 +233,11 @@ class Scheme:
     def random_inputs(self, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Deterministic (u, r) pair for tests and the simulator."""
         u = tuple(random_symbols(self.field, self.secure_size, seed))
-        r = tuple(random_symbols(self.field, self.n_random, seed ^ 0xC0DE5EED))
-        return u, r
+        return u, self.random_r(seed)
+
+    def random_r(self, seed: int) -> tuple[int, ...]:
+        """The r of `random_inputs(seed)`, drawn without its u."""
+        return tuple(random_symbols(self.field, self.n_random, seed ^ 0xC0DE5EED))
 
     def _check_inputs(self, u: Sequence[int], r: Sequence[int]) -> None:
         if len(u) != self.secure_size:

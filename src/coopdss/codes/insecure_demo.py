@@ -28,19 +28,22 @@ class InsecureDemoScheme(Scheme):
 
     _rows = {1: (1, 0), 2: (0, 1), 3: (1, 1)}  # (u, r) coefficients per node
 
-    def __init__(self, params: SchemeParams):
+    @classmethod
+    def node_format(cls, params: SchemeParams) -> tuple[int, int, int, tuple[tuple[str, int], ...]]:
         if (params.n, params.k, params.d, params.t) != (3, 2, 2, 1):
-            raise ParameterError(f"{self.name} is fixed at n=3,k=2,d=2,t=1")
+            raise ParameterError(f"{cls.name} is fixed at n=3,k=2,d=2,t=1")
         if (params.l1, params.l2) != (1, 0):
-            raise ParameterError(f"{self.name} models a single storage eavesdropper")
+            raise ParameterError(f"{cls.name} models a single storage eavesdropper")
+        return 5, 1, 1, (("shares", 1),)
+
+    def __init__(self, params: SchemeParams):
+        p, _, self.alpha, self.layout = self.node_format(params)
         self.params = params
-        self.field = prime_field(5)
+        self.field = prime_field(p)
         self.file_size = 2
         self.secure_size = 1
-        self.alpha = 1
         self.beta = 1
         self.beta_prime = 1
-        self.layout = (("shares", 1),)
 
     def encode(self, u: Sequence[int], r: Sequence[int]) -> list[NodeContent]:
         self._check_inputs(u, r)

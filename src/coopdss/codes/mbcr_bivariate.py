@@ -86,23 +86,29 @@ class MbcrBivariateScheme(Scheme):
 
     name = "mbcr-bivariate"
 
-    def __init__(self, params: SchemeParams):
+    @classmethod
+    def node_format(cls, params: SchemeParams) -> tuple[int, int, int, tuple[tuple[str, int], ...]]:
         params.validate()
         n, k, d, t = params.n, params.k, params.d, params.t
         if n < d + t:
-            raise ParameterError(f"{self.name} requires n >= d + t")
-        self.file_size = k * (2 * d + t - k)
-        if self.file_size > MAX_FILE_SIZE:
-            raise ParameterError(f"{self.name} file size M={self.file_size} too large "
+            raise ParameterError(f"{cls.name} requires n >= d + t")
+        m_total = k * (2 * d + t - k)
+        if m_total > MAX_FILE_SIZE:
+            raise ParameterError(f"{cls.name} file size M={m_total} too large "
                                  f"(at most {MAX_FILE_SIZE})")
+        return next_prime(n + 1), 1, 2 * d + t - 1, (("row", d + t), ("col", d - 1))
+
+    def __init__(self, params: SchemeParams):
+        q, _, self.alpha, self.layout = self.node_format(params)
+        n, k, d, t = params.n, params.k, params.d, params.t
+        self.file_size = k * (2 * d + t - k)
         self.params = params
         self.ell = params.l1 + params.l2  # downloads = stored at MBCR
-        self.alpha = 2 * d + t - 1
         self.beta = 2
         self.beta_prime = 1
         self.secure_size = self.file_size - self.ell * (2 * d + t - self.ell)
 
-        self.field = prime_field(next_prime(n + 1))
+        self.field = prime_field(q)
         self.x_points = tuple(range(n))
         self.y_points = tuple(range(n))
         support = []
@@ -113,7 +119,6 @@ class MbcrBivariateScheme(Scheme):
         self.r_support = tuple(sorted(ij for ij in support if ij[0] < ell or ij[1] < ell))
         self.u_support = tuple(sorted(ij for ij in support if ij[0] >= ell and ij[1] >= ell))
         assert len(self.r_support) == self.n_random
-        self.layout = (("row", d + t), ("col", d - 1))
 
     # -- placement -----------------------------------------------------------------
 

@@ -57,6 +57,12 @@ from .base import (
 )
 
 
+def _base_prime(n: int, d: int, m_total: int) -> int:
+    """The least prime >= d+n-1 (room for the d+n-1 distinct Cauchy points)
+    over which GF(p^M) has a binomial modulus."""
+    return binomial_prime(d + n - 1, m_total)
+
+
 def find_structure(n: int, d: int, m_total: int) -> tuple[int, list[list[int]]]:
     """The base prime p and the d x (n-1) secondary generator Phi over GF(p).
 
@@ -68,7 +74,7 @@ def find_structure(n: int, d: int, m_total: int) -> tuple[int, list[list[int]]]:
     row and column scalings keep it so.  The d+n-1 points are distinct in
     GF(p) because p >= d+n-1.
     """
-    p = binomial_prime(d + n - 1, m_total)
+    p = _base_prime(n, d, m_total)
     inv_d = pow(d, p - 2, p)
     phi = [[(d - s) * (d + c) * inv_d * pow(d + c - s, p - 2, p) % p for c in range(n - 1)]
            for s in range(d)]
@@ -99,33 +105,38 @@ class MbcrExactScheme(GabidulinScheme):
 
     name = "mbcr-exact"
 
-    def __init__(self, params: SchemeParams):
+    @classmethod
+    def node_format(cls, params: SchemeParams) -> tuple[int, int, int, tuple[tuple[str, int], ...]]:
         params.validate()
         n, k, d, t = params.n, params.k, params.d, params.t
         if n != d + t:
-            raise ParameterError(f"{self.name} requires n = d + t")
+            raise ParameterError(f"{cls.name} requires n = d + t")
+        m_total = k * (2 * d + t - k)
+        return (_base_prime(n, d, m_total), m_total, 2 * d + t - 1,
+                (("x", k), ("y", d - k), ("z", n - 1)))
+
+    def __init__(self, params: SchemeParams):
+        p, m_total, self.alpha, self.layout = self.node_format(params)
+        n, k, d, t = params.n, params.k, params.d, params.t
         self.params = params
         # at MBCR a download-observing eavesdropper learns nothing extra,
         # so l2 folds into an effective l1
         self.ell = params.l1 + params.l2
-        self.file_size = k * (2 * d + t - k)
-        self.alpha = 2 * d + t - 1
+        self.file_size = m_total
         self.beta = 2
         self.beta_prime = 1
         self.secure_size = (k - self.ell) * (2 * d + t - k - self.ell)
 
-        m_total = self.file_size
         # the field first: its word-width check rejects an oversized M (a
         # forged header) before the d x (n-1) Phi is built
-        self.field = ext_field(binomial_prime(d + n - 1, m_total), m_total)
-        p, phi = find_structure(n, d, m_total)  # phi: d x (n-1)
+        self.field = ext_field(p, m_total)
+        _, phi = find_structure(n, d, m_total)  # phi: d x (n-1)
         self.base = prime_field(p)
         # base-field generator matrices (plain ints mod p), one list per column:
         # Phi's n-1 columns, and the y-code's column (1, x, ..., x^(k-1)) at
         # the point x = i-1 of node i
         self.phi_cols = [list(col) for col in zip(*phi)]
         self.y_cols = [[pow(x, l, p) for l in range(k)] for x in range(n)]
-        self.layout = (("x", k), ("y", d - k), ("z", n - 1))
 
         # point vectors (length-M base coordinates) of every stored symbol
         self._primary_points = {i: self._compute_primary_points(i) for i in range(1, n + 1)}

@@ -40,24 +40,26 @@ class MscrDkScheme(GabidulinScheme):
 
     name = "mscr-dk"
 
-    def __init__(self, params: SchemeParams):
+    @classmethod
+    def node_format(cls, params: SchemeParams) -> tuple[int, int, int, tuple[tuple[str, int], ...]]:
         params.validate()
         n, k, d, t = params.n, params.k, params.d, params.t
         if d != k:
-            raise ParameterError(f"{self.name} requires d = k")
+            raise ParameterError(f"{cls.name} requires d = k")
+        return binomial_prime(n, k * t), k * t, t, (("shares", t),)
+
+    def __init__(self, params: SchemeParams):
+        p, self.file_size, self.alpha, self.layout = self.node_format(params)
+        n, k, t = params.n, params.k, params.t
         self.params = params
-        self.file_size = k * t
-        self.alpha = t
         self.beta = 1
         self.beta_prime = 1
         self.secure_size = (k - params.l1 - params.l2) * max(0, t - params.l2)
 
-        p = binomial_prime(n, self.file_size)
         self.base = prime_field(p)
         self.field = ext_field(p, self.file_size)
         # column g_i = (1, x, ..., x^(k-1)) at the point x = i-1 of node i
         self.g = [[pow(x, l, p) for l in range(k)] for x in range(n)]
-        self.layout = (("shares", t),)
 
     # -- placement ---------------------------------------------------------------
 

@@ -7,7 +7,10 @@ a + B_i b with B_i = diag(w^{e(i,j)}) over GF(q), w a generator.
 Secure file packing: Case 1, (l1,l2) = (1,0), Ms = alpha: a_j = r_j,
 b_j = r_j + u_j (one-time pad per coordinate).  Case 2, (l1,l2) = (0,1),
 Ms = alpha - 1: additionally b_alpha = r_{alpha+1}, pure randomness.  With
-(0,0) the whole file is data.
+(0,0) the whole file is data.  The Case-2 guarantee covers one repair round
+of the E2 node: repaired again with a different partner, it downloads a
+second, independent combination and one secret symbol leaks (n = 4, E2 = {1},
+rounds {1,2} then {1,3}: leakage 1, by rank and by brute force alike).
 
 Field and exponent profile come from a two-entry table, `_PLACEMENTS`:
 
@@ -83,17 +86,22 @@ class MscrIaScheme(Scheme):
 
     name = "mscr-ia"
 
-    def __init__(self, params: SchemeParams):
+    @classmethod
+    def node_format(cls, params: SchemeParams) -> tuple[int, int, int, tuple[tuple[str, int], ...]]:
         params.validate()
         n, k, d, t = params.n, params.k, params.d, params.t
         if k != 2 or t != 2:
-            raise ParameterError(f"{self.name} requires k = t = 2")
+            raise ParameterError(f"{cls.name} requires k = t = 2")
         if n != d + t:
-            raise ParameterError(f"{self.name} requires n = d + t")
+            raise ParameterError(f"{cls.name} requires n = d + t")
         if (params.l1, params.l2) not in ((0, 0), (1, 0), (0, 1)):
-            raise ParameterError(f"{self.name} supports (l1,l2) in {{(0,0),(1,0),(0,1)}}")
+            raise ParameterError(f"{cls.name} supports (l1,l2) in {{(0,0),(1,0),(0,1)}}")
+        q, _ = find_placement(n)
+        return q, 1, d, (("shares", d),)  # alpha = d = d - k + t
+
+    def __init__(self, params: SchemeParams):
+        q, _, self.alpha, self.layout = self.node_format(params)
         self.params = params
-        self.alpha = d  # = d - k + t
         self.file_size = 2 * self.alpha
         self.beta = 1
         self.beta_prime = 1
@@ -104,16 +112,14 @@ class MscrIaScheme(Scheme):
         else:
             self.secure_size = self.file_size
 
-        q, profile = find_placement(n)
         self.field = prime_field(q)
-        self.profile = profile
+        self.profile = profile = _PLACEMENTS[params.n][1]
         self.w = self.field.primitive_element()
         # multipliers[i][j] for redundancy node i = 1..alpha (global id i+2)
         self.multipliers = [
             [pow(self.w, _exponent(profile, i, j), q) for j in range(self.alpha)]
             for i in range(1, self.alpha + 1)
         ]
-        self.layout = (("shares", self.alpha),)
         # per-node (a-part, b-part) diagonal coefficient vectors
         self._pa = {1: [1] * self.alpha, 2: [0] * self.alpha}
         self._pb = {1: [0] * self.alpha, 2: [1] * self.alpha}

@@ -14,40 +14,56 @@ Layout (little-endian throughout):
 
 Symbols appear in node-id-major order (one record per node), segment order
 within a record.  The CLI writes one record per file.
+
+Reading builds no scheme.  The node format (p, m, alpha, layout) is a closed
+form of the header's parameters (`Scheme.node_format`, which runs the
+constructor's parameter checks).  The cap on m is ExtField's 64-bit word
+bound (`field.fits_word_slots`): m * max(m, 2) * (p-1)^2 * p < 2^64, about
+m^2 p^3 < 2^64, e.g. m <= 45264 at p = 2081 and m <= 103 at p = 119981; a
+format past it is refused as "too large".  Below p = 1601 the 2-byte m of
+the descriptor is the tighter limit.  The header's whole field descriptor is
+then compared with the one the format gives, before any field or scheme is
+built, so a forged header costs a few closed forms and no search.  Each
+record decodes in one pass (`symbols_from_bytes`).
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Sequence
 
-from ..field import ExtField, PrimeField
-from . import SCHEME_TAGS, make_scheme
+from ..field import coordinate_bytes, ext_field, find_irreducible, fits_word_slots
+from . import SCHEME_CLASSES, SCHEME_TAGS
 from .base import NodeContent, ParameterError, Scheme, SchemeParams
 
 _TAG_TO_SCHEME = {v: k for k, v in SCHEME_TAGS.items()}
 
 
-def _field_descriptor(field) -> bytes:
-    if isinstance(field, PrimeField):
-        return struct.pack("<IHH", field.p, 1, 0)
-    coords = b"".join(c.to_bytes(field.coord_width, "little") for c in field.modulus)
-    return struct.pack("<IHH", field.p, field.m, len(field.modulus)) + coords
+@lru_cache(maxsize=64)
+def _field_descriptor(p: int, m: int) -> bytes:
+    """The descriptor of GF(p^m).  The modulus is a closed form of (p, m), so
+    the bytes are too; cached because every file of a field repeats them."""
+    if m == 1:
+        return struct.pack("<IHH", p, 1, 0)
+    w = coordinate_bytes(p)
+    modulus = find_irreducible(p, m)
+    coords = b"".join(c.to_bytes(w, "little") for c in modulus)
+    return struct.pack("<IHH", p, m, len(modulus)) + coords
 
 
 def write_nodes(scheme: Scheme, contents: Sequence[NodeContent]) -> bytes:
     p = scheme.params
-    head = struct.pack("<B6H", SCHEME_TAGS[scheme.name], p.n, p.k, p.d, p.t, p.l1, p.l2)
-    head += _field_descriptor(scheme.field)
-    head += struct.pack("<H", len(contents))
-    body = b""
+    field = scheme.field
+    parts = [struct.pack("<B6H", SCHEME_TAGS[scheme.name], p.n, p.k, p.d, p.t, p.l1, p.l2),
+             _field_descriptor(field.p, field.degree),
+             struct.pack("<H", len(contents))]
     for c in contents:
         if len(c.symbols) != scheme.alpha:
             raise ParameterError("content does not match the scheme's alpha")
-        body += struct.pack("<H", c.node_id)
-        for sym in c.symbols:
-            body += scheme.field.symbol_to_bytes(sym)
-    return head + body
+        parts.append(struct.pack("<H", c.node_id))
+        parts.append(field.symbols_to_bytes(c.symbols))
+    return b"".join(parts)
 
 
 def _unpack(fmt: str, data: bytes, off: int, what: str) -> tuple:
@@ -61,36 +77,38 @@ def _unpack(fmt: str, data: bytes, off: int, what: str) -> tuple:
 def read_nodes(data: bytes) -> tuple[SchemeParams, list[NodeContent]]:
     """Parse a node file; malformed, short or truncated input, a record node
     id outside [1, n] and a node id repeated within the file raise
-    ParameterError."""
+    ParameterError (a bad coordinate raises ValueError)."""
     tag, n, k, d, t, l1, l2 = _unpack("<B6H", data, 0, "header")
     off = 13
     p, m, modlen = _unpack("<IHH", data, off, "field descriptor")
-    off += 8
     if tag not in _TAG_TO_SCHEME:
         raise ParameterError(f"unknown scheme tag {tag}")
     params = SchemeParams(n=n, k=k, d=d, t=t, l1=l1, l2=l2, scheme=_TAG_TO_SCHEME[tag])
-    scheme = make_scheme(params)
-    field = scheme.field
-    if (field.p, field.degree) != (p, m):
-        raise ParameterError(
-            f"file field GF({p}^{m}) does not match the scheme's {field!r}")
-    if modlen:
-        w = field.coord_width
-        (raw,) = _unpack(f"{modlen * w}s", data, off, "field modulus")
-        coeffs = tuple(int.from_bytes(raw[i * w:(i + 1) * w], "little")
-                       for i in range(modlen))
-        off += modlen * w
-        if isinstance(field, ExtField) and coeffs != field.modulus:
-            raise ParameterError("modulus mismatch; file from an incompatible build")
+    fp, fm, alpha, layout = SCHEME_CLASSES[params.scheme].node_format(params)
+    if fm > 1 and not fits_word_slots(fp, fm):
+        raise ParameterError(f"GF({fp}^{fm}) is too large for 64-bit digit slots")
+    if (p, m) != (fp, fm):
+        name = f"GF({fp})" if fm == 1 else f"GF({fp}^{fm})"
+        raise ParameterError(f"file field GF({p}^{m}) does not match the scheme's {name}")
+    expected = _field_descriptor(fp, fm)
+    # sized by the header's own coefficient count: a file cut inside it is
+    # reported as truncated
+    (descriptor,) = _unpack(f"{8 + modlen * coordinate_bytes(fp)}s", data, off,
+                            "field modulus")
+    if descriptor != expected:
+        raise ParameterError("modulus mismatch; file from an incompatible build")
+    off += len(expected)
     (count,) = _unpack("<H", data, off, "record count")
     off += 2
-    sym_bytes = field.symbol_bytes
-    end = off + count * (2 + scheme.alpha * sym_bytes)
+    field = ext_field(fp, fm)
+    record = alpha * field.symbol_bytes
+    end = off + count * (2 + record)
     if end > len(data):
         raise ParameterError(
             f"node file truncated: {len(data)} bytes, {count} records need {end}")
     if end < len(data):
         raise ParameterError("trailing bytes in node file")
+    decode = field.symbols_from_bytes
     contents = []
     seen: set[int] = set()
     for _ in range(count):
@@ -101,9 +119,6 @@ def read_nodes(data: bytes) -> tuple[SchemeParams, list[NodeContent]]:
         if node_id in seen:
             raise ParameterError(f"node id {node_id} appears twice in one file")
         seen.add(node_id)
-        syms = []
-        for _ in range(scheme.alpha):
-            syms.append(field.symbol_from_bytes(data[off:off + sym_bytes]))
-            off += sym_bytes
-        contents.append(NodeContent(node_id, tuple(syms), scheme.layout))
+        contents.append(NodeContent(node_id, tuple(decode(data[off:off + record])), layout))
+        off += record
     return params, contents

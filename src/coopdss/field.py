@@ -128,6 +128,25 @@ def binomial_prime(lo: int, m: int) -> int:
     return p
 
 
+def coordinate_bytes(p: int) -> int:
+    """Bytes of one serialised GF(p) coordinate: the fewest that hold p-1."""
+    return ((p - 1).bit_length() + 7) // 8
+
+
+def _product_bound(p: int, m: int) -> int:
+    """The largest digit one product of reduced GF(p^m) elements leaves after
+    the fold: m*(p-1)^2 per product digit, plus one top digit times the
+    binomial's scalar c < p."""
+    return m * (p - 1) ** 2 * p
+
+
+def fits_word_slots(p: int, m: int) -> bool:
+    """Whether GF(p^m) fits ExtField's 64-bit digit slots: a word must hold
+    the sum of m products (one Moore row) and of the 2 of an elimination
+    entry, about m^2 p^3 < 2^64.  Cheap for any m: it builds nothing."""
+    return 0xFFFFFFFFFFFFFFFF // _product_bound(p, m) >= max(m, 2)
+
+
 def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     """The modulus of GF(p^m): X^m + c0 with the least c0 in [1, p) that
     makes it irreducible, as coefficients (c0, 0, ..., 0, 1).
@@ -166,7 +185,7 @@ class PrimeField:
         self.degree = 1
         self.zero = 0
         self.one = 1
-        self.coord_width = ((p - 1).bit_length() + 7) // 8
+        self.coord_width = coordinate_bytes(p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -235,16 +254,27 @@ class PrimeField:
     def elements(self) -> Iterator[int]:
         return iter(range(self.p))
 
+    def symbols_to_bytes(self, symbols: Sequence[int]) -> bytes:
+        """The symbols, coord_width little-endian bytes each."""
+        w = self.coord_width
+        return b"".join([a.to_bytes(w, "little") for a in symbols])
+
+    def symbols_from_bytes(self, bs: bytes) -> list[int]:
+        """Every symbol of `bs` (coord_width bytes each), with one range check."""
+        w = self.coord_width
+        if len(bs) % w:
+            raise ValueError("wrong symbol width")
+        symbols = [int.from_bytes(bs[i:i + w], "little") for i in range(0, len(bs), w)]
+        _check_coords(symbols, self.p)
+        return symbols
+
     def symbol_to_bytes(self, a: int) -> bytes:
         return a.to_bytes(self.coord_width, "little")
 
     def symbol_from_bytes(self, bs: bytes) -> int:
         if len(bs) != self.coord_width:
             raise ValueError("wrong symbol width")
-        v = int.from_bytes(bs, "little")
-        if v >= self.p:
-            raise ValueError(f"coordinate {v} out of range for GF({self.p})")
-        return v
+        return self.symbols_from_bytes(bs)[0]
 
     @property
     def symbol_bytes(self) -> int:
@@ -278,20 +308,15 @@ class ExtField:
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         p = base.p
-        # bound on the largest digit one product of reduced elements leaves
-        # after the fold: m*(p-1)^2 per product digit, plus one top digit
-        # times the binomial's scalar c < p
-        bound = m * (p - 1) ** 2 * p
-        # 32-bit words when m products fit them, else 64-bit
-        self._db = db = 32 if 0xFFFFFFFF // bound >= m else 64
-        self._mask = mask = (1 << db) - 1
-        # terms a sum may hold before it must be reduced (see dot).  A field
-        # whose 64-bit words cannot hold m products (one Moore row) or the 2
-        # of an elimination entry is refused; this also caps the extension
-        # degree before p^m is built (about m^2 p^3 < 2^64)
-        self._dot_chunk = mask // bound
-        if self._dot_chunk < max(m, 2):
+        # refused before p^m is built: this caps the extension degree
+        if not fits_word_slots(p, m):
             raise ValueError(f"GF({p}^{m}) is too large for 64-bit digit slots")
+        bound = _product_bound(p, m)
+        # 32-bit words when m products fit them, else 64-bit
+        self._db = db = 32 if 0xFFFFFFFF // bound >= max(m, 2) else 64
+        self._mask = mask = (1 << db) - 1
+        # terms a sum may hold before it must be reduced (see dot)
+        self._dot_chunk = mask // bound
 
         self.base = base
         self.p = p
@@ -495,13 +520,41 @@ class ExtField:
 
     # -- serialization --------------------------------------------------------
     # A symbol is its m coordinates, coord_width little-endian bytes each: the
-    # low coord_width bytes of each word of the packed element.
+    # low coord_width bytes of each word of the packed element.  A run of
+    # symbols converts in one pass: byte i of every coordinate moves to byte i
+    # of its word with one slice assignment, for any coord_width.
 
     @property
     def symbol_bytes(self) -> int:
         return self.m * self.coord_width
 
+    def symbols_to_bytes(self, symbols: Sequence[int]) -> bytes:
+        """The symbols, m coordinates of coord_width bytes each."""
+        w, wb, size = self.coord_width, self._db // 8, self._words.size
+        words = b"".join([a.to_bytes(size, "little") for a in symbols])
+        out = bytearray(len(words) // wb * w)
+        for i in range(w):
+            out[i::w] = words[i::wb]
+        return bytes(out)
+
+    def symbols_from_bytes(self, bs: bytes) -> list[int]:
+        """Every symbol of `bs` (symbol_bytes each), with one range check
+        over all their coordinates."""
+        w, wb = self.coord_width, self._db // 8
+        if len(bs) % (self.m * w):
+            raise ValueError("wrong symbol width")
+        ncoords = len(bs) // w
+        words = bytearray(ncoords * wb)
+        for i in range(w):
+            words[i::wb] = bs[i::w]
+        _check_coords(struct.unpack(f"<{ncoords}{'I' if wb == 4 else 'Q'}", words), self.p)
+        view = memoryview(words)
+        size = self._words.size
+        return [int.from_bytes(view[j:j + size], "little") for j in range(0, len(words), size)]
+
     def symbol_to_bytes(self, a: int) -> bytes:
+        # one symbol without the run's list and join: the trace writer calls
+        # this once per transferred symbol
         w, wb = self.coord_width, self._db // 8
         words = a.to_bytes(self._words.size, "little")
         out = bytearray(self.m * w)
@@ -510,18 +563,16 @@ class ExtField:
         return bytes(out)
 
     def symbol_from_bytes(self, bs: bytes) -> int:
-        w, wb = self.coord_width, self._db // 8
-        if len(bs) != self.m * w:
+        if len(bs) != self.m * self.coord_width:
             raise ValueError("wrong symbol width")
-        words = bytearray(self._words.size)
-        for i in range(w):
-            words[i::wb] = bs[i::w]
-        p = self.p
-        coords = self._words.unpack(words)
-        if max(coords) >= p:
-            bad = next(c for c in coords if c >= p)
-            raise ValueError(f"coordinate {bad} out of range for GF({p})")
-        return int.from_bytes(words, "little")
+        return self.symbols_from_bytes(bs)[0]
+
+
+def _check_coords(coords: Sequence[int], p: int) -> None:
+    """Raise on the first coordinate outside [0, p)."""
+    if coords and max(coords) >= p:
+        bad = next(c for c in coords if c >= p)
+        raise ValueError(f"coordinate {bad} out of range for GF({p})")
 
 
 _FIELD_CACHE: dict[tuple[int, int], object] = {}

@@ -87,10 +87,9 @@ class SimTrace:
 
 
 def _build_inputs(scheme: Scheme, config: SimConfig):
-    u, r = scheme.random_inputs(config.seed)
-    if config.secret is not None:
-        u = tuple(config.secret)
-    return u, r
+    if config.secret is None:
+        return scheme.random_inputs(config.seed)
+    return tuple(config.secret), scheme.random_r(config.seed)
 
 
 def _choose_helpers(scheme: Scheme, survivors, round_idx: int, config: SimConfig):

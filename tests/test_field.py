@@ -658,8 +658,9 @@ def test_inverse_matches_per_op_reference(case):
         assert got is ref is F.UnderdeterminedError
 
 
-# p >= 256: two coordinate bytes (GF(257^2)), three on 64-bit words (GF(65537^8))
-@pytest.mark.parametrize("p,m", [(257, 2), (65537, 8), (31, 30)])
+# p >= 256: two coordinate bytes (GF(257^2)), three on 64-bit words (GF(65537^8));
+# m = 1 gives the prime fields
+@pytest.mark.parametrize("p,m", [(257, 2), (65537, 8), (31, 30), (257, 1), (65537, 1)])
 @KERNEL_SETTINGS
 @given(data=st.data())
 def test_symbol_bytes_roundtrip_and_range(p, m, data):
@@ -679,6 +680,17 @@ def test_symbol_bytes_roundtrip_and_range(p, m, data):
         f.symbol_from_bytes(bad_raw)
     with pytest.raises(ValueError, match="wrong symbol width"):
         f.symbol_from_bytes(raw[:-1])
+    # a run of symbols converts in one pass, each symbol as it would alone
+    run = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=m, max_size=m),
+                             max_size=3))
+    symbols = [a] + [f.from_coords(cs) for cs in run]
+    run_raw = raw + b"".join(c.to_bytes(w, "little") for cs in run for c in cs)
+    assert f.symbols_to_bytes(symbols) == run_raw
+    assert f.symbols_from_bytes(run_raw) == symbols
+    with pytest.raises(ValueError, match=f"coordinate {bad} out of range"):
+        f.symbols_from_bytes(run_raw + bad_raw)
+    with pytest.raises(ValueError, match="wrong symbol width"):
+        f.symbols_from_bytes(run_raw + raw[:-1])
 
 
 # ---------------------------------------------------------
