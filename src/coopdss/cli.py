@@ -11,9 +11,9 @@ t*gamma, in `verify-secrecy --mode both` a rank verdict that differs from the
 brute-force one in leakage or in either lemma flag.  COOPDSS_SEED provides
 the default seed.
 
-Byte <-> symbol packing: GF(p) takes one byte per symbol (values >= p are
-rejected); GF(p^m) takes m base-field coordinates per symbol, coordinate 0
-first, little-endian coordinate bytes.
+Byte <-> symbol packing (`symbols_to_bytes` / `symbols_from_bytes`): a GF(p)
+coordinate takes the fewest little-endian bytes that hold p-1, and values
+>= p are rejected; a GF(p^m) symbol is its m coordinates, coordinate 0 first.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import sim as sim_mod
-from .codes import make_scheme, nodeio
-from .codes.base import ParameterError, RepairTranscript, SchemeParams
-from .field import NoSolutionError, UnderdeterminedError
+from .codes import SCHEME_CLASSES, make_scheme, nodeio
+from .codes.base import RepairTranscript, SchemeParams
 from .precode import random_symbols
 from .secrecy import InstanceTooLargeError, brute_force_leakage, rank_leakage
 
-SCHEME_CHOICES = ("mbcr-exact", "mbcr-bivariate", "mscr-ia", "mscr-dk", "insecure-demo")
+SCHEME_CHOICES = tuple(SCHEME_CLASSES)
 
 
 class UsageError(ValueError):
@@ -176,6 +175,8 @@ def cmd_repair(ns) -> int:
     scheme = make_scheme(params)
     failed = frozenset(_ids(ns.failed))
     survivors = {c.node_id: c for c in contents if c.node_id not in failed}
+    if len(survivors) < params.d:
+        raise UsageError(f"need at least d={params.d} surviving nodes, have {len(survivors)}")
     tr = scheme.cooperative_repair(failed, survivors)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -387,8 +388,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return ns.func(ns)
-    except (UsageError, ParameterError, NoSolutionError, UnderdeterminedError,
-            ValueError) as exc:
+    except ValueError as exc:  # usage, parameter and linear-system errors alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -43,6 +43,7 @@ from ..field import (
     binomial_prime,
     cauchy_inverse,
     ext_field,
+    fits_word_slots,
     moore_matrix,  # noqa: F401  re-exported: perfbench's tracer wraps it by this name
     prime_field,
     vandermonde_inverse,
@@ -112,6 +113,11 @@ class MbcrExactScheme(GabidulinScheme):
         if n != d + t:
             raise ParameterError(f"{cls.name} requires n = d + t")
         m_total = k * (2 * d + t - k)
+        # the word-width cap falls as p grows: refuse at the least candidate
+        # p before any primality test
+        if m_total > 1 and not fits_word_slots(d + n - 1, m_total):
+            raise ParameterError(f"GF(p^{m_total}), p >= {d + n - 1}, is too large "
+                                 "for 64-bit digit slots")
         return (_base_prime(n, d, m_total), m_total, 2 * d + t - 1,
                 (("x", k), ("y", d - k), ("z", n - 1)))
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..field import binomial_prime, ext_field, prime_field, vandermonde_inverse
+from ..field import binomial_prime, ext_field, fits_word_slots, prime_field, vandermonde_inverse
 from .base import (
     GabidulinScheme,
     NodeContent,
@@ -46,6 +46,10 @@ class MscrDkScheme(GabidulinScheme):
         n, k, d, t = params.n, params.k, params.d, params.t
         if d != k:
             raise ParameterError(f"{cls.name} requires d = k")
+        # the word-width cap falls as p grows: refuse at the least candidate
+        # p before any primality test
+        if k * t > 1 and not fits_word_slots(n, k * t):
+            raise ParameterError(f"GF(p^{k * t}), p >= {n}, is too large for 64-bit digit slots")
         return binomial_prime(n, k * t), k * t, t, (("shares", t),)
 
     def __init__(self, params: SchemeParams):

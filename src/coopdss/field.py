@@ -25,9 +25,16 @@ Pernet, FFLAS-FFPACK, 2008):
 - each elimination entry, pv*a - c*b, is two raw products reduced once;
 - each back-substitution entry is a `dot` over the solved tail.
 
+Inverses are closed forms too: a constant inverts in GF(p), and any other a
+by its norm, a^-1 = N(a)^-1 * prod_{0<i<m} a^(p^i) with N(a) in GF(p)
+(`ExtField.inv`): m-1 Frobenius maps and m-1 products, no polynomial
+division.
+
 The modulus depends on (p, m) alone, so every encoded byte is reproducible
 across runs and platforms.  Serialisation goes through the base-field
-coordinates, so bytes do not depend on the slot layout.
+coordinates, so bytes do not depend on the slot layout.  Each field class
+has one codec pair, `symbols_to_bytes` / `symbols_from_bytes`, for a run of
+symbols; node files, the CLI and the trace writer all use it.
 
 Rank and solving use fraction-free Gaussian elimination with first-nonzero
 pivoting: no divisions during elimination, no tolerances, deterministic.
@@ -47,7 +54,7 @@ from __future__ import annotations
 import struct
 from math import prod
 from operator import mul as _int_mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class NoSolutionError(ValueError):
@@ -56,32 +63,6 @@ class NoSolutionError(ValueError):
 
 class UnderdeterminedError(ValueError):
     """The linear system is consistent but rank-deficient."""
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficient lists (index i = coeff of X^i)
-# ---------------------------------------------------------------------------
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = a[:]
-    _poly_trim(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    q = [0] * max(0, len(a) - df)
-    while len(a) - 1 >= df and a:
-        shift = len(a) - 1 - df
-        c = (a[-1] * inv_lead) % p
-        q[shift] = c
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - c * fi) % p
-        _poly_trim(a)
-    return q, a
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -196,9 +177,6 @@ class PrimeField:
     def __repr__(self):
         return f"GF({self.p})"
 
-    def element(self, value: int) -> int:
-        return value % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
@@ -245,15 +223,6 @@ class PrimeField:
             raise ValueError("prime-field element has one coordinate")
         return coords[0] % self.p
 
-    def from_int(self, i: int) -> int:
-        return i % self.p
-
-    def to_int(self, a: int) -> int:
-        return a
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
-
     def symbols_to_bytes(self, symbols: Sequence[int]) -> bytes:
         """The symbols, coord_width little-endian bytes each."""
         w = self.coord_width
@@ -267,14 +236,6 @@ class PrimeField:
         symbols = [int.from_bytes(bs[i:i + w], "little") for i in range(0, len(bs), w)]
         _check_coords(symbols, self.p)
         return symbols
-
-    def symbol_to_bytes(self, a: int) -> bytes:
-        return a.to_bytes(self.coord_width, "little")
-
-    def symbol_from_bytes(self, bs: bytes) -> int:
-        if len(bs) != self.coord_width:
-            raise ValueError("wrong symbol width")
-        return self.symbols_from_bytes(bs)[0]
 
     @property
     def symbol_bytes(self) -> int:
@@ -380,24 +341,6 @@ class ExtField:
             raise ValueError("too many coordinates")
         return self._pack([c % self.p for c in coords])
 
-    def from_int(self, i: int) -> int:
-        """Canonical integer encoding: base-p digits are the coordinates."""
-        coords = []
-        for _ in range(self.m):
-            coords.append(i % self.p)
-            i //= self.p
-        return self._pack(coords)
-
-    def to_int(self, a: int) -> int:
-        v = 0
-        for c in reversed(self.coords(a)):
-            v = v * self.p + c
-        return v
-
-    def element(self, value: int) -> int:
-        """Embed a base-field int as a constant."""
-        return value % self.p
-
     def basis_element(self, i: int) -> int:
         if not 0 <= i < self.m:
             raise ValueError("basis index out of range")
@@ -446,33 +389,22 @@ class ExtField:
         return acc
 
     def inv(self, a: int) -> int:
+        """a^-1 by the norm: N(a) = a * prod_{0<i<m} a^(p^i) lies in GF(p),
+        so a^-1 = N(a)^-1 * prod_{0<i<m} a^(p^i) (Lidl & Niederreiter,
+        *Finite Fields*, Def. 2.27; Itoh & Tsujii, Inf. Comput. 1988).  m-1
+        Frobenius maps and m-1 products, one GF(p) inverse and one scaling;
+        `pow(a, order - 2)` is its test oracle."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         p = self.p
-        if a < p:  # a base-field constant
+        if a < p:  # a base-field constant (every element when m = 1)
             return pow(a, p - 2, p)
-        # extended Euclid over GF(p) coefficient lists
-        r0, r1 = list(self.modulus), _poly_trim(list(self.coords(a)))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _poly_divmod(r0, r1, p)
-            # s0 - q*s1
-            qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] = (qs[i + j] + qi * sj) % p
-            ns = [0] * max(len(s0), len(qs))
-            for i, c in enumerate(s0):
-                ns[i] = c
-            for i, c in enumerate(qs):
-                ns[i] = (ns[i] - c) % p
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_trim(ns)
-        if len(r0) != 1:
-            raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
-        lead_inv = pow(r0[0], p - 2, p)
-        return self._pack([(c * lead_inv) % p for c in s0])
+        conj = rest = self.frobenius(a)
+        for _ in range(self.m - 2):
+            conj = self.frobenius(conj)
+            rest = self.mul(rest, conj)
+        norm = self.mul(a, rest)  # a constant: its packed int is its value
+        return self.scalar_mul(pow(norm, p - 2, p), rest)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -514,10 +446,6 @@ class ExtField:
             table[j * p % m] = (j, pow(c, j * p // m, p))
         return tuple(table)
 
-    def elements(self) -> Iterator[int]:
-        for i in range(self.order):
-            yield self.from_int(i)
-
     # -- serialization --------------------------------------------------------
     # A symbol is its m coordinates, coord_width little-endian bytes each: the
     # low coord_width bytes of each word of the packed element.  A run of
@@ -551,21 +479,6 @@ class ExtField:
         view = memoryview(words)
         size = self._words.size
         return [int.from_bytes(view[j:j + size], "little") for j in range(0, len(words), size)]
-
-    def symbol_to_bytes(self, a: int) -> bytes:
-        # one symbol without the run's list and join: the trace writer calls
-        # this once per transferred symbol
-        w, wb = self.coord_width, self._db // 8
-        words = a.to_bytes(self._words.size, "little")
-        out = bytearray(self.m * w)
-        for i in range(w):
-            out[i::w] = words[i::wb]
-        return bytes(out)
-
-    def symbol_from_bytes(self, bs: bytes) -> int:
-        if len(bs) != self.m * self.coord_width:
-            raise ValueError("wrong symbol width")
-        return self.symbols_from_bytes(bs)[0]
 
 
 def _check_coords(coords: Sequence[int], p: int) -> None:

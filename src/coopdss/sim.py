@@ -41,13 +41,13 @@ class SimConfig:
     secret: tuple[int, ...] | None = None
     helper_mode: str = "lowest"  # or "random"
 
-    def resolved_plan(self, scheme: Scheme) -> tuple[frozenset[int], ...]:
+    def resolved_plan(self) -> tuple[frozenset[int], ...]:
         if self.failure_plan is not None:
             plan = tuple(frozenset(s) for s in self.failure_plan)
             if len(plan) != self.rounds:
                 raise ParameterError("failure plan length must equal rounds")
         else:
-            plan = tuple(self._random_plan(scheme))
+            plan = tuple(self._random_plan())
         for fs in plan:
             if len(fs) != self.params.t:
                 raise ParameterError("every failure set must have size t")
@@ -60,7 +60,7 @@ class SimConfig:
                 f"E2 nodes {missing} never fail in the plan; their downloads would not exist")
         return plan
 
-    def _random_plan(self, scheme: Scheme):
+    def _random_plan(self):
         stream = splitmix64(self.seed ^ 0xFA11)
         all_sets = list(combinations(range(1, self.params.n + 1), self.params.t))
         out = []
@@ -110,7 +110,7 @@ def _choose_helpers(scheme: Scheme, survivors, round_idx: int, config: SimConfig
 def run(config: SimConfig) -> SimTrace:
     """Execute the lifetime: encode, repair each round, keep every transcript."""
     scheme = make_scheme(config.params)
-    plan = config.resolved_plan(scheme)
+    plan = config.resolved_plan()
     u, r = _build_inputs(scheme, config)
     initial = tuple(scheme.encode(u, r))
     states: dict[int, NodeContent] = {c.node_id: c for c in initial}
@@ -199,8 +199,9 @@ def _replay(trace: SimTrace) -> tuple[bool, list[str]]:
 # trace serialization
 # ---------------------------------------------------------------------------
 
-def _sym_hex(field, value: int) -> str:
-    return field.symbol_to_bytes(value).hex()
+def _symbols_hex(field, values) -> str:
+    """The symbols of one transfer as hex, ':' between symbols."""
+    return field.symbols_to_bytes(values).hex(":", field.symbol_bytes)
 
 
 def trace_to_text(trace: SimTrace) -> str:
@@ -211,10 +212,10 @@ def trace_to_text(trace: SimTrace) -> str:
              f"{trace.config.rounds},{trace.config.seed}"]
     for round_idx, tr in enumerate(trace.transcripts):
         for (src, dst) in sorted(tr.live_transfers):
-            vals = ":".join(_sym_hex(f, v) for v in tr.live_transfers[(src, dst)])
+            vals = _symbols_hex(f, tr.live_transfers[(src, dst)])
             lines.append(f"transfer,{round_idx},{src},{dst},live,{vals}")
         for (src, dst) in sorted(tr.coop_transfers):
-            vals = ":".join(_sym_hex(f, v) for v in tr.coop_transfers[(src, dst)])
+            vals = _symbols_hex(f, tr.coop_transfers[(src, dst)])
             lines.append(f"transfer,{round_idx},{src},{dst},coop,{vals}")
         lines.append(f"summary,{round_idx},{trace.bandwidth[round_idx]}")
     ok, _ = replay_check(trace)
@@ -242,6 +243,12 @@ def trace_transfers_from_text(text: str):
                 "t": int(parts[5]), "l1": int(parts[6]), "l2": int(parts[7]),
                 "rounds": int(parts[8]), "seed": int(parts[9]),
             }
+            # the node-file header's 16-bit bound: a forged n cannot make
+            # the scheme build millions of evaluation points
+            for key in ("n", "k", "d", "t", "l1", "l2"):
+                if not 0 <= header[key] < 1 << 16:
+                    raise ValueError(f"trace line {lineno}: {key}={header[key]} "
+                                     "is outside [0, 65535]")
         elif parts[0] == "transfer":
             transfers.append((int(parts[1]), int(parts[2]), int(parts[3]),
                               parts[4], parts[5]))

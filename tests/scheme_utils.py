@@ -50,3 +50,28 @@ def linearized_eval(field, coeffs, g):
     for i, c in enumerate(coeffs):
         acc = field.add(acc, field.mul(c, field.pow(g, field.char ** i)))
     return acc
+
+
+def elem_from_int(field, i):
+    """The element whose coordinates are the base-p digits of i, coordinate
+    0 lowest: the canonical int encoding, for drawing and enumerating
+    elements in tests."""
+    coords = []
+    for _ in range(field.degree):
+        i, c = divmod(i, field.char)
+        coords.append(c)
+    return field.from_coords(coords)
+
+
+def elem_to_int(field, a):
+    """Inverse of `elem_from_int`."""
+    v = 0
+    for c in reversed(field.coords(a)):
+        v = v * field.char + c
+    return v
+
+
+def symbol_from_bytes(field, raw):
+    """The single symbol that `raw` encodes; ValueError unless it is one."""
+    [a] = field.symbols_from_bytes(raw)
+    return a

@@ -1,7 +1,13 @@
-"""Every public function and class of a coopdss module has a caller in the
-program (src/ or perfbench/), so no API lives only for its own tests.  A
-reference is a name, an attribute, an imported name, or a string equal to the
-name (perfbench wraps functions by name).
+"""Every public function, class and method of a coopdss module has a caller
+in the program (src/ or perfbench/), so no API lives only for its own tests.
+A reference is a name, an attribute, an imported name, or a string equal to
+the name (perfbench wraps functions and methods by name).  A method counts
+as used when code outside its own body refers to it, its class's other
+methods included; dunder and underscore methods are exempt.
+
+The check is by name, not by type: it cannot tell `ExtField.div` from the
+`PrimeField.div` that mscr-ia calls, so one caller of a method name keeps
+every method of that name alive.
 
 coopdss.bounds is left out.  Nine of its public names (s_max, cutset_value,
 coop_cutset_bound, compositions, CutConfig, ...) have only test callers: they
@@ -11,15 +17,13 @@ and whether they stay in src/ is a separate decision."""
 import ast
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 GUARDED = sorted(path.relative_to(ROOT).as_posix()
                  for path in (ROOT / "src/coopdss").rglob("*.py") if path.name != "bounds.py")
 
-
-def public_defs(tree):
-    return [node for node in tree.body
+def public_defs(scope):
+    """Public functions and classes of a module, or public methods of a class."""
+    return [node for node in scope.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")]
 
@@ -44,20 +48,42 @@ def program_trees():
             for path in files}
 
 
+def reference_units(tree):
+    """(top-level statement, class body item or None, names) for each piece
+    of a module that can refer to a definition: a top-level statement, or,
+    inside a class, its header and each body item on its own."""
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ClassDef):
+            yield stmt, None, referenced_names(stmt)
+            continue
+        header = stmt.bases + stmt.keywords + stmt.decorator_list
+        yield stmt, None, set().union(*map(referenced_names, header))
+        for item in stmt.body:
+            yield stmt, item, referenced_names(item)
+
+
 def unreferenced(trees):
-    """Public definitions of the guarded modules that no top-level statement
-    other than their own uses.  Iterated to a fixed point, so a definition
-    whose only users are themselves unreferenced is reported too."""
-    stmts = [(stmt, referenced_names(stmt)) for tree in trees.values() for stmt in tree.body]
-    defs = [node for module in GUARDED for node in public_defs(trees[module])]
-    dead = []
+    """Public definitions of the guarded modules, and public methods of their
+    classes, that nothing outside their own body uses.  Iterated to a fixed
+    point, so a definition whose only users are themselves unreferenced is
+    reported too.  Methods are reported as Class.method."""
+    units = [unit for tree in trees.values() for unit in reference_units(tree)]
+    defs = []  # (label, node)
+    for module in GUARDED:
+        for node in public_defs(trees[module]):
+            defs.append((node.name, node))
+        for cls in trees[module].body:
+            if isinstance(cls, ast.ClassDef):
+                defs += [(f"{cls.name}.{meth.name}", meth) for meth in public_defs(cls)]
+    dead = set()
     while True:
-        newly = [d for d in defs if d not in dead
-                 and not any(d.name in names for stmt, names in stmts
-                             if stmt is not d and stmt not in dead)]
+        newly = [(label, node) for label, node in defs if node not in dead
+                 and not any(node.name in names for top, item, names in units
+                             if node is not top and node is not item
+                             and top not in dead and item not in dead)]
         if not newly:
-            return sorted(d.name for d in dead)
-        dead += newly
+            return sorted(label for label, node in defs if node in dead)
+        dead.update(node for _, node in newly)
 
 
 def test_public_api_has_a_program_caller():
@@ -69,10 +95,18 @@ def test_public_api_has_a_program_caller():
 
 
 def test_guard_flags_test_only_definitions():
-    # a recursive orphan, and a class whose only user is another orphan
+    # a recursive orphan, a class whose only user is another orphan, and a
+    # method of a live class that only calls itself
     trees = program_trees()
-    module = GUARDED[0]
-    trees[module].body += ast.parse(
+    module = "src/coopdss/field.py"
+    assert module in GUARDED
+    tree = trees[module]
+    tree.body += ast.parse(
         "def orphan(x):\n    return orphan(x - 1) if x else Orphaned()\n\n"
         "class Orphaned:\n    pass\n").body
-    assert unreferenced(trees) == ["Orphaned", "orphan"]
+    prime_field = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "PrimeField")
+    prime_field.body += ast.parse(
+        "def orphan_method(self, x):\n"
+        "    return self.orphan_method(x - 1) if x else self.mul(x, x)\n").body
+    assert unreferenced(trees) == ["Orphaned", "PrimeField.orphan_method", "orphan"]

@@ -1,20 +1,26 @@
 import dataclasses
+import functools
 import io
 import os
 import struct
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopdss import bounds as bounds_mod
+from coopdss import field as F
 from coopdss import sim as sim_mod
 from coopdss.cli import main
 from coopdss.codes import SCHEME_TAGS, MscrDkScheme, make_scheme, nodeio
 from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.precode import random_symbols
 from coopdss.secrecy import rank_leakage
+
+from scheme_utils import symbol_from_bytes
 
 
 def run_cli(args):
@@ -160,8 +166,11 @@ def test_forged_large_n_header_field_mismatch_exit2(tmp_path):
     ("mscr-ia", 30, 2, 28, 2, 1.0, "only for n in {4, 5}, not n=30"),
     # M = 47996000 coefficients: refused before the support is built
     ("mbcr-bivariate", 8000, 4000, 7999, 1, 1.0, "too large"),
+    # M = 2807761294: refused at the least candidate p = 117798, before the
+    # prime search for p
+    ("mbcr-exact", 62395, 33182, 55404, 6991, 1.0, "too large"),
 ], ids=["mbcr-exact-40", "mscr-dk-200", "mscr-dk-2000", "mbcr-exact-4000", "mscr-ia-30",
-        "mbcr-bivariate-8000"])
+        "mbcr-bivariate-8000", "mbcr-exact-62395"])
 def test_forged_header_exits_2_quickly(tmp_path, scheme_name, n, k, d, t, budget_s, error):
     blob = (struct.pack("<B6H", SCHEME_TAGS[scheme_name], n, k, d, t, 0, 0)
             + struct.pack("<IHH", 31, 44, 0) + struct.pack("<H", 0))
@@ -172,6 +181,26 @@ def test_forged_header_exits_2_quickly(tmp_path, scheme_name, n, k, d, t, budget
     assert time.perf_counter() - started < budget_s
     assert code == 2 and out == ""
     assert error in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scheme_name,n,k,d,t", [
+    ("mbcr-exact", 62395, 33182, 55404, 6991),
+    ("mscr-dk", 2000, 1000, 1000, 1000),
+], ids=["mbcr-exact-62395", "mscr-dk-2000"])
+def test_forged_wide_header_runs_no_primality_test(monkeypatch, scheme_name, n, k, d, t):
+    calls = []
+    is_prime = F._is_prime
+
+    def counting_is_prime(v):
+        calls.append(v)
+        return is_prime(v)
+
+    monkeypatch.setattr(F, "_is_prime", counting_is_prime)
+    blob = (struct.pack("<B6H", SCHEME_TAGS[scheme_name], n, k, d, t, 0, 0)
+            + struct.pack("<IHH", 31, 44, 0) + struct.pack("<H", 0))
+    with pytest.raises(ParameterError, match="too large"):
+        nodeio.read_nodes(blob)
+    assert calls == []
 
 
 # ---------------------------------------------------------
@@ -230,7 +259,7 @@ def test_encode_reconstruct_roundtrip(tmp_path):
 
     # identical to a direct library call
     scheme = make_scheme(SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme="mscr-dk"))
-    u = [scheme.field.symbol_from_bytes(secret[i:i + 4]) for i in range(0, 8, 4)]
+    u = [symbol_from_bytes(scheme.field, secret[i:i + 4]) for i in range(0, 8, 4)]
     r = random_symbols(scheme.field, scheme.n_random, 5)
     expect = scheme.encode(u, r)
     for c in expect:
@@ -286,6 +315,22 @@ def test_repair_writes_exact_nodes(tmp_path):
             (out_dir / f"node_{i:02d}.bin").read_bytes()
 
 
+def test_repair_too_few_survivors_exit2(tmp_path):
+    # exit 1 is reserved for a secrecy violation; one survivor where d = 2 is bad input
+    sf = tmp_path / "s.bin"
+    sf.write_bytes(bytes([1, 2, 3, 4, 4, 3, 2, 1]))
+    out_dir = tmp_path / "nodes"
+    assert run_cli(["encode", "--scheme", "mscr-dk", "--n", "4", "--k", "2", "--d", "2",
+                    "--t", "2", "--l1", "1", "--secret", str(sf), "--seed", "7",
+                    "--out", str(out_dir)])[0] == 0
+    rep = tmp_path / "rep"
+    code, out, err = run_cli(["repair", "--nodes", str(out_dir / "node_01.bin"),
+                              "--failed", "3,4", "--out", str(rep)])
+    assert code == 2 and out == ""
+    assert "error: need at least d=2 surviving nodes, have 1" in err
+    assert "Traceback" not in err and not rep.exists()
+
+
 # ---------------------------------------------------------
 # simulate / verify-secrecy
 # ---------------------------------------------------------
@@ -333,6 +378,72 @@ def test_verify_secrecy_malformed_trace_exit2(tmp_path, text, record):
     code, out, err = run_cli(["verify-secrecy", "--trace", str(trace_file), "--e2", "1"])
     assert code == 2 and out == ""
     assert f"{record} record has" in err
+
+
+@functools.lru_cache(maxsize=None)
+def _simulate_trace(scheme_name):
+    """The trace text `simulate` writes for a two-round lifetime."""
+    params = SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme=scheme_name)
+    config = sim_mod.SimConfig(params=params, rounds=2, seed=9,
+                               failure_plan=(frozenset({1, 2}), frozenset({1, 3})))
+    return sim_mod.trace_to_text(sim_mod.run(config))
+
+
+# replacement values for one comma-separated field of a trace line
+TRACE_FIELD_VALUES = st.one_of(
+    st.sampled_from(["", "0", "-1", "1", "2", "3", "4", "5", "65535", "65536", "live",
+                     "coop", "header", "transfer", "mscr-dk", "mbcr-exact", "mbcr-bivariate",
+                     "mscr-ia", "insecure-demo", "zz", "0102"]),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.text(max_size=8))
+
+
+@st.composite
+def mutated_traces(draw):
+    lines = _simulate_trace(draw(st.sampled_from(["mscr-dk", "mbcr-exact"]))).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["field", "field", "drop", "repeat"]))
+        if action == "drop":
+            del lines[i]
+        elif action == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            parts = lines[i].split(",")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(TRACE_FIELD_VALUES)
+            lines[i] = ",".join(parts)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+# printable text without surrogates, so that it encodes as UTF-8
+TRACE_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=200)
+FUZZ_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ_SETTINGS
+@given(st.one_of(TRACE_TEXT, mutated_traces()))
+def test_trace_parser_raises_only_value_error(text):
+    try:
+        sim_mod.trace_transfers_from_text(text)
+    except ValueError:
+        pass
+
+
+@FUZZ_SETTINGS
+@given(st.one_of(TRACE_TEXT, mutated_traces()),
+       st.sampled_from([[], ["--e1", "3"], ["--e2", "1"], ["--e1", "4", "--e2", "1"]]))
+def test_verify_secrecy_fuzzed_trace_exits_cleanly(text, eavesdroppers):
+    # hostile trace text ends in a verdict or a clean error code, quickly
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.log"
+        path.write_text(text, encoding="utf-8")
+        started = time.perf_counter()
+        code, _, err = run_cli(["verify-secrecy", "--trace", str(path), *eavesdroppers])
+        assert time.perf_counter() - started < 2.0
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
 
 
 def _edit_trace(text, edit):

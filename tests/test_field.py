@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from coopdss import field as F
 
-from scheme_utils import linearized_eval
+from scheme_utils import elem_from_int, elem_to_int, linearized_eval, symbol_from_bytes
 
 
 # ---------------------------------------------------------
@@ -33,7 +33,7 @@ def det_by_permutations(field, rows):
 
 def rand_elems(field, count, seed):
     rng = random.Random(seed)
-    return [field.from_int(rng.randrange(field.order)) for _ in range(count)]
+    return [elem_from_int(field, rng.randrange(field.order)) for _ in range(count)]
 
 
 def _poly_trim(a):
@@ -134,7 +134,7 @@ KERNEL_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, dat
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_prime_field_axioms_exhaustive(p):
     gf = F.prime_field(p)
-    els = list(gf.elements())
+    els = range(gf.order)
     for a in els:
         assert gf.add(a, gf.zero) == a
         assert gf.mul(a, gf.one) == a
@@ -164,16 +164,16 @@ def test_ext_field_axioms_sampled(p, m):
     for a, b, _ in zip(rand_elems(gf, 10, 4), rand_elems(gf, 10, 5), range(10)):
         assert gf.frobenius(gf.add(a, b)) == gf.add(gf.frobenius(a), gf.frobenius(b))
     for c in range(p):
-        assert gf.frobenius(gf.element(c)) == gf.element(c)
+        assert gf.frobenius(gf.from_coords([c])) == gf.from_coords([c])
 
 
 def test_ext_field_element_roundtrips():
     gf = F.ext_field(5, 4)
     for i in [0, 1, 5, 17, 80, gf.order - 1]:
-        a = gf.from_int(i)
-        assert gf.to_int(a) == i
+        a = elem_from_int(gf, i)
+        assert elem_to_int(gf, a) == i
         assert gf.from_coords(gf.coords(a)) == a
-        assert gf.symbol_from_bytes(gf.symbol_to_bytes(a)) == a
+        assert symbol_from_bytes(gf, gf.symbols_to_bytes([a])) == a
 
 
 def test_modulus_is_lex_first_irreducible():
@@ -259,7 +259,7 @@ def test_rank_equals_rank_of_transpose():
         gf = F.ext_field(p, m)
         for _ in range(10):
             nr, nc = rng.randrange(1, 6), rng.randrange(1, 6)
-            rows = [[gf.from_int(rng.randrange(gf.order)) for _ in range(nc)]
+            rows = [[elem_from_int(gf, rng.randrange(gf.order)) for _ in range(nc)]
                     for _ in range(nr)]
             mat = F.Matrix(gf, rows)
             assert mat.rank() == F.Matrix(gf, zip(*rows)).rank()
@@ -361,7 +361,7 @@ def dot_inputs(draw):
             return f.zero
         if roll < 0.3:
             return top
-        return f.from_int(rng.randrange(f.order))
+        return elem_from_int(f, rng.randrange(f.order))
 
     return f, [elem() for _ in range(length)], [elem() for _ in range(length)]
 
@@ -432,7 +432,7 @@ def test_word_width_follows_the_field():
 # GF(257^8) on 32-bit words, GF(257^16) on 64-bit words
 @pytest.mark.parametrize("p,m", [(31, 30), (43, 21), (7, 9), (257, 8), (257, 16)])
 def test_inv_of_base_field_constants(p, m):
-    # a packed constant c < p inverts to a constant; X still takes extended Euclid
+    # a packed constant c < p inverts to a constant; X takes the norm
     f = F.ext_field(p, m)
     for c in range(1, p):
         inv = f.inv(c)
@@ -441,11 +441,39 @@ def test_inv_of_base_field_constants(p, m):
     assert f.mul(x, f.inv(x)) == f.one
 
 
+# binomial fields on 32-bit words, GF(29^56) the largest degree, and on
+# 64-bit words (GF(257^16), GF(65537^8))
+INV_FIELDS = [(3, 2), (7, 6), (7, 9), (13, 24), (31, 30), (29, 56), (257, 16), (65537, 8)]
+
+
+@st.composite
+def nonzero_elements(draw):
+    f = F.ext_field(*draw(st.sampled_from(INV_FIELDS)))
+    kind = draw(st.sampled_from(("constant", "top", "random")))
+    if kind == "constant":
+        return f, f.from_coords([draw(st.integers(1, f.p - 1))])
+    if kind == "top":
+        return f, _all_digits_top(f)
+    return f, elem_from_int(f, draw(st.integers(1, f.order - 1)))
+
+
+@KERNEL_SETTINGS
+@given(nonzero_elements())
+def test_inv_by_norm_matches_pow(case):
+    # Fermat's a^(q-2) is the oracle for the norm formula
+    f, a = case
+    inv = f.inv(a)
+    assert inv == f.pow(a, f.order - 2)
+    assert f.mul(a, inv) == f.one
+    with pytest.raises(ZeroDivisionError):
+        f.inv(f.zero)
+
+
 @st.composite
 def matvec_inputs(draw):
     f = F.ext_field(*draw(st.sampled_from(SMALL_FIELDS)))
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    elem = st.integers(0, f.order - 1).map(f.from_int)
+    elem = st.integers(0, f.order - 1).map(lambda i: elem_from_int(f, i))
     rows = draw(st.lists(st.lists(elem, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     vec = draw(st.lists(elem, min_size=ncols, max_size=ncols))
@@ -605,7 +633,7 @@ def ext_matrices(draw, square=False):
     zero_share = draw(st.sampled_from([0.0, 0.3, 0.7]))
 
     def elem():
-        return f.zero if rng.random() < zero_share else f.from_int(rng.randrange(f.order))
+        return f.zero if rng.random() < zero_share else elem_from_int(f, rng.randrange(f.order))
 
     rows = [[elem() for _ in range(ncols)] for _ in range(nrows)]
     if nrows > 1 and draw(st.booleans()):
@@ -669,17 +697,17 @@ def test_symbol_bytes_roundtrip_and_range(p, m, data):
     coords = data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
     a = f.from_coords(coords)
     raw = b"".join(c.to_bytes(w, "little") for c in coords)  # coordinate 0 first
-    assert f.symbol_to_bytes(a) == raw
-    assert f.symbol_from_bytes(raw) == a
+    assert f.symbols_to_bytes([a]) == raw
+    assert symbol_from_bytes(f, raw) == a
     assert f.coords(a) == tuple(coords)
     # any coordinate at or past p is rejected
     idx = data.draw(st.integers(0, m - 1))
     bad = data.draw(st.integers(p, 256 ** w - 1))
     bad_raw = raw[:idx * w] + bad.to_bytes(w, "little") + raw[(idx + 1) * w:]
     with pytest.raises(ValueError, match=f"coordinate {bad} out of range"):
-        f.symbol_from_bytes(bad_raw)
+        symbol_from_bytes(f, bad_raw)
     with pytest.raises(ValueError, match="wrong symbol width"):
-        f.symbol_from_bytes(raw[:-1])
+        symbol_from_bytes(f, raw[:-1])
     # a run of symbols converts in one pass, each symbol as it would alone
     run = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=m, max_size=m),
                              max_size=3))
@@ -703,8 +731,8 @@ def moore_eval(gf, coeffs, g):
 
 def test_eval_linearized_degree_zero():
     gf = F.ext_field(5, 2)
-    c = gf.from_int(9)
-    g = gf.from_int(13)
+    c = elem_from_int(gf, 9)
+    g = elem_from_int(gf, 13)
     assert F.moore_matrix(gf, [g, gf.zero], 1).matvec([c]) == [gf.mul(c, g), gf.zero]
     assert linearized_eval(gf, (c,), g) == gf.mul(c, g)
 
@@ -726,7 +754,7 @@ def test_linearized_is_base_field_linear():
 
 def test_interpolate_single_point():
     gf = F.ext_field(7, 3)
-    c = gf.from_int(5)
+    c = elem_from_int(gf, 5)
     g = gf.basis_element(1)
     assert F.moore_matrix(gf, [g], 1).solve([gf.mul(c, g)]) == [c]
 
@@ -762,8 +790,9 @@ def test_evaluation_map_injective_on_independent_points():
     gf = F.ext_field(3, 2)
     moore = F.moore_matrix(gf, F.basis_elements(gf, 2), 2)
     seen = {}
-    for c0 in gf.elements():
-        for c1 in gf.elements():
+    elements = [elem_from_int(gf, i) for i in range(gf.order)]
+    for c0 in elements:
+        for c1 in elements:
             key = tuple(moore.matvec([c0, c1]))
             assert key not in seen, "evaluation map collided"
             seen[key] = (c0, c1)
@@ -829,8 +858,8 @@ def frobenius_inputs(draw):
     if kind == "top":
         return f, _all_digits_top(f)
     if kind == "constant":
-        return f, f.element(draw(st.integers(0, f.p - 1)))
-    return f, f.from_int(draw(st.integers(0, f.order - 1)))
+        return f, f.from_coords([draw(st.integers(0, f.p - 1))])
+    return f, elem_from_int(f, draw(st.integers(0, f.order - 1)))
 
 
 @KERNEL_SETTINGS

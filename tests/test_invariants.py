@@ -124,6 +124,27 @@ def test_gabidulin_schemes_share_the_field_moore_matrix(params, size, digest):
     assert hashlib.sha256(blobs[0]).hexdigest() == digest
 
 
+# sha256 of trace_to_text for one seeded 4-round lifetime each: traces are
+# a file format, so their text must not change with the writer's code
+GOLDEN_TRACE = [
+    (SchemeParams(n=5, k=3, d=3, t=2, l1=1, scheme="mbcr-exact"), "random", 2471,
+     "784091d5729ddaf1edcb0247bd2365864784e5c64adc32207c0732d68035f4bc"),
+    (SchemeParams(n=6, k=3, d=3, t=3, l1=1, l2=1, scheme="mscr-dk"), "lowest", 2432,
+     "95cc599ef67dde1b3756def965af3d673143f644625a845b48eb0adb503f6659"),
+    (SchemeParams(n=5, k=3, d=3, t=2, l1=1, scheme="mbcr-bivariate"), "random", 907,
+     "f318a9fb7fcd769bc5db8aac3af05e884aee01ee352a1dae789c6f2ccc52f26c"),
+]
+
+
+@pytest.mark.parametrize("params,helper_mode,size,digest", GOLDEN_TRACE,
+                         ids=[p.scheme for p, _, _, _ in GOLDEN_TRACE])
+def test_trace_text_golden(params, helper_mode, size, digest):
+    config = sim_mod.SimConfig(params=params, rounds=4, seed=3, helper_mode=helper_mode)
+    text = sim_mod.trace_to_text(sim_mod.run(config))
+    assert len(text) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_params_validation():
     with pytest.raises(ParameterError):
         SchemeParams(n=4, k=3, d=2, t=2).validate()  # k > d

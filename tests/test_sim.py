@@ -6,6 +6,8 @@ from coopdss import sim as sim_mod
 from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.secrecy import rank_leakage
 
+from scheme_utils import symbol_from_bytes
+
 
 def config_for(scheme="mbcr-exact", n=4, k=2, d=2, t=2, l1=0, l2=0, **kw):
     params = SchemeParams(n=n, k=k, d=d, t=t, l1=l1, l2=l2, scheme=scheme)
@@ -118,7 +120,7 @@ def test_trace_text_roundtrip():
     for round_idx, src, dst, kind, hexvals in transfers:
         tr = trace.transcripts[round_idx]
         table = tr.live_transfers if kind == "live" else tr.coop_transfers
-        vals = tuple(f.symbol_from_bytes(bytes.fromhex(h)) for h in hexvals.split(":"))
+        vals = tuple(symbol_from_bytes(f, bytes.fromhex(h)) for h in hexvals.split(":"))
         assert table[(src, dst)] == vals
 
 
