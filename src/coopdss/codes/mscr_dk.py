@@ -17,6 +17,10 @@ already admits one.
 
 Secure size: Ms = (k - l1 - l2) * max(0, t - l2); encode
 refuses when it is zero (an E2 eavesdropper with l2 >= t sees every m_j).
+The guarantee holds over a lifetime only while each E2 node is repaired at
+one sorted position of its failure sets: at two positions it recovers two
+vectors m_s and the whole secret leaks.  No fixed per-node slot avoids this
+when n > t, since two nodes of one slot can fail together.
 """
 
 from __future__ import annotations

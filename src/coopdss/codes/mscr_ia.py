@@ -7,35 +7,47 @@ a + B_i b with B_i = diag(w^{e(i,j)}) over GF(q), w a generator.
 Secure file packing: Case 1, (l1,l2) = (1,0), Ms = alpha: a_j = r_j,
 b_j = r_j + u_j (one-time pad per coordinate).  Case 2, (l1,l2) = (0,1),
 Ms = alpha - 1: additionally b_alpha = r_{alpha+1}, pure randomness.  With
-(0,0) the whole file is data.  The Case-2 guarantee covers one repair round
-of the E2 node: repaired again with a different partner, it downloads a
-second, independent combination and one secret symbol leaks (n = 4, E2 = {1},
-rounds {1,2} then {1,3}: leakage 1, by rank and by brute force alike).
+(0,0) the whole file is data.  Both guarantees hold over any number of
+repair rounds (see the repair paragraphs below).
 
-Field and exponent profile come from a two-entry table, `_PLACEMENTS`:
+Field, exponent profile and per-node repair exponents e_v come from a
+two-entry table, `_PLACEMENTS`:
 
-    n = 4 (alpha = 2):  q = 7,  profile "arithmetic"
-    n = 5 (alpha = 3):  q = 11, profile "vandermonde"
+    n = 4 (alpha = 2):  q = 7,  profile "arithmetic",  e_v = (0, 0, 2, 3)
+    n = 5 (alpha = 3):  q = 11, profile "vandermonde", e_v = (0, 1, 2, 4, 1)
 
-Each entry is the smallest odd prime q, and then the first profile in
-("arithmetic", "vandermonde"), such that the placement is per-coordinate MDS,
-every repair pair's alignment systems are invertible, and the Case-1/Case-2
-secrecy rank checks pass for every placement.  The exhaustive search that
-establishes the table lives in the tests as its oracle; it finds no placement
-for n = 6 with q < 512, so every other n is rejected at once.  A field of
+Each entry is the smallest odd prime q, then the first profile in
+("arithmetic", "vandermonde"), then the lexicographically first exponents,
+such that the placement is per-coordinate MDS, every repair pair's alignment
+systems are invertible, and the secrecy rank checks pass: Case 1 for every
+node, Case 2 for every E2 node repaired once with each partner.  The
+exhaustive search that establishes the table lives in the tests as its
+oracle; no n = 6 placement with q < 512 passes even its exponent-free rank
+check, so every other n is rejected at once.  A field of
 size n-1 cannot work: per coordinate the n-2 distinct multipliers cannot all
 avoid -1, and a multiplier of -1 strips the pad off one secret symbol.  The
 "arithmetic" profile e(i,j) = (i-1)+j yields pairwise-proportional B_i,
 making cooperative repair infeasible for alpha >= 3, hence the "vandermonde"
 profile e(i,j) = (i-1)*(j+1) at n = 5.
 
-Repair of a failed pair {X, Y}: write each survivor's content as
-E_m sX + F_m sY (diagonal E_m, F_m).  For X's side every helper m sends
-(1/F_m) . s_m, aligning the sY interference onto the all-ones functional
-z.sY; Y (after its own phase-1 downloads) sends one combination whose
-sY part is again proportional to z.  X then solves alpha+1 equations in
-{sX, z.sY}.  One symbol per helper and per peer: beta = beta' = 1,
-gamma = d + 1.
+Repair of a failed pair {X, Y} (interference alignment after Suh &
+Ramchandran, IEEE Trans. IT 2011): node v stores pa_v[j] a_j + pb_v[j] b_j;
+write D_uv[j] = pa_u[j] pb_v[j] - pa_v[j] pb_u[j].  By Cramer's rule
+survivor m stores s_m = (D_mY sX + D_Xm sY) / D_XY per coordinate.  Helper m
+sends X the one symbol (w^(e_X j) / D_Xm[j]) . s_m, whoever the partner is;
+its value is row_m . sX + c_X . sY with c_X[j] = w^(e_X j) / D_XY[j], so the
+sY interference aligns onto c_X . sY.  Y sends one combination of its own
+downloads whose sY part is a multiple of c_X . sY, and X solves alpha+1
+equations in {sX, c_X . sY}.  One symbol per helper and per peer:
+beta = beta' = 1, gamma = d + 1.
+
+Modulo X's own content, every symbol a helper ever sends X is one and the
+same functional (of b, or of a for node 2), and each peer's symbol is a
+combination of X's content and that functional.  Over any lifetime X's view
+therefore has rank at most alpha + 1 = |r|, and the Case-2 guarantee holds
+after any number of repairs.  A target chosen per failed pair would make X
+download a new functional with each partner and leak the secret (Goparaju,
+El Rouayheb, Calderbank & Poor, NetCod 2013, on what repair downloads leak).
 """
 
 from __future__ import annotations
@@ -53,8 +65,9 @@ from .base import (
     SchemeParams,
 )
 
-# n -> (q, profile); see the module docstring for why no other n appears
-_PLACEMENTS = {4: (7, "arithmetic"), 5: (11, "vandermonde")}
+# n -> (q, profile, repair exponent e_v of each node v); see the module
+# docstring for why no other n appears
+_PLACEMENTS = {4: (7, "arithmetic", (0, 0, 2, 3)), 5: (11, "vandermonde", (0, 1, 2, 4, 1))}
 
 
 def _exponent(profile: str, i: int, j: int) -> int:
@@ -66,19 +79,12 @@ def _exponent(profile: str, i: int, j: int) -> int:
     raise ValueError(profile)
 
 
-def find_placement(n: int) -> tuple[int, str]:
-    """(q, profile) of the placement table for this n."""
+def find_placement(n: int) -> tuple[int, str, tuple[int, ...]]:
+    """(q, profile, repair exponents) of the placement table for this n."""
     try:
         return _PLACEMENTS[n]
     except KeyError:
         raise ParameterError(f"mscr-ia has a placement only for n in {{4, 5}}, not n={n}") from None
-
-
-def _solve2(p: int, m00: int, m01: int, m10: int, m11: int,
-            v0: int, v1: int) -> tuple[int, int]:
-    """Cramer's rule for [[m00, m01], [m10, m11]] x = (v0, v1) over GF(p)."""
-    inv = pow(m00 * m11 - m01 * m10, -1, p)
-    return (v0 * m11 - m01 * v1) * inv % p, (m00 * v1 - v0 * m10) * inv % p
 
 
 class MscrIaScheme(Scheme):
@@ -96,7 +102,7 @@ class MscrIaScheme(Scheme):
             raise ParameterError(f"{cls.name} requires n = d + t")
         if (params.l1, params.l2) not in ((0, 0), (1, 0), (0, 1)):
             raise ParameterError(f"{cls.name} supports (l1,l2) in {{(0,0),(1,0),(0,1)}}")
-        q, _ = find_placement(n)
+        q = find_placement(n)[0]
         return q, 1, d, (("shares", d),)  # alpha = d = d - k + t
 
     def __init__(self, params: SchemeParams):
@@ -113,7 +119,7 @@ class MscrIaScheme(Scheme):
             self.secure_size = self.file_size
 
         self.field = prime_field(q)
-        self.profile = profile = _PLACEMENTS[params.n][1]
+        _, profile, self.exponents = _PLACEMENTS[params.n]
         self.w = self.field.primitive_element()
         # multipliers[i][j] for redundancy node i = 1..alpha (global id i+2)
         self.multipliers = [
@@ -126,7 +132,7 @@ class MscrIaScheme(Scheme):
         for i in range(1, self.alpha + 1):
             self._pa[i + 2] = [1] * self.alpha
             self._pb[i + 2] = self.multipliers[i - 1][:]
-        self._strategy_cache: dict = {}  # (pair, helpers) -> _repair_strategy's result
+        self._strategies: dict = {}  # failed pair -> _repair_strategy's result
 
     # -- file packing -------------------------------------------------------------
 
@@ -186,14 +192,15 @@ class MscrIaScheme(Scheme):
         return nodes
 
     def _solve_file(self, c1: NodeContent, c2: NodeContent) -> tuple[list[int], list[int]]:
-        pa1, pb1 = self._pa[c1.node_id], self._pb[c1.node_id]
-        pa2, pb2 = self._pa[c2.node_id], self._pb[c2.node_id]
+        """(a, b) from two nodes' contents, by Cramer's rule per coordinate."""
+        p = self.field.p
+        u, v = c1.node_id, c2.node_id
         a, b = [], []
-        for j in range(self.alpha):
-            aj, bj = _solve2(self.field.p, pa1[j], pb1[j], pa2[j], pb2[j],
-                             c1.symbols[j], c2.symbols[j])
-            a.append(aj)
-            b.append(bj)
+        for j, duv in enumerate(self._det(u, v)):
+            inv = pow(duv, -1, p)
+            su, sv = c1.symbols[j], c2.symbols[j]
+            a.append((su * self._pb[v][j] - self._pb[u][j] * sv) * inv % p)
+            b.append((self._pa[u][j] * sv - su * self._pa[v][j]) * inv % p)
         return a, b
 
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
@@ -212,143 +219,82 @@ class MscrIaScheme(Scheme):
 
     # -- repair -------------------------------------------------------------------------
 
-    def _ef_diagonals(self, failed_pair: tuple[int, int]) -> dict[int, tuple[list[int], list[int]]]:
-        """Per-survivor diagonals (E_m, F_m) with s_m = E_m sX + F_m sY."""
-        pa, pb = self._pa, self._pb
-        x_id, y_id = failed_pair
-        out = {}
-        for m in range(1, self.params.n + 1):
-            if m in failed_pair:
-                continue
-            e_diag, f_diag = [], []
-            for j in range(self.alpha):
-                em, fm = _solve2(self.field.p, pa[x_id][j], pa[y_id][j], pb[x_id][j], pb[y_id][j],
-                                 pa[m][j], pb[m][j])
-                e_diag.append(em)
-                f_diag.append(fm)
-            out[m] = (e_diag, f_diag)
-        return out
+    def _det(self, u: int, v: int) -> list[int]:
+        """D_uv[j] = pa_u[j] pb_v[j] - pa_v[j] pb_u[j] for each coordinate j."""
+        p = self.field.p
+        return [(au * bv - av * bu) % p
+                for au, bu, av, bv in zip(self._pa[u], self._pb[u], self._pa[v], self._pb[v])]
 
-    def _geometric_target(self, e: int) -> list[int]:
-        """Deterministic alignment-target family: (w^(e*j))_j, e = 0 first."""
-        f = self.field
-        return [f.pow(self.w, e * j) for j in range(self.alpha)]
+    def _transfer(self, helper: int, newcomer: int) -> list[int]:
+        """Coefficients w^(e_N j) / D_Nm[j] of the one symbol helper m sends
+        newcomer N, the same in every repair of N whoever its partner is."""
+        p = self.field.p
+        e = self.exponents[newcomer - 1]
+        return [pow(self.w, e * j, p) * pow(djm, -1, p) % p
+                for j, djm in enumerate(self._det(newcomer, helper))]
 
-    def _helper_rows(self, ef, helpers, target, recover_first):
-        """sX-side rows of the helper downloads for the given target vector.
+    def _repair_strategy(self, pair: tuple[int, int]) -> dict[int, tuple[list[int], list[list[int]]]]:
+        """newcomer -> (lam, rows of its (alpha+1)-system) for one failed pair.
 
-        Helper m sends (target / F_m) . s_m  (resp. / E_m), whose value is
-        row_m . s_recovered + target . s_other.
+        With partner P, helper m's symbol for N reads row_m . sN + c_N . sP
+        with c_N[j] = w^(e_N j) / D_NP[j] and row_m[j] = transfer[j] D_mP[j] /
+        D_NP[j].  The peer sends lam . (its downloads), whose sN part is
+        sum(lam) c_P . sN and whose sP part is mu c_N . sP; the first
+        nullspace lam that makes the system regular wins.  Cached per pair:
+        the helpers are always every survivor.
         """
+        if pair in self._strategies:
+            return self._strategies[pair]
         f = self.field
-        rows = []
-        for m in helpers:
-            e_diag, f_diag = ef[m]
-            num, den = (e_diag, f_diag) if recover_first else (f_diag, e_diag)
-            rows.append([f.mul(target[j], f.div(num[j], den[j]))
-                         for j in range(self.alpha)])
-        return rows
-
-    def _peer_combo(self, peer_rows: list[list[int]], target: list[int]):
-        """(lambda, mu) with sum_m lambda_m peer_rows[m] = mu * target."""
-        f = self.field
-        d = len(peer_rows)
-        sys_rows = [[peer_rows[m][j] for m in range(d)] + [f.neg(target[j])]
-                    for j in range(self.alpha)]
-        return [(vec[:d], vec[d]) for vec in Matrix(f, sys_rows, ncols=d + 1).nullspace()]
-
-    def _repair_strategy(self, pair: tuple[int, int], helpers: tuple[int, ...]):
-        """Deterministic alignment data for one failed pair.
-
-        Returns (cx, cy, (lam_x, mu_x), (lam_y, mu_y)): the X/Y target
-        vectors and the peer combinations (the X entry is the combination the
-        peer Y applies to its own downloads for X's benefit).  First working
-        candidate in the fixed search order wins; cached per (pair, helpers).
-        """
-        key = (pair, helpers)
-        cache = self._strategy_cache
-        if key in cache:
-            return cache[key]
-        f = self.field
-        alpha = self.alpha
-        ef = self._ef_diagonals(pair)
-        span = min(f.p - 1, 8)  # bounded deterministic target family
-        for ex in range(span):
-            cx = self._geometric_target(ex)
-            rows_x = self._helper_rows(ef, helpers, cx, recover_first=True)
-            for ey in range(span):
-                cy = self._geometric_target(ey)
-                rows_y = self._helper_rows(ef, helpers, cy, recover_first=False)
-                combo_x = self._resolve_side(rows_x, rows_y, cx, cy)
-                if combo_x is None:
-                    continue
-                combo_y = self._resolve_side(rows_y, rows_x, cy, cx)
-                if combo_y is None:
-                    continue
-                cache[key] = (cx, cy, combo_x, combo_y)
-                return cache[key]
-        raise RepairInfeasibleError(
-            f"no alignment strategy for failed pair {sorted(pair)}")
-
-    def _resolve_side(self, own_rows, peer_rows, own_target, peer_target):
-        """Pick (lambda, mu) making the (alpha+1)-system for this side regular."""
-        f = self.field
-        alpha = self.alpha
-        for lam, mu in self._peer_combo(peer_rows, own_target):
-            lam_sum = f.zero
-            for lm in lam:
-                lam_sum = f.add(lam_sum, lm)
-            sys_rows = [row + [f.one] for row in own_rows]
-            sys_rows.append([f.mul(lam_sum, peer_target[j]) for j in range(alpha)] + [mu])
-            if Matrix(f, sys_rows, ncols=alpha + 1).rank() == alpha + 1:
-                return lam, mu
-        return None
+        p, alpha = f.p, self.alpha
+        helpers = [m for m in range(1, self.params.n + 1) if m not in pair]
+        targets, rows = {}, {}
+        for newcomer, peer in (pair, pair[::-1]):
+            inv_dnp = [pow(x, -1, p) for x in self._det(newcomer, peer)]
+            e = self.exponents[newcomer - 1]
+            targets[newcomer] = [pow(self.w, e * j, p) * x % p for j, x in enumerate(inv_dnp)]
+            rows[newcomer] = [[c * dmp * x % p for c, dmp, x in
+                               zip(self._transfer(m, newcomer), self._det(m, peer), inv_dnp)]
+                              for m in helpers]
+        strategy = {}
+        for newcomer, peer in (pair, pair[::-1]):
+            null_rows = [[row[j] for row in rows[peer]] + [-targets[newcomer][j] % p]
+                         for j in range(alpha)]
+            for vec in Matrix(f, null_rows, ncols=alpha + 1).nullspace():
+                lam, mu = vec[:alpha], vec[alpha]
+                sys_rows = [row + [1] for row in rows[newcomer]]
+                sys_rows.append([sum(lam) * c % p for c in targets[peer]] + [mu])
+                if Matrix(f, sys_rows, ncols=alpha + 1).rank() == alpha + 1:
+                    strategy[newcomer] = lam, sys_rows
+                    break
+            else:
+                raise RepairInfeasibleError(f"no alignment strategy for failed pair {list(pair)}")
+        self._strategies[pair] = strategy
+        return strategy
 
     def cooperative_repair(self, failed: Iterable[int],
                            survivors: Mapping[int, NodeContent],
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
         f = self.field
-        alpha = self.alpha
         failed = self._validate_failed(failed, survivors)
         helpers = self._pick_helpers(failed, survivors, helpers)
         if set(helpers) != set(survivors):
             raise ParameterError(f"{self.name} repair contacts all d = n-t survivors")
-        x_id, y_id = sorted(failed)
-        ef = self._ef_diagonals((x_id, y_id))
-        cx, cy, (lam_x, mu_x), (lam_y, mu_y) = self._repair_strategy((x_id, y_id), helpers)
-        # phase 1 downloads
-        vals_x, vals_y = {}, {}
+        pair = tuple(sorted(failed))
+        strategy = self._repair_strategy(pair)
         live: dict[tuple[int, int], tuple[int, ...]] = {}
         for m in helpers:
-            e_diag, f_diag = ef[m]
-            vx = [f.div(cx[j], f_diag[j]) for j in range(alpha)]
-            vy = [f.div(cy[j], e_diag[j]) for j in range(alpha)]
-            vals_x[m] = f.dot(vx, survivors[m].symbols)
-            vals_y[m] = f.dot(vy, survivors[m].symbols)
-            live[(m, x_id)] = (vals_x[m],)
-            live[(m, y_id)] = (vals_y[m],)
-        rows_x = self._helper_rows(ef, helpers, cx, recover_first=True)
-        rows_y = self._helper_rows(ef, helpers, cy, recover_first=False)
-        solved = {}
+            for newcomer in pair:
+                live[(m, newcomer)] = (f.dot(self._transfer(m, newcomer), survivors[m].symbols),)
         coop: dict[tuple[int, int], tuple[int, ...]] = {}
-        for target, own_rows, own_vals, peer_vals, peer, own_c, peer_c, lam, mu in (
-                (x_id, rows_x, vals_x, vals_y, y_id, cx, cy, lam_x, mu_x),
-                (y_id, rows_y, vals_y, vals_x, x_id, cy, cx, lam_y, mu_y)):
-            peer_val = f.zero
-            for lm, m in zip(lam, helpers):
-                if lm != f.zero:
-                    peer_val = f.add(peer_val, f.mul(lm, peer_vals[m]))
-            lam_sum = f.zero
-            for lm in lam:
-                lam_sum = f.add(lam_sum, lm)
-            sys_rows = [row + [f.one] for row in own_rows]
-            sys_rows.append([f.mul(lam_sum, peer_c[j]) for j in range(alpha)] + [mu])
-            rhs = [own_vals[m] for m in helpers] + [peer_val]
-            sol = Matrix(f, sys_rows, ncols=alpha + 1).solve(rhs)
-            solved[target] = sol[:alpha]
-            coop[(peer, target)] = (peer_val,)
-        results = [NodeContent(x_id, tuple(solved[x_id]), self.layout),
-                   NodeContent(y_id, tuple(solved[y_id]), self.layout)]
+        results = []
+        for newcomer, peer in (pair, pair[::-1]):
+            lam, sys_rows = strategy[newcomer]
+            peer_val = sum(lm * live[(m, peer)][0] for lm, m in zip(lam, helpers)) % f.p
+            coop[(peer, newcomer)] = (peer_val,)
+            rhs = [live[(m, newcomer)][0] for m in helpers] + [peer_val]
+            sol = Matrix(f, sys_rows, ncols=self.alpha + 1).solve(rhs)
+            results.append(NodeContent(newcomer, tuple(sol[:self.alpha]), self.layout))
         return RepairTranscript(failed=failed, helpers=helpers,
                                 live_transfers=live, coop_transfers=coop,
                                 results=tuple(results))
@@ -382,23 +328,13 @@ class MscrIaScheme(Scheme):
 
     def _download_rows(self, tr: RepairTranscript,
                        newcomer: int) -> list[tuple[list[int], list[int]]]:
-        f = self.field
-        alpha = self.alpha
-        x_id, y_id = sorted(tr.failed)
-        ef = self._ef_diagonals((x_id, y_id))
-        cx, cy, combo_x, combo_y = self._repair_strategy((x_id, y_id), tr.helpers)
-        recover_first = newcomer == x_id
-        own_c, peer_c = (cx, cy) if recover_first else (cy, cx)
-        lam, _ = combo_x if recover_first else combo_y
+        (peer,) = tr.failed - {newcomer}
+        lam, _ = self._repair_strategy(tuple(sorted(tr.failed)))[newcomer]
         own_rows, peer_rows = [], []
         for m in tr.helpers:
-            e_diag, f_diag = ef[m]
-            own_den, peer_den = (f_diag, e_diag) if recover_first else (e_diag, f_diag)
             stored = self._stored_rows(m)
-            own_rows.append(self._combine_rows(
-                [f.div(own_c[j], own_den[j]) for j in range(alpha)], stored))
-            peer_rows.append(self._combine_rows(
-                [f.div(peer_c[j], peer_den[j]) for j in range(alpha)], stored))
+            own_rows.append(self._combine_rows(self._transfer(m, newcomer), stored))
+            peer_rows.append(self._combine_rows(self._transfer(m, peer), stored))
         # the peer's one cooperative symbol combines its own phase-1 downloads
         return own_rows + [self._combine_rows(lam, peer_rows)]
 

@@ -206,9 +206,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.p)
 
@@ -405,9 +402,6 @@ class ExtField:
             rest = self.mul(rest, conj)
         norm = self.mul(a, rest)  # a constant: its packed int is its value
         return self.scalar_mul(pow(norm, p - 2, p), rest)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

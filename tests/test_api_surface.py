@@ -5,9 +5,9 @@ the name (perfbench wraps functions and methods by name).  A method counts
 as used when code outside its own body refers to it, its class's other
 methods included; dunder and underscore methods are exempt.
 
-The check is by name, not by type: it cannot tell `ExtField.div` from the
-`PrimeField.div` that mscr-ia calls, so one caller of a method name keeps
-every method of that name alive.
+The check is by name, not by type: it cannot tell `ExtField.inv` from
+`PrimeField.inv`, so one caller of a method name keeps every method of that
+name alive.
 
 coopdss.bounds is left out.  Nine of its public names (s_max, cutset_value,
 coop_cutset_bound, compositions, CutConfig, ...) have only test callers: they

@@ -7,8 +7,8 @@ from coopdss import sim as sim_mod
 from coopdss.codes import make_scheme, mscr_ia
 from coopdss.codes.base import ParameterError, RepairInfeasibleError, SchemeParams
 from coopdss.codes.mscr_ia import find_placement
-from coopdss.field import prime_field
-from coopdss.secrecy import rank_leakage
+from coopdss.field import Matrix, prime_field
+from coopdss.secrecy import brute_force_leakage, rank_leakage
 
 from scheme_utils import check_faithful, leakage_of, sweep_reconstruct, sweep_repair
 
@@ -21,8 +21,8 @@ def scheme_for(n, l1, l2):
 def test_placement_search_results():
     # n=4 keeps the literal exponent profile over the first secure prime;
     # n=5 needs the Vandermonde profile (see the mscr_ia module docstring)
-    assert find_placement(4) == (7, "arithmetic")
-    assert find_placement(5) == (11, "vandermonde")
+    assert find_placement(4) == (7, "arithmetic", (0, 0, 2, 3))
+    assert find_placement(5) == (11, "vandermonde", (0, 1, 2, 4, 1))
 
 
 # -- the placement search: the oracle behind mscr_ia's table ----------------------
@@ -46,35 +46,80 @@ def prefilter_placement(n, q, profile):
     return True
 
 
-def validate_placement(n):
-    """Every reconstruction and cooperative repair works, and the Case-1/Case-2
-    secrecy rank checks pass for every placement, under the current
-    find_placement."""
+def placed_scheme(n, entry, monkeypatch, l1=1, l2=0):
+    """The scheme built under the table entry `entry` for this n; the table
+    itself is restored before the caller compares with it."""
+    with monkeypatch.context() as patch:
+        patch.setitem(mscr_ia._PLACEMENTS, n, entry)
+        return scheme_for(n, l1, l2)
+
+
+def alignment_rank_ok(scheme):
+    """Exponent-free necessary condition: for every ordered failed pair
+    (X, Y), the helpers' sX rows up to the target's scaling, G[m][j] =
+    D_mY[j] / D_Xm[j], have rank alpha with the all-ones column appended."""
+    f, n, alpha = scheme.field, scheme.params.n, scheme.alpha
+    for x, y in itertools.permutations(range(1, n + 1), 2):
+        rows = [[dmy * pow(dxm, -1, f.p) % f.p
+                 for dmy, dxm in zip(scheme._det(m, y), scheme._det(x, m))] + [1]
+                for m in range(1, n + 1) if m not in (x, y)]
+        if Matrix(f, rows, ncols=alpha + 1).rank() != alpha:
+            return False
+    return True
+
+
+def feasible_exponents(n, q, profile, monkeypatch):
+    """pair -> the (e_X, e_Y) in range(q-1)^2 for which the pair's repair
+    strategy exists; the other nodes' exponents do not enter it."""
+    feasible = {}
+    for pair in itertools.combinations(range(1, n + 1), 2):
+        feasible[pair] = set()
+        for ex, ey in itertools.product(range(q - 1), repeat=2):
+            table = tuple(ex if v == pair[0] else ey if v == pair[1] else 0
+                          for v in range(1, n + 1))
+            try:
+                placed_scheme(n, (q, profile, table), monkeypatch)._repair_strategy(pair)
+            except RepairInfeasibleError:
+                continue
+            feasible[pair].add((ex, ey))
+    return feasible
+
+
+def exponent_tables(n, q, feasible, prefix=()):
+    """Every (e_1, ..., e_n) in range(q-1)^n, lexicographically, with
+    (e_X, e_Y) feasible for every pair X < Y."""
+    v = len(prefix) + 1
+    if v > n:
+        yield prefix
+        return
+    for e in range(q - 1):
+        if all((prefix[u - 1], e) in feasible[(u, v)] for u in range(1, v)):
+            yield from exponent_tables(n, q, feasible, prefix + (e,))
+
+
+def validate_placement(n, entry, monkeypatch):
+    """Every reconstruction and cooperative repair works, the Case-1 secrecy
+    rank check passes for every node, and the Case-2 one passes for every E2
+    node over its all-partners lifetime, under the table entry `entry`."""
     for l1, l2 in ((1, 0), (0, 1)):
-        try:
-            scheme = scheme_for(n, l1, l2)
-        except (ParameterError, ZeroDivisionError):
-            return False
+        scheme = placed_scheme(n, entry, monkeypatch, l1, l2)
         u, r = scheme.random_inputs(0x1A)
-        try:
-            nodes = scheme.encode(u, r)
-            for pair in itertools.combinations(range(1, n + 1), 2):
-                if scheme.reconstruct([nodes[i - 1] for i in pair]) != u:
-                    return False
-            transcripts = {}
-            for pair in itertools.combinations(range(1, n + 1), 2):
-                surv = {c.node_id: c for c in nodes if c.node_id not in pair}
-                tr = scheme.cooperative_repair(pair, surv)
-                if any(res != nodes[res.node_id - 1] for res in tr.results):
-                    return False
-                transcripts[pair] = tr
-        except (RepairInfeasibleError, ParameterError, ZeroDivisionError, ValueError):
-            return False
+        nodes = scheme.encode(u, r)
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            if scheme.reconstruct([nodes[i - 1] for i in pair]) != u:
+                return False
+        transcripts = {}
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            surv = {c.node_id: c for c in nodes if c.node_id not in pair}
+            tr = scheme.cooperative_repair(pair, surv)
+            if any(res != nodes[res.node_id - 1] for res in tr.results):
+                return False
+            transcripts[pair] = tr
         if (l1, l2) == (1, 0):
             checks = [((e,), (), ()) for e in range(1, n + 1)]
         else:
-            checks = [((), (e,), (transcripts[pair],))
-                      for pair in transcripts for e in pair]
+            checks = [((), (e,), [tr for pair, tr in transcripts.items() if e in pair])
+                      for e in range(1, n + 1)]
         for e1, e2, trs in checks:
             obs = scheme.observation_matrix(e1, e2, trs)
             rank, pivots = obs.joint().rank_profile()
@@ -84,20 +129,21 @@ def validate_placement(n):
 
 
 def search_placement(n, monkeypatch):
-    """Smallest odd prime q, then first profile, passing both checks; None if
-    there is none below SEARCH_LIMIT."""
+    """Smallest odd prime q, then first profile, then the lexicographically
+    first feasible exponent table passing every check; None if there is none
+    below SEARCH_LIMIT."""
     for q in range(3, SEARCH_LIMIT, 2):
         if any(q % f == 0 for f in range(3, math.isqrt(q) + 1, 2)):
             continue
         for profile in PROFILES:
             if not prefilter_placement(n, q, profile):
                 continue
-            # the table entry is restored before the caller compares with it
-            with monkeypatch.context() as patch:
-                patch.setitem(mscr_ia._PLACEMENTS, n, (q, profile))
-                valid = validate_placement(n)
-            if valid:
-                return q, profile
+            if not alignment_rank_ok(placed_scheme(n, (q, profile, (0,) * n), monkeypatch)):
+                continue
+            feasible = feasible_exponents(n, q, profile, monkeypatch)
+            for table in exponent_tables(n, q, feasible):
+                if validate_placement(n, (q, profile, table), monkeypatch):
+                    return q, profile, table
     return None
 
 
@@ -110,6 +156,15 @@ def test_search_finds_nothing_past_the_table(monkeypatch):
     assert search_placement(6, monkeypatch) is None
     with pytest.raises(ParameterError, match=r"only for n in \{4, 5\}, not n=6"):
         find_placement(6)
+
+
+def test_exponent_table_gap_is_refused(monkeypatch):
+    # a table the closed form cannot serve fails loudly instead of searching
+    scheme = placed_scheme(4, (7, "arithmetic", (0, 0, 0, 0)), monkeypatch)
+    feasible = feasible_exponents(4, 7, "arithmetic", monkeypatch)
+    pair = next(pair for pair, ok in feasible.items() if (0, 0) not in ok)
+    with pytest.raises(RepairInfeasibleError, match="no alignment strategy"):
+        scheme._repair_strategy(pair)
 
 
 def test_requires_k_t_two_and_n_d_plus_t():
@@ -188,17 +243,27 @@ def test_case2_secrecy_every_node_and_pair():
                 assert obs.joint().rank() <= s.alpha + 1
 
 
-# The (0,1) guarantee covers one repair round of the E2 node; repaired again
-# with a different partner, it leaks one symbol (rank and brute force agree).
-# Strict: a construction that closes the leak turns these into failures.
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="mscr-ia Case 2 is secure for one repair round only")
-@pytest.mark.parametrize("n,e2,plan", [(4, 1, ((1, 2), (1, 3))), (5, 2, ((2, 5), (1, 2)))])
-def test_case2_secrecy_over_two_rounds(n, e2, plan):
-    config = sim_mod.SimConfig(params=scheme_for(n, 0, 1).params, rounds=len(plan),
+# Helper m sends newcomer X the same symbol whoever X's partner is, so X's
+# view over any lifetime lies in its view after one repair with each partner
+# (the all-partners plans): its content and one more functional, rank
+# alpha + 1 = |r|.  Rank and brute force both see no leakage.
+LIFETIME_PLANS = [(4, 1, ((1, 2), (1, 3))), (5, 2, ((2, 5), (1, 2)))] + [
+    (5, e, tuple(sorted((e, m)) for m in range(1, 6) if m != e)) for e in range(1, 6)]
+
+
+@pytest.mark.parametrize("n,e2,plan", LIFETIME_PLANS)
+def test_case2_secrecy_over_any_lifetime(n, e2, plan):
+    scheme = scheme_for(n, 0, 1)
+    config = sim_mod.SimConfig(params=scheme.params, rounds=len(plan),
                                failure_plan=tuple(frozenset(p) for p in plan), e2=(e2,))
     trace = sim_mod.run(config)
-    assert rank_leakage(sim_mod.observation(trace)).leakage_qunits == 0
+    assert sim_mod.replay_check(trace)[0] and trace.final == trace.initial
+    obs = sim_mod.observation(trace)
+    assert obs.joint().rank() <= scheme.n_random == scheme.alpha + 1
+    assert rank_leakage(obs).leakage_qunits == 0
+    if len(plan) == 4:
+        verdict = brute_force_leakage(scheme, (), (e2,), trace.transcripts)
+        assert verdict.leakage_qunits == 0
 
 
 def test_observation_faithfulness():
