@@ -36,8 +36,8 @@ from typing import Iterable, Mapping, Sequence
 
 from ..field import (
     Matrix,
-    basis_moore_inverse,
-    basis_moore_matrix,
+    basis_moore_apply,
+    basis_moore_inverse_apply,
     moore_matrix,
 )
 from ..precode import coefficients, random_symbols
@@ -373,8 +373,9 @@ class GabidulinScheme(Scheme):
     Gabidulin precoding polynomial f and a point h in GF(p)^M.
 
     The field is GF(p^M) with M = file_size, and f is evaluated at its
-    canonical basis, so the precoding Moore matrix and its inverse depend on
-    the field alone and come from the per-field cache in coopdss.field.
+    canonical basis, so the precoding Moore map and its inverse depend on
+    the field alone: both run from the per-field monomial table in
+    coopdss.field, with no product of two GF(p^M) elements.
 
     Subclasses give the points as `_stored_rows` and `_download_rows`, and
     each still defines `observation_matrix` (as `_point_observation`) in its
@@ -385,12 +386,16 @@ class GabidulinScheme(Scheme):
     base: object  # the prime field GF(p) of the point coordinates
 
     def _precode(self, u: Sequence[int], r: Sequence[int]) -> list[int]:
-        """The M Gabidulin evaluations x = Moore . (r || u)."""
-        return basis_moore_matrix(self.field).matvec(coefficients(u, r))
+        """The M Gabidulin evaluations x = Moore . (r || u), with Moore the
+        canonical-basis Moore matrix applied as GF(p)-scaled monomials
+        (`basis_moore_apply`).  Raises ValueError unless |r| + |u| = M."""
+        return basis_moore_apply(self.field, coefficients(u, r))
 
     def _secret_from_evaluations(self, x: Sequence[int]) -> tuple[int, ...]:
-        """u from the M evaluations: (r || u) = Moore^-1 . x."""
-        return tuple(basis_moore_inverse(self.field).matvec(x)[self.n_random:])
+        """u from the M evaluations: (r || u) = Moore^-1 . x, the inverse
+        applied in closed form from the same table
+        (`basis_moore_inverse_apply`).  Raises ValueError unless |x| = M."""
+        return tuple(basis_moore_inverse_apply(self.field, x)[self.n_random:])
 
     def _point_observation(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript]) -> PointObservation:

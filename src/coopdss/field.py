@@ -42,11 +42,14 @@ The schemes' repair and reconstruct systems run no elimination: they are
 base-field Vandermonde and Cauchy matrices, whose inverses are closed forms
 (`vandermonde_inverse`, `cauchy_inverse`) applied with `dot`.
 
-The Moore matrix of a field's canonical basis, the Gabidulin precoding map,
-and its inverse are built once per field and cached like the fields.  Both
-are closed forms on a binomial field: `frobenius` is a scaled digit
-permutation, and the inverse is the Moore matrix of the trace-dual basis, a
-scaled and permuted transpose (`basis_moore_inverse`); no elimination runs.
+The Gabidulin precoding map, the Moore matrix of a field's canonical basis,
+and its inverse are never built as matrices.  On a binomial field every
+entry of either is a GF(p)-scaled monomial c^a X^s, so one table of GF(p)
+ints per field, built in O(m^2) integer operations and cached like the
+fields, drives both (`basis_moore_apply`, `basis_moore_inverse_apply`):
+GF(p)-scalar dots and word shifts, one normalisation pass over all the
+outputs, and no product of two GF(p^m) elements.  The inverse is the Moore matrix of the
+trace-dual basis, a scaled and permuted transpose; no elimination runs.
 """
 
 from __future__ import annotations
@@ -320,6 +323,14 @@ class ExtField:
         digits = words.unpack(v.to_bytes(words.size, "little"))
         return int.from_bytes(words.pack(*[d % p for d in digits]), "little")
 
+    def _normalize_all(self, vs: Sequence[int]) -> list[int]:
+        """`_normalize` of each of vs, in one unpack and one pack."""
+        p, size, code = self.p, self._words.size, "I" if self._db == 32 else "Q"
+        count = len(vs) * self.m
+        run = struct.unpack(f"<{count}{code}", b"".join([v.to_bytes(size, "little") for v in vs]))
+        view = memoryview(struct.pack(f"<{count}{code}", *[d % p for d in run]))
+        return [int.from_bytes(view[j:j + size], "little") for j in range(0, len(view), size)]
+
     def _reduce(self, v: int) -> int:
         """A nonnegative sum of at most `_dot_chunk` products of reduced
         elements (2m-1 digits) back to a reduced element: fold the digits at
@@ -337,11 +348,6 @@ class ExtField:
         if len(coords) > self.m:
             raise ValueError("too many coordinates")
         return self._pack([c % self.p for c in coords])
-
-    def basis_element(self, i: int) -> int:
-        if not 0 <= i < self.m:
-            raise ValueError("basis index out of range")
-        return 1 << (self._db * i)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -502,20 +508,6 @@ def ext_field(p: int, m: int) -> ExtField:
         else:
             _FIELD_CACHE[key] = ExtField(prime_field(p), m)
     return _FIELD_CACHE[key]
-
-
-def basis_elements(ext: ExtField, count: int) -> list[int]:
-    """First `count` canonical basis elements 1, X, X^2, ... of GF(p^m).
-
-    Linearly independent over the base field by construction.
-    """
-    if count > ext.degree:
-        raise ValueError(f"requested {count} basis elements from degree-{ext.degree} field")
-    if isinstance(ext, PrimeField):
-        if count > 1:
-            raise ValueError("prime field has a single basis element")
-        return [1][:count]
-    return [ext.basis_element(i) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -778,49 +770,128 @@ def moore_matrix(field: ExtField, points: Sequence[int], ncoeffs: int) -> Matrix
                   ncols=ncoeffs)
 
 
-# field -> [Moore matrix of the canonical basis, its inverse or None]
-_BASIS_MOORE_CACHE: dict[object, list] = {}
+# ---------------------------------------------------------------------------
+# Gabidulin precoding: the canonical-basis Moore map as monomial tables
+# ---------------------------------------------------------------------------
+# The Moore matrix of the canonical basis 1, X, ..., X^(m-1) of GF(p^m) is
+# B[i][j] = (X^i)^(p^j) = X^e with e = i p^j.  X^m = c (the binomial's
+# scalar) and c^(p-1) = 1 make X^(m(p-1)) = 1, so with e reduced mod
+# m(p-1), B[i][j] = c^(e div m) X^(e mod m): one GF(p) scale and one shift
+# (Lidl & Niederreiter, *Finite Fields*, Sec. 3.4).  The shift is i*pi_j
+# mod m for the Frobenius class pi_j = p^j mod m of column j, so the columns
+# group by class: one class when p = 1 mod m, two or three on GF(13^24),
+# GF(29^56) and GF(7^9).  The inverse is the Moore matrix of the trace-dual
+# basis, a scaled and permuted transpose (`_build_basis_moore_table`).
+
+# field -> (column classes, forward rows, inverse shifts, inverse rows)
+_BASIS_MOORE_TABLES: dict[object, tuple] = {}
 
 
-def _basis_moore_entry(field) -> list:
-    entry = _BASIS_MOORE_CACHE.get(field)
-    if entry is None:
-        m = field.degree
-        entry = [moore_matrix(field, basis_elements(field, m), m), None]
-        _BASIS_MOORE_CACHE[field] = entry
-    return entry
+def _basis_moore_table(field: ExtField) -> tuple:
+    table = _BASIS_MOORE_TABLES.get(field)
+    if table is None:
+        table = _BASIS_MOORE_TABLES[field] = _build_basis_moore_table(field)
+    return table
 
 
-def basis_moore_matrix(field) -> Matrix:
-    """m x m Moore matrix of the canonical basis 1, X, ..., X^(m-1) of GF(p^m).
+def _build_basis_moore_table(field: ExtField) -> tuple:
+    """The monomials of B and of B^-1 as GF(p) ints, in O(m^2) integer
+    operations: no `frobenius`, no `moore_matrix`, no elimination.
 
-    It depends on the field alone, so it is built once per field and shared
-    by every caller; treat it as read-only.
+    The trace-dual basis of 1, X, ..., X^(m-1) is d_0 = 1/m and
+    d_l = X^(m-l) / (m c) for 0 < l < m: Tr(X^e) = 0 unless m | e,
+    Tr(1) = m, and p does not divide m.  With D[l][j] = d_l^(p^j),
+    (B D^T)[i][l] = Tr(X^i d_l) = [i = l], so B^-1 = D^T, and Frobenius fixes
+    the scales: B^-1[i][l] = s_l B[-l mod m][i] with s_0 = 1/m and
+    s_l = 1/(m c).  Output i of the inverse reads every input l shifted by
+    X^(-l pi_i), so the inverse keeps one shift per input for each class.
+
+    Returns (classes, forward, inverse_shifts, inverse_rows):
+      classes[k]         the columns of class k, ascending;
+      forward[i][k]      (up, down, scales over classes[k]) of row i of B,
+                         (up, down) the `_monomial_shifts` of its X^s;
+      inverse_shifts[k]  the `_monomial_shifts` of input l for class k, one per l;
+      inverse_rows[i]    (class of column i, scales over l) of row i of B^-1.
     """
-    return _basis_moore_entry(field)[0]
+    p, m, c = field.p, field.m, field._binomial_c
+    period = m * (p - 1)
+    powers = [pow(p, j, period) for j in range(m)]  # p^j mod m(p-1)
+    # B[i][j] = kappas[i][j] X^(i pi_j mod m)
+    kappas = [[pow(c, i * e % period // m, p) for e in powers] for i in range(m)]
+    pis = [e % m for e in powers]
+    members: dict[int, list[int]] = {}  # class pi -> its columns, first seen first
+    for j, pi in enumerate(pis):
+        members.setdefault(pi, []).append(j)
+    class_pis = list(members)
+    forward = tuple(tuple((*_monomial_shifts(field, i * pi % m), [kappas[i][j] for j in cols])
+                          for pi, cols in members.items())
+                    for i in range(m))
+    scales = [pow(m, p - 2, p)] + [pow(m * c, p - 2, p)] * (m - 1)
+    inverse_shifts = tuple([_monomial_shifts(field, -l * pi % m) for l in range(m)]
+                           for pi in class_pis)
+    inverse_rows = tuple((class_pis.index(pis[i]),
+                          [s * kappas[-l % m][i] % p for l, s in enumerate(scales)])
+                         for i in range(m))
+    return tuple(map(tuple, members.values())), forward, inverse_shifts, inverse_rows
 
 
-def basis_moore_inverse(field) -> Matrix:
-    """Inverse of `basis_moore_matrix(field)`, in closed form: a scaled,
-    permuted transpose of the Moore matrix B[i][j] = (X^i)^(p^j).
+def _monomial_shifts(field: ExtField, s: int) -> tuple[int, int]:
+    """(up, down) bit counts with a X^s = ((a << up) & low) + c (a >> down)
+    for 0 <= s < m, unreduced: the digits pushed to X^m and above fold back
+    times c, so a digit grows at most c-fold.  s = 0 gives down = m words,
+    which leaves a as it is."""
+    db, m = field._db, field.m
+    return s * db, (m - s) * db
 
-    The trace-dual basis of 1, X, ..., X^(m-1) (Lidl & Niederreiter,
-    *Finite Fields*, ch. 2) is d_0 = 1/m and d_l = X^(m-l) / (m c) for
-    0 < l < m, with X^m = c: Tr(X^e) = 0 unless m | e, Tr(1) = m, and p does
-    not divide m.  With D[l][j] = d_l^(p^j), (B D^T)[i][l] =
-    Tr(X^i d_l) = [i = l], so B^-1 = D^T.  Frobenius fixes the scales, so
-    B^-1[i][l] = s_l B[(m - l) mod m][i] with s_0 = 1/m and s_l = 1/(m c):
-    no elimination (`Matrix.inverse` is its test oracle).  Built on first
-    request, then shared like the matrix itself.
+
+def basis_moore_apply(field, coeffs: Sequence[int]) -> list[int]:
+    """x = B . coeffs for the Moore matrix B[i][j] = (X^i)^(p^j) of the
+    canonical basis of GF(p^m): the Gabidulin evaluations of the linearized
+    polynomial sum_j coeffs[j] X^(p^j) at 1, X, ..., X^(m-1).
+
+    x_i = sum_pi X^(i pi) . (sum_{j in pi} kappa_ij coeffs[j]): per class one
+    GF(p)-scalar dot and one shift, then one normalisation pass over every
+    output (`ExtField._normalize_all`).  A digit of a class sum is at most
+    |class| (p-1)^2 and the shift scales it by at most c < p, so every digit
+    of x_i before normalisation is below m (p-1)^2 p = `_product_bound(p, m)`,
+    which the field's words hold.  Raises ValueError unless len(coeffs) = m.
     """
-    entry = _basis_moore_entry(field)
-    if entry[1] is None:
-        moore = entry[0].rows
-        m, p = field.degree, field.char
-        scales = [pow(m, p - 2, p)]
-        if m > 1:
-            scales += [pow(m * field._binomial_c, p - 2, p)] * (m - 1)
-        entry[1] = Matrix(field, [[field.scalar_mul(s, moore[-l % m][i])
-                                   for l, s in enumerate(scales)]
-                                  for i in range(m)], ncols=m)
-    return entry[1]
+    m = field.degree
+    if len(coeffs) != m:
+        raise ValueError("dimension mismatch")
+    if m == 1:
+        return list(coeffs)  # B = [1]
+    classes, forward, _, _ = _basis_moore_table(field)
+    groups = [[coeffs[j] for j in cols] for cols in classes]  # coeffs in class order
+    low, c = field._low_mask, field._binomial_c
+    out = []
+    for row in forward:
+        acc = 0
+        for (up, down, kappas), group in zip(row, groups):
+            a = sum(map(_int_mul, kappas, group))
+            acc += ((a << up) & low) + c * (a >> down)  # a X^s, see `_monomial_shifts`
+        out.append(acc)
+    return field._normalize_all(out)
+
+
+def basis_moore_inverse_apply(field, values: Sequence[int]) -> list[int]:
+    """coeffs = B^-1 . values for the Moore matrix B of `basis_moore_apply`.
+
+    B^-1[i][l] = s_l B[-l mod m][i] (see `_build_basis_moore_table`): one
+    copy X^(-l pi) values[l] of each input per class pi, per output one
+    GF(p)-scalar dot over the copies of its class, then one normalisation
+    pass over every output.  A digit of a copy is at most (p-1) c, so every
+    digit of a dot is below m (p-1)^2 p = `_product_bound(p, m)`.  Raises
+    ValueError unless len(values) = m.
+    """
+    m = field.degree
+    if len(values) != m:
+        raise ValueError("dimension mismatch")
+    if m == 1:
+        return list(values)
+    _, _, inverse_shifts, inverse_rows = _basis_moore_table(field)
+    low, c = field._low_mask, field._binomial_c
+    copies = [[((x << up) & low) + c * (x >> down) for x, (up, down) in zip(values, shifts)]
+              for shifts in inverse_shifts]
+    return field._normalize_all([sum(map(_int_mul, scales, copies[k]))
+                                 for k, scales in inverse_rows])

@@ -1,0 +1,77 @@
+"""Dense reference forms of maps the program runs in closed form.
+
+The Gabidulin precoding map is the Moore matrix of the canonical basis
+1, X, ..., X^(m-1) of GF(p^m).  The program applies it, and its inverse,
+from a per-field table of GF(p)-scaled monomials
+(`coopdss.field.basis_moore_apply`, `basis_moore_inverse_apply`); here both
+are built as `Matrix` objects from `moore_matrix`, i.e. from `frobenius`, and
+cached per field, so the tables have an independent oracle.
+"""
+
+from coopdss.field import Matrix, PrimeField, moore_matrix
+
+
+def basis_element(field, i):
+    """X^i of GF(p^m), 0 <= i < m."""
+    if not 0 <= i < field.degree:
+        raise ValueError("basis index out of range")
+    return field.from_coords([0] * i + [1])
+
+
+def basis_elements(field, count):
+    """First `count` canonical basis elements 1, X, X^2, ... of GF(p^m).
+
+    Linearly independent over the base field by construction.
+    """
+    if count > field.degree:
+        raise ValueError(f"requested {count} basis elements from degree-{field.degree} field")
+    if isinstance(field, PrimeField):
+        return [1][:count]
+    return [basis_element(field, i) for i in range(count)]
+
+
+# field -> [Moore matrix of the canonical basis, its inverse or None]
+_BASIS_MOORE_CACHE = {}
+
+
+def _basis_moore_entry(field):
+    entry = _BASIS_MOORE_CACHE.get(field)
+    if entry is None:
+        m = field.degree
+        entry = [moore_matrix(field, basis_elements(field, m), m), None]
+        _BASIS_MOORE_CACHE[field] = entry
+    return entry
+
+
+def basis_moore_matrix(field):
+    """m x m Moore matrix of the canonical basis 1, X, ..., X^(m-1) of GF(p^m).
+
+    Built once per field and shared by every caller; treat it as read-only.
+    """
+    return _basis_moore_entry(field)[0]
+
+
+def basis_moore_inverse(field):
+    """Inverse of `basis_moore_matrix(field)`, in closed form: a scaled,
+    permuted transpose of the Moore matrix B[i][j] = (X^i)^(p^j).
+
+    The trace-dual basis of 1, X, ..., X^(m-1) (Lidl & Niederreiter,
+    *Finite Fields*, ch. 2) is d_0 = 1/m and d_l = X^(m-l) / (m c) for
+    0 < l < m, with X^m = c: Tr(X^e) = 0 unless m | e, Tr(1) = m, and p does
+    not divide m.  With D[l][j] = d_l^(p^j), (B D^T)[i][l] =
+    Tr(X^i d_l) = [i = l], so B^-1 = D^T.  Frobenius fixes the scales, so
+    B^-1[i][l] = s_l B[(m - l) mod m][i] with s_0 = 1/m and s_l = 1/(m c):
+    no elimination (`Matrix.inverse` is its test oracle).  Built on first
+    request, then shared like the matrix itself.
+    """
+    entry = _basis_moore_entry(field)
+    if entry[1] is None:
+        moore = entry[0].rows
+        m, p = field.degree, field.char
+        scales = [pow(m, p - 2, p)]
+        if m > 1:
+            scales += [pow(m * field._binomial_c, p - 2, p)] * (m - 1)
+        entry[1] = Matrix(field, [[field.scalar_mul(s, moore[-l % m][i])
+                                   for l, s in enumerate(scales)]
+                                  for i in range(m)], ncols=m)
+    return entry[1]

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from coopdss import field as F
 
+import oracles as O
 from scheme_utils import elem_from_int, elem_to_int, linearized_eval, symbol_from_bytes
 
 
@@ -437,7 +438,7 @@ def test_inv_of_base_field_constants(p, m):
     for c in range(1, p):
         inv = f.inv(c)
         assert inv < p and f.mul(c, inv) == f.one, c
-    x = f.basis_element(1)
+    x = O.basis_element(f, 1)
     assert f.mul(x, f.inv(x)) == f.one
 
 
@@ -755,31 +756,31 @@ def test_linearized_is_base_field_linear():
 def test_interpolate_single_point():
     gf = F.ext_field(7, 3)
     c = elem_from_int(gf, 5)
-    g = gf.basis_element(1)
+    g = O.basis_element(gf, 1)
     assert F.moore_matrix(gf, [g], 1).solve([gf.mul(c, g)]) == [c]
 
 
 def test_interpolate_roundtrip():
     gf = F.ext_field(11, 5)
     coeffs = rand_elems(gf, 5, 31)
-    pts = F.basis_elements(gf, 5)
+    pts = O.basis_elements(gf, 5)
     vals = [linearized_eval(gf, coeffs, g) for g in pts]
     assert F.moore_matrix(gf, pts, 5).solve(vals) == coeffs
-    assert F.basis_moore_inverse(gf).matvec(vals) == coeffs
+    assert O.basis_moore_inverse(gf).matvec(vals) == coeffs
 
 
 def test_interpolate_frobenius_on_gf4_basis():
     # f(g) = g^p on a quadratic field has linearized coefficients (0, 1);
     # GF(3^2) stands in for GF(4), which has no binomial modulus
     gf = F.ext_field(3, 2)
-    pts = F.basis_elements(gf, 2)
+    pts = O.basis_elements(gf, 2)
     vals = [gf.mul(gf.mul(g, g), g) for g in pts]
     assert F.moore_matrix(gf, pts, 2).solve(vals) == [gf.zero, gf.one]
 
 
 def test_interpolate_rejects_dependent_points():
     gf = F.ext_field(7, 3)
-    g = gf.basis_element(0)
+    g = O.basis_element(gf, 0)
     with pytest.raises(F.UnderdeterminedError):
         F.moore_matrix(gf, [g, g], 2).solve([g, g])
 
@@ -788,7 +789,7 @@ def test_evaluation_map_injective_on_independent_points():
     # distinct coefficient vectors give distinct value vectors when the
     # point count reaches the coefficient count
     gf = F.ext_field(3, 2)
-    moore = F.moore_matrix(gf, F.basis_elements(gf, 2), 2)
+    moore = F.moore_matrix(gf, O.basis_elements(gf, 2), 2)
     seen = {}
     elements = [elem_from_int(gf, i) for i in range(gf.order)]
     for c0 in elements:
@@ -804,13 +805,13 @@ def test_evaluation_map_injective_on_independent_points():
 
 def test_basis_elements_first_is_one():
     gf = F.ext_field(7, 3)
-    assert F.basis_elements(gf, 1) == [gf.one]
+    assert O.basis_elements(gf, 1) == [gf.one]
 
 
 def test_basis_elements_full_rank():
     gf = F.ext_field(7, 3)
     for count in (2, 3):
-        basis = F.basis_elements(gf, count)
+        basis = O.basis_elements(gf, count)
         rows = [list(gf.coords(b)) for b in basis]
         assert F.Matrix(F.prime_field(7), rows).rank() == count
 
@@ -818,12 +819,12 @@ def test_basis_elements_full_rank():
 def test_basis_elements_rejects_overlong():
     gf = F.ext_field(7, 3)
     with pytest.raises(ValueError):
-        F.basis_elements(gf, 4)
+        O.basis_elements(gf, 4)
 
 
 def test_moore_matrix_rank_matches_point_independence():
     gf = F.ext_field(5, 4)
-    pts = F.basis_elements(gf, 3)
+    pts = O.basis_elements(gf, 3)
     assert F.moore_matrix(gf, pts, 3).rank() == 3
     dep = pts + [gf.add(pts[0], pts[1])]
     assert F.moore_matrix(gf, dep, 4).rank() == 3
@@ -832,15 +833,15 @@ def test_moore_matrix_rank_matches_point_independence():
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (5, 4), (7, 9), (31, 15)])
 def test_basis_moore_cache_inverse(p, m):
     gf = F.ext_field(p, m)
-    moore = F.basis_moore_matrix(gf)
-    assert moore is F.basis_moore_matrix(gf)
-    assert moore == F.moore_matrix(gf, F.basis_elements(gf, m), m)
-    inv = F.basis_moore_inverse(gf)
-    assert inv is F.basis_moore_inverse(gf)
+    moore = O.basis_moore_matrix(gf)
+    assert moore is O.basis_moore_matrix(gf)
+    assert moore == F.moore_matrix(gf, O.basis_elements(gf, m), m)
+    inv = O.basis_moore_inverse(gf)
+    assert inv is O.basis_moore_inverse(gf)
     # Moore . Moore^-1 = I, one column at a time
     identity = F.Matrix.identity(gf, m).rows
     assert [moore.matvec(col) for col in zip(*inv.rows)] == identity
-    assert F._BASIS_MOORE_CACHE[gf] == [moore, inv]
+    assert O._BASIS_MOORE_CACHE[gf] == [moore, inv]
 
 
 # binomial fields on 32-bit words, GF(29^56) the largest degree, and on
@@ -886,8 +887,8 @@ def test_basis_moore_inverse_matches_elimination():
     fields = _moore_inverse_fields()
     assert F.ext_field(89, 44) in fields and F.prime_field(2) in fields
     for f in sorted(fields, key=lambda f: (f.char, f.degree)):
-        assert F.basis_moore_inverse(f).rows == F.basis_moore_matrix(f).inverse().rows, f
-    assert F.basis_moore_inverse(F.prime_field(2)).rows == [[1]]
+        assert O.basis_moore_inverse(f).rows == O.basis_moore_matrix(f).inverse().rows, f
+    assert O.basis_moore_inverse(F.prime_field(2)).rows == [[1]]
 
 
 def test_basis_moore_inverse_runs_no_elimination(monkeypatch):
@@ -899,12 +900,55 @@ def test_basis_moore_inverse_runs_no_elimination(monkeypatch):
         return echelon(self, *args, **kwargs)
 
     # an empty cache, put back afterwards, so the matrix and its inverse are built
-    monkeypatch.setattr(F, "_BASIS_MOORE_CACHE", {})
+    monkeypatch.setattr(O, "_BASIS_MOORE_CACHE", {})
     monkeypatch.setattr(F.Matrix, "_echelon", counting_echelon)
     for p, m in [(31, 30), (7, 9), (2, 1)]:
         gf = F.ext_field(p, m)
-        inv = F.basis_moore_inverse(gf)
+        inv = O.basis_moore_inverse(gf)
         assert calls == [], (p, m)
         identity = F.Matrix.identity(gf, m).rows
-        assert [F.basis_moore_matrix(gf).matvec(col) for col in zip(*inv.rows)] \
+        assert [O.basis_moore_matrix(gf).matvec(col) for col in zip(*inv.rows)] \
             == identity
+
+
+# ---------------------------------------------------------
+# Gabidulin precoding tables against the dense Moore matrices
+# ---------------------------------------------------------
+
+# every Frobenius test field, the other multi-class field GF(13^24),
+# mbcr-exact (8,4,7,1)'s GF(89^44) and mscr-dk (2,1,1,1)'s prime field
+MOORE_TABLE_FIELDS = FROBENIUS_FIELDS + [(13, 24), (89, 44), (2, 1)]
+
+
+@st.composite
+def moore_table_inputs(draw):
+    f = F.ext_field(*draw(st.sampled_from(MOORE_TABLE_FIELDS)))
+    if draw(st.booleans()):
+        return f, [f.from_coords([f.p - 1] * f.degree)] * f.degree
+    return f, [elem_from_int(f, draw(st.integers(0, f.order - 1))) for _ in range(f.degree)]
+
+
+@KERNEL_SETTINGS
+@given(moore_table_inputs())
+def test_basis_moore_tables_match_the_dense_matrices(case):
+    f, v = case
+    x = F.basis_moore_apply(f, v)
+    assert x == O.basis_moore_matrix(f).matvec(v)
+    assert F.basis_moore_inverse_apply(f, v) == O.basis_moore_inverse(f).matvec(v)
+    assert F.basis_moore_inverse_apply(f, x) == v
+    # a wrong length is refused, never truncated or padded
+    for bad in (v[:-1], v + [f.zero]):
+        for kernel in (F.basis_moore_apply, F.basis_moore_inverse_apply):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                kernel(f, bad)
+
+
+def test_basis_moore_table_classes():
+    # one Frobenius class when p = 1 mod m; GF(13^24), GF(29^56) and GF(7^9)
+    # have more, and their columns group by p^j mod m
+    for (p, m), count in [((31, 30), 1), ((89, 44), 1), ((13, 24), 2), ((29, 56), 2),
+                          ((7, 9), 3)]:
+        classes = F._basis_moore_table(F.ext_field(p, m))[0]
+        assert len(classes) == count, (p, m)
+        assert sorted(j for cols in classes for j in cols) == list(range(m))
+        assert all(len({pow(p, j, m) for j in cols}) == 1 for cols in classes)

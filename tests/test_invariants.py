@@ -112,13 +112,15 @@ def test_gabidulin_schemes_share_the_field_moore_matrix(params, size, digest):
     first, second = make_scheme(params), make_scheme(params)
     assert first is not second
     assert first.field is second.field
-    blobs = []
+    blobs, tables = [], []
     for scheme in (first, second):
         u, r = scheme.random_inputs(11)
         blobs.append(nodeio.write_nodes(scheme, scheme.encode(u, r)))
-        # no per-instance Moore matrix: encode used the one cached for the field
+        # no per-instance Moore matrix: encode used the one table cached for
+        # the field, which the first encode built if no earlier test had
         assert not any(isinstance(v, F.Matrix) for v in vars(scheme).values())
-    assert F._BASIS_MOORE_CACHE[first.field][0] is F.basis_moore_matrix(second.field)
+        tables.append(F._BASIS_MOORE_TABLES[scheme.field])
+    assert tables[0] is tables[1]
     assert blobs[0] == blobs[1]
     assert len(blobs[0]) == size
     assert hashlib.sha256(blobs[0]).hexdigest() == digest

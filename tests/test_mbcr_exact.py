@@ -6,8 +6,9 @@ import pytest
 from coopdss.codes import make_scheme, nodeio
 from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.codes.mbcr_exact import _phi_block_inverse, find_structure
-from coopdss.field import Matrix, basis_elements, prime_field
+from coopdss.field import Matrix, prime_field
 
+from oracles import basis_elements
 from scheme_utils import (
     check_faithful,
     leakage_of,

@@ -1,16 +1,19 @@
 """Coefficient order, seeded randomness, and the Gabidulin precoding map
 x = Moore . (r || u) that GabidulinScheme runs, checked against the
-term-by-term linearized-polynomial oracle."""
+term-by-term linearized-polynomial oracle and the dense Moore matrices of
+`oracles`."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from coopdss import field as F
 from coopdss import precode as P
-from coopdss.codes import make_scheme
+from coopdss.codes import base, make_scheme, mbcr_exact
 from coopdss.codes.base import SchemeParams
 
+import oracles as O
 from scheme_utils import elem_from_int, linearized_eval
 
 
@@ -27,14 +30,14 @@ def rand_symbols(gf, count, seed):
 
 
 def runtime_precode(gf, u, r):
-    """GabidulinScheme._precode for a scheme over `gf`: the cached basis
-    Moore matrix applied to (r || u)."""
-    return F.basis_moore_matrix(gf).matvec(list(P.coefficients(u, r)))
+    """GabidulinScheme._precode for a scheme over `gf`: the per-field
+    monomial table applied to (r || u)."""
+    return F.basis_moore_apply(gf, P.coefficients(u, r))
 
 
 def oracle_precode(gf, u, r):
     coeffs = P.coefficients(u, r)
-    return [linearized_eval(gf, coeffs, g) for g in F.basis_elements(gf, len(coeffs))]
+    return [linearized_eval(gf, coeffs, g) for g in O.basis_elements(gf, len(coeffs))]
 
 
 def recover_r(gf, a_r, a_u, u, e):
@@ -64,7 +67,7 @@ def test_precode_single_random_symbol():
     # Ms = 0, r = (c), one point g: the block is (c*g)
     gf = F.ext_field(5, 4)
     c = elem_from_int(gf, 11)
-    g = gf.basis_element(2)
+    g = O.basis_element(gf, 2)
     assert P.coefficients((), (c,)) == (c,)
     assert F.moore_matrix(gf, [g], 1).matvec([c]) == [gf.mul(c, g)]
 
@@ -88,7 +91,9 @@ def test_precode_decode_roundtrip_gf256():
     r = rand_symbols(gf, 5, 2)
     x = runtime_precode(gf, u, r)
     assert x == oracle_precode(gf, u, r)
-    assert F.basis_moore_inverse(gf).matvec(x) == list(r + u)
+    assert x == O.basis_moore_matrix(gf).matvec(list(r + u))
+    assert O.basis_moore_inverse(gf).matvec(x) == list(r + u)
+    assert F.basis_moore_inverse_apply(gf, x) == list(r + u)
 
 
 def test_decode_all_zero():
@@ -118,7 +123,7 @@ def test_decode_from_base_field_recombined_points():
     base = F.prime_field(7)
     u = rand_symbols(gf, 2, 5)
     r = rand_symbols(gf, 4, 6)
-    points = F.basis_elements(gf, 6)
+    points = O.basis_elements(gf, 6)
     values = runtime_precode(gf, u, r)
     rng = random.Random(7)
     while True:
@@ -138,7 +143,7 @@ def test_decode_from_base_field_recombined_points():
 
 def test_precode_rejects_dependent_points():
     gf = F.ext_field(5, 4)
-    g = gf.basis_element(0)
+    g = O.basis_element(gf, 0)
     moore = F.moore_matrix(gf, [g, g], 2)
     assert moore.rank() == 1
     with pytest.raises(F.UnderdeterminedError):
@@ -159,7 +164,7 @@ def test_solve_randomness_single_unknown():
     # leaves one equation in the single unknown r0
     gf = F.ext_field(5, 4)
     r0, u0 = elem_from_int(gf, 7), elem_from_int(gf, 12)
-    g = gf.basis_element(1)
+    g = O.basis_element(gf, 1)
     rows = F.moore_matrix(gf, [g], 2).rows
     e = [linearized_eval(gf, (r0, u0), g)]
     a_r = F.Matrix(gf, [row[:1] for row in rows])
@@ -173,7 +178,7 @@ def test_solve_randomness_full_block():
     u = rand_symbols(gf, 3, 8)
     r = rand_symbols(gf, 5, 9)
     e = runtime_precode(gf, u, r)[:5]
-    rows = F.basis_moore_matrix(gf).rows[:5]
+    rows = O.basis_moore_matrix(gf).rows[:5]
     a_r = F.Matrix(gf, [row[:5] for row in rows])
     a_u = F.Matrix(gf, [row[5:] for row in rows])
     assert recover_r(gf, a_r, a_u, u, e) == list(r)
@@ -181,7 +186,7 @@ def test_solve_randomness_full_block():
 
 def test_solve_randomness_underdetermined_signals():
     gf = F.ext_field(5, 4)
-    g = gf.basis_element(0)
+    g = O.basis_element(gf, 0)
     with pytest.raises(F.UnderdeterminedError):
         F.moore_matrix(gf, [g], 2).solve([g])
 
@@ -201,3 +206,50 @@ def test_solve_randomness_from_eavesdropped_mbcr_node():
         with pytest.raises(F.UnderdeterminedError):
             recover_r(gf, F.Matrix(gf, obs.a_r.rows[:-1]),
                       F.Matrix(gf, obs.a_u.rows[:-1]), u, e[:-1])
+
+
+# the benchmark's datapath instances on GF(31^30) (one Frobenius class) and
+# GF(7^9) (three)
+COUNTED = [
+    SchemeParams(n=6, k=5, d=5, t=1, l1=1, scheme="mbcr-exact"),
+    SchemeParams(n=7, k=3, d=3, t=3, l1=1, scheme="mscr-dk"),
+]
+
+
+@pytest.mark.parametrize("params", COUNTED, ids=lambda p: f"{p.scheme}-{p.n}{p.k}{p.d}{p.t}")
+def test_data_path_multiplies_no_two_extension_elements(params, monkeypatch):
+    # from a cold table cache: building the table, encode, reconstruct and
+    # repair run no GF(p^M) product, Frobenius map, Moore matrix, dense
+    # matvec or elimination
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(F, "_BASIS_MOORE_TABLES", {})
+    for cls, attr in ((F.ExtField, "mul"), (F.ExtField, "frobenius"),
+                      (F.Matrix, "matvec"), (F.Matrix, "_echelon")):
+        monkeypatch.setattr(cls, attr, counting(f"{cls.__name__}.{attr}", getattr(cls, attr)))
+    moore = counting("moore_matrix", F.moore_matrix)
+    for module in (F, base, mbcr_exact):
+        monkeypatch.setattr(module, "moore_matrix", moore)
+
+    scheme = make_scheme(params)
+    n, k, t = params.n, params.k, params.t
+    u, r = scheme.random_inputs(3)
+    nodes = scheme.encode(u, r)
+    assert list(F._BASIS_MOORE_TABLES) == [scheme.field]  # built under the counters
+    assert scheme.reconstruct(nodes[n - k:]) == u
+    failed = set(range(2, 2 + t))
+    survivors = {c.node_id: c for c in nodes if c.node_id not in failed}
+    tr = scheme.cooperative_repair(failed, survivors)
+    assert [c.node_id for c in tr.results] == sorted(failed)
+    assert all(c == nodes[c.node_id - 1] for c in tr.results)
+    assert calls == Counter()
+
+    # the counters see the dense path: the lazy Moore rows of an observation
+    assert scheme.observation_matrix([1], []).a_u.nrows == scheme.alpha
+    assert calls["moore_matrix"] == 1 and calls["ExtField.frobenius"] > 0
