@@ -21,11 +21,14 @@ and every rebuilt symbol is one value of a polynomial at one point, so repair
 never builds a polynomial: `_lagrange_at` returns a stored value when the
 point is one of the polynomial's evaluation points (y_i in helper h's row
 window, x_i in its column window, every row point of f_i when n = d+t) and
-evaluates the barycentric form otherwise.
+evaluates the barycentric form otherwise.  The barycentric weights depend on
+the point set alone, so `_barycentric_weights` keeps them in a bounded
+process-wide cache (1024 entries, keyed by (q, points)).
 
 Reconstruction needs coefficients: each of its interpolations applies the
-closed-form inverse of its Vandermonde matrix (`vandermonde_inverse`,
-Lagrange coefficients), so no system is eliminated.
+closed-form inverse of its Vandermonde matrix (Lagrange coefficients), so no
+system is eliminated.  The inverse rows come from the bounded process-wide
+cache `vandermonde_inverse_rows` (256 entries, keyed by (q, points)).
 
 Encoding evaluates F in two Horner stages (the Y-polynomial of each
 X-degree, then X).  The support has M entries and the joint-rank verdict
@@ -34,9 +37,12 @@ costs O(rows * M^2) in pure Python, so M is capped at MAX_FILE_SIZE.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from ..field import next_prime, prime_field, vandermonde_inverse
+from ..field import next_prime, prime_field
+# cached rows, by the name the tests count interpolations with
+from ..field import vandermonde_inverse_rows as vandermonde_inverse
 from .base import (
     NodeContent,
     ObservationMatrix,
@@ -50,27 +56,47 @@ from .base import (
 MAX_FILE_SIZE = 1 << 16  # largest M = k(2d+t-k) a scheme is built for
 
 
+@lru_cache(maxsize=1024)
+def _barycentric_weights(q: int, xs: tuple[int, ...]) -> tuple[int, ...]:
+    """w_j = 1 / prod_{i != j} (xs[j] - xs[i]) over GF(q), from a bounded
+    process-wide cache keyed by (q, xs); xs must be a tuple.
+
+    The weights depend on the points alone (Berrut & Trefethen, SIAM Rev.
+    2004), so each point set pays its O(len(xs)^2) product once.  Worst
+    case: 1024 entries of len(xs) <= d+t ints below q, about 36 (d+t) bytes
+    each: under 250 KB in all at the benchmark's d+t <= 6, about 2.4 GB at
+    the 2-byte header's n <= 65535.  A repair meets at most 2d + t + 1 point
+    sets (the helpers' row and column windows, the helpers' x points, one
+    row point set per newcomer); the benchmark's lifetimes meet 173 over four
+    seeds.
+    """
+    weights = []
+    for xj in xs:
+        den = 1
+        for xi in xs:
+            if xi != xj:
+                den = den * (xj - xi) % q
+        weights.append(pow(den, q - 2, q))
+    return tuple(weights)
+
+
 def _lagrange_at(q: int, xs: Sequence[int], ys: Sequence[int], x: int) -> int:
     """The value at x of the polynomial of degree < len(xs) through the
     points (xs, ys) over GF(q), without its coefficients.
 
     When x is one of the points this is its stored value; otherwise the
     barycentric form l(x) * sum_j w_j ys[j] / (x - xs[j]) with
-    l(x) = prod_j (x - xs[j]) and w_j = 1 / prod_{i != j} (xs[j] - xs[i])
-    (Berrut & Trefethen, SIAM Rev. 2004).
+    l(x) = prod_j (x - xs[j]) and the cached weights w_j
+    (`_barycentric_weights`): one pass over the points.
     """
     for xj, yj in zip(xs, ys):
         if xj == x:
             return yj
     ell = 1
     acc = 0
-    for xj, yj in zip(xs, ys):
+    for xj, yj, wj in zip(xs, ys, _barycentric_weights(q, tuple(xs))):
         ell = ell * (x - xj) % q
-        den = x - xj
-        for xi in xs:
-            if xi != xj:
-                den = den * (xj - xi) % q
-        acc += yj * pow(den, q - 2, q)
+        acc += yj * wj * pow(x - xj, q - 2, q)
     return ell * acc % q
 
 
@@ -78,7 +104,7 @@ def _interpolate(field, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     """Coefficients (low first) of the unique poly of degree < len(xs)
     through the points (xs, ys)."""
     dot = field.dot
-    return [dot(row, ys) for row in vandermonde_inverse(field.p, xs)]
+    return [dot(row, ys) for row in vandermonde_inverse(field.p, tuple(xs))]
 
 
 class MbcrBivariateScheme(Scheme):
@@ -210,7 +236,7 @@ class MbcrBivariateScheme(Scheme):
             vals = [rows[i][j] for i in ids]
             phi[j] = _interpolate(f, xs, vals)
         # degree < d for j < k, determined coefficient-wise from the column polys
-        w_inv = vandermonde_inverse(f.p, [self.y_points[i - 1] for i in ids])
+        w_inv = vandermonde_inverse(f.p, tuple(self.y_points[i - 1] for i in ids))
         residues = []
         for i in ids:
             g = list(cols[i]) + [f.zero] * (d - len(cols[i]))

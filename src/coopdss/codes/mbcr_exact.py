@@ -32,11 +32,16 @@ Repair and reconstruction eliminate nothing: the y-code is inverted by
 `vandermonde_inverse` on the contacted nodes' points, and a square block of
 Phi, a scaled Cauchy matrix, by `cauchy_inverse` and the scales
 (`_phi_block_inverse`).  Each solved symbol is one `dot` of a GF(p) row with
-GF(p^M) values.
+GF(p^M) values.  Both inverses depend only on the failure set, the helpers
+or the contacted nodes, never on data, so they come from bounded
+process-wide caches of immutable rows: `vandermonde_inverse_rows` (256
+entries, keyed by (p, points)) and `_phi_block_rows` (64 entries, keyed by
+(p, d, Phi columns, size)).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from ..field import (
@@ -46,7 +51,7 @@ from ..field import (
     fits_word_slots,
     moore_matrix,  # noqa: F401  re-exported: perfbench's tracer wraps it by this name
     prime_field,
-    vandermonde_inverse,
+    vandermonde_inverse_rows,
 )
 from .base import (
     GabidulinScheme,
@@ -99,6 +104,22 @@ def _phi_block_inverse(p: int, d: int, cols: Sequence[int], size: int) -> list[l
         inv_a = d * pow(d - s, p - 2, p)
         out.append([ci * inv_a * ib % p for ci, ib in zip(row, inv_b)])
     return out
+
+
+@lru_cache(maxsize=64)
+def _phi_block_rows(p: int, d: int, cols: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
+    """`_phi_block_inverse` as a tuple of tuples, from a bounded process-wide
+    cache keyed by (p, d, cols, size); cols must be a tuple.
+
+    A block depends only on the failed node and the nodes it meets, so a
+    lifetime meets the same few blocks again (at most n C(n-1, t-1) repair
+    blocks per instance).  Worst case: 64 entries of size^2 ints below p,
+    about 36 size^2 bytes each, size <= d: under 1 KB for the d <= 5 of the
+    benchmark, and never more than the lists `_phi_block_inverse` builds for
+    the same call (the word-slot cap admits d up to about 3500).  A repair
+    adds at most t entries, a reconstruct at most n - k.
+    """
+    return tuple(map(tuple, _phi_block_inverse(p, d, cols, size)))
 
 
 class MbcrExactScheme(GabidulinScheme):
@@ -224,7 +245,7 @@ class MbcrExactScheme(GabidulinScheme):
         for i in ids:
             x[(i - 1) * k:i * k] = by_id[i].segment("x")
         # part (b): invert the y-code on the contacted columns
-        y_inv = vandermonde_inverse(p, [i - 1 for i in ids])
+        y_inv = vandermonde_inverse_rows(p, tuple(i - 1 for i in ids))
         for j in range(d - k):
             vals = [by_id[i].segment("y")[j] for i in ids]
             x[n * k + j * k:n * k + (j + 1) * k] = [f.dot(row, vals) for row in y_inv]
@@ -233,13 +254,14 @@ class MbcrExactScheme(GabidulinScheme):
         for i in range(1, n + 1):
             if i in ids:
                 continue
-            cols = [self._phi_col(i, c) for c in ids]
-            # z value minus the known y part: the x block's share of it
-            rhs = [f.sub(by_id[c].segment("z")[self._others(c).index(i)],
+            cols = tuple(self._phi_col(i, c) for c in ids)
+            # z value minus the known y part: the x block's share of it (c's
+            # z segment holds i's value at i's position among c's n-1 peers)
+            rhs = [f.sub(by_id[c].segment("z")[self._phi_col(c, i)],
                          f.dot(self.phi_cols[col][k:], primaries[i][k:]))
                    for c, col in zip(ids, cols)]
             x[(i - 1) * k:i * k] = [f.dot(row, rhs)
-                                    for row in _phi_block_inverse(p, d, cols, k)]
+                                    for row in _phi_block_rows(p, d, cols, k)]
         return self._secret_from_evaluations(x)
 
     # -- repair -------------------------------------------------------------------
@@ -259,12 +281,13 @@ class MbcrExactScheme(GabidulinScheme):
         for i in sorted(failed):
             rhs = []
             for h in helpers:
-                z_hi = survivors[h].segment("z")[self._others(h).index(i)]
+                # h's z segment holds i's value at i's position among h's n-1 peers
+                z_hi = survivors[h].segment("z")[self._phi_col(h, i)]
                 live[(h, i)] = [z_hi]
                 rhs.append(z_hi)
-            cols = [self._phi_col(i, h) for h in helpers]
+            cols = tuple(self._phi_col(i, h) for h in helpers)
             new_primary[i] = [f.dot(row, rhs)
-                              for row in _phi_block_inverse(self.base.p, d, cols, d)]
+                              for row in _phi_block_rows(self.base.p, d, cols, d)]
         # second phase: every other node contributes the failed node's z value
         results = []
         for i in sorted(failed):

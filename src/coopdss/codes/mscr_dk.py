@@ -8,7 +8,10 @@ sorted position s downloads the s-th stored symbol from each of d = k helpers
 (one symbol, beta = 1), recovers m_s, then hands m_s^T g_{i'} to each fellow
 newcomer i' (beta' = 1).  Both steps apply the closed-form inverse of the
 k x k Vandermonde on the contacted nodes' points (`vandermonde_inverse`),
-so no system is eliminated.
+so no system is eliminated.  The inverse depends only on which nodes are
+contacted, so it comes from the bounded process-wide cache
+`vandermonde_inverse_rows` (256 entries of k x k GF(p) ints as tuples, keyed
+by (p, points)).
 
 The base prime is p = binomial_prime(n, kt): the least prime >= n (room for
 n distinct Vandermonde points) with p = 1 mod rad(kt), and mod 4 when 4 | kt,
@@ -27,7 +30,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..field import binomial_prime, ext_field, fits_word_slots, prime_field, vandermonde_inverse
+from ..field import (binomial_prime, ext_field, fits_word_slots, prime_field,
+                     vandermonde_inverse_rows)
 from .base import (
     GabidulinScheme,
     NodeContent,
@@ -89,7 +93,7 @@ class MscrDkScheme(GabidulinScheme):
         """m from the shares m^T g_i at the given nodes, one vector per
         entry of `values` (its shares in node order)."""
         dot = self.field.dot
-        inv = vandermonde_inverse(self.base.p, [i - 1 for i in nodes])
+        inv = vandermonde_inverse_rows(self.base.p, tuple(i - 1 for i in nodes))
         return [[dot(row, vals) for row in inv] for vals in values]
 
     def encode(self, u: Sequence[int], r: Sequence[int]) -> list[NodeContent]:

@@ -40,7 +40,10 @@ Rank and solving use fraction-free Gaussian elimination with first-nonzero
 pivoting: no divisions during elimination, no tolerances, deterministic.
 The schemes' repair and reconstruct systems run no elimination: they are
 base-field Vandermonde and Cauchy matrices, whose inverses are closed forms
-(`vandermonde_inverse`, `cauchy_inverse`) applied with `dot`.
+(`vandermonde_inverse`, `cauchy_inverse`) applied with `dot`.  They depend
+only on public points, so `vandermonde_inverse_rows` keeps the Vandermonde
+rows in a bounded process-wide cache (256 entries, keyed by the prime and
+the point tuple) as immutable tuples.
 
 The Gabidulin precoding map, the Moore matrix of a field's canonical basis,
 and its inverse are never built as matrices.  On a binomial field every
@@ -55,6 +58,7 @@ trace-dual basis, a scaled and permuted transpose; no elimination runs.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from math import prod
 from operator import mul as _int_mul
 from typing import Iterable, Sequence
@@ -717,6 +721,24 @@ def vandermonde_inverse(p: int, xs: Sequence[int]) -> list[list[int]]:
         w = pow(den, p - 2, p)
         cols.append([c * w % p for c in quot])
     return [list(row) for row in zip(*cols)]
+
+
+@lru_cache(maxsize=256)
+def vandermonde_inverse_rows(p: int, xs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """`vandermonde_inverse(p, xs)` as a tuple of tuples, from a bounded
+    process-wide cache keyed by (p, xs); xs must be a tuple.
+
+    The rows depend only on public points (the contacted nodes' evaluation
+    points), never on data, so every repair or reconstruct that meets a point
+    set again reuses them, and the tuples cannot be altered by a caller.
+    Worst case: 256 entries, one per point set.  An entry for k points holds
+    k^2 ints below p, about 36 k^2 bytes: under 1.5 KB for the k <= 6 of the
+    benchmark, and never more than the lists the uncached formula builds for
+    the same call (the word-slot cap admits k up to about 7100, mscr-dk with
+    t = 1).  A CLI command adds at most 2k + 2 entries (mbcr-bivariate
+    reconstruct), a repair or reconstruct elsewhere at most one.
+    """
+    return tuple(map(tuple, vandermonde_inverse(p, xs)))
 
 
 def cauchy_inverse(p: int, us: Sequence[int], vs: Sequence[int]) -> list[list[int]]:

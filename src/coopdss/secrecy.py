@@ -43,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .codes.base import ObservationMatrix, RepairTranscript, Scheme
 from .field import Matrix
 
@@ -132,6 +130,10 @@ def brute_force_leakage(scheme: Scheme, e1: Iterable[int], e2: Iterable[int],
         raise InstanceTooLargeError(
             f"|F|^M = {order}^{scheme.file_size} exceeds the "
             f"2^{BRUTE_FORCE_GUARD.bit_length() - 1} brute-force guard")
+    # only this oracle needs numpy: imported here, encode, reconstruct and
+    # repair (CLI and simulator alike) never load it
+    import numpy as np
+
     p, m = field.char, field.degree
     n_digits = (ms + nr) * m
     e1 = tuple(sorted(set(e1)))

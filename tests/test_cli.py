@@ -3,6 +3,8 @@ import functools
 import io
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -329,6 +331,38 @@ def test_repair_too_few_survivors_exit2(tmp_path):
     assert code == 2 and out == ""
     assert "error: need at least d=2 surviving nodes, have 1" in err
     assert "Traceback" not in err and not rep.exists()
+
+
+_NUMPY_PROBE = """
+import sys
+from pathlib import Path
+from coopdss.cli import main
+tmp = Path(sys.argv[1])
+secret = bytes([1, 2, 3, 4, 4, 3, 2, 1])
+(tmp / "s.bin").write_bytes(secret)
+flags = ["--scheme", "mscr-dk", "--n", "4", "--k", "2", "--d", "2", "--t", "2", "--l1", "1"]
+assert main(["encode", *flags, "--secret", str(tmp / "s.bin"), "--seed", "1",
+             "--out", str(tmp / "nodes")]) == 0
+nodes = [str(tmp / "nodes" / f"node_{i:02d}.bin") for i in (3, 4)]
+assert main(["reconstruct", "--nodes", *nodes, "--out", str(tmp / "got.bin")]) == 0
+assert (tmp / "got.bin").read_bytes() == secret
+assert main(["repair", "--nodes", *nodes, "--failed", "1,2", "--out", str(tmp / "rep")]) == 0
+after_data_path = "numpy" in sys.modules
+# the brute-force oracle does load it, so the probe can see an import
+assert main(["verify-secrecy", "--scheme", "insecure-demo", "--n", "3", "--k", "2", "--d", "2",
+             "--t", "1", "--l1", "1", "--e1", "2", "--mode", "bruteforce"]) == 0
+print(after_data_path, "numpy" in sys.modules)
+"""
+
+
+def test_data_path_commands_never_import_numpy(tmp_path):
+    # a fresh interpreter: the test process has numpy loaded already
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "False True"
 
 
 # ---------------------------------------------------------

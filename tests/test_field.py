@@ -517,6 +517,25 @@ def test_vandermonde_inverse_matches_elimination(case):
 
 
 @KERNEL_SETTINGS
+@given(point_sets(1))
+def test_cached_vandermonde_rows_match_formula_and_elimination(case):
+    p, (xs,) = case
+    rows = F.vandermonde_inverse_rows(p, tuple(xs))
+    assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+    system = F.Matrix(F.prime_field(p), [[pow(x, e, p) for e in range(len(xs))] for x in xs])
+    assert [list(row) for row in rows] == F.vandermonde_inverse(p, xs) == system.inverse().rows
+    assert F.vandermonde_inverse_rows(p, tuple(xs)) is rows
+
+
+def test_cached_vandermonde_rows_stay_bounded():
+    maxsize = F.vandermonde_inverse_rows.cache_info().maxsize
+    for x in range(maxsize + 10):
+        F.vandermonde_inverse_rows(65537, (x, x + 1))
+    info = F.vandermonde_inverse_rows.cache_info()
+    assert maxsize and info.currsize <= maxsize
+
+
+@KERNEL_SETTINGS
 @given(point_sets(2))
 def test_cauchy_inverse_matches_elimination(case):
     p, (us, vs) = case

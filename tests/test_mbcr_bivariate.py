@@ -3,10 +3,11 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopdss.codes import make_scheme, mbcr_bivariate
 from coopdss.codes.base import ParameterError, SchemeParams
-from coopdss.field import vandermonde_inverse
+from coopdss.field import Matrix, prime_field, vandermonde_inverse
 
 from scheme_utils import check_faithful, leakage_of, sweep_reconstruct, sweep_repair
 
@@ -183,6 +184,39 @@ def test_repair_matches_interpolation_oracle(n, k, d, t):
             assert list(tr.coop_transfers.items()) == coop, (failed, helpers)
             assert [c.symbols for c in tr.results] == results, (failed, helpers)
             assert all(c == nodes[c.node_id - 1] for c in tr.results)
+
+
+@st.composite
+def barycentric_cases(draw):
+    """A prime q, distinct points xs mod q, values ys and a point x not in xs."""
+    q = draw(st.sampled_from([3, 5, 7, 11, 13, 31, 257]))
+    xs = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=min(8, q - 1), unique=True))
+    ys = draw(st.lists(st.integers(0, q - 1), min_size=len(xs), max_size=len(xs)))
+    x = draw(st.sampled_from([v for v in range(q) if v not in xs]))
+    return q, xs, ys, x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(barycentric_cases())
+def test_cached_barycentric_weights_match_formula_and_elimination(case):
+    q, xs, ys, x = case
+    weights = mbcr_bivariate._barycentric_weights(q, tuple(xs))
+    assert isinstance(weights, tuple)
+    # w_j is the leading coefficient of the Lagrange polynomial L_j: the
+    # last row of the inverse Vandermonde
+    system = Matrix(prime_field(q), [[pow(v, e, q) for e in range(len(xs))] for v in xs])
+    assert list(weights) == vandermonde_inverse(q, xs)[-1] == system.inverse().rows[-1]
+    assert mbcr_bivariate._barycentric_weights(q, tuple(xs)) is weights
+    assert mbcr_bivariate._lagrange_at(q, xs, ys, x) == _horner(q, _interpolate(q, xs, ys), x)
+
+
+def test_cached_barycentric_weights_stay_bounded():
+    weights = mbcr_bivariate._barycentric_weights
+    maxsize = weights.cache_info().maxsize
+    for x in range(maxsize + 10):
+        weights(65537, (x, x + 1))
+    info = weights.cache_info()
+    assert maxsize and info.currsize <= maxsize
 
 
 def test_repair_builds_no_vandermonde_inverse(monkeypatch):

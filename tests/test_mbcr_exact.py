@@ -2,10 +2,11 @@ import itertools
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopdss.codes import make_scheme, nodeio
 from coopdss.codes.base import ParameterError, SchemeParams
-from coopdss.codes.mbcr_exact import _phi_block_inverse, find_structure
+from coopdss.codes.mbcr_exact import _phi_block_inverse, _phi_block_rows, find_structure
 from coopdss.field import Matrix, prime_field
 
 from oracles import basis_elements
@@ -197,6 +198,41 @@ def test_phi_block_inverse_inverts_every_block():
                 inv = _phi_block_inverse(p, d, cols, size)
                 assert [[sum(inv[s][h] * block[h][s2] for h in range(size)) % p
                          for s2 in range(size)] for s in range(size)] == identity, (key, cols)
+
+
+@st.composite
+def phi_blocks(draw):
+    """A Phi of a criterion-2 or larger instance and a block of it: `size`
+    distinct columns, in any order, on the first `size` rows."""
+    n, d, m_total = draw(st.sampled_from(_criterion_2_keys() + [(7, 5, 32), (8, 7, 56)]))
+    size = draw(st.integers(1, d))
+    cols = draw(st.lists(st.integers(0, n - 2), min_size=size, max_size=size, unique=True))
+    return n, d, m_total, tuple(cols)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(phi_blocks())
+def test_cached_phi_block_rows_match_formula_and_elimination(case):
+    n, d, m_total, cols = case
+    p, phi = find_structure(n, d, m_total)
+    size = len(cols)
+    rows = _phi_block_rows(p, d, cols, size)
+    assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+    block = Matrix(prime_field(p), [[phi[s][c] for s in range(size)] for c in cols])
+    assert [list(row) for row in rows] == _phi_block_inverse(p, d, cols, size) \
+        == block.inverse().rows
+    assert _phi_block_rows(p, d, cols, size) is rows
+
+
+def test_cached_phi_block_rows_stay_bounded():
+    p, _ = find_structure(8, 7, 56)
+    maxsize = _phi_block_rows.cache_info().maxsize
+    blocks = list(itertools.islice(itertools.permutations(range(7), 3), maxsize + 10))
+    assert len(blocks) > maxsize
+    for cols in blocks:
+        _phi_block_rows(p, 7, cols, 3)
+    info = _phi_block_rows.cache_info()
+    assert maxsize and info.currsize <= maxsize
 
 
 def _rad(m):

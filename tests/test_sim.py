@@ -3,7 +3,9 @@ import dataclasses
 import pytest
 
 from coopdss import sim as sim_mod
+from coopdss.codes import make_scheme, mbcr_bivariate, mbcr_exact
 from coopdss.codes.base import ParameterError, SchemeParams
+from coopdss.field import vandermonde_inverse_rows
 from coopdss.secrecy import rank_leakage
 
 from scheme_utils import symbol_from_bytes
@@ -90,6 +92,43 @@ def test_replay_check_flags_flipped_symbol():
     ok, diffs = sim_mod.replay_check(bad_trace)
     assert not ok
     assert any("live transfer" in d for d in diffs)
+
+
+# each scheme's lifetime instance of the benchmark, and the coefficient
+# cache its repair reads
+WARM_CACHE_LIFETIMES = [
+    ("mbcr-exact", (6, 3, 4, 2), mbcr_exact._phi_block_rows),
+    ("mbcr-bivariate", (7, 3, 4, 2), mbcr_bivariate._barycentric_weights),
+    ("mscr-dk", (6, 3, 3, 3), vandermonde_inverse_rows),
+]
+
+
+@pytest.mark.parametrize("scheme,nkdt,cache", WARM_CACHE_LIFETIMES)
+def test_replay_check_flags_tampering_with_warm_caches(scheme, nkdt, cache):
+    n, k, d, t = nkdt
+    cfg = config_for(scheme, n, k, d, t, l1=1, rounds=6, seed=5, helper_mode="random")
+    trace = sim_mod.run(cfg)
+    hits = cache.cache_info().hits
+    assert sim_mod.replay_check(trace) == (True, [])
+    assert cache.cache_info().hits > hits  # the replay read coefficients run() cached
+    f = make_scheme(cfg.params).field
+    last = len(trace.transcripts) - 1
+    tr = trace.transcripts[last]
+
+    def replay_tampered(**fields):
+        transcripts = trace.transcripts[:last] + (dataclasses.replace(tr, **fields),)
+        return sim_mod.replay_check(dataclasses.replace(trace, transcripts=transcripts))
+
+    key, vals = next(iter(tr.live_transfers.items()))
+    ok, diffs = replay_tampered(live_transfers={**tr.live_transfers,
+                                                key: (f.add(vals[0], f.one),) + vals[1:]})
+    assert not ok and any(f"round {last}: live transfer {key} mismatch" in x for x in diffs)
+
+    res = tr.results[0]
+    flipped = dataclasses.replace(res, symbols=(f.add(res.symbols[0], f.one),) + res.symbols[1:])
+    ok, diffs = replay_tampered(results=(flipped,) + tr.results[1:])
+    assert not ok
+    assert any(f"round {last}: result for node {res.node_id} mismatch" in x for x in diffs)
 
 
 def test_lifetime_cumulative_secrecy_mscr_dk():
