@@ -38,7 +38,6 @@ from ..field import (
     Matrix,
     basis_moore_apply,
     basis_moore_inverse_apply,
-    moore_matrix,
 )
 from ..precode import coefficients, random_symbols
 
@@ -118,9 +117,8 @@ class RepairTranscript:
 
 
 class ObservationMatrix:
-    """Eavesdropper view e = A_u u + A_r r over the scheme's field."""
-
-    points: Matrix | None = None  # GF(p) evaluation points; see PointObservation
+    """Eavesdropper view e = A_u u + A_r r over the scheme's field: GF(p) for
+    every scheme that builds one (mbcr-bivariate, mscr-ia, insecure-demo)."""
 
     def __init__(self, a_u: Matrix, a_r: Matrix, labels: Sequence[tuple]):
         if a_u.nrows != a_r.nrows or a_u.nrows != len(labels):
@@ -142,15 +140,15 @@ class ObservationMatrix:
         return self.a_r.hstack(self.a_u)
 
 
-class PointObservation(ObservationMatrix):
+class PointObservation:
     """View of a Gabidulin-precoded scheme, kept as GF(p) evaluation points.
 
     Every observed symbol is f(h) for the precoding polynomial
     f(X) = sum_i c_i X^(p^i) with coefficients c = (r || u) and a point h in
     GF(p)^M; row j of `points` holds the base coordinates of h_j.  Row j of
-    [A_r | A_u] is the Moore row (h_j, h_j^p, ..., h_j^(p^(M-1))) over
-    GF(p^M).  A rank verdict needs only the GF(p) rank of `points`, so the
-    Moore rows are built on first access to `a_u` or `a_r`.
+    [A_r | A_u] over GF(p^M) is the Moore row (h_j, h_j^p, ...,
+    h_j^(p^(M-1))), but a rank verdict needs only the GF(p) rank of
+    `points`, so the view keeps the points alone.
     """
 
     def __init__(self, field, points: Matrix, n_random: int, labels: Sequence[tuple]):
@@ -161,25 +159,10 @@ class PointObservation(ObservationMatrix):
         self.field = field
         self.n_secret = points.ncols - n_random
         self.n_random = n_random
-        self._moore_rows: tuple[Matrix, Matrix] | None = None
-
-    def _split_moore_rows(self) -> tuple[Matrix, Matrix]:
-        if self._moore_rows is None:
-            f = self.field
-            rows = moore_matrix(f, [f.from_coords(pt) for pt in self.points.rows],
-                                self.points.ncols).rows
-            nr = self.n_random
-            self._moore_rows = (Matrix(f, [row[nr:] for row in rows], ncols=self.n_secret),
-                                Matrix(f, [row[:nr] for row in rows], ncols=nr))
-        return self._moore_rows
 
     @property
-    def a_u(self) -> Matrix:
-        return self._split_moore_rows()[0]
-
-    @property
-    def a_r(self) -> Matrix:
-        return self._split_moore_rows()[1]
+    def n_rows(self) -> int:
+        return len(self.labels)
 
 
 class Scheme:
@@ -225,7 +208,8 @@ class Scheme:
         raise NotImplementedError
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
-                           transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
+                           transcripts: Sequence[RepairTranscript] = (),
+                           ) -> ObservationMatrix | PointObservation:
         raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------------

@@ -40,9 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from ..field import next_prime, prime_field
-# cached rows, by the name the tests count interpolations with
-from ..field import vandermonde_inverse_rows as vandermonde_inverse
+from ..field import next_prime, prime_field, vandermonde_inverse_rows
 from .base import (
     NodeContent,
     ObservationMatrix,
@@ -104,7 +102,7 @@ def _interpolate(field, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     """Coefficients (low first) of the unique poly of degree < len(xs)
     through the points (xs, ys)."""
     dot = field.dot
-    return [dot(row, ys) for row in vandermonde_inverse(field.p, tuple(xs))]
+    return [dot(row, ys) for row in vandermonde_inverse_rows(field.p, tuple(xs))]
 
 
 class MbcrBivariateScheme(Scheme):
@@ -236,7 +234,7 @@ class MbcrBivariateScheme(Scheme):
             vals = [rows[i][j] for i in ids]
             phi[j] = _interpolate(f, xs, vals)
         # degree < d for j < k, determined coefficient-wise from the column polys
-        w_inv = vandermonde_inverse(f.p, tuple(self.y_points[i - 1] for i in ids))
+        w_inv = vandermonde_inverse_rows(f.p, tuple(self.y_points[i - 1] for i in ids))
         residues = []
         for i in ids:
             g = list(cols[i]) + [f.zero] * (d - len(cols[i]))

@@ -56,8 +56,8 @@ from ..field import (
 from .base import (
     GabidulinScheme,
     NodeContent,
-    ObservationMatrix,
     ParameterError,
+    PointObservation,
     RepairTranscript,
     SchemeParams,
 )
@@ -320,5 +320,5 @@ class MbcrExactScheme(GabidulinScheme):
         return rows + [self._z_point(m, i) for m in sorted(tr.failed - {i})]
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
-                           transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
+                           transcripts: Sequence[RepairTranscript] = ()) -> PointObservation:
         return self._point_observation(e1, e2, transcripts)

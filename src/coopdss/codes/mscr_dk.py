@@ -35,8 +35,8 @@ from ..field import (binomial_prime, ext_field, fits_word_slots, prime_field,
 from .base import (
     GabidulinScheme,
     NodeContent,
-    ObservationMatrix,
     ParameterError,
+    PointObservation,
     PositiveSecrecyImpossibleError,
     RepairTranscript,
     SchemeParams,
@@ -166,5 +166,5 @@ class MscrDkScheme(GabidulinScheme):
         return rows
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
-                           transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
+                           transcripts: Sequence[RepairTranscript] = ()) -> PointObservation:
         return self._point_observation(e1, e2, transcripts)

@@ -213,9 +213,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
     def frobenius(self, a: int) -> int:
         return a % self.p
 
@@ -400,7 +397,7 @@ class ExtField:
         so a^-1 = N(a)^-1 * prod_{0<i<m} a^(p^i) (Lidl & Niederreiter,
         *Finite Fields*, Def. 2.27; Itoh & Tsujii, Inf. Comput. 1988).  m-1
         Frobenius maps and m-1 products, one GF(p) inverse and one scaling;
-        `pow(a, order - 2)` is its test oracle."""
+        Fermat's a^(order - 2) is its test oracle."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         p = self.p
@@ -412,18 +409,6 @@ class ExtField:
             rest = self.mul(rest, conj)
         norm = self.mul(a, rest)  # a constant: its packed int is its value
         return self.scalar_mul(pow(norm, p - 2, p), rest)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
 
     def frobenius(self, a: int) -> int:
         """a^p, the base-field Frobenius, as a scaled digit permutation.
@@ -787,7 +772,11 @@ def frobenius_powers(field: ExtField, g: int, count: int) -> list[int]:
 
 
 def moore_matrix(field: ExtField, points: Sequence[int], ncoeffs: int) -> Matrix:
-    """len(points) x ncoeffs matrix with row j = (g_j, g_j^q, ..., g_j^(q^(ncoeffs-1)))."""
+    """len(points) x ncoeffs matrix with row j = (g_j, g_j^q, ..., g_j^(q^(ncoeffs-1))).
+
+    The program builds no Moore matrix: this dense form is the tests' oracle
+    for the monomial tables and for the point-rank verdict, and perfbench's
+    tracer wraps it by name."""
     return Matrix(field, [frobenius_powers(field, g, ncoeffs) for g in points],
                   ncols=ncoeffs)
 
@@ -818,7 +807,7 @@ def _basis_moore_table(field: ExtField) -> tuple:
 
 def _build_basis_moore_table(field: ExtField) -> tuple:
     """The monomials of B and of B^-1 as GF(p) ints, in O(m^2) integer
-    operations: no `frobenius`, no `moore_matrix`, no elimination.
+    operations: no `frobenius`, no Moore matrix, no elimination.
 
     The trace-dual basis of 1, X, ..., X^(m-1) is d_0 = 1/m and
     d_l = X^(m-l) / (m c) for 0 < l < m: Tr(X^e) = 0 unless m | e,

@@ -17,11 +17,13 @@ How the ranks are found depends on the scheme:
   first c <= M columns.  With rho the GF(p) rank of the point matrix:
   leakage = max(0, rho - |r|), H(e) <= H(r) iff rho <= |r|, and
   H(r | u, e) = 0 iff rho >= |r|.  One small base-field elimination
-  decides the verdict.
-* mbcr-bivariate, mscr-ia and insecure-demo have no such points; one
-  elimination of [A_r | A_u] over the scheme's field gives both ranks
-  (`joint_rank_leakage`).  That GF(p^M) elimination still runs on the
-  Gabidulin schemes' lazily built Moore rows as an oracle in the tests.
+  decides the verdict, so their view (`PointObservation`) holds the points
+  alone.
+* mbcr-bivariate, mscr-ia and insecure-demo have no such points; their
+  view is an `ObservationMatrix` over GF(p), and one elimination of
+  [A_r | A_u] gives both ranks (`joint_rank_leakage`).  The tests' GF(p^M)
+  oracle for the Gabidulin schemes builds the Moore rows of the points and
+  runs the same elimination on them.
 
 The brute-force oracle never touches the analytic observation matrices: it
 probes the encode/repair protocol itself, verifies linearity on random spot
@@ -43,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .codes.base import ObservationMatrix, RepairTranscript, Scheme
+from .codes.base import ObservationMatrix, PointObservation, RepairTranscript, Scheme
 from .field import Matrix
 
 BRUTE_FORCE_GUARD = 1 << 22  # joint (u, r) assignments the oracle may enumerate
@@ -69,14 +71,14 @@ class SecrecyVerdict:
         return self.leakage_qunits == 0
 
 
-def rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
+def rank_leakage(obs: ObservationMatrix | PointObservation) -> SecrecyVerdict:
     """Rank-based verdict.
 
     With evaluation points (mbcr-exact, mscr-dk) this is the Moore-rank
     lemma on rho, the GF(p) rank of the points: rank([A_u|A_r]) = rho and
     rank(A_r) = min(rho, |r|), so leakage = max(0, rho - |r|).  Otherwise it
     is `joint_rank_leakage`."""
-    if obs.points is None:
+    if not isinstance(obs, PointObservation):
         return joint_rank_leakage(obs)
     rho, _ = obs.points.rank_profile()
     nr = obs.n_random
@@ -89,9 +91,8 @@ def rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
 
 
 def joint_rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
-    """Rank verdict from one elimination of [A_r | A_u] over the scheme's
-    field (pivots in the leading |r| columns count rank(A_r)).  For the
-    Gabidulin schemes this is the GF(p^M) oracle of `rank_leakage`.
+    """Rank verdict from one elimination of [A_r | A_u] over the view's
+    field (pivots in the leading |r| columns count rank(A_r)).
 
     Only the distinct rows are eliminated: a repeated row (one evaluation
     point observed twice, as lifetimes do) changes neither the row space nor,

@@ -20,7 +20,8 @@ Symbols are hex-encoded little-endian base-field coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from math import comb
+
 from .codes import make_scheme
 from .codes.base import NodeContent, ParameterError, RepairTranscript, Scheme, SchemeParams
 from .precode import splitmix64
@@ -62,11 +63,26 @@ class SimConfig:
 
     def _random_plan(self):
         stream = splitmix64(self.seed ^ 0xFA11)
-        all_sets = list(combinations(range(1, self.params.n + 1), self.params.t))
-        out = []
-        for _ in range(self.rounds):
-            out.append(frozenset(all_sets[next(stream) % len(all_sets)]))
-        return out
+        n, t = self.params.n, self.params.t
+        count = comb(n, t)
+        return [frozenset(_unrank_subset(n, t, next(stream) % count))
+                for _ in range(self.rounds)]
+
+
+def _unrank_subset(n: int, t: int, index: int) -> tuple[int, ...]:
+    """The index-th t-subset of 1..n in lexicographic order, the order of
+    `itertools.combinations(range(1, n + 1), t)`, without listing the
+    subsets before it: O(n) binomials at most."""
+    out = []
+    x = 1
+    for need in range(t, 0, -1):
+        # subsets whose next element is x: choose the other need-1 above x
+        while index >= (block := comb(n - x, need - 1)):
+            index -= block
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
 
 
 @dataclass(frozen=True)

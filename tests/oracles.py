@@ -6,9 +6,40 @@ from a per-field table of GF(p)-scaled monomials
 (`coopdss.field.basis_moore_apply`, `basis_moore_inverse_apply`); here both
 are built as `Matrix` objects from `moore_matrix`, i.e. from `frobenius`, and
 cached per field, so the tables have an independent oracle.
+
+The Gabidulin schemes' observation (`PointObservation`) keeps only the GF(p)
+evaluation points; `linear_view` builds its GF(p^M) Moore rows, the
+[A_r | A_u] that `coopdss.secrecy.joint_rank_leakage` eliminates, so the
+point-rank verdict has an extension-field oracle.
 """
 
+from coopdss.codes.base import ObservationMatrix, PointObservation
 from coopdss.field import Matrix, PrimeField, moore_matrix
+
+
+def power(field, a, e):
+    """a^e for e >= 0, by square and multiply with `field.mul`."""
+    result = field.one
+    while e:
+        if e & 1:
+            result = field.mul(result, a)
+        a = field.mul(a, a)
+        e >>= 1
+    return result
+
+
+def linear_view(obs):
+    """The observation as e = A_u u + A_r r.  An `ObservationMatrix` is
+    returned as it is; for a `PointObservation`, row j of [A_r | A_u] is the
+    Moore row (h_j, h_j^p, ..., h_j^(p^(M-1))) over GF(p^M) of its point h_j."""
+    if not isinstance(obs, PointObservation):
+        return obs
+    f, nr = obs.field, obs.n_random
+    rows = moore_matrix(f, [f.from_coords(pt) for pt in obs.points.rows],
+                        obs.points.ncols).rows
+    return ObservationMatrix(a_u=Matrix(f, [row[nr:] for row in rows], ncols=obs.n_secret),
+                             a_r=Matrix(f, [row[:nr] for row in rows], ncols=nr),
+                             labels=obs.labels)
 
 
 def basis_element(field, i):

@@ -4,6 +4,8 @@ import itertools
 
 from coopdss.secrecy import rank_leakage
 
+from oracles import linear_view, power
+
 
 def sweep_reconstruct(scheme, nodes, u):
     n, k = scheme.params.n, scheme.params.k
@@ -32,7 +34,7 @@ def leakage_of(scheme, e1, e2=(), transcripts=()):
 def check_faithful(scheme, u, r, e1, e2=(), transcripts=()):
     """Stacked protocol symbols must equal A_u u + A_r r."""
     f = scheme.field
-    obs = scheme.observation_matrix(e1, e2, transcripts)
+    obs = linear_view(scheme.observation_matrix(e1, e2, transcripts))
     plans = [(tr.failed, tr.helpers) for tr in transcripts]
     direct = scheme.observed_symbols(u, r, e1, e2, plans)
     model = [f.add(a, b) for a, b in
@@ -41,14 +43,14 @@ def check_faithful(scheme, u, r, e1, e2=(), transcripts=()):
 
 
 def linearized_eval(field, coeffs, g):
-    """sum_i coeffs[i] * g^(p^i), term by term with field.pow.
+    """sum_i coeffs[i] * g^(p^i), term by term with `oracles.power`.
 
     Oracle for the Gabidulin precoding: independent of frobenius_powers,
     Matrix.matvec and the per-field Moore cache that the schemes run on.
     """
     acc = field.zero
     for i, c in enumerate(coeffs):
-        acc = field.add(acc, field.mul(c, field.pow(g, field.char ** i)))
+        acc = field.add(acc, field.mul(c, power(field, g, field.char ** i)))
     return acc
 
 

@@ -16,6 +16,7 @@ from coopdss.codes import make_scheme
 from coopdss.codes.base import PositiveSecrecyImpossibleError, SchemeParams
 from coopdss.secrecy import brute_force_leakage, rank_leakage
 
+import cutset_oracles as C
 from reference_tables import TABLE_I, TABLE_II
 
 # verdicts accumulated by criteria 2-5, consumed by criterion 8
@@ -215,14 +216,14 @@ def test_criterion_6_bound_consistency():
 
 def test_criterion_7_case_bound_dominance():
     started = time.monotonic()
-    report = B.case_bound_dominance(max_k=6, max_d=8, max_t=6)
+    report = C.case_bound_dominance(max_k=6, max_d=8, max_t=6)
     assert report.ok and report.checked >= 6 * 8 * 6  # full grid visited
     # s_max closed form vs exhaustive is asserted inside s_max; sweep it
     for k in range(2, 7):
         for t in range(1, k):
             for d in range(k, 9):
                 for l1 in range(k):
-                    B.s_max(k, d, t, l1)
+                    C.s_max(k, d, t, l1)
     _stamp(7, started, 10.0, f"{report.checked} grid points, zero violations")
 
 
@@ -262,11 +263,11 @@ def test_criterion_9_cutset_regression():
     for k in range(1, 7):
         for d in range(k, 9):
             pt1 = B.mbcr_point(k, d, 1)
-            got = B.coop_cutset_bound(k, d, 1, pt1, [1] * k)
+            got = C.coop_cutset_bound(k, d, 1, pt1, [1] * k)
             assert got == sum(min(pt1.alpha, (d - i) * pt1.beta) for i in range(k))
             for t in range(1, 5):
                 mb = B.mbcr_point(k, d, t)
-                assert B.coop_cutset_bound(k, d, t, mb, [1] * k) == mb.file_size
+                assert C.coop_cutset_bound(k, d, t, mb, [1] * k) == mb.file_size
                 ms = B.mscr_point(k, d, t)
-                assert B.coop_cutset_bound(k, d, t, ms, [1] * k) == ms.file_size
+                assert C.coop_cutset_bound(k, d, t, ms, [1] * k) == ms.file_size
     _stamp(9, started, 10.0, "cooperative cut bound reduces to the classical sum at t=1; points tight at u=1^k")

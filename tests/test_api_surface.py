@@ -1,25 +1,28 @@
 """Every public function, class and method of a coopdss module has a caller
 in the program (src/ or perfbench/), so no API lives only for its own tests.
 A reference is a name, an attribute, an imported name, or a string equal to
-the name (perfbench wraps functions and methods by name).  A method counts
-as used when code outside its own body refers to it, its class's other
-methods included; dunder and underscore methods are exempt.
+the name (perfbench wraps functions and methods by name).  A bare name that
+is a Python builtin (`pow`, `max`, ...) is not a reference: `pow(a, e, p)`
+calls the builtin, not a method named `pow`.  A method counts as used when
+code outside its own body refers to it, its class's other methods included;
+dunder and underscore methods are exempt.
 
 The check is by name, not by type: it cannot tell `ExtField.inv` from
 `PrimeField.inv`, so one caller of a method name keeps every method of that
 name alive.
 
-coopdss.bounds is left out.  Nine of its public names (s_max, cutset_value,
-coop_cutset_bound, compositions, CutConfig, ...) have only test callers: they
-are the mincut reference oracles the closed-form bounds are checked against,
-and whether they stay in src/ is a separate decision."""
+Every module under src/coopdss is guarded.  Code that only the tests call,
+such as the mincut oracles that the closed-form bounds are checked against,
+lives under tests/."""
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GUARDED = sorted(path.relative_to(ROOT).as_posix()
-                 for path in (ROOT / "src/coopdss").rglob("*.py") if path.name != "bounds.py")
+                 for path in (ROOT / "src/coopdss").rglob("*.py"))
+BUILTIN_NAMES = frozenset(dir(builtins))
 
 def public_defs(scope):
     """Public functions and classes of a module, or public methods of a class."""
@@ -32,7 +35,8 @@ def referenced_names(node):
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
+            if sub.id not in BUILTIN_NAMES:
+                names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
         elif isinstance(sub, ast.alias):
@@ -95,8 +99,9 @@ def test_public_api_has_a_program_caller():
 
 
 def test_guard_flags_test_only_definitions():
-    # a recursive orphan, a class whose only user is another orphan, and a
-    # method of a live class that only calls itself
+    # a recursive orphan, a class whose only user is another orphan, a
+    # method of a live class that only calls itself, and a method whose only
+    # "caller" is a call to the builtin of the same name
     trees = program_trees()
     module = "src/coopdss/field.py"
     assert module in GUARDED
@@ -108,5 +113,9 @@ def test_guard_flags_test_only_definitions():
                        if isinstance(node, ast.ClassDef) and node.name == "PrimeField")
     prime_field.body += ast.parse(
         "def orphan_method(self, x):\n"
-        "    return self.orphan_method(x - 1) if x else self.mul(x, x)\n").body
-    assert unreferenced(trees) == ["Orphaned", "PrimeField.orphan_method", "orphan"]
+        "    return self.orphan_method(x - 1) if x else self.mul(x, x)\n\n"
+        "def pow(self, a, e):\n"
+        "    return pow(a, e, self.p)\n").body
+    tree.body += ast.parse("pow(2, 3, 5)\n").body
+    assert unreferenced(trees) == ["Orphaned", "PrimeField.orphan_method", "PrimeField.pow",
+                                   "orphan"]

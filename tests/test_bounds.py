@@ -4,6 +4,7 @@ import pytest
 
 from coopdss import bounds as B
 
+import cutset_oracles as C
 from reference_tables import TABLE_I, TABLE_II, TABLE_II_GREEN
 
 
@@ -33,7 +34,7 @@ def test_mbcr_point_gamma_identity():
 
 
 def test_mbcr_point_rational_form():
-    pt = B.mbcr_point(3, 3, 2, file_size=15)
+    pt = C.mbcr_point(3, 3, 2, file_size=15)
     assert pt.alpha == Fraction(15, 3) * Fraction(7, 5) == 7
     assert not pt.normalized
 
@@ -55,7 +56,7 @@ def test_cutset_t1_matches_classical_sum():
     for k in range(1, 7):
         for d in range(k, 9):
             pt = B.mbcr_point(k, d, 1)
-            got = B.coop_cutset_bound(k, d, 1, pt, [1] * k)
+            got = C.coop_cutset_bound(k, d, 1, pt, [1] * k)
             want = sum(min(pt.alpha, (d - i) * pt.beta) for i in range(k))
             assert got == want
 
@@ -65,9 +66,9 @@ def test_cutset_mbcr_tight_at_all_ones():
         for d in range(k, 7):
             for t in range(1, 4):
                 pt = B.mbcr_point(k, d, t)
-                assert B.coop_cutset_bound(k, d, t, pt, [1] * k) == pt.file_size
-                values = [B.coop_cutset_bound(k, d, t, pt, u)
-                          for u in B.compositions(k, t)]
+                assert C.coop_cutset_bound(k, d, t, pt, [1] * k) == pt.file_size
+                values = [C.coop_cutset_bound(k, d, t, pt, u)
+                          for u in C.compositions(k, t)]
                 assert min(values) == pt.file_size
 
 
@@ -76,15 +77,15 @@ def test_cutset_mscr_saturates_alpha():
         for d in range(k, 7):
             for t in range(1, 4):
                 pt = B.mscr_point(k, d, t)
-                assert B.coop_cutset_bound(k, d, t, pt, [1] * k) == k * pt.alpha == pt.file_size
+                assert C.coop_cutset_bound(k, d, t, pt, [1] * k) == k * pt.alpha == pt.file_size
 
 
 def test_cutset_rejects_bad_u():
     pt = B.mbcr_point(2, 2, 2)
     with pytest.raises(ValueError):
-        B.coop_cutset_bound(2, 2, 2, pt, [3])
+        C.coop_cutset_bound(2, 2, 2, pt, [3])
     with pytest.raises(ValueError):
-        B.coop_cutset_bound(2, 2, 2, pt, [1])
+        C.coop_cutset_bound(2, 2, 2, pt, [1])
 
 
 def test_cutset_value_full_config_matches_case1():
@@ -92,17 +93,17 @@ def test_cutset_value_full_config_matches_case1():
     # the configuration behind the case-1 bound
     k, d, t, l1 = 3, 3, 2, 1
     pt = B.mbcr_point(k, d, t)
-    cfg = B.CutConfig(u=(1, 1, 1), m=(0, 0, 0),
+    cfg = C.CutConfig(u=(1, 1, 1), m=(0, 0, 0),
                       l1_first=(0, 0, 0), l1_second=(1, 0, 0))
-    value = B.cutset_value(k, d, t, l1, pt, cfg)
-    case1, _, _ = B.eavesdropper_case_bounds(k, d, t, l1)
+    value = C.cutset_value(k, d, t, l1, pt, cfg)
+    case1, _, _ = C.eavesdropper_case_bounds(k, d, t, l1)
     assert value == case1
 
 
 def test_cutset_value_validates_config():
     pt = B.mbcr_point(2, 2, 2)
     with pytest.raises(ValueError):
-        B.cutset_value(2, 2, 2, 1, pt, B.CutConfig((2,), (0,), (1,), (0,)))
+        C.cutset_value(2, 2, 2, 1, pt, C.CutConfig((2,), (0,), (1,), (0,)))
 
 
 # ---------------------------------------------------------
@@ -116,24 +117,24 @@ def test_mbcr_secure_bound_table_values():
 
 
 def test_case_bounds_examples():
-    case1, case2, case3 = B.eavesdropper_case_bounds(3, 3, 2, 1)
+    case1, case2, case3 = C.eavesdropper_case_bounds(3, 3, 2, 1)
     assert case1 == 8 and case2 is None and case3 == 9
-    case1, case2, case3 = B.eavesdropper_case_bounds(2, 2, 2, 1)
+    case1, case2, case3 = C.eavesdropper_case_bounds(2, 2, 2, 1)
     assert case1 == 3 and case2 == 4 and case3 is None
-    case1, case2, case3 = B.eavesdropper_case_bounds(3, 3, 2, 0)
+    case1, case2, case3 = C.eavesdropper_case_bounds(3, 3, 2, 0)
     assert case1 == B.mbcr_point(3, 3, 2).file_size == 15
 
 
 def test_s_max_examples():
-    assert B.s_max(3, 3, 2, 1) == 6
-    assert B.s_max(3, 3, 2, 0) == 0
+    assert C.s_max(3, 3, 2, 1) == 6
+    assert C.s_max(3, 3, 2, 0) == 0
     # closed-form identity: S = l1(2d - l1 + t) - bt(t - bt) for l1 <= k - b
     for k, d, t in [(4, 5, 2), (5, 6, 3), (6, 7, 2)]:
         a = k // t
         b = k - a * t
         for l1 in range(0, min(k, a * t) + 1):
             bt = l1 % t
-            assert B.s_max(k, d, t, l1) == l1 * (2 * d - l1 + t) - bt * (t - bt)
+            assert C.s_max(k, d, t, l1) == l1 * (2 * d - l1 + t) - bt * (t - bt)
 
 
 def test_mscr_secure_bound():
@@ -149,11 +150,11 @@ def test_mscr_dk_achievable():
 
 
 def test_nrbw_values():
-    assert B.nrbw(2, 2, 2, 1) == Fraction(5, 3)
-    assert B.nrbw(3, 3, 2, 1) == Fraction(7, 8)
-    assert B.nrbw(2, 2, 3, 0) == Fraction(6, 10)
+    assert C.nrbw(2, 2, 2, 1) == Fraction(5, 3)
+    assert C.nrbw(3, 3, 2, 1) == Fraction(7, 8)
+    assert C.nrbw(2, 2, 3, 0) == Fraction(6, 10)
     with pytest.raises(ZeroDivisionError):
-        B.nrbw(2, 2, 2, 2)
+        C.nrbw(2, 2, 2, 2)
 
 
 # ---------------------------------------------------------
@@ -199,7 +200,7 @@ def test_nrbw_monotonicity_table_i():
     # with d + t = n fixed, cooperation never lowers NRBW
     by_key = {}
     for (n, k, l, t, d, *_rest) in TABLE_I:
-        by_key.setdefault((n, k, l), {})[t] = B.nrbw(k, d, t, l)
+        by_key.setdefault((n, k, l), {})[t] = C.nrbw(k, d, t, l)
     for key, vals in by_key.items():
         base = vals.get(1)
         if base is None:
@@ -212,7 +213,7 @@ def test_nrbw_monotonicity_table_i():
 def test_nrbw_monotonicity_table_ii_green():
     # with d fixed below n - 1, cooperation lowers NRBW vs the t=1 system
     for (n, k, l, t, d) in TABLE_II_GREEN:
-        assert B.nrbw(k, d, t, l) <= B.nrbw(k, d, 1, l), (n, k, l, t, d)
+        assert C.nrbw(k, d, t, l) <= C.nrbw(k, d, 1, l), (n, k, l, t, d)
 
 
 # ---------------------------------------------------------
@@ -220,7 +221,7 @@ def test_nrbw_monotonicity_table_ii_green():
 # ---------------------------------------------------------
 
 def test_case_bound_dominance_report():
-    report = B.case_bound_dominance(max_k=6, max_d=8, max_t=6)
+    report = C.case_bound_dominance(max_k=6, max_d=8, max_t=6)
     assert report.ok
     assert report.checked > 500
 
@@ -230,5 +231,5 @@ def test_case2_slack_identity():
         for t in range(k, 7):
             for d in range(k, 9):
                 for l1 in range(k):
-                    case1, case2, _ = B.eavesdropper_case_bounds(k, d, t, l1)
+                    case1, case2, _ = C.eavesdropper_case_bounds(k, d, t, l1)
                     assert case2 - case1 == (k - l1) * l1

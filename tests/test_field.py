@@ -464,7 +464,7 @@ def test_inv_by_norm_matches_pow(case):
     # Fermat's a^(q-2) is the oracle for the norm formula
     f, a = case
     inv = f.inv(a)
-    assert inv == f.pow(a, f.order - 2)
+    assert inv == O.power(f, a, f.order - 2)
     assert f.mul(a, inv) == f.one
     with pytest.raises(ZeroDivisionError):
         f.inv(f.zero)
@@ -886,7 +886,7 @@ def frobenius_inputs(draw):
 @given(frobenius_inputs())
 def test_frobenius_matches_pow(case):
     f, a = case
-    assert f.frobenius(a) == f.pow(a, f.p)
+    assert f.frobenius(a) == O.power(f, a, f.p)
 
 
 def _moore_inverse_fields():

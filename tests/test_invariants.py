@@ -11,6 +11,8 @@ from coopdss import sim as sim_mod
 from coopdss.codes import make_scheme, nodeio
 from coopdss.codes.base import ParameterError, SchemeParams
 
+from oracles import linear_view
+
 
 INSTANCES = [
     SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme="mbcr-exact"),
@@ -43,7 +45,7 @@ def test_observation_faithfulness_100_draws(params):
         if e2:
             nodes = scheme.encode(u, r)
             transcripts = [one_transcript(scheme, nodes, e2[0])]
-        obs = scheme.observation_matrix(e1, e2, transcripts)
+        obs = linear_view(scheme.observation_matrix(e1, e2, transcripts))
         plans = [(tr.failed, tr.helpers) for tr in transcripts]
         direct = scheme.observed_symbols(u, r, e1, e2, plans)
         model = [f.add(a, b) for a, b in

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from coopdss.codes import make_scheme, mbcr_bivariate
 from coopdss.codes.base import ParameterError, SchemeParams
-from coopdss.field import Matrix, prime_field, vandermonde_inverse
+from coopdss.field import Matrix, prime_field, vandermonde_inverse, vandermonde_inverse_rows
 
 from scheme_utils import check_faithful, leakage_of, sweep_reconstruct, sweep_repair
 
@@ -224,9 +224,9 @@ def test_repair_builds_no_vandermonde_inverse(monkeypatch):
 
     def counting(p, xs):
         calls.append(len(xs))
-        return vandermonde_inverse(p, xs)
+        return vandermonde_inverse_rows(p, xs)
 
-    monkeypatch.setattr(mbcr_bivariate, "vandermonde_inverse", counting)
+    monkeypatch.setattr(mbcr_bivariate, "vandermonde_inverse_rows", counting)
     s = scheme_for(9, 3, 4, 2, l1=1)  # n > d+t: the barycentric branch runs
     u, r = s.random_inputs(5)
     nodes = s.encode(u, r)

@@ -9,7 +9,7 @@ from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.codes.mbcr_exact import _phi_block_inverse, _phi_block_rows, find_structure
 from coopdss.field import Matrix, prime_field
 
-from oracles import basis_elements
+from oracles import basis_elements, linear_view
 from scheme_utils import (
     check_faithful,
     leakage_of,
@@ -96,14 +96,14 @@ def test_secrecy_rank_fact_all_placements():
                 v = leakage_of(s, e1)
                 assert v.leakage_qunits == 0
                 assert v.lemma_cond_entropy_ok and v.lemma_recoverable_ok
-                obs = s.observation_matrix(e1, [])
+                obs = linear_view(s.observation_matrix(e1, []))
                 assert obs.joint().rank() == l1 * (2 * d + t - l1) == s.n_random
 
 
 def test_dependent_z_rows():
     # z values exchanged between two eavesdropped nodes add no rank
     s = scheme_for(5, 3, 3, 2, l1=2)
-    obs = s.observation_matrix([1, 2], [])
+    obs = linear_view(s.observation_matrix([1, 2], []))
     assert obs.n_rows == 2 * s.alpha
     assert obs.joint().rank() == 2 * (2 * 3 + 2 - 2)  # < 2*alpha
 
@@ -135,7 +135,7 @@ def test_point_matrix_cross_check():
     # the extension-field joint rank
     s = scheme_for(5, 3, 3, 2, l1=2)
     for e1 in itertools.combinations(range(1, 6), 2):
-        obs = s.observation_matrix(e1, [])
+        obs = linear_view(s.observation_matrix(e1, []))
         assert s.observation_point_matrix(e1, []).rank() == obs.joint().rank()
 
 

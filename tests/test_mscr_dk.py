@@ -9,6 +9,7 @@ from coopdss.codes.base import (
     SchemeParams,
 )
 
+from oracles import linear_view
 from scheme_utils import check_faithful, leakage_of, sweep_reconstruct, sweep_repair
 
 
@@ -100,7 +101,7 @@ def test_secrecy_rank_fact_all_placements():
                         trs = [e2_transcript(s, nodes, e) for e in e2]
                         v = leakage_of(s, e1, e2, trs)
                         assert v.leakage_qunits == 0, (n, k, t, l1, l2, e1, e2)
-                        obs = s.observation_matrix(e1, e2, trs)
+                        obs = linear_view(s.observation_matrix(e1, e2, trs))
                         assert obs.joint().rank() == l2 * (k + t - l2) + l1 * (t - l2)
                         assert obs.joint().rank() == s.n_random
 
@@ -111,7 +112,7 @@ def test_e1_e2_overlap_dependency():
     u, r = s.random_inputs(7)
     nodes = s.encode(u, r)
     tr = e2_transcript(s, nodes, 1)
-    obs = s.observation_matrix([3], [1], [tr])
+    obs = linear_view(s.observation_matrix([3], [1], [tr]))
     assert obs.joint().rank() == s.n_random == 1 * (3 + 2 - 1) + 1 * (2 - 1)
     assert obs.n_rows > obs.joint().rank()
 
@@ -132,7 +133,7 @@ def test_point_matrix_cross_check():
     u, r = s.random_inputs(1)
     nodes = s.encode(u, r)
     tr = e2_transcript(s, nodes, 2)
-    obs = s.observation_matrix([], [2], [tr])
+    obs = linear_view(s.observation_matrix([], [2], [tr]))
     assert s.observation_point_matrix([], [2], [tr]).rank() == obs.joint().rank()
 
 

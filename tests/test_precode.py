@@ -10,7 +10,7 @@ import pytest
 
 from coopdss import field as F
 from coopdss import precode as P
-from coopdss.codes import base, make_scheme, mbcr_exact
+from coopdss.codes import make_scheme, mbcr_exact
 from coopdss.codes.base import SchemeParams
 
 import oracles as O
@@ -199,7 +199,7 @@ def test_solve_randomness_from_eavesdropped_mbcr_node():
         scheme = make_scheme(params)
         gf = scheme.field
         u, r = scheme.random_inputs(12)
-        obs = scheme.observation_matrix([1], [])
+        obs = O.linear_view(scheme.observation_matrix([1], []))
         e = scheme.observed_symbols(u, r, [1], [])
         assert len(e) == scheme.n_random, params
         assert recover_r(gf, obs.a_r, obs.a_u, u, e) == list(r), params
@@ -234,7 +234,7 @@ def test_data_path_multiplies_no_two_extension_elements(params, monkeypatch):
                       (F.Matrix, "matvec"), (F.Matrix, "_echelon")):
         monkeypatch.setattr(cls, attr, counting(f"{cls.__name__}.{attr}", getattr(cls, attr)))
     moore = counting("moore_matrix", F.moore_matrix)
-    for module in (F, base, mbcr_exact):
+    for module in (F, O, mbcr_exact):
         monkeypatch.setattr(module, "moore_matrix", moore)
 
     scheme = make_scheme(params)
@@ -250,6 +250,6 @@ def test_data_path_multiplies_no_two_extension_elements(params, monkeypatch):
     assert all(c == nodes[c.node_id - 1] for c in tr.results)
     assert calls == Counter()
 
-    # the counters see the dense path: the lazy Moore rows of an observation
-    assert scheme.observation_matrix([1], []).a_u.nrows == scheme.alpha
+    # the counters see the dense path: the Moore rows of an observation
+    assert O.linear_view(scheme.observation_matrix([1], [])).a_u.nrows == scheme.alpha
     assert calls["moore_matrix"] == 1 and calls["ExtField.frobenius"] > 0

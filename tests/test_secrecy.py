@@ -12,6 +12,8 @@ from coopdss.codes import make_scheme
 from coopdss.codes.base import ObservationMatrix, SchemeParams
 from coopdss.field import Matrix, ext_field, prime_field
 
+from oracles import linear_view
+
 
 def obs_from_rows(field, u_rows, r_rows):
     labels = tuple(("row", i) for i in range(len(u_rows)))
@@ -54,7 +56,7 @@ def test_rank_leakage_lemma_booleans():
     obs = scheme.observation_matrix([2], [])
     v = S.rank_leakage(obs)
     assert (v.lemma_cond_entropy_ok, v.lemma_recoverable_ok) == (True, True)
-    assert obs.joint().rank() == 5 == obs.n_random  # H(e) = H(r)
+    assert linear_view(obs).joint().rank() == 5 == obs.n_random  # H(e) = H(r)
     # bivariate: rank = l1*alpha - l1(l1-1) = 5 = |r|
     scheme = make_scheme(SchemeParams(n=5, k=2, d=2, t=2, l1=1, scheme="mbcr-bivariate"))
     obs = scheme.observation_matrix([4], [])
@@ -181,7 +183,7 @@ def _assert_point_rank_matches_moore(scheme, e1, e2=(), transcripts=()):
     obs = scheme.observation_matrix(e1, e2, transcripts)
     assert obs.points is not None
     fast = S.rank_leakage(obs)
-    oracle = S.joint_rank_leakage(obs)  # builds the Moore rows on first access
+    oracle = S.joint_rank_leakage(linear_view(obs))  # the Moore rows of the points
     assert fast.method == "rank"
     assert _verdict(fast) == _verdict(oracle), (scheme.params, e1, e2)
     return fast

@@ -1,11 +1,16 @@
 import dataclasses
+import tracemalloc
+from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopdss import sim as sim_mod
 from coopdss.codes import make_scheme, mbcr_bivariate, mbcr_exact
 from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.field import vandermonde_inverse_rows
+from coopdss.precode import splitmix64
 from coopdss.secrecy import rank_leakage
 
 from scheme_utils import symbol_from_bytes
@@ -76,6 +81,46 @@ def test_random_plan_and_helpers_mode():
     assert all(bw == 2 * 3 for bw in trace.bandwidth)
     ok, _ = sim_mod.replay_check(trace)
     assert ok
+
+
+def test_unrank_subset_lists_every_subset_in_order():
+    for n in range(1, 8):
+        for t in range(1, n + 1):
+            assert [sim_mod._unrank_subset(n, t, i) for i in range(comb(n, t))] \
+                == list(combinations(range(1, n + 1), t))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_random_plan_matches_listed_subsets(data):
+    # oracle: list every t-subset and index it with the drawn value
+    n = data.draw(st.integers(1, 12))
+    t = data.draw(st.integers(1, n))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    rounds = data.draw(st.integers(0, 5))
+    stream = splitmix64(seed ^ 0xFA11)
+    all_sets = list(combinations(range(1, n + 1), t))
+    want = tuple(frozenset(all_sets[next(stream) % len(all_sets)]) for _ in range(rounds))
+    assert config_for(n=n, t=t, rounds=rounds, seed=seed).resolved_plan() == want
+
+
+def test_random_plan_at_large_n_lists_no_subsets():
+    # C(100000, 3) ~ 1.7e14 subsets: listing them cannot finish; each drawn
+    # index is unranked alone, checked by the closed-form lexicographic rank
+    n, t, seed = 100_000, 3, 11
+    tracemalloc.start()
+    try:
+        plan = config_for(n=n, t=t, rounds=4, seed=seed).resolved_plan()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    stream = splitmix64(seed ^ 0xFA11)
+    for fs in plan:
+        c = sorted(fs)
+        rank = comb(n, t) - 1 - sum(comb(n - x, t - j) for j, x in enumerate(c))
+        assert len(c) == t and 1 <= c[0] and c[-1] <= n
+        assert rank == next(stream) % comb(n, t)
 
 
 def test_replay_check_flags_flipped_symbol():
