@@ -32,6 +32,7 @@ and the faithfulness checks compare two independent walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ..field import (
@@ -279,8 +280,24 @@ class Scheme:
         return e1, e2
 
     def _stored_rows(self, node: int) -> list:
-        """One observation row per symbol stored at `node`, in segment order."""
+        """One observation row per symbol stored at `node`, in segment order:
+        a sequence of ints, or a pair of int tuples.  Read through
+        `_node_rows`, which builds them once per instance."""
         raise NotImplementedError
+
+    @cached_property
+    def _stored_cache(self) -> dict[int, tuple]:
+        """node -> its `_stored_rows` as a tuple of tuples; see `_node_rows`."""
+        return {}
+
+    def _node_rows(self, node: int) -> tuple:
+        """`_stored_rows(node)` as a tuple of tuples, built on first use and
+        kept in `_stored_cache` (see `_observation_rows`); `node` must be a
+        validated id in [1, n]."""
+        rows = self._stored_cache.get(node)
+        if rows is None:
+            rows = self._stored_cache[node] = tuple(map(tuple, self._stored_rows(node)))
+        return rows
 
     def _download_rows(self, tr: RepairTranscript, newcomer: int) -> list:
         """One observation row per symbol `newcomer` downloaded in `tr`, in
@@ -292,13 +309,22 @@ class Scheme:
                           transcripts: Sequence[RepairTranscript]) -> tuple[list, list[tuple]]:
         """The eavesdropper's rows and their labels, in the shared row order.
 
+        A stored row depends only on its node, so each node's rows are built
+        once per instance (`_node_rows`) and shared by every later
+        observation: a sweep observes the same nodes again and again.  The
+        cache belongs to the instance, not to the process, so it dies with
+        the scheme.  Worst case n entries of alpha rows, each of at most M
+        ints (a point, or a u-row and r-row pair) or an index pair.  The
+        cached rows are tuples and every `Matrix` copies the rows it is
+        given, so no caller can alter them.
+
         Plain loops, not comprehensions: a sweep verdict observes a few rows,
         so the per-call cost of a comprehension shows in its time."""
         e1, e2 = self._validate_eaves(e1, e2, transcripts)
         rows: list = []
         labels: list[tuple] = []
         for node in e1 + e2:
-            rows += self._stored_rows(node)
+            rows += self._node_rows(node)
             for idx in range(self.alpha):
                 labels.append(("stored", node, idx))
         for rnd, tr in enumerate(transcripts):

@@ -81,10 +81,10 @@ class InsecureDemoScheme(Scheme):
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
         return self._linear_observation(*self._observation_rows(e1, e2, transcripts))
 
-    def _stored_rows(self, node: int) -> list[tuple[list[int], list[int]]]:
+    def _stored_rows(self, node: int) -> list[tuple[tuple[int], tuple[int]]]:
         cu, cr = self._rows[node]
-        return [([cu], [cr])]
+        return [((cu,), (cr,))]
 
     def _download_rows(self, tr: RepairTranscript,
-                       newcomer: int) -> list[tuple[list[int], list[int]]]:
-        return [row for h in tr.helpers for row in self._stored_rows(h)]
+                       newcomer: int) -> list[tuple[tuple[int], tuple[int]]]:
+        return [row for h in tr.helpers for row in self._node_rows(h)]

@@ -15,8 +15,16 @@ evaluations x_1..x_M over GF(p^M).  Stage 2 places them:
 Every stored symbol is therefore a base-field combination of the M Gabidulin
 evaluations, i.e. an evaluation of the precoding polynomial at a point of
 GF(p)^M; secrecy reduces to the GF(p) rank of those points (the Moore-rank
-lemma, see coopdss.secrecy).  Phi and p are closed forms, not a search (see
-`find_structure`): p = binomial_prime(d+n-1, M), the smallest prime >= d+n-1
+lemma, see coopdss.secrecy).  The points are closed forms too.  Node i's x
+symbols are the unit vectors on its x block, and its y value of group j is
+its y-code column on the coordinates of group j.  These sit on disjoint
+coordinates, so the point of a z value of node `source`, made with Phi
+column c, is c's first k entries on source's x block and c[k+j] times
+source's y-code column on each group j (`_z_point`); no coordinate is
+scanned.
+
+Phi and p are closed forms, not a search (see `find_structure`):
+p = binomial_prime(d+n-1, M), the smallest prime >= d+n-1
 with p = 1 mod rad(M) (and mod 4 when 4 | M), so GF(p^M) has a binomial
 modulus; p >= d+n-1 leaves room for the d+n-1 distinct Cauchy points, so any
 n = d + t can be built.
@@ -123,7 +131,11 @@ def _phi_block_rows(p: int, d: int, cols: tuple[int, ...], size: int) -> tuple[t
 
 
 class MbcrExactScheme(GabidulinScheme):
-    """Secrecy-capacity-achieving exact-repair MBCR code for n = d + t."""
+    """Secrecy-capacity-achieving exact-repair MBCR code for n = d + t.
+
+    Observation points are written from the closed forms (`_stored_rows`,
+    `_z_point`), each in O(M) steps; the base class keeps a node's stored
+    rows for the life of the instance."""
 
     name = "mbcr-exact"
 
@@ -165,9 +177,6 @@ class MbcrExactScheme(GabidulinScheme):
         self.phi_cols = [list(col) for col in zip(*phi)]
         self.y_cols = [[pow(x, l, p) for l in range(k)] for x in range(n)]
 
-        # point vectors (length-M base coordinates) of every stored symbol
-        self._primary_points = {i: self._compute_primary_points(i) for i in range(1, n + 1)}
-
     # -- placement bookkeeping -------------------------------------------------
 
     def _others(self, i: int) -> list[int]:
@@ -177,35 +186,34 @@ class MbcrExactScheme(GabidulinScheme):
         """Column of Phi assigned to `stored_at` among `source`'s n-1 peers."""
         return stored_at - 1 if stored_at < source else stored_at - 2
 
-    def _compute_primary_points(self, i: int) -> list[list[int]]:
-        n, k, d = self.params.n, self.params.k, self.params.d
-        m_total = self.file_size
-        pts = []
-        for s in range(k):  # x block: unit vectors
-            v = [0] * m_total
-            v[(i - 1) * k + s] = 1
-            pts.append(v)
-        for j in range(d - k):  # y values: V-combination of part-b group j
-            v = [0] * m_total
-            v[n * k + j * k:n * k + (j + 1) * k] = self.y_cols[i - 1]
-            pts.append(v)
-        return pts
-
     def _z_point(self, source: int, stored_at: int) -> list[int]:
-        p = self.base.p
-        prim = self._primary_points[source]
+        """Point of the z value `source` stores at `stored_at`, in closed
+        form (see the module docstring)."""
+        p, n, k = self.base.p, self.params.n, self.params.k
+        c = self.phi_cols[self._phi_col(source, stored_at)]
+        y = self.y_cols[source - 1]
         v = [0] * self.file_size
-        for s, c in enumerate(self.phi_cols[self._phi_col(source, stored_at)]):
-            if c:
-                row = prim[s]
-                for idx in range(self.file_size):
-                    if row[idx]:
-                        v[idx] = (v[idx] + c * row[idx]) % p
+        v[(source - 1) * k:source * k] = c[:k]
+        for j, cj in enumerate(c[k:]):
+            v[n * k + j * k:n * k + (j + 1) * k] = [cj * yl % p for yl in y]
         return v
 
     def _stored_rows(self, i: int) -> list[list[int]]:
-        """Evaluation-point vectors (base coordinates) of node i's symbols."""
-        return self._primary_points[i] + [self._z_point(src, i) for src in self._others(i)]
+        """Evaluation-point vectors (base coordinates) of node i's symbols:
+        k unit vectors on its x block, its y column on each of the d-k
+        part-b groups, then one z point per peer."""
+        n, k, d = self.params.n, self.params.k, self.params.d
+        m_total = self.file_size
+        rows = []
+        for s in range(k):
+            v = [0] * m_total
+            v[(i - 1) * k + s] = 1
+            rows.append(v)
+        for j in range(d - k):
+            v = [0] * m_total
+            v[n * k + j * k:n * k + (j + 1) * k] = self.y_cols[i - 1]
+            rows.append(v)
+        return rows + [self._z_point(src, i) for src in self._others(i)]
 
     # -- encode -----------------------------------------------------------------
 

@@ -301,20 +301,20 @@ class MscrIaScheme(Scheme):
 
     # -- observation ------------------------------------------------------------------------
 
-    def _stored_rows(self, node: int) -> list[tuple[list[int], list[int]]]:
+    def _stored_rows(self, node: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """(u-row, r-row) pairs for node's stored symbols."""
         f = self.field
         a_rows, b_rows = self._ab_rows()
         out = []
         for j in range(self.alpha):
             pa, pb = self._pa[node][j], self._pb[node][j]
-            au = [(pa * x + pb * y) % f.p for x, y in zip(a_rows[j][0], b_rows[j][0])]
-            ar = [(pa * x + pb * y) % f.p for x, y in zip(a_rows[j][1], b_rows[j][1])]
+            au = tuple([(pa * x + pb * y) % f.p for x, y in zip(a_rows[j][0], b_rows[j][0])])
+            ar = tuple([(pa * x + pb * y) % f.p for x, y in zip(a_rows[j][1], b_rows[j][1])])
             out.append((au, ar))
         return out
 
     def _combine_rows(self, coeffs: Sequence[int],
-                      rows: Sequence[tuple[list[int], list[int]]]):
+                      rows: Sequence[tuple[Sequence[int], Sequence[int]]]):
         f = self.field
         ms, nr = self.secure_size, self.n_random
         au, ar = [0] * ms, [0] * nr
@@ -332,7 +332,7 @@ class MscrIaScheme(Scheme):
         lam, _ = self._repair_strategy(tuple(sorted(tr.failed)))[newcomer]
         own_rows, peer_rows = [], []
         for m in tr.helpers:
-            stored = self._stored_rows(m)
+            stored = self._node_rows(m)
             own_rows.append(self._combine_rows(self._transfer(m, newcomer), stored))
             peer_rows.append(self._combine_rows(self._transfer(m, peer), stored))
         # the peer's one cooperative symbol combines its own phase-1 downloads

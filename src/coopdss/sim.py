@@ -27,6 +27,12 @@ from .codes.base import NodeContent, ParameterError, RepairTranscript, Scheme, S
 from .precode import splitmix64
 
 
+# the trace header's counts lie in [0, 65535]: n..l2 of a parsed header and
+# the rounds of a run, so a forged header or config cannot make the program
+# build or draw millions of anything
+HEADER_BOUND = 1 << 16
+
+
 class ProtocolError(RuntimeError):
     """A repair round broke the protocol contract (wrong repair bandwidth)."""
 
@@ -43,6 +49,8 @@ class SimConfig:
     helper_mode: str = "lowest"  # or "random"
 
     def resolved_plan(self) -> tuple[frozenset[int], ...]:
+        if not 0 <= self.rounds < HEADER_BOUND:
+            raise ParameterError(f"rounds={self.rounds} is outside [0, {HEADER_BOUND - 1}]")
         if self.failure_plan is not None:
             plan = tuple(frozenset(s) for s in self.failure_plan)
             if len(plan) != self.rounds:
@@ -262,9 +270,9 @@ def trace_transfers_from_text(text: str):
             # the node-file header's 16-bit bound: a forged n cannot make
             # the scheme build millions of evaluation points
             for key in ("n", "k", "d", "t", "l1", "l2"):
-                if not 0 <= header[key] < 1 << 16:
+                if not 0 <= header[key] < HEADER_BOUND:
                     raise ValueError(f"trace line {lineno}: {key}={header[key]} "
-                                     "is outside [0, 65535]")
+                                     f"is outside [0, {HEADER_BOUND - 1}]")
         elif parts[0] == "transfer":
             transfers.append((int(parts[1]), int(parts[2]), int(parts[3]),
                               parts[4], parts[5]))

@@ -11,6 +11,10 @@ The Gabidulin schemes' observation (`PointObservation`) keeps only the GF(p)
 evaluation points; `linear_view` builds its GF(p^M) Moore rows, the
 [A_r | A_u] that `coopdss.secrecy.joint_rank_leakage` eliminates, so the
 point-rank verdict has an extension-field oracle.
+
+The mbcr-exact observation points are written in closed form by the scheme;
+`mbcr_exact_stored_rows` and `mbcr_exact_z_point` build them by combining
+the primary points coordinate by coordinate.
 """
 
 from coopdss.codes.base import ObservationMatrix, PointObservation
@@ -106,3 +110,43 @@ def basis_moore_inverse(field):
                                    for l, s in enumerate(scales)]
                                   for i in range(m)], ncols=m)
     return entry[1]
+
+
+def mbcr_exact_primary_points(scheme, i):
+    """Points of mbcr-exact node i's d primary symbols: unit vectors on its
+    x block, then its y-code column on each part-b group."""
+    n, k, d = scheme.params.n, scheme.params.k, scheme.params.d
+    m_total = scheme.file_size
+    pts = []
+    for s in range(k):  # x block: unit vectors
+        v = [0] * m_total
+        v[(i - 1) * k + s] = 1
+        pts.append(v)
+    for j in range(d - k):  # y values: V-combination of part-b group j
+        v = [0] * m_total
+        v[n * k + j * k:n * k + (j + 1) * k] = scheme.y_cols[i - 1]
+        pts.append(v)
+    return pts
+
+
+def mbcr_exact_z_point(scheme, source, stored_at):
+    """Point of the z value `source` stores at `stored_at`: its Phi column
+    applied to source's primary points, scanning every coordinate of each
+    primary point with a nonzero coefficient."""
+    p = scheme.base.p
+    prim = mbcr_exact_primary_points(scheme, source)
+    v = [0] * scheme.file_size
+    for s, c in enumerate(scheme.phi_cols[scheme._phi_col(source, stored_at)]):
+        if c:
+            row = prim[s]
+            for idx in range(scheme.file_size):
+                if row[idx]:
+                    v[idx] = (v[idx] + c * row[idx]) % p
+    return v
+
+
+def mbcr_exact_stored_rows(scheme, i):
+    """Points of all of mbcr-exact node i's symbols, in segment order."""
+    others = [j for j in range(1, scheme.params.n + 1) if j != i]
+    return (mbcr_exact_primary_points(scheme, i)
+            + [mbcr_exact_z_point(scheme, src, i) for src in others])

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import io
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -548,6 +549,35 @@ def test_simulate_bandwidth_fault_exit3(tmp_path, monkeypatch):
     code, out, err = run_cli(["simulate", "--config", str(cfg)])
     assert code == 3
     assert "protocol fault: round 0: bandwidth" in err
+
+
+def _limit_address_space():
+    # 400000 KiB, as in CI: a config that allocates per round fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (400_000 << 10, 400_000 << 10))
+
+
+def test_simulate_huge_rounds_exit2_in_subprocess(tmp_path):
+    # 10^8 rounds and no plan: refused before any failure set is drawn, not a
+    # MemoryError traceback with exit 1, the code of a secrecy violation
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(SIM_INI.split("[simulate]")[0] + "[simulate]\nrounds = 100000000\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "coopdss.cli", "simulate", "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "rounds=100000000 is outside [0, 65535]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_secrecy_plan_beyond_trace_header_bound_exit2():
+    plan = ";".join(["1,2"] * sim_mod.HEADER_BOUND)
+    code, out, err = run_cli(["verify-secrecy", "--scheme", "mscr-dk", "--n", "4", "--k", "2",
+                              "--d", "2", "--t", "2", "--l2", "1", "--e2", "1", "--plan", plan])
+    assert code == 2 and out == ""
+    assert f"rounds={sim_mod.HEADER_BOUND} is outside" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text, message", [

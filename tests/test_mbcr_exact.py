@@ -9,7 +9,7 @@ from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.codes.mbcr_exact import _phi_block_inverse, _phi_block_rows, find_structure
 from coopdss.field import Matrix, prime_field
 
-from oracles import basis_elements, linear_view
+from oracles import basis_elements, linear_view, mbcr_exact_stored_rows, mbcr_exact_z_point
 from scheme_utils import (
     check_faithful,
     leakage_of,
@@ -137,6 +137,28 @@ def test_point_matrix_cross_check():
     for e1 in itertools.combinations(range(1, 6), 2):
         obs = linear_view(s.observation_matrix(e1, []))
         assert s.observation_point_matrix(e1, []).rank() == obs.joint().rank()
+
+
+@st.composite
+def mbcr_exact_params(draw):
+    """A valid mbcr-exact (n, k, d, t) with n <= 8, l1 = l2 = 0."""
+    n = draw(st.integers(2, 8))
+    t = draw(st.integers(1, n - 1))
+    d = n - t
+    return n, draw(st.integers(1, d)), d, t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mbcr_exact_params())
+def test_closed_form_points_match_scanning_oracle(nkdt):
+    s = scheme_for(*nkdt)
+    n = nkdt[0]
+    for source in range(1, n + 1):
+        for stored_at in range(1, n + 1):
+            if stored_at != source:
+                assert s._z_point(source, stored_at) == mbcr_exact_z_point(s, source, stored_at)
+    for i in range(1, n + 1):
+        assert s._stored_rows(i) == mbcr_exact_stored_rows(s, i)
 
 
 def _criterion_2_keys():

@@ -123,6 +123,26 @@ def test_random_plan_at_large_n_lists_no_subsets():
         assert rank == next(stream) % comb(n, t)
 
 
+@pytest.mark.parametrize("rounds", [-1, sim_mod.HEADER_BOUND, 100_000_000])
+def test_rounds_outside_trace_header_bound_rejected_before_drawing(monkeypatch, rounds):
+    # the trace header holds rounds in 16 bits; a larger count is refused
+    # before a single failure set is drawn
+    def no_stream(seed):
+        raise AssertionError("a failure set was drawn")
+
+    monkeypatch.setattr(sim_mod, "splitmix64", no_stream)
+    with pytest.raises(ParameterError, match=f"rounds={rounds} is outside"):
+        config_for(rounds=rounds).resolved_plan()
+
+
+def test_failure_plan_bounded_like_rounds():
+    plan = (frozenset({1, 2}),) * (sim_mod.HEADER_BOUND - 1)
+    assert config_for(rounds=len(plan), failure_plan=plan).resolved_plan() == plan
+    plan += plan[:1]
+    with pytest.raises(ParameterError, match=f"rounds={sim_mod.HEADER_BOUND} is outside"):
+        config_for(rounds=len(plan), failure_plan=plan).resolved_plan()
+
+
 def test_replay_check_flags_flipped_symbol():
     cfg = config_for(l1=1, rounds=1, failure_plan=(frozenset({1, 2}),), e1=(3,))
     trace = sim_mod.run(cfg)
