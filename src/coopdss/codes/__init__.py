@@ -2,7 +2,6 @@
 
 from .base import (
     NodeContent,
-    ObservationMatrix,
     RepairTranscript,
     SchemeParams,
     ParameterError,

@@ -15,8 +15,11 @@ Observation row order:
      peer id ascending.
 
 `Scheme._observation_rows` is the one implementation of this order.  A
-scheme supplies one row per symbol (`_stored_rows`, `_download_rows`); the
-base labels every row itself:
+scheme supplies one row of `file_size` ints per symbol (`_stored_rows`,
+`_download_rows`): its row of [A_r | A_u] over (r || u), or, for a
+Gabidulin scheme, the GF(p) coordinates of its evaluation point.  Either
+way the view holds one matrix (`ObservationMatrix`, `PointObservation`).
+The base labels every row itself:
 
   ("stored", node, idx)            idx < alpha, a stored symbol;
   ("live", round, helper, newcomer, idx)
@@ -118,52 +121,35 @@ class RepairTranscript:
 
 
 class ObservationMatrix:
-    """Eavesdropper view e = A_u u + A_r r over the scheme's field: GF(p) for
-    every scheme that builds one (mbcr-bivariate, mscr-ia, insecure-demo)."""
+    """Eavesdropper view e = A_u u + A_r r as one matrix [A_r | A_u], one
+    row over (r || u) per observed symbol, over GF(p) in every scheme.
 
-    def __init__(self, a_u: Matrix, a_r: Matrix, labels: Sequence[tuple]):
-        if a_u.nrows != a_r.nrows or a_u.nrows != len(labels):
+    The r columns come first so that one elimination yields both
+    rank([A_u|A_r]) and rank(A_r)."""
+
+    def __init__(self, matrix: Matrix, n_random: int, labels: Sequence[tuple]):
+        if matrix.nrows != len(labels):
             raise ValueError("row count mismatch")
-        self.a_u = a_u
-        self.a_r = a_r
+        self.matrix = matrix
         self.labels = tuple(labels)
-        self.field = a_u.field
-        self.n_secret = a_u.ncols
-        self.n_random = a_r.ncols
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.labels)
-
-    def joint(self) -> Matrix:
-        """[A_r | A_u]; putting the r columns first lets one elimination
-        yield both rank([A_u|A_r]) and rank(A_r)."""
-        return self.a_r.hstack(self.a_u)
-
-
-class PointObservation:
-    """View of a Gabidulin-precoded scheme, kept as GF(p) evaluation points.
-
-    Every observed symbol is f(h) for the precoding polynomial
-    f(X) = sum_i c_i X^(p^i) with coefficients c = (r || u) and a point h in
-    GF(p)^M; row j of `points` holds the base coordinates of h_j.  Row j of
-    [A_r | A_u] over GF(p^M) is the Moore row (h_j, h_j^p, ...,
-    h_j^(p^(M-1))), but a rank verdict needs only the GF(p) rank of
-    `points`, so the view keeps the points alone.
-    """
-
-    def __init__(self, field, points: Matrix, n_random: int, labels: Sequence[tuple]):
-        if points.nrows != len(labels):
-            raise ValueError("row count mismatch")
-        self.points = points
-        self.labels = tuple(labels)
-        self.field = field
-        self.n_secret = points.ncols - n_random
+        self.n_secret = matrix.ncols - n_random
         self.n_random = n_random
 
     @property
     def n_rows(self) -> int:
         return len(self.labels)
+
+
+class PointObservation(ObservationMatrix):
+    """View of a Gabidulin-precoded scheme, kept as GF(p) evaluation points.
+
+    Every observed symbol is f(h) for the precoding polynomial
+    f(X) = sum_i c_i X^(p^i) with coefficients c = (r || u) and a point h in
+    GF(p)^M; row j of `matrix` holds the base coordinates of h_j.  Row j of
+    [A_r | A_u] over GF(p^M) is the Moore row (h_j, h_j^p, ...,
+    h_j^(p^(M-1))), but a rank verdict needs only the GF(p) rank of the
+    points, so the view keeps the points alone.
+    """
 
 
 class Scheme:
@@ -210,7 +196,7 @@ class Scheme:
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = (),
-                           ) -> ObservationMatrix | PointObservation:
+                           ) -> ObservationMatrix:
         raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------------
@@ -281,8 +267,8 @@ class Scheme:
 
     def _stored_rows(self, node: int) -> list:
         """One observation row per symbol stored at `node`, in segment order:
-        a sequence of ints, or a pair of int tuples.  Read through
-        `_node_rows`, which builds them once per instance."""
+        a sequence of `file_size` ints.  Read through `_node_rows`, which
+        builds them once per instance."""
         raise NotImplementedError
 
     @cached_property
@@ -313,8 +299,7 @@ class Scheme:
         once per instance (`_node_rows`) and shared by every later
         observation: a sweep observes the same nodes again and again.  The
         cache belongs to the instance, not to the process, so it dies with
-        the scheme.  Worst case n entries of alpha rows, each of at most M
-        ints (a point, or a u-row and r-row pair) or an index pair.  The
+        the scheme.  Worst case n entries of alpha rows of M ints.  The
         cached rows are tuples and every `Matrix` copies the rows it is
         given, so no caller can alter them.
 
@@ -338,16 +323,12 @@ class Scheme:
                         labels.append(("coop", rnd, m, i, idx))
         return rows, labels
 
-    def _linear_observation(self, rows: Sequence[tuple[Sequence[int], Sequence[int]]],
-                            labels: Sequence[tuple]) -> ObservationMatrix:
-        """The observation from one (u-row, r-row) pair per observed symbol."""
-        u_rows, r_rows = [], []
-        for ru, rr in rows:
-            u_rows.append(ru)
-            r_rows.append(rr)
-        return ObservationMatrix(a_u=Matrix(self.field, u_rows, ncols=self.secure_size),
-                                 a_r=Matrix(self.field, r_rows, ncols=self.n_random),
-                                 labels=labels)
+    def _linear_observation(self, e1: Iterable[int], e2: Iterable[int],
+                            transcripts: Sequence[RepairTranscript]) -> ObservationMatrix:
+        """The observation as [A_r | A_u] over the scheme's field GF(p)."""
+        rows, labels = self._observation_rows(e1, e2, transcripts)
+        return ObservationMatrix(Matrix(self.field, rows, ncols=self.file_size),
+                                 self.n_random, labels)
 
     def observed_symbols(self, u: Sequence[int], r: Sequence[int],
                          e1: Iterable[int], e2: Iterable[int],
@@ -411,11 +392,11 @@ class GabidulinScheme(Scheme):
                            transcripts: Sequence[RepairTranscript]) -> PointObservation:
         """The observation as GF(p) evaluation points."""
         points, labels = self._observation_rows(e1, e2, transcripts)
-        return PointObservation(self.field, Matrix(self.base, points, ncols=self.file_size),
+        return PointObservation(Matrix(self.base, points, ncols=self.file_size),
                                 self.n_random, labels)
 
     def observation_point_matrix(self, e1: Iterable[int], e2: Iterable[int],
                                  transcripts: Sequence[RepairTranscript] = ()) -> Matrix:
         """GF(p) matrix of the observation points, one row per observed
         symbol; its rank equals rank([A_u | A_r]) over GF(p^M)."""
-        return self.observation_matrix(e1, e2, transcripts).points
+        return self.observation_matrix(e1, e2, transcripts).matrix

@@ -26,7 +26,7 @@ class InsecureDemoScheme(Scheme):
 
     name = "insecure-demo"
 
-    _rows = {1: (1, 0), 2: (0, 1), 3: (1, 1)}  # (u, r) coefficients per node
+    _rows = {1: (0, 1), 2: (1, 0), 3: (1, 1)}  # (r, u) coefficients per node
 
     @classmethod
     def node_format(cls, params: SchemeParams) -> tuple[int, int, int, tuple[tuple[str, int], ...]]:
@@ -49,7 +49,7 @@ class InsecureDemoScheme(Scheme):
         self._check_inputs(u, r)
         f = self.field
         vals = {i: f.add(f.mul(cu, u[0]), f.mul(cr, r[0]))
-                for i, (cu, cr) in self._rows.items()}
+                for i, (cr, cu) in self._rows.items()}
         return [NodeContent(i, (vals[i],), self.layout) for i in (1, 2, 3)]
 
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
@@ -58,7 +58,7 @@ class InsecureDemoScheme(Scheme):
             raise ParameterError("need k=2 nodes")
         ids = sorted(by_id)[:2]
         m = Matrix(self.field, [list(self._rows[i]) for i in ids])
-        u0, _ = m.solve([by_id[i].symbols[0] for i in ids])
+        _, u0 = m.solve([by_id[i].symbols[0] for i in ids])
         return (u0,)
 
     def cooperative_repair(self, failed: Iterable[int],
@@ -70,8 +70,8 @@ class InsecureDemoScheme(Scheme):
         (i,) = tuple(failed)
         live = {(h, i): (survivors[h].symbols[0],) for h in helpers}
         m = Matrix(f, [list(self._rows[h]) for h in helpers])
-        u0, r0 = m.solve([survivors[h].symbols[0] for h in helpers])
-        cu, cr = self._rows[i]
+        r0, u0 = m.solve([survivors[h].symbols[0] for h in helpers])
+        cr, cu = self._rows[i]
         val = f.add(f.mul(cu, u0), f.mul(cr, r0))
         return RepairTranscript(failed=failed, helpers=helpers, live_transfers=live,
                                 coop_transfers={},
@@ -79,12 +79,10 @@ class InsecureDemoScheme(Scheme):
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
-        return self._linear_observation(*self._observation_rows(e1, e2, transcripts))
+        return self._linear_observation(e1, e2, transcripts)
 
-    def _stored_rows(self, node: int) -> list[tuple[tuple[int], tuple[int]]]:
-        cu, cr = self._rows[node]
-        return [((cu,), (cr,))]
+    def _stored_rows(self, node: int) -> list[tuple[int, int]]:
+        return [self._rows[node]]
 
-    def _download_rows(self, tr: RepairTranscript,
-                       newcomer: int) -> list[tuple[tuple[int], tuple[int]]]:
+    def _download_rows(self, tr: RepairTranscript, newcomer: int) -> list[tuple[int, int]]:
         return [row for h in tr.helpers for row in self._node_rows(h)]

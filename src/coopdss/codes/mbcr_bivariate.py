@@ -149,15 +149,15 @@ class MbcrBivariateScheme(Scheme):
     def _wrap(self, i: int, s: int) -> int:
         return (i - 1 + s) % self.params.n + 1
 
-    def _stored_rows(self, i: int) -> list[tuple[int, int]]:
+    def _stored_points(self, i: int) -> list[tuple[int, int]]:
         """The points at which node i stores F, as index pairs into (x_points, y_points)."""
         d, t = self.params.d, self.params.t
         pts = [(i, self._wrap(i, s)) for s in range(d + t)]       # (x_i, y_*)
         pts += [(self._wrap(i, s), i) for s in range(1, d)]       # (x_*, y_i)
         return pts
 
-    def _monomial_rows(self, xi: int, yi: int) -> tuple[list[int], list[int]]:
-        """The rows x^i y^j of the point (x_xi, y_yi) over the u and the r support."""
+    def _monomial_row(self, xi: int, yi: int) -> list[int]:
+        """The row x^i y^j of the point (x_xi, y_yi) over the r then the u support."""
         q = self.field.p
         x = self.x_points[xi - 1]
         y = self.y_points[yi - 1]
@@ -165,8 +165,7 @@ class MbcrBivariateScheme(Scheme):
         for _ in range(self.params.d + self.params.t - 1):  # no degree reaches d+t
             xp.append(xp[-1] * x % q)
             yp.append(yp[-1] * y % q)
-        return ([xp[i] * yp[j] % q for i, j in self.u_support],
-                [xp[i] * yp[j] % q for i, j in self.r_support])
+        return [xp[i] * yp[j] % q for i, j in self.r_support + self.u_support]
 
     def _coeff_rows(self, u: Sequence[int], r: Sequence[int]) -> list[list[int]]:
         """Row i holds the Y-coefficients (low first) of X^i in F."""
@@ -197,7 +196,7 @@ class MbcrBivariateScheme(Scheme):
         nodes = []
         for i in range(1, self.params.n + 1):
             syms = tuple(self._eval_f(rows, xi, yi)
-                         for xi, yi in self._stored_rows(i))
+                         for xi, yi in self._stored_points(i))
             nodes.append(NodeContent(i, syms, self.layout))
         return nodes
 
@@ -302,15 +301,16 @@ class MbcrBivariateScheme(Scheme):
 
     # -- observation -----------------------------------------------------------------------
 
-    def _download_rows(self, tr: RepairTranscript, i: int) -> list[tuple[int, int]]:
-        rows = []
+    def _stored_rows(self, i: int) -> list[list[int]]:
+        return [self._monomial_row(*pt) for pt in self._stored_points(i)]
+
+    def _download_rows(self, tr: RepairTranscript, i: int) -> list[list[int]]:
+        points = []
         for h in tr.helpers:
-            rows += [(h, i), (i, h)]                                # f_h(y_i), g_h(x_i)
-        return rows + [(i, j) for j in sorted(tr.failed - {i})]     # g_j(x_i)
+            points += [(h, i), (i, h)]                                # f_h(y_i), g_h(x_i)
+        points += [(i, j) for j in sorted(tr.failed - {i})]           # g_j(x_i)
+        return [self._monomial_row(*pt) for pt in points]
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
-        points, labels = self._observation_rows(e1, e2, transcripts)
-        # a lifetime observes the same point many times: one pair of rows each
-        monomials = {pt: self._monomial_rows(*pt) for pt in dict.fromkeys(points)}
-        return self._linear_observation([monomials[pt] for pt in points], labels)
+        return self._linear_observation(e1, e2, transcripts)

@@ -133,50 +133,24 @@ class MscrIaScheme(Scheme):
             self._pa[i + 2] = [1] * self.alpha
             self._pb[i + 2] = self.multipliers[i - 1][:]
         self._strategies: dict = {}  # failed pair -> _repair_strategy's result
+        # the secure file packing of the module docstring, stated once for
+        # encode and the observation rows: file symbol s (a_0..a_{alpha-1},
+        # then b_0..b_{alpha-1}) is the sum of the (r || u) coordinates in
+        # _packing[s]
+        alpha, ms, nr = self.alpha, self.secure_size, self.n_random
+        if nr == 0:  # (a || b) = u
+            self._packing = tuple((s,) for s in range(self.file_size))
+        else:  # a_j = r_j, b_j = r_j + u_j, and in Case 2 the last b is pure r
+            self._packing = (tuple((j,) for j in range(alpha))
+                             + tuple((j, nr + j) if j < ms else (alpha,) for j in range(alpha)))
 
     # -- file packing -------------------------------------------------------------
 
     def _file_vectors(self, u: Sequence[int], r: Sequence[int]) -> tuple[list[int], list[int]]:
-        f = self.field
-        alpha = self.alpha
-        l1, l2 = self.params.l1, self.params.l2
-        if (l1, l2) == (0, 0):
-            return list(u[:alpha]), list(u[alpha:])
-        a = list(r[:alpha])
-        if (l1, l2) == (1, 0):
-            b = [f.add(r[j], u[j]) for j in range(alpha)]
-        else:
-            b = [f.add(r[j], u[j]) for j in range(alpha - 1)] + [r[alpha]]
-        return a, b
-
-    def _ab_rows(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Rows of (a_j, b_j) over (u || r), for observation building."""
-        alpha = self.alpha
-        ms, nr = self.secure_size, self.n_random
-        l1, l2 = self.params.l1, self.params.l2
-
-        def unit(n_cols, idx):
-            row = [0] * n_cols
-            row[idx] = 1
-            return row
-
-        a_rows, b_rows = [], []
-        if (l1, l2) == (0, 0):
-            for j in range(alpha):
-                a_rows.append((unit(ms, j), [0] * nr))
-                b_rows.append((unit(ms, alpha + j), [0] * nr))
-        elif (l1, l2) == (1, 0):
-            for j in range(alpha):
-                a_rows.append(([0] * ms, unit(nr, j)))
-                b_rows.append((unit(ms, j), unit(nr, j)))
-        else:
-            for j in range(alpha):
-                a_rows.append(([0] * ms, unit(nr, j)))
-                if j < alpha - 1:
-                    b_rows.append((unit(ms, j), unit(nr, j)))
-                else:
-                    b_rows.append(([0] * ms, unit(nr, alpha)))
-        return a_rows, b_rows
+        p = self.field.p
+        c = (*r, *u)
+        x = [sum(c[i] for i in slots) % p for slots in self._packing]
+        return x[:self.alpha], x[self.alpha:]
 
     # -- encode / reconstruct --------------------------------------------------------
 
@@ -210,12 +184,9 @@ class MscrIaScheme(Scheme):
             raise ParameterError("need k=2 distinct nodes")
         ids = sorted(by_id)[:2]
         a, b = self._solve_file(by_id[ids[0]], by_id[ids[1]])
-        l1, l2 = self.params.l1, self.params.l2
-        if (l1, l2) == (0, 0):
+        if self.n_random == 0:
             return tuple(a + b)
-        if (l1, l2) == (1, 0):
-            return tuple(f.sub(b[j], a[j]) for j in range(self.alpha))
-        return tuple(f.sub(b[j], a[j]) for j in range(self.alpha - 1))
+        return tuple(f.sub(b[j], a[j]) for j in range(self.secure_size))  # u_j = b_j - a_j
 
     # -- repair -------------------------------------------------------------------------
 
@@ -301,33 +272,28 @@ class MscrIaScheme(Scheme):
 
     # -- observation ------------------------------------------------------------------------
 
-    def _stored_rows(self, node: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(u-row, r-row) pairs for node's stored symbols."""
-        f = self.field
-        a_rows, b_rows = self._ab_rows()
+    def _stored_rows(self, node: int) -> list[list[int]]:
+        """Row j is pa_v[j] a_j + pb_v[j] b_j over (r || u)."""
+        p, alpha = self.field.p, self.alpha
         out = []
-        for j in range(self.alpha):
-            pa, pb = self._pa[node][j], self._pb[node][j]
-            au = tuple([(pa * x + pb * y) % f.p for x, y in zip(a_rows[j][0], b_rows[j][0])])
-            ar = tuple([(pa * x + pb * y) % f.p for x, y in zip(a_rows[j][1], b_rows[j][1])])
-            out.append((au, ar))
+        for j in range(alpha):
+            row = [0] * self.file_size
+            for coef, s in ((self._pa[node][j], j), (self._pb[node][j], alpha + j)):
+                for idx in self._packing[s]:
+                    row[idx] += coef
+            out.append([x % p for x in row])
         return out
 
-    def _combine_rows(self, coeffs: Sequence[int],
-                      rows: Sequence[tuple[Sequence[int], Sequence[int]]]):
-        f = self.field
-        ms, nr = self.secure_size, self.n_random
-        au, ar = [0] * ms, [0] * nr
-        for c, (ru, rr) in zip(coeffs, rows):
-            if c:
-                for idx in range(ms):
-                    au[idx] = (au[idx] + c * ru[idx]) % f.p
-                for idx in range(nr):
-                    ar[idx] = (ar[idx] + c * rr[idx]) % f.p
-        return au, ar
+    def _combine_rows(self, coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+        """sum_i coeffs[i] rows[i] over GF(p)."""
+        out = [0] * self.file_size
+        for c, row in zip(coeffs, rows):
+            for idx, x in enumerate(row):
+                out[idx] += c * x
+        p = self.field.p
+        return [x % p for x in out]
 
-    def _download_rows(self, tr: RepairTranscript,
-                       newcomer: int) -> list[tuple[list[int], list[int]]]:
+    def _download_rows(self, tr: RepairTranscript, newcomer: int) -> list[list[int]]:
         (peer,) = tr.failed - {newcomer}
         lam, _ = self._repair_strategy(tuple(sorted(tr.failed)))[newcomer]
         own_rows, peer_rows = [], []
@@ -340,4 +306,4 @@ class MscrIaScheme(Scheme):
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
-        return self._linear_observation(*self._observation_rows(e1, e2, transcripts))
+        return self._linear_observation(e1, e2, transcripts)

@@ -20,8 +20,8 @@ once per result, not once per multiply (delayed reduction; Dumas, Giorgi &
 Pernet, FFLAS-FFPACK, 2008):
 
 - `mul` reduces once per product;
-- `dot` (and so `Matrix.matvec`) sums raw products and reduces once per dot
-  product, or once per `_dot_chunk` terms;
+- `dot` sums raw products and reduces once per dot product, or once per
+  `_dot_chunk` terms;
 - each elimination entry, pv*a - c*b, is two raw products reduced once;
 - each back-substitution entry is a `dot` over the solved tail.
 
@@ -38,9 +38,13 @@ symbols; node files, the CLI and the trace writer all use it.
 
 Rank and solving use fraction-free Gaussian elimination with first-nonzero
 pivoting: no divisions during elimination, no tolerances, deterministic.
-The schemes' repair and reconstruct systems run no elimination: they are
-base-field Vandermonde and Cauchy matrices, whose inverses are closed forms
-(`vandermonde_inverse`, `cauchy_inverse`) applied with `dot`.  They depend
+The mbcr-exact, mscr-dk and mbcr-bivariate repair and reconstruct systems
+run no elimination: they are base-field Vandermonde and Cauchy matrices,
+whose inverses are closed forms (`vandermonde_inverse`, `cauchy_inverse`)
+applied with `dot` (mbcr-bivariate repair evaluates polynomials and applies
+none).  Two small schemes do eliminate: every mscr-ia repair solves each
+newcomer's (alpha+1)-system with `Matrix.solve`, and insecure-demo solves a
+2x2 system with it in both reconstruct and repair.  The closed forms depend
 only on public points, so `vandermonde_inverse_rows` keeps the Vandermonde
 rows in a bounded process-wide cache (256 entries, keyed by the prime and
 the point tuple) as immutable tuples.
@@ -530,12 +534,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if other.nrows != self.nrows:
-            raise ValueError("row count mismatch")
-        return Matrix(self.field, [a + b for a, b in zip(self.rows, other.rows)],
-                      ncols=self.ncols + other.ncols)
 
     def matvec(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.ncols:

@@ -7,7 +7,9 @@ two rank statements: H(e) <= H(r) becomes rank([A_u|A_r]) <= |r| and
 H(r | u, e) = 0 becomes rank(A_r) = |r|.  `rank_leakage` returns the
 leakage and both lemma conditions.
 
-How the ranks are found depends on the scheme:
+Every view (`ObservationMatrix`) holds one GF(p) matrix, one row of M
+ints per observed symbol, and |r|; how the ranks are found depends on the
+scheme, and `rank_leakage` picks the rule by the view's type:
 
 * mbcr-exact and mscr-dk precode with a Gabidulin (linearized) polynomial,
   so each observed symbol is f(h) for a point h in GF(p)^M and the rows of
@@ -18,12 +20,12 @@ How the ranks are found depends on the scheme:
   leakage = max(0, rho - |r|), H(e) <= H(r) iff rho <= |r|, and
   H(r | u, e) = 0 iff rho >= |r|.  One small base-field elimination
   decides the verdict, so their view (`PointObservation`) holds the points
-  alone.
+  as its matrix.
 * mbcr-bivariate, mscr-ia and insecure-demo have no such points; their
-  view is an `ObservationMatrix` over GF(p), and one elimination of
-  [A_r | A_u] gives both ranks (`joint_rank_leakage`).  The tests' GF(p^M)
-  oracle for the Gabidulin schemes builds the Moore rows of the points and
-  runs the same elimination on them.
+  matrix is [A_r | A_u] itself, a row over (r || u) per symbol, and one
+  elimination of it gives both ranks (`joint_rank_leakage`).  The tests'
+  GF(p^M) oracle for the Gabidulin schemes builds the Moore rows of the
+  points and runs the same elimination on them.
 
 The brute-force oracle never touches the analytic observation matrices: it
 probes the encode/repair protocol itself, verifies linearity on random spot
@@ -71,7 +73,7 @@ class SecrecyVerdict:
         return self.leakage_qunits == 0
 
 
-def rank_leakage(obs: ObservationMatrix | PointObservation) -> SecrecyVerdict:
+def rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
     """Rank-based verdict.
 
     With evaluation points (mbcr-exact, mscr-dk) this is the Moore-rank
@@ -80,7 +82,7 @@ def rank_leakage(obs: ObservationMatrix | PointObservation) -> SecrecyVerdict:
     is `joint_rank_leakage`."""
     if not isinstance(obs, PointObservation):
         return joint_rank_leakage(obs)
-    rho, _ = obs.points.rank_profile()
+    rho, _ = obs.matrix.rank_profile()
     nr = obs.n_random
     return SecrecyVerdict(
         leakage_qunits=max(0, rho - nr),
@@ -97,7 +99,7 @@ def joint_rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
     Only the distinct rows are eliminated: a repeated row (one evaluation
     point observed twice, as lifetimes do) changes neither the row space nor,
     hence, the rank or the pivot columns of the echelon form."""
-    matrix = obs.joint()
+    matrix = obs.matrix
     distinct = dict.fromkeys(map(tuple, matrix.rows))
     if len(distinct) < matrix.nrows:
         matrix = Matrix(matrix.field, distinct, ncols=matrix.ncols)

@@ -51,6 +51,8 @@ class SimConfig:
     def resolved_plan(self) -> tuple[frozenset[int], ...]:
         if not 0 <= self.rounds < HEADER_BOUND:
             raise ParameterError(f"rounds={self.rounds} is outside [0, {HEADER_BOUND - 1}]")
+        if self.helper_mode not in ("lowest", "random"):
+            raise ParameterError(f"unknown helper mode {self.helper_mode!r}")
         if self.failure_plan is not None:
             plan = tuple(frozenset(s) for s in self.failure_plan)
             if len(plan) != self.rounds:
@@ -121,14 +123,13 @@ def _choose_helpers(scheme: Scheme, survivors, round_idx: int, config: SimConfig
     ids = sorted(survivors)
     if config.helper_mode == "lowest":
         return tuple(ids[:d])
-    if config.helper_mode == "random":
-        stream = splitmix64(config.seed ^ (0xE1BE << 8) ^ round_idx)
-        pool = list(ids)
-        picked = []
-        for _ in range(d):
-            picked.append(pool.pop(next(stream) % len(pool)))
-        return tuple(sorted(picked))
-    raise ParameterError(f"unknown helper mode {config.helper_mode!r}")
+    # "random": `resolved_plan` refuses every other mode
+    stream = splitmix64(config.seed ^ (0xE1BE << 8) ^ round_idx)
+    pool = list(ids)
+    picked = []
+    for _ in range(d):
+        picked.append(pool.pop(next(stream) % len(pool)))
+    return tuple(sorted(picked))
 
 
 def run(config: SimConfig) -> SimTrace:

@@ -7,10 +7,13 @@ from a per-field table of GF(p)-scaled monomials
 are built as `Matrix` objects from `moore_matrix`, i.e. from `frobenius`, and
 cached per field, so the tables have an independent oracle.
 
-The Gabidulin schemes' observation (`PointObservation`) keeps only the GF(p)
-evaluation points; `linear_view` builds its GF(p^M) Moore rows, the
-[A_r | A_u] that `coopdss.secrecy.joint_rank_leakage` eliminates, so the
-point-rank verdict has an extension-field oracle.
+Every observation holds one matrix.  The Gabidulin schemes' view
+(`PointObservation`) holds only the GF(p) evaluation points; `linear_view`
+builds its GF(p^M) Moore rows, the [A_r | A_u] that
+`coopdss.secrecy.joint_rank_leakage` eliminates, so the point-rank verdict
+has an extension-field oracle.  `a_u` and `a_r` slice a linear view's
+[A_r | A_u] into its secret and random columns, for the checks that
+replay e = A_u u + A_r r.
 
 The mbcr-exact observation points are written in closed form by the scheme;
 `mbcr_exact_stored_rows` and `mbcr_exact_z_point` build them by combining
@@ -18,7 +21,7 @@ the primary points coordinate by coordinate.
 """
 
 from coopdss.codes.base import ObservationMatrix, PointObservation
-from coopdss.field import Matrix, PrimeField, moore_matrix
+from coopdss.field import Matrix, PrimeField, ext_field, moore_matrix
 
 
 def power(field, a, e):
@@ -33,17 +36,28 @@ def power(field, a, e):
 
 
 def linear_view(obs):
-    """The observation as e = A_u u + A_r r.  An `ObservationMatrix` is
-    returned as it is; for a `PointObservation`, row j of [A_r | A_u] is the
-    Moore row (h_j, h_j^p, ..., h_j^(p^(M-1))) over GF(p^M) of its point h_j."""
+    """The observation as e = A_u u + A_r r, its matrix [A_r | A_u].  An
+    `ObservationMatrix` is returned as it is; for a `PointObservation`, row j
+    of [A_r | A_u] is the Moore row (h_j, h_j^p, ..., h_j^(p^(M-1))) over
+    GF(p^M) of its point h_j."""
     if not isinstance(obs, PointObservation):
         return obs
-    f, nr = obs.field, obs.n_random
-    rows = moore_matrix(f, [f.from_coords(pt) for pt in obs.points.rows],
-                        obs.points.ncols).rows
-    return ObservationMatrix(a_u=Matrix(f, [row[nr:] for row in rows], ncols=obs.n_secret),
-                             a_r=Matrix(f, [row[:nr] for row in rows], ncols=nr),
-                             labels=obs.labels)
+    points = obs.matrix
+    f = ext_field(points.field.p, points.ncols)  # the scheme's field: fixed by (p, M)
+    rows = moore_matrix(f, [f.from_coords(pt) for pt in points.rows], points.ncols).rows
+    return ObservationMatrix(Matrix(f, rows, ncols=points.ncols), obs.n_random, obs.labels)
+
+
+def a_u(obs):
+    """A_u, the secret columns of an observation's [A_r | A_u]."""
+    m, nr = obs.matrix, obs.n_random
+    return Matrix(m.field, [row[nr:] for row in m.rows], ncols=obs.n_secret)
+
+
+def a_r(obs):
+    """A_r, the random columns of an observation's [A_r | A_u]."""
+    m, nr = obs.matrix, obs.n_random
+    return Matrix(m.field, [row[:nr] for row in m.rows], ncols=nr)
 
 
 def basis_element(field, i):

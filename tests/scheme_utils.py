@@ -4,7 +4,7 @@ import itertools
 
 from coopdss.secrecy import rank_leakage
 
-from oracles import linear_view, power
+from oracles import a_r, a_u, linear_view, power
 
 
 def sweep_reconstruct(scheme, nodes, u):
@@ -38,7 +38,7 @@ def check_faithful(scheme, u, r, e1, e2=(), transcripts=()):
     plans = [(tr.failed, tr.helpers) for tr in transcripts]
     direct = scheme.observed_symbols(u, r, e1, e2, plans)
     model = [f.add(a, b) for a, b in
-             zip(obs.a_u.matvec(list(u)), obs.a_r.matvec(list(r)))]
+             zip(a_u(obs).matvec(list(u)), a_r(obs).matvec(list(r)))]
     assert model == direct
 
 

@@ -98,7 +98,7 @@ def test_criterion_3_bivariate_achievability():
                 v = _rank_checks(s, e1)
                 assert v.leakage_qunits == 0
                 obs = s.observation_matrix(e1, [])
-                assert obs.joint().rank() == l1 * s.alpha - l1 * (l1 - 1)
+                assert obs.matrix.rank() == l1 * s.alpha - l1 * (l1 - 1)
     _stamp(3, started, 60.0, "both parameter sets, both l1, dependency counts exact")
 
 

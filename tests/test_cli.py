@@ -587,7 +587,10 @@ def test_verify_secrecy_plan_beyond_trace_header_bound_exit2():
     (SIM_INI.split("[simulate]")[0] + "[simulate]\nrounds = -1\n",
      "rounds must be >= 0, got -1"),
     ("[scheme]\nscheme = mscr-dk\nn = 4%\nk = 2\nd = 2\nt = 2\n", "invalid literal"),
-], ids=["no-scheme-section", "no-section-header", "no-t", "negative-rounds", "percent-in-value"])
+    (SIM_INI.split("[simulate]")[0] + "[simulate]\nrounds = 0\nhelpers = bogus\n",
+     "unknown helper mode 'bogus'"),
+], ids=["no-scheme-section", "no-section-header", "no-t", "negative-rounds", "percent-in-value",
+        "unknown-helper-mode"])
 def test_simulate_malformed_config_exit2(tmp_path, text, message):
     cfg = tmp_path / "sim.ini"
     cfg.write_text(text)

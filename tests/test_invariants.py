@@ -11,7 +11,7 @@ from coopdss import sim as sim_mod
 from coopdss.codes import make_scheme, nodeio
 from coopdss.codes.base import ParameterError, SchemeParams
 
-from oracles import linear_view
+from oracles import a_r, a_u, linear_view
 
 
 INSTANCES = [
@@ -49,7 +49,7 @@ def test_observation_faithfulness_100_draws(params):
         plans = [(tr.failed, tr.helpers) for tr in transcripts]
         direct = scheme.observed_symbols(u, r, e1, e2, plans)
         model = [f.add(a, b) for a, b in
-                 zip(obs.a_u.matvec(list(u)), obs.a_r.matvec(list(r)))]
+                 zip(a_u(obs).matvec(list(u)), a_r(obs).matvec(list(r)))]
         assert model == direct, (params.scheme, seed)
 
 

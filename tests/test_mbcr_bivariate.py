@@ -77,7 +77,7 @@ def test_secrecy_every_single_node():
             obs = s.observation_matrix([e], [])
             # the dependency count of the observed-symbol table:
             # rank = l1*alpha - l1(l1-1) with l1 = 1
-            assert obs.joint().rank() == s.alpha == s.n_random
+            assert obs.matrix.rank() == s.alpha == s.n_random
 
 
 def test_e2_fold_and_downloads():

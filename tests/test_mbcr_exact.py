@@ -97,7 +97,7 @@ def test_secrecy_rank_fact_all_placements():
                 assert v.leakage_qunits == 0
                 assert v.lemma_cond_entropy_ok and v.lemma_recoverable_ok
                 obs = linear_view(s.observation_matrix(e1, []))
-                assert obs.joint().rank() == l1 * (2 * d + t - l1) == s.n_random
+                assert obs.matrix.rank() == l1 * (2 * d + t - l1) == s.n_random
 
 
 def test_dependent_z_rows():
@@ -105,7 +105,7 @@ def test_dependent_z_rows():
     s = scheme_for(5, 3, 3, 2, l1=2)
     obs = linear_view(s.observation_matrix([1, 2], []))
     assert obs.n_rows == 2 * s.alpha
-    assert obs.joint().rank() == 2 * (2 * 3 + 2 - 2)  # < 2*alpha
+    assert obs.matrix.rank() == 2 * (2 * 3 + 2 - 2)  # < 2*alpha
 
 
 def test_observation_faithfulness_random_draws():
@@ -136,7 +136,7 @@ def test_point_matrix_cross_check():
     s = scheme_for(5, 3, 3, 2, l1=2)
     for e1 in itertools.combinations(range(1, 6), 2):
         obs = linear_view(s.observation_matrix(e1, []))
-        assert s.observation_point_matrix(e1, []).rank() == obs.joint().rank()
+        assert s.observation_point_matrix(e1, []).rank() == obs.matrix.rank()
 
 
 @st.composite

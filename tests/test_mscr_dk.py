@@ -102,8 +102,8 @@ def test_secrecy_rank_fact_all_placements():
                         v = leakage_of(s, e1, e2, trs)
                         assert v.leakage_qunits == 0, (n, k, t, l1, l2, e1, e2)
                         obs = linear_view(s.observation_matrix(e1, e2, trs))
-                        assert obs.joint().rank() == l2 * (k + t - l2) + l1 * (t - l2)
-                        assert obs.joint().rank() == s.n_random
+                        assert obs.matrix.rank() == l2 * (k + t - l2) + l1 * (t - l2)
+                        assert obs.matrix.rank() == s.n_random
 
 
 def test_e1_e2_overlap_dependency():
@@ -113,8 +113,8 @@ def test_e1_e2_overlap_dependency():
     nodes = s.encode(u, r)
     tr = e2_transcript(s, nodes, 1)
     obs = linear_view(s.observation_matrix([3], [1], [tr]))
-    assert obs.joint().rank() == s.n_random == 1 * (3 + 2 - 1) + 1 * (2 - 1)
-    assert obs.n_rows > obs.joint().rank()
+    assert obs.matrix.rank() == s.n_random == 1 * (3 + 2 - 1) + 1 * (2 - 1)
+    assert obs.n_rows > obs.matrix.rank()
 
 
 def test_observation_faithfulness():
@@ -134,7 +134,7 @@ def test_point_matrix_cross_check():
     nodes = s.encode(u, r)
     tr = e2_transcript(s, nodes, 2)
     obs = linear_view(s.observation_matrix([], [2], [tr]))
-    assert s.observation_point_matrix([], [2], [tr]).rank() == obs.joint().rank()
+    assert s.observation_point_matrix([], [2], [tr]).rank() == obs.matrix.rank()
 
 
 def test_achieved_matches_formula_and_bound():

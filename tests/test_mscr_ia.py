@@ -122,7 +122,7 @@ def validate_placement(n, entry, monkeypatch):
                       for e in range(1, n + 1)]
         for e1, e2, trs in checks:
             obs = scheme.observation_matrix(e1, e2, trs)
-            rank, pivots = obs.joint().rank_profile()
+            rank, pivots = obs.matrix.rank_profile()
             if rank != sum(1 for c in pivots if c < obs.n_random):
                 return False
     return True
@@ -240,7 +240,7 @@ def test_case2_secrecy_every_node_and_pair():
                 assert v.leakage_qunits == 0, (n, pair, e)
                 # H(e) <= alpha + 1 in log-q units
                 obs = s.observation_matrix([], [e], [tr])
-                assert obs.joint().rank() <= s.alpha + 1
+                assert obs.matrix.rank() <= s.alpha + 1
 
 
 # Helper m sends newcomer X the same symbol whoever X's partner is, so X's
@@ -259,7 +259,7 @@ def test_case2_secrecy_over_any_lifetime(n, e2, plan):
     trace = sim_mod.run(config)
     assert sim_mod.replay_check(trace)[0] and trace.final == trace.initial
     obs = sim_mod.observation(trace)
-    assert obs.joint().rank() <= scheme.n_random == scheme.alpha + 1
+    assert obs.matrix.rank() <= scheme.n_random == scheme.alpha + 1
     assert rank_leakage(obs).leakage_qunits == 0
     if len(plan) == 4:
         verdict = brute_force_leakage(scheme, (), (e2,), trace.transcripts)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coopdss.codes import make_scheme
-from coopdss.codes.base import PointObservation, SchemeParams
+from coopdss.codes.base import SchemeParams
 
 PARAMS = {
     "mbcr-exact": SchemeParams(5, 3, 3, 2, 1, 1, "mbcr-exact"),
@@ -25,9 +25,7 @@ WARM = {name: make_scheme(params) for name, params in PARAMS.items()}
 
 
 def _rows(obs):
-    if isinstance(obs, PointObservation):
-        return [obs.points.rows]
-    return [obs.a_u.rows, obs.a_r.rows]
+    return [obs.matrix.rows]
 
 
 def _one_round(scheme, failed, helpers):
@@ -88,10 +86,15 @@ def test_cache_holds_at_most_n_nodes_per_instance(name):
     assert scheme._stored_cache == {}
     tr = _one_round(scheme, frozenset(range(1, p.t + 1)), None)
     for _ in range(2):
-        scheme.observation_matrix(range(2, p.n + 1), [1], [tr])
+        obs = scheme.observation_matrix(range(2, p.n + 1), [1], [tr])
+        # one matrix, one row of file_size ints per observed symbol
+        assert obs.matrix.ncols == scheme.file_size
+        assert obs.n_secret + obs.n_random == scheme.file_size
     assert sorted(scheme._stored_cache) == list(range(1, p.n + 1))
     for rows in scheme._stored_cache.values():
         hash(rows)  # raises on a list at any depth
+        assert all(type(row) is tuple and len(row) == scheme.file_size
+                   and all(type(x) is int for x in row) for row in rows)
     assert make_scheme(p)._stored_cache == {}
 
 

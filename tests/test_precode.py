@@ -202,10 +202,10 @@ def test_solve_randomness_from_eavesdropped_mbcr_node():
         obs = O.linear_view(scheme.observation_matrix([1], []))
         e = scheme.observed_symbols(u, r, [1], [])
         assert len(e) == scheme.n_random, params
-        assert recover_r(gf, obs.a_r, obs.a_u, u, e) == list(r), params
+        assert recover_r(gf, O.a_r(obs), O.a_u(obs), u, e) == list(r), params
         with pytest.raises(F.UnderdeterminedError):
-            recover_r(gf, F.Matrix(gf, obs.a_r.rows[:-1]),
-                      F.Matrix(gf, obs.a_u.rows[:-1]), u, e[:-1])
+            recover_r(gf, F.Matrix(gf, O.a_r(obs).rows[:-1]),
+                      F.Matrix(gf, O.a_u(obs).rows[:-1]), u, e[:-1])
 
 
 # the benchmark's datapath instances on GF(31^30) (one Frobenius class) and
@@ -251,5 +251,5 @@ def test_data_path_multiplies_no_two_extension_elements(params, monkeypatch):
     assert calls == Counter()
 
     # the counters see the dense path: the Moore rows of an observation
-    assert O.linear_view(scheme.observation_matrix([1], [])).a_u.nrows == scheme.alpha
+    assert O.a_u(O.linear_view(scheme.observation_matrix([1], []))).nrows == scheme.alpha
     assert calls["moore_matrix"] == 1 and calls["ExtField.frobenius"] > 0

@@ -17,10 +17,8 @@ from oracles import linear_view
 
 def obs_from_rows(field, u_rows, r_rows):
     labels = tuple(("row", i) for i in range(len(u_rows)))
-    return ObservationMatrix(
-        a_u=Matrix(field, u_rows, ncols=len(u_rows[0]) if u_rows else 0),
-        a_r=Matrix(field, r_rows, ncols=len(r_rows[0]) if r_rows else 0),
-        labels=labels)
+    return ObservationMatrix(Matrix(field, [r + u for u, r in zip(u_rows, r_rows)]),
+                             len(r_rows[0]) if r_rows else 0, labels)
 
 
 # ---------------------------------------------------------
@@ -44,8 +42,7 @@ def test_rank_leakage_total_leak():
 
 def test_rank_leakage_empty_observation():
     gf = prime_field(5)
-    obs = ObservationMatrix(a_u=Matrix(gf, [], ncols=2), a_r=Matrix(gf, [], ncols=3),
-                            labels=())
+    obs = ObservationMatrix(Matrix(gf, [], ncols=5), 3, ())
     v = S.rank_leakage(obs)
     assert v.leakage_qunits == 0
     assert v.lemma_cond_entropy_ok and not v.lemma_recoverable_ok
@@ -56,13 +53,13 @@ def test_rank_leakage_lemma_booleans():
     obs = scheme.observation_matrix([2], [])
     v = S.rank_leakage(obs)
     assert (v.lemma_cond_entropy_ok, v.lemma_recoverable_ok) == (True, True)
-    assert linear_view(obs).joint().rank() == 5 == obs.n_random  # H(e) = H(r)
+    assert linear_view(obs).matrix.rank() == 5 == obs.n_random  # H(e) = H(r)
     # bivariate: rank = l1*alpha - l1(l1-1) = 5 = |r|
     scheme = make_scheme(SchemeParams(n=5, k=2, d=2, t=2, l1=1, scheme="mbcr-bivariate"))
     obs = scheme.observation_matrix([4], [])
     v = S.rank_leakage(obs)
     assert (v.lemma_cond_entropy_ok, v.lemma_recoverable_ok) == (True, True)
-    assert obs.joint().rank() == 5 == obs.n_random
+    assert obs.matrix.rank() == 5 == obs.n_random
 
 
 def test_monotonicity_adding_rows():
@@ -181,7 +178,7 @@ def _verdict(v):
 
 def _assert_point_rank_matches_moore(scheme, e1, e2=(), transcripts=()):
     obs = scheme.observation_matrix(e1, e2, transcripts)
-    assert obs.points is not None
+    assert obs.matrix is not None
     fast = S.rank_leakage(obs)
     oracle = S.joint_rank_leakage(linear_view(obs))  # the Moore rows of the points
     assert fast.method == "rank"
@@ -271,10 +268,9 @@ class _LinearToy:
     def rank_verdict(self):
         ms = self.secure_size
         gf = self.field
-        obs = ObservationMatrix(a_u=Matrix(gf, [row[:ms] for row in self.rows], ncols=ms),
-                                a_r=Matrix(gf, [row[ms:] for row in self.rows],
-                                           ncols=self.n_random),
-                                labels=tuple(("row", i) for i in range(len(self.rows))))
+        obs = ObservationMatrix(Matrix(gf, [row[ms:] + row[:ms] for row in self.rows],
+                                       ncols=self.file_size),
+                                self.n_random, tuple(("row", i) for i in range(len(self.rows))))
         return S.joint_rank_leakage(obs)
 
 
@@ -303,7 +299,7 @@ def test_brute_force_matches_joint_rank_on_random_maps(toy):
 def _assert_distinct_rows_verdict(obs):
     """joint_rank_leakage eliminates the distinct rows only, and that
     elimination has the full matrix's verdict and pivot columns."""
-    rank, pivots = obs.joint().rank_profile()
+    rank, pivots = obs.matrix.rank_profile()
     rank_r = sum(1 for c in pivots if c < obs.n_random)
     eliminated = []
     rank_profile = Matrix.rank_profile
@@ -317,7 +313,7 @@ def _assert_distinct_rows_verdict(obs):
         monkeypatch.setattr(Matrix, "rank_profile", spy)
         got = _verdict(S.joint_rank_leakage(obs))
     assert got == (rank - rank_r, rank <= obs.n_random, rank_r == obs.n_random)
-    assert eliminated == [(len(set(map(tuple, obs.joint().rows))), pivots)]
+    assert eliminated == [(len(set(map(tuple, obs.matrix.rows))), pivots)]
 
 
 def test_joint_verdict_on_distinct_rows_of_a_lifetime():
@@ -328,7 +324,7 @@ def test_joint_verdict_on_distinct_rows_of_a_lifetime():
     trace = sim_mod.run(sim_mod.SimConfig(params=params, rounds=10, failure_plan=plan,
                                           seed=3, e1=(1,), e2=(2,), helper_mode="random"))
     obs = sim_mod.observation(trace)
-    assert len(set(map(tuple, obs.joint().rows))) < obs.n_rows
+    assert len(set(map(tuple, obs.matrix.rows))) < obs.n_rows
     _assert_distinct_rows_verdict(obs)
     assert S.joint_rank_leakage(obs).leakage_qunits == 0
 
