@@ -125,7 +125,8 @@ class ObservationMatrix:
     row over (r || u) per observed symbol, over GF(p) in every scheme.
 
     The r columns come first so that one elimination yields both
-    rank([A_u|A_r]) and rank(A_r)."""
+    rank([A_u|A_r]) and rank(A_r).  The subclass `PointObservation` keeps
+    the same fields but holds evaluation points in `matrix` instead."""
 
     def __init__(self, matrix: Matrix, n_random: int, labels: Sequence[tuple]):
         if matrix.nrows != len(labels):

@@ -98,7 +98,10 @@ def joint_rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
 
     Only the distinct rows are eliminated: a repeated row (one evaluation
     point observed twice, as lifetimes do) changes neither the row space nor,
-    hence, the rank or the pivot columns of the echelon form."""
+    hence, the rank or the pivot columns of the echelon form.  A
+    `PointObservation` holds points, not [A_r | A_u], and is refused."""
+    if isinstance(obs, PointObservation):
+        raise TypeError("a PointObservation holds evaluation points; use rank_leakage")
     matrix = obs.matrix
     distinct = dict.fromkeys(map(tuple, matrix.rows))
     if len(distinct) < matrix.nrows:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from coopdss import secrecy as S
 from coopdss import sim as sim_mod
 from coopdss.codes import make_scheme
-from coopdss.codes.base import ObservationMatrix, SchemeParams
+from coopdss.codes.base import ObservationMatrix, PointObservation, SchemeParams
 from coopdss.field import Matrix, ext_field, prime_field
 
 from oracles import linear_view
@@ -178,12 +178,18 @@ def _verdict(v):
 
 def _assert_point_rank_matches_moore(scheme, e1, e2=(), transcripts=()):
     obs = scheme.observation_matrix(e1, e2, transcripts)
-    assert obs.matrix is not None
+    assert isinstance(obs, PointObservation)
     fast = S.rank_leakage(obs)
     oracle = S.joint_rank_leakage(linear_view(obs))  # the Moore rows of the points
     assert fast.method == "rank"
     assert _verdict(fast) == _verdict(oracle), (scheme.params, e1, e2)
     return fast
+
+
+def test_joint_rank_leakage_refuses_points():
+    scheme = make_scheme(SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme="mbcr-exact"))
+    with pytest.raises(TypeError):
+        S.joint_rank_leakage(scheme.observation_matrix([1], []))
 
 
 def test_point_rank_verdict_matches_moore_mbcr_exact():
