@@ -104,15 +104,22 @@ def render4(x: Fraction) -> str:
     return f"{q // 10_000}.{q % 10_000:04d}"
 
 
+# the largest n of an NRBW table: the d + t <= n table grows like n^5 / 120
+# rows, about 560 bytes each as built, so n = 30 is 232839 rows and about
+# 130 MB, and n = 40 about 950k rows and 530 MB
+MAX_TABLE_N = 30
+
+
 def nrbw_table(max_n: int, constraint: str = "d+t=n") -> list[NrbwRow]:
     """MBCR NRBW rows for 4 <= n <= max_n, 2 <= k < n, d >= k, 0 <= l1 < k.
+    Raises ValueError unless 4 <= max_n <= MAX_TABLE_N.
 
     constraint selects d + t = n (systems contacting every live node) or
     d + t <= n.  Rows are ordered by (n, k, l1), then d descending, then t
     ascending (the fixed rendering order).
     """
-    if max_n < 4:
-        raise ValueError("max_n must be at least 4")
+    if not 4 <= max_n <= MAX_TABLE_N:
+        raise ValueError(f"max_n must lie in [4, {MAX_TABLE_N}], got {max_n}")
     if constraint not in ("d+t=n", "d+t<=n"):
         raise ValueError("constraint must be 'd+t=n' or 'd+t<=n'")
     rows = []

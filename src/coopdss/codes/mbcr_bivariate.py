@@ -21,9 +21,9 @@ and every rebuilt symbol is one value of a polynomial at one point, so repair
 never builds a polynomial: `_lagrange_at` returns a stored value when the
 point is one of the polynomial's evaluation points (y_i in helper h's row
 window, x_i in its column window, every row point of f_i when n = d+t) and
-evaluates the barycentric form otherwise.  The barycentric weights depend on
-the point set alone, so `_barycentric_weights` keeps them in a bounded
-process-wide cache (1024 entries, keyed by (q, points)).
+otherwise one dot of a Lagrange row with the values it holds.  The row
+depends on the points alone, so `lagrange_row` keeps it in a bounded
+process-wide cache (4096 entries, keyed by (q, points, x)).
 
 Reconstruction needs coefficients: each of its interpolations applies the
 closed-form inverse of its Vandermonde matrix (Lagrange coefficients), so no
@@ -37,10 +37,11 @@ costs O(rows * M^2) in pure Python, so M is capped at MAX_FILE_SIZE.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from ..field import next_prime, prime_field, vandermonde_inverse_rows
+from ..field import lagrange_row, next_prime, prime_field, vandermonde_inverse_rows
 from .base import (
     NodeContent,
     ObservationMatrix,
@@ -54,48 +55,17 @@ from .base import (
 MAX_FILE_SIZE = 1 << 16  # largest M = k(2d+t-k) a scheme is built for
 
 
-@lru_cache(maxsize=1024)
-def _barycentric_weights(q: int, xs: tuple[int, ...]) -> tuple[int, ...]:
-    """w_j = 1 / prod_{i != j} (xs[j] - xs[i]) over GF(q), from a bounded
-    process-wide cache keyed by (q, xs); xs must be a tuple.
-
-    The weights depend on the points alone (Berrut & Trefethen, SIAM Rev.
-    2004), so each point set pays its O(len(xs)^2) product once.  Worst
-    case: 1024 entries of len(xs) <= d+t ints below q, about 36 (d+t) bytes
-    each: under 250 KB in all at the benchmark's d+t <= 6, about 2.4 GB at
-    the 2-byte header's n <= 65535.  A repair meets at most 2d + t + 1 point
-    sets (the helpers' row and column windows, the helpers' x points, one
-    row point set per newcomer); the benchmark's lifetimes meet 173 over four
-    seeds.
-    """
-    weights = []
-    for xj in xs:
-        den = 1
-        for xi in xs:
-            if xi != xj:
-                den = den * (xj - xi) % q
-        weights.append(pow(den, q - 2, q))
-    return tuple(weights)
-
-
-def _lagrange_at(q: int, xs: Sequence[int], ys: Sequence[int], x: int) -> int:
+def _lagrange_at(q: int, xs: tuple[int, ...], ys: Sequence[int], x: int) -> int:
     """The value at x of the polynomial of degree < len(xs) through the
     points (xs, ys) over GF(q), without its coefficients.
 
-    When x is one of the points this is its stored value; otherwise the
-    barycentric form l(x) * sum_j w_j ys[j] / (x - xs[j]) with
-    l(x) = prod_j (x - xs[j]) and the cached weights w_j
-    (`_barycentric_weights`): one pass over the points.
+    When x is one of the points this is its stored value; otherwise one dot
+    of the cached Lagrange row of (xs, x) with ys (`lagrange_row`), with no
+    `pow`.  xs must be a tuple.
     """
-    for xj, yj in zip(xs, ys):
-        if xj == x:
-            return yj
-    ell = 1
-    acc = 0
-    for xj, yj, wj in zip(xs, ys, _barycentric_weights(q, tuple(xs))):
-        ell = ell * (x - xj) % q
-        acc += yj * wj * pow(x - xj, q - 2, q)
-    return ell * acc % q
+    if x in xs:
+        return ys[xs.index(x)]
+    return sum(map(mul, lagrange_row(q, xs, x), ys)) % q
 
 
 def _interpolate(field, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
@@ -156,16 +126,27 @@ class MbcrBivariateScheme(Scheme):
         pts += [(self._wrap(i, s), i) for s in range(1, d)]       # (x_*, y_i)
         return pts
 
-    def _monomial_row(self, xi: int, yi: int) -> list[int]:
-        """The row x^i y^j of the point (x_xi, y_yi) over the r then the u support."""
-        q = self.field.p
-        x = self.x_points[xi - 1]
-        y = self.y_points[yi - 1]
-        xp, yp = [1], [1]
-        for _ in range(self.params.d + self.params.t - 1):  # no degree reaches d+t
-            xp.append(xp[-1] * x % q)
-            yp.append(yp[-1] * y % q)
-        return [xp[i] * yp[j] % q for i, j in self.r_support + self.u_support]
+    @cached_property
+    def _monomial_rows(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """(xi, yi) -> `_monomial_row(xi, yi)`; at most n^2 points."""
+        return {}
+
+    def _monomial_row(self, xi: int, yi: int) -> tuple[int, ...]:
+        """The row x^i y^j of the point (x_xi, y_yi) over the r then the u
+        support, built once per point and instance: a lifetime observes the
+        same few points again and again."""
+        row = self._monomial_rows.get((xi, yi))
+        if row is None:
+            q = self.field.p
+            x = self.x_points[xi - 1]
+            y = self.y_points[yi - 1]
+            xp, yp = [1], [1]
+            for _ in range(self.params.d + self.params.t - 1):  # no degree reaches d+t
+                xp.append(xp[-1] * x % q)
+                yp.append(yp[-1] * y % q)
+            row = self._monomial_rows[(xi, yi)] = tuple(
+                xp[i] * yp[j] % q for i, j in self.r_support + self.u_support)
+        return row
 
     def _coeff_rows(self, u: Sequence[int], r: Sequence[int]) -> list[list[int]]:
         """Row i holds the Y-coefficients (low first) of X^i in F."""
@@ -202,15 +183,15 @@ class MbcrBivariateScheme(Scheme):
 
     # -- reconstruction ----------------------------------------------------------------
 
-    def _row_points(self, i: int) -> list[int]:
+    def _row_points(self, i: int) -> tuple[int, ...]:
         """The d+t points y_* at which node i stores its row polynomial f_i."""
-        return [self.y_points[self._wrap(i, s) - 1]
-                for s in range(self.params.d + self.params.t)]
+        return tuple(self.y_points[self._wrap(i, s) - 1]
+                     for s in range(self.params.d + self.params.t))
 
-    def _col_points(self, i: int) -> list[int]:
+    def _col_points(self, i: int) -> tuple[int, ...]:
         """The d points x_* at which node i stores its column polynomial g_i;
         x_i first, whose value F(x_i, y_i) opens the row segment."""
-        return [self.x_points[self._wrap(i, s) - 1] for s in range(self.params.d)]
+        return tuple(self.x_points[self._wrap(i, s) - 1] for s in range(self.params.d))
 
     def _col_values(self, content: NodeContent) -> list[int]:
         return [content.segment("row")[0]] + list(content.segment("col"))
@@ -274,7 +255,7 @@ class MbcrBivariateScheme(Scheme):
                 live[(h, i)] = (_lagrange_at(q, row_pts, row_vals, y[i - 1]),   # f_h(y_i)
                                 _lagrange_at(q, col_pts, col_vals, x[i - 1]))   # g_h(x_i)
         # newcomer j's column polynomial g_j takes the value f_h(y_j) at x_h
-        helper_xs = [x[h - 1] for h in helpers]
+        helper_xs = tuple(x[h - 1] for h in helpers)
         col_evidence = {j: [live[(h, j)][0] for h in helpers] for j in newcomers}
         # cooperative phase: peers trade g_j(x_i)
         for i in newcomers:
@@ -292,6 +273,7 @@ class MbcrBivariateScheme(Scheme):
                     vals.append(coop[(j, i)][0])
             ys.append(y[i - 1])
             vals.append(_lagrange_at(q, helper_xs, col_evidence[i], x[i - 1]))
+            ys = tuple(ys)
             row_seg = [_lagrange_at(q, ys, vals, pt) for pt in self._row_points(i)]
             col_seg = [_lagrange_at(q, helper_xs, col_evidence[i], pt)
                        for pt in self._col_points(i)[1:]]
@@ -301,10 +283,10 @@ class MbcrBivariateScheme(Scheme):
 
     # -- observation -----------------------------------------------------------------------
 
-    def _stored_rows(self, i: int) -> list[list[int]]:
+    def _stored_rows(self, i: int) -> list[tuple[int, ...]]:
         return [self._monomial_row(*pt) for pt in self._stored_points(i)]
 
-    def _download_rows(self, tr: RepairTranscript, i: int) -> list[list[int]]:
+    def _download_rows(self, tr: RepairTranscript, i: int) -> list[tuple[int, ...]]:
         points = []
         for h in tr.helpers:
             points += [(h, i), (i, h)]                                # f_h(y_i), g_h(x_i)

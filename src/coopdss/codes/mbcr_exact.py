@@ -296,13 +296,14 @@ class MbcrExactScheme(GabidulinScheme):
             cols = tuple(self._phi_col(i, h) for h in helpers)
             new_primary[i] = [f.dot(row, rhs)
                               for row in _phi_block_rows(self.base.p, d, cols, d)]
-        # second phase: every other node contributes the failed node's z value
+        # second phase: every other node contributes the failed node's z
+        # value, from its primary symbols (its x then its y segment)
+        primaries = {h: survivors[h].symbols[:d] for h in helpers}
         results = []
         for i in sorted(failed):
             z_segment = {}
             for h in helpers:
-                prim_h = list(survivors[h].segment("x")) + list(survivors[h].segment("y"))
-                z_ih = self._z_value(prim_h, h, i)
+                z_ih = self._z_value(primaries[h], h, i)
                 live[(h, i)].append(z_ih)
                 z_segment[h] = z_ih
             for m in sorted(failed - {i}):

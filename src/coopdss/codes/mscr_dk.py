@@ -5,13 +5,18 @@ symbols; a base-field k x n Vandermonde with columns g_1..g_n spreads them:
 node i stores {m_j^T g_i : j in [t]}, alpha = t.  Any k nodes invert the
 Vandermonde per vector.  When the t failures are repaired, the newcomer at
 sorted position s downloads the s-th stored symbol from each of d = k helpers
-(one symbol, beta = 1), recovers m_s, then hands m_s^T g_{i'} to each fellow
-newcomer i' (beta' = 1).  Both steps apply the closed-form inverse of the
-k x k Vandermonde on the contacted nodes' points (`vandermonde_inverse`),
-so no system is eliminated.  The inverse depends only on which nodes are
-contacted, so it comes from the bounded process-wide cache
-`vandermonde_inverse_rows` (256 entries of k x k GF(p) ints as tuples, keyed
-by (p, points)).
+(one symbol, beta = 1), which pins m_s, then hands m_s^T g_{i'} to each fellow
+newcomer i' (beta' = 1).  Repair never solves for m_s: the share
+m_s^T g_i is g_i^T V_H^-1 applied to the k downloaded shares, with V_H the
+k x k Vandermonde on the helpers' points, and g_i^T V_H^-1 is the Lagrange
+row of node i's point over those points.  It depends only on which nodes
+take part, so it comes from the bounded process-wide cache `lagrange_row`
+(keyed by (p, helper points, node point)), and each rebuilt or sent share is
+one dot: t^2 per repair.  Reconstruction solves for every m_j with the
+closed-form inverse of the Vandermonde on the contacted nodes' points, from
+the bounded process-wide cache `vandermonde_inverse_rows` (256 entries of
+k x k GF(p) ints as tuples, keyed by (p, points)); no system is
+eliminated.
 
 The base prime is p = binomial_prime(n, kt): the least prime >= n (room for
 n distinct Vandermonde points) with p = 1 mod rad(kt), and mod 4 when 4 | kt,
@@ -30,8 +35,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..field import (binomial_prime, ext_field, fits_word_slots, prime_field,
-                     vandermonde_inverse_rows)
+from ..field import (binomial_prime, ext_field, fits_word_slots, lagrange_row,
+                     prime_field, vandermonde_inverse_rows)
 from .base import (
     GabidulinScheme,
     NodeContent,
@@ -126,7 +131,7 @@ class MscrDkScheme(GabidulinScheme):
     def cooperative_repair(self, failed: Iterable[int],
                            survivors: Mapping[int, NodeContent],
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
-        f = self.field
+        dot = self.field.dot
         failed = self._validate_failed(failed, survivors)
         helpers = self._pick_helpers(failed, survivors, helpers)
         order = sorted(failed)
@@ -138,18 +143,18 @@ class MscrDkScheme(GabidulinScheme):
             for h, v in zip(helpers, vals):
                 live[(h, i)] = (v,)
             downloads.append(vals)
-        m_vecs = dict(zip(order, self._solve_vectors(helpers, downloads)))
+        points = tuple(h - 1 for h in helpers)
         results = []
         for s, i in enumerate(order):
-            shares = [f.zero] * self.params.t
-            shares[s] = self._share_value(m_vecs[i], i)
+            # m_s^T g_i for every s: the Lagrange row of node i's point over
+            # the helpers' points is g_i^T V_H^-1, so it maps the shares
+            # m_s^T g_h that newcomer s downloaded to m_s^T g_i in one dot
+            row = lagrange_row(self.base.p, points, i - 1)
+            shares = tuple(dot(row, vals) for vals in downloads)
             for s2, peer in enumerate(order):
-                if peer == i:
-                    continue
-                val = self._share_value(m_vecs[peer], i)
-                coop[(peer, i)] = (val,)
-                shares[s2] = val
-            results.append(NodeContent(i, tuple(shares), self.layout))
+                if peer != i:
+                    coop[(peer, i)] = (shares[s2],)
+            results.append(NodeContent(i, shares, self.layout))
         return RepairTranscript(failed=failed, helpers=helpers,
                                 live_transfers=live, coop_transfers=coop,
                                 results=tuple(results))

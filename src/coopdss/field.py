@@ -41,13 +41,17 @@ pivoting: no divisions during elimination, no tolerances, deterministic.
 The mbcr-exact, mscr-dk and mbcr-bivariate repair and reconstruct systems
 run no elimination: they are base-field Vandermonde and Cauchy matrices,
 whose inverses are closed forms (`vandermonde_inverse`, `cauchy_inverse`)
-applied with `dot` (mbcr-bivariate repair evaluates polynomials and applies
-none).  Two small schemes do eliminate: every mscr-ia repair solves each
-newcomer's (alpha+1)-system with `Matrix.solve`, and insecure-demo solves a
-2x2 system with it in both reconstruct and repair.  The closed forms depend
-only on public points, so `vandermonde_inverse_rows` keeps the Vandermonde
-rows in a bounded process-wide cache (256 entries, keyed by the prime and
-the point tuple) as immutable tuples.
+applied with `dot`.  mscr-dk and mbcr-bivariate repair never solve for
+coefficients at all: each symbol they send or rebuild is one polynomial
+value, one `dot` of a Lagrange row (`lagrange_row`, the inverse Vandermonde
+evaluated at the wanted point) with the values downloaded.  Two small
+schemes do eliminate: every mscr-ia repair solves each newcomer's
+(alpha+1)-system with `Matrix.solve`, and insecure-demo solves a 2x2 system
+with it in both reconstruct and repair.  The closed forms depend only on
+public points, so bounded process-wide caches keep them as immutable
+tuples: `vandermonde_inverse_rows` (256 entries, keyed by the prime and the
+point tuple) and `lagrange_row` (4096 entries, keyed by the prime, the
+point tuple and the point wanted).
 
 The Gabidulin precoding map, the Moore matrix of a field's canonical basis,
 and its inverse are never built as matrices.  On a binomial field every
@@ -722,6 +726,42 @@ def vandermonde_inverse_rows(p: int, xs: tuple[int, ...]) -> tuple[tuple[int, ..
     reconstruct), a repair or reconstruct elsewhere at most one.
     """
     return tuple(map(tuple, vandermonde_inverse(p, xs)))
+
+
+@lru_cache(maxsize=4096)
+def lagrange_row(p: int, xs: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """(L_0(x), ..., L_{k-1}(x)) over GF(p) for the Lagrange basis of the k
+    distinct points xs, from a bounded process-wide cache keyed by
+    (p, xs, x); xs must be a tuple.
+
+    A polynomial of degree < k through (xs, ys) takes the value
+    `dot(lagrange_row(p, xs, x), ys)` at x, over GF(p) or, with GF(p^m)
+    values, over its extension: the row is g(x)^T V^-1 for the Vandermonde
+    V of xs and g(x) = (1, x, ..., x^(k-1)), so interpolating then
+    evaluating is one dot.  L_j(x) = prod_{i != j} (x - x_i) / (x_j - x_i),
+    the barycentric weight of x_j times the node polynomial without its
+    j-th factor (Berrut & Trefethen, SIAM Rev. 2004): O(k^2) products and
+    k `pow`s, paid once per key.  At x = x_j the row is the j-th unit
+    vector.
+
+    The row depends on public points alone (the contacted nodes' points and
+    the point of the symbol wanted), never on data.  Worst case: 4096
+    entries of a key and a row of k ints, about 360 bytes with the cache's
+    own links at k = 6 and points below 257 (each larger int adds 28
+    bytes): about 1.5 MB at the benchmark's k <= 6.  A repair adds at most
+    t entries in mscr-dk (key (p, helper points, newcomer point)) and fewer
+    than t (4d + 2t) in mbcr-bivariate; the benchmark's lifetimes meet 322
+    keys, its data path about 1640.
+    """
+    row = []
+    for xj in xs:
+        num = den = 1
+        for xi in xs:
+            if xi != xj:
+                num = num * (x - xi) % p
+                den = den * (xj - xi) % p
+        row.append(num * pow(den, p - 2, p) % p)
+    return tuple(row)
 
 
 def cauchy_inverse(p: int, us: Sequence[int], vs: Sequence[int]) -> list[list[int]]:

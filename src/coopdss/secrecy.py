@@ -73,16 +73,38 @@ class SecrecyVerdict:
         return self.leakage_qunits == 0
 
 
+def _distinct_rows(matrix: Matrix) -> Matrix:
+    """`matrix` with its repeated rows dropped, first occurrences kept in
+    order, when it has more than twice as many rows as columns; otherwise
+    `matrix` itself.
+
+    A repeated row (one evaluation point observed twice, as lifetimes do)
+    changes neither the row space nor, hence, the rank or the pivot columns
+    of the echelon form.  A lifetime view observes the same points round
+    after round, so it is tall and mostly repeats (the benchmark's have 3 to
+    6 times more rows than columns, and two thirds or more of the rows are
+    repeats).  A one-round view has at most about as many rows as columns
+    and seldom a repeat, so there the scan would cost more than it saves
+    (7 us on a 40 x 30 point view with no repeat, whose verdict takes 90)."""
+    if matrix.nrows <= 2 * matrix.ncols:
+        return matrix
+    distinct = dict.fromkeys(map(tuple, matrix.rows))
+    if len(distinct) == matrix.nrows:
+        return matrix
+    return Matrix(matrix.field, distinct, ncols=matrix.ncols)
+
+
 def rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
     """Rank-based verdict.
 
     With evaluation points (mbcr-exact, mscr-dk) this is the Moore-rank
     lemma on rho, the GF(p) rank of the points: rank([A_u|A_r]) = rho and
     rank(A_r) = min(rho, |r|), so leakage = max(0, rho - |r|).  Otherwise it
-    is `joint_rank_leakage`."""
+    is `joint_rank_leakage`.  Either way a tall view is eliminated on its
+    distinct rows (`_distinct_rows`)."""
     if not isinstance(obs, PointObservation):
         return joint_rank_leakage(obs)
-    rho, _ = obs.matrix.rank_profile()
+    rho, _ = _distinct_rows(obs.matrix).rank_profile()
     nr = obs.n_random
     return SecrecyVerdict(
         leakage_qunits=max(0, rho - nr),
@@ -94,19 +116,12 @@ def rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
 
 def joint_rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
     """Rank verdict from one elimination of [A_r | A_u] over the view's
-    field (pivots in the leading |r| columns count rank(A_r)).
-
-    Only the distinct rows are eliminated: a repeated row (one evaluation
-    point observed twice, as lifetimes do) changes neither the row space nor,
-    hence, the rank or the pivot columns of the echelon form.  A
-    `PointObservation` holds points, not [A_r | A_u], and is refused."""
+    field (pivots in the leading |r| columns count rank(A_r)), of its
+    distinct rows when it is a tall view (`_distinct_rows`).
+    A `PointObservation` holds points, not [A_r | A_u], and is refused."""
     if isinstance(obs, PointObservation):
         raise TypeError("a PointObservation holds evaluation points; use rank_leakage")
-    matrix = obs.matrix
-    distinct = dict.fromkeys(map(tuple, matrix.rows))
-    if len(distinct) < matrix.nrows:
-        matrix = Matrix(matrix.field, distinct, ncols=matrix.ncols)
-    joint, pivots = matrix.rank_profile()
+    joint, pivots = _distinct_rows(obs.matrix).rank_profile()
     rank_r = sum(1 for c in pivots if c < obs.n_random)
     return SecrecyVerdict(
         leakage_qunits=joint - rank_r,

@@ -106,10 +106,22 @@ class SimTrace:
     # copy made with dataclasses.replace is replayed afresh
     _replay_verdict: tuple[bool, tuple[str, ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
+    # the scheme `run` built, read again by the replay, the trace text and
+    # the observation; not an init field either, so a copy builds its own
+    _scheme: Scheme | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def total_bandwidth(self) -> int:
         return sum(self.bandwidth)
+
+
+def _scheme_of(trace: SimTrace) -> Scheme:
+    """The trace's scheme: the one `run` built, or, on a copy, one built on
+    first use and kept.  A scheme holds only public coefficients, so one
+    instance serves every later reading of the same trace."""
+    if trace._scheme is None:
+        object.__setattr__(trace, "_scheme", make_scheme(trace.config.params))
+    return trace._scheme
 
 
 def _build_inputs(scheme: Scheme, config: SimConfig):
@@ -154,14 +166,16 @@ def run(config: SimConfig) -> SimTrace:
         for res in tr.results:
             states[res.node_id] = res
     final = tuple(states[i] for i in sorted(states))
-    return SimTrace(config=config, initial=initial, transcripts=tuple(transcripts),
-                    bandwidth=tuple(bandwidth), final=final)
+    trace = SimTrace(config=config, initial=initial, transcripts=tuple(transcripts),
+                     bandwidth=tuple(bandwidth), final=final)
+    object.__setattr__(trace, "_scheme", scheme)
+    return trace
 
 
 def observation(trace: SimTrace):
     """Cumulative lifetime observation matrix for the configured eavesdropper."""
-    scheme = make_scheme(trace.config.params)
-    return scheme.observation_matrix(trace.config.e1, trace.config.e2, trace.transcripts)
+    return _scheme_of(trace).observation_matrix(trace.config.e1, trace.config.e2,
+                                                trace.transcripts)
 
 
 def replay_check(trace: SimTrace) -> tuple[bool, list[str]]:
@@ -181,7 +195,7 @@ def replay_check(trace: SimTrace) -> tuple[bool, list[str]]:
 
 
 def _replay(trace: SimTrace) -> tuple[bool, list[str]]:
-    scheme = make_scheme(trace.config.params)
+    scheme = _scheme_of(trace)
     states: dict[int, NodeContent] = {c.node_id: c for c in trace.initial}
     diffs: list[str] = []
     for round_idx, tr in enumerate(trace.transcripts):
@@ -224,24 +238,27 @@ def _replay(trace: SimTrace) -> tuple[bool, list[str]]:
 # trace serialization
 # ---------------------------------------------------------------------------
 
-def _symbols_hex(field, values) -> str:
-    """The symbols of one transfer as hex, ':' between symbols."""
-    return field.symbols_to_bytes(values).hex(":", field.symbol_bytes)
-
-
 def trace_to_text(trace: SimTrace) -> str:
-    scheme = make_scheme(trace.config.params)
-    f = scheme.field
+    """The trace file: every transfer's symbols are encoded in one
+    `symbols_to_bytes` pass and hexed with ':' between symbols, and each
+    transfer record takes its slice of that text."""
+    f = _scheme_of(trace).field
     p = trace.config.params
+    rounds = [[(src, dst, kind, transfers[(src, dst)])
+               for kind, transfers in (("live", tr.live_transfers), ("coop", tr.coop_transfers))
+               for (src, dst) in sorted(transfers)]
+              for tr in trace.transcripts]
+    hexed = f.symbols_to_bytes([v for records in rounds for *_, vals in records
+                                for v in vals]).hex(":", f.symbol_bytes)
+    width = 2 * f.symbol_bytes + 1  # one symbol's hex and its ':'
     lines = [f"header,{p.scheme},{p.n},{p.k},{p.d},{p.t},{p.l1},{p.l2},"
              f"{trace.config.rounds},{trace.config.seed}"]
-    for round_idx, tr in enumerate(trace.transcripts):
-        for (src, dst) in sorted(tr.live_transfers):
-            vals = _symbols_hex(f, tr.live_transfers[(src, dst)])
-            lines.append(f"transfer,{round_idx},{src},{dst},live,{vals}")
-        for (src, dst) in sorted(tr.coop_transfers):
-            vals = _symbols_hex(f, tr.coop_transfers[(src, dst)])
-            lines.append(f"transfer,{round_idx},{src},{dst},coop,{vals}")
+    start = 0
+    for round_idx, records in enumerate(rounds):
+        for src, dst, kind, vals in records:
+            end = start + len(vals) * width
+            lines.append(f"transfer,{round_idx},{src},{dst},{kind},{hexed[start:end - 1]}")
+            start = end
         lines.append(f"summary,{round_idx},{trace.bandwidth[round_idx]}")
     ok, _ = replay_check(trace)
     lines.append(f"final,{'ok' if ok else 'MISMATCH'}")

@@ -243,6 +243,18 @@ def test_cmd_table_matches_library(tmp_path):
     assert out_file.read_text() == bounds_mod.table_csv(bounds_mod.nrbw_table(5, "d+t<=n"))
 
 
+@pytest.mark.parametrize("max_n", [3, bounds_mod.MAX_TABLE_N + 1, 150])
+def test_cmd_table_outside_size_bound_exit2(max_n, tmp_path, monkeypatch):
+    # refused before any row is built: n = 150 once built every row of a
+    # table of ~6e8 and died with a MemoryError
+    monkeypatch.setattr(bounds_mod, "mbcr_secure_bound", None)  # would raise if reached
+    out_file = tmp_path / "t.csv"
+    code, out, err = run_cli(["table", "--max-n", str(max_n), "--constraint", "dt-le-n",
+                              "--out", str(out_file)])
+    assert code == 2 and f"[4, {bounds_mod.MAX_TABLE_N}]" in err
+    assert out == "" and not out_file.exists()
+
+
 # ---------------------------------------------------------
 # encode / reconstruct / repair
 # ---------------------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from coopdss.codes import make_scheme, mbcr_bivariate
 from coopdss.codes.base import ParameterError, SchemeParams
-from coopdss.field import Matrix, prime_field, vandermonde_inverse, vandermonde_inverse_rows
+from coopdss.field import (Matrix, lagrange_row, prime_field, vandermonde_inverse,
+                           vandermonde_inverse_rows)
 
 from scheme_utils import check_faithful, leakage_of, sweep_reconstruct, sweep_repair
 
@@ -187,35 +188,39 @@ def test_repair_matches_interpolation_oracle(n, k, d, t):
 
 
 @st.composite
-def barycentric_cases(draw):
-    """A prime q, distinct points xs mod q, values ys and a point x not in xs."""
+def lagrange_cases(draw):
+    """A prime q, distinct points xs mod q, values ys and any point x of
+    GF(q), one of xs included."""
     q = draw(st.sampled_from([3, 5, 7, 11, 13, 31, 257]))
     xs = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=min(8, q - 1), unique=True))
     ys = draw(st.lists(st.integers(0, q - 1), min_size=len(xs), max_size=len(xs)))
-    x = draw(st.sampled_from([v for v in range(q) if v not in xs]))
-    return q, xs, ys, x
+    x = draw(st.integers(0, q - 1))
+    return q, tuple(xs), ys, x
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(barycentric_cases())
-def test_cached_barycentric_weights_match_formula_and_elimination(case):
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lagrange_cases())
+def test_cached_lagrange_rows_match_horner_and_elimination(case):
     q, xs, ys, x = case
-    weights = mbcr_bivariate._barycentric_weights(q, tuple(xs))
-    assert isinstance(weights, tuple)
-    # w_j is the leading coefficient of the Lagrange polynomial L_j: the
-    # last row of the inverse Vandermonde
+    row = lagrange_row(q, xs, x)
+    assert isinstance(row, tuple) and len(row) == len(xs)
+    # the row is g(x)^T V^-1, with V^-1 by formula and by elimination
     system = Matrix(prime_field(q), [[pow(v, e, q) for e in range(len(xs))] for v in xs])
-    assert list(weights) == vandermonde_inverse(q, xs)[-1] == system.inverse().rows[-1]
-    assert mbcr_bivariate._barycentric_weights(q, tuple(xs)) is weights
+    for inverse in (vandermonde_inverse(q, xs), system.inverse().rows):
+        assert list(row) == [_horner(q, col, x) for col in zip(*inverse)]
+    if x in xs:
+        assert row == tuple(int(v == x) for v in xs)
+    assert lagrange_row(q, xs, x) is row
+    assert sum(a * b for a, b in zip(row, ys)) % q == _horner(q, _interpolate(q, xs, ys), x)
     assert mbcr_bivariate._lagrange_at(q, xs, ys, x) == _horner(q, _interpolate(q, xs, ys), x)
 
 
-def test_cached_barycentric_weights_stay_bounded():
-    weights = mbcr_bivariate._barycentric_weights
-    maxsize = weights.cache_info().maxsize
+def test_cached_lagrange_rows_stay_bounded():
+    rows = lagrange_row
+    maxsize = rows.cache_info().maxsize
     for x in range(maxsize + 10):
-        weights(65537, (x, x + 1))
-    info = weights.cache_info()
+        rows(65537, (0, 1, 2), x)
+    info = rows.cache_info()
     assert maxsize and info.currsize <= maxsize
 
 
@@ -227,7 +232,7 @@ def test_repair_builds_no_vandermonde_inverse(monkeypatch):
         return vandermonde_inverse_rows(p, xs)
 
     monkeypatch.setattr(mbcr_bivariate, "vandermonde_inverse_rows", counting)
-    s = scheme_for(9, 3, 4, 2, l1=1)  # n > d+t: the barycentric branch runs
+    s = scheme_for(9, 3, 4, 2, l1=1)  # n > d+t: the Lagrange-row branch runs
     u, r = s.random_inputs(5)
     nodes = s.encode(u, r)
     survivors = {c.node_id: c for c in nodes if c.node_id not in (2, 6)}

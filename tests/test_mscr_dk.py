@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from coopdss.codes import make_scheme
+from coopdss.field import lagrange_row
+from coopdss.precode import random_symbols
 from coopdss.codes.base import (
     ParameterError,
     PositiveSecrecyImpossibleError,
@@ -61,6 +63,22 @@ def test_reconstruct_and_repair_sweeps():
         nodes = s.encode(u, r)
         sweep_reconstruct(s, nodes, u)
         sweep_repair(s, nodes)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_composed_repair_rows_equal_solve_then_share(n):
+    # repair applies g_i^T V_H^-1 as one cached Lagrange row; it must equal
+    # solving m from the helpers' shares, then taking m^T g_i, for every
+    # helper set H and node i of (n, 3, 3, 3)
+    s = scheme_for(n, 3, 3)
+    p = s.base.p
+    for helpers in itertools.combinations(range(1, n + 1), 3):
+        shares = [random_symbols(s.field, 3, sum(helpers) * 10 + j) for j in range(2)]
+        m_vecs = s._solve_vectors(helpers, shares)
+        for i in range(1, n + 1):
+            row = lagrange_row(p, tuple(h - 1 for h in helpers), i - 1)
+            for vals, m in zip(shares, m_vecs):
+                assert s.field.dot(row, vals) == s._share_value(m, i), (helpers, i)
 
 
 def test_prime_field_gabidulin_round_trip():

@@ -1,7 +1,8 @@
 """Each scheme instance builds a node's stored observation rows once and
 keeps them (`Scheme._node_rows`): the rows it returns must equal a fresh
 instance's, no caller may alter them, and the cache must die with the
-instance."""
+instance.  mbcr-bivariate also keeps one monomial row per observed point
+(`_monomial_rows`), which a lifetime's downloads read again and again."""
 
 import gc
 import tracemalloc
@@ -9,6 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coopdss import sim
 from coopdss.codes import make_scheme
 from coopdss.codes.base import SchemeParams
 
@@ -120,3 +122,28 @@ def test_instances_leave_no_rows_behind(name):
     finally:
         tracemalloc.stop()
     assert peaks[-1] - peaks[0] < 4 << 10
+
+
+def test_bivariate_lifetime_rows_from_a_bounded_point_table():
+    # a lifetime view repeats download points; the warm instance's view
+    # equals a fresh one's, and its table holds one tuple per point, at most
+    # n^2 of them
+    params = SchemeParams(7, 3, 4, 2, 1, 1, "mbcr-bivariate")
+    plan = tuple(frozenset({2, 3 + r % 5} if r % 2 == 0 else {3 + r % 5, 4 + r % 4})
+                 for r in range(10))
+    trace = sim.run(sim.SimConfig(params=params, rounds=10, failure_plan=plan, seed=3,
+                                  e1=(1,), e2=(2,), helper_mode="random"))
+    warm = make_scheme(params)
+    for _ in range(2):
+        view = warm.observation_matrix((1,), (2,), trace.transcripts)
+        fresh = make_scheme(params).observation_matrix((1,), (2,), trace.transcripts)
+        assert _rows(view) == _rows(fresh) and view.labels == fresh.labels
+    table = warm._monomial_rows
+    assert len(set(map(tuple, view.matrix.rows))) == len(table) < view.n_rows
+    assert len(table) <= params.n ** 2
+    assert all(type(row) is tuple and len(row) == warm.file_size for row in table.values())
+    # every point of the grid fills the table to n^2 and no further
+    for xi in range(1, params.n + 1):
+        for yi in range(1, params.n + 1):
+            warm._monomial_row(xi, yi)
+    assert len(table) == params.n ** 2

@@ -302,11 +302,17 @@ def test_brute_force_matches_joint_rank_on_random_maps(toy):
 # joint verdict on distinct rows
 # ---------------------------------------------------------
 
-def _assert_distinct_rows_verdict(obs):
-    """joint_rank_leakage eliminates the distinct rows only, and that
-    elimination has the full matrix's verdict and pivot columns."""
-    rank, pivots = obs.matrix.rank_profile()
-    rank_r = sum(1 for c in pivots if c < obs.n_random)
+def _eliminated_rows(obs):
+    """The rows the view's verdict eliminates: the distinct ones when the
+    matrix has more than twice as many rows as columns, every row otherwise."""
+    matrix = obs.matrix
+    if matrix.nrows > 2 * matrix.ncols:
+        return len(set(map(tuple, matrix.rows)))
+    return matrix.nrows
+
+
+def _spy_rank_profile(verdict, obs):
+    """verdict(obs), and the (rows, pivots) of every elimination it ran."""
     eliminated = []
     rank_profile = Matrix.rank_profile
 
@@ -317,9 +323,17 @@ def _assert_distinct_rows_verdict(obs):
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(Matrix, "rank_profile", spy)
-        got = _verdict(S.joint_rank_leakage(obs))
-    assert got == (rank - rank_r, rank <= obs.n_random, rank_r == obs.n_random)
-    assert eliminated == [(len(set(map(tuple, obs.matrix.rows))), pivots)]
+        return verdict(obs), eliminated
+
+
+def _assert_distinct_rows_verdict(obs):
+    """joint_rank_leakage eliminates the distinct rows only on a tall view,
+    and that elimination has the full matrix's verdict and pivot columns."""
+    rank, pivots = obs.matrix.rank_profile()
+    rank_r = sum(1 for c in pivots if c < obs.n_random)
+    got, eliminated = _spy_rank_profile(S.joint_rank_leakage, obs)
+    assert _verdict(got) == (rank - rank_r, rank <= obs.n_random, rank_r == obs.n_random)
+    assert eliminated == [(_eliminated_rows(obs), pivots)]
 
 
 def test_joint_verdict_on_distinct_rows_of_a_lifetime():
@@ -354,6 +368,45 @@ def _matrices_with_repeats(draw):
 @given(_matrices_with_repeats())
 def test_joint_verdict_on_distinct_rows_of_random_matrices(obs):
     _assert_distinct_rows_verdict(obs)
+
+
+@pytest.mark.parametrize("scheme,nkdt,e1,e2,plan", [
+    # E2 node 1 keeps sorted position 0 in every failure set
+    ("mscr-dk", (6, 3, 3, 3), (6,), (1,),
+     ({1, 2, 3}, {1, 4, 5}, {1, 2, 4}, {1, 3, 5}, {1, 2, 5})),
+    ("mbcr-exact", (6, 3, 4, 2), (1,), (2,),
+     ({2, 3}, {4, 5}, {2, 6}, {3, 4}, {2, 5}, {1, 6})),
+])
+def test_point_verdict_on_distinct_rows_of_a_lifetime(scheme, nkdt, e1, e2, plan):
+    # rank_leakage on points drops repeated rows once the rows outnumber the
+    # columns twice over, with the full matrix's rank
+    n, k, d, t = nkdt
+    params = SchemeParams(n=n, k=k, d=d, t=t, l1=1, l2=1, scheme=scheme)
+    trace = sim_mod.run(sim_mod.SimConfig(
+        params=params, rounds=len(plan), failure_plan=tuple(map(frozenset, plan)),
+        seed=3, e1=e1, e2=e2))
+    obs = sim_mod.observation(trace)
+    assert obs.n_rows > 2 * obs.matrix.ncols
+    assert len(set(map(tuple, obs.matrix.rows))) < obs.n_rows
+    rank, _ = obs.matrix.rank_profile()
+    got, eliminated = _spy_rank_profile(S.rank_leakage, obs)
+    assert [rows for rows, _ in eliminated] == [_eliminated_rows(obs)]
+    assert _verdict(got) == (max(0, rank - obs.n_random), rank <= obs.n_random,
+                             rank >= obs.n_random)
+    assert got.leakage_qunits == 0
+
+
+def test_short_views_are_eliminated_whole():
+    # at most twice as many rows as columns: the verdict eliminates every
+    # row, repeats included, since the scan would cost more than it saves
+    field = prime_field(7)
+    obs = obs_from_rows(field, [[1, 2], [1, 2], [0, 1], [1, 2], [0, 1], [1, 2]],
+                        [[3], [3], [5], [3], [5], [3]])
+    assert obs.n_rows == 2 * obs.matrix.ncols
+    got, eliminated = _spy_rank_profile(S.joint_rank_leakage, obs)
+    assert [rows for rows, _ in eliminated] == [6]
+    assert _verdict(got) == _verdict(S.joint_rank_leakage(
+        obs_from_rows(field, [[1, 2], [0, 1]], [[3], [5]])))
 
 
 def _balanced_digits(value, base, count):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from coopdss import sim as sim_mod
 from coopdss.codes import make_scheme, mbcr_bivariate, mbcr_exact
 from coopdss.codes.base import ParameterError, SchemeParams
-from coopdss.field import vandermonde_inverse_rows
+from coopdss.field import lagrange_row
 from coopdss.precode import splitmix64
 from coopdss.secrecy import rank_leakage
 
@@ -160,11 +160,12 @@ def test_replay_check_flags_flipped_symbol():
 
 
 # each scheme's lifetime instance of the benchmark, and the coefficient
-# cache its repair reads
+# cache its repair reads: mscr-dk and mbcr-bivariate (n > d+t) rebuild and
+# send every symbol as one dot of a cached Lagrange row
 WARM_CACHE_LIFETIMES = [
     ("mbcr-exact", (6, 3, 4, 2), mbcr_exact._phi_block_rows),
-    ("mbcr-bivariate", (7, 3, 4, 2), mbcr_bivariate._barycentric_weights),
-    ("mscr-dk", (6, 3, 3, 3), vandermonde_inverse_rows),
+    ("mbcr-bivariate", (7, 3, 4, 2), lagrange_row),
+    ("mscr-dk", (6, 3, 3, 3), lagrange_row),
 ]
 
 
@@ -258,6 +259,42 @@ def test_lifetime_repairs_run_twice_per_round(monkeypatch):
     fresh = dataclasses.replace(trace)
     assert sim_mod.trace_to_text(fresh) == text
     assert len(calls) == 3 * 3
+
+
+def test_one_scheme_per_trace(monkeypatch):
+    # run builds the scheme; the replay, the trace text and the observation
+    # read it again.  A copy made with dataclasses.replace builds its own
+    # once, and replays afresh
+    builds = []
+    real_make = sim_mod.make_scheme
+
+    def counted(params):
+        builds.append(params)
+        return real_make(params)
+
+    monkeypatch.setattr(sim_mod, "make_scheme", counted)
+    cfg = config_for(scheme="mbcr-bivariate", n=7, k=3, d=4, t=2, l1=1, l2=1, rounds=4,
+                     seed=2, e1=(3,), e2=(5,), helper_mode="random",
+                     failure_plan=(frozenset({5, 1}), frozenset({2, 6}),
+                                   frozenset({5, 7}), frozenset({1, 4})))
+    trace = sim_mod.run(cfg)
+    assert sim_mod.replay_check(trace) == (True, [])
+    text = sim_mod.trace_to_text(trace)
+    verdict = rank_leakage(sim_mod.observation(trace))
+    assert len(builds) == 1
+    copy = dataclasses.replace(trace)
+    assert copy._replay_verdict is None and copy._scheme is None
+    assert sim_mod.trace_to_text(copy) == text and len(builds) == 2
+    assert rank_leakage(sim_mod.observation(copy)) == verdict and len(builds) == 2
+    assert copy._scheme is not trace._scheme and copy == trace
+
+
+def test_trace_text_of_zero_rounds():
+    cfg = config_for(l1=1, rounds=0, failure_plan=(), e1=(3,), seed=4)
+    trace = sim_mod.run(cfg)
+    text = sim_mod.trace_to_text(trace)
+    assert text == "header,mbcr-exact,4,2,2,2,1,0,0,4\nfinal,ok\n"
+    assert sim_mod.trace_transfers_from_text(text)[1] == []
 
 
 def test_trace_text_of_tampered_copy_reports_mismatch():
