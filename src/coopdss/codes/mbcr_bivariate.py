@@ -105,6 +105,10 @@ class MbcrBivariateScheme(Scheme):
         self.field = prime_field(q)
         self.x_points = tuple(range(n))
         self.y_points = tuple(range(n))
+        # node -> `_row_points` / `_col_points`, built on first use: repair
+        # and reconstruct read them on every call (at most n entries each)
+        self._row_pts: dict[int, tuple[int, ...]] = {}
+        self._col_pts: dict[int, tuple[int, ...]] = {}
         support = []
         support += [(i, j) for i in range(k) for j in range(k)]
         support += [(i, j) for i in range(k) for j in range(k, d + t)]
@@ -185,13 +189,20 @@ class MbcrBivariateScheme(Scheme):
 
     def _row_points(self, i: int) -> tuple[int, ...]:
         """The d+t points y_* at which node i stores its row polynomial f_i."""
-        return tuple(self.y_points[self._wrap(i, s) - 1]
-                     for s in range(self.params.d + self.params.t))
+        pts = self._row_pts.get(i)
+        if pts is None:
+            pts = self._row_pts[i] = tuple(self.y_points[self._wrap(i, s) - 1]
+                                           for s in range(self.params.d + self.params.t))
+        return pts
 
     def _col_points(self, i: int) -> tuple[int, ...]:
         """The d points x_* at which node i stores its column polynomial g_i;
         x_i first, whose value F(x_i, y_i) opens the row segment."""
-        return tuple(self.x_points[self._wrap(i, s) - 1] for s in range(self.params.d))
+        pts = self._col_pts.get(i)
+        if pts is None:
+            pts = self._col_pts[i] = tuple(self.x_points[self._wrap(i, s) - 1]
+                                           for s in range(self.params.d))
+        return pts
 
     def _col_values(self, content: NodeContent) -> list[int]:
         return [content.segment("row")[0]] + list(content.segment("col"))

@@ -12,12 +12,13 @@ Every extension field is a binomial field: its modulus is X^m + c0, in
 closed form by Lidl & Niederreiter, Thm 3.75 (see `find_irreducible`), and
 the constructions pick their prime with `binomial_prime` so that one exists.
 Every GF(p^m) result goes through one reduction, `_reduce`: fold the digits
-at X^m and above back with one scalar multiply (X^m = -c0), then bring each
-digit into [0, p) in one `to_bytes`/`struct` pass over the words.  The word
-is wide enough that `_dot_chunk` = word mask // (the largest folded digit one
-product can give) products sum before a reduction is due, so work is reduced
-once per result, not once per multiply (delayed reduction; Dumas, Giorgi &
-Pernet, FFLAS-FFPACK, 2008):
+at X^m and above back with one scalar multiply (X^m = -c0), then bring every
+digit into [0, p) at once with `_normalize`, a fixed plan of big-int
+operations on the whole packed int and no per-digit loop (see
+`_reduction_plan`).  The word is wide enough that `_dot_chunk` = word mask //
+(the largest folded digit one product can give) products sum before a
+reduction is due, so work is reduced once per result, not once per multiply
+(delayed reduction; Dumas, Giorgi & Pernet, FFLAS-FFPACK, 2008):
 
 - `mul` reduces once per product;
 - `dot` sums raw products and reduces once per dot product, or once per
@@ -58,8 +59,8 @@ and its inverse are never built as matrices.  On a binomial field every
 entry of either is a GF(p)-scaled monomial c^a X^s, so one table of GF(p)
 ints per field, built in O(m^2) integer operations and cached like the
 fields, drives both (`basis_moore_apply`, `basis_moore_inverse_apply`):
-GF(p)-scalar dots and word shifts, one normalisation pass over all the
-outputs, and no product of two GF(p^m) elements.  The inverse is the Moore matrix of the
+GF(p)-scalar dots and word shifts, one `_normalize` per output, and no
+product of two GF(p^m) elements.  The inverse is the Moore matrix of the
 trace-dual basis, a scaled and permuted transpose; no elimination runs.
 """
 
@@ -141,6 +142,49 @@ def fits_word_slots(p: int, m: int) -> bool:
     the sum of m products (one Moore row) and of the 2 of an elimination
     entry, about m^2 p^3 < 2^64.  Cheap for any m: it builds nothing."""
     return 0xFFFFFFFFFFFFFFFF // _product_bound(p, m) >= max(m, 2)
+
+
+def _reduction_plan(p: int, db: int, m: int) -> tuple[tuple, tuple[int, int, int]]:
+    """The word-parallel plan that brings every digit of m db-bit words into
+    [0, p): (folds, (c, s, q)), in closed form.
+
+    Each digit below 2^db is reduced in every word at once, so no carry or
+    borrow may cross a word.  W bounds the digits, 2^db - 1 on entry.
+    - A fold (h, hi, r, lo) runs v = ((v >> h) & hi) * r + (v & lo) with
+      r = 2^h mod p: digit d = a 2^h + b becomes a r + b, congruent mod p and
+      at most W' = (W >> h) r + 2^h - 1 < W.  h = (bitlen(W) + bitlen(p) + 1)
+      // 2 about balances the two terms.
+    - The quotient step v - p * (((v * c) >> s) & q), c = ceil(2^s / p) and
+      e = c p - 2^s, takes floor(d / p) off every digit (Granlund &
+      Montgomery, PLDI 1994; Barrett, CRYPTO 1986).  W c < 2^db keeps each
+      d c inside its word, and W e < 2^s makes floor(d c / 2^s) =
+      floor(d / p) for every d <= W.  s is the largest that satisfies both;
+      while none does, fold.
+    hi, lo and q repeat one per-word bit mask over the m words: the repunit
+    sum_i 2^(db i) times the mask.
+
+    The plan exists for every field the words admit: p < 2^11 in 32-bit
+    words and p < 2^21 in 64-bit ones (`fits_word_slots`).  While
+    bitlen(W) > bitlen(p) + 3 a fold leaves W' < 2^(h+1), at least one bit
+    shorter than W; below that, s = 2 bitlen(p) + 3 meets both conditions,
+    since 2 bitlen(p) + 7 < db.  Every such field needs at most 3 folds;
+    more raises ValueError.
+    """
+    repunit = ((1 << db * m) - 1) // ((1 << db) - 1)
+    bound, pbits = (1 << db) - 1, p.bit_length()
+    folds = []
+    while len(folds) <= 3:
+        wbits = bound.bit_length()
+        # W c < 2^db needs s < db + log2(p) - log2(W); W e < 2^s needs s >= wbits
+        for s in range(min(db - 1, db + pbits - wbits), wbits - 1, -1):
+            c = -(-(1 << s) // p)
+            if bound * c >> db == 0 and bound * (c * p - (1 << s)) >> s == 0:
+                return tuple(folds), (c, s, repunit * ((1 << db - s) - 1))
+        h = (wbits + pbits + 1) // 2
+        r = (1 << h) % p
+        folds.append((h, repunit * ((1 << db - h) - 1), r, repunit * ((1 << h) - 1)))
+        bound = (bound >> h) * r + (1 << h) - 1
+    raise ValueError(f"no reduction plan of at most 3 folds for GF({p}) in {db}-bit words")
 
 
 def find_irreducible(p: int, m: int) -> tuple[int, ...]:
@@ -265,13 +309,17 @@ class ExtField:
 
     Elements are packed ints: digit i, in a 32- or 64-bit word slot, holds
     the coefficient of X^i.  All public operations take and return packed
-    ints with every digit in [0, p).
+    ints with every digit in [0, p).  Each result is brought back into
+    [0, p) by `_normalize`, which runs the field's `_reduction_plan` (at
+    most 3 folds and one quotient step, each a handful of big-int operations
+    on the whole packed int), so its cost does not grow with one Python step
+    per digit.
     """
 
     __slots__ = (
         "base", "p", "m", "modulus", "order", "char", "degree", "zero", "one",
         "coord_width", "_db", "_mask", "_low_mask", "_all_p", "_binomial_c",
-        "_dot_chunk", "_words", "_frobenius_table",
+        "_dot_chunk", "_words", "_folds", "_quotient", "_frobenius_table",
     )
 
     def __init__(self, base: PrimeField, m: int):
@@ -301,6 +349,7 @@ class ExtField:
         self._words = struct.Struct(f"<{m}{code}")
         self._low_mask = (1 << (db * m)) - 1
         self._all_p = self._pack([p] * m)
+        self._folds, self._quotient = _reduction_plan(p, db, m)
         self._frobenius_table = None  # built on first use (see frobenius)
         self.zero = 0
         self.one = 1
@@ -324,21 +373,14 @@ class ExtField:
         return int.from_bytes(self._words.pack(*coords, *pad), "little")
 
     def _normalize(self, v: int) -> int:
-        """Every digit of v (m words, no carries) into [0, p)."""
-        p = self.p
+        """Every digit of v (m words, each below 2^_db) into [0, p), in every
+        word at once: the folds and the quotient step of `_reduction_plan`."""
         if v <= self._mask:
-            return v % p  # one digit: a base-field constant
-        words = self._words
-        digits = words.unpack(v.to_bytes(words.size, "little"))
-        return int.from_bytes(words.pack(*[d % p for d in digits]), "little")
-
-    def _normalize_all(self, vs: Sequence[int]) -> list[int]:
-        """`_normalize` of each of vs, in one unpack and one pack."""
-        p, size, code = self.p, self._words.size, "I" if self._db == 32 else "Q"
-        count = len(vs) * self.m
-        run = struct.unpack(f"<{count}{code}", b"".join([v.to_bytes(size, "little") for v in vs]))
-        view = memoryview(struct.pack(f"<{count}{code}", *[d % p for d in run]))
-        return [int.from_bytes(view[j:j + size], "little") for j in range(0, len(view), size)]
+            return v % self.p  # one digit: a base-field constant
+        for h, hi, r, lo in self._folds:
+            v = ((v >> h) & hi) * r + (v & lo)
+        c, s, q = self._quotient
+        return v - self.p * (((v * c) >> s) & q)
 
     def _reduce(self, v: int) -> int:
         """A nonnegative sum of at most `_dot_chunk` products of reduced
@@ -899,11 +941,11 @@ def basis_moore_apply(field, coeffs: Sequence[int]) -> list[int]:
     polynomial sum_j coeffs[j] X^(p^j) at 1, X, ..., X^(m-1).
 
     x_i = sum_pi X^(i pi) . (sum_{j in pi} kappa_ij coeffs[j]): per class one
-    GF(p)-scalar dot and one shift, then one normalisation pass over every
-    output (`ExtField._normalize_all`).  A digit of a class sum is at most
-    |class| (p-1)^2 and the shift scales it by at most c < p, so every digit
-    of x_i before normalisation is below m (p-1)^2 p = `_product_bound(p, m)`,
-    which the field's words hold.  Raises ValueError unless len(coeffs) = m.
+    GF(p)-scalar dot and one shift, then one `_normalize` per output.  A
+    digit of a class sum is at most |class| (p-1)^2 and the shift scales it
+    by at most c < p, so every digit of x_i before normalisation is below
+    m (p-1)^2 p = `_product_bound(p, m)`, which the field's words hold.
+    Raises ValueError unless len(coeffs) = m.
     """
     m = field.degree
     if len(coeffs) != m:
@@ -920,7 +962,7 @@ def basis_moore_apply(field, coeffs: Sequence[int]) -> list[int]:
             a = sum(map(_int_mul, kappas, group))
             acc += ((a << up) & low) + c * (a >> down)  # a X^s, see `_monomial_shifts`
         out.append(acc)
-    return field._normalize_all(out)
+    return list(map(field._normalize, out))
 
 
 def basis_moore_inverse_apply(field, values: Sequence[int]) -> list[int]:
@@ -928,10 +970,10 @@ def basis_moore_inverse_apply(field, values: Sequence[int]) -> list[int]:
 
     B^-1[i][l] = s_l B[-l mod m][i] (see `_build_basis_moore_table`): one
     copy X^(-l pi) values[l] of each input per class pi, per output one
-    GF(p)-scalar dot over the copies of its class, then one normalisation
-    pass over every output.  A digit of a copy is at most (p-1) c, so every
-    digit of a dot is below m (p-1)^2 p = `_product_bound(p, m)`.  Raises
-    ValueError unless len(values) = m.
+    GF(p)-scalar dot over the copies of its class, then one `_normalize` per
+    output.  A digit of a copy is at most (p-1) c, so every digit of a dot is
+    below m (p-1)^2 p = `_product_bound(p, m)`.  Raises ValueError unless
+    len(values) = m.
     """
     m = field.degree
     if len(values) != m:
@@ -942,5 +984,5 @@ def basis_moore_inverse_apply(field, values: Sequence[int]) -> list[int]:
     low, c = field._low_mask, field._binomial_c
     copies = [[((x << up) & low) + c * (x >> down) for x, (up, down) in zip(values, shifts)]
               for shifts in inverse_shifts]
-    return field._normalize_all([sum(map(_int_mul, scales, copies[k]))
-                                 for k, scales in inverse_rows])
+    return [field._normalize(sum(map(_int_mul, scales, copies[k])))
+            for k, scales in inverse_rows]

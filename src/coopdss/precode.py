@@ -18,40 +18,46 @@ from __future__ import annotations
 from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def splitmix64(seed: int) -> Iterator[int]:
     """The splitmix64 stream: gamma 0x9E3779B97F4A7C15, mixers as published."""
     state = seed & _MASK64
     while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        state = (state + _GAMMA) & _MASK64
         z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         yield z ^ (z >> 31)
-
-
-def _draw_mod(stream: Iterator[int], p: int) -> int:
-    # rejection sampling: draw 64-bit words until below the largest multiple of p
-    limit = (1 << 64) - ((1 << 64) % p)
-    while True:
-        w = next(stream)
-        if w < limit:
-            return w % p
 
 
 def random_symbols(field, count: int, seed: int) -> list[int]:
     """`count` uniform field elements from a seeded splitmix64 stream.
 
-    Extension-field elements are drawn coordinate 0 first.
+    Each coordinate is the first 64-bit word of the stream below the largest
+    multiple of p, mod p (rejection sampling); extension-field elements are
+    drawn coordinate 0 first.  The stream runs inline, one loop over every
+    coordinate, with no generator; `splitmix64` gives the same words.
     """
-    stream = splitmix64(seed)
-    p = field.char
-    out = []
-    for _ in range(count):
-        coords = [_draw_mod(stream, p) for _ in range(field.degree)]
-        out.append(field.from_coords(coords))
-    return out
+    p, m = field.char, field.degree
+    limit = (1 << 64) - ((1 << 64) % p)
+    state = seed & _MASK64
+    coords: list[int] = []
+    for _ in range(count * m):
+        while True:
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                coords.append(z % p)
+                break
+    if m == 1:
+        return coords  # a prime-field element is its coordinate
+    return [field.from_coords(coords[i:i + m]) for i in range(0, count * m, m)]
 
 
 def coefficients(u, r) -> tuple[int, ...]:

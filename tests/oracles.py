@@ -18,10 +18,44 @@ replay e = A_u u + A_r r.
 The mbcr-exact observation points are written in closed form by the scheme;
 `mbcr_exact_stored_rows` and `mbcr_exact_z_point` build them by combining
 the primary points coordinate by coordinate.
+
+`normalize_per_digit` is the per-digit pass that `ExtField._normalize`
+replaces with word-parallel folds (unpack every word, take it mod p, pack
+again), and `random_symbols` draws from the `splitmix64` generator one
+`draw_mod` call per coordinate, the reference for the inline loop of
+`coopdss.precode.random_symbols`.
 """
 
 from coopdss.codes.base import ObservationMatrix, PointObservation
 from coopdss.field import Matrix, PrimeField, ext_field, moore_matrix
+from coopdss.precode import splitmix64
+
+
+def normalize_per_digit(field, v):
+    """Every digit of the packed int v (m words of an ExtField, each below
+    2^db) into [0, p), one digit at a time."""
+    words = field._words
+    digits = words.unpack(v.to_bytes(words.size, "little"))
+    return int.from_bytes(words.pack(*[d % field.p for d in digits]), "little")
+
+
+def draw_mod(stream, p):
+    """One coordinate: the first word of the stream below the largest
+    multiple of p, mod p (rejection sampling)."""
+    limit = (1 << 64) - ((1 << 64) % p)
+    while True:
+        w = next(stream)
+        if w < limit:
+            return w % p
+
+
+def random_symbols(field, count, seed):
+    """`count` field elements from the `splitmix64(seed)` generator,
+    coordinate 0 first, one `draw_mod` per coordinate."""
+    stream = splitmix64(seed)
+    p = field.char
+    return [field.from_coords([draw_mod(stream, p) for _ in range(field.degree)])
+            for _ in range(count)]
 
 
 def power(field, a, e):

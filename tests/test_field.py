@@ -971,3 +971,77 @@ def test_basis_moore_table_classes():
         assert len(classes) == count, (p, m)
         assert sorted(j for cols in classes for j in cols) == list(range(m))
         assert all(len({pow(p, j, m) for j in cols}) == 1 for cols in classes)
+
+
+# ---------------------------------------------------------
+# word-parallel normalisation against the per-digit pass
+# ---------------------------------------------------------
+
+# 32-bit words: GF(7^6), GF(43^21), GF(31^30), GF(89^44); 64-bit words:
+# GF(331^55) (mbcr-exact (9,5,7,2)), GF(4099^2)
+NORMALIZE_FIELDS = [(7, 6), (43, 21), (31, 30), (89, 44), (331, 55), (4099, 2)]
+
+
+@st.composite
+def packed_words(draw):
+    """A packed int of m words, each digit anywhere in [0, 2^db), the
+    extremes 0, p - 1, p and 2^db - 1 drawn often."""
+    f = F.ext_field(*draw(st.sampled_from(NORMALIZE_FIELDS)))
+    top = (1 << f._db) - 1
+    digit = st.one_of(st.sampled_from((0, f.p - 1, f.p, top)), st.integers(0, top))
+    return f, f._pack(draw(st.lists(digit, min_size=f.m, max_size=f.m)))
+
+
+@KERNEL_SETTINGS
+@given(packed_words())
+def test_normalize_matches_per_digit_oracle(case):
+    f, v = case
+    assert f._normalize(v) == O.normalize_per_digit(f, v)
+
+
+@pytest.mark.parametrize("p,m", NORMALIZE_FIELDS)
+def test_normalize_extreme_words(p, m):
+    f = F.ext_field(p, m)
+    top = (1 << f._db) - 1
+    for d in (0, 1, p - 1, p, p + 1, 2 * p - 1, top - 1, top):
+        for digits in ([d] * m, [d] + [0] * (m - 1), [0] * (m - 1) + [d], [d, top] * (m // 2)):
+            v = f._pack(digits)
+            assert f._normalize(v) == O.normalize_per_digit(f, v), (d, digits[:2])
+
+
+def _check_reduction_plan(p, db, m, folds, quotient):
+    # each fold's digit bound stays below 2^db (no carry leaves a word), and
+    # the quotient step's W c < 2^db and W e < 2^s hold for the final bound
+    word_masks = lambda bits: sum(((1 << bits) - 1) << (db * i) for i in range(m))
+    bound = (1 << db) - 1
+    assert len(folds) <= 3
+    for h, hi, r, lo in folds:
+        assert 0 < h < db and r == (1 << h) % p
+        assert hi == word_masks(db - h) and lo == word_masks(h)
+        bound = (bound >> h) * r + (1 << h) - 1
+        assert bound < 1 << db
+    c, s, q = quotient
+    e = c * p - (1 << s)
+    assert 0 <= e < p  # c = ceil(2^s / p)
+    assert bound * c < 1 << db and bound * e < 1 << s
+    assert q == word_masks(db - s)
+
+
+@pytest.mark.parametrize("p,m", sorted(set(FROBENIUS_FIELDS + NORMALIZE_FIELDS)))
+def test_reduction_plan_keeps_every_word_exact(p, m):
+    f = F.ext_field(p, m)
+    _check_reduction_plan(p, f._db, m, f._folds, f._quotient)
+
+
+def test_reduction_plan_ends_for_every_admissible_prime():
+    # 32-bit words hold m products only for p < 2^11 and 64-bit ones for
+    # p < 2^21 (`fits_word_slots`): every prime below 2^11 in both widths,
+    # and in 64-bit words the primes next to powers of two and a seeded
+    # sample up to 2^21
+    rng = random.Random(24)
+    small = [p for p in range(2, 1 << 11) if F._is_prime(p)]
+    wide = [F.next_prime(x) for e in range(11, 21) for x in ((1 << e) - 40, 1 << e)]
+    wide += [F.next_prime(rng.randrange(1 << 11, 1 << 21)) for _ in range(200)]
+    for db, primes in ((32, small), (64, small + wide)):
+        for p in primes:
+            _check_reduction_plan(p, db, 2, *F._reduction_plan(p, db, 2))

@@ -149,6 +149,27 @@ def test_trace_text_golden(params, helper_mode, size, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# mbcr-exact (9,5,7,2) runs on GF(331^55), whose words are 64 bits wide: its
+# node files and trace pin the 64-bit kernel as the goldens above pin the
+# 32-bit one (digests taken with the per-digit normalisation, so they check
+# the word-parallel one)
+WIDE_WORD_PARAMS = SchemeParams(n=9, k=5, d=7, t=2, l1=1, scheme="mbcr-exact")
+
+
+def test_wide_word_field_goldens():
+    scheme = make_scheme(WIDE_WORD_PARAMS)
+    assert (scheme.field.p, scheme.field.degree, scheme.field._db) == (331, 55, 64)
+    blob = nodeio.write_nodes(scheme, scheme.encode(*scheme.random_inputs(11)))
+    assert len(blob) == 15003
+    assert hashlib.sha256(blob).hexdigest() == \
+        "8706bf43f0b6a0dae04e69474eed56a4cd14795eb3a6da9ede5d3fcf98a918ff"
+    config = sim_mod.SimConfig(params=WIDE_WORD_PARAMS, rounds=4, seed=3, helper_mode="lowest")
+    text = sim_mod.trace_to_text(sim_mod.run(config))
+    assert len(text) == 27895
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "89b7d2a29a32d40b5b3b1e712482ed54342598828c9073b773a63b063df8d5fe"
+
+
 def test_params_validation():
     with pytest.raises(ParameterError):
         SchemeParams(n=4, k=3, d=2, t=2).validate()  # k > d

@@ -63,6 +63,17 @@ def test_random_symbols_in_range_and_deterministic():
     assert P.random_symbols(gf, 20, 100) != a
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (11, 1), (3, 2), (7, 9), (43, 21)])
+def test_random_symbols_match_the_generator_reference(p, m):
+    # the inline loop draws the same stream as splitmix64 with one rejection
+    # draw per coordinate, seeds past 64 bits included (they wrap)
+    gf = F.ext_field(p, m)
+    for seed in (0, 1, 12345, 2 ** 64 - 1, 2 ** 70 + 5):
+        for count in (0, 1, 16, 50):
+            assert P.random_symbols(gf, count, seed) == O.random_symbols(gf, count, seed), \
+                (seed, count)
+
+
 def test_precode_single_random_symbol():
     # Ms = 0, r = (c), one point g: the block is (c*g)
     gf = F.ext_field(5, 4)
