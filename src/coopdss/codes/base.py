@@ -34,9 +34,10 @@ and the faithfulness checks compare two independent walks.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..field import (
     Matrix,
@@ -118,6 +119,119 @@ class RepairTranscript:
         live = sum(len(v) for (h, i), v in self.live_transfers.items() if i == newcomer)
         coop = sum(len(v) for (m, i), v in self.coop_transfers.items() if i == newcomer)
         return live + coop
+
+
+class RepairPlan(NamedTuple):
+    """One repair round of a scheme as a straight-line program over the
+    helpers' stored symbols, built from (failed, helpers) alone, so it holds
+    no data.
+
+    Slots 0 .. len(inputs)-1 hold the gathered symbols, survivor h's symbol
+    at index s for each (h, s) of `inputs`; each (row, src) of `steps` then
+    appends one slot, the dot of the GF(p) row with the slots `src`
+    (`run_steps` of the field).  `live` and `coop` give the slots of each
+    transfer, keyed (sender, newcomer), and `results` the slots of each
+    newcomer's alpha symbols, keyed by newcomer.  A symbol sent or stored
+    verbatim is a slot reference with no step.  Rows are the coefficient
+    caches' own tuples."""
+
+    inputs: tuple[tuple[int, int], ...]
+    steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    live: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+    coop: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+    results: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+class PlanBuilder:
+    """Assembles a `RepairPlan`.  `symbol` and `step` return slots in the
+    order they are asked for; `plan` renumbers them so that the inputs come
+    first, as the executor gathers them, and drops every input that no step
+    or output reads."""
+
+    def __init__(self):
+        self._inputs: dict[tuple[int, int], int] = {}
+        self._steps: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self._step_slots: list[int] = []
+        self.live: dict[tuple[int, int], list[int]] = {}
+        self.coop: dict[tuple[int, int], list[int]] = {}
+
+    def _next_slot(self) -> int:
+        return len(self._inputs) + len(self._steps)
+
+    def symbol(self, helper: int, index: int) -> int:
+        """The slot of survivor `helper`'s stored symbol `index`."""
+        slot = self._inputs.get((helper, index))
+        if slot is None:
+            slot = self._inputs[(helper, index)] = self._next_slot()
+        return slot
+
+    def step(self, row: tuple[int, ...], src: Sequence[int]) -> int:
+        """The slot of the dot of `row` with the slots `src`."""
+        slot = self._next_slot()
+        self._steps.append((row, tuple(src)))
+        self._step_slots.append(slot)
+        return slot
+
+    def plan(self, results: Iterable[tuple[int, Sequence[int]]]) -> RepairPlan:
+        """The plan with its transfers (`live`, `coop`) and `results`, in
+        the slot order the executor uses."""
+        results = [(i, tuple(v)) for i, v in results]
+        outputs = [*self.live.values(), *self.coop.values(), *(v for _, v in results)]
+        read = {j for src in [*outputs, *(src for _, src in self._steps)] for j in src}
+        inputs = [key for key, slot in self._inputs.items() if slot in read]
+        new = {self._inputs[key]: pos for pos, key in enumerate(inputs)}
+        for slot in self._step_slots:
+            new[slot] = len(new)
+
+        def slots(old):
+            return tuple(new[j] for j in old)
+
+        return RepairPlan(
+            inputs=tuple(inputs),
+            steps=tuple((row, slots(src)) for row, src in self._steps),
+            live=tuple((key, slots(v)) for key, v in self.live.items()),
+            coop=tuple((key, slots(v)) for key, v in self.coop.items()),
+            results=tuple((i, slots(v)) for i, v in results))
+
+
+class PlanCache:
+    """A bounded least-recently-used map from (params, failed, helpers) to
+    `RepairPlan`, shared by every scheme instance in the process: a plan
+    depends only on public parameters, so a lifetime, its replay and later
+    lifetimes of the same parameters reuse it.  `hits` and `misses` count
+    lookups."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.hits = self.misses = 0
+        self._plans: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def get(self, key, build) -> RepairPlan:
+        """The plan under `key`, from `build()` on a miss."""
+        plan = self._plans.get(key)
+        if plan is not None:
+            self.hits += 1
+            self._plans.move_to_end(key)
+            return plan
+        self.misses += 1
+        plan = self._plans[key] = build()
+        if len(self._plans) > self.maxsize:
+            self._plans.popitem(last=False)
+        return plan
+
+
+# Worst case: 256 plans.  A plan holds about t alpha steps, each a row of
+# at most d + t ints below p and as many slot ints: O(t (d + t)^2) ints.
+# Its rows are the row caches' own tuples (`lagrange_row`,
+# `_phi_block_rows`), which it keeps alive after those caches evict them.
+# Measured with its rows: 5-9 KB per plan at the benchmark's lifetime sizes
+# (a lifetime pass meets 56-58 keys, about 360 KB), so about 2 MB for a
+# full cache of them; about 50 KB per plan at mbcr-bivariate (20,4,8,4),
+# 13 MB for 256 of those.
+REPAIR_PLANS = PlanCache(256)
 
 
 class ObservationMatrix:
@@ -217,6 +331,40 @@ class Scheme:
         if len(r) != self.n_random:
             raise ParameterError(f"randomness must have {self.n_random} symbols, got {len(r)}")
 
+    def _repair(self, failed: Iterable[int], survivors: Mapping[int, NodeContent],
+                helpers: Sequence[int] | None) -> RepairTranscript:
+        """Run one repair round by the scheme's cached `_repair_plan`.
+
+        Validation runs on every call, before the plan is looked up: the
+        failed set, the helpers and `_check_helpers`.  The plan comes from
+        `REPAIR_PLANS`, keyed by (params, failed, helpers); the executor
+        gathers its inputs from the survivors, runs its steps in the field
+        (`run_steps`) and assembles the transfers and the newcomers'
+        contents by slot."""
+        failed = self._validate_failed(failed, survivors)
+        helpers = self._pick_helpers(failed, survivors, helpers)
+        self._check_helpers(helpers, survivors)
+        plan = REPAIR_PLANS.get((self.params, failed, helpers),
+                                lambda: self._repair_plan(failed, helpers))
+        vals = [survivors[h].symbols[s] for h, s in plan.inputs]
+        self.field.run_steps(plan.steps, vals)
+        get, layout = vals.__getitem__, self.layout
+        return RepairTranscript(
+            failed=failed, helpers=helpers,
+            live_transfers={key: tuple(map(get, slots)) for key, slots in plan.live},
+            coop_transfers={key: tuple(map(get, slots)) for key, slots in plan.coop},
+            results=tuple(NodeContent(i, tuple(map(get, slots)), layout)
+                          for i, slots in plan.results))
+
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
+        """The `RepairPlan` of one round: (failed, helpers) validated, no
+        survivor data."""
+        raise NotImplementedError
+
+    def _check_helpers(self, helpers: tuple[int, ...],
+                       survivors: Mapping[int, NodeContent]) -> None:
+        """A scheme-specific helper rule, run before the plan lookup."""
+
     def _pick_helpers(self, failed: frozenset[int],
                       survivors: Mapping[int, NodeContent],
                       helpers: Sequence[int] | None) -> tuple[int, ...]:
@@ -226,8 +374,8 @@ class Scheme:
         if helpers is None:
             helpers = sorted(survivors)[:d]
         helpers = tuple(sorted(helpers))
-        if (len(helpers) != d or len(set(helpers)) != d
-                or any(h in failed or h not in survivors for h in helpers)):
+        if (len(helpers) != d or len(set(helpers)) != d or not failed.isdisjoint(helpers)
+                or not all(map(survivors.__contains__, helpers))):
             raise ParameterError("helpers must be d distinct surviving nodes")
         return helpers
 
@@ -236,9 +384,9 @@ class Scheme:
         failed = frozenset(failed)
         if len(failed) != self.params.t:
             raise ParameterError(f"exactly t={self.params.t} failures required")
-        if any(i in survivors for i in failed):
+        if not failed.isdisjoint(survivors):
             raise ParameterError("a failed node cannot also be a survivor")
-        if any(not 1 <= i <= self.params.n for i in failed):
+        if min(failed) < 1 or max(failed) > self.params.n:
             raise ParameterError("node ids must lie in [1, n]")
         return failed
 

@@ -18,12 +18,16 @@ Repair of failure set T: helper h sends f_h(y_i) and g_h(x_i) to newcomer i
 pinned by its d column evidences f_h(y_j) at the helpers' x_h; i then holds
 d+t row evaluations of f_i (helpers, peers, own g_i(x_i)).  Every transfer
 and every rebuilt symbol is one value of a polynomial at one point, so repair
-never builds a polynomial: `_lagrange_at` returns a stored value when the
-point is one of the polynomial's evaluation points (y_i in helper h's row
-window, x_i in its column window, every row point of f_i when n = d+t) and
-otherwise one dot of a Lagrange row with the values it holds.  The row
-depends on the points alone, so `lagrange_row` keeps it in a bounded
-process-wide cache (4096 entries, keyed by (q, points, x)).
+never builds a polynomial.  It runs as a repair plan (`_repair_plan`, see
+`codes.base.RepairPlan`), built once per (params, failed, helpers) and kept
+in the process-wide plan cache: a value at one of the polynomial's own
+evaluation points (y_i in helper h's row window, x_i in its column window,
+every row point of f_i when n = d+t) is a reference to the slot that holds
+it, and any other is one step, the dot of a Lagrange row with the slots of
+the values it is known by.  The row depends on the points alone and comes
+from the bounded process-wide cache `lagrange_row` (4096 entries, keyed by
+(q, points, x)); the plan keeps the cached tuple itself.  A round then
+gathers only the helper symbols the plan reads and runs its steps.
 
 Reconstruction needs coefficients: each of its interpolations applies the
 closed-form inverse of its Vandermonde matrix (Lagrange coefficients), so no
@@ -38,7 +42,6 @@ costs O(rows * M^2) in pure Python, so M is capped at MAX_FILE_SIZE.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from ..field import lagrange_row, next_prime, prime_field, vandermonde_inverse_rows
@@ -46,6 +49,8 @@ from .base import (
     NodeContent,
     ObservationMatrix,
     ParameterError,
+    PlanBuilder,
+    RepairPlan,
     RepairTranscript,
     Scheme,
     SchemeParams,
@@ -53,19 +58,6 @@ from .base import (
 
 
 MAX_FILE_SIZE = 1 << 16  # largest M = k(2d+t-k) a scheme is built for
-
-
-def _lagrange_at(q: int, xs: tuple[int, ...], ys: Sequence[int], x: int) -> int:
-    """The value at x of the polynomial of degree < len(xs) through the
-    points (xs, ys) over GF(q), without its coefficients.
-
-    When x is one of the points this is its stored value; otherwise one dot
-    of the cached Lagrange row of (xs, x) with ys (`lagrange_row`), with no
-    `pow`.  xs must be a tuple.
-    """
-    if x in xs:
-        return ys[xs.index(x)]
-    return sum(map(mul, lagrange_row(q, xs, x), ys)) % q
 
 
 def _interpolate(field, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
@@ -252,45 +244,58 @@ class MbcrBivariateScheme(Scheme):
     def cooperative_repair(self, failed: Iterable[int],
                            survivors: Mapping[int, NodeContent],
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
-        q = self.field.p
+        return self._repair(failed, survivors, helpers)
+
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
+        """Every transfer and rebuilt symbol is the value at one point of a
+        polynomial known by its values at others (`at`)."""
+        q, d, t = self.field.p, self.params.d, self.params.t
         x, y = self.x_points, self.y_points
-        failed = self._validate_failed(failed, survivors)
-        helpers = self._pick_helpers(failed, survivors, helpers)
         newcomers = sorted(failed)
-        live: dict[tuple[int, int], tuple[int, int]] = {}
-        coop: dict[tuple[int, int], tuple[int]] = {}
-        stored = [(self._row_points(h), survivors[h].segment("row"),
-                   self._col_points(h), self._col_values(survivors[h])) for h in helpers]
+        b = PlanBuilder()
+
+        def at(xs: tuple[int, ...], slots: Sequence[int], pt: int) -> int:
+            """The slot of the value at pt of the polynomial of degree
+            < len(xs) that takes the values `slots` at xs: a stored slot
+            when pt is one of xs, else a step by the cached Lagrange row."""
+            if pt in xs:
+                return slots[xs.index(pt)]
+            return b.step(lagrange_row(q, xs, pt), slots)
+
+        # helper h's row segment (symbols 0 .. d+t-1) holds f_h at its row
+        # points; its column values are symbol 0, then its col segment.  The
+        # plan gathers only the symbols a step or a transfer reads
+        stored = [(self._row_points(h), [b.symbol(h, s) for s in range(d + t)],
+                   self._col_points(h), [b.symbol(h, 0)] +
+                   [b.symbol(h, d + t + s) for s in range(d - 1)]) for h in helpers]
         for i in newcomers:
             for h, (row_pts, row_vals, col_pts, col_vals) in zip(helpers, stored):
-                live[(h, i)] = (_lagrange_at(q, row_pts, row_vals, y[i - 1]),   # f_h(y_i)
-                                _lagrange_at(q, col_pts, col_vals, x[i - 1]))   # g_h(x_i)
+                b.live[(h, i)] = [at(row_pts, row_vals, y[i - 1]),   # f_h(y_i)
+                                  at(col_pts, col_vals, x[i - 1])]   # g_h(x_i)
         # newcomer j's column polynomial g_j takes the value f_h(y_j) at x_h
         helper_xs = tuple(x[h - 1] for h in helpers)
-        col_evidence = {j: [live[(h, j)][0] for h in helpers] for j in newcomers}
+        col_evidence = {j: [b.live[(h, j)][0] for h in helpers] for j in newcomers}
         # cooperative phase: peers trade g_j(x_i)
         for i in newcomers:
             for j in newcomers:
                 if j != i:
-                    coop[(j, i)] = (_lagrange_at(q, helper_xs, col_evidence[j], x[i - 1]),)
+                    b.coop[(j, i)] = [at(helper_xs, col_evidence[j], x[i - 1])]
         results = []
         for i in newcomers:
             # f_i takes g_h(x_i) at y_h, g_j(x_i) at y_j and g_i(x_i) at y_i
             ys = [y[h - 1] for h in helpers]
-            vals = [live[(h, i)][1] for h in helpers]
+            vals = [b.live[(h, i)][1] for h in helpers]
             for j in newcomers:
                 if j != i:
                     ys.append(y[j - 1])
-                    vals.append(coop[(j, i)][0])
+                    vals.append(b.coop[(j, i)][0])
             ys.append(y[i - 1])
-            vals.append(_lagrange_at(q, helper_xs, col_evidence[i], x[i - 1]))
+            vals.append(at(helper_xs, col_evidence[i], x[i - 1]))
             ys = tuple(ys)
-            row_seg = [_lagrange_at(q, ys, vals, pt) for pt in self._row_points(i)]
-            col_seg = [_lagrange_at(q, helper_xs, col_evidence[i], pt)
-                       for pt in self._col_points(i)[1:]]
-            results.append(NodeContent(i, tuple(row_seg + col_seg), self.layout))
-        return RepairTranscript(failed=failed, helpers=helpers, live_transfers=live,
-                                coop_transfers=coop, results=tuple(results))
+            row_seg = [at(ys, vals, pt) for pt in self._row_points(i)]
+            col_seg = [at(helper_xs, col_evidence[i], pt) for pt in self._col_points(i)[1:]]
+            results.append((i, row_seg + col_seg))
+        return b.plan(results)
 
     # -- observation -----------------------------------------------------------------------
 

@@ -39,12 +39,20 @@ beta' = 1 from each cooperating newcomer, gamma = 2d+t-1 = alpha.
 Repair and reconstruction eliminate nothing: the y-code is inverted by
 `vandermonde_inverse` on the contacted nodes' points, and a square block of
 Phi, a scaled Cauchy matrix, by `cauchy_inverse` and the scales
-(`_phi_block_inverse`).  Each solved symbol is one `dot` of a GF(p) row with
-GF(p^M) values.  Both inverses depend only on the failure set, the helpers
-or the contacted nodes, never on data, so they come from bounded
+(`_phi_block_inverse`).  Both inverses depend only on the failure set, the
+helpers or the contacted nodes, never on data, so they come from bounded
 process-wide caches of immutable rows: `vandermonde_inverse_rows` (256
 entries, keyed by (p, points)) and `_phi_block_rows` (64 entries, keyed by
-(p, d, Phi columns, size)).
+(p, d, Phi columns, size)).  Each solved symbol in reconstruction is one
+`dot` of a GF(p) row with GF(p^M) values.
+
+A repair round runs as a repair plan (`_repair_plan`, see
+`codes.base.RepairPlan`), built once per (params, failed, helpers) and kept
+in the process-wide plan cache.  The z values the helpers send first are
+slot references with no step; each rebuilt primary symbol is one step (a
+row of the inverse Phi block over those d slots), and each z value sent in
+the second phase is one step (a Phi column over the sender's d primary
+slots): t(2d+t-1) steps per round, each a GF(p)-scaled sum reduced once.
 """
 
 from __future__ import annotations
@@ -65,7 +73,9 @@ from .base import (
     GabidulinScheme,
     NodeContent,
     ParameterError,
+    PlanBuilder,
     PointObservation,
+    RepairPlan,
     RepairTranscript,
     SchemeParams,
 )
@@ -171,10 +181,10 @@ class MbcrExactScheme(GabidulinScheme):
         self.field = ext_field(p, m_total)
         _, phi = find_structure(n, d, m_total)  # phi: d x (n-1)
         self.base = prime_field(p)
-        # base-field generator matrices (plain ints mod p), one list per column:
-        # Phi's n-1 columns, and the y-code's column (1, x, ..., x^(k-1)) at
-        # the point x = i-1 of node i
-        self.phi_cols = [list(col) for col in zip(*phi)]
+        # base-field generator matrices (plain ints mod p): Phi's n-1 columns,
+        # as tuples that a repair plan keeps as its step rows, and the
+        # y-code's column (1, x, ..., x^(k-1)) at the point x = i-1 of node i
+        self.phi_cols = list(zip(*phi))
         self.y_cols = [[pow(x, l, p) for l in range(k)] for x in range(n)]
 
     # -- placement bookkeeping -------------------------------------------------
@@ -277,48 +287,40 @@ class MbcrExactScheme(GabidulinScheme):
     def cooperative_repair(self, failed: Iterable[int],
                            survivors: Mapping[int, NodeContent],
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
-        f = self.field
-        d = self.params.d
-        failed = self._validate_failed(failed, survivors)
-        helpers = self._pick_helpers(failed, survivors, helpers)
+        return self._repair(failed, survivors, helpers)
+
+    def _check_helpers(self, helpers: tuple[int, ...],
+                       survivors: Mapping[int, NodeContent]) -> None:
         if set(helpers) != set(survivors):
             raise ParameterError(f"{self.name} repair contacts all d = n-t survivors")
-        live: dict[tuple[int, int], list[int]] = {}
-        coop: dict[tuple[int, int], list[int]] = {}
-        new_primary: dict[int, list[int]] = {}
-        for i in sorted(failed):
-            rhs = []
-            for h in helpers:
-                # h's z segment holds i's value at i's position among h's n-1 peers
-                z_hi = survivors[h].segment("z")[self._phi_col(h, i)]
-                live[(h, i)] = [z_hi]
-                rhs.append(z_hi)
+
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
+        """Each helper h sends its stored z value for newcomer i (symbol
+        d + its Phi column of i, verbatim); the d of them give i's primary
+        through the inverse Phi block.  Then h sends the z value i stores
+        for it, from h's primary (its first d symbols), and each fellow
+        newcomer m the one from m's rebuilt primary: one step each."""
+        d, p = self.params.d, self.base.p
+        order = sorted(failed)
+        b = PlanBuilder()
+        primary = {h: [b.symbol(h, s) for s in range(d)] for h in helpers}
+        z_from = {}  # (source, newcomer) -> slot of the z value source sends
+        for i in order:
+            got = [b.symbol(h, d + self._phi_col(h, i)) for h in helpers]
             cols = tuple(self._phi_col(i, h) for h in helpers)
-            new_primary[i] = [f.dot(row, rhs)
-                              for row in _phi_block_rows(self.base.p, d, cols, d)]
-        # second phase: every other node contributes the failed node's z
-        # value, from its primary symbols (its x then its y segment)
-        primaries = {h: survivors[h].symbols[:d] for h in helpers}
-        results = []
-        for i in sorted(failed):
-            z_segment = {}
+            primary[i] = [b.step(row, got) for row in _phi_block_rows(p, d, cols, d)]
+            for h, slot in zip(helpers, got):
+                b.live[(h, i)] = [slot]
+        for i in order:
             for h in helpers:
-                z_ih = self._z_value(primaries[h], h, i)
-                live[(h, i)].append(z_ih)
-                z_segment[h] = z_ih
-            for m in sorted(failed - {i}):
-                z_im = self._z_value(new_primary[m], m, i)
-                coop.setdefault((m, i), []).append(z_im)
-                z_segment[m] = z_im
-            syms = list(new_primary[i]) + [z_segment[src] for src in self._others(i)]
-            results.append(NodeContent(i, tuple(syms), self.layout))
-        return RepairTranscript(
-            failed=failed,
-            helpers=helpers,
-            live_transfers={k2: tuple(v) for k2, v in live.items()},
-            coop_transfers={k2: tuple(v) for k2, v in coop.items()},
-            results=tuple(results),
-        )
+                z_from[(h, i)] = b.step(self.phi_cols[self._phi_col(h, i)], primary[h])
+                b.live[(h, i)].append(z_from[(h, i)])
+            for m in order:
+                if m != i:
+                    z_from[(m, i)] = b.step(self.phi_cols[self._phi_col(m, i)], primary[m])
+                    b.coop[(m, i)] = [z_from[(m, i)]]
+        return b.plan((i, primary[i] + [z_from[(src, i)] for src in self._others(i)])
+                      for i in order)
 
     # -- observation ----------------------------------------------------------------
 

@@ -9,10 +9,13 @@ sorted position s downloads the s-th stored symbol from each of d = k helpers
 newcomer i' (beta' = 1).  Repair never solves for m_s: the share
 m_s^T g_i is g_i^T V_H^-1 applied to the k downloaded shares, with V_H the
 k x k Vandermonde on the helpers' points, and g_i^T V_H^-1 is the Lagrange
-row of node i's point over those points.  It depends only on which nodes
-take part, so it comes from the bounded process-wide cache `lagrange_row`
-(keyed by (p, helper points, node point)), and each rebuilt or sent share is
-one dot: t^2 per repair.  Reconstruction solves for every m_j with the
+row of node i's point over those points (from the bounded process-wide
+cache `lagrange_row`, keyed by (p, helper points, node point)).  The round
+runs as a repair plan (`_repair_plan`, see `codes.base.RepairPlan`), built
+once per (params, failed, helpers) and kept in the process-wide plan
+cache: the downloads are slot references with no step, and each rebuilt
+or sent share is one step, the dot of a Lagrange row with k slots: t^2 per
+repair.  Reconstruction solves for every m_j with the
 closed-form inverse of the Vandermonde on the contacted nodes' points, from
 the bounded process-wide cache `vandermonde_inverse_rows` (256 entries of
 k x k GF(p) ints as tuples, keyed by (p, points)); no system is
@@ -41,8 +44,10 @@ from .base import (
     GabidulinScheme,
     NodeContent,
     ParameterError,
+    PlanBuilder,
     PointObservation,
     PositiveSecrecyImpossibleError,
+    RepairPlan,
     RepairTranscript,
     SchemeParams,
 )
@@ -131,33 +136,31 @@ class MscrDkScheme(GabidulinScheme):
     def cooperative_repair(self, failed: Iterable[int],
                            survivors: Mapping[int, NodeContent],
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
-        dot = self.field.dot
-        failed = self._validate_failed(failed, survivors)
-        helpers = self._pick_helpers(failed, survivors, helpers)
+        return self._repair(failed, survivors, helpers)
+
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
+        """The newcomer at sorted position s downloads each helper's share
+        s, verbatim.  Its Lagrange row over the helpers' points maps the
+        shares of every vector m_s2 to m_s2^T g_i, one step each: its own
+        symbol s2, and what the newcomer at s2 sends it."""
         order = sorted(failed)
-        live: dict[tuple[int, int], tuple[int, ...]] = {}
-        coop: dict[tuple[int, int], tuple[int, ...]] = {}
+        points = tuple(h - 1 for h in helpers)
+        b = PlanBuilder()
         downloads = []
         for s, i in enumerate(order):
-            vals = [survivors[h].symbols[s] for h in helpers]
-            for h, v in zip(helpers, vals):
-                live[(h, i)] = (v,)
-            downloads.append(vals)
-        points = tuple(h - 1 for h in helpers)
+            got = [b.symbol(h, s) for h in helpers]
+            for h, slot in zip(helpers, got):
+                b.live[(h, i)] = [slot]
+            downloads.append(got)
         results = []
-        for s, i in enumerate(order):
-            # m_s^T g_i for every s: the Lagrange row of node i's point over
-            # the helpers' points is g_i^T V_H^-1, so it maps the shares
-            # m_s^T g_h that newcomer s downloaded to m_s^T g_i in one dot
+        for i in order:
             row = lagrange_row(self.base.p, points, i - 1)
-            shares = tuple(dot(row, vals) for vals in downloads)
+            shares = [b.step(row, got) for got in downloads]
             for s2, peer in enumerate(order):
                 if peer != i:
-                    coop[(peer, i)] = (shares[s2],)
-            results.append(NodeContent(i, shares, self.layout))
-        return RepairTranscript(failed=failed, helpers=helpers,
-                                live_transfers=live, coop_transfers=coop,
-                                results=tuple(results))
+                    b.coop[(peer, i)] = [shares[s2]]
+            results.append((i, shares))
+        return b.plan(results)
 
     # -- observation ------------------------------------------------------------------
 

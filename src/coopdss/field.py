@@ -42,9 +42,11 @@ pivoting: no divisions during elimination, no tolerances, deterministic.
 The mbcr-exact, mscr-dk and mbcr-bivariate repair and reconstruct systems
 run no elimination: they are base-field Vandermonde and Cauchy matrices,
 whose inverses are closed forms (`vandermonde_inverse`, `cauchy_inverse`)
-applied with `dot`.  mscr-dk and mbcr-bivariate repair never solve for
+applied with `dot`, or, in repair, as the steps of a cached repair plan
+(`run_steps`: each step a GF(p)-scaled sum reduced with the plan for its
+own digit bound).  mscr-dk and mbcr-bivariate repair never solve for
 coefficients at all: each symbol they send or rebuild is one polynomial
-value, one `dot` of a Lagrange row (`lagrange_row`, the inverse Vandermonde
+value, one step of a Lagrange row (`lagrange_row`, the inverse Vandermonde
 evaluated at the wanted point) with the values downloaded.  Two small
 schemes do eliminate: every mscr-ia repair solves each newcomer's
 (alpha+1)-system with `Matrix.solve`, and insecure-demo solves a 2x2 system
@@ -144,12 +146,17 @@ def fits_word_slots(p: int, m: int) -> bool:
     return 0xFFFFFFFFFFFFFFFF // _product_bound(p, m) >= max(m, 2)
 
 
-def _reduction_plan(p: int, db: int, m: int) -> tuple[tuple, tuple[int, int, int]]:
+def _reduction_plan(p: int, db: int, m: int,
+                    bound: int | None = None) -> tuple[tuple, tuple[int, int, int]]:
     """The word-parallel plan that brings every digit of m db-bit words into
-    [0, p): (folds, (c, s, q)), in closed form.
+    [0, p): (folds, (c, s, q)), in closed form, for digits at most `bound`
+    (below 2^db; 2^db - 1 when omitted).
 
-    Each digit below 2^db is reduced in every word at once, so no carry or
-    borrow may cross a word.  W bounds the digits, 2^db - 1 on entry.
+    Each digit is reduced in every word at once, so no carry or borrow may
+    cross a word.  W bounds the digits: `bound` on entry.  A field reduces
+    any word with the plan for 2^db - 1; a sum of L GF(p)-scaled reduced
+    elements has digits at most L (p-1)^2, and its plan needs fewer folds,
+    none for short sums (see `ExtField.run_steps`).
     - A fold (h, hi, r, lo) runs v = ((v >> h) & hi) * r + (v & lo) with
       r = 2^h mod p: digit d = a 2^h + b becomes a r + b, congruent mod p and
       at most W' = (W >> h) r + 2^h - 1 < W.  h = (bitlen(W) + bitlen(p) + 1)
@@ -171,7 +178,9 @@ def _reduction_plan(p: int, db: int, m: int) -> tuple[tuple, tuple[int, int, int
     more raises ValueError.
     """
     repunit = ((1 << db * m) - 1) // ((1 << db) - 1)
-    bound, pbits = (1 << db) - 1, p.bit_length()
+    if bound is None:
+        bound = (1 << db) - 1
+    pbits = p.bit_length()
     folds = []
     while len(folds) <= 3:
         wbits = bound.bit_length()
@@ -256,6 +265,16 @@ class PrimeField:
         """sum_i xs[i] * ys[i], reduced once."""
         return sum(map(_int_mul, xs, ys)) % self.p
 
+    def run_steps(self, steps: Sequence[tuple[Sequence[int], Sequence[int]]],
+                  vals: list[int]) -> None:
+        """For each (row, src) step in order, append to `vals` the dot of the
+        GF(p) row with the values at the slots `src` of `vals`, so a step
+        may read the slot an earlier step appended.  The straight-line
+        program of a repair plan (see `codes.base.RepairPlan`)."""
+        p, get, append = self.p, vals.__getitem__, vals.append
+        for row, src in steps:
+            append(sum(map(_int_mul, row, map(get, src))) % p)
+
     def _reduce(self, v: int) -> int:
         """A nonnegative sum of products back into [0, p)."""
         return v % self.p
@@ -319,7 +338,7 @@ class ExtField:
     __slots__ = (
         "base", "p", "m", "modulus", "order", "char", "degree", "zero", "one",
         "coord_width", "_db", "_mask", "_low_mask", "_all_p", "_binomial_c",
-        "_dot_chunk", "_words", "_folds", "_quotient", "_frobenius_table",
+        "_dot_chunk", "_words", "_folds", "_quotient", "_step_plans", "_frobenius_table",
     )
 
     def __init__(self, base: PrimeField, m: int):
@@ -350,6 +369,7 @@ class ExtField:
         self._low_mask = (1 << (db * m)) - 1
         self._all_p = self._pack([p] * m)
         self._folds, self._quotient = _reduction_plan(p, db, m)
+        self._step_plans = {}  # row length -> reduction plan (see run_steps)
         self._frobenius_table = None  # built on first use (see frobenius)
         self.zero = 0
         self.one = 1
@@ -441,6 +461,43 @@ class ExtField:
         for i in range(0, len(xs), step):
             acc = reduce(acc + sum(map(_int_mul, xs[i:i + step], ys[i:i + step])))
         return acc
+
+    def run_steps(self, steps: Sequence[tuple[Sequence[int], Sequence[int]]],
+                  vals: list[int]) -> None:
+        """For each (row, src) step in order, append to `vals` the dot of the
+        GF(p) row with the elements at the slots `src` of `vals` (see
+        `PrimeField.run_steps`); every value must be reduced.
+
+        A GF(p) scalar scales each digit of a reduced element, so the sum of
+        an L-term step has no digit above X^(m-1) and every digit at most
+        L (p-1)^2: it is reduced by the `_reduction_plan` for that bound,
+        which for short rows is the quotient step alone, not the folds a
+        full word needs.  A row too long for the word, L (p-1)^2 >= 2^db,
+        goes through `dot`'s chunked path.  One plan per row length, built
+        on first use and kept on the field (`_step_plans`: at most one entry
+        per length met, each a few ints of m words)."""
+        p, get, append = self.p, vals.__getitem__, vals.append
+        plans = self._step_plans
+        for row, src in steps:
+            plan = plans.get(len(row))
+            if plan is None:
+                plan = plans[len(row)] = self._step_plan(len(row))
+            if not plan:
+                append(self.dot(row, [vals[j] for j in src]))
+                continue
+            v = sum(map(_int_mul, row, map(get, src)))
+            folds, (c, s, q) = plan
+            for h, hi, r, lo in folds:
+                v = ((v >> h) & hi) * r + (v & lo)
+            append(v - p * (((v * c) >> s) & q))
+
+    def _step_plan(self, length: int) -> tuple:
+        """The reduction plan of a `length`-term step, or () when its digit
+        bound length (p-1)^2 does not fit a word."""
+        bound = length * (self.p - 1) ** 2
+        if bound > self._mask:
+            return ()
+        return _reduction_plan(self.p, self._db, self.m, bound)
 
     def inv(self, a: int) -> int:
         """a^-1 by the norm: N(a) = a * prod_{0<i<m} a^(p^i) lies in GF(p),

@@ -158,7 +158,9 @@ def run(config: SimConfig) -> SimTrace:
         helpers = _choose_helpers(scheme, survivors, round_idx, config)
         tr = scheme.cooperative_repair(failed, survivors, helpers)
         transcripts.append(tr)
-        bw = sum(tr.downloads(i) for i in failed)
+        # every symbol sent to a newcomer, in one pass over the transfers
+        bw = sum(len(v) for transfers in (tr.live_transfers, tr.coop_transfers)
+                 for (_, dst), v in transfers.items() if dst in failed)
         expected = config.params.t * scheme.gamma
         if bw != expected:
             raise ProtocolError(f"round {round_idx}: bandwidth {bw} != t*gamma {expected}")
@@ -205,21 +207,8 @@ def _replay(trace: SimTrace) -> tuple[bool, list[str]]:
         except Exception as exc:  # pragma: no cover - defensive
             diffs.append(f"round {round_idx}: repair replay failed: {exc}")
             return False, diffs
-        for key, vals in fresh.live_transfers.items():
-            if tr.live_transfers.get(key) != vals:
-                diffs.append(f"round {round_idx}: live transfer {key} mismatch")
-        for key, vals in fresh.coop_transfers.items():
-            if tr.coop_transfers.get(key) != vals:
-                diffs.append(f"round {round_idx}: coop transfer {key} mismatch")
-        if set(tr.live_transfers) != set(fresh.live_transfers) or \
-                set(tr.coop_transfers) != set(fresh.coop_transfers):
-            diffs.append(f"round {round_idx}: transfer edge sets differ")
-        for res in fresh.results:
-            recorded = next((c for c in tr.results if c.node_id == res.node_id), None)
-            if recorded != res:
-                diffs.append(f"round {round_idx}: result for node {res.node_id} mismatch")
-            if res != states[res.node_id]:
-                diffs.append(f"round {round_idx}: node {res.node_id} not exactly repaired")
+        if not _round_matches(tr, fresh, states):
+            diffs += _round_diffs(round_idx, tr, fresh, states)
         for res in tr.results:
             states[res.node_id] = res
         if diffs:
@@ -232,6 +221,39 @@ def _replay(trace: SimTrace) -> tuple[bool, list[str]]:
         if initial_by_id[c.node_id] != c:
             diffs.append(f"node {c.node_id} drifted from its initial content")
     return not diffs, diffs
+
+
+def _round_matches(tr: RepairTranscript, fresh: RepairTranscript,
+                   states: dict[int, NodeContent]) -> bool:
+    """Whether the replayed round equals the recorded one and rebuilt every
+    newcomer exactly: one equality per record kind.  When it holds,
+    `_round_diffs` finds nothing."""
+    return (fresh.live_transfers == tr.live_transfers
+            and fresh.coop_transfers == tr.coop_transfers
+            and fresh.results == tr.results
+            and fresh.results == tuple(states[res.node_id] for res in fresh.results))
+
+
+def _round_diffs(round_idx: int, tr: RepairTranscript, fresh: RepairTranscript,
+                 states: dict[int, NodeContent]) -> list[str]:
+    """Every record of the round that differs, one line each."""
+    diffs = []
+    for key, vals in fresh.live_transfers.items():
+        if tr.live_transfers.get(key) != vals:
+            diffs.append(f"round {round_idx}: live transfer {key} mismatch")
+    for key, vals in fresh.coop_transfers.items():
+        if tr.coop_transfers.get(key) != vals:
+            diffs.append(f"round {round_idx}: coop transfer {key} mismatch")
+    if set(tr.live_transfers) != set(fresh.live_transfers) or \
+            set(tr.coop_transfers) != set(fresh.coop_transfers):
+        diffs.append(f"round {round_idx}: transfer edge sets differ")
+    for res in fresh.results:
+        recorded = next((c for c in tr.results if c.node_id == res.node_id), None)
+        if recorded != res:
+            diffs.append(f"round {round_idx}: result for node {res.node_id} mismatch")
+        if res != states[res.node_id]:
+            diffs.append(f"round {round_idx}: node {res.node_id} not exactly repaired")
+    return diffs
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,19 @@ replaces with word-parallel folds (unpack every word, take it mod p, pack
 again), and `random_symbols` draws from the `splitmix64` generator one
 `draw_mod` call per coordinate, the reference for the inline loop of
 `coopdss.precode.random_symbols`.
+
+`mbcr_exact_repair`, `mscr_dk_repair` and `mbcr_bivariate_repair` repair on
+the values, one `dot` or `lagrange_at` per symbol as the data arrives: the
+reference for the cached repair plans that the program runs
+(`coopdss.codes.base.RepairPlan`).
 """
 
-from coopdss.codes.base import ObservationMatrix, PointObservation
-from coopdss.field import Matrix, PrimeField, ext_field, moore_matrix
+from operator import mul
+
+from coopdss.codes.base import (NodeContent, ObservationMatrix, ParameterError,
+                                PointObservation, RepairTranscript)
+from coopdss.codes.mbcr_exact import _phi_block_rows
+from coopdss.field import Matrix, PrimeField, ext_field, lagrange_row, moore_matrix
 from coopdss.precode import splitmix64
 
 
@@ -198,3 +207,169 @@ def mbcr_exact_stored_rows(scheme, i):
     others = [j for j in range(1, scheme.params.n + 1) if j != i]
     return (mbcr_exact_primary_points(scheme, i)
             + [mbcr_exact_z_point(scheme, src, i) for src in others])
+
+
+# ---------------------------------------------------------------------------
+# value-level repairs: the reference for the cached repair plans
+# ---------------------------------------------------------------------------
+
+def _transcript(failed, helpers, live, coop, results):
+    return RepairTranscript(failed=failed, helpers=helpers,
+                            live_transfers={key: tuple(v) for key, v in live.items()},
+                            coop_transfers={key: tuple(v) for key, v in coop.items()},
+                            results=tuple(results))
+
+
+def mbcr_exact_repair(scheme, failed, survivors, helpers=None):
+    """mbcr-exact repair computed on the values: each helper's z value for
+    a newcomer gives its primary through the inverse Phi block, then every
+    other node sends the z value the newcomer stores for it, one `dot` of a
+    Phi column with the sender's primary."""
+    f, d = scheme.field, scheme.params.d
+    failed = scheme._validate_failed(failed, survivors)
+    helpers = scheme._pick_helpers(failed, survivors, helpers)
+    if set(helpers) != set(survivors):
+        raise ParameterError(f"{scheme.name} repair contacts all d = n-t survivors")
+    live, coop, new_primary = {}, {}, {}
+    for i in sorted(failed):
+        rhs = []
+        for h in helpers:
+            z_hi = survivors[h].segment("z")[scheme._phi_col(h, i)]
+            live[(h, i)] = [z_hi]
+            rhs.append(z_hi)
+        cols = tuple(scheme._phi_col(i, h) for h in helpers)
+        new_primary[i] = [f.dot(row, rhs) for row in _phi_block_rows(scheme.base.p, d, cols, d)]
+    primaries = {h: survivors[h].symbols[:d] for h in helpers}
+    results = []
+    for i in sorted(failed):
+        z_segment = {}
+        for h in helpers:
+            z_segment[h] = scheme._z_value(primaries[h], h, i)
+            live[(h, i)].append(z_segment[h])
+        for m in sorted(failed - {i}):
+            z_segment[m] = scheme._z_value(new_primary[m], m, i)
+            coop[(m, i)] = [z_segment[m]]
+        syms = list(new_primary[i]) + [z_segment[src] for src in scheme._others(i)]
+        results.append(NodeContent(i, tuple(syms), scheme.layout))
+    return _transcript(failed, helpers, live, coop, results)
+
+
+def mscr_dk_repair(scheme, failed, survivors, helpers=None):
+    """mscr-dk repair computed on the values: the newcomer at sorted
+    position s downloads share s of each helper, and each share m_s^T g_i is
+    one `dot` of node i's Lagrange row over the helpers' points."""
+    dot = scheme.field.dot
+    failed = scheme._validate_failed(failed, survivors)
+    helpers = scheme._pick_helpers(failed, survivors, helpers)
+    order = sorted(failed)
+    live, coop, downloads = {}, {}, []
+    for s, i in enumerate(order):
+        vals = [survivors[h].symbols[s] for h in helpers]
+        for h, v in zip(helpers, vals):
+            live[(h, i)] = (v,)
+        downloads.append(vals)
+    points = tuple(h - 1 for h in helpers)
+    results = []
+    for i in order:
+        row = lagrange_row(scheme.base.p, points, i - 1)
+        shares = tuple(dot(row, vals) for vals in downloads)
+        for s2, peer in enumerate(order):
+            if peer != i:
+                coop[(peer, i)] = (shares[s2],)
+        results.append(NodeContent(i, shares, scheme.layout))
+    return _transcript(failed, helpers, live, coop, results)
+
+
+def lagrange_at(q, xs, ys, x):
+    """The value at x of the polynomial of degree < len(xs) through the
+    points (xs, ys) over GF(q): the stored value when x is one of xs, else
+    one dot of the cached Lagrange row.  xs must be a tuple."""
+    if x in xs:
+        return ys[xs.index(x)]
+    return sum(map(mul, lagrange_row(q, xs, x), ys)) % q
+
+
+def mbcr_bivariate_repair(scheme, failed, survivors, helpers=None):
+    """mbcr-bivariate repair computed on the values: every transfer and
+    rebuilt symbol is `lagrange_at` of the values it is known by."""
+    q = scheme.field.p
+    x, y = scheme.x_points, scheme.y_points
+    failed = scheme._validate_failed(failed, survivors)
+    helpers = scheme._pick_helpers(failed, survivors, helpers)
+    newcomers = sorted(failed)
+    live, coop = {}, {}
+    stored = [(scheme._row_points(h), survivors[h].segment("row"),
+               scheme._col_points(h), scheme._col_values(survivors[h])) for h in helpers]
+    for i in newcomers:
+        for h, (row_pts, row_vals, col_pts, col_vals) in zip(helpers, stored):
+            live[(h, i)] = (lagrange_at(q, row_pts, row_vals, y[i - 1]),   # f_h(y_i)
+                            lagrange_at(q, col_pts, col_vals, x[i - 1]))   # g_h(x_i)
+    helper_xs = tuple(x[h - 1] for h in helpers)
+    col_evidence = {j: [live[(h, j)][0] for h in helpers] for j in newcomers}
+    for i in newcomers:
+        for j in newcomers:
+            if j != i:
+                coop[(j, i)] = (lagrange_at(q, helper_xs, col_evidence[j], x[i - 1]),)
+    results = []
+    for i in newcomers:
+        ys = [y[h - 1] for h in helpers]
+        vals = [live[(h, i)][1] for h in helpers]
+        for j in newcomers:
+            if j != i:
+                ys.append(y[j - 1])
+                vals.append(coop[(j, i)][0])
+        ys.append(y[i - 1])
+        vals.append(lagrange_at(q, helper_xs, col_evidence[i], x[i - 1]))
+        ys = tuple(ys)
+        row_seg = [lagrange_at(q, ys, vals, pt) for pt in scheme._row_points(i)]
+        col_seg = [lagrange_at(q, helper_xs, col_evidence[i], pt)
+                   for pt in scheme._col_points(i)[1:]]
+        results.append(NodeContent(i, tuple(row_seg + col_seg), scheme.layout))
+    return _transcript(failed, helpers, live, coop, results)
+
+
+REFERENCE_REPAIRS = {
+    "mbcr-exact": mbcr_exact_repair,
+    "mscr-dk": mscr_dk_repair,
+    "mbcr-bivariate": mbcr_bivariate_repair,
+}
+
+
+def replay_per_record(trace):
+    """`coopdss.sim.replay_check` without its equality-first test: every
+    record of every round is compared on its own.  Returns (ok, diffs)."""
+    from coopdss.sim import _scheme_of
+
+    scheme = _scheme_of(trace)
+    states = {c.node_id: c for c in trace.initial}
+    diffs = []
+    for round_idx, tr in enumerate(trace.transcripts):
+        survivors = {i: c for i, c in states.items() if i not in tr.failed}
+        fresh = scheme.cooperative_repair(tr.failed, survivors, tr.helpers)
+        for key, vals in fresh.live_transfers.items():
+            if tr.live_transfers.get(key) != vals:
+                diffs.append(f"round {round_idx}: live transfer {key} mismatch")
+        for key, vals in fresh.coop_transfers.items():
+            if tr.coop_transfers.get(key) != vals:
+                diffs.append(f"round {round_idx}: coop transfer {key} mismatch")
+        if set(tr.live_transfers) != set(fresh.live_transfers) or \
+                set(tr.coop_transfers) != set(fresh.coop_transfers):
+            diffs.append(f"round {round_idx}: transfer edge sets differ")
+        for res in fresh.results:
+            recorded = next((c for c in tr.results if c.node_id == res.node_id), None)
+            if recorded != res:
+                diffs.append(f"round {round_idx}: result for node {res.node_id} mismatch")
+            if res != states[res.node_id]:
+                diffs.append(f"round {round_idx}: node {res.node_id} not exactly repaired")
+        for res in tr.results:
+            states[res.node_id] = res
+        if diffs:
+            return False, diffs
+    for c in trace.final:
+        if states[c.node_id] != c:
+            diffs.append(f"final state of node {c.node_id} mismatch")
+    initial_by_id = {c.node_id: c for c in trace.initial}
+    for c in trace.final:
+        if initial_by_id[c.node_id] != c:
+            diffs.append(f"node {c.node_id} drifted from its initial content")
+    return not diffs, diffs

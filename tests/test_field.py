@@ -1045,3 +1045,85 @@ def test_reduction_plan_ends_for_every_admissible_prime():
     for db, primes in ((32, small), (64, small + wide)):
         for p in primes:
             _check_reduction_plan(p, db, 2, *F._reduction_plan(p, db, 2))
+
+
+# ---------------------------------------------------------
+# bound-sized plans: the reduction of an L-term repair step
+# ---------------------------------------------------------
+
+def _step_lengths(p, db):
+    """Row lengths L whose digit bound L (p-1)^2 fits a word: every L up to
+    256, every power of two, and the word limit itself with its neighbour."""
+    limit = ((1 << db) - 1) // (p - 1) ** 2
+    lengths = set(range(1, min(limit, 256) + 1))
+    lengths |= {1 << e for e in range(limit.bit_length()) if 1 << e <= limit}
+    return sorted(lengths | {limit - 1, limit} - {0})
+
+
+def _check_bounded_plan(p, db, m, bound, folds, quotient):
+    # as `_check_reduction_plan`, from the entry bound given
+    word_masks = lambda bits: sum(((1 << bits) - 1) << (db * i) for i in range(m))
+    for h, hi, r, lo in folds:
+        assert 0 < h < db and r == (1 << h) % p
+        assert hi == word_masks(db - h) and lo == word_masks(h)
+        bound = (bound >> h) * r + (1 << h) - 1
+        assert bound < 1 << db
+    c, s, q = quotient
+    e = c * p - (1 << s)
+    assert 0 <= e < p and bound * c < 1 << db and bound * e < 1 << s
+    assert q == word_masks(db - s)
+
+
+def _apply_plan(p, folds, quotient, v):
+    for h, hi, r, lo in folds:
+        v = ((v >> h) & hi) * r + (v & lo)
+    c, s, q = quotient
+    return v - p * (((v * c) >> s) & q)
+
+
+@pytest.mark.parametrize("p,m", sorted(set(FROBENIUS_FIELDS + [(331, 55)])))
+def test_step_plans_match_per_digit_oracle(p, m):
+    # the plan for the digit bound W = L (p-1)^2 of an L-term step reduces
+    # every digit in [0, W], the extremes included, as the per-digit pass does
+    f = F.ext_field(p, m)
+    rng = random.Random(p * 1000 + m)
+    for length in _step_lengths(p, f._db):
+        bound = length * (p - 1) ** 2
+        folds, quotient = F._reduction_plan(p, f._db, m, bound)
+        _check_bounded_plan(p, f._db, m, bound, folds, quotient)
+        picks = (0, 1, p - 1, p, bound - 1, bound, bound - bound % p, rng.randrange(bound + 1))
+        digits = [picks[(i + length) % len(picks)] for i in range(m)]
+        for word in (digits, [bound] * m, [rng.randrange(bound + 1) for _ in range(m)]):
+            v = f._pack(word)
+            assert _apply_plan(p, folds, quotient, v) == O.normalize_per_digit(f, v), length
+
+
+def test_step_plans_need_fewer_folds_than_a_full_word():
+    # a 4-term step on GF(43^21) is one quotient step, where a full 32-bit
+    # word takes folds first
+    f = F.ext_field(43, 21)
+    assert f._folds and F._reduction_plan(43, f._db, 21, 4 * 42 ** 2)[0] == ()
+    assert F._reduction_plan(43, f._db, 21) == F._reduction_plan(43, f._db, 21, f._mask)
+
+
+@pytest.mark.parametrize("p,m,lengths", [(43, 21, (1, 2, 4, 9)), (7, 9, (3, 5)),
+                                          (331, 55, (7, 40)), (11, 1, (4, 8)),
+                                          (1021, 2, (3, 4128, 4129, 6000))])
+def test_run_steps_equals_dot(p, m, lengths):
+    # each step appends the dot of its row with earlier slots; rows longer
+    # than the word limit (GF(1021^2): 4128 terms) take dot's chunked path
+    f = F.ext_field(p, m) if m > 1 else F.prime_field(p)
+    rng = random.Random(p + m)
+    vals = [f.from_coords([rng.randrange(p) for _ in range(m)]) for _ in range(8)]
+    vals[0] = f.from_coords([p - 1] * m)  # the largest digits
+    steps, expect = [], list(vals)
+    for length in lengths:
+        src = tuple(rng.randrange(len(expect)) for _ in range(length - 1)) + (0,)
+        row = tuple([p - 1] * (length // 2) + [rng.randrange(p) for _ in range(length - length // 2)])
+        # and the worst case: every digit of the sum reaches L (p-1)^2
+        for step in ((row, src), ((p - 1,) * length, (0,) * length)):
+            steps.append(step)
+            expect.append(f.dot(step[0], [expect[j] for j in step[1]]))
+    got = list(vals)
+    f.run_steps(steps, got)
+    assert got == expect

@@ -10,6 +10,7 @@ from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.field import (Matrix, lagrange_row, prime_field, vandermonde_inverse,
                            vandermonde_inverse_rows)
 
+from oracles import lagrange_at
 from scheme_utils import check_faithful, leakage_of, sweep_reconstruct, sweep_repair
 
 
@@ -212,7 +213,7 @@ def test_cached_lagrange_rows_match_horner_and_elimination(case):
         assert row == tuple(int(v == x) for v in xs)
     assert lagrange_row(q, xs, x) is row
     assert sum(a * b for a, b in zip(row, ys)) % q == _horner(q, _interpolate(q, xs, ys), x)
-    assert mbcr_bivariate._lagrange_at(q, xs, ys, x) == _horner(q, _interpolate(q, xs, ys), x)
+    assert lagrange_at(q, xs, ys, x) == _horner(q, _interpolate(q, xs, ys), x)
 
 
 def test_cached_lagrange_rows_stay_bounded():

@@ -264,3 +264,35 @@ def test_data_path_multiplies_no_two_extension_elements(params, monkeypatch):
     # the counters see the dense path: the Moore rows of an observation
     assert O.a_u(O.linear_view(scheme.observation_matrix([1], []))).nrows == scheme.alpha
     assert calls["moore_matrix"] == 1 and calls["ExtField.frobenius"] > 0
+
+
+@pytest.mark.parametrize("p,m", [(11, 1), (331, 55)])
+def test_lane_parallel_draw_matches_the_generator_reference(p, m):
+    # all count * m words are mixed at once in 128-bit lanes, in blocks of
+    # at most 1024 words (GF(43^21) and GF(7^9) are in the test above): the
+    # prime-field path, and GF(331^55) at count 40 spans three blocks
+    gf = F.ext_field(p, m) if m > 1 else F.prime_field(p)
+    for seed in (0, 1, 2 ** 64 - 1, 2 ** 70 + 5):
+        for count in (0, 1, 16, 40):
+            assert P.random_symbols(gf, count, seed) == O.random_symbols(gf, count, seed), \
+                (seed, count)
+    assert P._splitmix_lanes(5, 2500) == [w for w, _ in zip(P.splitmix64(5), range(2500))]
+
+
+def test_a_rejected_lane_word_falls_back_to_the_stream(monkeypatch):
+    # a word at the rejection limit anywhere in the draw: the symbols are
+    # drawn one word at a time instead, so they are the generator's
+    gf = F.ext_field(43, 21)
+    limit = (1 << 64) - (1 << 64) % 43
+    real = P._splitmix_lanes
+    calls = []
+
+    def at_limit(seed, count):
+        calls.append(count)
+        words = real(seed, count)
+        words[count // 2] = limit
+        return words
+
+    monkeypatch.setattr(P, "_splitmix_lanes", at_limit)
+    assert P.random_symbols(gf, 16, 3) == O.random_symbols(gf, 16, 3)
+    assert calls == [16 * 21]

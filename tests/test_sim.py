@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coopdss import sim as sim_mod
-from coopdss.codes import make_scheme, mbcr_bivariate, mbcr_exact
-from coopdss.codes.base import ParameterError, SchemeParams
-from coopdss.field import lagrange_row
+from coopdss.codes import make_scheme, mbcr_bivariate
+from coopdss.codes.base import REPAIR_PLANS, ParameterError, SchemeParams
 from coopdss.precode import splitmix64
 from coopdss.secrecy import rank_leakage
 
+import oracles as O
 from scheme_utils import symbol_from_bytes
 
 
@@ -159,13 +159,12 @@ def test_replay_check_flags_flipped_symbol():
     assert any("live transfer" in d for d in diffs)
 
 
-# each scheme's lifetime instance of the benchmark, and the coefficient
-# cache its repair reads: mscr-dk and mbcr-bivariate (n > d+t) rebuild and
-# send every symbol as one dot of a cached Lagrange row
+# each scheme's lifetime instance of the benchmark, and the cache its
+# repair reads: every round runs a plan from the process-wide plan cache
 WARM_CACHE_LIFETIMES = [
-    ("mbcr-exact", (6, 3, 4, 2), mbcr_exact._phi_block_rows),
-    ("mbcr-bivariate", (7, 3, 4, 2), lagrange_row),
-    ("mscr-dk", (6, 3, 3, 3), lagrange_row),
+    ("mbcr-exact", (6, 3, 4, 2), REPAIR_PLANS),
+    ("mbcr-bivariate", (7, 3, 4, 2), REPAIR_PLANS),
+    ("mscr-dk", (6, 3, 3, 3), REPAIR_PLANS),
 ]
 
 
@@ -174,9 +173,9 @@ def test_replay_check_flags_tampering_with_warm_caches(scheme, nkdt, cache):
     n, k, d, t = nkdt
     cfg = config_for(scheme, n, k, d, t, l1=1, rounds=6, seed=5, helper_mode="random")
     trace = sim_mod.run(cfg)
-    hits = cache.cache_info().hits
+    hits = cache.hits
     assert sim_mod.replay_check(trace) == (True, [])
-    assert cache.cache_info().hits > hits  # the replay read coefficients run() cached
+    assert cache.hits > hits  # the replay read plans run() cached
     f = make_scheme(cfg.params).field
     last = len(trace.transcripts) - 1
     tr = trace.transcripts[last]
@@ -310,3 +309,64 @@ def test_trace_text_of_tampered_copy_reports_mismatch():
         trace, transcripts=(dataclasses.replace(tr, live_transfers=live),))
     assert sim_mod.trace_to_text(bad_trace).endswith("final,MISMATCH\n")
     assert sim_mod.trace_to_text(trace).endswith("final,ok\n")
+
+
+@pytest.mark.parametrize("scheme,nkdt", [("mbcr-exact", (6, 3, 4, 2)),
+                                         ("mscr-dk", (6, 3, 3, 3)),
+                                         ("mbcr-bivariate", (7, 3, 4, 2))])
+def test_tampered_rounds_give_the_per_record_diffs(scheme, nkdt):
+    # the equality-first replay names the same records, in the same order,
+    # as comparing every record: two tampered rounds, several records in the
+    # first (a live and a coop transfer, a result, an extra edge)
+    n, k, d, t = nkdt
+    cfg = config_for(scheme, n, k, d, t, l1=1, rounds=5, seed=3, helper_mode="random")
+    trace = sim_mod.run(cfg)
+    assert sim_mod.replay_check(trace) == O.replay_per_record(trace) == (True, [])
+    f = make_scheme(cfg.params).field
+    bump = lambda vals: (f.add(vals[0], f.one),) + vals[1:]
+    transcripts = list(trace.transcripts)
+    for rnd in (1, 3):
+        tr = transcripts[rnd]
+        live = dict(tr.live_transfers)
+        key = max(live)
+        live[key] = bump(live[key])
+        coop = {key: bump(v) for key, v in tr.coop_transfers.items()}
+        coop[(0, min(tr.failed))] = (f.one,)
+        res = tr.results[-1]
+        results = tr.results[:-1] + (dataclasses.replace(res, symbols=bump(res.symbols)),)
+        transcripts[rnd] = dataclasses.replace(tr, live_transfers=live, coop_transfers=coop,
+                                               results=results)
+    bad = dataclasses.replace(trace, transcripts=tuple(transcripts))
+    ok, diffs = sim_mod.replay_check(bad)
+    assert not ok and (ok, diffs) == O.replay_per_record(dataclasses.replace(bad))
+    assert any("coop transfer" in x for x in diffs) and any("edge sets" in x for x in diffs)
+    assert diffs[0].startswith("round 1: live transfer")
+    # a round that matches its record but not the state it rebuilt: a
+    # newcomer of round 0 starts from other content than it is repaired to
+    node = min(trace.transcripts[0].failed)
+    initial = tuple(dataclasses.replace(c, symbols=bump(c.symbols)) if c.node_id == node else c
+                    for c in trace.initial)
+    bad = dataclasses.replace(trace, initial=initial)
+    ok, diffs = sim_mod.replay_check(bad)
+    assert (ok, diffs) == O.replay_per_record(dataclasses.replace(bad))
+    assert diffs == [f"round 0: node {node} not exactly repaired"]
+
+
+def test_bandwidth_counts_the_transfers_into_the_failed_set(monkeypatch):
+    # a transfer to a node outside the failed set is no download of a
+    # newcomer: the round's bandwidth stays t*gamma, as RepairTranscript.downloads
+    # summed over the newcomers gives
+    from coopdss.codes import MscrDkScheme
+    real_repair = MscrDkScheme.cooperative_repair
+
+    def extra_edge(self, failed, survivors, helpers=None):
+        tr = real_repair(self, failed, survivors, helpers)
+        h = tr.helpers[0]
+        return dataclasses.replace(tr, live_transfers={**tr.live_transfers, (h, h): (1,)})
+
+    monkeypatch.setattr(MscrDkScheme, "cooperative_repair", extra_edge)
+    cfg = config_for("mscr-dk", 4, 2, 2, 2, l2=1, rounds=1, failure_plan=(frozenset({1, 2}),),
+                     e2=(1,))
+    trace = sim_mod.run(cfg)
+    tr = trace.transcripts[0]
+    assert trace.bandwidth == (sum(tr.downloads(i) for i in tr.failed),) == (2 * 3,)
