@@ -34,12 +34,18 @@ conditional distributions of e across u values.  Every scheme is GF(p)-linear
 on coordinates, so one path serves every field GF(p^m): each input slot is
 probed with each coordinate unit, giving a GF(p) map from the M*m input
 digits to the n_obs*m observed coordinates.  The enumeration never builds
-the assignment grid.  Each observed coordinate is built over all p^(M*m)
-assignments in mixed radix, u digits major, and folded into one int64 code
-per assignment (relabelled densely before it could overflow).  After one
-sort per u row, the support of e given u is that row's count of distinct
-codes.  Guarded to |alphabet|^M <= 2^22 joint assignments; the leakage is
-in log-|alphabet| units.
+the assignment grid.  Coordinate rows that are zero or repeat an earlier
+row split no assignments and are skipped (by equality alone: the oracle
+eliminates nothing).  Each remaining coordinate is built in place over all
+p^(M*m) assignments in mixed radix, u digits major, in uint8 (uint16 once
+2(p-1) > 255), and folded into one code per assignment kept in the
+narrowest unsigned type that holds the codes' span; only when a fold would
+take the span past 2^32 are the codes relabelled densely, from a sorted
+copy and `searchsorted` in blocks.  After one sort per u row, the support
+of e given u is that row's count of distinct codes.  On the 11^6 mscr-ia
+assignments that is 4 bytes per assignment, or 10 with a relabel.  Guarded to
+|alphabet|^M <= 2^22 joint assignments; the leakage is in log-|alphabet|
+units.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ from .field import Matrix
 
 BRUTE_FORCE_GUARD = 1 << 22  # joint (u, r) assignments the oracle may enumerate
 SPOT_CHECKS = 8  # random inputs the probed map must reproduce before enumerating
-_CODE_LIMIT = 1 << 62  # codes stay below this, clear of int64 overflow
+_RELABEL_SPAN = 1 << 32  # the oracle's codes are relabelled before passing this span
+_RELABEL_BLOCK = 1 << 16  # codes mapped back per searchsorted call while relabelling
 
 
 class InstanceTooLargeError(ValueError):
@@ -139,9 +146,13 @@ def brute_force_leakage(scheme: Scheme, e1: Iterable[int], e2: Iterable[int],
                         transcripts: Sequence[RepairTranscript] = ()) -> SecrecyVerdict:
     """Exact I(u; e) from the joint distribution over all (u, r) assignments.
 
+    The eavesdropped ids are validated first, as `observation_matrix` does.
     The observation map is obtained as a GF(p) map on coordinates by probing
     the protocol (encode plus transcript replay) on unit inputs, and is
-    verified against `SPOT_CHECKS` random inputs before the enumeration.
+    verified against `SPOT_CHECKS` random inputs before the enumeration
+    (`_probed_map`).  Every assignment then gets one code that only
+    assignments with the same e share (`_assignment_codes`), held in the
+    narrowest unsigned type: a few bytes per assignment.
     Raises `InstanceTooLargeError` past `BRUTE_FORCE_GUARD` assignments.
     """
     field = scheme.field
@@ -151,50 +162,9 @@ def brute_force_leakage(scheme: Scheme, e1: Iterable[int], e2: Iterable[int],
         raise InstanceTooLargeError(
             f"|F|^M = {order}^{scheme.file_size} exceeds the "
             f"2^{BRUTE_FORCE_GUARD.bit_length() - 1} brute-force guard")
-    # only this oracle needs numpy: imported here, encode, reconstruct and
-    # repair (CLI and simulator alike) never load it
-    import numpy as np
-
-    p, m = field.char, field.degree
-    n_digits = (ms + nr) * m
-    e1 = tuple(sorted(set(e1)))
-    e2 = tuple(sorted(set(e2)))
-    plans = _plans(transcripts)
-
-    def observe(x):
-        """Observed coordinates for the input whose u then r slots hold the
-        base digits x, m per slot."""
-        slots = [field.from_coords(x[i:i + m]) for i in range(0, n_digits, m)]
-        symbols = scheme.observed_symbols(slots[:ms], slots[ms:], e1, e2, plans)
-        return [c for v in symbols for c in field.coords(v)]
-
-    if any(observe([0] * n_digits)):
-        raise ValueError("scheme is not linear: nonzero observation at zero input")
-    # column j is the observation at the j-th unit digit
-    a = np.array([observe([int(i == j) for i in range(n_digits)])
-                  for j in range(n_digits)], dtype=np.int64).T
-    rng = np.random.default_rng(0xB0BA)
-    for _ in range(SPOT_CHECKS):
-        x = [int(v) for v in rng.integers(0, p, n_digits)]
-        if [int(v) for v in (a @ np.array(x, dtype=np.int64)) % p] != observe(x):
-            raise ValueError("scheme is not linear: probe mismatch")
-
-    # e over every assignment in mixed radix, first digit most significant
-    # (so u is major), folded row by row into one code per assignment
-    digits = np.arange(p, dtype=np.int64)
-    codes = np.zeros(p ** n_digits, dtype=np.int64)
-    span = 1  # every code lies in [0, span)
-    for row in a:
-        e = np.zeros(1, dtype=np.int64)
-        for coef in row:
-            e = (e[:, None] + int(coef) * digits).reshape(-1)
-        e %= p
-        if span > _CODE_LIMIT // p:  # relabel densely before int64 overflows
-            distinct, codes = np.unique(codes, return_inverse=True)
-            span = len(distinct)
-        codes *= p
-        codes += e
-        span *= p
+    if isinstance(scheme, Scheme):  # the tests' toy maps have no node ids
+        e1, e2 = scheme._validate_eaves(e1, e2, transcripts)
+    codes = _assignment_codes(_probed_map(scheme, e1, e2, transcripts), field.char)
 
     # conditional distribution of e given u: one sorted row per u assignment
     codes = codes.reshape(order ** ms, order ** nr)
@@ -222,6 +192,116 @@ def brute_force_leakage(scheme: Scheme, e1: Iterable[int], e2: Iterable[int],
         lemma_recoverable_ok=recoverable,
         method="bruteforce",
     )
+
+
+def _probed_map(scheme: Scheme, e1: Iterable[int], e2: Iterable[int],
+                transcripts: Sequence[RepairTranscript]):
+    """The observation map over GF(p) as an int64 array with one row per
+    observed coordinate and one column per input digit (the u slots, then
+    the r slots, m digits each), every entry in [0, p).
+
+    Column j is the observation at the j-th unit digit; the map must give
+    zero at zero and reproduce `SPOT_CHECKS` random inputs, or the scheme is
+    not linear and `ValueError` is raised."""
+    # only this oracle needs numpy: imported here, encode, reconstruct and
+    # repair (CLI and simulator alike) never load it
+    import numpy as np
+
+    field = scheme.field
+    p, m = field.char, field.degree
+    ms = scheme.secure_size
+    n_digits = (ms + scheme.n_random) * m
+    e1 = tuple(sorted(set(e1)))
+    e2 = tuple(sorted(set(e2)))
+    plans = _plans(transcripts)
+
+    def observe(x):
+        """Observed coordinates for the input whose u then r slots hold the
+        base digits x, m per slot."""
+        slots = [field.from_coords(x[i:i + m]) for i in range(0, n_digits, m)]
+        symbols = scheme.observed_symbols(slots[:ms], slots[ms:], e1, e2, plans)
+        return [c for v in symbols for c in field.coords(v)]
+
+    if any(observe([0] * n_digits)):
+        raise ValueError("scheme is not linear: nonzero observation at zero input")
+    a = np.array([observe([int(i == j) for i in range(n_digits)])
+                  for j in range(n_digits)], dtype=np.int64).T
+    rng = np.random.default_rng(0xB0BA)
+    for _ in range(SPOT_CHECKS):
+        x = [int(v) for v in rng.integers(0, p, n_digits)]
+        if [int(v) for v in (a @ np.array(x, dtype=np.int64)) % p] != observe(x):
+            raise ValueError("scheme is not linear: probe mismatch")
+    return a
+
+
+def _assignment_codes(a, p: int):
+    """One code per assignment x of the p^(columns of a) input digits, in
+    mixed radix with the first digit most significant (so u is major): two
+    assignments share a code iff a x is the same vector.
+
+    A row of `a` that is zero, or repeats an earlier row, splits no two
+    assignments, so it is skipped (plain equality: the oracle runs no
+    elimination of its own).  Each remaining row's values are built in
+    place (`_coordinate_values`) and folded in as one more base-p digit,
+    the codes kept in the narrowest unsigned type that holds their span:
+    uint8, then uint16, uint32.  Before a fold would take the span past
+    2^32, the codes are relabelled densely (`_relabel`), so they fit in
+    uint32 or, when p itself is wide, uint64.  Peak memory is the codes,
+    the coordinate values and a one-byte mask; a relabel adds a sorted copy
+    of the codes, its mask and the distinct codes."""
+    import numpy as np
+
+    rows = [row for row in dict.fromkeys(map(tuple, a.tolist())) if any(row)]
+    n_assign = p ** a.shape[1]
+    values = np.empty(n_assign, dtype=np.min_scalar_type(2 * (p - 1)))
+    codes = np.zeros(n_assign, dtype=np.uint8)
+    span = 1  # every code lies in [0, span)
+    for row in rows:
+        if span * p > _RELABEL_SPAN:
+            span = _relabel(codes)
+        _coordinate_values(row, p, values)
+        span *= p
+        codes = codes.astype(np.min_scalar_type(span - 1), copy=False)
+        codes *= p
+        codes += values
+    return codes
+
+
+def _coordinate_values(row: Sequence[int], p: int, out) -> None:
+    """Fill `out` with row . x mod p for every digit vector x, in mixed
+    radix with the first digit most significant.  Digit by digit, each
+    prefix's value is extended by coef * digit in place and reduced by one
+    conditional subtraction, so `out`'s type need only hold 2(p - 1)."""
+    import numpy as np
+
+    digits = np.arange(p, dtype=np.int64)
+    out[0] = 0
+    size = 1
+    for coef in row:
+        step = out[:size * p].reshape(size, p)
+        # the prefix overlaps `step`; numpy reads it as if copied first
+        np.add(out[:size, None], (coef * digits % p).astype(out.dtype), out=step)
+        np.subtract(step, p, out=step, where=step >= p)
+        size *= p
+
+
+def _relabel(codes) -> int:
+    """Renumber `codes` in place onto [0, n), order kept, and return n, the
+    number of distinct codes.  The distinct codes come from a sorted copy;
+    each block of `_RELABEL_BLOCK` codes is mapped back by `searchsorted`,
+    so the only large temporaries are the copy and its mask."""
+    import numpy as np
+
+    distinct = np.sort(codes)
+    keep = np.empty(len(distinct), dtype=bool)
+    keep[0] = True
+    np.not_equal(distinct[1:], distinct[:-1], out=keep[1:])
+    distinct = distinct[keep]
+    del keep
+    for start in range(0, len(codes), _RELABEL_BLOCK):
+        block = codes[start:start + _RELABEL_BLOCK]
+        block[...] = np.searchsorted(distinct, block)
+    return len(distinct)
 
 
 def _exact_log(base: int, value: int) -> int | None:

@@ -29,6 +29,12 @@ again), and `random_symbols` draws from the `splitmix64` generator one
 the values, one `dot` or `lagrange_at` per symbol as the data arrives: the
 reference for the cached repair plans that the program runs
 (`coopdss.codes.base.RepairPlan`).
+
+`brute_force_int64` enumerates with one int64 code per assignment: every
+probed coordinate row, zero and repeated ones included, is folded in, and
+the codes are relabelled with `np.unique` before they could overflow.  It
+is the reference for the narrow codes of
+`coopdss.secrecy.brute_force_leakage`, on the same probed map.
 """
 
 from operator import mul
@@ -38,6 +44,9 @@ from coopdss.codes.base import (NodeContent, ObservationMatrix, ParameterError,
 from coopdss.codes.mbcr_exact import _phi_block_rows
 from coopdss.field import Matrix, PrimeField, ext_field, lagrange_row, moore_matrix
 from coopdss.precode import splitmix64
+from coopdss.secrecy import SecrecyVerdict, _exact_log, _probed_map
+
+_CODE_LIMIT = 1 << 62  # codes stay below this, clear of int64 overflow
 
 
 def normalize_per_digit(field, v):
@@ -373,3 +382,60 @@ def replay_per_record(trace):
         if initial_by_id[c.node_id] != c:
             diffs.append(f"node {c.node_id} drifted from its initial content")
     return not diffs, diffs
+
+
+def brute_force_int64(scheme, e1, e2, transcripts=()):
+    """The brute-force verdict with one int64 code per assignment, on the
+    map that `coopdss.secrecy._probed_map` probes; no guard, no id checks."""
+    import numpy as np
+
+    field = scheme.field
+    ms, nr = scheme.secure_size, scheme.n_random
+    order = field.order
+    p = field.char
+    a = _probed_map(scheme, e1, e2, transcripts)
+    n_digits = a.shape[1]
+
+    # e over every assignment in mixed radix, first digit most significant
+    # (so u is major), folded row by row into one code per assignment
+    digits = np.arange(p, dtype=np.int64)
+    codes = np.zeros(p ** n_digits, dtype=np.int64)
+    span = 1  # every code lies in [0, span)
+    for row in a:
+        e = np.zeros(1, dtype=np.int64)
+        for coef in row:
+            e = (e[:, None] + int(coef) * digits).reshape(-1)
+        e %= p
+        if span > _CODE_LIMIT // p:  # relabel densely before int64 overflows
+            distinct, codes = np.unique(codes, return_inverse=True)
+            span = len(distinct)
+        codes *= p
+        codes += e
+        span *= p
+
+    # conditional distribution of e given u: one sorted row per u assignment
+    codes = codes.reshape(order ** ms, order ** nr)
+    codes.sort(axis=1)
+    identical = bool((codes == codes[0]).all())
+    # support sizes per u must agree for a linear scheme
+    supports = (codes[:, 1:] != codes[:, :-1]).sum(axis=1) + 1
+    n_cond = int(supports[0])
+    if (supports != n_cond).any():
+        raise ValueError("non-uniform conditional supports; scheme not linear?")
+    flat = codes.reshape(-1)  # a view: the rows are no longer needed
+    flat.sort()
+    n_e = int((flat[1:] != flat[:-1]).sum()) + 1
+    leakage = _exact_log(order, n_e // n_cond) if n_e % n_cond == 0 else None
+    if leakage is None:
+        raise ValueError("support ratio is not a power of the alphabet size")
+    if identical and leakage != 0:
+        raise AssertionError("identical conditionals but nonzero support ratio")
+    # H(r | u, e) = 0  <=>  every (u, e) pair pins a unique r
+    recoverable = n_cond == codes.shape[1]
+    cond_entropy_ok = n_e <= order ** nr
+    return SecrecyVerdict(
+        leakage_qunits=leakage,
+        lemma_cond_entropy_ok=cond_entropy_ok,
+        lemma_recoverable_ok=recoverable,
+        method="bruteforce",
+    )

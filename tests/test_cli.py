@@ -523,6 +523,16 @@ def test_verify_secrecy_eavesdropper_outside_nodes_exit2(flag, node):
     assert "node ids must lie in [1, " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("node", ["9", "0"])
+def test_verify_secrecy_bruteforce_eavesdropper_outside_nodes_exit2(node):
+    # the oracle validates the ids before it probes the protocol
+    code, out, err = run_cli(["verify-secrecy", "--scheme", "mscr-ia", "--n", "4", "--k", "2",
+                              "--d", "2", "--t", "2", "--l1", "1", "--e1", node,
+                              "--mode", "bruteforce"])
+    assert code == 2 and out == ""
+    assert "eavesdropped node ids must lie in [1, 4]" in err and "Traceback" not in err
+
+
 def test_simulate_repairs_run_twice_per_round(tmp_path, monkeypatch):
     # one repair per round in sim.run, one in the replay that writes the
     # trace text; the replay line on stderr reuses that verdict
