@@ -5,9 +5,11 @@ verify-secrecy.  Every path is a thin wrapper over the library; outputs are
 deterministic given flags and seed (no timestamps).
 
 Exit codes: 0 success/secure, 1 secrecy violation, 2 usage or parameter
-error, 3 I/O error or a program fault: in `simulate` a replay mismatch, in
-`simulate` or `verify-secrecy --e2` a repair round whose bandwidth is not
-t*gamma, in `verify-secrecy --mode both` a rank verdict that differs from the
+error (in `verify-secrecy` and `simulate` also more eavesdroppers than the
+scheme claims secrecy for, |E1| > l1 or |E2| > l2), 3 I/O error or a
+program fault: in `simulate` a replay mismatch, in `simulate` or
+`verify-secrecy --e2` a repair round whose bandwidth is not t*gamma, in
+`verify-secrecy --mode both` a rank verdict that differs from the
 brute-force one in leakage or in either lemma flag.  COOPDSS_SEED provides
 the default seed.
 
@@ -241,7 +243,9 @@ def cmd_simulate(ns) -> int:
             print(f"  {d}", file=sys.stderr)
         return 3
     if config.e1 or config.e2:
-        verdict = rank_leakage(sim_mod.observation(trace))
+        obs = sim_mod.observation(trace)  # validates the eavesdropped ids
+        _check_budget(config.params, config.e1, config.e2)
+        verdict = rank_leakage(obs)
         print(f"leakage_qunits={verdict.leakage_qunits}", file=sys.stderr)
         if not verdict.secure:
             return 1
@@ -260,6 +264,18 @@ def _default_plan(params: SchemeParams, e2: tuple[int, ...]):
             cursor += 1
         plan.append(frozenset(group))
     return tuple(plan)
+
+
+def _check_budget(params: SchemeParams, e1, e2) -> None:
+    """Refuse, as a usage error, more eavesdroppers than the budget the
+    scheme claims secrecy for (|E1| <= l1 and |E2| <= l2): such a verdict
+    would report a leak the scheme never ruled out.  Run on ids already
+    validated against [1, n] and for disjointness."""
+    n1, n2 = len(set(e1)), len(set(e2))
+    if n1 > params.l1 or n2 > params.l2:
+        raise UsageError(
+            f"|E1|={n1} with l1={params.l1} and |E2|={n2} with l2={params.l2}: "
+            f"the scheme claims secrecy only for |E1| <= l1 and |E2| <= l2")
 
 
 def _verdict_fields(v) -> tuple[int, bool, bool]:
@@ -299,9 +315,11 @@ def cmd_verify_secrecy(ns) -> int:
         config = sim_mod.SimConfig(params=params, rounds=len(plan), failure_plan=plan,
                                    seed=ns.seed, e2=e2)
         transcripts = sim_mod.run(config).transcripts
+    obs = scheme.observation_matrix(e1, e2, transcripts)  # validates the ids
+    _check_budget(params, e1, e2)
     verdicts = []
     if ns.mode in ("rank", "both"):
-        verdicts.append(rank_leakage(scheme.observation_matrix(e1, e2, transcripts)))
+        verdicts.append(rank_leakage(obs))
     if ns.mode in ("bruteforce", "both"):
         try:
             verdicts.append(brute_force_leakage(scheme, e1, e2, transcripts))

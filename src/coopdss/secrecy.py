@@ -29,23 +29,29 @@ scheme, and `rank_leakage` picks the rule by the view's type:
 
 The brute-force oracle never touches the analytic observation matrices: it
 probes the encode/repair protocol itself, verifies linearity on random spot
-checks, then enumerates every (u, r) assignment and compares the
-conditional distributions of e across u values.  Every scheme is GF(p)-linear
-on coordinates, so one path serves every field GF(p^m): each input slot is
-probed with each coordinate unit, giving a GF(p) map from the M*m input
-digits to the n_obs*m observed coordinates.  The enumeration never builds
-the assignment grid.  Coordinate rows that are zero or repeat an earlier
-row split no assignments and are skipped (by equality alone: the oracle
-eliminates nothing).  Each remaining coordinate is built in place over all
-p^(M*m) assignments in mixed radix, u digits major, in uint8 (uint16 once
-2(p-1) > 255), and folded into one code per assignment kept in the
-narrowest unsigned type that holds the codes' span; only when a fold would
-take the span past 2^32 are the codes relabelled densely, from a sorted
-copy and `searchsorted` in blocks.  After one sort per u row, the support
-of e given u is that row's count of distinct codes.  On the 11^6 mscr-ia
-assignments that is 4 bytes per assignment, or 10 with a relabel.  Guarded to
-|alphabet|^M <= 2^22 joint assignments; the leakage is in log-|alphabet|
-units.
+checks, then counts cosets.  Every scheme is GF(p)-linear on coordinates, so
+one path serves every field GF(p^m): each input slot is probed with each
+coordinate unit, giving a GF(p) map from the M*m input digits to the
+n_obs*m observed coordinates.  For a linear map the views S_u = A_u u + S_0
+are cosets of the subgroup S_0 = {A_r r}, so by Lagrange's theorem the
+support of e given u has |S_0| elements for every u, and e takes
+|S_0| |alphabet|^|u| / |U_0| values, with U_0 = {u : A_u u in S_0}.  The
+oracle therefore enumerates the u assignments (r = 0) and the r
+assignments (u = 0) apart, |alphabet|^|u| + |alphabet|^|r| vectors rather
+than their |alphabet|^M products, and reads
+leakage = log(|alphabet|^|u| / |U_0|).  Both parts fold the same
+coordinate rows into one code array, so two codes are equal exactly when
+their vectors are.  Coordinate rows that are zero or repeat
+an earlier row split no vectors and are skipped (by equality alone: the
+oracle eliminates nothing).  Each remaining coordinate is built in place in
+mixed radix (uint8, uint16 once 2(p-1) > 255) and folded into the codes,
+kept in the narrowest unsigned type that holds the codes' span; only when a
+fold would take the span past 2^32 are the codes relabelled densely, from a
+sorted copy and `searchsorted` in blocks.  On mscr-ia (5,2,3,2) that is
+11^3 + 11^3 codes in place of 11^6.  The full joint enumeration, one int64
+code per (u, r) assignment, is the tests' oracle for this one
+(`tests/oracles.brute_force_int64`).  Guarded to |alphabet|^M <= 2^22
+joint assignments; the leakage is in log-|alphabet| units.
 """
 
 from __future__ import annotations
@@ -144,15 +150,20 @@ def _plans(transcripts: Sequence[RepairTranscript]):
 
 def brute_force_leakage(scheme: Scheme, e1: Iterable[int], e2: Iterable[int],
                         transcripts: Sequence[RepairTranscript] = ()) -> SecrecyVerdict:
-    """Exact I(u; e) from the joint distribution over all (u, r) assignments.
+    """Exact I(u; e) by counting the cosets of the probed linear map.
 
     The eavesdropped ids are validated first, as `observation_matrix` does.
     The observation map is obtained as a GF(p) map on coordinates by probing
     the protocol (encode plus transcript replay) on unit inputs, and is
     verified against `SPOT_CHECKS` random inputs before the enumeration
-    (`_probed_map`).  Every assignment then gets one code that only
-    assignments with the same e share (`_assignment_codes`), held in the
-    narrowest unsigned type: a few bytes per assignment.
+    (`_probed_map`).  Every u (with r = 0) and every r (with u = 0) then
+    gets one code, equal only for equal vectors (`_assignment_codes`), in
+    the narrowest unsigned type: |alphabet|^|u| + |alphabet|^|r| codes.
+    With S_0 the distinct r codes and U_0 the u whose code lies in S_0:
+    n_cond = |S_0| values of e for each u, n_e = |S_0| |alphabet|^|u| / |U_0|
+    values of e in all, leakage = log(|alphabet|^|u| / |U_0|),
+    H(r | u, e) = 0 iff n_cond = |alphabet|^|r|, and H(e) <= H(r) iff
+    n_e <= |alphabet|^|r|.
     Raises `InstanceTooLargeError` past `BRUTE_FORCE_GUARD` assignments.
     """
     field = scheme.field
@@ -164,32 +175,24 @@ def brute_force_leakage(scheme: Scheme, e1: Iterable[int], e2: Iterable[int],
             f"2^{BRUTE_FORCE_GUARD.bit_length() - 1} brute-force guard")
     if isinstance(scheme, Scheme):  # the tests' toy maps have no node ids
         e1, e2 = scheme._validate_eaves(e1, e2, transcripts)
-    codes = _assignment_codes(_probed_map(scheme, e1, e2, transcripts), field.char)
+    import numpy as np
 
-    # conditional distribution of e given u: one sorted row per u assignment
-    codes = codes.reshape(order ** ms, order ** nr)
-    codes.sort(axis=1)
-    identical = bool((codes == codes[0]).all())
-    # support sizes per u must agree for a linear scheme
-    supports = (codes[:, 1:] != codes[:, :-1]).sum(axis=1) + 1
-    n_cond = int(supports[0])
-    if (supports != n_cond).any():
-        raise ValueError("non-uniform conditional supports; scheme not linear?")
-    flat = codes.reshape(-1)  # a view: the rows are no longer needed
-    flat.sort()
-    n_e = int((flat[1:] != flat[:-1]).sum()) + 1
-    leakage = _exact_log(order, n_e // n_cond) if n_e % n_cond == 0 else None
+    m = field.degree
+    codes = _assignment_codes(_probed_map(scheme, e1, e2, transcripts), field.char,
+                              (ms * m, nr * m))
+    n_u = order ** ms
+    subgroup = np.unique(codes[n_u:])  # S_0 = {A_r r}, one code per vector
+    n_cond = len(subgroup)  # every view set S_u is a coset of S_0
+    kernel = int(np.isin(codes[:n_u], subgroup).sum())  # |U_0|
+    leakage = _exact_log(order, n_u // kernel) if n_u % kernel == 0 else None
     if leakage is None:
         raise ValueError("support ratio is not a power of the alphabet size")
-    if identical and leakage != 0:
-        raise AssertionError("identical conditionals but nonzero support ratio")
-    # H(r | u, e) = 0  <=>  every (u, e) pair pins a unique r
-    recoverable = n_cond == codes.shape[1]
-    cond_entropy_ok = n_e <= order ** nr
+    n_e = n_cond * (n_u // kernel)
     return SecrecyVerdict(
         leakage_qunits=leakage,
-        lemma_cond_entropy_ok=cond_entropy_ok,
-        lemma_recoverable_ok=recoverable,
+        lemma_cond_entropy_ok=n_e <= order ** nr,
+        # H(r | u, e) = 0  <=>  every (u, e) pair pins a unique r
+        lemma_recoverable_ok=n_cond == order ** nr,
         method="bruteforce",
     )
 
@@ -234,32 +237,42 @@ def _probed_map(scheme: Scheme, e1: Iterable[int], e2: Iterable[int],
     return a
 
 
-def _assignment_codes(a, p: int):
-    """One code per assignment x of the p^(columns of a) input digits, in
-    mixed radix with the first digit most significant (so u is major): two
-    assignments share a code iff a x is the same vector.
+def _assignment_codes(a, p: int, widths: Sequence[int] | None = None):
+    """One code per assignment x of each block of input digits, the other
+    blocks held at zero: the columns of `a` split into consecutive blocks
+    of `widths` digits (by default one block of every column), and block b
+    takes p^widths[b] codes of the array, block after block, each block in
+    mixed radix with its first digit most significant.  Two codes, in one
+    block or in two, are equal iff their vectors a x are equal.
 
     A row of `a` that is zero, or repeats an earlier row, splits no two
-    assignments, so it is skipped (plain equality: the oracle runs no
+    vectors, so it is skipped (plain equality: the oracle runs no
     elimination of its own).  Each remaining row's values are built in
-    place (`_coordinate_values`) and folded in as one more base-p digit,
-    the codes kept in the narrowest unsigned type that holds their span:
-    uint8, then uint16, uint32.  Before a fold would take the span past
-    2^32, the codes are relabelled densely (`_relabel`), so they fit in
-    uint32 or, when p itself is wide, uint64.  Peak memory is the codes,
-    the coordinate values and a one-byte mask; a relabel adds a sorted copy
-    of the codes, its mask and the distinct codes."""
+    place, block by block in one array (`_coordinate_values`), and folded in
+    as one more base-p digit, the codes kept in the narrowest unsigned type
+    that holds their span: uint8, then uint16, uint32.  Before a fold would
+    take the span past 2^32, the codes of every block are relabelled densely
+    together (`_relabel`), so they fit in uint32 or, when p itself is wide,
+    uint64.  Peak memory is the codes, the coordinate values and a one-byte
+    mask; a relabel adds a sorted copy of the codes, its mask and the
+    distinct codes."""
     import numpy as np
 
     rows = [row for row in dict.fromkeys(map(tuple, a.tolist())) if any(row)]
-    n_assign = p ** a.shape[1]
-    values = np.empty(n_assign, dtype=np.min_scalar_type(2 * (p - 1)))
-    codes = np.zeros(n_assign, dtype=np.uint8)
+    blocks = []  # (the block's columns, its codes)
+    col = n_codes = 0
+    for width in (a.shape[1],) if widths is None else widths:
+        blocks.append((slice(col, col + width), slice(n_codes, n_codes + p ** width)))
+        col += width
+        n_codes += p ** width
+    values = np.empty(n_codes, dtype=np.min_scalar_type(2 * (p - 1)))
+    codes = np.zeros(n_codes, dtype=np.uint8)
     span = 1  # every code lies in [0, span)
     for row in rows:
         if span * p > _RELABEL_SPAN:
             span = _relabel(codes)
-        _coordinate_values(row, p, values)
+        for digits, part in blocks:
+            _coordinate_values(row[digits], p, values[part])
         span *= p
         codes = codes.astype(np.min_scalar_type(span - 1), copy=False)
         codes *= p

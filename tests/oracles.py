@@ -30,11 +30,13 @@ the values, one `dot` or `lagrange_at` per symbol as the data arrives: the
 reference for the cached repair plans that the program runs
 (`coopdss.codes.base.RepairPlan`).
 
-`brute_force_int64` enumerates with one int64 code per assignment: every
-probed coordinate row, zero and repeated ones included, is folded in, and
-the codes are relabelled with `np.unique` before they could overflow.  It
-is the reference for the narrow codes of
-`coopdss.secrecy.brute_force_leakage`, on the same probed map.
+`brute_force_int64` enumerates every joint (u, r) assignment with one
+int64 code each: every probed coordinate row, zero and repeated ones
+included, is folded in, and the codes are relabelled with `np.unique`
+before they could overflow; the support of e is counted for each u.  It is
+the reference for `coopdss.secrecy.brute_force_leakage`, which counts the
+cosets of the same probed map from the u part and the r part alone, in
+narrow codes.
 """
 
 from operator import mul

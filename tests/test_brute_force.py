@@ -1,6 +1,7 @@
-"""The brute-force oracle's narrow codes against the int64 reference
-(`oracles.brute_force_int64`), which enumerates the same probed map with
-one int64 code per assignment; and the oracle's peak memory."""
+"""The brute-force oracle's coset count against the int64 reference
+(`oracles.brute_force_int64`), which enumerates every joint (u, r)
+assignment of the same probed map with one int64 code each; the oracle's
+narrow codes, its size and its peak memory."""
 
 import functools
 import itertools
@@ -143,6 +144,80 @@ def test_all_partners_lifetime_is_relabelled_and_matches_the_reference(monkeypat
 
 
 # ---------------------------------------------------------
+# coset counting: the u part and the r part apart
+# ---------------------------------------------------------
+
+def _spy_fills(monkeypatch):
+    """The length of every array `_coordinate_values` fills from now on."""
+    fills = []
+    fill = S._coordinate_values
+
+    def spy(row, p, out):
+        fills.append(len(out))
+        return fill(row, p, out)
+
+    monkeypatch.setattr(S, "_coordinate_values", spy)
+    return fills
+
+
+@pytest.mark.parametrize("view", ["mscr-ia", "all-partners"])
+def test_oracle_fills_order_ms_plus_order_nr_values(monkeypatch, view):
+    if view == "mscr-ia":
+        scheme, args = _scheme(MSCR_IA_5), ((1,),)
+    else:
+        params, plan, e2 = ALL_PARTNERS
+        scheme, args = _scheme(params), ((), e2, _lifetime(params, plan, e2))
+    fills = _spy_fills(monkeypatch)
+    assert _assert_matches_reference(scheme, *args).secure
+    order = scheme.field.order
+    # the joint enumeration would fill order^M = 11^6 values per row
+    assert fills and max(fills) <= order ** scheme.secure_size + order ** scheme.n_random
+
+
+# (q, |u|, rows over (u || r), expected verdict)
+_COSET_CASES = {
+    "no-secret": (3, 0, [[1, 2], [0, 1]], (0, True, True)),
+    "no-randomness": (3, 2, [[1, 1], [2, 2]], (1, False, True)),
+    # e = (u1 + u2, 2(u1 + u2) + r): u = (1, -1) and its multiples are unseen
+    "a_u-kernel": (5, 2, [[1, 1, 0], [2, 2, 1]], (1, False, True)),
+    "two-unit-leak": (3, 2, [[1, 0, 1], [0, 1, 0], [0, 0, 1]], (2, False, True)),
+    "empty-view": (5, 2, [], (0, True, False)),
+}
+
+
+@pytest.mark.parametrize("case", list(_COSET_CASES))
+def test_coset_count_matches_the_reference_on_toy_maps(case):
+    q, ms, rows, expected = _COSET_CASES[case]
+    width = ms + 1 if not rows else len(rows[0])
+    toy = _LinearToy(q, ms, width - ms, rows)
+    assert _verdict(S.brute_force_leakage(toy, [1], [])) == _verdict(brute_force_int64(toy, [1], [])) \
+        == _verdict(toy.rank_verdict()) == expected
+
+
+def test_u_and_r_parts_are_relabelled_together(monkeypatch):
+    # e over GF(11) from u = (u1, u2), r = (r1, r2): 11 distinct rows
+    # (i, i^2, i, 5i + 2), so the span passes 2^32 at the tenth fold.  u1
+    # enters as r1 does, so U_0 = {(u1, 0)}; i^2 is no affine function of i,
+    # so u2 leaks one unit.  Relabelling the parts apart would misnumber them
+    rows = [[i % 11, i * i % 11, i % 11, (5 * i + 2) % 11] for i in range(1, 12)]
+    lengths = []
+    relabel = S._relabel
+    monkeypatch.setattr(S, "_relabel", lambda codes: lengths.append(len(codes)) or relabel(codes))
+    toy = _LinearToy(11, 2, 2, rows)
+    assert _verdict(S.brute_force_leakage(toy, [1], [])) == _verdict(brute_force_int64(toy, [1], [])) \
+        == _verdict(toy.rank_verdict()) == (1, False, True)
+    assert lengths == [11 ** 2 + 11 ** 2]
+    # a code of either part matches a code of the other iff their vectors match
+    a = np.array(rows, dtype=np.int64)
+    codes = S._assignment_codes(a, 11, (2, 2))
+    xs = np.array(list(itertools.product(range(11), repeat=2)), dtype=np.int64)
+    zero = np.zeros_like(xs)
+    e = np.vstack([(np.hstack([xs, zero]) @ a.T) % 11, (np.hstack([zero, xs]) @ a.T) % 11])
+    pairs = set(zip(codes.tolist(), map(tuple, e.tolist())))
+    assert len(pairs) == len(set(codes.tolist())) == len(set(map(tuple, e.tolist())))
+
+
+# ---------------------------------------------------------
 # narrow codes across the span boundaries
 # ---------------------------------------------------------
 
@@ -228,9 +303,9 @@ def test_eavesdropper_ids_are_validated_before_probing(monkeypatch, e1, e2):
         S.brute_force_leakage(scheme, e1, e2)
 
 
-def _peak_bytes_per_assignment(scheme, e1, e2=(), transcripts=()):
-    """tracemalloc's peak over one oracle call, per assignment; a first call
-    imports numpy and fills the scheme's caches outside the measurement."""
+def _peak_bytes(scheme, e1, e2=(), transcripts=()):
+    """tracemalloc's peak over one oracle call; a first call imports numpy
+    and fills the scheme's caches outside the measurement."""
     S.brute_force_leakage(scheme, e1, e2, transcripts)
     tracemalloc.start()
     try:
@@ -239,7 +314,12 @@ def _peak_bytes_per_assignment(scheme, e1, e2=(), transcripts=()):
     finally:
         tracemalloc.stop()
     assert verdict.secure
-    return peak / scheme.field.order ** scheme.file_size
+    return peak
+
+
+def _peak_bytes_per_assignment(scheme, e1, e2=(), transcripts=()):
+    """`_peak_bytes` per joint (u, r) assignment."""
+    return _peak_bytes(scheme, e1, e2, transcripts) / scheme.field.order ** scheme.file_size
 
 
 def test_oracle_peak_memory_per_assignment():
@@ -247,3 +327,10 @@ def test_oracle_peak_memory_per_assignment():
     assert _peak_bytes_per_assignment(_scheme(MSCR_IA_5), (1,)) <= 6
     params, plan, e2 = ALL_PARTNERS
     assert _peak_bytes_per_assignment(_scheme(params), (), e2, _lifetime(params, plan, e2)) <= 16
+
+
+def test_oracle_peak_memory_per_call():
+    # enumerating every joint (u, r) assignment peaked at 7.1 MB and 17.8 MB
+    assert _peak_bytes(_scheme(MSCR_IA_5), (1,)) <= 500_000
+    params, plan, e2 = ALL_PARTNERS
+    assert _peak_bytes(_scheme(params), (), e2, _lifetime(params, plan, e2)) <= 2_000_000

@@ -533,6 +533,59 @@ def test_verify_secrecy_bruteforce_eavesdropper_outside_nodes_exit2(node):
     assert "eavesdropped node ids must lie in [1, 4]" in err and "Traceback" not in err
 
 
+def _assert_over_budget(code, out, err, message):
+    # one line naming both counts and both budgets, no verdict printed
+    assert code == 2 and out == ""
+    assert err == f"error: {message}: the scheme claims secrecy only for " \
+                  "|E1| <= l1 and |E2| <= l2\n"
+
+
+@pytest.mark.parametrize("mode", ["rank", "bruteforce", "both"])
+@pytest.mark.parametrize("flags, message", [
+    # two E1 nodes hold the whole secret, but the scheme claims l1 = 1
+    (["--scheme", "mscr-ia", "--n", "4", "--k", "2", "--d", "2", "--t", "2", "--l1", "1",
+      "--e1", "1,2"], "|E1|=2 with l1=1 and |E2|=0 with l2=0"),
+    (["--scheme", "mscr-dk", "--n", "4", "--k", "2", "--d", "2", "--t", "2", "--l2", "1",
+      "--e2", "1,2", "--plan", "1,2"], "|E1|=0 with l1=0 and |E2|=2 with l2=1"),
+], ids=["e1", "e2"])
+def test_verify_secrecy_over_budget_eavesdroppers_exit2(flags, message, mode):
+    _assert_over_budget(*run_cli(["verify-secrecy", *flags, "--mode", mode]), message)
+
+
+def test_verify_secrecy_disjointness_is_checked_before_the_budget():
+    code, out, err = run_cli(["verify-secrecy", "--scheme", "mscr-dk", "--n", "4", "--k", "2",
+                              "--d", "2", "--t", "2", "--e1", "1", "--e2", "1",
+                              "--plan", "1,2"])
+    assert code == 2 and out == ""
+    assert "E1 and E2 must be disjoint" in err and "|E1|" not in err
+
+
+@pytest.mark.parametrize("eavesdroppers, message", [
+    (["--e1", "4"], "|E1|=1 with l1=0 and |E2|=0 with l2=1"),
+    (["--e2", "1,2"], "|E1|=0 with l1=0 and |E2|=2 with l2=1"),
+], ids=["e1", "e2"])
+def test_verify_secrecy_trace_over_budget_eavesdroppers_exit2(tmp_path, eavesdroppers, message):
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(SIM_INI)
+    trace_file = tmp_path / "trace.log"
+    assert run_cli(["simulate", "--config", str(cfg), "--trace-out", str(trace_file)])[0] == 0
+    _assert_over_budget(*run_cli(["verify-secrecy", "--trace", str(trace_file),
+                                  *eavesdroppers]), message)
+
+
+def test_simulate_over_budget_eavesdroppers_exit2(tmp_path):
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(SIM_INI.replace("e2 = 1", "e1 = 4\ne2 = 1,2"))
+    code, out, err = run_cli(["simulate", "--config", str(cfg),
+                              "--trace-out", str(tmp_path / "trace.log")])
+    assert code == 2 and out == ""
+    # the replay line, then the refusal: no leakage is reported
+    replay, refusal = err.splitlines()
+    assert replay.endswith("replay=ok") and "leakage" not in err
+    assert refusal == "error: |E1|=1 with l1=0 and |E2|=2 with l2=1: the scheme claims " \
+                      "secrecy only for |E1| <= l1 and |E2| <= l2"
+
+
 def test_simulate_repairs_run_twice_per_round(tmp_path, monkeypatch):
     # one repair per round in sim.run, one in the replay that writes the
     # trace text; the replay line on stderr reuses that verdict
