@@ -23,8 +23,21 @@ m^2 p^3 < 2^64, e.g. m <= 45264 at p = 2081 and m <= 103 at p = 119981; a
 format past it is refused as "too large".  Below p = 1601 the 2-byte m of
 the descriptor is the tighter limit.  The header's whole field descriptor is
 then compared with the one the format gives, before any field or scheme is
-built, so a forged header costs a few closed forms and no search.  Each
-record decodes in one pass (`symbols_from_bytes`).
+built, so a forged header costs a few closed forms and no search.
+
+The checks up to the descriptor compare depend only on the first 21 bytes
+(tag, n..l2, p, m and the modulus count), so `_header` runs them once per
+distinct prefix per process, in a bounded cache (32 entries, under 1 KB
+each).  Errors are never cached: a refused header runs every check on
+every read.  The truncation checks on the first 21 bytes come before the
+lookup, and the descriptor compare, record count and records run on every
+read.  Each record decodes in one pass (`symbols_from_bytes`), whose range
+check tests every coordinate word at once.
+
+`write_nodes` writes only files that `read_nodes` reads back: a node id
+outside [1, n] or repeated raises the reader's ParameterError, and a symbol
+that does not serialise to its own coordinates (a digit at or past p, a
+digit past the m-th word, a negative value) raises ValueError.
 """
 
 from __future__ import annotations
@@ -38,6 +51,9 @@ from . import SCHEME_CLASSES, SCHEME_TAGS
 from .base import NodeContent, ParameterError, Scheme, SchemeParams
 
 _TAG_TO_SCHEME = {v: k for k, v in SCHEME_TAGS.items()}
+# scheme tag, n, k, d, t, l1, l2, then the descriptor's p, m and modulus count
+_PREFIX = struct.Struct("<B6HIHH")
+_U16 = struct.Struct("<H")
 
 
 @lru_cache(maxsize=64)
@@ -53,34 +69,52 @@ def _field_descriptor(p: int, m: int) -> bytes:
 
 
 def write_nodes(scheme: Scheme, contents: Sequence[NodeContent]) -> bytes:
+    """The node file of `contents`.  It writes only what `read_nodes` reads
+    back: parameters past the header's 2-byte fields, a record of the wrong
+    length, a node id outside [1, n] or repeated, and a symbol outside the
+    field raise ValueError (ParameterError for the parameters and the ids,
+    with the reader's messages for the ids)."""
     p = scheme.params
     field = scheme.field
-    parts = [struct.pack("<B6H", SCHEME_TAGS[scheme.name], p.n, p.k, p.d, p.t, p.l1, p.l2),
-             _field_descriptor(field.p, field.degree),
-             struct.pack("<H", len(contents))]
+    try:
+        parts = [struct.pack("<B6H", SCHEME_TAGS[scheme.name], p.n, p.k, p.d, p.t, p.l1, p.l2),
+                 _field_descriptor(field.p, field.degree)]
+    except struct.error:
+        raise ParameterError(f"n={p.n}, k={p.k}, d={p.d}, t={p.t}, l1={p.l1}, l2={p.l2}: "
+                             "a node file holds each in 2 bytes") from None
+    encode = field.symbols_to_bytes
+    records = []
+    seen: set[int] = set()
     for c in contents:
         if len(c.symbols) != scheme.alpha:
             raise ParameterError("content does not match the scheme's alpha")
-        parts.append(struct.pack("<H", c.node_id))
-        parts.append(field.symbols_to_bytes(c.symbols))
-    return b"".join(parts)
+        _check_node_id(c.node_id, p.n, seen)
+        records.append(_U16.pack(c.node_id))
+        records.append(encode(c.symbols))
+    # unique ids in [1, n] and n < 2^16: the count fits its 2 bytes
+    return b"".join([*parts, _U16.pack(len(contents)), *records])
 
 
-def _unpack(fmt: str, data: bytes, off: int, what: str) -> tuple:
-    end = off + struct.calcsize(fmt)
-    if end > len(data):
-        raise ParameterError(
-            f"node file truncated: {len(data)} bytes, the {what} needs {end}")
-    return struct.unpack_from(fmt, data, off)
+def _check_node_id(node_id: int, n: int, seen: set[int]) -> None:
+    if not 1 <= node_id <= n:
+        raise ParameterError(f"record node id {node_id} outside [1, {n}]")
+    if node_id in seen:
+        raise ParameterError(f"node id {node_id} appears twice in one file")
+    seen.add(node_id)
 
 
-def read_nodes(data: bytes) -> tuple[SchemeParams, list[NodeContent]]:
-    """Parse a node file; malformed, short or truncated input, a record node
-    id outside [1, n] and a node id repeated within the file raise
-    ParameterError (a bad coordinate raises ValueError)."""
-    tag, n, k, d, t, l1, l2 = _unpack("<B6H", data, 0, "header")
-    off = 13
-    p, m, modlen = _unpack("<IHH", data, off, "field descriptor")
+def _truncated(data: bytes, end: int, what: str) -> ParameterError:
+    return ParameterError(f"node file truncated: {len(data)} bytes, the {what} needs {end}")
+
+
+@lru_cache(maxsize=32)
+def _header(prefix: bytes) -> tuple[SchemeParams, int, int, int, tuple, bytes, int]:
+    """The checks of a node file's first 21 bytes (tag, n, k, d, t, l1, l2,
+    p, m and the modulus coefficient count), in order: (params, p, m, alpha,
+    layout, the expected field descriptor, the end of the file's own
+    descriptor).  Cached by those bytes; a refused header raises and is
+    never cached, so it costs its checks on every read."""
+    tag, n, k, d, t, l1, l2, p, m, modlen = _PREFIX.unpack(prefix)
     if tag not in _TAG_TO_SCHEME:
         raise ParameterError(f"unknown scheme tag {tag}")
     params = SchemeParams(n=n, k=k, d=d, t=t, l1=l1, l2=l2, scheme=_TAG_TO_SCHEME[tag])
@@ -90,35 +124,44 @@ def read_nodes(data: bytes) -> tuple[SchemeParams, list[NodeContent]]:
     if (p, m) != (fp, fm):
         name = f"GF({fp})" if fm == 1 else f"GF({fp}^{fm})"
         raise ParameterError(f"file field GF({p}^{m}) does not match the scheme's {name}")
-    expected = _field_descriptor(fp, fm)
     # sized by the header's own coefficient count: a file cut inside it is
     # reported as truncated
-    (descriptor,) = _unpack(f"{8 + modlen * coordinate_bytes(fp)}s", data, off,
-                            "field modulus")
-    if descriptor != expected:
+    return (params, fp, fm, alpha, layout, _field_descriptor(fp, fm),
+            _PREFIX.size + modlen * coordinate_bytes(fp))
+
+
+def read_nodes(data: bytes) -> tuple[SchemeParams, list[NodeContent]]:
+    """Parse a node file; malformed, short or truncated input, a record node
+    id outside [1, n] and a node id repeated within the file raise
+    ParameterError (a bad coordinate raises ValueError)."""
+    size = len(data)
+    if size < _PREFIX.size:
+        if size < 13:
+            raise _truncated(data, 13, "header")
+        raise _truncated(data, _PREFIX.size, "field descriptor")
+    params, fp, fm, alpha, layout, expected, off = _header(bytes(data[:_PREFIX.size]))
+    if size < off:
+        raise _truncated(data, off, "field modulus")
+    if data[13:off] != expected:
         raise ParameterError("modulus mismatch; file from an incompatible build")
-    off += len(expected)
-    (count,) = _unpack("<H", data, off, "record count")
+    if size < off + 2:
+        raise _truncated(data, off + 2, "record count")
+    (count,) = _U16.unpack_from(data, off)
     off += 2
     field = ext_field(fp, fm)
     record = alpha * field.symbol_bytes
     end = off + count * (2 + record)
-    if end > len(data):
-        raise ParameterError(
-            f"node file truncated: {len(data)} bytes, {count} records need {end}")
-    if end < len(data):
+    if end > size:
+        raise ParameterError(f"node file truncated: {size} bytes, {count} records need {end}")
+    if end < size:
         raise ParameterError("trailing bytes in node file")
-    decode = field.symbols_from_bytes
+    decode, node_id_at, n = field.symbols_from_bytes, _U16.unpack_from, params.n
     contents = []
     seen: set[int] = set()
     for _ in range(count):
-        (node_id,) = struct.unpack_from("<H", data, off)
+        (node_id,) = node_id_at(data, off)
         off += 2
-        if not 1 <= node_id <= n:
-            raise ParameterError(f"record node id {node_id} outside [1, {n}]")
-        if node_id in seen:
-            raise ParameterError(f"node id {node_id} appears twice in one file")
-        seen.add(node_id)
+        _check_node_id(node_id, n, seen)
         contents.append(NodeContent(node_id, tuple(decode(data[off:off + record])), layout))
         off += record
     return params, contents

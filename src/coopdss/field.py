@@ -35,7 +35,10 @@ The modulus depends on (p, m) alone, so every encoded byte is reproducible
 across runs and platforms.  Serialisation goes through the base-field
 coordinates, so bytes do not depend on the slot layout.  Each field class
 has one codec pair, `symbols_to_bytes` / `symbols_from_bytes`, for a run of
-symbols; node files, the CLI and the trace writer all use it.
+symbols; node files, the CLI and the trace writer all use it.  Both refuse a
+coordinate outside [0, p); on GF(p^m) one word-parallel test covers the
+whole run (`ExtField._check_words`), and only the trace writer, whose
+symbols are field results, skips it.
 
 Rank and solving use fraction-free Gaussian elimination with first-nonzero
 pivoting: no divisions during elimination, no tolerances, deterministic.
@@ -144,6 +147,12 @@ def fits_word_slots(p: int, m: int) -> bool:
     the sum of m products (one Moore row) and of the 2 of an elimination
     entry, about m^2 p^3 < 2^64.  Cheap for any m: it builds nothing."""
     return 0xFFFFFFFFFFFFFFFF // _product_bound(p, m) >= max(m, 2)
+
+
+def word_bits(p: int, m: int) -> int:
+    """The digit word of GF(p^m), for (p, m) that `fits_word_slots` admits:
+    32 bits when one holds the sum of m products, else 64."""
+    return 32 if 0xFFFFFFFF // _product_bound(p, m) >= max(m, 2) else 64
 
 
 def _reduction_plan(p: int, db: int, m: int,
@@ -295,8 +304,12 @@ class PrimeField:
             raise ValueError("prime-field element has one coordinate")
         return coords[0] % self.p
 
-    def symbols_to_bytes(self, symbols: Sequence[int]) -> bytes:
-        """The symbols, coord_width little-endian bytes each."""
+    def symbols_to_bytes(self, symbols: Sequence[int], check: bool = True) -> bytes:
+        """The symbols, coord_width little-endian bytes each.  With `check`,
+        a symbol outside [0, p) raises ValueError, as `symbols_from_bytes`
+        would."""
+        if check:
+            _check_coords(symbols, self.p)
         w = self.coord_width
         return b"".join([a.to_bytes(w, "little") for a in symbols])
 
@@ -339,6 +352,7 @@ class ExtField:
         "base", "p", "m", "modulus", "order", "char", "degree", "zero", "one",
         "coord_width", "_db", "_mask", "_low_mask", "_all_p", "_binomial_c",
         "_dot_chunk", "_words", "_folds", "_quotient", "_step_plans", "_frobenius_table",
+        "_range",
     )
 
     def __init__(self, base: PrimeField, m: int):
@@ -348,12 +362,10 @@ class ExtField:
         # refused before p^m is built: this caps the extension degree
         if not fits_word_slots(p, m):
             raise ValueError(f"GF({p}^{m}) is too large for 64-bit digit slots")
-        bound = _product_bound(p, m)
-        # 32-bit words when m products fit them, else 64-bit
-        self._db = db = 32 if 0xFFFFFFFF // bound >= max(m, 2) else 64
+        self._db = db = word_bits(p, m)
         self._mask = mask = (1 << db) - 1
         # terms a sum may hold before it must be reduced (see dot)
-        self._dot_chunk = mask // bound
+        self._dot_chunk = mask // _product_bound(p, m)
 
         self.base = base
         self.p = p
@@ -371,6 +383,7 @@ class ExtField:
         self._folds, self._quotient = _reduction_plan(p, db, m)
         self._step_plans = {}  # row length -> reduction plan (see run_steps)
         self._frobenius_table = None  # built on first use (see frobenius)
+        self._range = (0, 0, 0)  # range-check constants, built on use (see _check_words)
         self.zero = 0
         self.one = 1
         self.coord_width = base.coord_width
@@ -546,16 +559,31 @@ class ExtField:
     # A symbol is its m coordinates, coord_width little-endian bytes each: the
     # low coord_width bytes of each word of the packed element.  A run of
     # symbols converts in one pass: byte i of every coordinate moves to byte i
-    # of its word with one slice assignment, for any coord_width.
+    # of its word with one slice assignment, for any coord_width.  Both
+    # directions range-check the run's words at once (`_check_words`).
 
     @property
     def symbol_bytes(self) -> int:
         return self.m * self.coord_width
 
-    def symbols_to_bytes(self, symbols: Sequence[int]) -> bytes:
-        """The symbols, m coordinates of coord_width bytes each."""
+    def symbols_to_bytes(self, symbols: Sequence[int], check: bool = True) -> bytes:
+        """The symbols, m coordinates of coord_width bytes each.  A symbol
+        that `symbols_from_bytes` could not return raises ValueError: one
+        with a digit past the m-th word or a negative one, and, with
+        `check`, one with a digit at or past p (named as
+        `symbols_from_bytes` names it).  Without `check` such a digit is
+        written as its low coord_width bytes: only for symbols that field
+        arithmetic returned, which are reduced."""
         w, wb, size = self.coord_width, self._db // 8, self._words.size
-        words = b"".join([a.to_bytes(size, "little") for a in symbols])
+        try:
+            words = b"".join([a.to_bytes(size, "little") for a in symbols])
+        except OverflowError:
+            bits = self._db * self.m
+            i = next(i for i, a in enumerate(symbols) if a >> bits)  # -1 if negative
+            raise ValueError(f"symbol {i} lies outside the {self.m} coordinate words "
+                             f"of GF({self.p}^{self.m})") from None
+        if check:
+            self._check_words(words)
         out = bytearray(len(words) // wb * w)
         for i in range(w):
             out[i::w] = words[i::wb]
@@ -567,20 +595,63 @@ class ExtField:
         w, wb = self.coord_width, self._db // 8
         if len(bs) % (self.m * w):
             raise ValueError("wrong symbol width")
-        ncoords = len(bs) // w
-        words = bytearray(ncoords * wb)
+        words = bytearray(len(bs) // w * wb)
         for i in range(w):
             words[i::wb] = bs[i::w]
-        _check_coords(struct.unpack(f"<{ncoords}{'I' if wb == 4 else 'Q'}", words), self.p)
+        self._check_words(words)
         view = memoryview(words)
         size = self._words.size
         return [int.from_bytes(view[j:j + size], "little") for j in range(0, len(words), size)]
 
+    def _check_words(self, words: bytes) -> None:
+        """Raise on the first digit of `words` (little-endian db-bit words)
+        outside [0, p), as `_check_coords` names it, after one test of
+        every word at once.
+
+        Add a = 2^(db-1) - p to every word: a digit below 2^(db-1) sets the
+        word's top bit exactly when it is >= p, and carries out of no word;
+        a digit at or above 2^(db-1) has that bit set already.  So
+        (v | v + a) & top, top = 2^(db-1) in every word, is zero exactly
+        when every digit is in range.  A serialised coordinate is below
+        2^(8 coord_width) <= 2^(db-1) (p < 2^11 in 32-bit words, p < 2^21
+        in 64-bit ones).  Words past the run's end are zero and stay clear,
+        so constants sized for more words serve a shorter run, and a run
+        longer than the constants is tested a slice of that many words at a
+        time.  The field keeps one pair, grown to the longest run met up to
+        _RANGE_BYTES each."""
+        kept, addend, top = self._range
+        if len(words) > kept and kept < _RANGE_BYTES:
+            kept, addend, top = self._range = self._range_constants(min(len(words), _RANGE_BYTES))
+        if len(words) <= kept:
+            v = int.from_bytes(words, "little")
+            bad = (v | (v + addend)) & top
+        else:
+            view = memoryview(words)
+            bad = any((v | (v + addend)) & top
+                      for v in (int.from_bytes(view[i:i + kept], "little")
+                                for i in range(0, len(words), kept)))
+        if bad:
+            wb = self._db // 8
+            _check_coords(struct.unpack(f"<{len(words) // wb}{'I' if wb == 4 else 'Q'}", words),
+                          self.p)
+
+    def _range_constants(self, nbytes: int) -> tuple[int, int, int]:
+        """(nbytes, a, top) of `_check_words` over nbytes // (db/8) words, in
+        closed form from the repunit of that many words."""
+        wb = self._db // 8
+        ones = int.from_bytes((1).to_bytes(wb, "little") * (nbytes // wb), "little")
+        top = ones << (self._db - 1)
+        return nbytes, top - ones * self.p, top
+
+
+# the largest range-check constant an ExtField keeps (see _check_words)
+_RANGE_BYTES = 4096
+
 
 def _check_coords(coords: Sequence[int], p: int) -> None:
     """Raise on the first coordinate outside [0, p)."""
-    if coords and max(coords) >= p:
-        bad = next(c for c in coords if c >= p)
+    if coords and (max(coords) >= p or min(coords) < 0):
+        bad = next(c for c in coords if not 0 <= c < p)
         raise ValueError(f"coordinate {bad} out of range for GF({p})")
 
 

@@ -23,6 +23,7 @@ from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.precode import random_symbols
 from coopdss.secrecy import rank_leakage
 
+from nodeio_oracles import write_nodes_per_coordinate
 from scheme_utils import symbol_from_bytes
 
 
@@ -94,14 +95,16 @@ def test_reconstruct_short_node_file_exit2(tmp_path, size):
 
 
 def _reconstruct_with_first_record(tmp_path, scheme_name, rewrite):
-    """CLI reconstruct of node 1's file, rewritten by `rewrite`, plus node 2's."""
+    """CLI reconstruct of node 1's file, rewritten by `rewrite`, plus node 2's.
+    The files are written by the unchecking reference writer, since
+    `write_nodes` refuses the records these tests rewrite."""
     scheme = make_scheme(SchemeParams(n=4, k=2, d=2, t=2, l1=1, scheme=scheme_name))
     u, r = scheme.random_inputs(4)
     contents = scheme.encode(u, r)
     paths = []
     for i, records in enumerate((rewrite(contents[0]), [contents[1]]), start=1):
         path = tmp_path / f"node_{i:02d}.bin"
-        path.write_bytes(nodeio.write_nodes(scheme, records))
+        path.write_bytes(write_nodes_per_coordinate(scheme, records))
         paths.append(str(path))
     return run_cli(["reconstruct", "--nodes", *paths])
 

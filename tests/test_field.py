@@ -1127,3 +1127,77 @@ def test_run_steps_equals_dot(p, m, lengths):
     got = list(vals)
     f.run_steps(steps, got)
     assert got == expect
+
+
+# ---------------------------------------------------------
+# the word-parallel range check of a run of symbols
+# ---------------------------------------------------------
+
+# every extension field of the tables above
+RANGE_FIELDS = sorted({(p, m) for p, m in CHUNKED_FIELDS + SMALL_FIELDS + INV_FIELDS
+                       + WIDE_FIELDS + SMALL_EXT_FIELDS + MOORE_TABLE_FIELDS + NORMALIZE_FIELDS
+                       if m > 1})
+
+
+def test_range_fields_cover_both_words_and_every_coordinate_width():
+    fields = [F.ext_field(p, m) for p, m in RANGE_FIELDS]
+    assert {(f._db, f.coord_width) for f in fields} >= {(32, 1), (32, 2), (64, 2), (64, 3)}
+
+
+def test_serialised_coordinates_leave_each_word_top_bit_clear():
+    # the word-parallel test needs 8 coord_width <= db - 1 for every field
+    # the word slots admit: p < 2^11 on 32-bit words, p < 2^21 on 64-bit ones
+    ps = set(range(2, 600)) | {2 ** j + e for j in range(4, 23) for e in (-1, 0, 1)}
+    ms = set(range(2, 130)) | {2 ** j + e for j in range(7, 17) for e in (-1, 0, 1)}
+    admitted = 0
+    for p in ps:
+        for m in ms:
+            if F.fits_word_slots(p, m):
+                assert 8 * F.coordinate_bytes(p) <= F.word_bits(p, m) - 1, (p, m)
+                admitted += 1
+    assert admitted > 10000
+
+
+@pytest.mark.parametrize("p,m", RANGE_FIELDS)
+def test_word_parallel_range_check(p, m):
+    f = F.ext_field(p, m)
+    w = f.coord_width
+    # 3 symbols, and a run past the kept constants (tested a slice at a time)
+    long_run = 2 * F._RANGE_BYTES // (m * f._db // 8) + 3
+    for count in (3, long_run):
+        coords = [p - 1] * (count * m)  # the largest coordinate passes
+        raw = b"".join(c.to_bytes(w, "little") for c in coords)
+        top = f.from_coords([p - 1] * m)
+        assert f.symbols_from_bytes(raw) == [top] * count
+        assert f.symbols_to_bytes([top] * count) == raw
+        for bad in (p, 256 ** w - 1):
+            for pos in (0, len(coords) // 2, len(coords) - 1):  # first, middle, last word
+                bad_coords = coords[:pos] + [bad] + coords[pos + 1:]
+                message = rf"^coordinate {bad} out of range for GF\({p}\)$"
+                bad_raw = b"".join(c.to_bytes(w, "little") for c in bad_coords)
+                with pytest.raises(ValueError, match=message):
+                    f.symbols_from_bytes(bad_raw)
+                symbols = [f._pack(bad_coords[i:i + m]) for i in range(0, len(bad_coords), m)]
+                with pytest.raises(ValueError, match=message):
+                    f.symbols_to_bytes(symbols)
+    assert f._range[0] <= F._RANGE_BYTES
+
+
+def test_range_constants_stay_bounded_for_any_run_length():
+    import tracemalloc
+
+    f = F.ExtField(F.prime_field(7), 9)  # a fresh field: nothing kept yet
+    counts = list(range(1, 200)) + list(range(200, 5000, 97)) + [5000]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for count in counts:
+            raw = bytes(count * f.symbol_bytes)
+            assert len(f.symbols_from_bytes(raw)) == count
+        del raw
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert f._range[0] <= F._RANGE_BYTES
+    # the two kept constants, each at most _RANGE_BYTES, and a little slack
+    assert grown <= 2 * F._RANGE_BYTES + 2048, grown

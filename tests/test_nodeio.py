@@ -2,7 +2,10 @@
 
 `read_nodes_oracle` builds the scheme from the header with `make_scheme`,
 takes the field, alpha and layout from it, and decodes every symbol on its
-own, coordinate by coordinate.
+own, coordinate by coordinate.  The reader's cached header checks are held
+to the uncached reader (`nodeio_oracles.read_nodes_uncached`) on malformed
+files, and the writer to the per-coordinate writer
+(`nodeio_oracles.write_nodes_per_coordinate`).
 """
 
 import struct
@@ -18,6 +21,8 @@ from coopdss import field as F
 from coopdss.cli import main
 from coopdss.codes import SCHEME_CLASSES, SCHEME_TAGS, make_scheme, nodeio
 from coopdss.codes.base import NodeContent, ParameterError, SchemeParams
+from nodeio_oracles import read_nodes_uncached, write_nodes_per_coordinate
+from scheme_utils import elem_from_int
 
 # one instance per scheme; mbcr-bivariate with n > d + t
 INSTANCES = {
@@ -217,3 +222,201 @@ def test_cli_builds_one_scheme_per_command(name, builds, tmp_path):
     for i in failed:
         assert (tmp_path / "repaired" / f"node_{i:02d}.bin").read_bytes() \
             == Path(paths[i - 1]).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the cached header checks against the uncached reader
+# ---------------------------------------------------------------------------
+
+def _outcome(read, data):
+    """read(data), or the type and message of the exception it raised."""
+    try:
+        return read(data)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _malformed_corpus():
+    """Every proper prefix of a valid file, every single-byte change in the
+    first 21 bytes and in the field descriptor of each scheme's one-record
+    file (with that file), and the forged headers (with None)."""
+    for blob in VALID:
+        for cut in range(len(blob)):
+            yield blob[:cut], blob
+    for name in sorted(INSTANCES):
+        scheme, nodes = _nodes(name)
+        blob = nodeio.write_nodes(scheme, nodes[:1])
+        descriptor_end = 13 + len(nodeio._field_descriptor(scheme.field.p, scheme.field.degree))
+        for pos in range(descriptor_end):
+            for value in range(256):
+                if value != blob[pos]:
+                    yield blob[:pos] + bytes([value]) + blob[pos + 1:], blob
+    for forged in FORGED.values():
+        yield _forged_blob(*forged), None
+
+
+def test_cached_header_reads_as_the_uncached_reader_on_malformed_files():
+    checked = 0
+    for data, valid in _malformed_corpus():
+        want = _outcome(read_nodes_uncached, data)
+        nodeio._header.cache_clear()
+        assert _outcome(nodeio.read_nodes, data) == want, data[:40].hex()
+        if valid is not None:
+            nodeio.read_nodes(valid)  # its header is cached, unlike a refused one
+        assert _outcome(nodeio.read_nodes, data) == want, data[:40].hex()
+        checked += 1
+    assert checked > 30000
+
+
+@pytest.mark.parametrize("forged", sorted(FORGED))
+def test_forged_header_raises_on_every_read(forged):
+    blob = _forged_blob(*FORGED[forged])
+    nodeio._header.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="does not match|too large"):
+            nodeio.read_nodes(blob)
+    assert nodeio._header.cache_info().currsize == 0
+
+
+def _valid_headers(count):
+    """`count` distinct header prefixes that pass the header checks, from
+    mscr-dk formats (modulus count 0)."""
+    cls = SCHEME_CLASSES["mscr-dk"]
+    out = []
+    for n in range(4, 40):
+        for k in range(1, n):
+            for t in range(1, n - k + 1):
+                for l1 in range(k):
+                    params = SchemeParams(n=n, k=k, d=k, t=t, l1=l1, scheme="mscr-dk")
+                    try:
+                        p, m, _, _ = cls.node_format(params)
+                    except ParameterError:
+                        continue
+                    out.append(struct.pack("<B6HIHH", SCHEME_TAGS["mscr-dk"], n, k, k, t,
+                                           l1, 0, p, m, 0))
+                    if len(out) == count:
+                        return out
+    raise AssertionError("too few headers")
+
+
+def test_header_cache_stays_within_its_maxsize():
+    nodeio._header.cache_clear()
+    for prefix in _valid_headers(1000):
+        with pytest.raises(ParameterError, match="modulus mismatch|truncated"):
+            nodeio.read_nodes(prefix)
+    info = nodeio._header.cache_info()
+    assert info.misses == 1000 and info.currsize <= info.maxsize
+
+
+# ---------------------------------------------------------------------------
+# the writer writes only what the reader reads back
+# ---------------------------------------------------------------------------
+
+SCHEMES = {name: make_scheme(params) for name, params in INSTANCES.items()}
+
+
+@st.composite
+def _contents(draw):
+    """A scheme and valid records for it: distinct node ids in any order,
+    symbols drawn from the whole field."""
+    name = draw(st.sampled_from(sorted(SCHEMES)))
+    scheme = SCHEMES[name]
+    f = scheme.field
+    ids = draw(st.lists(st.integers(1, scheme.params.n), unique=True,
+                        max_size=scheme.params.n))
+    symbol = st.integers(0, f.order - 1).map(lambda i: elem_from_int(f, i))
+    records = [NodeContent(i, tuple(draw(st.lists(symbol, min_size=scheme.alpha,
+                                                   max_size=scheme.alpha))),
+                           scheme.layout) for i in ids]
+    return scheme, records
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_contents())
+def test_write_nodes_round_trips_with_the_reference_bytes(case):
+    scheme, records = case
+    blob = nodeio.write_nodes(scheme, records)
+    assert blob == write_nodes_per_coordinate(scheme, records)
+    assert nodeio.read_nodes(blob) == (scheme.params, records)
+
+
+def _with_symbol(record, index, value):
+    symbols = list(record.symbols)
+    symbols[index] = value
+    return NodeContent(record.node_id, tuple(symbols), record.layout)
+
+
+def _with_digit(field, a, index, digit):
+    """a with its digit `index` replaced (any value below 2^db)."""
+    if field.degree == 1:
+        return digit
+    db = field._db
+    return a & ~(((1 << db) - 1) << (db * index)) | digit << (db * index)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_contents(), data=st.data())
+def test_write_nodes_refuses_what_the_reader_refuses(case, data):
+    scheme, records = case
+    f, n = scheme.field, scheme.params.n
+    if not records:
+        records = [NodeContent(1, (f.zero,) * scheme.alpha, scheme.layout)]
+    r = data.draw(st.integers(0, len(records) - 1))
+    s = data.draw(st.integers(0, scheme.alpha - 1))
+    kind = data.draw(st.sampled_from(["id-range", "id-repeat", "coordinate"]))
+    if kind == "id-range":
+        bad_id = data.draw(st.sampled_from([0, n + 1, 0xFFFF]))
+        records[r] = NodeContent(bad_id, records[r].symbols, records[r].layout)
+    elif kind == "id-repeat":
+        records.insert(r + 1, records[data.draw(st.integers(0, r))])
+    else:
+        digit = data.draw(st.integers(f.char, 256 ** f.coord_width - 1))
+        index = data.draw(st.integers(0, f.degree - 1))
+        records[r] = _with_symbol(records[r], s, _with_digit(f, records[r].symbols[s], index, digit))
+    want = _outcome(nodeio.read_nodes, write_nodes_per_coordinate(scheme, records))
+    assert isinstance(want, tuple) and issubclass(want[0], ValueError), want
+    assert _outcome(lambda _: nodeio.write_nodes(scheme, records), None) == want
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_write_nodes_refuses_symbols_it_cannot_write(name):
+    """Digits past a coordinate's bytes, symbols past the m-th word and
+    negative symbols raise ValueError instead of being written wrong or
+    raising OverflowError."""
+    scheme, nodes = _nodes(name)
+    f = scheme.field
+    record = nodes[0]
+    last = scheme.alpha - 1  # the record's last symbol is replaced
+    wide = 256 ** f.coord_width  # the first digit its bytes cannot hold
+    if f.degree == 1:
+        cases = {wide: f"coordinate {wide} out of range for GF({f.p})",
+                 -1: f"coordinate -1 out of range for GF({f.p})"}
+    else:
+        past = f"symbol {last} lies outside the {f.m} coordinate words of GF({f.p}^{f.m})"
+        cases = {_with_digit(f, record.symbols[last], f.m - 1, wide):
+                 f"coordinate {wide} out of range for GF({f.p})",
+                 _with_digit(f, record.symbols[last], 0, (1 << f._db) - 1):
+                 f"coordinate {(1 << f._db) - 1} out of range for GF({f.p})",
+                 record.symbols[last] | 1 << (f._db * f.m): past,
+                 -1: past}
+    for value, message in cases.items():
+        with pytest.raises(ValueError) as info:
+            nodeio.write_nodes(scheme, [_with_symbol(record, last, value)])
+        assert str(info.value) == message
+
+
+def test_gf7_9_digit_257_is_refused_not_written_as_1():
+    scheme, nodes = _nodes("mscr-dk")
+    f = scheme.field
+    bad = _with_symbol(nodes[0], 0, _with_digit(f, nodes[0].symbols[0], 0, 257))
+    with pytest.raises(ValueError, match=r"^coordinate 257 out of range for GF\(7\)$"):
+        nodeio.write_nodes(scheme, [bad])
+
+
+def test_write_nodes_refuses_parameters_past_the_header_fields():
+    # mbcr-bivariate builds at n = 70000 (GF(70001)); its n has no 2-byte field
+    scheme = make_scheme(SchemeParams(n=70000, k=2, d=3, t=3, scheme="mbcr-bivariate"))
+    record = NodeContent(1, (0,) * scheme.alpha, scheme.layout)
+    with pytest.raises(ParameterError, match="n=70000, k=2, d=3, t=3, l1=0, l2=0: "
+                                             "a node file holds each in 2 bytes"):
+        nodeio.write_nodes(scheme, [record])
