@@ -37,8 +37,7 @@ coordinates, so bytes do not depend on the slot layout.  Each field class
 has one codec pair, `symbols_to_bytes` / `symbols_from_bytes`, for a run of
 symbols; node files, the CLI and the trace writer all use it.  Both refuse a
 coordinate outside [0, p); on GF(p^m) one word-parallel test covers the
-whole run (`ExtField._check_words`), and only the trace writer, whose
-symbols are field results, skips it.
+whole run (`ExtField._check_words`).
 
 Rank and solving use fraction-free Gaussian elimination with first-nonzero
 pivoting: no divisions during elimination, no tolerances, deterministic.
@@ -304,14 +303,16 @@ class PrimeField:
             raise ValueError("prime-field element has one coordinate")
         return coords[0] % self.p
 
-    def symbols_to_bytes(self, symbols: Sequence[int], check: bool = True) -> bytes:
-        """The symbols, coord_width little-endian bytes each.  With `check`,
-        a symbol outside [0, p) raises ValueError, as `symbols_from_bytes`
-        would."""
-        if check:
-            _check_coords(symbols, self.p)
+    def symbols_to_bytes(self, symbols: Sequence[int]) -> bytes:
+        """The symbols, coord_width little-endian bytes each.  A symbol
+        outside [0, p) raises ValueError, as `symbols_from_bytes` would."""
+        _check_coords(symbols, self.p)
         w = self.coord_width
-        return b"".join([a.to_bytes(w, "little") for a in symbols])
+        try:
+            return b"".join([a.to_bytes(w, "little") for a in symbols])
+        except OverflowError:  # below p, so only a negative symbol overflows
+            bad = next(a for a in symbols if a < 0)
+            raise ValueError(f"coordinate {bad} out of range for GF({self.p})") from None
 
     def symbols_from_bytes(self, bs: bytes) -> list[int]:
         """Every symbol of `bs` (coord_width bytes each), with one range check."""
@@ -566,14 +567,11 @@ class ExtField:
     def symbol_bytes(self) -> int:
         return self.m * self.coord_width
 
-    def symbols_to_bytes(self, symbols: Sequence[int], check: bool = True) -> bytes:
+    def symbols_to_bytes(self, symbols: Sequence[int]) -> bytes:
         """The symbols, m coordinates of coord_width bytes each.  A symbol
         that `symbols_from_bytes` could not return raises ValueError: one
-        with a digit past the m-th word or a negative one, and, with
-        `check`, one with a digit at or past p (named as
-        `symbols_from_bytes` names it).  Without `check` such a digit is
-        written as its low coord_width bytes: only for symbols that field
-        arithmetic returned, which are reduced."""
+        with a digit past the m-th word, a negative one, or one with a digit
+        at or past p (named as `symbols_from_bytes` names it)."""
         w, wb, size = self.coord_width, self._db // 8, self._words.size
         try:
             words = b"".join([a.to_bytes(size, "little") for a in symbols])
@@ -582,8 +580,7 @@ class ExtField:
             i = next(i for i, a in enumerate(symbols) if a >> bits)  # -1 if negative
             raise ValueError(f"symbol {i} lies outside the {self.m} coordinate words "
                              f"of GF({self.p}^{self.m})") from None
-        if check:
-            self._check_words(words)
+        self._check_words(words)
         out = bytearray(len(words) // wb * w)
         for i in range(w):
             out[i::w] = words[i::wb]
@@ -650,8 +647,8 @@ _RANGE_BYTES = 4096
 
 def _check_coords(coords: Sequence[int], p: int) -> None:
     """Raise on the first coordinate outside [0, p)."""
-    if coords and (max(coords) >= p or min(coords) < 0):
-        bad = next(c for c in coords if not 0 <= c < p)
+    if coords and max(coords) >= p:
+        bad = next(c for c in coords if c >= p)
         raise ValueError(f"coordinate {bad} out of range for GF({p})")
 
 

@@ -270,9 +270,8 @@ def trace_to_text(trace: SimTrace) -> str:
                for kind, transfers in (("live", tr.live_transfers), ("coop", tr.coop_transfers))
                for (src, dst) in sorted(transfers)]
               for tr in trace.transcripts]
-    # every value is a result of the scheme's field arithmetic: no range check
     hexed = f.symbols_to_bytes([v for records in rounds for *_, vals in records
-                                for v in vals], check=False).hex(":", f.symbol_bytes)
+                                for v in vals]).hex(":", f.symbol_bytes)
     width = 2 * f.symbol_bytes + 1  # one symbol's hex and its ':'
     lines = [f"header,{p.scheme},{p.n},{p.k},{p.d},{p.t},{p.l1},{p.l2},"
              f"{trace.config.rounds},{trace.config.seed}"]
