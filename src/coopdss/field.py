@@ -23,7 +23,8 @@ reduction is due, so work is reduced once per result, not once per multiply
 - `mul` reduces once per product;
 - `dot` sums raw products and reduces once per dot product, or once per
   `_dot_chunk` terms;
-- each elimination entry, pv*a - c*b, is two raw products reduced once;
+- each elimination entry, a - v*b, is one reduced element plus one raw
+  product, reduced once;
 - each back-substitution entry is a `dot` over the solved tail.
 
 Inverses are closed forms too: a constant inverts in GF(p), and any other a
@@ -39,8 +40,13 @@ symbols; node files, the CLI and the trace writer all use it.  Both refuse a
 coordinate outside [0, p); on GF(p^m) one word-parallel test covers the
 whole run (`ExtField._check_words`).
 
-Rank and solving use fraction-free Gaussian elimination with first-nonzero
-pivoting: no divisions during elimination, no tolerances, deterministic.
+Rank and solving share one exact, deterministic elimination
+(`Matrix._echelon`): it builds the echelon form one row at a time, reducing
+each row against the basis rows found so far, each with a leading one, so a
+pivot costs one inverse and back-substitution divides by nothing.  Rank
+stops once every column leads a basis row.  The row operations are two
+per-field kernels (`_sub_scaled`, `_scale`): GF(p) reduces each entry with
+one `% p` and skips the zero entries of the basis row.
 The mbcr-exact, mscr-dk and mbcr-bivariate repair and reconstruct systems
 run no elimination: they are base-field Vandermonde and Cauchy matrices,
 whose inverses are closed forms (`vandermonde_inverse`, `cauchy_inverse`)
@@ -283,6 +289,23 @@ class PrimeField:
         for row, src in steps:
             append(sum(map(_int_mul, row, map(get, src))) % p)
 
+    def _sub_scaled(self, row: list[int], v: int, lead: Sequence[int], start: int) -> None:
+        """row[j] -= v * lead[j] for j >= start, in place: the row operation
+        of `Matrix._echelon`.  Zero entries of lead leave row[j] as it is."""
+        p = self.p
+        for j in range(start, len(row)):
+            b = lead[j]
+            if b:
+                row[j] = (row[j] - v * b) % p
+
+    def _scale(self, row: list[int], s: int, start: int) -> None:
+        """row[j] *= s for j >= start, in place."""
+        p = self.p
+        for j in range(start, len(row)):
+            a = row[j]
+            if a:
+                row[j] = a * s % p
+
     def _reduce(self, v: int) -> int:
         """A nonnegative sum of products back into [0, p)."""
         return v % self.p
@@ -505,6 +528,26 @@ class ExtField:
                 v = ((v >> h) & hi) * r + (v & lo)
             append(v - p * (((v * c) >> s) & q))
 
+    def _sub_scaled(self, row: list[int], v: int, lead: Sequence[int], start: int) -> None:
+        """row[j] -= v * lead[j] for j >= start, in place, every entry
+        reduced (see `PrimeField._sub_scaled`).  Each new entry is one
+        reduced element plus one product, row[j] + (-v) * lead[j]: within
+        the two products that `fits_word_slots` makes every word hold, so
+        one `_reduce` each."""
+        reduce, nv = self._reduce, self.neg(v)
+        for j in range(start, len(row)):
+            b = lead[j]
+            if b:
+                row[j] = reduce(row[j] + nv * b)
+
+    def _scale(self, row: list[int], s: int, start: int) -> None:
+        """row[j] *= s for j >= start, in place, one `_reduce` per entry."""
+        reduce = self._reduce
+        for j in range(start, len(row)):
+            a = row[j]
+            if a:
+                row[j] = reduce(a * s)
+
     def _step_plan(self, length: int) -> tuple:
         """The reduction plan of a `length`-term step, or () when its digit
         bound length (p-1)^2 does not fit a word."""
@@ -691,6 +734,8 @@ class Matrix:
             self.ncols = len(self.rows[0])
             if any(len(r) != self.ncols for r in self.rows):
                 raise ValueError("ragged rows")
+            if ncols is not None and ncols != self.ncols:
+                raise ValueError(f"rows have {self.ncols} columns, not ncols={ncols}")
         else:
             self.ncols = 0 if ncols is None else ncols
 
@@ -715,64 +760,74 @@ class Matrix:
     # -- elimination ----------------------------------------------------------
 
     def _echelon(self, aug: list[list[int]] | None = None):
-        """Fraction-free row echelon, in place on a copy.
+        """Row echelon form, built one row at a time.
 
-        Each entry below a pivot becomes pv*a - c*b, two raw products and one
-        field reduction.  Returns (work_rows, aug_rows, pivot_columns).
+        Each row in turn is reduced against the basis rows found so far,
+        kept by leading column, each with a leading one: while a basis row
+        leads at the row's leading column c, subtract row[c] times it
+        (`_sub_scaled`, which leaves row[c] zero).  A row whose leading
+        column is new is scaled to a leading one (`_scale`, one `inv`; none
+        for a row that already leads with one, such as a unit row) and joins
+        the basis; a row that reduces to zero joins the dependent tail.
+        Without `aug`, the walk stops once every column leads a basis row,
+        and the rows after that are not visited.  With `aug`, aug row i rides
+        at the end of row i, so one row operation covers both, and every
+        row is visited.
+
+        The leading columns of an echelon basis are an invariant of the row
+        space, so the pivots are those of any row echelon form.  Returns
+        (rows, aug_rows, pivot_columns): the basis rows in pivot order, then
+        the dependent rows; aug_rows is None without `aug`.  A row is copied
+        before its first change, so a row that joins unchanged is the
+        matrix's own list: callers only read the result.
         """
         f = self.field
-        reduce = f._reduce
-        a = [r[:] for r in self.rows]
-        b = [r[:] for r in aug] if aug is not None else None
-        nr, nc = self.nrows, self.ncols
-        pivots: list[int] = []
-        r = 0
-        for c in range(nc):
-            piv = None
-            for i in range(r, nr):
-                if a[i][c] != f.zero:
-                    piv = i
+        sub_scaled, scale, one = f._sub_scaled, f._scale, f.one
+        nc = self.ncols
+        rows = self.rows if aug is None else [r + x for r, x in zip(self.rows, aug)]
+        basis: dict[int, list[int]] = {}
+        dependent = []
+        for src in rows:
+            row, c = src, 0
+            while c < nc:
+                v = row[c]
+                if not v:
+                    c += 1
+                    continue
+                lead = basis.get(c)
+                if lead is None:
                     break
-            if piv is None:
+                if row is src:
+                    row = src[:]
+                sub_scaled(row, v, lead, c)
+                c += 1
+            if c == nc:
+                dependent.append(row)
                 continue
-            a[r], a[piv] = a[piv], a[r]
-            if b is not None:
-                b[r], b[piv] = b[piv], b[r]
-            prow = a[r]
-            pv = prow[c]
-            for i in range(r + 1, nr):
-                aic = a[i][c]
-                if aic == f.zero:
-                    continue  # row op would be a pure scaling; equivalence preserved
-                row = a[i]
-                naic = f.neg(aic)
-                for j in range(c + 1, nc):
-                    row[j] = reduce(pv * row[j] + naic * prow[j])
-                row[c] = f.zero
-                if b is not None:
-                    brow, pbrow = b[i], b[r]
-                    for j in range(len(brow)):
-                        brow[j] = reduce(pv * brow[j] + naic * pbrow[j])
-            pivots.append(c)
-            r += 1
-            if r == nr:
+            if row[c] != one:
+                if row is src:
+                    row = src[:]
+                scale(row, f.inv(row[c]), c)
+            basis[c] = row
+            if aug is None and len(basis) == nc:
                 break
-        return a, b, pivots
+        pivots = sorted(basis)
+        echelon = [basis[c] for c in pivots] + dependent
+        if aug is None:
+            return echelon, None, pivots
+        return [r[:nc] for r in echelon], [r[nc:] for r in echelon], pivots
 
     def _back_substitute(self, a: list[list[int]], pivots: list[int],
-                         inv_pivots: list[int], rhs: Sequence[int], x: list[int]) -> list[int]:
-        """Solve the echelon rows for the pivot entries of x, in place:
-        x[c] = (rhs[i] - row[c+1:] . x[c+1:]) / row[c] for pivot row i, last
-        row first.  The other entries of x stay as given."""
+                         rhs: Sequence[int], x: list[int]) -> list[int]:
+        """Solve the echelon rows for the pivot entries of x, in place, last
+        pivot first.  Every pivot is one, so x[c] = rhs[i] - row[c+1:] .
+        x[c+1:] for the basis row i that leads at c.  The other entries of x
+        stay as given."""
         f = self.field
         for i in range(len(pivots) - 1, -1, -1):
             c = pivots[i]
-            row = a[i]
-            x[c] = f.mul(f.sub(rhs[i], f.dot(row[c + 1:], x[c + 1:])), inv_pivots[i])
+            x[c] = f.sub(rhs[i], f.dot(a[i][c + 1:], x[c + 1:]))
         return x
-
-    def _pivot_inverses(self, a: list[list[int]], pivots: list[int]) -> list[int]:
-        return [self.field.inv(a[i][c]) for i, c in enumerate(pivots)]
 
     def rank(self) -> int:
         return len(self._echelon()[2])
@@ -798,14 +853,12 @@ class Matrix:
                 raise NoSolutionError("inconsistent linear system")
         if rank < self.ncols:
             raise UnderdeterminedError(f"rank {rank} < {self.ncols} unknowns")
-        return self._back_substitute(a, pivots, self._pivot_inverses(a, pivots),
-                                     [row[0] for row in b], [f.zero] * self.ncols)
+        return self._back_substitute(a, pivots, [row[0] for row in b], [f.zero] * self.ncols)
 
     def nullspace(self) -> list[list[int]]:
         """Deterministic right-nullspace basis (one vector per free column)."""
         f = self.field
         a, _, pivots = self._echelon()
-        inv_pivots = self._pivot_inverses(a, pivots)
         zeros = [f.zero] * len(pivots)
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
@@ -813,7 +866,7 @@ class Matrix:
         for fc in free:
             x = [f.zero] * self.ncols
             x[fc] = f.one
-            basis.append(self._back_substitute(a, pivots, inv_pivots, zeros, x))
+            basis.append(self._back_substitute(a, pivots, zeros, x))
         return basis
 
     def inverse(self) -> "Matrix":
@@ -824,9 +877,7 @@ class Matrix:
         a, b, pivots = self._echelon(aug=Matrix.identity(f, n).rows)
         if len(pivots) != n:
             raise UnderdeterminedError("matrix is singular")
-        inv_pivots = self._pivot_inverses(a, pivots)
-        cols = [self._back_substitute(a, pivots, inv_pivots, [row[col] for row in b],
-                                      [f.zero] * n)
+        cols = [self._back_substitute(a, pivots, [row[col] for row in b], [f.zero] * n)
                 for col in range(n)]
         return Matrix(f, [list(r) for r in zip(*cols)], ncols=n)
 

@@ -560,8 +560,9 @@ def test_closed_form_inverses_reject_repeated_points():
 # ---------------------------------------------------------
 
 def echelon_per_op(f, rows, aug=None):
-    """Fraction-free echelon with f.mul/f.sub per entry: the reference for
-    Matrix._echelon, which reduces each entry once."""
+    """Fraction-free echelon, column by column with f.mul/f.sub per entry:
+    an independent reference for the pivots of Matrix._echelon, which
+    builds its echelon form row by row with leading ones."""
     a = [r[:] for r in rows]
     b = [r[:] for r in aug] if aug is not None else None
     nc = len(rows[0]) if rows else 0
@@ -666,10 +667,7 @@ def ext_matrices(draw, square=False):
     return f, rows, rhs
 
 
-@KERNEL_SETTINGS
-@given(ext_matrices())
-def test_solve_and_rank_profile_match_per_op_reference(case):
-    f, rows, rhs = case
+def check_solve_and_rank_profile(f, rows, rhs):
     mat = F.Matrix(f, rows)
     _, _, ref_pivots = echelon_per_op(f, rows)
     assert mat.rank_profile() == (len(ref_pivots), ref_pivots)
@@ -679,10 +677,7 @@ def test_solve_and_rank_profile_match_per_op_reference(case):
         assert mat.matvec(got) == rhs
 
 
-@KERNEL_SETTINGS
-@given(ext_matrices())
-def test_nullspace_matches_per_op_reference(case):
-    f, rows, _ = case
+def check_nullspace(f, rows):
     mat = F.Matrix(f, rows)
     basis = mat.nullspace()
     assert basis == nullspace_per_op(f, rows, mat.ncols)
@@ -691,10 +686,7 @@ def test_nullspace_matches_per_op_reference(case):
         assert mat.matvec(vec) == [f.zero] * mat.nrows
 
 
-@KERNEL_SETTINGS
-@given(ext_matrices(square=True))
-def test_inverse_matches_per_op_reference(case):
-    f, rows, _ = case
+def check_inverse(f, rows):
     mat = F.Matrix(f, rows)
     got = outcome(mat.inverse)
     ref = outcome(inverse_per_op, f, rows)
@@ -704,6 +696,106 @@ def test_inverse_matches_per_op_reference(case):
         assert [mat.matvec(col) for col in zip(*got.rows)] == identity
     else:
         assert got is ref is F.UnderdeterminedError
+
+
+@KERNEL_SETTINGS
+@given(ext_matrices())
+def test_solve_and_rank_profile_match_per_op_reference(case):
+    check_solve_and_rank_profile(*case)
+
+
+@KERNEL_SETTINGS
+@given(ext_matrices())
+def test_nullspace_matches_per_op_reference(case):
+    f, rows, _ = case
+    check_nullspace(f, rows)
+
+
+@KERNEL_SETTINGS
+@given(ext_matrices(square=True))
+def test_inverse_matches_per_op_reference(case):
+    f, rows, _ = case
+    check_inverse(f, rows)
+
+
+# every elimination the program runs is over GF(p): the smallest prime, two
+# that the benchmark's views use (11, 31) and a 17-bit prime
+ELIMINATION_PRIMES = [2, 11, 31, 65537]
+
+
+@st.composite
+def prime_matrices(draw, square=False):
+    """GF(p) matrices shaped like the views the program eliminates: sparse,
+    up to about twice as tall as wide, with zero rows, unit rows (leading
+    one or not) and repeats of earlier rows."""
+    f = F.prime_field(draw(st.sampled_from(ELIMINATION_PRIMES)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    ncols = draw(st.integers(1, 6))
+    nrows = ncols if square else draw(st.integers(1, 2 * ncols + 2))
+    zero_share = draw(st.sampled_from([0.0, 0.5, 0.85]))
+
+    def row():
+        kind = rng.random()
+        if kind < 0.15:
+            return [0] * ncols
+        if kind < 0.4:
+            unit = [0] * ncols
+            unit[rng.randrange(ncols)] = 1 if rng.random() < 0.5 else rng.randrange(1, f.p)
+            return unit
+        return [0 if rng.random() < zero_share else rng.randrange(f.p) for _ in range(ncols)]
+
+    rows = []
+    for _ in range(nrows):
+        rows.append(rows[rng.randrange(len(rows))][:] if rows and rng.random() < 0.2 else row())
+    rhs = [rng.randrange(f.p) for _ in range(nrows)]
+    if draw(st.booleans()):
+        rhs = F.Matrix(f, rows).matvec([rng.randrange(f.p) for _ in range(ncols)])  # consistent
+    return f, rows, rhs
+
+
+@KERNEL_SETTINGS
+@given(prime_matrices())
+def test_prime_elimination_matches_per_op_reference(case):
+    f, rows, rhs = case
+    check_solve_and_rank_profile(f, rows, rhs)
+    check_nullspace(f, rows)
+
+
+@KERNEL_SETTINGS
+@given(prime_matrices(square=True))
+def test_prime_inverse_matches_per_op_reference(case):
+    f, rows, _ = case
+    check_inverse(f, rows)
+
+
+def test_elimination_stops_at_full_column_rank_but_solve_sees_every_row(monkeypatch):
+    f = F.prime_field(11)
+    # the unit rows reach full column rank; the last row is then inconsistent
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [3, 4, 5], [1, 1, 1]]
+    rhs = [1, 2, 3, (3 + 8 + 15) % 11, 5]
+    ops = []
+    sub_scaled = F.PrimeField._sub_scaled
+
+    def counting(self, row, v, lead, start):
+        ops.append(start)
+        return sub_scaled(self, row, v, lead, start)
+
+    monkeypatch.setattr(F.PrimeField, "_sub_scaled", counting)
+    mat = F.Matrix(f, rows)
+    assert mat.rank_profile() == (3, [0, 1, 2])
+    assert ops == []  # the walk stopped after the three unit rows
+    assert outcome(mat.solve, rhs) is outcome(solve_per_op, f, rows, 3, rhs) is F.NoSolutionError
+    assert len(ops) == 6  # rows 4 and 5 each reduced at all three columns
+    assert F.Matrix(f, rows[:4]).solve(rhs[:4]) == [1, 2, 3]
+    assert F.Matrix(f, rows).nullspace() == []
+
+
+def test_matrix_refuses_ncols_that_disagree_with_its_rows():
+    f = F.prime_field(11)
+    with pytest.raises(ValueError, match="ncols"):
+        F.Matrix(f, [[1, 2]], ncols=3)
+    assert F.Matrix(f, [[1, 2]], ncols=2).ncols == 2
+    assert F.Matrix(f, [], ncols=3).ncols == 3
 
 
 # p >= 256: two coordinate bytes (GF(257^2)), three on 64-bit words (GF(65537^8));
