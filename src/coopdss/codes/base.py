@@ -37,7 +37,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import accumulate
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..field import (
     Matrix,
@@ -133,22 +135,28 @@ class RepairPlan(NamedTuple):
     transfer, keyed (sender, newcomer), and `results` the slots of each
     newcomer's alpha symbols, keyed by newcomer.  A symbol sent or stored
     verbatim is a slot reference with no step.  Rows are the coefficient
-    caches' own tuples."""
+    caches' own tuples.  `gather` returns the live, coop and result slots'
+    values as one tuple, cut into records by the slices of the `*_cuts`."""
 
     inputs: tuple[tuple[int, int], ...]
     steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     live: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
     coop: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
     results: tuple[tuple[int, tuple[int, ...]], ...]
+    gather: Callable[[Sequence[int]], tuple[int, ...]]
+    live_cuts: tuple[tuple[tuple[int, int], slice], ...]
+    coop_cuts: tuple[tuple[tuple[int, int], slice], ...]
+    result_cuts: tuple[tuple[int, slice], ...]
 
 
 class PlanBuilder:
-    """Assembles a `RepairPlan`.  `symbol` and `step` return slots in the
-    order they are asked for; `plan` renumbers them so that the inputs come
-    first, as the executor gathers them, and drops every input that no step
-    or output reads."""
+    """Assembles a `RepairPlan` for a scheme of `alpha` symbols per node.
+    `symbol` and `step` return slots in the order they are asked for; `plan`
+    renumbers them so that the inputs come first, as the executor gathers
+    them, and drops every input that no step or output reads."""
 
-    def __init__(self):
+    def __init__(self, alpha: int):
+        self.alpha = alpha
         self._inputs: dict[tuple[int, int], int] = {}
         self._steps: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self._step_slots: list[int] = []
@@ -174,8 +182,11 @@ class PlanBuilder:
 
     def plan(self, results: Iterable[tuple[int, Sequence[int]]]) -> RepairPlan:
         """The plan with its transfers (`live`, `coop`) and `results`, in
-        the slot order the executor uses."""
+        the slot order the executor uses; ValueError unless each result has alpha slots."""
         results = [(i, tuple(v)) for i, v in results]
+        for i, v in results:
+            if len(v) != self.alpha:
+                raise ValueError(f"newcomer {i} gets {len(v)} result slots, alpha is {self.alpha}")
         outputs = [*self.live.values(), *self.coop.values(), *(v for _, v in results)]
         read = {j for src in [*outputs, *(src for _, src in self._steps)] for j in src}
         inputs = [key for key, slot in self._inputs.items() if slot in read]
@@ -186,20 +197,29 @@ class PlanBuilder:
         def slots(old):
             return tuple(new[j] for j in old)
 
+        live, coop, res = ([(key, slots(v)) for key, v in group]
+                           for group in (self.live.items(), self.coop.items(), results))
+        records = live + coop + res
+        out = [j for _, v in records for j in v]
+        ends = accumulate(len(v) for _, v in records)
+        cuts = [(key, slice(end - len(v), end)) for (key, v), end in zip(records, ends)]
+        n_live, n_coop = len(live), len(live) + len(coop)
         return RepairPlan(
             inputs=tuple(inputs),
             steps=tuple((row, slots(src)) for row, src in self._steps),
-            live=tuple((key, slots(v)) for key, v in self.live.items()),
-            coop=tuple((key, slots(v)) for key, v in self.coop.items()),
-            results=tuple((i, slots(v)) for i, v in results))
+            live=tuple(live), coop=tuple(coop), results=tuple(res),
+            # itemgetter of one slot returns the bare value, not a 1-tuple
+            gather=itemgetter(*out) if len(out) > 1 else lambda vals: tuple(vals[j] for j in out),
+            live_cuts=tuple(cuts[:n_live]), coop_cuts=tuple(cuts[n_live:n_coop]),
+            result_cuts=tuple(cuts[n_coop:]))
 
 
 class PlanCache:
-    """A bounded least-recently-used map from (params, failed, helpers) to
-    `RepairPlan`, shared by every scheme instance in the process: a plan
-    depends only on public parameters, so a lifetime, its replay and later
-    lifetimes of the same parameters reuse it.  `hits` and `misses` count
-    lookups."""
+    """A bounded least-recently-used map from a key of public parameters to
+    what they alone determine (a `RepairPlan`, observation rows), shared by
+    every scheme instance in the process, so a lifetime, its replay and
+    later lifetimes of the same parameters reuse it.  `hits` and `misses`
+    count lookups; a `build` that raises leaves nothing behind."""
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
@@ -209,8 +229,8 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    def get(self, key, build) -> RepairPlan:
-        """The plan under `key`, from `build()` on a miss."""
+    def get(self, key, build):
+        """The value under `key`, from `build()` on a miss."""
         plan = self._plans.get(key)
         if plan is not None:
             self.hits += 1
@@ -232,6 +252,21 @@ class PlanCache:
 # full cache of them; about 50 KB per plan at mbcr-bivariate (20,4,8,4),
 # 13 MB for 256 of those.
 REPAIR_PLANS = PlanCache(256)
+
+# Observation rows by (params, node) and (params, failed, helpers, newcomer):
+# at most 1024 entries of alpha rows and 512 of gamma rows of M ints, c rows
+# in about c (8M + 56) bytes (28 more per int >= 257): 0.4-2 KB at the lifetime
+# benchmark's sizes, 3 MB for both tables full; 11 KB at (20,4,8,4), 17 MB full.
+STORED_ROWS = PlanCache(1024)
+DOWNLOAD_ROWS = PlanCache(512)
+
+
+def _record(cls, **fields):
+    """A record built without `__init__` (`NodeContent`'s sums its layout), only
+    for records right by construction: a plan's (see `PlanBuilder.plan`), a node file's."""
+    rec = object.__new__(cls)
+    rec.__dict__.update(fields)
+    return rec
 
 
 class ObservationMatrix:
@@ -288,6 +323,11 @@ class Scheme:
         constructor's parameter checks, with the same errors."""
         raise NotImplementedError
 
+    @cached_property
+    def _key(self) -> str:
+        """The params as their repr, a str whose hash Python keeps: the head of every table key."""
+        return repr(self.params)
+
     @property
     def n_random(self) -> int:
         return self.file_size - self.secure_size
@@ -340,21 +380,21 @@ class Scheme:
         `REPAIR_PLANS`, keyed by (params, failed, helpers); the executor
         gathers its inputs from the survivors, runs its steps in the field
         (`run_steps`) and assembles the transfers and the newcomers'
-        contents by slot."""
+        contents from one `gather`, cut by the plan's slices (`_record`)."""
         failed = self._validate_failed(failed, survivors)
         helpers = self._pick_helpers(failed, survivors, helpers)
         self._check_helpers(helpers, survivors)
-        plan = REPAIR_PLANS.get((self.params, failed, helpers),
+        plan = REPAIR_PLANS.get((self._key, failed, helpers),
                                 lambda: self._repair_plan(failed, helpers))
         vals = [survivors[h].symbols[s] for h, s in plan.inputs]
         self.field.run_steps(plan.steps, vals)
-        get, layout = vals.__getitem__, self.layout
-        return RepairTranscript(
-            failed=failed, helpers=helpers,
-            live_transfers={key: tuple(map(get, slots)) for key, slots in plan.live},
-            coop_transfers={key: tuple(map(get, slots)) for key, slots in plan.coop},
-            results=tuple(NodeContent(i, tuple(map(get, slots)), layout)
-                          for i, slots in plan.results))
+        out, layout = plan.gather(vals), self.layout
+        return _record(
+            RepairTranscript, failed=failed, helpers=helpers,
+            live_transfers={key: out[cut] for key, cut in plan.live_cuts},
+            coop_transfers={key: out[cut] for key, cut in plan.coop_cuts},
+            results=tuple([_record(NodeContent, node_id=i, symbols=out[cut], layout=layout)
+                           for i, cut in plan.result_cuts]))
 
     def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
         """The `RepairPlan` of one round: (failed, helpers) validated, no
@@ -416,41 +456,36 @@ class Scheme:
 
     def _stored_rows(self, node: int) -> list:
         """One observation row per symbol stored at `node`, in segment order:
-        a sequence of `file_size` ints.  Read through `_node_rows`, which
-        builds them once per instance."""
+        a sequence of `file_size` ints.  Read through `_node_rows`."""
         raise NotImplementedError
 
-    @cached_property
-    def _stored_cache(self) -> dict[int, tuple]:
-        """node -> its `_stored_rows` as a tuple of tuples; see `_node_rows`."""
-        return {}
-
     def _node_rows(self, node: int) -> tuple:
-        """`_stored_rows(node)` as a tuple of tuples, built on first use and
-        kept in `_stored_cache` (see `_observation_rows`); `node` must be a
-        validated id in [1, n]."""
-        rows = self._stored_cache.get(node)
-        if rows is None:
-            rows = self._stored_cache[node] = tuple(map(tuple, self._stored_rows(node)))
-        return rows
+        """`_stored_rows(node)` as a tuple of tuples, kept in `STORED_ROWS`
+        (see `_observation_rows`); `node` must be a validated id in [1, n]."""
+        return STORED_ROWS.get((self._key, node),
+                               lambda: tuple(map(tuple, self._stored_rows(node))))
 
     def _download_rows(self, tr: RepairTranscript, newcomer: int) -> list:
         """One observation row per symbol `newcomer` downloaded in `tr`, in
         transfer order: beta per helper of `tr.helpers`, then beta' per
-        fellow newcomer ascending."""
+        fellow newcomer ascending, from `tr.failed` and `tr.helpers` alone."""
         raise NotImplementedError
+
+    def _newcomer_rows(self, tr: RepairTranscript, newcomer: int) -> tuple:
+        """`_download_rows` as a tuple of tuples, kept in `DOWNLOAD_ROWS`."""
+        key = (self._key, frozenset(tr.failed), tuple(tr.helpers), newcomer)
+        return DOWNLOAD_ROWS.get(key, lambda: tuple(map(tuple, self._download_rows(tr, newcomer))))
 
     def _observation_rows(self, e1: Iterable[int], e2: Iterable[int],
                           transcripts: Sequence[RepairTranscript]) -> tuple[list, list[tuple]]:
         """The eavesdropper's rows and their labels, in the shared row order.
 
-        A stored row depends only on its node, so each node's rows are built
-        once per instance (`_node_rows`) and shared by every later
-        observation: a sweep observes the same nodes again and again.  The
-        cache belongs to the instance, not to the process, so it dies with
-        the scheme.  Worst case n entries of alpha rows of M ints.  The
-        cached rows are tuples and every `Matrix` copies the rows it is
-        given, so no caller can alter them.
+        Rows depend on public parameters alone, so bounded process-wide
+        tables keep them (`_node_rows`, `_newcomer_rows`) for every later
+        observation and every instance of the same params: a sweep observes
+        the same nodes again and again, and each lifetime builds a scheme.
+        The rows are tuples and every `Matrix` copies the rows it is given,
+        so no caller can alter them.
 
         Plain loops, not comprehensions: a sweep verdict observes a few rows,
         so the per-call cost of a comprehension shows in its time."""
@@ -463,7 +498,7 @@ class Scheme:
                 labels.append(("stored", node, idx))
         for rnd, tr in enumerate(transcripts):
             for i in sorted(tr.failed & set(e2)):
-                rows += self._download_rows(tr, i)
+                rows += self._newcomer_rows(tr, i)
                 for h in tr.helpers:
                     for idx in range(self.beta):
                         labels.append(("live", rnd, h, i, idx))

@@ -41,7 +41,6 @@ costs O(rows * M^2) in pure Python, so M is capped at MAX_FILE_SIZE.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ..field import lagrange_row, next_prime, prime_field, vandermonde_inverse_rows
@@ -50,6 +49,7 @@ from .base import (
     ObservationMatrix,
     ParameterError,
     PlanBuilder,
+    PlanCache,
     RepairPlan,
     RepairTranscript,
     Scheme,
@@ -58,6 +58,13 @@ from .base import (
 
 
 MAX_FILE_SIZE = 1 << 16  # largest M = k(2d+t-k) a scheme is built for
+
+# (params, xi, yi) -> `_monomial_row`: at most n^2 points per params, so
+# 4096 entries hold every point of one params up to n = 64.  A row of
+# M = k(2d+t-k) ints takes 8M + 56 bytes while q <= 257: 0.2 KB at the
+# benchmark's (7,3,4,2) (M = 21), 0.6 KB at (20,4,8,4) (M = 64), 2.3 MB
+# for 4096 of those.  The stored and download row tables keep these tuples.
+MONOMIAL_ROWS = PlanCache(4096)
 
 
 def _interpolate(field, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
@@ -122,27 +129,21 @@ class MbcrBivariateScheme(Scheme):
         pts += [(self._wrap(i, s), i) for s in range(1, d)]       # (x_*, y_i)
         return pts
 
-    @cached_property
-    def _monomial_rows(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """(xi, yi) -> `_monomial_row(xi, yi)`; at most n^2 points."""
-        return {}
-
     def _monomial_row(self, xi: int, yi: int) -> tuple[int, ...]:
         """The row x^i y^j of the point (x_xi, y_yi) over the r then the u
-        support, built once per point and instance: a lifetime observes the
-        same few points again and again."""
-        row = self._monomial_rows.get((xi, yi))
-        if row is None:
-            q = self.field.p
-            x = self.x_points[xi - 1]
-            y = self.y_points[yi - 1]
-            xp, yp = [1], [1]
-            for _ in range(self.params.d + self.params.t - 1):  # no degree reaches d+t
-                xp.append(xp[-1] * x % q)
-                yp.append(yp[-1] * y % q)
-            row = self._monomial_rows[(xi, yi)] = tuple(
-                xp[i] * yp[j] % q for i, j in self.r_support + self.u_support)
-        return row
+        support, built once per point and params (`MONOMIAL_ROWS`): the
+        stored and download rows of every node are such rows."""
+        return MONOMIAL_ROWS.get((self._key, xi, yi), lambda: self._build_monomial_row(xi, yi))
+
+    def _build_monomial_row(self, xi: int, yi: int) -> tuple[int, ...]:
+        q = self.field.p
+        x = self.x_points[xi - 1]
+        y = self.y_points[yi - 1]
+        xp, yp = [1], [1]
+        for _ in range(self.params.d + self.params.t - 1):  # no degree reaches d+t
+            xp.append(xp[-1] * x % q)
+            yp.append(yp[-1] * y % q)
+        return tuple(xp[i] * yp[j] % q for i, j in self.r_support + self.u_support)
 
     def _coeff_rows(self, u: Sequence[int], r: Sequence[int]) -> list[list[int]]:
         """Row i holds the Y-coefficients (low first) of X^i in F."""
@@ -252,7 +253,7 @@ class MbcrBivariateScheme(Scheme):
         q, d, t = self.field.p, self.params.d, self.params.t
         x, y = self.x_points, self.y_points
         newcomers = sorted(failed)
-        b = PlanBuilder()
+        b = PlanBuilder(self.alpha)
 
         def at(xs: tuple[int, ...], slots: Sequence[int], pt: int) -> int:
             """The slot of the value at pt of the polynomial of degree

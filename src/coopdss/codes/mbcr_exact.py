@@ -144,8 +144,8 @@ class MbcrExactScheme(GabidulinScheme):
     """Secrecy-capacity-achieving exact-repair MBCR code for n = d + t.
 
     Observation points are written from the closed forms (`_stored_rows`,
-    `_z_point`), each in O(M) steps; the base class keeps a node's stored
-    rows for the life of the instance."""
+    `_z_point`), each in O(M) steps; the base class keeps them in its
+    process-wide row tables."""
 
     name = "mbcr-exact"
 
@@ -302,7 +302,7 @@ class MbcrExactScheme(GabidulinScheme):
         newcomer m the one from m's rebuilt primary: one step each."""
         d, p = self.params.d, self.base.p
         order = sorted(failed)
-        b = PlanBuilder()
+        b = PlanBuilder(self.alpha)
         primary = {h: [b.symbol(h, s) for s in range(d)] for h in helpers}
         z_from = {}  # (source, newcomer) -> slot of the z value source sends
         for i in order:

@@ -145,7 +145,7 @@ class MscrDkScheme(GabidulinScheme):
         symbol s2, and what the newcomer at s2 sends it."""
         order = sorted(failed)
         points = tuple(h - 1 for h in helpers)
-        b = PlanBuilder()
+        b = PlanBuilder(self.alpha)
         downloads = []
         for s, i in enumerate(order):
             got = [b.symbol(h, s) for h in helpers]

@@ -48,7 +48,7 @@ from typing import Sequence
 
 from ..field import coordinate_bytes, ext_field, find_irreducible, fits_word_slots
 from . import SCHEME_CLASSES, SCHEME_TAGS
-from .base import NodeContent, ParameterError, Scheme, SchemeParams
+from .base import NodeContent, ParameterError, Scheme, SchemeParams, _record
 
 _TAG_TO_SCHEME = {v: k for k, v in SCHEME_TAGS.items()}
 # scheme tag, n, k, d, t, l1, l2, then the descriptor's p, m and modulus count
@@ -162,6 +162,7 @@ def read_nodes(data: bytes) -> tuple[SchemeParams, list[NodeContent]]:
         (node_id,) = node_id_at(data, off)
         off += 2
         _check_node_id(node_id, n, seen)
-        contents.append(NodeContent(node_id, tuple(decode(data[off:off + record])), layout))
+        symbols = tuple(decode(data[off:off + record]))  # alpha symbols, as `layout` sums
+        contents.append(_record(NodeContent, node_id=node_id, symbols=symbols, layout=layout))
         off += record
     return params, contents

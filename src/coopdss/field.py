@@ -376,7 +376,7 @@ class ExtField:
         "base", "p", "m", "modulus", "order", "char", "degree", "zero", "one",
         "coord_width", "_db", "_mask", "_low_mask", "_all_p", "_binomial_c",
         "_dot_chunk", "_words", "_folds", "_quotient", "_step_plans", "_frobenius_table",
-        "_range",
+        "_range", "_digits",
     )
 
     def __init__(self, base: PrimeField, m: int):
@@ -408,6 +408,7 @@ class ExtField:
         self._step_plans = {}  # row length -> reduction plan (see run_steps)
         self._frobenius_table = None  # built on first use (see frobenius)
         self._range = (0, 0, 0)  # range-check constants, built on use (see _check_words)
+        self._digits = bytes(range(p)) if p < 256 else None  # see _check_words
         self.zero = 0
         self.one = 1
         self.coord_width = base.coord_width
@@ -658,11 +659,19 @@ class ExtField:
         so constants sized for more words serve a shorter run, and a run
         longer than the constants is tested a slice of that many words at a
         time.  The field keeps one pair, grown to the longest run met up to
-        _RANGE_BYTES each."""
+        _RANGE_BYTES each.
+
+        One-byte coordinates (p < 256) build no int: each low byte must be a
+        `_digits` byte, and the words their low bytes spread over zeros."""
+        wb = self._db // 8
         kept, addend, top = self._range
-        if len(words) > kept and kept < _RANGE_BYTES:
+        if self._digits is None and len(words) > kept and kept < _RANGE_BYTES:
             kept, addend, top = self._range = self._range_constants(min(len(words), _RANGE_BYTES))
-        if len(words) <= kept:
+        if self._digits is not None:
+            spread = bytearray(len(words))
+            spread[::wb] = low = words[::wb]
+            bad = low.translate(None, self._digits) or spread != words
+        elif len(words) <= kept:
             v = int.from_bytes(words, "little")
             bad = (v | (v + addend)) & top
         else:
@@ -671,7 +680,6 @@ class ExtField:
                       for v in (int.from_bytes(view[i:i + kept], "little")
                                 for i in range(0, len(words), kept)))
         if bad:
-            wb = self._db // 8
             _check_coords(struct.unpack(f"<{len(words) // wb}{'I' if wb == 4 else 'Q'}", words),
                           self.p)
 

@@ -287,35 +287,62 @@ def trace_to_text(trace: SimTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RECORD_FIELDS = {"header": 10, "transfer": 6}
+_HEADER_COUNTS = ("n", "k", "d", "t", "l1", "l2", "rounds", "seed")
+_KINDS = ("live", "coop")
+
+
+def _bad_fields(lineno: int, parts: list[str], want: int) -> ValueError:
+    return ValueError(f"trace line {lineno}: {parts[0]} record has "
+                      f"{len(parts)} fields, expected {want}")
+
+
+def _not_integer(lineno: int, tag: str) -> ValueError:
+    return ValueError(f"trace line {lineno}: {tag} record has a non-integer field")
 
 
 def trace_transfers_from_text(text: str):
-    """Parse a trace file back into (header dict, transfer records)."""
+    """Parse a trace file back into (header dict, transfer records).
+
+    Every malformed record raises ValueError naming its line: a wrong field
+    count, a field that should be an integer and is not, a second header, a
+    header count outside [0, 65535], and a transfer before the header, with
+    a round outside [0, rounds) or a kind other than live or coop."""
     header = None
+    rounds = 0
     transfers = []
     for lineno, line in enumerate(text.strip().splitlines(), 1):
         parts = line.split(",")
-        want = _RECORD_FIELDS.get(parts[0])
-        if want is not None and len(parts) != want:
-            raise ValueError(f"trace line {lineno}: {parts[0]} record has "
-                             f"{len(parts)} fields, expected {want}")
-        if parts[0] == "header":
-            header = {
-                "scheme": parts[1],
-                "n": int(parts[2]), "k": int(parts[3]), "d": int(parts[4]),
-                "t": int(parts[5]), "l1": int(parts[6]), "l2": int(parts[7]),
-                "rounds": int(parts[8]), "seed": int(parts[9]),
-            }
+        tag = parts[0]
+        if tag == "transfer":
+            if len(parts) != 6:
+                raise _bad_fields(lineno, parts, 6)
+            try:
+                rnd, src, dst = int(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError:
+                raise _not_integer(lineno, tag) from None
+            kind = parts[4]
+            if not 0 <= rnd < rounds or kind not in _KINDS:
+                what = ("comes before the header" if header is None
+                        else f"has kind {kind!r}, neither live nor coop" if kind not in _KINDS
+                        else f"has round {rnd}, outside [0, {rounds})")
+                raise ValueError(f"trace line {lineno}: transfer record {what}")
+            transfers.append((rnd, src, dst, kind, parts[5]))
+        elif tag == "header":
+            if len(parts) != 10:
+                raise _bad_fields(lineno, parts, 10)
+            if header is not None:
+                raise ValueError(f"trace line {lineno}: a second header record")
+            try:
+                header = {"scheme": parts[1], **dict(zip(_HEADER_COUNTS, map(int, parts[2:])))}
+            except ValueError:
+                raise _not_integer(lineno, tag) from None
+            rounds = header["rounds"]
             # the node-file header's 16-bit bound: a forged n cannot make
             # the scheme build millions of evaluation points
-            for key in ("n", "k", "d", "t", "l1", "l2"):
+            for key in _HEADER_COUNTS[:6]:
                 if not 0 <= header[key] < HEADER_BOUND:
                     raise ValueError(f"trace line {lineno}: {key}={header[key]} "
                                      f"is outside [0, {HEADER_BOUND - 1}]")
-        elif parts[0] == "transfer":
-            transfers.append((int(parts[1]), int(parts[2]), int(parts[3]),
-                              parts[4], parts[5]))
     if header is None:
         raise ValueError("trace has no header record")
     return header, transfers

@@ -430,6 +430,53 @@ def test_verify_secrecy_malformed_trace_exit2(tmp_path, text, record):
     assert f"{record} record has" in err
 
 
+def _forge(lines, edit):
+    """The trace `lines` with one forged record; line 1 is the header and
+    line 2 the first transfer, `transfer,0,<src>,<dst>,live,<hex>`."""
+    lines = list(lines)
+    first = lines[1].split(",")
+    if edit == "second-header":
+        header = lines[0].split(",")
+        lines.insert(1, ",".join(["header", "mbcr-exact", *header[2:]]))
+    elif edit == "bogus-kind":
+        lines[1] = ",".join(first[:4] + ["bogus"] + first[5:])
+    elif edit == "round-past-header":
+        lines[1] = ",".join(first[:1] + ["7"] + first[2:])
+    elif edit == "negative-round":
+        lines[1] = ",".join(first[:1] + ["-1"] + first[2:])
+    elif edit == "non-integer-dst":
+        lines[1] = ",".join(first[:3] + ["x"] + first[4:])
+    elif edit == "non-integer-header":
+        lines[0] = lines[0].replace(",2,", ",two,", 1)
+    elif edit == "transfer-before-header":
+        lines[0], lines[1] = lines[1], lines[0]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit,line,message", [
+    ("second-header", 2, "a second header record"),
+    ("bogus-kind", 2, "transfer record has kind 'bogus', neither live nor coop"),
+    ("round-past-header", 2, "transfer record has round 7, outside [0, 2)"),
+    ("negative-round", 2, "transfer record has round -1, outside [0, 2)"),
+    ("non-integer-dst", 2, "transfer record has a non-integer field"),
+    ("non-integer-header", 1, "header record has a non-integer field"),
+    ("transfer-before-header", 1, "transfer record comes before the header"),
+], ids=["second-header", "bogus-kind", "round-past-header", "negative-round",
+        "non-integer-dst", "non-integer-header", "transfer-before-header"])
+def test_verify_secrecy_forged_trace_exit2(tmp_path, edit, line, message):
+    # each forged record is refused by line, exit 2, before any verdict: an
+    # mbcr-bivariate trace given a second, mbcr-exact header once got its
+    # verdict on mbcr-exact, and the other records were taken as they came
+    lines = _simulate_trace("mbcr-bivariate").splitlines()
+    assert lines[0].startswith("header,mbcr-bivariate,4,2,2,2,1,0,2,")
+    assert lines[1].startswith("transfer,0,") and ",live," in lines[1]
+    trace_file = tmp_path / "trace.log"
+    trace_file.write_text(_forge(lines, edit))
+    code, out, err = run_cli(["verify-secrecy", "--trace", str(trace_file), "--e1", "3"])
+    assert (code, out) == (2, "")
+    assert f"trace line {line}: {message}" in err and "Traceback" not in err
+
+
 @functools.lru_cache(maxsize=None)
 def _simulate_trace(scheme_name):
     """The trace text `simulate` writes for a two-round lifetime."""

@@ -1275,6 +1275,23 @@ def test_word_parallel_range_check(p, m):
     assert f._range[0] <= F._RANGE_BYTES
 
 
+@pytest.mark.parametrize("p,m", [(p, m) for p, m in RANGE_FIELDS if p < 256])
+def test_one_byte_coordinates_keep_their_dropped_high_bytes_checked(p, m):
+    # a one-byte coordinate is tested by its byte alone, but a digit of 256
+    # or more has high bytes that serialisation drops: 257 would write as 1
+    f = F.ext_field(p, m)
+    assert f.coord_width == 1
+    good = [f.from_coords([(i + j) % p for j in range(m)]) for i in range(5)]
+    for bad in (256, 257, 256 + p, 1 << (f._db - 1), (1 << f._db) - 1):
+        for pos in (0, 2 * m + 1, 5 * m - 1):  # first, middle and last digit
+            coords = [c for a in good for c in f.coords(a)]
+            coords[pos] = bad
+            symbols = [f._pack(coords[i:i + m]) for i in range(0, len(coords), m)]
+            with pytest.raises(ValueError, match=rf"^coordinate {bad} out of range for GF\({p}\)$"):
+                f.symbols_to_bytes(symbols)
+    assert f.symbols_from_bytes(f.symbols_to_bytes(good)) == good
+
+
 def test_range_constants_stay_bounded_for_any_run_length():
     import tracemalloc
 

@@ -2,11 +2,13 @@
 `oracles`, the plan's shape, and the bounded process-wide plan cache."""
 
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
-from coopdss.codes import make_scheme
-from coopdss.codes.base import REPAIR_PLANS, ParameterError, PlanCache, SchemeParams
+from coopdss.codes import base, make_scheme
+from coopdss.codes.base import (REPAIR_PLANS, NodeContent, ParameterError, PlanBuilder,
+                                PlanCache, RepairTranscript, SchemeParams)
 
 import oracles as O
 
@@ -48,6 +50,68 @@ def test_executor_transcripts_equal_the_reference_repair(name, nkdt):
         assert got.results == tuple(nodes[i] for i in sorted(failed))
         rounds += 1
     assert rounds > 0
+
+
+@pytest.mark.parametrize("name,nkdt", PLAN_SCHEMES)
+def test_executor_records_equal_constructed_ones(name, nkdt):
+    # the executor builds its records without the dataclass constructors;
+    # each must be the record those constructors build from the same fields
+    scheme = scheme_for(name, *nkdt)
+    nodes = {c.node_id: c for c in scheme.encode(*scheme.random_inputs(5))}
+    for failed, helpers in every_round(scheme):
+        survivors = {i: c for i, c in nodes.items() if i not in failed}
+        got = scheme.cooperative_repair(failed, survivors, helpers)
+        results = tuple(NodeContent(c.node_id, c.symbols, c.layout) for c in got.results)
+        built = RepairTranscript(got.failed, got.helpers, dict(got.live_transfers),
+                                 dict(got.coop_transfers), results)
+        assert got == built and repr(got) == repr(built)
+        for mine, theirs in zip(got.results, results):
+            assert mine == theirs and hash(mine) == hash(theirs) and repr(mine) == repr(theirs)
+            assert type(mine.symbols) is tuple and len(mine.symbols) == scheme.alpha
+        assert all(type(v) is tuple for v in [*got.live_transfers.values(),
+                                              *got.coop_transfers.values()])
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_plan_refuses_a_result_of_other_than_alpha_slots(extra):
+    b = PlanBuilder(3)
+    slots = [b.symbol(5, s) for s in range(3)]
+    b.live[(5, 1)] = slots[:1]
+    result = slots[:2] if extra < 0 else slots + [b.step((1, 1), slots[:2])]
+    with pytest.raises(ValueError, match=f"newcomer 1 gets {3 + extra} result slots, alpha is 3"):
+        b.plan([(1, result)])
+    assert b.plan([(1, slots)]).result_cuts == ((1, slice(1, 4)),)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_scheme_plan_of_a_wrong_result_width_is_refused_and_not_kept(extra):
+    # a scheme whose plan rebuilds a node of alpha -/+ 1 symbols is refused
+    # when the plan is built, before any repair runs, and the cache keeps
+    # nothing, so the next repair of the same round is refused again
+    scheme = scheme_for("mscr-dk", 7, 3, 3, 3)
+    nodes = {c.node_id: c for c in scheme.encode(*scheme.random_inputs(2))}
+    failed, helpers = frozenset({1, 2, 3}), (4, 5, 6)
+    survivors = {i: c for i, c in nodes.items() if i not in failed}
+    plan = PlanBuilder.plan
+
+    def resized(self, results):
+        return plan(self, [(i, list(v)[:extra] if extra < 0 else [*v, v[0]])
+                           for i, v in results])
+
+    with mock.patch.object(base, "REPAIR_PLANS", PlanCache(4)) as cache, \
+            mock.patch.object(PlanBuilder, "plan", resized):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"gets {3 + extra} result slots, alpha is 3"):
+                scheme.cooperative_repair(failed, survivors, helpers)
+        assert len(cache) == 0 and cache.misses == 2
+
+
+def test_single_output_plan_gathers_a_tuple():
+    # itemgetter of one slot returns the bare value; the plan's gather
+    # still returns a 1-tuple
+    b = PlanBuilder(1)
+    plan = b.plan([(1, [b.symbol(2, 0)])])
+    assert plan.gather([7]) == (7,) and plan.result_cuts == ((1, slice(0, 1)),)
 
 
 @pytest.mark.parametrize("name,nkdt", PLAN_SCHEMES)
