@@ -6,12 +6,13 @@ deterministic given flags and seed (no timestamps).
 
 Exit codes: 0 success/secure, 1 secrecy violation, 2 usage or parameter
 error (in `verify-secrecy` and `simulate` also more eavesdroppers than the
-scheme claims secrecy for, |E1| > l1 or |E2| > l2), 3 I/O error or a
-program fault: in `simulate` a replay mismatch, in `simulate` or
+scheme claims secrecy for, |E1| > l1 or |E2| > l2, and a failure plan
+group that is not t distinct node ids in [1, n]), 3 I/O error or a program
+fault: in `simulate` a replay mismatch, in `simulate` or
 `verify-secrecy --e2` a repair round whose bandwidth is not t*gamma, in
 `verify-secrecy --mode both` a rank verdict that differs from the
-brute-force one in leakage or in either lemma flag.  COOPDSS_SEED provides
-the default seed.
+brute-force one in leakage or in either lemma flag, and any other exception,
+named on one line.  COOPDSS_SEED provides the default seed.
 
 Byte <-> symbol packing (`symbols_to_bytes` / `symbols_from_bytes`): a GF(p)
 coordinate takes the fewest little-endian bytes that hold p-1, and values
@@ -64,6 +65,20 @@ def _ids(text: str) -> list[int]:
     if not text:
         return []
     return [int(x) for x in text.replace(";", ",").split(",") if x]
+
+
+def _failure_plan(text: str, params: SchemeParams) -> tuple[frozenset[int], ...]:
+    """A failure plan such as '1,2;3,4', one failure set per group, each
+    group t distinct node ids in [1, n]: an empty group is refused too."""
+    plan = []
+    for group in text.split(";"):
+        ids = set(int(x) for x in group.split(",") if x.strip().isdecimal())
+        if len(ids) != params.t or len(group.split(",")) != params.t or not all(
+                1 <= i <= params.n for i in ids):
+            raise UsageError(f"failure plan group {group!r}: need t={params.t} distinct "
+                             f"node ids in [1, {params.n}]")
+        plan.append(frozenset(ids))
+    return tuple(plan)
 
 
 def _pack_bytes_to_symbols(field, data: bytes) -> list[int]:
@@ -215,10 +230,8 @@ def _sim_config_from_ini(path: str, ns) -> sim_mod.SimConfig:
     seed = int(simc.get("seed", str(ns.seed)))
     helper_mode = simc.get("helpers", "lowest")
     plan = None
-    plan_text = simc.get("plan", "")
-    if plan_text:
-        plan = tuple(frozenset(int(x) for x in group.split(","))
-                     for group in plan_text.split(";") if group)
+    if "plan" in simc:
+        plan = _failure_plan(simc["plan"], params)
         rounds = len(plan)
     eav = ini["eavesdropper"] if ini.has_section("eavesdropper") else {}
     e1 = tuple(_ids(eav.get("e1", "")))
@@ -309,9 +322,9 @@ def cmd_verify_secrecy(ns) -> int:
         transcripts = []
     e1 = tuple(_ids(ns.e1))
     e2 = tuple(_ids(ns.e2))
+    plan = None if ns.plan is None else _failure_plan(ns.plan, params)
     if e2 and not transcripts:
-        plan = ns.plan and tuple(frozenset(_ids(g)) for g in ns.plan.split(";")) \
-            or _default_plan(params, e2)
+        plan = plan or _default_plan(params, e2)
         config = sim_mod.SimConfig(params=params, rounds=len(plan), failure_plan=plan,
                                    seed=ns.seed, e2=e2)
         transcripts = sim_mod.run(config).transcripts
@@ -414,6 +427,10 @@ def main(argv=None) -> int:
         return 3
     except sim_mod.ProtocolError as exc:
         print(f"protocol fault: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a program fault: exit 1 is a secrecy verdict's alone
+        detail = str(exc).partition("\n")[0]
+        print(f"program fault: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 3
 
 

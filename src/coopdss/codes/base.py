@@ -34,7 +34,6 @@ and the faithfulness checks compare two independent walks.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -98,14 +97,6 @@ class NodeContent:
         if sum(n for _, n in self.layout) != len(self.symbols):
             raise ValueError("layout does not cover the symbols")
 
-    def segment(self, name: str) -> tuple[int, ...]:
-        start = 0
-        for seg, count in self.layout:
-            if seg == name:
-                return self.symbols[start:start + count]
-            start += count
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class RepairTranscript:
@@ -124,19 +115,23 @@ class RepairTranscript:
 
 
 class RepairPlan(NamedTuple):
-    """One repair round of a scheme as a straight-line program over the
-    helpers' stored symbols, built from (failed, helpers) alone, so it holds
-    no data.
+    """A linear map of a scheme as a straight-line program over stored
+    symbols, built from public parameters alone, so it holds no data: one
+    repair round (keyed by failed and helpers), the encoding (its inputs
+    the M precoded symbols, (0, j) for input j), or a decoding (keyed by the
+    contacted nodes).
 
     Slots 0 .. len(inputs)-1 hold the gathered symbols, survivor h's symbol
     at index s for each (h, s) of `inputs`; each (row, src) of `steps` then
-    appends one slot, the dot of the GF(p) row with the slots `src`
-    (`run_steps` of the field).  `live` and `coop` give the slots of each
-    transfer, keyed (sender, newcomer), and `results` the slots of each
-    newcomer's alpha symbols, keyed by newcomer.  A symbol sent or stored
-    verbatim is a slot reference with no step.  Rows are the coefficient
-    caches' own tuples.  `gather` returns the live, coop and result slots'
-    values as one tuple, cut into records by the slices of the `*_cuts`."""
+    appends one slot, the dot of the GF(p) row with the slots `src`.  `live`
+    and `coop` give the slots of each transfer, keyed (sender, newcomer),
+    and `results` the slots of each result record, keyed by node (alpha
+    each in a repair or an encoding).  A symbol sent or stored verbatim is a
+    slot reference with no step.  Rows are the coefficient caches' own
+    tuples.  `gather` returns the live, coop and result slots' values as one
+    tuple, cut into records by the slices of the `*_cuts`.  `run` is the
+    field's compiled form (`compile_plan`), input values to that tuple:
+    GF(p^m) runs the steps, GF(p) one packed product of the composed map."""
 
     inputs: tuple[tuple[int, int], ...]
     steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -147,16 +142,20 @@ class RepairPlan(NamedTuple):
     live_cuts: tuple[tuple[tuple[int, int], slice], ...]
     coop_cuts: tuple[tuple[tuple[int, int], slice], ...]
     result_cuts: tuple[tuple[int, slice], ...]
+    run: Callable[[list[int]], tuple[int, ...]] | None = None
 
 
 class PlanBuilder:
-    """Assembles a `RepairPlan` for a scheme of `alpha` symbols per node.
-    `symbol` and `step` return slots in the order they are asked for; `plan`
-    renumbers them so that the inputs come first, as the executor gathers
-    them, and drops every input that no step or output reads."""
+    """Assembles a `RepairPlan` whose result records have `alpha` slots
+    each, compiled for `field` when one is given.  `symbol` and `step`
+    return slots in the order they are asked for; `plan` renumbers them so
+    that the inputs come first, as the executor gathers them, and drops
+    every input that no step or output reads.  `_Evaluator` has the same
+    interface and evaluates a construction instead of recording it."""
 
-    def __init__(self, alpha: int):
+    def __init__(self, alpha: int, field=None):
         self.alpha = alpha
+        self.field = field
         self._inputs: dict[tuple[int, int], int] = {}
         self._steps: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self._step_slots: list[int] = []
@@ -204,7 +203,7 @@ class PlanBuilder:
         ends = accumulate(len(v) for _, v in records)
         cuts = [(key, slice(end - len(v), end)) for (key, v), end in zip(records, ends)]
         n_live, n_coop = len(live), len(live) + len(coop)
-        return RepairPlan(
+        plan = RepairPlan(
             inputs=tuple(inputs),
             steps=tuple((row, slots(src)) for row, src in self._steps),
             live=tuple(live), coop=tuple(coop), results=tuple(res),
@@ -212,34 +211,53 @@ class PlanBuilder:
             gather=itemgetter(*out) if len(out) > 1 else lambda vals: tuple(vals[j] for j in out),
             live_cuts=tuple(cuts[:n_live]), coop_cuts=tuple(cuts[n_live:n_coop]),
             result_cuts=tuple(cuts[n_coop:]))
+        return plan if self.field is None else plan._replace(run=self.field.compile_plan(plan))
 
 
 class PlanCache:
-    """A bounded least-recently-used map from a key of public parameters to
-    what they alone determine (a `RepairPlan`, observation rows), shared by
-    every scheme instance in the process, so a lifetime, its replay and
-    later lifetimes of the same parameters reuse it.  `hits` and `misses`
-    count lookups; a `build` that raises leaves nothing behind."""
+    """A bounded map from a key of public parameters to what they alone
+    determine (a `RepairPlan`, observation rows), shared by every scheme
+    instance in the process, so a lifetime, its replay and later lifetimes
+    of the same parameters reuse it.  `get` takes the builder and its
+    arguments, so a hit makes no closure and hashes its key once, marking
+    its value used.  Eviction is second chance (CLOCK) in insertion order:
+    the oldest entry goes unless used since it was last passed over, when
+    it moves to the newest end, unmarked.  With `build_on_reuse`, a key's
+    first request is only noted (in a table of the same bound) and returns
+    None, so what is asked for once is never built.  `hits` and `misses`
+    count lookups; a build that raises leaves nothing behind."""
 
-    def __init__(self, maxsize: int):
+    def __init__(self, maxsize: int, build_on_reuse: bool = False):
         self.maxsize = maxsize
         self.hits = self.misses = 0
-        self._plans: OrderedDict = OrderedDict()
+        self._plans: dict = {}
+        self._used: set[int] = set()  # ids of the values hit since last passed over
+        self._asked: dict | None = {} if build_on_reuse else None
 
     def __len__(self) -> int:
         return len(self._plans)
 
-    def get(self, key, build):
-        """The value under `key`, from `build()` on a miss."""
+    def get(self, key, build, *args):
+        """The value under `key`, from `build(*args)` on a miss."""
         plan = self._plans.get(key)
         if plan is not None:
             self.hits += 1
-            self._plans.move_to_end(key)
+            self._used.add(id(plan))
             return plan
         self.misses += 1
-        plan = self._plans[key] = build()
-        if len(self._plans) > self.maxsize:
-            self._plans.popitem(last=False)
+        if self._asked is not None and self._asked.pop(key, True):
+            self._asked[key] = False
+            if len(self._asked) > self.maxsize:
+                del self._asked[next(iter(self._asked))]
+            return None
+        plans, used = self._plans, self._used
+        plan = plans[key] = build(*args)
+        while len(plans) > self.maxsize:
+            old = next(iter(plans))
+            value = plans.pop(old)
+            if id(value) in used:
+                used.discard(id(value))
+                plans[old] = value
         return plan
 
 
@@ -259,6 +277,31 @@ REPAIR_PLANS = PlanCache(256)
 # benchmark's sizes, 3 MB for both tables full; 11 KB at (20,4,8,4), 17 MB full.
 STORED_ROWS = PlanCache(1024)
 DOWNLOAD_ROWS = PlanCache(512)
+
+# Encode plans by params, reconstruct plans by (params, the k sorted
+# contacted ids), each built on its key's second request: a one-shot
+# command, or a set-up's warm-up, evaluates (`_Evaluator`) and builds none.
+# Measured with their rows: 9-42 KB per encode plan and 5-22 KB per
+# reconstruct plan at the benchmark's sizes, so 1.3 MB and 5.6 MB for the
+# tables full; at mbcr-bivariate (20,4,8,4) 292 KB and 66 KB, 9.3 MB and
+# 17 MB full.  An encode plan grows with n alpha: 6.9 MB at n = 2000.
+ENCODE_PLANS = PlanCache(32, build_on_reuse=True)
+RECONSTRUCT_PLANS = PlanCache(256, build_on_reuse=True)
+
+
+class _Evaluator:
+    """`PlanBuilder`'s interface, evaluating a construction as it goes: a
+    symbol is its stored value and a step the `dot` of its row with its
+    sources' values; `plan` returns the result records."""
+
+    def __init__(self, field, symbols: Mapping[int, Sequence[int]]):
+        self.step, self.symbols = field.dot, symbols
+
+    def symbol(self, node: int, index: int) -> int:
+        return self.symbols[node][index]
+
+    def plan(self, results: Iterable[tuple[int, Sequence[int]]]) -> list:
+        return [(i, tuple(v)) for i, v in results]
 
 
 def _record(cls, **fields):
@@ -384,11 +427,9 @@ class Scheme:
         failed = self._validate_failed(failed, survivors)
         helpers = self._pick_helpers(failed, survivors, helpers)
         self._check_helpers(helpers, survivors)
-        plan = REPAIR_PLANS.get((self._key, failed, helpers),
-                                lambda: self._repair_plan(failed, helpers))
-        vals = [survivors[h].symbols[s] for h, s in plan.inputs]
-        self.field.run_steps(plan.steps, vals)
-        out, layout = plan.gather(vals), self.layout
+        plan = REPAIR_PLANS.get((self._key, failed, helpers), self._repair_plan, failed, helpers)
+        out = plan.run([survivors[h].symbols[s] for h, s in plan.inputs])
+        layout = self.layout
         return _record(
             RepairTranscript, failed=failed, helpers=helpers,
             live_transfers={key: out[cut] for key, cut in plan.live_cuts},
@@ -400,6 +441,34 @@ class Scheme:
         """The `RepairPlan` of one round: (failed, helpers) validated, no
         survivor data."""
         raise NotImplementedError
+
+    def _run_plan(self, table: PlanCache, key, build, symbols, *args) -> list:
+        """The result records of the plan `build(*args)`, kept in `table`
+        under `key`, run on the inputs it reads from `symbols` (node id ->
+        stored symbols, 0 for an encoding's inputs); a key's first request
+        evaluates the construction (`build(*args, _Evaluator(...))`)."""
+        plan = table.get(key, build, *args)
+        if plan is None:
+            return build(*args, _Evaluator(self.field, symbols))
+        out = plan.run([symbols[h][s] for h, s in plan.inputs])
+        return [(i, out[cut]) for i, cut in plan.result_cuts]
+
+    def _encode_nodes(self, x: list[int]) -> list[NodeContent]:
+        """Every node's content from the encode plan's inputs x, the M
+        precoded symbols or (r || u) (`ENCODE_PLANS`)."""
+        layout = self.layout
+        return [_record(NodeContent, node_id=i, symbols=syms, layout=layout) for i, syms
+                in self._run_plan(ENCODE_PLANS, self._key, self._encode_plan, {0: x})]
+
+    def _decode(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
+        """u, or a Gabidulin scheme's M evaluations, from the k lowest
+        distinct node ids given (`RECONSTRUCT_PLANS`, keyed by those ids)."""
+        by_id = {c.node_id: c.symbols for c in contents}
+        if len(by_id) < self.params.k:
+            raise ParameterError(f"need k={self.params.k} distinct nodes, got {len(by_id)}")
+        ids = tuple(sorted(by_id)[:self.params.k])
+        return self._run_plan(RECONSTRUCT_PLANS, (self._key, ids), self._reconstruct_plan,
+                              by_id, ids)[0][1]
 
     def _check_helpers(self, helpers: tuple[int, ...],
                        survivors: Mapping[int, NodeContent]) -> None:
@@ -462,8 +531,12 @@ class Scheme:
     def _node_rows(self, node: int) -> tuple:
         """`_stored_rows(node)` as a tuple of tuples, kept in `STORED_ROWS`
         (see `_observation_rows`); `node` must be a validated id in [1, n]."""
-        return STORED_ROWS.get((self._key, node),
-                               lambda: tuple(map(tuple, self._stored_rows(node))))
+        return STORED_ROWS.get((self._key, node), self._row_tuples, self._stored_rows, node)
+
+    @staticmethod
+    def _row_tuples(rows, *args) -> tuple:
+        """`rows(*args)` as a tuple of tuples."""
+        return tuple(map(tuple, rows(*args)))
 
     def _download_rows(self, tr: RepairTranscript, newcomer: int) -> list:
         """One observation row per symbol `newcomer` downloaded in `tr`, in
@@ -474,7 +547,7 @@ class Scheme:
     def _newcomer_rows(self, tr: RepairTranscript, newcomer: int) -> tuple:
         """`_download_rows` as a tuple of tuples, kept in `DOWNLOAD_ROWS`."""
         key = (self._key, frozenset(tr.failed), tuple(tr.helpers), newcomer)
-        return DOWNLOAD_ROWS.get(key, lambda: tuple(map(tuple, self._download_rows(tr, newcomer))))
+        return DOWNLOAD_ROWS.get(key, self._row_tuples, self._download_rows, tr, newcomer)
 
     def _observation_rows(self, e1: Iterable[int], e2: Iterable[int],
                           transcripts: Sequence[RepairTranscript]) -> tuple[list, list[tuple]]:
@@ -567,10 +640,10 @@ class GabidulinScheme(Scheme):
         return basis_moore_apply(self.field, coefficients(u, r))
 
     def _secret_from_evaluations(self, x: Sequence[int]) -> tuple[int, ...]:
-        """u from the M evaluations: (r || u) = Moore^-1 . x, the inverse
-        applied in closed form from the same table
+        """u from the M evaluations: the u rows of (r || u) = Moore^-1 . x,
+        the inverse applied in closed form from the same table
         (`basis_moore_inverse_apply`).  Raises ValueError unless |x| = M."""
-        return tuple(basis_moore_inverse_apply(self.field, x)[self.n_random:])
+        return tuple(basis_moore_inverse_apply(self.field, x, self.n_random))
 
     def _point_observation(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript]) -> PointObservation:

@@ -29,14 +29,17 @@ from the bounded process-wide cache `lagrange_row` (4096 entries, keyed by
 (q, points, x)); the plan keeps the cached tuple itself.  A round then
 gathers only the helper symbols the plan reads and runs its steps.
 
-Reconstruction needs coefficients: each of its interpolations applies the
-closed-form inverse of its Vandermonde matrix (Lagrange coefficients), so no
-system is eliminated.  The inverse rows come from the bounded process-wide
-cache `vandermonde_inverse_rows` (256 entries, keyed by (q, points)).
-
-Encoding evaluates F in two Horner stages (the Y-polynomial of each
-X-degree, then X).  The support has M entries and the joint-rank verdict
-costs O(rows * M^2) in pure Python, so M is capped at MAX_FILE_SIZE.
+Encoding and reconstruction are plans too (`_encode_plan`,
+`_reconstruct_plan`, see `Scheme._run_plan`), over r || u and over the k
+contacted nodes' symbols.  The encode plan evaluates F in two stages, each
+step a row of powers: the Y-polynomial of each X-degree at each y, then
+those values at each stored point's x.  Reconstruction needs coefficients:
+its steps apply closed-form inverse Vandermonde rows (Lagrange
+coefficients, from the bounded cache `vandermonde_inverse_rows`, keyed by
+(q, points)) along the interpolation chain, so no system is eliminated, and
+the plan yields u alone.  Over GF(q) every plan runs as one packed product
+(`PrimeField.compile_plan`).  The support has M entries and the joint-rank
+verdict costs O(rows * M^2) in pure Python, so M is capped at MAX_FILE_SIZE.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from ..field import lagrange_row, next_prime, prime_field, vandermonde_inverse_rows
+from ..precode import coefficients
 from .base import (
     NodeContent,
     ObservationMatrix,
@@ -65,13 +69,6 @@ MAX_FILE_SIZE = 1 << 16  # largest M = k(2d+t-k) a scheme is built for
 # benchmark's (7,3,4,2) (M = 21), 0.6 KB at (20,4,8,4) (M = 64), 2.3 MB
 # for 4096 of those.  The stored and download row tables keep these tuples.
 MONOMIAL_ROWS = PlanCache(4096)
-
-
-def _interpolate(field, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-    """Coefficients (low first) of the unique poly of degree < len(xs)
-    through the points (xs, ys)."""
-    dot = field.dot
-    return [dot(row, ys) for row in vandermonde_inverse_rows(field.p, tuple(xs))]
 
 
 class MbcrBivariateScheme(Scheme):
@@ -104,10 +101,6 @@ class MbcrBivariateScheme(Scheme):
         self.field = prime_field(q)
         self.x_points = tuple(range(n))
         self.y_points = tuple(range(n))
-        # node -> `_row_points` / `_col_points`, built on first use: repair
-        # and reconstruct read them on every call (at most n entries each)
-        self._row_pts: dict[int, tuple[int, ...]] = {}
-        self._col_pts: dict[int, tuple[int, ...]] = {}
         support = []
         support += [(i, j) for i in range(k) for j in range(k)]
         support += [(i, j) for i in range(k) for j in range(k, d + t)]
@@ -133,7 +126,7 @@ class MbcrBivariateScheme(Scheme):
         """The row x^i y^j of the point (x_xi, y_yi) over the r then the u
         support, built once per point and params (`MONOMIAL_ROWS`): the
         stored and download rows of every node are such rows."""
-        return MONOMIAL_ROWS.get((self._key, xi, yi), lambda: self._build_monomial_row(xi, yi))
+        return MONOMIAL_ROWS.get((self._key, xi, yi), self._build_monomial_row, xi, yi)
 
     def _build_monomial_row(self, xi: int, yi: int) -> tuple[int, ...]:
         q = self.field.p
@@ -145,100 +138,80 @@ class MbcrBivariateScheme(Scheme):
             yp.append(yp[-1] * y % q)
         return tuple(xp[i] * yp[j] % q for i, j in self.r_support + self.u_support)
 
-    def _coeff_rows(self, u: Sequence[int], r: Sequence[int]) -> list[list[int]]:
-        """Row i holds the Y-coefficients (low first) of X^i in F."""
-        k, d, t = self.params.k, self.params.d, self.params.t
-        rows = [[0] * (d + t if i < k else k) for i in range(d)]
-        for (i, j), c in zip(self.r_support, r):
-            rows[i][j] = c
-        for (i, j), c in zip(self.u_support, u):
-            rows[i][j] = c
-        return rows
-
-    def _eval_f(self, rows: Sequence[Sequence[int]], xi: int, yi: int) -> int:
-        """F(x_xi, y_yi) by Horner's rule: each row in Y, then the rows in X."""
-        q = self.field.p
-        x = self.x_points[xi - 1]
-        y = self.y_points[yi - 1]
-        acc = 0
-        for row in reversed(rows):
-            inner = 0
-            for c in reversed(row):
-                inner = (inner * y + c) % q
-            acc = (acc * x + inner) % q
-        return acc
-
     def encode(self, u: Sequence[int], r: Sequence[int]) -> list[NodeContent]:
         self._check_inputs(u, r)
-        rows = self._coeff_rows(u, r)
-        nodes = []
-        for i in range(1, self.params.n + 1):
-            syms = tuple(self._eval_f(rows, xi, yi)
-                         for xi, yi in self._stored_points(i))
-            nodes.append(NodeContent(i, syms, self.layout))
-        return nodes
+        return self._encode_nodes(coefficients(u, r))
 
-    # -- reconstruction ----------------------------------------------------------------
+    def _encode_plan(self, b=None) -> RepairPlan:
+        """F at each stored point in two stages: the Y-polynomial of each
+        X-degree i at y (its Y powers over its coefficients: one step per
+        (i, y)), then those values at x (the X powers: one step per point)."""
+        q, k, d, t = self.field.p, self.params.k, self.params.d, self.params.t
+        b = b or PlanBuilder(self.alpha, self.field)
+        slot = {ij: b.symbol(0, j) for j, ij in enumerate(self.r_support + self.u_support)}
+        rows = [tuple(slot[(i, j)] for j in range(d + t if i < k else k)) for i in range(d)]
+        # node i's y: the Y-polynomial of each X-degree there (every y is a node's own)
+        inner = {}
+        for yi, y in enumerate(self.y_points, 1):
+            powers = tuple(pow(y, j, q) for j in range(d + t))
+            inner[yi] = tuple(b.step(powers if i < k else powers[:k], row)
+                              for i, row in enumerate(rows))
+        x_powers = [tuple(pow(x, i, q) for i in range(d)) for x in self.x_points]
+        value: dict[tuple[int, int], int] = {}  # point -> the slot of F there
+        results = []
+        for i in range(1, self.params.n + 1):
+            slots = []
+            for pt in self._stored_points(i):
+                slot = value.get(pt)
+                if slot is None:
+                    slot = value[pt] = b.step(x_powers[pt[0] - 1], inner[pt[1]])
+                slots.append(slot)
+            results.append((i, slots))
+        return b.plan(results)
 
     def _row_points(self, i: int) -> tuple[int, ...]:
         """The d+t points y_* at which node i stores its row polynomial f_i."""
-        pts = self._row_pts.get(i)
-        if pts is None:
-            pts = self._row_pts[i] = tuple(self.y_points[self._wrap(i, s) - 1]
-                                           for s in range(self.params.d + self.params.t))
-        return pts
+        return tuple(self.y_points[self._wrap(i, s) - 1]
+                     for s in range(self.params.d + self.params.t))
 
     def _col_points(self, i: int) -> tuple[int, ...]:
         """The d points x_* at which node i stores its column polynomial g_i;
         x_i first, whose value F(x_i, y_i) opens the row segment."""
-        pts = self._col_pts.get(i)
-        if pts is None:
-            pts = self._col_pts[i] = tuple(self.x_points[self._wrap(i, s) - 1]
-                                           for s in range(self.params.d))
-        return pts
-
-    def _col_values(self, content: NodeContent) -> list[int]:
-        return [content.segment("row")[0]] + list(content.segment("col"))
+        return tuple(self.x_points[self._wrap(i, s) - 1] for s in range(self.params.d))
 
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
-        k, d, t = self.params.k, self.params.d, self.params.t
-        f = self.field
-        by_id = {c.node_id: c for c in contents}
-        if len(by_id) < k:
-            raise ParameterError(f"need k={k} distinct nodes, got {len(by_id)}")
-        ids = sorted(by_id)[:k]
-        # f_i(Y), degree < d+t, and g_i(X), degree < d, from the stored values
-        rows = {i: _interpolate(f, self._row_points(i), by_id[i].segment("row")) for i in ids}
-        cols = {i: _interpolate(f, self._col_points(i), self._col_values(by_id[i]))
-                for i in ids}
-        xs = [self.x_points[i - 1] for i in ids]
-        # phi_j(X) = X-polynomial multiplying Y^j; degree < k for j >= k
-        phi: dict[int, list[int]] = {}
-        for j in range(k, d + t):
-            vals = [rows[i][j] for i in ids]
-            phi[j] = _interpolate(f, xs, vals)
-        # degree < d for j < k, determined coefficient-wise from the column polys
-        w_inv = vandermonde_inverse_rows(f.p, tuple(self.y_points[i - 1] for i in ids))
+        return self._decode(contents)
+
+    def _reconstruct_plan(self, ids: tuple[int, ...], b=None) -> RepairPlan:
+        """u by the interpolation chain, each step a closed-form inverse
+        Vandermonde row: f_i(Y) (degree < d+t) and g_i(X) (degree < d) of
+        each node from its stored values; phi_j(X), the X-polynomial of Y^j,
+        for j >= k (degree < k) over the nodes' x from the f_i; then, per
+        X-degree a < d, the phi_j of j < k over the nodes' y from the
+        residues of the g_i less the phi_j of j >= k."""
+        q, k, d, t = self.field.p, self.params.k, self.params.d, self.params.t
+        b = b or PlanBuilder(self.secure_size, self.field)
+        high, rows, cols = range(k, d + t), {}, {}
+        for i in ids:  # f_i's coefficients of Y^j, j >= k, and all of g_i's
+            vals = tuple(b.symbol(i, s) for s in range(d + t))
+            v_inv = vandermonde_inverse_rows(q, self._row_points(i))
+            rows[i] = {j: b.step(v_inv[j], vals) for j in high}
+            vals = tuple(b.symbol(i, s) for s in (0, *range(d + t, 2 * d + t - 1)))
+            cols[i] = [b.step(v, vals) for v in vandermonde_inverse_rows(q, self._col_points(i))]
+        x_inv = vandermonde_inverse_rows(q, tuple(self.x_points[i - 1] for i in ids))
+        phi = {j: [b.step(v, tuple(rows[i][j] for i in ids)) for v in x_inv] for j in high}
         residues = []
         for i in ids:
-            g = list(cols[i]) + [f.zero] * (d - len(cols[i]))
             y = self.y_points[i - 1]
-            for j in range(k, d + t):
-                yj = pow(y, j, f.p)
-                for a in range(len(phi[j])):
-                    g[a] = f.sub(g[a], f.mul(yj, phi[j][a]))
-            residues.append(g)
+            row = (1, *[-pow(y, j, q) % q for j in high])
+            residues.append([b.step(row, (cols[i][a], *[phi[j][a] for j in high]))
+                             for a in range(k)] + cols[i][k:])
+        w_inv = vandermonde_inverse_rows(q, tuple(self.y_points[i - 1] for i in ids))
         for a in range(d):
-            column = [residues[idx][a] for idx in range(k)]
-            sol = [f.dot(row, column) for row in w_inv]
-            for j in range(k):
-                phi.setdefault(j, [f.zero] * d)[a] = sol[j]
-        coeffs = {}
-        for j, pol in phi.items():
-            for i, c in enumerate(pol):
-                if i < (k if j >= k else d):
-                    coeffs[(i, j)] = c
-        return tuple(coeffs.get(ij, f.zero) for ij in self.u_support)
+            column = tuple(res[a] for res in residues)
+            for j, v in enumerate(w_inv):
+                phi.setdefault(j, [0] * d)[a] = b.step(v, column)
+        return b.plan([(0, [phi[j][i] for i, j in self.u_support])])
 
     # -- repair ---------------------------------------------------------------------------
 
@@ -253,7 +226,7 @@ class MbcrBivariateScheme(Scheme):
         q, d, t = self.field.p, self.params.d, self.params.t
         x, y = self.x_points, self.y_points
         newcomers = sorted(failed)
-        b = PlanBuilder(self.alpha)
+        b = PlanBuilder(self.alpha, self.field)
 
         def at(xs: tuple[int, ...], slots: Sequence[int], pt: int) -> int:
             """The slot of the value at pt of the polynomial of degree

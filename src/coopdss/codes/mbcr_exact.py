@@ -43,21 +43,30 @@ Phi, a scaled Cauchy matrix, by `cauchy_inverse` and the scales
 helpers or the contacted nodes, never on data, so they come from bounded
 process-wide caches of immutable rows: `vandermonde_inverse_rows` (256
 entries, keyed by (p, points)) and `_phi_block_rows` (64 entries, keyed by
-(p, d, Phi columns, size)).  Each solved symbol in reconstruction is one
-`dot` of a GF(p) row with GF(p^M) values.
+(p, d, Phi columns, size)).
 
-A repair round runs as a repair plan (`_repair_plan`, see
-`codes.base.RepairPlan`), built once per (params, failed, helpers) and kept
-in the process-wide plan cache.  The z values the helpers send first are
-slot references with no step; each rebuilt primary symbol is one step (a
-row of the inverse Phi block over those d slots), and each z value sent in
-the second phase is one step (a Phi column over the sender's d primary
-slots): t(2d+t-1) steps per round, each a GF(p)-scaled sum reduced once.
+Encoding after the precoding, reconstruction before its inverse, and every
+repair round run as plans (see `codes.base.RepairPlan`), straight-line
+programs of GF(p)-row steps over stored symbols, each step a GF(p)-scaled
+sum reduced once.  The encode plan (`_encode_plan`, keyed by params) stores
+the x blocks verbatim and makes each y value (a y-code column over its
+group) and each z value (a Phi column over the source's primary) in one
+step.  The reconstruct plan (`_reconstruct_plan`, keyed by the contacted
+nodes) copies their x blocks, inverts the y-code per group, and rebuilds
+every other node's x block with one step per symbol: a row of the inverse
+Phi block over the z values it made for them, less their y part.  Only the
+u rows of the inverse Moore map then run.  A repair plan (`_repair_plan`,
+keyed by (params, failed, helpers)) takes the z values the helpers send
+first as slot references with no step; each rebuilt primary symbol is one
+step (a row of the inverse Phi block over those d slots), and each z value
+sent in the second phase is one step (a Phi column over the sender's d
+primary slots): t(2d+t-1) steps per round.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from ..field import (
@@ -185,7 +194,7 @@ class MbcrExactScheme(GabidulinScheme):
         # as tuples that a repair plan keeps as its step rows, and the
         # y-code's column (1, x, ..., x^(k-1)) at the point x = i-1 of node i
         self.phi_cols = list(zip(*phi))
-        self.y_cols = [[pow(x, l, p) for l in range(k)] for x in range(n)]
+        self.y_cols = [tuple(pow(x, l, p) for l in range(k)) for x in range(n)]
 
     # -- placement bookkeeping -------------------------------------------------
 
@@ -225,62 +234,56 @@ class MbcrExactScheme(GabidulinScheme):
             rows.append(v)
         return rows + [self._z_point(src, i) for src in self._others(i)]
 
-    # -- encode -----------------------------------------------------------------
-
-    def _z_value(self, primary: Sequence[int], source: int, stored_at: int) -> int:
-        return self.field.dot(self.phi_cols[self._phi_col(source, stored_at)], primary)
-
-    def _primaries_from_x(self, x: Sequence[int]) -> dict[int, list[int]]:
-        n, k, d = self.params.n, self.params.k, self.params.d
-        dot = self.field.dot
-        groups = [x[n * k + j * k:n * k + (j + 1) * k] for j in range(d - k)]
-        return {i: list(x[(i - 1) * k:i * k]) + [dot(self.y_cols[i - 1], g) for g in groups]
-                for i in range(1, n + 1)}
+    # -- encode and reconstruct -------------------------------------------------
 
     def encode(self, u: Sequence[int], r: Sequence[int]) -> list[NodeContent]:
         self._check_inputs(u, r)
-        x = self._precode(u, r)
-        primaries = self._primaries_from_x(x)
-        nodes = []
-        for i in range(1, self.params.n + 1):
-            syms = list(primaries[i])
-            for src in self._others(i):
-                syms.append(self._z_value(primaries[src], src, i))
-            nodes.append(NodeContent(i, tuple(syms), self.layout))
-        return nodes
+        return self._encode_nodes(self._precode(u, r))
 
-    # -- reconstruct -------------------------------------------------------------
+    def _encode_plan(self, b=None) -> RepairPlan:
+        """Node i stores its x block verbatim, its y value of each part-b
+        group (its y-code column over the group: one step each), then the z
+        value each peer makes for it from the peer's primary (a Phi column
+        over it: one step each)."""
+        n, k, d = self.params.n, self.params.k, self.params.d
+        b = b or PlanBuilder(self.alpha, self.field)
+        x = tuple(b.symbol(0, j) for j in range(self.file_size))
+        groups = [x[n * k + j * k:n * k + (j + 1) * k] for j in range(d - k)]
+        primary = {i: x[(i - 1) * k:i * k] + tuple(b.step(self.y_cols[i - 1], g) for g in groups)
+                   for i in range(1, n + 1)}
+        return b.plan((i, [*primary[i], *[b.step(self.phi_cols[self._phi_col(src, i)], primary[src])
+                                          for src in self._others(i)]])
+                      for i in range(1, n + 1))
 
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
-        n, k, d = self.params.n, self.params.k, self.params.d
-        f = self.field
-        p = self.base.p
-        by_id = {c.node_id: c for c in contents}
-        if len(by_id) < k:
-            raise ParameterError(f"need k={k} distinct nodes, got {len(by_id)}")
-        ids = sorted(by_id)[:k]
-        x = [f.zero] * self.file_size
+        return self._secret_from_evaluations(self._decode(contents))
+
+    def _reconstruct_plan(self, ids: tuple[int, ...], b=None) -> RepairPlan:
+        """x from the nodes `ids`: their x blocks verbatim; each part-b
+        group by the inverse y-code over their y values of it; every other
+        node i's x block by the inverse Phi block over the z values i made
+        for them, less their y part: i's y values, from the groups."""
+        n, k, d, p = self.params.n, self.params.k, self.params.d, self.base.p
+        b = b or PlanBuilder(self.file_size, self.field)
+        x = [0] * self.file_size
         for i in ids:
-            x[(i - 1) * k:i * k] = by_id[i].segment("x")
-        # part (b): invert the y-code on the contacted columns
+            x[(i - 1) * k:i * k] = [b.symbol(i, s) for s in range(k)]
         y_inv = vandermonde_inverse_rows(p, tuple(i - 1 for i in ids))
         for j in range(d - k):
-            vals = [by_id[i].segment("y")[j] for i in ids]
-            x[n * k + j * k:n * k + (j + 1) * k] = [f.dot(row, vals) for row in y_inv]
-        # remaining nodes: d known codeword coordinates of [I_d Phi] pin the primary
-        primaries = self._primaries_from_x(x)  # y parts correct everywhere now
-        for i in range(1, n + 1):
-            if i in ids:
-                continue
+            vals = tuple(b.symbol(i, k + j) for i in ids)
+            x[n * k + j * k:n * k + (j + 1) * k] = [b.step(row, vals) for row in y_inv]
+        groups = [tuple(x[n * k + j * k:n * k + (j + 1) * k]) for j in range(d - k)]
+        for i in sorted(set(range(1, n + 1)) - set(ids)):
+            # x_i = R (z - Phi_y y_i) for the inverse R of i's Phi block on ids:
+            # one row over i's z values at ids, then its y values
             cols = tuple(self._phi_col(i, c) for c in ids)
-            # z value minus the known y part: the x block's share of it (c's
-            # z segment holds i's value at i's position among c's n-1 peers)
-            rhs = [f.sub(by_id[c].segment("z")[self._phi_col(c, i)],
-                         f.dot(self.phi_cols[col][k:], primaries[i][k:]))
-                   for c, col in zip(ids, cols)]
-            x[(i - 1) * k:i * k] = [f.dot(row, rhs)
-                                    for row in _phi_block_rows(p, d, cols, k)]
-        return self._secret_from_evaluations(x)
+            src = (*[b.symbol(c, d + self._phi_col(c, i)) for c in ids],
+                   *[b.step(self.y_cols[i - 1], g) for g in groups])
+            phi_y = [self.phi_cols[col][k:] for col in cols]
+            x[(i - 1) * k:i * k] = [
+                b.step((*row, *[-sum(map(mul, row, col)) % p for col in zip(*phi_y)]), src)
+                for row in _phi_block_rows(p, d, cols, k)]
+        return b.plan([(0, x)])
 
     # -- repair -------------------------------------------------------------------
 
@@ -302,7 +305,7 @@ class MbcrExactScheme(GabidulinScheme):
         newcomer m the one from m's rebuilt primary: one step each."""
         d, p = self.params.d, self.base.p
         order = sorted(failed)
-        b = PlanBuilder(self.alpha)
+        b = PlanBuilder(self.alpha, self.field)
         primary = {h: [b.symbol(h, s) for s in range(d)] for h in helpers}
         z_from = {}  # (source, newcomer) -> slot of the z value source sends
         for i in order:

@@ -15,11 +15,13 @@ runs as a repair plan (`_repair_plan`, see `codes.base.RepairPlan`), built
 once per (params, failed, helpers) and kept in the process-wide plan
 cache: the downloads are slot references with no step, and each rebuilt
 or sent share is one step, the dot of a Lagrange row with k slots: t^2 per
-repair.  Reconstruction solves for every m_j with the
-closed-form inverse of the Vandermonde on the contacted nodes' points, from
-the bounded process-wide cache `vandermonde_inverse_rows` (256 entries of
-k x k GF(p) ints as tuples, keyed by (p, points)); no system is
-eliminated.
+repair.  Encoding and reconstruction are plans too (see `Scheme._run_plan`):
+node i's share of m_j is one step, g_i over m_j's k evaluations, and
+reconstruction solves for every m_j with the closed-form inverse of the
+Vandermonde on the contacted nodes' points, one step per symbol, from the
+bounded process-wide cache `vandermonde_inverse_rows` (256 entries of k x k
+GF(p) ints as tuples, keyed by (p, points)); no system is eliminated.  The
+decoder then applies only the u rows of the inverse Moore map.
 
 The base prime is p = binomial_prime(n, kt): the least prime >= n (room for
 n distinct Vandermonde points) with p = 1 mod rad(kt), and mod 4 when 4 | kt,
@@ -81,7 +83,7 @@ class MscrDkScheme(GabidulinScheme):
         self.base = prime_field(p)
         self.field = ext_field(p, self.file_size)
         # column g_i = (1, x, ..., x^(k-1)) at the point x = i-1 of node i
-        self.g = [[pow(x, l, p) for l in range(k)] for x in range(n)]
+        self.g = [tuple(pow(x, l, p) for l in range(k)) for x in range(n)]
 
     # -- placement ---------------------------------------------------------------
 
@@ -95,41 +97,33 @@ class MscrDkScheme(GabidulinScheme):
     def _stored_rows(self, node: int) -> list[list[int]]:
         return [self._share_point(node, j) for j in range(self.params.t)]
 
-    def _share_value(self, m_vec: Sequence[int], node: int) -> int:
-        return self.field.dot(self.g[node - 1], m_vec)
-
-    def _solve_vectors(self, nodes: Sequence[int],
-                       values: Sequence[Sequence[int]]) -> list[list[int]]:
-        """m from the shares m^T g_i at the given nodes, one vector per
-        entry of `values` (its shares in node order)."""
-        dot = self.field.dot
-        inv = vandermonde_inverse_rows(self.base.p, tuple(i - 1 for i in nodes))
-        return [[dot(row, vals) for row in inv] for vals in values]
-
     def encode(self, u: Sequence[int], r: Sequence[int]) -> list[NodeContent]:
         if self.secure_size == 0:
             raise PositiveSecrecyImpossibleError(
                 f"(l1,l2)=({self.params.l1},{self.params.l2}) leaves no secure symbols "
                 f"(l2 >= t)")
         self._check_inputs(u, r)
-        x = self._precode(u, r)
+        return self._encode_nodes(self._precode(u, r))
+
+    def _encode_plan(self, b=None) -> RepairPlan:
+        """Node i's share of m_j is g_i over m_j's k slots: one step each."""
         k, t = self.params.k, self.params.t
-        m_vecs = [x[j * k:(j + 1) * k] for j in range(t)]
-        return [
-            NodeContent(i, tuple(self._share_value(m_vecs[j], i) for j in range(t)),
-                        self.layout)
-            for i in range(1, self.params.n + 1)
-        ]
+        b = b or PlanBuilder(self.alpha, self.field)
+        x = tuple(b.symbol(0, j) for j in range(self.file_size))
+        m = [x[j * k:(j + 1) * k] for j in range(t)]
+        return b.plan((i, [b.step(self.g[i - 1], m[j]) for j in range(t)])
+                      for i in range(1, self.params.n + 1))
 
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
-        k, t = self.params.k, self.params.t
-        by_id = {c.node_id: c for c in contents}
-        if len(by_id) < k:
-            raise ParameterError(f"need k={k} distinct nodes, got {len(by_id)}")
-        ids = sorted(by_id)[:k]
-        m_vecs = self._solve_vectors(ids, [[by_id[i].symbols[j] for i in ids]
-                                           for j in range(t)])
-        return self._secret_from_evaluations([sym for m in m_vecs for sym in m])
+        return self._secret_from_evaluations(self._decode(contents))
+
+    def _reconstruct_plan(self, ids: tuple[int, ...], b=None) -> RepairPlan:
+        """Each m_j from the nodes' shares of it, by the inverse Vandermonde
+        on their points: one step per symbol of m_j."""
+        inv = vandermonde_inverse_rows(self.base.p, tuple(i - 1 for i in ids))
+        b = b or PlanBuilder(self.file_size, self.field)
+        shares = [tuple(b.symbol(i, j) for i in ids) for j in range(self.params.t)]
+        return b.plan([(0, [b.step(row, vals) for vals in shares for row in inv])])
 
     # -- repair --------------------------------------------------------------------
 
@@ -145,7 +139,7 @@ class MscrDkScheme(GabidulinScheme):
         symbol s2, and what the newcomer at s2 sends it."""
         order = sorted(failed)
         points = tuple(h - 1 for h in helpers)
-        b = PlanBuilder(self.alpha)
+        b = PlanBuilder(self.alpha, self.field)
         downloads = []
         for s, i in enumerate(order):
             got = [b.symbol(h, s) for h in helpers]

@@ -50,12 +50,20 @@ one `% p` and skips the zero entries of the basis row.
 The mbcr-exact, mscr-dk and mbcr-bivariate repair and reconstruct systems
 run no elimination: they are base-field Vandermonde and Cauchy matrices,
 whose inverses are closed forms (`vandermonde_inverse`, `cauchy_inverse`)
-applied with `dot`, or, in repair, as the steps of a cached repair plan
-(`run_steps`: each step a GF(p)-scaled sum reduced with the plan for its
-own digit bound).  mscr-dk and mbcr-bivariate repair never solve for
-coefficients at all: each symbol they send or rebuild is one polynomial
-value, one step of a Lagrange row (`lagrange_row`, the inverse Vandermonde
-evaluated at the wanted point) with the values downloaded.  Two small
+applied as the steps of a cached plan (`codes.base.RepairPlan`), which
+each field runs by its `compile_plan`.  GF(p^m) runs the steps
+(`run_steps`): each is a GF(p)-scaled sum, already word-parallel over the m
+digits, reduced with the plan for its own digit bound.  GF(p) composes the
+whole plan once into one matrix and runs it as one packed product: column i
+packs the matrix entries of input i, one per output lane, so the sum of the
+inputs times their columns holds every output, each lane at most L (p-1)^2
+for L inputs; one `_reduction_plan` reduces every lane at once and one
+unpack reads them.  The lanes are 32 bits when that bound fits, else 64,
+and the inputs are chunked when it passes 64 bits.  mscr-dk and
+mbcr-bivariate repair never solve for coefficients at all: each symbol they
+send or rebuild is one polynomial value, one step of a Lagrange row
+(`lagrange_row`, the inverse Vandermonde evaluated at the wanted point) with
+the values downloaded.  Two small
 schemes do eliminate: every mscr-ia repair solves each newcomer's
 (alpha+1)-system with `Matrix.solve`, and insecure-demo solves a 2x2 system
 with it in both reconstruct and repair.  The closed forms depend only on
@@ -78,9 +86,10 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from itertools import islice
 from math import prod
 from operator import mul as _int_mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class NoSolutionError(ValueError):
@@ -288,6 +297,52 @@ class PrimeField:
         p, get, append = self.p, vals.__getitem__, vals.append
         for row, src in steps:
             append(sum(map(_int_mul, row, map(get, src))) % p)
+
+    def compile_plan(self, plan) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        """The plan (`codes.base.RepairPlan`) as one composite matrix, run on
+        reduced input values as one packed integer product (see the module
+        docstring; Dumas, Fousse & Salvy, JSC 2011).  The matrix is composed
+        by the same kernel, slot j's row over the inputs a packed int, then
+        transposed into packed columns, in the narrower of 32- and 64-bit
+        lanes whose `_reduction_plan` covers the longest step and a chunk of
+        terms plus the reduced running total.  A p too large for 64-bit
+        lanes runs the steps, as GF(p^m) does."""
+        p, n_in, sq = self.p, len(plan.inputs), max(1, (self.p - 1) ** 2)
+        out = [j for _, slots in plan.live + plan.coop + plan.results for j in slots]
+        cap = ((1 << 64) - 1) // sq  # terms a 64-bit lane holds
+        chunk = n_in if n_in <= cap else cap - 1
+        bound = max([len(row) for row, _ in plan.steps] + [min(n_in, chunk + 1)]) * sq
+        for db in (32, 64):
+            try:
+                if chunk > 0 and bound >> db == 0:
+                    folds, (c, s, q) = _reduction_plan(p, db, max(n_in, len(out)), bound)
+                    break
+            except ValueError:
+                pass
+        else:  # run the steps, with this field's `run_steps`
+            return ExtField.compile_plan(self, plan)
+        vecs = [1 << db * i for i in range(n_in)]
+        get = vecs.__getitem__
+        for row, src in plan.steps:
+            v = sum(map(_int_mul, row, map(get, src)))
+            for h, hi, r, lo in folds:
+                v = ((v >> h) & hi) * r + (v & lo)
+            vecs.append(v - p * (((v * c) >> s) & q))
+        code, w = ("I", 4) if db == 32 else ("Q", 8)
+        table = memoryview(b"".join([vecs[j].to_bytes(n_in * w, "little") for j in out])).cast(code)
+        columns = [int.from_bytes(table[i::n_in].tobytes(), "little") for i in range(n_in)]
+        chunks = [(start, columns[start:start + chunk]) for start in range(0, n_in, chunk)]
+        unpack, size = struct.Struct(f"<{len(out)}{code}").unpack, len(out) * w
+
+        def run(vals):
+            acc = 0
+            for start, cols in chunks:
+                v = acc + sum(map(_int_mul, islice(vals, start, None) if start else vals, cols))
+                for h, hi, r, lo in folds:
+                    v = ((v >> h) & hi) * r + (v & lo)
+                acc = v - p * (((v * c) >> s) & q)
+            return unpack(acc.to_bytes(size, "little"))
+        return run
 
     def _sub_scaled(self, row: list[int], v: int, lead: Sequence[int], start: int) -> None:
         """row[j] -= v * lead[j] for j >= start, in place: the row operation
@@ -528,6 +583,17 @@ class ExtField:
             for h, hi, r, lo in folds:
                 v = ((v >> h) & hi) * r + (v & lo)
             append(v - p * (((v * c) >> s) & q))
+
+    def compile_plan(self, plan) -> Callable[[list[int]], tuple[int, ...]]:
+        """The plan (`codes.base.RepairPlan`) as a run of its steps in order
+        on the list of input values, which it extends (`run_steps`: each step
+        is already one m-lane word-parallel dot), then of its `gather`."""
+        steps, gather, run_steps = plan.steps, plan.gather, self.run_steps
+
+        def run(vals):
+            run_steps(steps, vals)
+            return gather(vals)
+        return run
 
     def _sub_scaled(self, row: list[int], v: int, lead: Sequence[int], start: int) -> None:
         """row[j] -= v * lead[j] for j >= start, in place, every entry
@@ -1149,8 +1215,9 @@ def basis_moore_apply(field, coeffs: Sequence[int]) -> list[int]:
     return list(map(field._normalize, out))
 
 
-def basis_moore_inverse_apply(field, values: Sequence[int]) -> list[int]:
-    """coeffs = B^-1 . values for the Moore matrix B of `basis_moore_apply`.
+def basis_moore_inverse_apply(field, values: Sequence[int], start: int = 0) -> list[int]:
+    """coeffs[start:] of coeffs = B^-1 . values for the Moore matrix B of
+    `basis_moore_apply`: a decoder wants only the secret's rows.
 
     B^-1[i][l] = s_l B[-l mod m][i] (see `_build_basis_moore_table`): one
     copy X^(-l pi) values[l] of each input per class pi, per output one
@@ -1163,10 +1230,10 @@ def basis_moore_inverse_apply(field, values: Sequence[int]) -> list[int]:
     if len(values) != m:
         raise ValueError("dimension mismatch")
     if m == 1:
-        return list(values)
+        return list(values)[start:]
     _, _, inverse_shifts, inverse_rows = _basis_moore_table(field)
     low, c = field._low_mask, field._binomial_c
     copies = [[((x << up) & low) + c * (x >> down) for x, (up, down) in zip(values, shifts)]
               for shifts in inverse_shifts]
     return [field._normalize(sum(map(_int_mul, scales, copies[k])))
-            for k, scales in inverse_rows]
+            for k, scales in inverse_rows[start:]]

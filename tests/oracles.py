@@ -28,7 +28,13 @@ again), and `random_symbols` draws from the `splitmix64` generator one
 `mbcr_exact_repair`, `mscr_dk_repair` and `mbcr_bivariate_repair` repair on
 the values, one `dot` or `lagrange_at` per symbol as the data arrives: the
 reference for the cached repair plans that the program runs
-(`coopdss.codes.base.RepairPlan`).
+(`coopdss.codes.base.RepairPlan`).  `REFERENCE_ENCODES` and
+`REFERENCE_RECONSTRUCTS` are the same for encoding and decoding, the loops
+the schemes ran before their encode and reconstruct plans: mbcr-exact's
+primaries and z values, mscr-dk's shares and Vandermonde solve (each decode
+applying the whole inverse Moore map, then slicing u), and mbcr-bivariate's
+Horner evaluation and interpolation chain.  `segment` reads a node's layout
+segment by name.
 
 `brute_force_int64` enumerates every joint (u, r) assignment with one
 int64 code each: every probed coordinate row, zero and repeated ones
@@ -44,7 +50,8 @@ from operator import mul
 from coopdss.codes.base import (NodeContent, ObservationMatrix, ParameterError,
                                 PointObservation, RepairTranscript)
 from coopdss.codes.mbcr_exact import _phi_block_rows
-from coopdss.field import Matrix, PrimeField, ext_field, lagrange_row, moore_matrix
+from coopdss.field import (Matrix, PrimeField, basis_moore_inverse_apply, ext_field,
+                           lagrange_row, moore_matrix, vandermonde_inverse_rows)
 from coopdss.precode import splitmix64
 from coopdss.secrecy import SecrecyVerdict, _exact_log, _probed_map
 
@@ -220,6 +227,201 @@ def mbcr_exact_stored_rows(scheme, i):
             + [mbcr_exact_z_point(scheme, src, i) for src in others])
 
 
+def segment(content, name):
+    """The symbols of `content` in its layout segment `name`."""
+    start = 0
+    for seg, count in content.layout:
+        if seg == name:
+            return content.symbols[start:start + count]
+        start += count
+    raise KeyError(name)
+
+
+# ---------------------------------------------------------------------------
+# value-level encodes and reconstructs: the reference for the cached encode
+# and reconstruct plans, one `dot`, Horner step or interpolation at a time
+# ---------------------------------------------------------------------------
+
+def mbcr_exact_primaries_from_x(scheme, x):
+    """Every node's d primary symbols: its x block, then its y-code column
+    over each part-b group, one `dot` each."""
+    n, k, d = scheme.params.n, scheme.params.k, scheme.params.d
+    dot = scheme.field.dot
+    groups = [x[n * k + j * k:n * k + (j + 1) * k] for j in range(d - k)]
+    return {i: list(x[(i - 1) * k:i * k]) + [dot(scheme.y_cols[i - 1], g) for g in groups]
+            for i in range(1, n + 1)}
+
+
+def mbcr_exact_z_value(scheme, primary, source, stored_at):
+    """The z value `source` stores at `stored_at`: its Phi column over
+    source's primary symbols."""
+    return scheme.field.dot(scheme.phi_cols[scheme._phi_col(source, stored_at)], primary)
+
+
+def mbcr_exact_encode(scheme, u, r):
+    scheme._check_inputs(u, r)
+    primaries = mbcr_exact_primaries_from_x(scheme, scheme._precode(u, r))
+    return [NodeContent(i, tuple(primaries[i] + [mbcr_exact_z_value(scheme, primaries[src], src, i)
+                                                 for src in scheme._others(i)]),
+                        scheme.layout)
+            for i in range(1, scheme.params.n + 1)]
+
+
+def _secret_from_all_evaluations(scheme, x):
+    """u from the M evaluations by the whole inverse Moore map, then a slice."""
+    return tuple(basis_moore_inverse_apply(scheme.field, x)[scheme.n_random:])
+
+
+def mbcr_exact_reconstruct(scheme, contents):
+    """x from the k lowest given nodes: their x blocks; the part-b groups
+    by the inverse y-code; every other node's x block by the inverse Phi
+    block over its z values less their y part; then u."""
+    n, k, d = scheme.params.n, scheme.params.k, scheme.params.d
+    f, p = scheme.field, scheme.base.p
+    by_id = {c.node_id: c for c in contents}
+    if len(by_id) < k:
+        raise ParameterError(f"need k={k} distinct nodes, got {len(by_id)}")
+    ids = sorted(by_id)[:k]
+    x = [f.zero] * scheme.file_size
+    for i in ids:
+        x[(i - 1) * k:i * k] = segment(by_id[i], "x")
+    y_inv = vandermonde_inverse_rows(p, tuple(i - 1 for i in ids))
+    for j in range(d - k):
+        vals = [segment(by_id[i], "y")[j] for i in ids]
+        x[n * k + j * k:n * k + (j + 1) * k] = [f.dot(row, vals) for row in y_inv]
+    primaries = mbcr_exact_primaries_from_x(scheme, x)  # y parts right everywhere now
+    for i in range(1, n + 1):
+        if i in ids:
+            continue
+        cols = tuple(scheme._phi_col(i, c) for c in ids)
+        rhs = [f.sub(segment(by_id[c], "z")[scheme._phi_col(c, i)],
+                     f.dot(scheme.phi_cols[col][k:], primaries[i][k:]))
+               for c, col in zip(ids, cols)]
+        x[(i - 1) * k:i * k] = [f.dot(row, rhs) for row in _phi_block_rows(p, d, cols, k)]
+    return _secret_from_all_evaluations(scheme, x)
+
+
+def mscr_dk_share_value(scheme, m_vec, node):
+    """m^T g_node, one `dot`."""
+    return scheme.field.dot(scheme.g[node - 1], m_vec)
+
+
+def mscr_dk_solve_vectors(scheme, nodes, values):
+    """m from the shares m^T g_i at the given nodes, one vector per entry
+    of `values` (its shares in node order), by the inverse Vandermonde."""
+    dot = scheme.field.dot
+    inv = vandermonde_inverse_rows(scheme.base.p, tuple(i - 1 for i in nodes))
+    return [[dot(row, vals) for row in inv] for vals in values]
+
+
+def mscr_dk_encode(scheme, u, r):
+    scheme._check_inputs(u, r)
+    x = scheme._precode(u, r)
+    k, t = scheme.params.k, scheme.params.t
+    m_vecs = [x[j * k:(j + 1) * k] for j in range(t)]
+    return [NodeContent(i, tuple(mscr_dk_share_value(scheme, m_vecs[j], i) for j in range(t)),
+                        scheme.layout)
+            for i in range(1, scheme.params.n + 1)]
+
+
+def mscr_dk_reconstruct(scheme, contents):
+    k, t = scheme.params.k, scheme.params.t
+    by_id = {c.node_id: c for c in contents}
+    if len(by_id) < k:
+        raise ParameterError(f"need k={k} distinct nodes, got {len(by_id)}")
+    ids = sorted(by_id)[:k]
+    m_vecs = mscr_dk_solve_vectors(scheme, ids, [[by_id[i].symbols[j] for i in ids]
+                                                 for j in range(t)])
+    return _secret_from_all_evaluations(scheme, [sym for m in m_vecs for sym in m])
+
+
+def mbcr_bivariate_coeff_rows(scheme, u, r):
+    """Row i holds the Y-coefficients (low first) of X^i in F."""
+    k, d, t = scheme.params.k, scheme.params.d, scheme.params.t
+    rows = [[0] * (d + t if i < k else k) for i in range(d)]
+    for (i, j), c in zip(scheme.r_support + scheme.u_support, tuple(r) + tuple(u)):
+        rows[i][j] = c
+    return rows
+
+
+def mbcr_bivariate_eval_f(scheme, rows, xi, yi):
+    """F(x_xi, y_yi) by Horner's rule: each row in Y, then the rows in X."""
+    q = scheme.field.p
+    x = scheme.x_points[xi - 1]
+    y = scheme.y_points[yi - 1]
+    acc = 0
+    for row in reversed(rows):
+        inner = 0
+        for c in reversed(row):
+            inner = (inner * y + c) % q
+        acc = (acc * x + inner) % q
+    return acc
+
+
+def mbcr_bivariate_encode(scheme, u, r):
+    scheme._check_inputs(u, r)
+    rows = mbcr_bivariate_coeff_rows(scheme, u, r)
+    return [NodeContent(i, tuple(mbcr_bivariate_eval_f(scheme, rows, xi, yi)
+                                 for xi, yi in scheme._stored_points(i)), scheme.layout)
+            for i in range(1, scheme.params.n + 1)]
+
+
+def mbcr_bivariate_col_values(content):
+    """The values of a node's column polynomial at its column points:
+    F(x_i, y_i), which opens its row segment, then its col segment."""
+    return [segment(content, "row")[0]] + list(segment(content, "col"))
+
+
+def _interpolate(field, xs, ys):
+    """Coefficients (low first) of the poly of degree < len(xs) through (xs, ys)."""
+    return [field.dot(row, ys) for row in vandermonde_inverse_rows(field.p, tuple(xs))]
+
+
+def mbcr_bivariate_reconstruct(scheme, contents):
+    """u by the interpolation chain: every contacted node's row and column
+    polynomials, phi_j for j >= k over the nodes' x, then phi_j for j < k
+    per X-degree from the column polynomials' residues."""
+    k, d, t = scheme.params.k, scheme.params.d, scheme.params.t
+    f = scheme.field
+    by_id = {c.node_id: c for c in contents}
+    if len(by_id) < k:
+        raise ParameterError(f"need k={k} distinct nodes, got {len(by_id)}")
+    ids = sorted(by_id)[:k]
+    rows = {i: _interpolate(f, scheme._row_points(i), segment(by_id[i], "row")) for i in ids}
+    cols = {i: _interpolate(f, scheme._col_points(i), mbcr_bivariate_col_values(by_id[i]))
+            for i in ids}
+    xs = [scheme.x_points[i - 1] for i in ids]
+    phi = {j: _interpolate(f, xs, [rows[i][j] for i in ids]) for j in range(k, d + t)}
+    w_inv = vandermonde_inverse_rows(f.p, tuple(scheme.y_points[i - 1] for i in ids))
+    residues = []
+    for i in ids:
+        g = list(cols[i])
+        y = scheme.y_points[i - 1]
+        for j in range(k, d + t):
+            yj = pow(y, j, f.p)
+            for a in range(len(phi[j])):
+                g[a] = f.sub(g[a], f.mul(yj, phi[j][a]))
+        residues.append(g)
+    for a in range(d):
+        sol = [f.dot(row, [res[a] for res in residues]) for row in w_inv]
+        for j in range(k):
+            phi.setdefault(j, [f.zero] * d)[a] = sol[j]
+    return tuple(phi[j][i] for i, j in scheme.u_support)
+
+
+REFERENCE_ENCODES = {
+    "mbcr-exact": mbcr_exact_encode,
+    "mscr-dk": mscr_dk_encode,
+    "mbcr-bivariate": mbcr_bivariate_encode,
+}
+
+REFERENCE_RECONSTRUCTS = {
+    "mbcr-exact": mbcr_exact_reconstruct,
+    "mscr-dk": mscr_dk_reconstruct,
+    "mbcr-bivariate": mbcr_bivariate_reconstruct,
+}
+
+
 # ---------------------------------------------------------------------------
 # value-level repairs: the reference for the cached repair plans
 # ---------------------------------------------------------------------------
@@ -245,7 +447,7 @@ def mbcr_exact_repair(scheme, failed, survivors, helpers=None):
     for i in sorted(failed):
         rhs = []
         for h in helpers:
-            z_hi = survivors[h].segment("z")[scheme._phi_col(h, i)]
+            z_hi = segment(survivors[h], "z")[scheme._phi_col(h, i)]
             live[(h, i)] = [z_hi]
             rhs.append(z_hi)
         cols = tuple(scheme._phi_col(i, h) for h in helpers)
@@ -255,10 +457,10 @@ def mbcr_exact_repair(scheme, failed, survivors, helpers=None):
     for i in sorted(failed):
         z_segment = {}
         for h in helpers:
-            z_segment[h] = scheme._z_value(primaries[h], h, i)
+            z_segment[h] = mbcr_exact_z_value(scheme, primaries[h], h, i)
             live[(h, i)].append(z_segment[h])
         for m in sorted(failed - {i}):
-            z_segment[m] = scheme._z_value(new_primary[m], m, i)
+            z_segment[m] = mbcr_exact_z_value(scheme, new_primary[m], m, i)
             coop[(m, i)] = [z_segment[m]]
         syms = list(new_primary[i]) + [z_segment[src] for src in scheme._others(i)]
         results.append(NodeContent(i, tuple(syms), scheme.layout))
@@ -309,8 +511,8 @@ def mbcr_bivariate_repair(scheme, failed, survivors, helpers=None):
     helpers = scheme._pick_helpers(failed, survivors, helpers)
     newcomers = sorted(failed)
     live, coop = {}, {}
-    stored = [(scheme._row_points(h), survivors[h].segment("row"),
-               scheme._col_points(h), scheme._col_values(survivors[h])) for h in helpers]
+    stored = [(scheme._row_points(h), segment(survivors[h], "row"),
+               scheme._col_points(h), mbcr_bivariate_col_values(survivors[h])) for h in helpers]
     for i in newcomers:
         for h, (row_pts, row_vals, col_pts, col_vals) in zip(helpers, stored):
             live[(h, i)] = (lagrange_at(q, row_pts, row_vals, y[i - 1]),   # f_h(y_i)

@@ -810,3 +810,40 @@ def test_verify_secrecy_mode_both_disagreement_exit3(monkeypatch):
     assert "method=rank leakage_qunits=0 lemma_entropy_ok=True lemma_recoverable_ok=True" in out
     assert "method=bruteforce leakage_qunits=0 lemma_entropy_ok=True lemma_recoverable_ok=False" in out
     assert "disagree" in err
+
+
+@pytest.mark.parametrize("plan, group", [
+    ("99999999999999999999,2", "99999999999999999999,2"), ("1", "1"), ("1,1", "1,1"),
+    (";;", ""), ("1,2;", ""), ("1,2;5,1", "5,1"), ("1,x", "1,x"),
+], ids=["huge-id", "short", "repeated", "empty", "trailing-empty", "outside-n", "not-an-int"])
+def test_verify_secrecy_refuses_a_bad_plan_without_e2(plan, group):
+    # the plan is parsed against the scheme whether or not --e2 asks for it
+    code, out, err = run_cli(["verify-secrecy", "--scheme", "mscr-dk", "--n", "4", "--k", "2",
+                              "--d", "2", "--t", "2", "--l1", "1", "--plan", plan])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == f"error: failure plan group {group!r}: need t=2 distinct node ids in [1, 4]\n"
+
+
+@pytest.mark.parametrize("plan", [";;", "1,2;;1,3", "1;2", "1,2,3", "0,1"])
+def test_simulate_refuses_a_bad_plan(tmp_path, plan):
+    # ';;' once ran zero rounds with exit 0
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(SIM_INI.replace("plan = 1,2;1,3", f"plan = {plan}"))
+    code, out, err = run_cli(["simulate", "--config", str(cfg)])
+    assert code == 2 and out == "" and "failure plan group" in err
+
+
+@pytest.mark.parametrize("fault, line", [
+    (KeyError("missing"), "program fault: KeyError: 'missing'"),
+    (TypeError("first\nsecond"), "program fault: TypeError: first"),
+], ids=["key-error", "two-line-message"])
+def test_program_fault_exits_3_on_one_line(monkeypatch, fault, line):
+    # an exception that is not a usage, I/O or protocol error is a program
+    # fault: exit 3 and one line naming its type, never exit 1, which is a
+    # secrecy verdict's alone
+    def broken(*args):
+        raise fault
+
+    monkeypatch.setattr(bounds_mod, "mbcr_point", broken)
+    code, out, err = run_cli(["bounds", "--k", "2", "--d", "3", "--t", "1", "--point", "mbcr"])
+    assert (code, out, err) == (3, "", line + "\n")

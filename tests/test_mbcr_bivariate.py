@@ -10,7 +10,7 @@ from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.field import (Matrix, lagrange_row, prime_field, vandermonde_inverse,
                            vandermonde_inverse_rows)
 
-from oracles import lagrange_at
+from oracles import lagrange_at, segment
 from scheme_utils import check_faithful, leakage_of, sweep_reconstruct, sweep_repair
 
 
@@ -31,7 +31,7 @@ def test_node_stores_row_and_column_evaluations():
     s = scheme_for(5, 2, 2, 2)
     u, r = s.random_inputs(1)
     nodes = s.encode(u, r)
-    assert all(len(c.segment("row")) == 4 and len(c.segment("col")) == 1 for c in nodes)
+    assert all(len(segment(c, "row")) == 4 and len(segment(c, "col")) == 1 for c in nodes)
 
 
 def test_requires_n_at_least_d_plus_t():
@@ -146,9 +146,9 @@ def oracle_repair(s, failed, survivors, helpers):
     rows, cols = {}, {}
     for h in helpers:
         c = survivors[h]
-        rows[h] = _interpolate(q, [y[w - 1] for w in window(h, d + t)], c.segment("row"))
+        rows[h] = _interpolate(q, [y[w - 1] for w in window(h, d + t)], segment(c, "row"))
         cols[h] = _interpolate(q, [x[w - 1] for w in window(h, d)],
-                               [c.segment("row")[0]] + list(c.segment("col")))
+                               [segment(c, "row")[0]] + list(segment(c, "col")))
     newcomers = sorted(failed)
     live = {(h, i): (_horner(q, rows[h], y[i - 1]), _horner(q, cols[h], x[i - 1]))
             for i in newcomers for h in helpers}

@@ -9,7 +9,8 @@ from coopdss.codes.base import ParameterError, SchemeParams
 from coopdss.codes.mbcr_exact import _phi_block_inverse, _phi_block_rows, find_structure
 from coopdss.field import Matrix, prime_field
 
-from oracles import basis_elements, linear_view, mbcr_exact_stored_rows, mbcr_exact_z_point
+from oracles import (basis_elements, linear_view, mbcr_exact_stored_rows, mbcr_exact_z_point,
+                     segment)
 from scheme_utils import (
     check_faithful,
     leakage_of,
@@ -38,11 +39,11 @@ def test_node_layout_matches_placement():
     u, r = s.random_inputs(1)
     nodes = s.encode(u, r)
     assert all(len(c.symbols) == 5 for c in nodes)
-    assert nodes[0].segment("y") == ()
-    assert len(nodes[0].segment("x")) == 2 and len(nodes[0].segment("z")) == 3
+    assert segment(nodes[0], "y") == ()
+    assert len(segment(nodes[0], "x")) == 2 and len(segment(nodes[0], "z")) == 3
     s5 = scheme_for(5, 2, 3, 2)
     c = s5.encode(*s5.random_inputs(1))[2]
-    assert len(c.segment("x")) == 2 and len(c.segment("y")) == 1 and len(c.segment("z")) == 4
+    assert len(segment(c, "x")) == 2 and len(segment(c, "y")) == 1 and len(segment(c, "z")) == 4
 
 
 def test_requires_n_equal_d_plus_t():
@@ -60,7 +61,7 @@ def test_direct_part_is_stored_verbatim():
                   for g in basis_elements(s.field, s.file_size))
     nodes = s.encode(u, r)
     for i in range(1, 5):
-        assert nodes[i - 1].segment("x") == block[(i - 1) * 2:i * 2]
+        assert segment(nodes[i - 1], "x") == block[(i - 1) * 2:i * 2]
 
 
 def test_reconstruct_all_collectors():

@@ -11,7 +11,7 @@ from coopdss.codes.base import (
     SchemeParams,
 )
 
-from oracles import linear_view
+from oracles import linear_view, mscr_dk_share_value, mscr_dk_solve_vectors
 from scheme_utils import check_faithful, leakage_of, sweep_reconstruct, sweep_repair
 
 
@@ -74,11 +74,11 @@ def test_composed_repair_rows_equal_solve_then_share(n):
     p = s.base.p
     for helpers in itertools.combinations(range(1, n + 1), 3):
         shares = [random_symbols(s.field, 3, sum(helpers) * 10 + j) for j in range(2)]
-        m_vecs = s._solve_vectors(helpers, shares)
+        m_vecs = mscr_dk_solve_vectors(s, helpers, shares)
         for i in range(1, n + 1):
             row = lagrange_row(p, tuple(h - 1 for h in helpers), i - 1)
             for vals, m in zip(shares, m_vecs):
-                assert s.field.dot(row, vals) == s._share_value(m, i), (helpers, i)
+                assert s.field.dot(row, vals) == mscr_dk_share_value(s, m, i), (helpers, i)
 
 
 def test_prime_field_gabidulin_round_trip():
