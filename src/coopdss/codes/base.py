@@ -117,8 +117,8 @@ class RepairTranscript:
 class RepairPlan(NamedTuple):
     """A linear map of a scheme as a straight-line program over stored
     symbols, built from public parameters alone, so it holds no data: one
-    repair round (keyed by failed and helpers), the encoding (its inputs
-    the M precoded symbols, (0, j) for input j), or a decoding (keyed by the
+    repair round (keyed by failed and helpers), the encoding (input j keyed
+    (0, j): the M precoded symbols, or r || u), or a decoding (keyed by the
     contacted nodes).
 
     Slots 0 .. len(inputs)-1 hold the gathered symbols, survivor h's symbol
