@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coopdss.codes import base, make_scheme
-from coopdss.codes.base import (ENCODE_PLANS, RECONSTRUCT_PLANS, REPAIR_PLANS, PlanBuilder,
-                                PlanCache, SchemeParams)
+from coopdss.codes.base import (ENCODE_PLANS, RECONSTRUCT_PLANS, REPAIR_PLANS, NodeContent,
+                                PlanBuilder, PlanCache, SchemeParams)
 from coopdss.field import prime_field
+from coopdss.precode import random_symbols
 
 import oracles as O
 
@@ -66,6 +67,19 @@ def test_plan_encode_and_reconstruct_equal_the_oracles(instance):
         assert scheme.encode(u, r) == nodes
         assert scheme.reconstruct(given_nodes) == u
     assert O.REFERENCE_RECONSTRUCTS[params.scheme](scheme, given_nodes) == u
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan_instances())
+def test_reconstruct_of_arbitrary_symbols_equals_the_oracle(instance):
+    # decoding is linear, so the plan, its first-request evaluation and the
+    # oracle agree on any stored symbols, codewords or not (a corrupted node)
+    params, seed, ids = instance
+    scheme = make_scheme(params)
+    nodes = [NodeContent(i, tuple(random_symbols(scheme.field, scheme.alpha, seed + i)),
+                         scheme.layout) for i in ids]
+    want = O.REFERENCE_RECONSTRUCTS[params.scheme](scheme, nodes)
+    assert [scheme.reconstruct(nodes) for _ in range(3)] == [want] * 3
 
 
 def _unit(size, j):
