@@ -36,12 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, count
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..field import (
     Matrix,
+    PrimeField,
     basis_moore_apply,
     basis_moore_inverse_apply,
 )
@@ -128,32 +128,30 @@ class RepairPlan(NamedTuple):
     and `results` the slots of each result record, keyed by node (alpha
     each in a repair or an encoding).  A symbol sent or stored verbatim is a
     slot reference with no step.  Rows are the coefficient caches' own
-    tuples.  `gather` returns the live, coop and result slots' values as one
-    tuple, cut into records by the slices of the `*_cuts`.  `run` is the
-    field's compiled form (`compile_plan`), input values to that tuple:
-    GF(p^m) runs the steps, GF(p) one packed product of the composed map."""
+    tuples.  `run` is the field's compiled form (`compile_plan`): it maps
+    the input values to the live, coop and result slots' values as one
+    tuple, cut into records by the slices of the `*_cuts`.  GF(p^m) runs
+    the steps, GF(p) one packed product of the composed map."""
 
     inputs: tuple[tuple[int, int], ...]
     steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     live: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
     coop: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
     results: tuple[tuple[int, tuple[int, ...]], ...]
-    gather: Callable[[Sequence[int]], tuple[int, ...]]
     live_cuts: tuple[tuple[tuple[int, int], slice], ...]
     coop_cuts: tuple[tuple[tuple[int, int], slice], ...]
     result_cuts: tuple[tuple[int, slice], ...]
-    run: Callable[[list[int]], tuple[int, ...]] | None = None
+    run: Callable[[list[int]], tuple[int, ...]]
 
 
 class PlanBuilder:
-    """Assembles a `RepairPlan` whose result records have `alpha` slots
-    each, compiled for `field` when one is given.  `symbol` and `step`
-    return slots in the order they are asked for; `plan` renumbers them so
-    that the inputs come first, as the executor gathers them, and drops
-    every input that no step or output reads.  `_Evaluator` has the same
-    interface and evaluates a construction instead of recording it."""
+    """Assembles a `RepairPlan` over `field` whose result records have
+    `alpha` slots each.  `symbol` and `step` return slots in the order they
+    are asked for; `plan` renumbers them so that the inputs come first, as
+    the executor gathers them, and drops every input that no step or output
+    reads."""
 
-    def __init__(self, alpha: int, field=None):
+    def __init__(self, alpha: int, field):
         self.alpha = alpha
         self.field = field
         self._inputs: dict[tuple[int, int], int] = {}
@@ -162,19 +160,16 @@ class PlanBuilder:
         self.live: dict[tuple[int, int], list[int]] = {}
         self.coop: dict[tuple[int, int], list[int]] = {}
 
-    def _next_slot(self) -> int:
-        return len(self._inputs) + len(self._steps)
-
     def symbol(self, helper: int, index: int) -> int:
         """The slot of survivor `helper`'s stored symbol `index`."""
         slot = self._inputs.get((helper, index))
         if slot is None:
-            slot = self._inputs[(helper, index)] = self._next_slot()
+            slot = self._inputs[(helper, index)] = len(self._inputs) + len(self._steps)
         return slot
 
     def step(self, row: tuple[int, ...], src: Sequence[int]) -> int:
         """The slot of the dot of `row` with the slots `src`."""
-        slot = self._next_slot()
+        slot = len(self._inputs) + len(self._steps)
         self._steps.append((row, tuple(src)))
         self._step_slots.append(slot)
         return slot
@@ -187,31 +182,28 @@ class PlanBuilder:
             if len(v) != self.alpha:
                 raise ValueError(f"newcomer {i} gets {len(v)} result slots, alpha is {self.alpha}")
         outputs = [*self.live.values(), *self.coop.values(), *(v for _, v in results)]
-        read = {j for src in [*outputs, *(src for _, src in self._steps)] for j in src}
+        read = set().union(*outputs, *[src for _, src in self._steps])
         inputs = [key for key, slot in self._inputs.items() if slot in read]
         new = {self._inputs[key]: pos for pos, key in enumerate(inputs)}
-        for slot in self._step_slots:
-            new[slot] = len(new)
+        new.update(zip(self._step_slots, count(len(new))))
+        get = new.__getitem__
 
         def slots(old):
-            return tuple(new[j] for j in old)
+            return tuple(map(get, old))
 
         live, coop, res = ([(key, slots(v)) for key, v in group]
                            for group in (self.live.items(), self.coop.items(), results))
         records = live + coop + res
-        out = [j for _, v in records for j in v]
         ends = accumulate(len(v) for _, v in records)
         cuts = [(key, slice(end - len(v), end)) for (key, v), end in zip(records, ends)]
         n_live, n_coop = len(live), len(live) + len(coop)
-        plan = RepairPlan(
-            inputs=tuple(inputs),
-            steps=tuple((row, slots(src)) for row, src in self._steps),
+        steps = tuple([(row, slots(src)) for row, src in self._steps])
+        return RepairPlan(
+            inputs=tuple(inputs), steps=steps,
             live=tuple(live), coop=tuple(coop), results=tuple(res),
-            # itemgetter of one slot returns the bare value, not a 1-tuple
-            gather=itemgetter(*out) if len(out) > 1 else lambda vals: tuple(vals[j] for j in out),
             live_cuts=tuple(cuts[:n_live]), coop_cuts=tuple(cuts[n_live:n_coop]),
-            result_cuts=tuple(cuts[n_coop:]))
-        return plan if self.field is None else plan._replace(run=self.field.compile_plan(plan))
+            result_cuts=tuple(cuts[n_coop:]),
+            run=self.field.compile_plan(len(inputs), steps, [j for _, v in records for j in v]))
 
 
 class PlanCache:
@@ -220,45 +212,42 @@ class PlanCache:
     instance in the process, so a lifetime, its replay and later lifetimes
     of the same parameters reuse it.  `get` takes the builder and its
     arguments, so a hit makes no closure and hashes its key once, marking
-    its value used.  Eviction is second chance (CLOCK) in insertion order:
-    the oldest entry goes unless used since it was last passed over, when
-    it moves to the newest end, unmarked.  With `build_on_reuse`, a key's
-    first request is only noted (in a table of the same bound) and returns
-    None, so what is asked for once is never built.  `hits` and `misses`
-    count lookups; a build that raises leaves nothing behind."""
+    its entry used.  Eviction is second chance (CLOCK) in insertion order,
+    before a new entry goes in: the oldest entry goes unless used since it
+    was last passed over, when it moves to the newest end, unmarked.  With
+    `build_on_reuse`, a key's first request enters the key with no value
+    and returns None, so what is asked for once is never built.  `hits` and
+    `misses` count lookups; a build that raises leaves no value behind."""
 
     def __init__(self, maxsize: int, build_on_reuse: bool = False):
         self.maxsize = maxsize
+        self.build_on_reuse = build_on_reuse
         self.hits = self.misses = 0
-        self._plans: dict = {}
-        self._used: set[int] = set()  # ids of the values hit since last passed over
-        self._asked: dict | None = {} if build_on_reuse else None
+        self._plans: dict = {}  # key -> [value or None, used since last passed over]
 
     def __len__(self) -> int:
         return len(self._plans)
 
     def get(self, key, build, *args):
         """The value under `key`, from `build(*args)` on a miss."""
-        plan = self._plans.get(key)
-        if plan is not None:
+        entry = self._plans.get(key)
+        if entry is not None and entry[0] is not None:
             self.hits += 1
-            self._used.add(id(plan))
-            return plan
+            entry[1] = True
+            return entry[0]
         self.misses += 1
-        if self._asked is not None and self._asked.pop(key, True):
-            self._asked[key] = False
-            if len(self._asked) > self.maxsize:
-                del self._asked[next(iter(self._asked))]
-            return None
-        plans, used = self._plans, self._used
-        plan = plans[key] = build(*args)
-        while len(plans) > self.maxsize:
+        if entry is not None:  # asked for before: build it in its place, used
+            entry[0], entry[1] = build(*args), True
+            return entry[0]
+        value, plans = None if self.build_on_reuse else build(*args), self._plans
+        while len(plans) >= self.maxsize:
             old = next(iter(plans))
-            value = plans.pop(old)
-            if id(value) in used:
-                used.discard(id(value))
-                plans[old] = value
-        return plan
+            entry = plans.pop(old)
+            if entry[1]:
+                entry[1] = False
+                plans[old] = entry
+        plans[key] = [value, False]
+        return value
 
 
 # Worst case: 256 plans.  A plan holds about t alpha steps, each a row of
@@ -279,8 +268,8 @@ STORED_ROWS = PlanCache(1024)
 DOWNLOAD_ROWS = PlanCache(512)
 
 # Encode plans by params, reconstruct plans by (params, the k sorted
-# contacted ids), each built on its key's second request: a one-shot
-# command, or a set-up's warm-up, evaluates (`_Evaluator`) and builds none.
+# contacted ids), each built on its key's second request: the first, in a
+# one-shot command or a set-up's warm-up, evaluates (`_Evaluator`).
 # Measured with their rows: 9-42 KB per encode plan and 5-22 KB per
 # reconstruct plan at the benchmark's sizes, so 1.3 MB and 5.6 MB for the
 # tables full; at mbcr-bivariate (20,4,8,4) 292 KB and 66 KB, 9.3 MB and
@@ -413,6 +402,8 @@ class Scheme:
             raise ParameterError(f"secret must have {self.secure_size} symbols, got {len(u)}")
         if len(r) != self.n_random:
             raise ParameterError(f"randomness must have {self.n_random} symbols, got {len(r)}")
+        if isinstance(self.field, PrimeField) and any(not 0 <= v < self.field.p for v in (*u, *r)):
+            raise ParameterError(f"every symbol of u and r must lie in [0, {self.field.p})")
 
     def _repair(self, failed: Iterable[int], survivors: Mapping[int, NodeContent],
                 helpers: Sequence[int] | None) -> RepairTranscript:
@@ -421,9 +412,9 @@ class Scheme:
         Validation runs on every call, before the plan is looked up: the
         failed set, the helpers and `_check_helpers`.  The plan comes from
         `REPAIR_PLANS`, keyed by (params, failed, helpers); the executor
-        gathers its inputs from the survivors, runs its steps in the field
-        (`run_steps`) and assembles the transfers and the newcomers'
-        contents from one `gather`, cut by the plan's slices (`_record`)."""
+        gathers its inputs from the survivors, runs the plan (`run`) and
+        assembles the transfers and the newcomers' contents from its one
+        tuple, cut by the plan's slices (`_record`)."""
         failed = self._validate_failed(failed, survivors)
         helpers = self._pick_helpers(failed, survivors, helpers)
         self._check_helpers(helpers, survivors)

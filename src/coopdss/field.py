@@ -88,7 +88,7 @@ import struct
 from functools import lru_cache
 from itertools import islice
 from math import prod
-from operator import mul as _int_mul
+from operator import itemgetter, mul as _int_mul
 from typing import Callable, Iterable, Sequence
 
 
@@ -298,32 +298,33 @@ class PrimeField:
         for row, src in steps:
             append(sum(map(_int_mul, row, map(get, src))) % p)
 
-    def compile_plan(self, plan) -> Callable[[Sequence[int]], tuple[int, ...]]:
-        """The plan (`codes.base.RepairPlan`) as one composite matrix, run on
-        reduced input values as one packed integer product (see the module
-        docstring; Dumas, Fousse & Salvy, JSC 2011).  The matrix is composed
-        by the same kernel, slot j's row over the inputs a packed int, then
-        transposed into packed columns, in the narrower of 32- and 64-bit
-        lanes whose `_reduction_plan` covers the longest step and a chunk of
-        terms plus the reduced running total.  A p too large for 64-bit
-        lanes runs the steps, as GF(p^m) does."""
-        p, n_in, sq = self.p, len(plan.inputs), max(1, (self.p - 1) ** 2)
-        out = [j for _, slots in plan.live + plan.coop + plan.results for j in slots]
+    def compile_plan(self, n_in: int, steps, out: Sequence[int]
+                     ) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        """A plan (`codes.base.RepairPlan`: `n_in` inputs, its `steps`, the
+        slots `out` it returns) as one packed product (see the module
+        docstring; Dumas, Fousse & Salvy, JSC 2011), composed by the same
+        kernel, slot j's row over the inputs a packed int, then transposed,
+        in the narrower lanes whose `_reduction_plan` covers the longest
+        step and a chunk of terms plus the reduced total.  An input outside
+        [0, p) is first reduced, as `run_steps` would; a p too large for
+        64-bit lanes runs the steps, as GF(p^m) does."""
+        p, sq = self.p, max(1, (self.p - 1) ** 2)
         cap = ((1 << 64) - 1) // sq  # terms a 64-bit lane holds
         chunk = n_in if n_in <= cap else cap - 1
-        bound = max([len(row) for row, _ in plan.steps] + [min(n_in, chunk + 1)]) * sq
+        words = max(n_in, len(out))
+        bound = max([len(row) for row, _ in steps] + [min(n_in, chunk + 1)]) * sq
         for db in (32, 64):
             try:
                 if chunk > 0 and bound >> db == 0:
-                    folds, (c, s, q) = _reduction_plan(p, db, max(n_in, len(out)), bound)
+                    folds, (c, s, q) = _reduction_plan(p, db, words, bound)
                     break
             except ValueError:
                 pass
         else:  # run the steps, with this field's `run_steps`
-            return ExtField.compile_plan(self, plan)
+            return ExtField.compile_plan(self, n_in, steps, out)
         vecs = [1 << db * i for i in range(n_in)]
         get = vecs.__getitem__
-        for row, src in plan.steps:
+        for row, src in steps:
             v = sum(map(_int_mul, row, map(get, src)))
             for h, hi, r, lo in folds:
                 v = ((v >> h) & hi) * r + (v & lo)
@@ -335,6 +336,8 @@ class PrimeField:
         unpack, size = struct.Struct(f"<{len(out)}{code}").unpack, len(out) * w
 
         def run(vals):
+            if min(vals) < 0 or max(vals) >= p:  # the lane bound needs reduced inputs
+                vals = [v % p for v in vals]
             acc = 0
             for start, cols in chunks:
                 v = acc + sum(map(_int_mul, islice(vals, start, None) if start else vals, cols))
@@ -584,11 +587,15 @@ class ExtField:
                 v = ((v >> h) & hi) * r + (v & lo)
             append(v - p * (((v * c) >> s) & q))
 
-    def compile_plan(self, plan) -> Callable[[list[int]], tuple[int, ...]]:
-        """The plan (`codes.base.RepairPlan`) as a run of its steps in order
-        on the list of input values, which it extends (`run_steps`: each step
-        is already one m-lane word-parallel dot), then of its `gather`."""
-        steps, gather, run_steps = plan.steps, plan.gather, self.run_steps
+    def compile_plan(self, n_in: int, steps, out: Sequence[int]
+                     ) -> Callable[[list[int]], tuple[int, ...]]:
+        """A plan (`codes.base.RepairPlan`) as a run of its `steps` in order
+        on the list of its `n_in` input values, which it extends (`run_steps`:
+        each step is already one m-lane word-parallel dot), then a gather
+        of the slots `out` as one tuple."""
+        run_steps = self.run_steps
+        # itemgetter of one slot returns the bare value, not a 1-tuple
+        gather = itemgetter(*out) if len(out) > 1 else lambda vals: tuple(vals[j] for j in out)
 
         def run(vals):
             run_steps(steps, vals)

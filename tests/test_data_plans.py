@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from coopdss.codes import base, make_scheme
 from coopdss.codes.base import (ENCODE_PLANS, RECONSTRUCT_PLANS, REPAIR_PLANS, NodeContent,
-                                PlanBuilder, PlanCache, SchemeParams)
+                                ParameterError, PlanBuilder, PlanCache, SchemeParams)
 from coopdss.field import prime_field
 from coopdss.precode import random_symbols
 
@@ -118,7 +118,7 @@ def test_reconstruct_plan_inverts_the_stored_rows(name, nkdt):
 def _reference_run(field, plan, vals):
     vals = list(vals)
     field.run_steps(plan.steps, vals)
-    return plan.gather(vals)
+    return tuple(vals[j] for _, slots in plan.live + plan.coop + plan.results for j in slots)
 
 
 @st.composite
@@ -166,6 +166,29 @@ def test_packed_kernel_at_and_past_the_64_bit_lane_bound(extra):
     assert plan.run(vals) == _reference_run(prime_field(p), plan, vals)
 
 
+@pytest.mark.parametrize("bad", [-1, 11, 11 ** 6 + 3])
+def test_symbols_outside_the_prime_field(bad):
+    # encode refuses a u or r symbol outside [0, 11); reconstruct and
+    # repair read a stored symbol outside it mod 11, on every request path
+    # (evaluated, then built, then cached), since the packed kernel's lane
+    # bound holds for reduced inputs only
+    scheme = scheme_for("mbcr-bivariate", 8, 3, 4, 2)
+    assert scheme.field.p == 11
+    u, r = scheme.random_inputs(1)
+    for args in [((bad, *u[1:]), r), (u, (*r[:-1], bad))]:
+        with pytest.raises(ParameterError, match=r"must lie in \[0, 11\)"):
+            scheme.encode(*args)
+    nodes = scheme.encode(u, r)
+    low = NodeContent(1, tuple(random_symbols(scheme.field, scheme.alpha, 5)), scheme.layout)
+    high = NodeContent(1, tuple(v + bad - bad % 11 for v in low.symbols), scheme.layout)
+    want = O.REFERENCE_RECONSTRUCTS["mbcr-bivariate"](scheme, [low, *nodes[1:3]])
+    assert [scheme.reconstruct([high, *nodes[1:3]]) for _ in range(3)] == [want] * 3
+    survivors = {c.node_id: c for c in nodes[3:]}
+    got = [scheme.cooperative_repair({2, 3}, {1: node, **survivors}, (1, 4, 5, 6))
+           for node in (low, high, high)]
+    assert got[1] == got[2] == got[0]
+
+
 def test_a_prime_too_large_for_64_bit_lanes_runs_the_steps():
     # 2^31 - 1: no 64-bit reduction plan covers two terms of (p-1)^2
     p = (1 << 31) - 1
@@ -178,7 +201,30 @@ def test_a_prime_too_large_for_64_bit_lanes_runs_the_steps():
     assert plan.run(list(vals)) == _reference_run(prime_field(p), plan, vals)
 
 
+def test_a_new_entry_survives_a_table_of_hot_entries():
+    # every resident entry was hit since the last pass: eviction passes over
+    # each once, unmarking it, and drops the oldest, never the new key
+    cache = PlanCache(3)
+    built = []
+
+    def build(key):
+        built.append(key)
+        return key
+
+    for key in "abc":
+        cache.get(key, build, key)
+    for key in "abc":
+        assert cache.get(key, build, key) == key
+    assert cache.get("d", build, "d") == "d"
+    assert cache.get("d", build, "d") == "d" and built == ["a", "b", "c", "d"]
+    assert list(cache._plans) == ["b", "c", "d"] and (cache.hits, cache.misses) == (4, 4)
+    cache.get("e", build, "e")  # b, c unmarked since the pass; d marked
+    assert list(cache._plans) == ["c", "d", "e"]
+
+
 def test_first_request_of_a_key_builds_nothing():
+    # the first request enters the key with no value, the second builds it
+    # in its place; keys asked for once are bounded with the rest
     cache = PlanCache(2, build_on_reuse=True)
     built = []
 
@@ -186,22 +232,23 @@ def test_first_request_of_a_key_builds_nothing():
         built.append(key)
         return key
 
-    assert cache.get("a", build, "a") is None and built == [] and len(cache) == 0
+    assert cache.get("a", build, "a") is None and built == [] and len(cache) == 1
     assert cache.get("a", build, "a") == "a" and built == ["a"]
     assert cache.get("a", build, "a") == "a" and built == ["a"]
     assert (cache.hits, cache.misses) == (1, 2)
-    for key in "bcdef":  # the keys asked for once are bounded too
+    for key in "bcdef":
         assert cache.get(key, build, key) is None
-    assert len(cache._asked) == 2 and built == ["a"]
+    assert len(cache) == 2 and built == ["a"]
+    assert list(cache._plans) == ["e", "f"]  # "a" was passed over once, then went
 
 
 def test_encode_table_stays_at_its_bound():
     # mscr-dk (n, 1, 1, 1) for 2 <= n <= 40: more params than the table
-    # holds, each encoded twice so that its plan is built
+    # holds, each encoded three times: an evaluation, a build, then a hit
     for n in range(2, 41):
         scheme = scheme_for("mscr-dk", n, 1, 1, 1, l1=0)
         u, r = scheme.random_inputs(n)
-        for _ in range(2):
+        for _ in range(3):
             assert scheme.encode(u, r) == O.mscr_dk_encode(scheme, u, r)
             assert len(ENCODE_PLANS) <= ENCODE_PLANS.maxsize
     assert len(ENCODE_PLANS) == ENCODE_PLANS.maxsize
@@ -209,7 +256,8 @@ def test_encode_table_stays_at_its_bound():
 
 def test_reconstruct_table_stays_at_its_bound():
     # mbcr-bivariate (12,3,4,2) and (11,3,4,2): 220 + 165 contacted sets,
-    # more keys than the table holds, each decoded twice
+    # more keys than the table holds, each decoded twice: an evaluation,
+    # then a build
     for n in (12, 11):
         scheme = scheme_for("mbcr-bivariate", n, 3, 4, 2)
         u, r = scheme.random_inputs(n)
@@ -230,14 +278,18 @@ def test_scheme_construction_builds_no_plan(name, nkdt):
 
 
 def test_a_build_that_raises_leaves_nothing():
-    # the key's first request evaluates; its second builds, which raises and
-    # keeps nothing, so the key starts afresh: evaluated, then built again
+    # the key's first request evaluates and enters the key with no value;
+    # its builds then raise and keep no value, so each later request builds
+    # again, until one succeeds and is kept
     scheme = scheme_for("mscr-dk", 7, 3, 3, 3)
     u, r = scheme.random_inputs(4)
-    with mock.patch.object(base, "ENCODE_PLANS", PlanCache(4, build_on_reuse=True)) as cache, \
-            mock.patch.object(PlanBuilder, "plan", side_effect=ValueError("no plan")):
+    with mock.patch.object(base, "ENCODE_PLANS", PlanCache(4, build_on_reuse=True)) as cache:
+        assert scheme.encode(u, r) == O.mscr_dk_encode(scheme, u, r)
+        with mock.patch.object(PlanBuilder, "plan", side_effect=ValueError("no plan")):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="no plan"):
+                    scheme.encode(u, r)
+        assert [value for value, _ in cache._plans.values()] == [None]
         for _ in range(2):
             assert scheme.encode(u, r) == O.mscr_dk_encode(scheme, u, r)
-            with pytest.raises(ValueError, match="no plan"):
-                scheme.encode(u, r)
-            assert len(cache) == 0
+        assert (cache.hits, cache.misses) == (1, 4)

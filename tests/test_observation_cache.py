@@ -53,7 +53,7 @@ def cold_tables():
 def _entries(table, params):
     """The (key, value) entries of a row table under `params`, whose keys
     start with the params' repr."""
-    return [(key, value) for key, value in table._plans.items() if key[0] == repr(params)]
+    return [(key, value) for key, (value, _) in table._plans.items() if key[0] == repr(params)]
 
 
 def _one_round(scheme, failed, helpers):
@@ -177,7 +177,7 @@ def test_bivariate_lifetime_rows_from_a_bounded_point_table():
         table = mbcr_bivariate.MONOMIAL_ROWS
         assert len(set(map(tuple, view.matrix.rows))) == len(table) < view.n_rows
         assert all(type(row) is tuple and len(row) == warm.file_size
-                   for row in table._plans.values())
+                   for row, _ in table._plans.values())
         # every point of the grid fills the table to n^2 and no further
         for xi in range(1, params.n + 1):
             for yi in range(1, params.n + 1):

@@ -9,6 +9,7 @@ import pytest
 from coopdss.codes import base, make_scheme
 from coopdss.codes.base import (REPAIR_PLANS, NodeContent, ParameterError, PlanBuilder,
                                 PlanCache, RepairTranscript, SchemeParams)
+from coopdss.field import ext_field, prime_field
 
 import oracles as O
 
@@ -74,7 +75,7 @@ def test_executor_records_equal_constructed_ones(name, nkdt):
 
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_plan_refuses_a_result_of_other_than_alpha_slots(extra):
-    b = PlanBuilder(3)
+    b = PlanBuilder(3, prime_field(11))
     slots = [b.symbol(5, s) for s in range(3)]
     b.live[(5, 1)] = slots[:1]
     result = slots[:2] if extra < 0 else slots + [b.step((1, 1), slots[:2])]
@@ -107,11 +108,12 @@ def test_scheme_plan_of_a_wrong_result_width_is_refused_and_not_kept(extra):
 
 
 def test_single_output_plan_gathers_a_tuple():
-    # itemgetter of one slot returns the bare value; the plan's gather
-    # still returns a 1-tuple
-    b = PlanBuilder(1)
-    plan = b.plan([(1, [b.symbol(2, 0)])])
-    assert plan.gather([7]) == (7,) and plan.result_cuts == ((1, slice(0, 1)),)
+    # itemgetter of one slot returns the bare value; the plan's run still
+    # returns a 1-tuple, packed over GF(p) and run by the steps over GF(p^m)
+    for field in (prime_field(11), ext_field(7, 2)):
+        b = PlanBuilder(1, field)
+        plan = b.plan([(1, [b.symbol(2, 0)])])
+        assert plan.run([7]) == (7,) and plan.result_cuts == ((1, slice(0, 1)),)
 
 
 @pytest.mark.parametrize("name,nkdt", PLAN_SCHEMES)
