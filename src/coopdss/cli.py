@@ -6,8 +6,9 @@ deterministic given flags and seed (no timestamps).
 
 Exit codes: 0 success/secure, 1 secrecy violation, 2 usage or parameter
 error (in `verify-secrecy` and `simulate` also more eavesdroppers than the
-scheme claims secrecy for, |E1| > l1 or |E2| > l2, and a failure plan
-group that is not t distinct node ids in [1, n]), 3 I/O error or a program
+scheme claims secrecy for, |E1| > l1 or |E2| > l2, a failure plan group
+that is not t distinct node ids in [1, n], and in `simulate` a config
+section or key it does not use, each named), 3 I/O error or a program
 fault: in `simulate` a replay mismatch, in `simulate` or
 `verify-secrecy --e2` a repair round whose bandwidth is not t*gamma, in
 `verify-secrecy --mode both` a rank verdict that differs from the
@@ -205,6 +206,28 @@ def cmd_repair(ns) -> int:
     return 0
 
 
+# every section and key a simulate config may hold
+CONFIG_KEYS = {
+    "scheme": {"scheme", "n", "k", "d", "t", "l1", "l2"},
+    "simulate": {"rounds", "seed", "helpers", "plan"},
+    "eavesdropper": {"e1", "e2"},
+}
+
+
+def _unknown_config_entries(ini: configparser.ConfigParser) -> list[str]:
+    """Each section and key of `ini` outside `CONFIG_KEYS`, named; a key of
+    the default section, which every section would inherit, included."""
+    defaults = ini.defaults()
+    unknown = [f"key {key} in [{ini.default_section}]" for key in defaults]
+    for name in ini.sections():
+        if name not in CONFIG_KEYS:
+            unknown.append(f"section [{name}]")
+            continue
+        unknown += [f"key {key} in [{name}]" for key in ini[name]
+                    if key not in CONFIG_KEYS[name] and key not in defaults]
+    return unknown
+
+
 def _sim_config_from_ini(path: str, ns) -> sim_mod.SimConfig:
     # no interpolation: a '%' in a value is then an ordinary bad value
     ini = configparser.ConfigParser(interpolation=None)
@@ -214,6 +237,9 @@ def _sim_config_from_ini(path: str, ns) -> sim_mod.SimConfig:
         raise UsageError(f"config {path}: {exc}") from None
     if not found:
         raise OSError(f"cannot read config file {path}")
+    unknown = _unknown_config_entries(ini)
+    if unknown:
+        raise UsageError(f"config {path}: unknown {', '.join(unknown)}")
     if not ini.has_section("scheme"):
         raise UsageError(f"config {path}: no [scheme] section")
     sch = ini["scheme"]

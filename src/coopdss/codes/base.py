@@ -18,8 +18,9 @@ Observation row order:
 scheme supplies one row of `file_size` ints per symbol (`_stored_rows`,
 `_download_rows`): its row of [A_r | A_u] over (r || u), or, for a
 Gabidulin scheme, the GF(p) coordinates of its evaluation point.  Either
-way the view holds one matrix (`ObservationMatrix`, `PointObservation`).
-The base labels every row itself:
+way the view (`ObservationMatrix`, `PointObservation`) holds the row
+tables' own tuples and builds its `matrix` (a copy) and `labels` on first
+use.  The base labels every row itself (`Scheme._observation_labels`):
 
   ("stored", node, idx)            idx < alpha, a stored symbol;
   ("live", round, helper, newcomer, idx)
@@ -35,7 +36,7 @@ and the faithfulness checks compare two independent walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, count
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -295,7 +296,7 @@ class _Evaluator:
 
 def _record(cls, **fields):
     """A record built without `__init__` (`NodeContent`'s sums its layout), only
-    for records right by construction: a plan's (see `PlanBuilder.plan`), a node file's."""
+    for records right by construction: a plan's (`PlanBuilder.plan`), a node file's, a view's."""
     rec = object.__new__(cls)
     rec.__dict__.update(fields)
     return rec
@@ -307,19 +308,32 @@ class ObservationMatrix:
 
     The r columns come first so that one elimination yields both
     rank([A_u|A_r]) and rank(A_r).  The subclass `PointObservation` keeps
-    the same fields but holds evaluation points in `matrix` instead."""
+    the same fields but holds evaluation points in `matrix` instead.
+
+    A view holds its rows as tuples of `ncols` ints over `field` (a scheme's,
+    the row tables' own), which the verdict eliminates as they are; `matrix`,
+    a copy, and `labels` are built on first use (`Scheme._view`)."""
 
     def __init__(self, matrix: Matrix, n_random: int, labels: Sequence[tuple]):
         if matrix.nrows != len(labels):
             raise ValueError("row count mismatch")
         self.matrix = matrix
         self.labels = tuple(labels)
-        self.n_secret = matrix.ncols - n_random
-        self.n_random = n_random
+        self.field, self.ncols = matrix.field, matrix.ncols
+        self.rows = list(map(tuple, matrix.rows))
+        self.n_secret, self.n_random = matrix.ncols - n_random, n_random
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        return Matrix(self.field, self.rows, ncols=self.ncols)
+
+    @cached_property
+    def labels(self) -> tuple:
+        return self._label_walk()
 
     @property
     def n_rows(self) -> int:
-        return len(self.labels)
+        return len(self.rows)
 
 
 class PointObservation(ObservationMatrix):
@@ -327,7 +341,7 @@ class PointObservation(ObservationMatrix):
 
     Every observed symbol is f(h) for the precoding polynomial
     f(X) = sum_i c_i X^(p^i) with coefficients c = (r || u) and a point h in
-    GF(p)^M; row j of `matrix` holds the base coordinates of h_j.  Row j of
+    GF(p)^M; row j of `rows` holds the base coordinates of h_j.  Row j of
     [A_r | A_u] over GF(p^M) is the Moore row (h_j, h_j^p, ...,
     h_j^(p^(M-1))), but a rank verdict needs only the GF(p) rank of the
     points, so the view keeps the points alone.
@@ -490,29 +504,32 @@ class Scheme:
             raise ParameterError("node ids must lie in [1, n]")
         return failed
 
+    @cached_property
+    def _ids(self) -> frozenset[int]:
+        return frozenset(range(1, self.params.n + 1))
+
     def _validate_eaves(self, e1, e2, transcripts):
-        n, d, t = self.params.n, self.params.d, self.params.t
-        ids = set(range(1, n + 1))
-        e1 = tuple(sorted(set(e1)))
-        e2 = tuple(sorted(set(e2)))
-        if not ids.issuperset(e1 + e2):
+        """E1 and E2 as sorted tuples of distinct ids, checked in one pass."""
+        n, d, t, ids = self.params.n, self.params.d, self.params.t, self._ids
+        e1, e2 = set(e1), set(e2)
+        if not ids.issuperset(e1) or not ids.issuperset(e2):
             raise ParameterError(f"eavesdropped node ids must lie in [1, {n}]")
-        if set(e1) & set(e2):
+        if not e1.isdisjoint(e2):
             raise ParameterError("E1 and E2 must be disjoint")
-        repaired = set()
+        unrepaired = e2.copy()
         for tr in transcripts:
             helpers = set(tr.helpers)
             if (len(tr.failed) != t or len(tr.helpers) != d or len(helpers) != d
-                    or helpers & tr.failed or not ids.issuperset(tr.failed | helpers)):
+                    or not helpers.isdisjoint(tr.failed) or not ids.issuperset(tr.failed)
+                    or not ids.issuperset(helpers)):
                 raise ParameterError(
                     f"a repair needs t={t} failed ids and d={d} distinct helper ids, "
                     f"all in [1, {n}] and no helper failed")
-            repaired |= tr.failed
-        missing = [i for i in e2 if i not in repaired]
-        if missing:
+            unrepaired -= tr.failed
+        if unrepaired:
             raise ParameterError(
-                f"E2 nodes {missing} never appear as newcomers in the transcripts")
-        return e1, e2
+                f"E2 nodes {sorted(unrepaired)} never appear as newcomers in the transcripts")
+        return tuple(sorted(e1)), tuple(sorted(e2))
 
     def _stored_rows(self, node: int) -> list:
         """One observation row per symbol stored at `node`, in segment order:
@@ -540,43 +557,45 @@ class Scheme:
         key = (self._key, frozenset(tr.failed), tuple(tr.helpers), newcomer)
         return DOWNLOAD_ROWS.get(key, self._row_tuples, self._download_rows, tr, newcomer)
 
-    def _observation_rows(self, e1: Iterable[int], e2: Iterable[int],
-                          transcripts: Sequence[RepairTranscript]) -> tuple[list, list[tuple]]:
-        """The eavesdropper's rows and their labels, in the shared row order.
+    def _observation_rows(self, e1: tuple[int, ...], e2: tuple[int, ...],
+                          transcripts: Sequence[RepairTranscript]) -> list[tuple]:
+        """The eavesdropper's rows in the shared row order, for E1 and E2 as
+        `_validate_eaves` returns them.
 
         Rows depend on public parameters alone, so bounded process-wide
         tables keep them (`_node_rows`, `_newcomer_rows`) for every later
         observation and every instance of the same params: a sweep observes
         the same nodes again and again, and each lifetime builds a scheme.
-        The rows are tuples and every `Matrix` copies the rows it is given,
-        so no caller can alter them.
-
-        Plain loops, not comprehensions: a sweep verdict observes a few rows,
-        so the per-call cost of a comprehension shows in its time."""
-        e1, e2 = self._validate_eaves(e1, e2, transcripts)
+        The list holds the tables' own tuples, which no elimination alters."""
         rows: list = []
-        labels: list[tuple] = []
         for node in e1 + e2:
             rows += self._node_rows(node)
-            for idx in range(self.alpha):
-                labels.append(("stored", node, idx))
-        for rnd, tr in enumerate(transcripts):
-            for i in sorted(tr.failed & set(e2)):
+        for tr in transcripts:
+            for i in sorted(tr.failed.intersection(e2)):
                 rows += self._newcomer_rows(tr, i)
-                for h in tr.helpers:
-                    for idx in range(self.beta):
-                        labels.append(("live", rnd, h, i, idx))
-                for m in sorted(tr.failed - {i}):
-                    for idx in range(self.beta_prime):
-                        labels.append(("coop", rnd, m, i, idx))
-        return rows, labels
+        return rows
+
+    def _observation_labels(self, e1, e2, transcripts) -> tuple[tuple, ...]:
+        """The label of each row of `_observation_rows`, walked apart."""
+        labels = [("stored", node, idx) for node in e1 + e2 for idx in range(self.alpha)]
+        for rnd, tr in enumerate(transcripts):
+            for i in sorted(tr.failed.intersection(e2)):
+                labels += [("live", rnd, h, i, idx) for h in tr.helpers for idx in range(self.beta)]
+                labels += [("coop", rnd, m, i, idx) for m in sorted(tr.failed - {i})
+                           for idx in range(self.beta_prime)]
+        return tuple(labels)
+
+    def _view(self, cls, field, e1, e2, transcripts) -> ObservationMatrix:
+        """The observation as a `cls` view of its rows over `field`."""
+        e1, e2 = self._validate_eaves(e1, e2, transcripts)
+        return _record(cls, field=field, rows=self._observation_rows(e1, e2, transcripts),
+                       ncols=self.file_size, n_random=self.n_random, n_secret=self.secure_size,
+                       _label_walk=partial(self._observation_labels, e1, e2, transcripts))
 
     def _linear_observation(self, e1: Iterable[int], e2: Iterable[int],
                             transcripts: Sequence[RepairTranscript]) -> ObservationMatrix:
         """The observation as [A_r | A_u] over the scheme's field GF(p)."""
-        rows, labels = self._observation_rows(e1, e2, transcripts)
-        return ObservationMatrix(Matrix(self.field, rows, ncols=self.file_size),
-                                 self.n_random, labels)
+        return self._view(ObservationMatrix, self.field, e1, e2, transcripts)
 
     def observed_symbols(self, u: Sequence[int], r: Sequence[int],
                          e1: Iterable[int], e2: Iterable[int],
@@ -639,9 +658,7 @@ class GabidulinScheme(Scheme):
     def _point_observation(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript]) -> PointObservation:
         """The observation as GF(p) evaluation points."""
-        points, labels = self._observation_rows(e1, e2, transcripts)
-        return PointObservation(Matrix(self.base, points, ncols=self.file_size),
-                                self.n_random, labels)
+        return self._view(PointObservation, self.base, e1, e2, transcripts)
 
     def observation_point_matrix(self, e1: Iterable[int], e2: Iterable[int],
                                  transcripts: Sequence[RepairTranscript] = ()) -> Matrix:

@@ -30,7 +30,8 @@ reduction is due, so work is reduced once per result, not once per multiply
 Inverses are closed forms too: a constant inverts in GF(p), and any other a
 by its norm, a^-1 = N(a)^-1 * prod_{0<i<m} a^(p^i) with N(a) in GF(p)
 (`ExtField.inv`): m-1 Frobenius maps and m-1 products, no polynomial
-division.
+division.  GF(p) below p = 4096 reads a table of every inverse, built on
+its first `inv` in O(p) steps.
 
 The modulus depends on (p, m) alone, so every encoded byte is reproducible
 across runs and platforms.  Serialisation goes through the base-field
@@ -246,7 +247,7 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
 class PrimeField:
     """GF(p).  Elements are ints in [0, p)."""
 
-    __slots__ = ("p", "order", "char", "degree", "zero", "one", "coord_width")
+    __slots__ = ("p", "order", "char", "degree", "zero", "one", "coord_width", "_inverses")
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -258,6 +259,7 @@ class PrimeField:
         self.zero = 0
         self.one = 1
         self.coord_width = coordinate_bytes(p)
+        self._inverses = None  # built on the first inv when p < _INVERSE_TABLE_P
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -369,9 +371,16 @@ class PrimeField:
         return v % self.p
 
     def inv(self, a: int) -> int:
-        if a % self.p == 0:
+        p, a = self.p, a % self.p
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        if p >= _INVERSE_TABLE_P:
+            return pow(a, p - 2, p)
+        if self._inverses is None:  # from p = (p // i) i + p % i: 1/i = -(p // i) / (p % i)
+            self._inverses = table = [0, 1]
+            for i in range(2, p):
+                table.append(-(p // i) * table[p % i] % p)
+        return self._inverses[a]
 
     def frobenius(self, a: int) -> int:
         return a % self.p
@@ -398,9 +407,12 @@ class PrimeField:
     def symbols_from_bytes(self, bs: bytes) -> list[int]:
         """Every symbol of `bs` (coord_width bytes each), with one range check."""
         w = self.coord_width
-        if len(bs) % w:
+        if w == 1:
+            symbols = list(bs)
+        elif len(bs) % w:
             raise ValueError("wrong symbol width")
-        symbols = [int.from_bytes(bs[i:i + w], "little") for i in range(0, len(bs), w)]
+        else:
+            symbols = [int.from_bytes(bs[i:i + w], "little") for i in range(0, len(bs), w)]
         _check_coords(symbols, self.p)
         return symbols
 
@@ -776,26 +788,35 @@ def _check_coords(coords: Sequence[int], p: int) -> None:
         raise ValueError(f"coordinate {bad} out of range for GF({p})")
 
 
+# GF(p) keeps an inverse table below this p: p list slots and ints, <= 160 KB
+_INVERSE_TABLE_P = 4096
+
+# Fields by (p, m), at most _FIELD_CACHE_SIZE of them, the oldest evicted
+# first; an evicted field is rebuilt equal on its next request (a benchmark
+# workload meets 23).  Worst case per entry: a GF(p) 160 KB, its inverse
+# table at p = 4093; a GF(p^m) O(m) words of packed constants plus up to
+# 12 KB of range-check constants, 2.6 KB at GF(7^9) and 20 KB at GF(331^55)
+# after use (tracemalloc).  About 10 MB for 64 GF(p) below 4096.
 _FIELD_CACHE: dict[tuple[int, int], object] = {}
+_FIELD_CACHE_SIZE = 64
 
 
 def prime_field(p: int) -> PrimeField:
-    key = (p, 1)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = PrimeField(p)
-    return _FIELD_CACHE[key]
+    return ext_field(p, 1)
 
 
 def ext_field(p: int, m: int) -> ExtField:
-    """GF(p^m) with its binomial modulus; cached.  Raises ValueError when
-    GF(p^m) has none (see `binomial_prime`)."""
+    """GF(p^m) with its binomial modulus (GF(p) itself for m = 1); cached in
+    `_FIELD_CACHE`.  Raises ValueError when GF(p^m) has none (see
+    `binomial_prime`)."""
     key = (p, m)
-    if key not in _FIELD_CACHE:
-        if m == 1:
-            _FIELD_CACHE[key] = PrimeField(p)
-        else:
-            _FIELD_CACHE[key] = ExtField(prime_field(p), m)
-    return _FIELD_CACHE[key]
+    field = _FIELD_CACHE.get(key)
+    if field is None:
+        field = PrimeField(p) if m == 1 else ExtField(prime_field(p), m)
+        while len(_FIELD_CACHE) >= _FIELD_CACHE_SIZE:
+            del _FIELD_CACHE[next(iter(_FIELD_CACHE))]
+        _FIELD_CACHE[key] = field
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +840,13 @@ class Matrix:
                 raise ValueError(f"rows have {self.ncols} columns, not ncols={ncols}")
         else:
             self.ncols = 0 if ncols is None else ncols
+
+    @classmethod
+    def _of(cls, field, rows: Sequence[Sequence[int]], ncols: int) -> "Matrix":
+        """A matrix over `rows` as they are, unchecked: `_echelon` copies a row it changes."""
+        matrix = object.__new__(cls)
+        matrix.field, matrix.rows, matrix.nrows, matrix.ncols = field, rows, len(rows), ncols
+        return matrix
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
@@ -858,9 +886,9 @@ class Matrix:
         The leading columns of an echelon basis are an invariant of the row
         space, so the pivots are those of any row echelon form.  Returns
         (rows, aug_rows, pivot_columns): the basis rows in pivot order, then
-        the dependent rows; aug_rows is None without `aug`.  A row is copied
-        before its first change, so a row that joins unchanged is the
-        matrix's own list: callers only read the result.
+        the dependent rows; aug_rows is None without `aug`.  A row (list or
+        tuple) is copied to a list before its first change, so a row that
+        joins unchanged is the matrix's own: callers only read the result.
         """
         f = self.field
         sub_scaled, scale, one = f._sub_scaled, f._scale, f.one
@@ -879,7 +907,7 @@ class Matrix:
                 if lead is None:
                     break
                 if row is src:
-                    row = src[:]
+                    row = list(src)
                 sub_scaled(row, v, lead, c)
                 c += 1
             if c == nc:
@@ -887,7 +915,7 @@ class Matrix:
                 continue
             if row[c] != one:
                 if row is src:
-                    row = src[:]
+                    row = list(src)
                 scale(row, f.inv(row[c]), c)
             basis[c] = row
             if aug is None and len(basis) == nc:

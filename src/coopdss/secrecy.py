@@ -8,8 +8,9 @@ H(r | u, e) = 0 becomes rank(A_r) = |r|.  `rank_leakage` returns the
 leakage and both lemma conditions.
 
 Every view (`ObservationMatrix`) holds one GF(p) matrix, one row of M
-ints per observed symbol, and |r|; how the ranks are found depends on the
-scheme, and `rank_leakage` picks the rule by the view's type:
+ints per observed symbol (the row tables' tuples, eliminated without a
+copy), and |r|; how the ranks are found depends on the scheme, and
+`rank_leakage` picks the rule by the view's type:
 
 * mbcr-exact and mscr-dk precode with a Gabidulin (linearized) polynomial,
   so each observed symbol is f(h) for a point h in GF(p)^M and the rows of
@@ -86,10 +87,10 @@ class SecrecyVerdict:
         return self.leakage_qunits == 0
 
 
-def _distinct_rows(matrix: Matrix) -> Matrix:
-    """`matrix` with its repeated rows dropped, first occurrences kept in
-    order, when it has more than twice as many rows as columns; otherwise
-    `matrix` itself.
+def _distinct_rows(obs: ObservationMatrix) -> Matrix:
+    """The view's rows as a `Matrix` over them, with no copy (`Matrix._of`),
+    its repeated rows dropped, first occurrences kept in order, when it has
+    more than twice as many rows as columns.
 
     A repeated row (one evaluation point observed twice, as lifetimes do)
     changes neither the row space nor, hence, the rank or the pivot columns
@@ -101,12 +102,12 @@ def _distinct_rows(matrix: Matrix) -> Matrix:
     (11 us on a 40 x 30 point view with no repeat, whose elimination takes
     114, at the benchmark's reference speed).  On the benchmark's lifetime
     views the scan still cuts the elimination to a third or less."""
-    if matrix.nrows <= 2 * matrix.ncols:
-        return matrix
-    distinct = dict.fromkeys(map(tuple, matrix.rows))
-    if len(distinct) == matrix.nrows:
-        return matrix
-    return Matrix(matrix.field, distinct, ncols=matrix.ncols)
+    rows = obs.rows
+    if len(rows) > 2 * obs.ncols:
+        distinct = dict.fromkeys(rows)
+        if len(distinct) < len(rows):
+            rows = list(distinct)
+    return Matrix._of(obs.field, rows, obs.ncols)
 
 
 def rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
@@ -119,7 +120,7 @@ def rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
     distinct rows (`_distinct_rows`)."""
     if not isinstance(obs, PointObservation):
         return joint_rank_leakage(obs)
-    rho, _ = _distinct_rows(obs.matrix).rank_profile()
+    rho, _ = _distinct_rows(obs).rank_profile()
     nr = obs.n_random
     return SecrecyVerdict(
         leakage_qunits=max(0, rho - nr),
@@ -136,7 +137,7 @@ def joint_rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
     A `PointObservation` holds points, not [A_r | A_u], and is refused."""
     if isinstance(obs, PointObservation):
         raise TypeError("a PointObservation holds evaluation points; use rank_leakage")
-    joint, pivots = _distinct_rows(obs.matrix).rank_profile()
+    joint, pivots = _distinct_rows(obs).rank_profile()
     rank_r = sum(1 for c in pivots if c < obs.n_random)
     return SecrecyVerdict(
         leakage_qunits=joint - rank_r,

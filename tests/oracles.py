@@ -11,9 +11,11 @@ Every observation holds one matrix.  The Gabidulin schemes' view
 (`PointObservation`) holds only the GF(p) evaluation points; `linear_view`
 builds its GF(p^M) Moore rows, the [A_r | A_u] that
 `coopdss.secrecy.joint_rank_leakage` eliminates, so the point-rank verdict
-has an extension-field oracle.  `a_u` and `a_r` slice a linear view's
-[A_r | A_u] into its secret and random columns, for the checks that
-replay e = A_u u + A_r r.
+has an extension-field oracle.  `observation_rows_and_labels` walks the
+row order once for rows and labels together, the reference for a view's
+labels, which the program walks apart from its rows on first use.  `a_u`
+and `a_r` slice a linear view's [A_r | A_u] into its secret and random
+columns, for the checks that replay e = A_u u + A_r r.
 
 The mbcr-exact observation points are written in closed form by the scheme;
 `mbcr_exact_stored_rows` and `mbcr_exact_z_point` build them by combining
@@ -107,6 +109,29 @@ def linear_view(obs):
     f = ext_field(points.field.p, points.ncols)  # the scheme's field: fixed by (p, M)
     rows = moore_matrix(f, [f.from_coords(pt) for pt in points.rows], points.ncols).rows
     return ObservationMatrix(Matrix(f, rows, ncols=points.ncols), obs.n_random, obs.labels)
+
+
+def observation_rows_and_labels(scheme, e1, e2, transcripts=()):
+    """The eavesdropper's rows and their labels in one eager walk of the
+    shared row order, as views were built before their labels were walked
+    on first use: the reference for `ObservationMatrix.labels` and for the
+    rows a view holds."""
+    e1, e2 = scheme._validate_eaves(e1, e2, transcripts)
+    rows, labels = [], []
+    for node in e1 + e2:
+        rows += scheme._node_rows(node)
+        for idx in range(scheme.alpha):
+            labels.append(("stored", node, idx))
+    for rnd, tr in enumerate(transcripts):
+        for i in sorted(tr.failed & set(e2)):
+            rows += scheme._newcomer_rows(tr, i)
+            for h in tr.helpers:
+                for idx in range(scheme.beta):
+                    labels.append(("live", rnd, h, i, idx))
+            for m in sorted(tr.failed - {i}):
+                for idx in range(scheme.beta_prime):
+                    labels.append(("coop", rnd, m, i, idx))
+    return rows, labels
 
 
 def a_u(obs):

@@ -724,6 +724,23 @@ def test_simulate_malformed_config_exit2(tmp_path, text, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, unknown", [
+    (SIM_INI.split("[simulate]")[0] + "[simulate]\nround = 5\n\n[eavesdroper]\ne2 = 1\n",
+     "key round in [simulate], section [eavesdroper]"),
+    ("[DEFAULT]\nseed = 3\n\n" + SIM_INI, "key seed in [DEFAULT]"),
+    (SIM_INI.replace("l2 = 1", "l2 = 1\nl3 = 1").replace("e2 = 1", "e2 = 1\ne3 = 2"),
+     "key l3 in [scheme], key e3 in [eavesdropper]"),
+], ids=["misspelled-key-and-section", "default-section", "two-keys"])
+def test_simulate_refuses_unknown_config_sections_and_keys(tmp_path, text, unknown):
+    # `round = 5` and a section [eavesdroper] once ran one round with no
+    # eavesdropper and exit 0: every section and key is used or refused
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(text)
+    code, out, err = run_cli(["simulate", "--config", str(cfg)])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == f"error: config {cfg}: unknown {unknown}\n"
+
+
 def test_readme_simulate_config_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("A `simulate` config file mirrors the flags:")[1]

@@ -442,6 +442,54 @@ def test_inv_of_base_field_constants(p, m):
     assert f.mul(x, f.inv(x)) == f.one
 
 
+# 4093 is the largest tabled prime and 4099 the first untabled one
+@pytest.mark.parametrize("p", [2, 3, 11, 31, 331, 4093, 4099])
+def test_prime_inverse_table_matches_pow(p):
+    # below _INVERSE_TABLE_P, inv reads a table built on its first call by
+    # the O(p) recurrence; past it, inv is a^(p-2).  0 and every multiple
+    # of p still raise, and any other int inverts by its residue
+    assert max(q for q in range(F._INVERSE_TABLE_P) if F._is_prime(q)) == 4093
+    assert F.next_prime(F._INVERSE_TABLE_P) == 4099
+    f = F.PrimeField(p)
+    assert f._inverses is None
+    assert [f.inv(a) for a in range(1, p)] == [pow(a, p - 2, p) for a in range(1, p)]
+    assert (f._inverses is not None) == (p < F._INVERSE_TABLE_P)
+    assert f.inv(-1) == p - 1 and f.inv(p + 1) == 1
+    for a in (0, p, -p, 7 * p):
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            f.inv(a)
+
+
+def test_field_cache_stays_at_its_bound_and_rebuilds_evicted_fields(monkeypatch):
+    # more fields than the bound: the cache never holds more, the oldest
+    # go first, and an evicted field comes back equal, inverses included
+    monkeypatch.setattr(F, "_FIELD_CACHE", {})
+    prime, ext = F.prime_field(5), F.ext_field(5, 4)
+    inverses = [prime.inv(a) for a in range(1, 5)]
+    for q in [q for q in range(7, 1000) if F._is_prime(q)][:F._FIELD_CACHE_SIZE]:
+        F.prime_field(q)
+        assert len(F._FIELD_CACHE) <= F._FIELD_CACHE_SIZE
+    assert len(F._FIELD_CACHE) == F._FIELD_CACHE_SIZE
+    assert (5, 1) not in F._FIELD_CACHE and (5, 4) not in F._FIELD_CACHE
+    again, ext_again = F.prime_field(5), F.ext_field(5, 4)
+    assert again is not prime and again == prime
+    assert [again.inv(a) for a in range(1, 5)] == inverses
+    assert ext_again is not ext and ext_again == ext
+    assert (ext_again.modulus, ext_again.base) == (ext.modulus, ext.base)
+    assert F.prime_field(5) is again and len(F._FIELD_CACHE) == F._FIELD_CACHE_SIZE
+
+
+@pytest.mark.parametrize("p", [2, 11, 251])
+def test_one_byte_decode_refuses_every_byte_from_p(p):
+    # one-byte coordinates decode as the bytes themselves, with the same
+    # refusal as wider ones for every byte at or past p
+    f = F.prime_field(p)
+    assert f.symbols_from_bytes(bytes(range(p))) == list(range(p))
+    for b in range(p, 256):
+        with pytest.raises(ValueError, match=rf"^coordinate {b} out of range for GF\({p}\)$"):
+            f.symbols_from_bytes(bytes([0, p - 1, b, 0, b]))
+
+
 # binomial fields on 32-bit words, GF(29^56) the largest degree, and on
 # 64-bit words (GF(257^16), GF(65537^8))
 INV_FIELDS = [(3, 2), (7, 6), (7, 9), (13, 24), (31, 30), (29, 56), (257, 16), (65537, 8)]

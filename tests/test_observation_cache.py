@@ -8,6 +8,7 @@ rows built with every table empty, no caller may alter them, every table
 stays at its bound, and building more instances of the same params adds
 nothing."""
 
+import copy
 import gc
 import tracemalloc
 from contextlib import contextmanager
@@ -19,9 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 from coopdss import sim
 from coopdss.codes import base, make_scheme, mbcr_bivariate
-from coopdss.codes.base import (DOWNLOAD_ROWS, STORED_ROWS, PlanCache, RepairTranscript,
-                                SchemeParams)
+from coopdss.codes.base import (DOWNLOAD_ROWS, STORED_ROWS, PlanCache, PointObservation,
+                                RepairTranscript, SchemeParams)
 from coopdss.codes.mbcr_bivariate import MONOMIAL_ROWS
+from coopdss.secrecy import rank_leakage
+
+from oracles import observation_rows_and_labels
 
 PARAMS = {
     "mbcr-exact": SchemeParams(5, 3, 3, 2, 1, 1, "mbcr-exact"),
@@ -92,6 +96,62 @@ def test_warm_observation_equals_fresh(view):
     assert _rows(warm) == _rows(fresh)
     assert warm.labels == fresh.labels
     assert len(_entries(STORED_ROWS, PARAMS[name])) <= PARAMS[name].n
+
+
+@st.composite
+def lifetime_views(draw):
+    """(scheme name, E1, E2, transcripts) with up to two repair rounds, each
+    E2 node a newcomer in at least one of them."""
+    name = draw(st.sampled_from(sorted(PARAMS)))
+    p = PARAMS[name]
+    ids = list(range(1, p.n + 1))
+    transcripts = []
+    for _ in range(draw(st.integers(0, 2))):
+        failed = frozenset(draw(st.permutations(ids))[:p.t])
+        survivors = [i for i in ids if i not in failed]
+        helpers = tuple(sorted(draw(st.permutations(survivors))[:p.d]))
+        transcripts.append(_one_round(WARM[name], failed, helpers))
+    repaired = sorted(set().union(*(tr.failed for tr in transcripts)))
+    e2 = tuple(draw(st.sets(st.sampled_from(repaired), max_size=2))) if repaired else ()
+    e1 = tuple(draw(st.sets(st.sampled_from([i for i in ids if i not in e2]), max_size=2)))
+    return name, e1, e2, tuple(transcripts)
+
+
+def _table_entries():
+    """Every (key, rows) entry of the stored and download row tables."""
+    return [(key, value) for table in (STORED_ROWS, DOWNLOAD_ROWS)
+            for key, (value, _) in table._plans.items()]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lifetime_views())
+def test_view_keeps_table_rows_and_builds_labels_on_first_use(view):
+    # the view holds the tables' own tuples, in the eager walk's order; the
+    # verdict and n_rows build neither the copied matrix nor the labels, the
+    # verdict is that of the copied matrix's rank profile, and it leaves
+    # every table entry as it was; the labels, walked on first use, are the
+    # eager walk's
+    name, e1, e2, transcripts = view
+    scheme = WARM[name]
+    obs = scheme.observation_matrix(e1, e2, transcripts)
+    rows, labels = observation_rows_and_labels(scheme, e1, e2, transcripts)
+    before = copy.deepcopy(_table_entries())
+    verdict = rank_leakage(obs)
+    assert obs.n_rows == len(rows) == len(obs.rows)
+    assert "labels" not in vars(obs) and "matrix" not in vars(obs)
+    assert _table_entries() == before
+    assert all(got is want for got, want in zip(obs.rows, rows))
+    assert obs.labels == tuple(labels)
+    assert obs.matrix.rows == [list(row) for row in rows]
+    rank, pivots = obs.matrix.rank_profile()
+    nr = obs.n_random
+    if isinstance(obs, PointObservation):
+        want = (max(0, rank - nr), rank <= nr, rank >= nr)
+    else:
+        rank_r = sum(1 for c in pivots if c < nr)
+        want = (rank - rank_r, rank <= nr, rank_r == nr)
+    assert (verdict.leakage_qunits, verdict.lemma_cond_entropy_ok,
+            verdict.lemma_recoverable_ok) == want
 
 
 @pytest.mark.parametrize("name", sorted(PARAMS))
