@@ -132,7 +132,8 @@ class RepairPlan(NamedTuple):
     tuples.  `run` is the field's compiled form (`compile_plan`): it maps
     the input values to the live, coop and result slots' values as one
     tuple, cut into records by the slices of the `*_cuts`.  GF(p^m) runs
-    the steps, GF(p) one packed product of the composed map."""
+    the steps as generated straight-line code, GF(p) one packed product of
+    the composed map."""
 
     inputs: tuple[tuple[int, int], ...]
     steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -258,7 +259,10 @@ class PlanCache:
 # Measured with its rows: 5-9 KB per plan at the benchmark's lifetime sizes
 # (a lifetime pass meets 56-58 keys, about 360 KB), so about 2 MB for a
 # full cache of them; about 50 KB per plan at mbcr-bivariate (20,4,8,4),
-# 13 MB for 256 of those.
+# 13 MB for 256 of those.  A GF(p^m) plan also keeps its compiled code
+# (`ExtField.compile_plan`): 2-5 KB more at the benchmark's sizes (9.6 KB
+# in all at mscr-dk (6,3,3,3), 13 KB at mbcr-exact (6,3,4,2)), 11 KB more
+# at mbcr-exact (9,5,7,2) over GF(331^55) (tracemalloc, rows excluded).
 REPAIR_PLANS = PlanCache(256)
 
 # Observation rows by (params, node) and (params, failed, helpers, newcomer):
@@ -275,6 +279,9 @@ DOWNLOAD_ROWS = PlanCache(512)
 # reconstruct plan at the benchmark's sizes, so 1.3 MB and 5.6 MB for the
 # tables full; at mbcr-bivariate (20,4,8,4) 292 KB and 66 KB, 9.3 MB and
 # 17 MB full.  An encode plan grows with n alpha: 6.9 MB at n = 2000.
+# A GF(p^m) plan's compiled code adds 1.6-7 KB at the benchmark's sizes
+# (an encode plan 8-16 KB in all without its rows, a reconstruct plan 5-9
+# KB), 24 KB to an encode plan at mbcr-exact (9,5,7,2) over GF(331^55).
 ENCODE_PLANS = PlanCache(32, build_on_reuse=True)
 RECONSTRUCT_PLANS = PlanCache(256, build_on_reuse=True)
 

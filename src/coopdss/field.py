@@ -52,9 +52,16 @@ The mbcr-exact, mscr-dk and mbcr-bivariate repair and reconstruct systems
 run no elimination: they are base-field Vandermonde and Cauchy matrices,
 whose inverses are closed forms (`vandermonde_inverse`, `cauchy_inverse`)
 applied as the steps of a cached plan (`codes.base.RepairPlan`), which
-each field runs by its `compile_plan`.  GF(p^m) runs the steps
-(`run_steps`): each is a GF(p)-scaled sum, already word-parallel over the m
-digits, reduced with the plan for its own digit bound.  GF(p) composes the
+each field compiles once (`compile_plan`).  GF(p^m) generates one
+straight-line Python function per plan: each step is one statement, a
+GF(p)-scaled sum of earlier slots, already word-parallel over the m digits,
+then the `_reduction_plan` for its own digit bound L (p-1)^2 (a 4-term row
+on GF(43^21) takes one quotient step and no fold), with its constants
+bound once per plan.  The generator writes ints only, by `%d`, so a
+non-int coefficient raises TypeError before anything is compiled; it
+writes a row of more than `_FLAT_TERMS` terms as one flat `sum(map(...))`,
+since a chain of 3000 additions is too deep for the compiler; and a row
+past the word bound calls `dot`'s chunked path.  GF(p) composes the
 whole plan once into one matrix and runs it as one packed product: column i
 packs the matrix entries of input i, one per output lane, so the sum of the
 inputs times their columns holds every output, each lane at most L (p-1)^2
@@ -71,7 +78,8 @@ with it in both reconstruct and repair.  The closed forms depend only on
 public points, so bounded process-wide caches keep them as immutable
 tuples: `vandermonde_inverse_rows` (256 entries, keyed by the prime and the
 point tuple) and `lagrange_row` (4096 entries, keyed by the prime, the
-point tuple and the point wanted).
+point tuple and the point wanted), each sized from the benchmark's working
+sets (at most 34 and about 1640 keys).
 
 The Gabidulin precoding map, the Moore matrix of a field's canonical basis,
 and its inverse are never built as matrices.  On a binomial field every
@@ -89,7 +97,7 @@ import struct
 from functools import lru_cache
 from itertools import islice
 from math import prod
-from operator import itemgetter, mul as _int_mul
+from operator import index, mul as _int_mul
 from typing import Callable, Iterable, Sequence
 
 
@@ -180,7 +188,7 @@ def _reduction_plan(p: int, db: int, m: int,
     cross a word.  W bounds the digits: `bound` on entry.  A field reduces
     any word with the plan for 2^db - 1; a sum of L GF(p)-scaled reduced
     elements has digits at most L (p-1)^2, and its plan needs fewer folds,
-    none for short sums (see `ExtField.run_steps`).
+    none for short sums (see `ExtField.compile_plan`).
     - A fold (h, hi, r, lo) runs v = ((v >> h) & hi) * r + (v & lo) with
       r = 2^h mod p: digit d = a 2^h + b becomes a r + b, congruent mod p and
       at most W' = (W >> h) r + 2^h - 1 < W.  h = (bitlen(W) + bitlen(p) + 1)
@@ -290,16 +298,6 @@ class PrimeField:
         """sum_i xs[i] * ys[i], reduced once."""
         return sum(map(_int_mul, xs, ys)) % self.p
 
-    def run_steps(self, steps: Sequence[tuple[Sequence[int], Sequence[int]]],
-                  vals: list[int]) -> None:
-        """For each (row, src) step in order, append to `vals` the dot of the
-        GF(p) row with the values at the slots `src` of `vals`, so a step
-        may read the slot an earlier step appended.  The straight-line
-        program of a repair plan (see `codes.base.RepairPlan`)."""
-        p, get, append = self.p, vals.__getitem__, vals.append
-        for row, src in steps:
-            append(sum(map(_int_mul, row, map(get, src))) % p)
-
     def compile_plan(self, n_in: int, steps, out: Sequence[int]
                      ) -> Callable[[Sequence[int]], tuple[int, ...]]:
         """A plan (`codes.base.RepairPlan`: `n_in` inputs, its `steps`, the
@@ -308,8 +306,8 @@ class PrimeField:
         kernel, slot j's row over the inputs a packed int, then transposed,
         in the narrower lanes whose `_reduction_plan` covers the longest
         step and a chunk of terms plus the reduced total.  An input outside
-        [0, p) is first reduced, as `run_steps` would; a p too large for
-        64-bit lanes runs the steps, as GF(p^m) does."""
+        [0, p) is first reduced, as a step's `% p` would; a p too large for
+        64-bit lanes runs the steps as generated code, as GF(p^m) does."""
         p, sq = self.p, max(1, (self.p - 1) ** 2)
         cap = ((1 << 64) - 1) // sq  # terms a 64-bit lane holds
         chunk = n_in if n_in <= cap else cap - 1
@@ -322,7 +320,7 @@ class PrimeField:
                     break
             except ValueError:
                 pass
-        else:  # run the steps, with this field's `run_steps`
+        else:  # straight-line steps, each reduced by % p
             return ExtField.compile_plan(self, n_in, steps, out)
         vecs = [1 << db * i for i in range(n_in)]
         get = vecs.__getitem__
@@ -445,7 +443,7 @@ class ExtField:
     __slots__ = (
         "base", "p", "m", "modulus", "order", "char", "degree", "zero", "one",
         "coord_width", "_db", "_mask", "_low_mask", "_all_p", "_binomial_c",
-        "_dot_chunk", "_words", "_folds", "_quotient", "_step_plans", "_frobenius_table",
+        "_dot_chunk", "_words", "_folds", "_quotient", "_frobenius_table",
         "_range", "_digits",
     )
 
@@ -475,7 +473,6 @@ class ExtField:
         self._low_mask = (1 << (db * m)) - 1
         self._all_p = self._pack([p] * m)
         self._folds, self._quotient = _reduction_plan(p, db, m)
-        self._step_plans = {}  # row length -> reduction plan (see run_steps)
         self._frobenius_table = None  # built on first use (see frobenius)
         self._range = (0, 0, 0)  # range-check constants, built on use (see _check_words)
         self._digits = bytes(range(p)) if p < 256 else None  # see _check_words
@@ -570,48 +567,58 @@ class ExtField:
             acc = reduce(acc + sum(map(_int_mul, xs[i:i + step], ys[i:i + step])))
         return acc
 
-    def run_steps(self, steps: Sequence[tuple[Sequence[int], Sequence[int]]],
-                  vals: list[int]) -> None:
-        """For each (row, src) step in order, append to `vals` the dot of the
-        GF(p) row with the elements at the slots `src` of `vals` (see
-        `PrimeField.run_steps`); every value must be reduced.
-
-        A GF(p) scalar scales each digit of a reduced element, so the sum of
-        an L-term step has no digit above X^(m-1) and every digit at most
-        L (p-1)^2: it is reduced by the `_reduction_plan` for that bound,
-        which for short rows is the quotient step alone, not the folds a
-        full word needs.  A row too long for the word, L (p-1)^2 >= 2^db,
-        goes through `dot`'s chunked path.  One plan per row length, built
-        on first use and kept on the field (`_step_plans`: at most one entry
-        per length met, each a few ints of m words)."""
-        p, get, append = self.p, vals.__getitem__, vals.append
-        plans = self._step_plans
-        for row, src in steps:
-            plan = plans.get(len(row))
-            if plan is None:
-                plan = plans[len(row)] = self._step_plan(len(row))
-            if not plan:
-                append(self.dot(row, [vals[j] for j in src]))
-                continue
-            v = sum(map(_int_mul, row, map(get, src)))
-            folds, (c, s, q) = plan
-            for h, hi, r, lo in folds:
-                v = ((v >> h) & hi) * r + (v & lo)
-            append(v - p * (((v * c) >> s) & q))
-
     def compile_plan(self, n_in: int, steps, out: Sequence[int]
-                     ) -> Callable[[list[int]], tuple[int, ...]]:
-        """A plan (`codes.base.RepairPlan`) as a run of its `steps` in order
-        on the list of its `n_in` input values, which it extends (`run_steps`:
-        each step is already one m-lane word-parallel dot), then a gather
-        of the slots `out` as one tuple."""
-        run_steps = self.run_steps
-        # itemgetter of one slot returns the bare value, not a 1-tuple
-        gather = itemgetter(*out) if len(out) > 1 else lambda vals: tuple(vals[j] for j in out)
+                     ) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        """A plan (`codes.base.RepairPlan`: `n_in` inputs, its `steps`, the
+        slots `out` it returns) as one generated straight-line function of
+        its reduced input values, compiled once: slot j is the local vj,
+        and each step one statement, the GF(p)-scaled sum of its sources,
+        then that sum's own reduction.  A GF(p) scalar scales each digit of
+        a reduced element, so an L-term sum has no digit above X^(m-1) and
+        every digit at most L (p-1)^2: the `_step_plan` for L reduces it,
+        the quotient step alone for short rows, its constants bound once
+        per plan.  Every literal is an int written by `%d`, so a non-int
+        coefficient or slot raises TypeError before any source is compiled;
+        a row of more than `_FLAT_TERMS` terms is one `sum(map(...))` over a
+        constant tuple, and a row past the word bound calls `dot`.  GF(p)
+        too wide for packed lanes comes here too, reduced by `% p`."""
+        p, names = self.p, {}
 
-        def run(vals):
-            run_steps(steps, vals)
-            return gather(vals)
+        def const(value) -> str:  # the global name of a constant the code reads
+            return names.setdefault(value, "k%d" % len(names))
+
+        def reduction(length: int) -> tuple[str, str] | None:  # (folds of v, v reduced)
+            if self.degree == 1:
+                return "", "v %% %d" % p
+            plan = self._step_plan(length)
+            if not plan:
+                return None  # past the word: `dot`
+            folds, (c, s, q) = plan
+            return ("".join(" v = ((v >> %d) & %s) * %d + (v & %s)\n" % (h, const(hi), r, const(lo))
+                            for h, hi, r, lo in folds),
+                    "v - %d * (((v * %d) >> %d) & %s)" % (p, c, s, const(q)))
+
+        def slots(js) -> str:  # a tuple display of the slots js
+            return "(%s)" % "".join(["v%d, " % j for j in map(index, js)])
+
+        reductions = {length: reduction(length) for length in {len(row) for row, _ in steps}}
+        lines = ["def run(vals):\n %s = vals\n" % slots(range(n_in))]
+        for slot, (row, src) in enumerate(steps, n_in):
+            row, red = tuple(map(index, row)), reductions[len(row)]
+            if red is None:
+                lines.append(" v%d = dot(%s, %s)\n" % (slot, const(row), slots(src)))
+                continue
+            if len(row) > _FLAT_TERMS:
+                total = "sum(map(mul, %s, %s))" % (const(row), slots(src))
+            else:
+                total = " + ".join(["%d * v%d" % (a, j) for a, j in zip(row, map(index, src)) if a])
+            lines.append(" v = %s\n%s v%d = %s\n" % (total or "0", red[0], slot, red[1]))
+        lines.append(" return %s" % slots(out))
+        scope = {name: value for value, name in names.items()}
+        scope.update(mul=_int_mul, dot=self.dot)
+        exec(compile("".join(lines), "<plan>", "exec"), scope)
+        run = scope["run"]
+        run.__qualname__ = "ExtField.compile_plan.<locals>.run"
         return run
 
     def _sub_scaled(self, row: list[int], v: int, lead: Sequence[int], start: int) -> None:
@@ -779,6 +786,10 @@ class ExtField:
 
 # the largest range-check constant an ExtField keeps (see _check_words)
 _RANGE_BYTES = 4096
+
+# the longest plan row `ExtField.compile_plan` writes as a chain of + (it
+# compiles 1000 terms in about 4 ms; 3000 exceed the compiler's recursion limit)
+_FLAT_TERMS = 64
 
 
 def _check_coords(coords: Sequence[int], p: int) -> None:
@@ -1159,14 +1170,23 @@ def moore_matrix(field: ExtField, points: Sequence[int], ncoeffs: int) -> Matrix
 # GF(29^56) and GF(7^9).  The inverse is the Moore matrix of the trace-dual
 # basis, a scaled and permuted transpose (`_build_basis_moore_table`).
 
-# field -> (column classes, forward rows, inverse shifts, inverse rows)
+# field -> (column classes, forward rows, inverse shifts, inverse rows), at
+# most _FIELD_CACHE_SIZE tables, the oldest evicted first and rebuilt equal
+# on its next use.  A table holds about 2 m^2 GF(p) ints and m shift pairs
+# per class (tracemalloc): 5.6 KB at GF(7^9), 22 KB at GF(31^30), 120 KB at
+# GF(331^55), 617 KB at GF(607^101); 13.0 MB for the 64 tables of GF(p^m),
+# m = 38 ... 101, where the unbounded table held 14.0 MB for m = 2 ... 101.
+# A table keeps its field alive after `_FIELD_CACHE` drops it.
 _BASIS_MOORE_TABLES: dict[object, tuple] = {}
 
 
 def _basis_moore_table(field: ExtField) -> tuple:
-    table = _BASIS_MOORE_TABLES.get(field)
+    tables = _BASIS_MOORE_TABLES
+    table = tables.get(field)
     if table is None:
-        table = _BASIS_MOORE_TABLES[field] = _build_basis_moore_table(field)
+        while len(tables) >= _FIELD_CACHE_SIZE:
+            del tables[next(iter(tables))]
+        table = tables[field] = _build_basis_moore_table(field)
     return table
 
 

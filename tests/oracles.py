@@ -23,7 +23,8 @@ the primary points coordinate by coordinate.
 
 `normalize_per_digit` is the per-digit pass that `ExtField._normalize`
 replaces with word-parallel folds (unpack every word, take it mod p, pack
-again), and `random_symbols` draws from the `splitmix64` generator one
+again), `run_steps` interprets a plan's steps one at a time, the reference
+for the straight-line code that `compile_plan` generates, and `random_symbols` draws from the `splitmix64` generator one
 `draw_mod` call per coordinate, the reference for the inline loop of
 `coopdss.precode.random_symbols`.
 
@@ -66,6 +67,28 @@ def normalize_per_digit(field, v):
     words = field._words
     digits = words.unpack(v.to_bytes(words.size, "little"))
     return int.from_bytes(words.pack(*[d % field.p for d in digits]), "little")
+
+
+def run_steps(field, steps, vals):
+    """For each (row, src) step in order, append to `vals` the dot of the
+    GF(p) row with the values at the slots `src` of `vals`, so a step may
+    read a slot an earlier step appended.  GF(p) reduces each sum by % p;
+    GF(p^m) an L-term sum (digits at most L (p-1)^2) by the field's
+    `_step_plan` for L, and a row past the word bound by `dot`."""
+    p, get, append = field.p, vals.__getitem__, vals.append
+    for row, src in steps:
+        plan = field._step_plan(len(row)) if field.degree > 1 else None
+        if plan == ():
+            append(field.dot(row, [vals[j] for j in src]))
+            continue
+        v = sum(map(mul, row, map(get, src)))
+        if plan is None:
+            append(v % p)
+            continue
+        folds, (c, s, q) = plan
+        for h, hi, r, lo in folds:
+            v = ((v >> h) & hi) * r + (v & lo)
+        append(v - p * (((v * c) >> s) & q))
 
 
 def draw_mod(stream, p):

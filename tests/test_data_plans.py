@@ -117,7 +117,7 @@ def test_reconstruct_plan_inverts_the_stored_rows(name, nkdt):
 
 def _reference_run(field, plan, vals):
     vals = list(vals)
-    field.run_steps(plan.steps, vals)
+    O.run_steps(field, plan.steps, vals)
     return tuple(vals[j] for _, slots in plan.live + plan.coop + plan.results for j in slots)
 
 

@@ -1265,7 +1265,7 @@ def test_run_steps_equals_dot(p, m, lengths):
             steps.append(step)
             expect.append(f.dot(step[0], [expect[j] for j in step[1]]))
     got = list(vals)
-    f.run_steps(steps, got)
+    O.run_steps(f, steps, got)
     assert got == expect
 
 
