@@ -45,6 +45,7 @@ from ..field import (
     PrimeField,
     basis_moore_apply,
     basis_moore_inverse_apply,
+    pack_rows,
 )
 from ..precode import coefficients, random_symbols
 
@@ -266,9 +267,14 @@ class PlanCache:
 REPAIR_PLANS = PlanCache(256)
 
 # Observation rows by (params, node) and (params, failed, helpers, newcomer):
-# at most 1024 entries of alpha rows and 512 of gamma rows of M ints, c rows
-# in about c (8M + 56) bytes (28 more per int >= 257): 0.4-2 KB at the lifetime
-# benchmark's sizes, 3 MB for both tables full; 11 KB at (20,4,8,4), 17 MB full.
+# at most 1024 entries of alpha rows and 512 of gamma rows of M ints, each
+# entry the rows as tuples and each row packed into one int (`pack_rows`).
+# c rows take about c (8M + 56) bytes as tuples (28 more per int >= 257)
+# and at most c (M W/8 + 36) more packed, W the lane width (`_lanes`, 32 bits
+# at every benchmark size).  An entry is 1.1-3.2 KB in all at the lifetime
+# benchmark's sizes, its packed rows 0.8-1.4 KB of it (tracemalloc), so about
+# 4.7 MB for both tables full; at (20,4,8,4) the packed rows (19 of 64
+# lanes) add up to 5.5 KB to an 11 KB entry, about 25 MB for both full.
 STORED_ROWS = PlanCache(1024)
 DOWNLOAD_ROWS = PlanCache(512)
 
@@ -302,8 +308,10 @@ class _Evaluator:
 
 
 def _record(cls, **fields):
-    """A record built without `__init__` (`NodeContent`'s sums its layout), only
-    for records right by construction: a plan's (`PlanBuilder.plan`), a node file's, a view's."""
+    """A record built without `__init__` (`NodeContent`'s sums its layout; a frozen
+    dataclass's sets each field through `object.__setattr__`), only for records
+    right by construction: a plan's (`PlanBuilder.plan`), a node file's, a
+    view's, a rank verdict's (`secrecy.rank_leakage`)."""
     rec = object.__new__(cls)
     rec.__dict__.update(fields)
     return rec
@@ -318,8 +326,11 @@ class ObservationMatrix:
     the same fields but holds evaluation points in `matrix` instead.
 
     A view holds its rows as tuples of `ncols` ints over `field` (a scheme's,
-    the row tables' own), which the verdict eliminates as they are; `matrix`,
-    a copy, and `labels` are built on first use (`Scheme._view`)."""
+    the row tables' own) and, over GF(p), each row packed into one int
+    (`packed`, `pack_rows`, the tables' own too), which the verdict
+    eliminates as they are; `matrix`, a copy, and `labels` are built on
+    first use (`Scheme._view`).  Over GF(p^m), only the tests' Moore-row
+    oracle builds a view, and `packed` is None."""
 
     def __init__(self, matrix: Matrix, n_random: int, labels: Sequence[tuple]):
         if matrix.nrows != len(labels):
@@ -328,6 +339,8 @@ class ObservationMatrix:
         self.labels = tuple(labels)
         self.field, self.ncols = matrix.field, matrix.ncols
         self.rows = list(map(tuple, matrix.rows))
+        self.packed = (pack_rows(self.field.p, self.ncols, self.rows)
+                       if self.field.degree == 1 else None)
         self.n_secret, self.n_random = matrix.ncols - n_random, n_random
 
     @cached_property
@@ -544,14 +557,20 @@ class Scheme:
         raise NotImplementedError
 
     def _node_rows(self, node: int) -> tuple:
-        """`_stored_rows(node)` as a tuple of tuples, kept in `STORED_ROWS`
-        (see `_observation_rows`); `node` must be a validated id in [1, n]."""
-        return STORED_ROWS.get((self._key, node), self._row_tuples, self._stored_rows, node)
+        """`_stored_rows(node)` as a tuple of tuples (see `_node_entry`)."""
+        return self._node_entry(node)[0]
 
-    @staticmethod
-    def _row_tuples(rows, *args) -> tuple:
-        """`rows(*args)` as a tuple of tuples."""
-        return tuple(map(tuple, rows(*args)))
+    def _node_entry(self, node: int) -> tuple[tuple, tuple]:
+        """`_stored_rows(node)` as `_row_entry` makes it, kept in
+        `STORED_ROWS`; `node` must be a validated id in [1, n]."""
+        return STORED_ROWS.get((self._key, node), self._row_entry, self._stored_rows, node)
+
+    def _row_entry(self, rows, *args) -> tuple[tuple, tuple]:
+        """`rows(*args)` as a tuple of tuples, and each row packed over the
+        view's GF(p) (`pack_rows`, `file_size` lanes), built once for every
+        verdict that reads the entry."""
+        rows = tuple(map(tuple, rows(*args)))
+        return rows, tuple(pack_rows(self.field.char, self.file_size, rows))
 
     def _download_rows(self, tr: RepairTranscript, newcomer: int) -> list:
         """One observation row per symbol `newcomer` downloaded in `tr`, in
@@ -560,27 +579,36 @@ class Scheme:
         raise NotImplementedError
 
     def _newcomer_rows(self, tr: RepairTranscript, newcomer: int) -> tuple:
-        """`_download_rows` as a tuple of tuples, kept in `DOWNLOAD_ROWS`."""
+        """`_download_rows` as a tuple of tuples (see `_newcomer_entry`)."""
+        return self._newcomer_entry(tr, newcomer)[0]
+
+    def _newcomer_entry(self, tr: RepairTranscript, newcomer: int) -> tuple[tuple, tuple]:
+        """`_download_rows` as `_row_entry` makes it, kept in `DOWNLOAD_ROWS`."""
         key = (self._key, frozenset(tr.failed), tuple(tr.helpers), newcomer)
-        return DOWNLOAD_ROWS.get(key, self._row_tuples, self._download_rows, tr, newcomer)
+        return DOWNLOAD_ROWS.get(key, self._row_entry, self._download_rows, tr, newcomer)
 
     def _observation_rows(self, e1: tuple[int, ...], e2: tuple[int, ...],
-                          transcripts: Sequence[RepairTranscript]) -> list[tuple]:
+                          transcripts: Sequence[RepairTranscript]) -> tuple[list, list]:
         """The eavesdropper's rows in the shared row order, for E1 and E2 as
-        `_validate_eaves` returns them.
+        `_validate_eaves` returns them: (rows, packed rows).
 
         Rows depend on public parameters alone, so bounded process-wide
-        tables keep them (`_node_rows`, `_newcomer_rows`) for every later
+        tables keep them (`_node_entry`, `_newcomer_entry`) for every later
         observation and every instance of the same params: a sweep observes
         the same nodes again and again, and each lifetime builds a scheme.
-        The list holds the tables' own tuples, which no elimination alters."""
+        The lists hold the tables' own tuples and ints."""
         rows: list = []
+        packed: list = []
         for node in e1 + e2:
-            rows += self._node_rows(node)
+            tuples, ints = self._node_entry(node)
+            rows += tuples
+            packed += ints
         for tr in transcripts:
             for i in sorted(tr.failed.intersection(e2)):
-                rows += self._newcomer_rows(tr, i)
-        return rows
+                tuples, ints = self._newcomer_entry(tr, i)
+                rows += tuples
+                packed += ints
+        return rows, packed
 
     def _observation_labels(self, e1, e2, transcripts) -> tuple[tuple, ...]:
         """The label of each row of `_observation_rows`, walked apart."""
@@ -595,8 +623,9 @@ class Scheme:
     def _view(self, cls, field, e1, e2, transcripts) -> ObservationMatrix:
         """The observation as a `cls` view of its rows over `field`."""
         e1, e2 = self._validate_eaves(e1, e2, transcripts)
-        return _record(cls, field=field, rows=self._observation_rows(e1, e2, transcripts),
-                       ncols=self.file_size, n_random=self.n_random, n_secret=self.secure_size,
+        rows, packed = self._observation_rows(e1, e2, transcripts)
+        return _record(cls, field=field, rows=rows, packed=packed, ncols=self.file_size,
+                       n_random=self.n_random, n_secret=self.secure_size,
                        _label_walk=partial(self._observation_labels, e1, e2, transcripts))
 
     def _linear_observation(self, e1: Iterable[int], e2: Iterable[int],

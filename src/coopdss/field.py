@@ -23,8 +23,8 @@ reduction is due, so work is reduced once per result, not once per multiply
 - `mul` reduces once per product;
 - `dot` sums raw products and reduces once per dot product, or once per
   `_dot_chunk` terms;
-- each elimination entry, a - v*b, is one reduced element plus one raw
-  product, reduced once;
+- each GF(p^m) elimination entry, a - v*b, is one reduced element plus
+  one raw product, reduced once;
 - each back-substitution entry is a `dot` over the solved tail.
 
 Inverses are closed forms too: a constant inverts in GF(p), and any other a
@@ -45,9 +45,20 @@ Rank and solving share one exact, deterministic elimination
 (`Matrix._echelon`): it builds the echelon form one row at a time, reducing
 each row against the basis rows found so far, each with a leading one, so a
 pivot costs one inverse and back-substitution divides by nothing.  Rank
-stops once every column leads a basis row.  The row operations are two
-per-field kernels (`_sub_scaled`, `_scale`): GF(p) reduces each entry with
-one `% p` and skips the zero entries of the basis row.
+stops once every column leads a basis row.  Over GF(p) each row is one
+packed int, one W-bit lane per column (`pack_rows`, `_lanes`), and the walk
+(`Matrix._walk`) runs on these ints: a row's leading column is its lowest
+set bit over W, and a row operation is one multiply-add, (row + (p - v) B)
+>> W, with the basis row B kept with its leading one in lane 0.  Lanes are
+not reduced between row operations (delayed reduction again): a row meets
+at most one per basis row, so a lane stays at most (p-1) + ncols (p-1)^2,
+and W is the narrowest of 32, 64, 128, ... bits for which a
+`_reduction_plan` exists for that bound.  Only a row that joins the basis
+after a row operation is reduced, word-parallel, before one inverse scales
+it; basis rows are unpacked only for back-substitution.  The row tables of
+`codes.base` keep every observation row packed, so a secrecy verdict packs
+nothing.  GF(p^m) keeps its per-entry kernel pair (`_sub_scaled`,
+`_scale`); only the tests eliminate over it.
 The mbcr-exact, mscr-dk and mbcr-bivariate repair and reconstruct systems
 run no elimination: they are base-field Vandermonde and Cauchy matrices,
 whose inverses are closed forms (`vandermonde_inverse`, `cauchy_inverse`)
@@ -347,23 +358,6 @@ class PrimeField:
             return unpack(acc.to_bytes(size, "little"))
         return run
 
-    def _sub_scaled(self, row: list[int], v: int, lead: Sequence[int], start: int) -> None:
-        """row[j] -= v * lead[j] for j >= start, in place: the row operation
-        of `Matrix._echelon`.  Zero entries of lead leave row[j] as it is."""
-        p = self.p
-        for j in range(start, len(row)):
-            b = lead[j]
-            if b:
-                row[j] = (row[j] - v * b) % p
-
-    def _scale(self, row: list[int], s: int, start: int) -> None:
-        """row[j] *= s for j >= start, in place."""
-        p = self.p
-        for j in range(start, len(row)):
-            a = row[j]
-            if a:
-                row[j] = a * s % p
-
     def _reduce(self, v: int) -> int:
         """A nonnegative sum of products back into [0, p)."""
         return v % self.p
@@ -623,7 +617,8 @@ class ExtField:
 
     def _sub_scaled(self, row: list[int], v: int, lead: Sequence[int], start: int) -> None:
         """row[j] -= v * lead[j] for j >= start, in place, every entry
-        reduced (see `PrimeField._sub_scaled`).  Each new entry is one
+        reduced: the row operation of `Matrix._echelon` over GF(p^m).  Zero
+        entries of lead leave row[j] as it is.  Each new entry is one
         reduced element plus one product, row[j] + (-v) * lead[j]: within
         the two products that `fits_word_slots` makes every word hold, so
         one `_reduce` each."""
@@ -831,16 +826,86 @@ def ext_field(p: int, m: int) -> ExtField:
 
 
 # ---------------------------------------------------------------------------
+# packed GF(p) rows
+# ---------------------------------------------------------------------------
+
+# Lane layouts by (p, lanes), at most 64 of them, the least recently used
+# evicted first and rebuilt equal on its next request (a sweep's set-up meets
+# 20).  An entry holds two reduction plans of at most 7 masks of lanes * W
+# bits each, so at most about 14 lanes W/8 bytes and a Struct: 1.4 KB for
+# GF(31) at 30 lanes, 5.1 KB for GF(5003) (three folds) at 60, 4.9 KB for
+# GF(2^31 - 1) (128-bit lanes) at 60 (tracemalloc); 0.24 MB for 64 layouts
+# of GF(5003) at 60 to 123 lanes.
+@lru_cache(maxsize=64)
+def _lanes(p: int, lanes: int) -> tuple:
+    """(W, words, lazy, scaled): the layout of a GF(p) row of `lanes`
+    entries packed into one int, entry j in bits [W j, W (j+1)).
+
+    An elimination row meets at most one row operation per basis row, each
+    adding at most (p-1)^2 to a lane, so a lane stays at most (p-1) +
+    lanes (p-1)^2 (see `Matrix._walk`).  W is the narrowest of 32, 64, 128,
+    ... bits for which `_reduction_plan` exists for that bound: `lazy`
+    reduces such a row, `scaled` one whose reduced lanes were multiplied by
+    a scalar below p.  `words` is the `struct.Struct` of the lanes for
+    W <= 64, else None."""
+    bound = (p - 1) + lanes * (p - 1) ** 2
+    db = 32
+    while True:
+        try:
+            if bound >> db == 0:
+                lazy = _reduction_plan(p, db, lanes, bound)
+                scaled = _reduction_plan(p, db, lanes, (p - 1) ** 2)
+                break
+        except ValueError:
+            pass
+        db *= 2
+    words = struct.Struct(f"<{lanes}{'I' if db == 32 else 'Q'}") if db <= 64 else None
+    return db, words, lazy, scaled
+
+
+def pack_rows(p: int, ncols: int, rows: Iterable[Sequence[int]]) -> list[int]:
+    """Each GF(p) row of `ncols` entries as one int in the layout of
+    `_lanes(p, ncols)`, every entry reduced into [0, p) first."""
+    db, words = _lanes(p, ncols)[:2]
+    if words is not None:
+        pack = words.pack
+        return [int.from_bytes(pack(*[a % p for a in row]), "little") for row in rows]
+    wb = db // 8
+    return [int.from_bytes(b"".join([(a % p).to_bytes(wb, "little") for a in row]), "little")
+            for row in rows]
+
+
+def _unpack_lanes(layout: tuple, v: int, lanes: int) -> list[int]:
+    """The `lanes` lanes of the packed row v, lane 0 first."""
+    db, words = layout[:2]
+    if words is not None:
+        return list(words.unpack(v.to_bytes(words.size, "little")))
+    wb = db // 8
+    raw = v.to_bytes(lanes * wb, "little")
+    return [int.from_bytes(raw[i:i + wb], "little") for i in range(0, len(raw), wb)]
+
+
+def _reduce_lanes(v: int, plan: tuple, p: int) -> int:
+    """Every lane of v into [0, p) by a `_reduction_plan`."""
+    folds, (c, s, q) = plan
+    for h, hi, r, lo in folds:
+        v = ((v >> h) & hi) * r + (v & lo)
+    return v - p * (((v * c) >> s) & q)
+
+
+# ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Dense matrix over one field; entries are raw field elements."""
+    """Dense matrix over one field; entries are raw field elements.  A matrix
+    over GF(p) that `_of` builds holds its rows packed (`packed`) instead."""
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    __slots__ = ("field", "rows", "nrows", "ncols", "packed")
 
     def __init__(self, field, rows: Iterable[Sequence[int]], ncols: int | None = None):
         self.field = field
+        self.packed = None
         self.rows = [list(r) for r in rows]
         self.nrows = len(self.rows)
         if self.nrows:
@@ -853,10 +918,13 @@ class Matrix:
             self.ncols = 0 if ncols is None else ncols
 
     @classmethod
-    def _of(cls, field, rows: Sequence[Sequence[int]], ncols: int) -> "Matrix":
-        """A matrix over `rows` as they are, unchecked: `_echelon` copies a row it changes."""
+    def _of(cls, field, rows: Sequence, ncols: int) -> "Matrix":
+        """A matrix to eliminate over `rows` as they are, unchecked: over
+        GF(p) packed rows (`pack_rows`), kept as `packed` with no `rows`;
+        over GF(p^m) sequences, which `_echelon` copies before changing."""
         matrix = object.__new__(cls)
-        matrix.field, matrix.rows, matrix.nrows, matrix.ncols = field, rows, len(rows), ncols
+        matrix.field, matrix.nrows, matrix.ncols = field, len(rows), ncols
+        matrix.rows, matrix.packed = (None, rows) if field.degree == 1 else (rows, None)
         return matrix
 
     @classmethod
@@ -879,29 +947,103 @@ class Matrix:
 
     # -- elimination ----------------------------------------------------------
 
-    def _echelon(self, aug: list[list[int]] | None = None):
-        """Row echelon form, built one row at a time.
+    def _walk(self, packed: Iterable[int], layout: tuple,
+              dependent: list[int] | None = None) -> dict[int, int]:
+        """The GF(p) echelon basis of the packed rows (`pack_rows` in
+        `layout`, lanes past `ncols` riding along as aug columns), built one
+        row at a time: {leading column c: the basis row, reduced, with its
+        leading one in lane 0 and lane j holding column c + j}.
 
-        Each row in turn is reduced against the basis rows found so far,
-        kept by leading column, each with a leading one: while a basis row
-        leads at the row's leading column c, subtract row[c] times it
-        (`_sub_scaled`, which leaves row[c] zero).  A row whose leading
-        column is new is scaled to a leading one (`_scale`, one `inv`; none
-        for a row that already leads with one, such as a unit row) and joins
-        the basis; a row that reduces to zero joins the dependent tail.
-        Without `aug`, the walk stops once every column leads a basis row,
-        and the rows after that are not visited.  With `aug`, aug row i rides
-        at the end of row i, so one row operation covers both, and every
-        row is visited.
+        A row is walked with lane 0 at its current column c.  Its leading
+        column is its lowest set bit over W; the lead v is lane 0 mod p, and
+        a lane that is 0 mod p but not zero is shifted out.  While a basis
+        row B leads at c, one multiply-add, (row + (p - v) B) >> W, clears
+        lane 0 and drops it.  Lanes are not reduced in between: a row meets
+        at most one operation per basis row, so they stay within the bound
+        `_lanes` sizes W for.  A row with a new leading column in [0, ncols)
+        joins the basis: reduced if it was operated on, scaled to a leading
+        one by one `inv` (none when it already leads with one, such as a
+        unit row) and reduced again.  Any other row is dependent: with
+        `dependent`, it is appended with its lanes back in place (its
+        column-c lane at lane c), unreduced, and every row is visited;
+        without, the walk stops once every column leads a basis row."""
+        f, nc = self.field, self.ncols
+        p, inv = f.p, f.inv
+        db, _, lazy, scaled = layout
+        mask = (1 << db) - 1
+        basis: dict[int, int] = {}
+        for row in packed:
+            c, fresh = 0, True
+            while row:
+                v = row & mask
+                if not v:
+                    skip = ((row & -row).bit_length() - 1) // db
+                    row >>= skip * db
+                    c += skip
+                    v = row & mask
+                v %= p
+                if v:
+                    lead = basis.get(c)
+                    if lead is None:
+                        break
+                    row = (row + (p - v) * lead) >> db
+                    fresh = False
+                else:
+                    row >>= db
+                c += 1
+            if not row or c >= nc:
+                if dependent is not None:
+                    dependent.append(row << c * db)
+                continue
+            if not fresh:
+                row = _reduce_lanes(row, lazy, p)
+            if v != 1:
+                row = _reduce_lanes(row * inv(v), scaled, p)
+            basis[c] = row
+            if dependent is None and len(basis) == nc:
+                break
+        return basis
+
+    def _pivots(self) -> list[int]:
+        """The pivot columns of the echelon form, ascending."""
+        f = self.field
+        if f.degree > 1:
+            return self._echelon()[2]
+        return sorted(self._walk(self._packed_rows(), _lanes(f.p, self.ncols)))
+
+    def _packed_rows(self) -> list[int]:
+        """The GF(p) rows packed: `packed`, or `rows` packed now."""
+        if self.packed is not None:
+            return self.packed
+        return pack_rows(self.field.p, self.ncols, self.rows)
+
+    def _echelon(self, aug: list[list[int]] | None = None):
+        """Row echelon form, built one row at a time; with `aug`, aug row i
+        rides at the end of row i, so one row operation covers both.
+
+        Over GF(p) the rows are packed and walked by `_walk`, and only the
+        result is unpacked.  Over GF(p^m) each row in turn is reduced
+        against the basis rows found so far, kept by leading column, each
+        with a leading one: while a basis row leads at the row's leading
+        column c, subtract row[c] times it (`_sub_scaled`, which leaves
+        row[c] zero).  A row whose leading column is new is scaled to a
+        leading one (`_scale`, one `inv`; none for a row that already leads
+        with one) and joins the basis; a row that reduces to zero joins the
+        dependent tail.  Either way, without `aug` the walk stops once every
+        column leads a basis row, and with `aug` every row is visited.
 
         The leading columns of an echelon basis are an invariant of the row
         space, so the pivots are those of any row echelon form.  Returns
         (rows, aug_rows, pivot_columns): the basis rows in pivot order, then
-        the dependent rows; aug_rows is None without `aug`.  A row (list or
-        tuple) is copied to a list before its first change, so a row that
-        joins unchanged is the matrix's own: callers only read the result.
+        the dependent rows (over GF(p) only with `aug`: zero, with their aug
+        entries reduced); aug_rows is None without `aug`.  Over GF(p^m) a
+        row (list or tuple) is copied to a list before its first change, so
+        a row that joins unchanged is the matrix's own: callers only read
+        the result.
         """
         f = self.field
+        if f.degree == 1:
+            return self._packed_echelon(aug)
         sub_scaled, scale, one = f._sub_scaled, f._scale, f.one
         nc = self.ncols
         rows = self.rows if aug is None else [r + x for r, x in zip(self.rows, aug)]
@@ -937,6 +1079,28 @@ class Matrix:
             return echelon, None, pivots
         return [r[:nc] for r in echelon], [r[nc:] for r in echelon], pivots
 
+    def _packed_echelon(self, aug: list[list[int]] | None):
+        """`_echelon` over GF(p): the rows (and aug rows) packed, `_walk`,
+        then the basis rows unpacked in place and, with `aug`, the dependent
+        rows reduced and unpacked."""
+        p, nc = self.field.p, self.ncols
+        if aug is None:
+            width, packed = nc, self._packed_rows()
+        else:
+            width = nc + (len(aug[0]) if aug else 0)
+            packed = pack_rows(p, width, [r + x for r, x in zip(self.rows, aug)])
+        layout = _lanes(p, width)
+        dependent = None if aug is None else []
+        basis = self._walk(packed, layout, dependent)
+        pivots = sorted(basis)
+        db = layout[0]
+        echelon = [_unpack_lanes(layout, basis[c] << c * db, width) for c in pivots]
+        if aug is None:
+            return echelon, None, pivots
+        echelon += [_unpack_lanes(layout, _reduce_lanes(row, layout[2], p), width)
+                    for row in dependent]
+        return [r[:nc] for r in echelon], [r[nc:] for r in echelon], pivots
+
     def _back_substitute(self, a: list[list[int]], pivots: list[int],
                          rhs: Sequence[int], x: list[int]) -> list[int]:
         """Solve the echelon rows for the pivot entries of x, in place, last
@@ -950,11 +1114,11 @@ class Matrix:
         return x
 
     def rank(self) -> int:
-        return len(self._echelon()[2])
+        return len(self._pivots())
 
     def rank_profile(self) -> tuple[int, list[int]]:
         """(rank, pivot column indices)."""
-        pivots = self._echelon()[2]
+        pivots = self._pivots()
         return len(pivots), pivots
 
     def solve(self, rhs: Sequence[int]) -> list[int]:

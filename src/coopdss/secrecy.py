@@ -8,9 +8,15 @@ H(r | u, e) = 0 becomes rank(A_r) = |r|.  `rank_leakage` returns the
 leakage and both lemma conditions.
 
 Every view (`ObservationMatrix`) holds one GF(p) matrix, one row of M
-ints per observed symbol (the row tables' tuples, eliminated without a
-copy), and |r|; how the ranks are found depends on the scheme, and
-`rank_leakage` picks the rule by the view's type:
+ints per observed symbol, and |r|.  The row tables keep each row also
+packed into one int (`field.pack_rows`), and the verdict eliminates the
+view's packed rows, the tables' own ints, through a `Matrix` that neither
+copies nor packs them (`Matrix._of`, walked by `Matrix._walk`).  A view
+with more than twice as many rows as columns (a lifetime's, which observes
+the same points round after round) has its repeated rows dropped first
+(`_distinct_rows`); a shorter one is eliminated whole.  How the ranks are
+found depends on the scheme, and `rank_leakage` picks the rule by the
+view's type:
 
 * mbcr-exact and mscr-dk precode with a Gabidulin (linearized) polynomial,
   so each observed symbol is f(h) for a point h in GF(p)^M and the rows of
@@ -24,9 +30,10 @@ copy), and |r|; how the ranks are found depends on the scheme, and
   as its matrix.
 * mbcr-bivariate, mscr-ia and insecure-demo have no such points; their
   matrix is [A_r | A_u] itself, a row over (r || u) per symbol, and one
-  elimination of it gives both ranks (`joint_rank_leakage`).  The tests'
-  GF(p^M) oracle for the Gabidulin schemes builds the Moore rows of the
-  points and runs the same elimination on them.
+  elimination of it gives both ranks (`joint_rank_leakage`, which refuses
+  a `PointObservation`).  The tests' GF(p^M) oracle for the Gabidulin
+  schemes builds the Moore rows of the points and runs `joint_rank_leakage`
+  on them, through the per-entry GF(p^m) elimination.
 
 The brute-force oracle never touches the analytic observation matrices: it
 probes the encode/repair protocol itself, verifies linearity on random spot
@@ -49,10 +56,12 @@ mixed radix (uint8, uint16 once 2(p-1) > 255) and folded into the codes,
 kept in the narrowest unsigned type that holds the codes' span; only when a
 fold would take the span past 2^32 are the codes relabelled densely, from a
 sorted copy and `searchsorted` in blocks.  On mscr-ia (5,2,3,2) that is
-11^3 + 11^3 codes in place of 11^6.  The full joint enumeration, one int64
-code per (u, r) assignment, is the tests' oracle for this one
-(`tests/oracles.brute_force_int64`).  Guarded to |alphabet|^M <= 2^22
-joint assignments; the leakage is in log-|alphabet| units.
+11^3 + 11^3 codes and about 40 kB per call in place of 11^6 codes and
+7.1 MB.  The full joint enumeration, one int64 code per (u, r) assignment,
+is the tests' oracle for this one (`tests/oracles.brute_force_int64`).
+Guarded to |alphabet|^M <= 2^22 joint assignments; the leakage is in
+log-|alphabet| units.  The oracle is the only numpy user and imports it on
+its first call, so encode, reconstruct and repair never load numpy.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .codes.base import ObservationMatrix, PointObservation, RepairTranscript, Scheme
+from .codes.base import ObservationMatrix, PointObservation, RepairTranscript, Scheme, _record
 from .field import Matrix
 
 BRUTE_FORCE_GUARD = 1 << 22  # joint (u, r) assignments the oracle may enumerate
@@ -88,9 +97,11 @@ class SecrecyVerdict:
 
 
 def _distinct_rows(obs: ObservationMatrix) -> Matrix:
-    """The view's rows as a `Matrix` over them, with no copy (`Matrix._of`),
-    its repeated rows dropped, first occurrences kept in order, when it has
-    more than twice as many rows as columns.
+    """The view's packed rows (its rows over GF(p^m)) as a `Matrix` over
+    them, with no copy (`Matrix._of`), its repeated rows dropped, first
+    occurrences kept in order, when it has more than twice as many rows as
+    columns.  Packing is one-to-one on reduced rows, so the packed ints
+    repeat exactly where the rows do.
 
     A repeated row (one evaluation point observed twice, as lifetimes do)
     changes neither the row space nor, hence, the rank or the pivot columns
@@ -99,10 +110,10 @@ def _distinct_rows(obs: ObservationMatrix) -> Matrix:
     6 times more rows than columns, and two thirds or more of the rows are
     repeats).  A one-round view has at most about as many rows as columns
     and seldom a repeat, so there the scan would cost more than it saves
-    (11 us on a 40 x 30 point view with no repeat, whose elimination takes
-    114, at the benchmark's reference speed).  On the benchmark's lifetime
+    (3 us on a 40 x 30 point view with no repeat, whose elimination takes
+    45, at the benchmark's reference speed).  On the benchmark's lifetime
     views the scan still cuts the elimination to a third or less."""
-    rows = obs.rows
+    rows = obs.rows if obs.packed is None else obs.packed
     if len(rows) > 2 * obs.ncols:
         distinct = dict.fromkeys(rows)
         if len(distinct) < len(rows):
@@ -122,12 +133,9 @@ def rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
         return joint_rank_leakage(obs)
     rho, _ = _distinct_rows(obs).rank_profile()
     nr = obs.n_random
-    return SecrecyVerdict(
-        leakage_qunits=max(0, rho - nr),
-        lemma_cond_entropy_ok=rho <= nr,
-        lemma_recoverable_ok=rho >= nr,
-        method="rank",
-    )
+    return _record(SecrecyVerdict, leakage_qunits=max(0, rho - nr),
+                   lemma_cond_entropy_ok=rho <= nr, lemma_recoverable_ok=rho >= nr,
+                   method="rank")
 
 
 def joint_rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
@@ -139,12 +147,9 @@ def joint_rank_leakage(obs: ObservationMatrix) -> SecrecyVerdict:
         raise TypeError("a PointObservation holds evaluation points; use rank_leakage")
     joint, pivots = _distinct_rows(obs).rank_profile()
     rank_r = sum(1 for c in pivots if c < obs.n_random)
-    return SecrecyVerdict(
-        leakage_qunits=joint - rank_r,
-        lemma_cond_entropy_ok=joint <= obs.n_random,
-        lemma_recoverable_ok=rank_r == obs.n_random,
-        method="rank",
-    )
+    return _record(SecrecyVerdict, leakage_qunits=joint - rank_r,
+                   lemma_cond_entropy_ok=joint <= obs.n_random,
+                   lemma_recoverable_ok=rank_r == obs.n_random, method="rank")
 
 
 def _plans(transcripts: Sequence[RepairTranscript]):

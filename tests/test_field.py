@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -816,24 +818,148 @@ def test_prime_inverse_matches_per_op_reference(case):
     check_inverse(f, rows)
 
 
-def test_elimination_stops_at_full_column_rank_but_solve_sees_every_row(monkeypatch):
+# primes whose views take every lane width of the packed walk: 32-bit lanes
+# with no fold (3, 43), one (331) and three (5003), 64-bit (65537) and
+# 128-bit (2^31 - 1) ones
+WALK_PRIMES = [3, 43, 331, 5003, 65537, 2 ** 31 - 1]
+
+
+def lane_bound_rows(p, ncols, dependent):
+    """Basis rows [0..0, 1, p-1, ..., p-1] and one last row whose lead is 1
+    at every column, so that each of its ncols - 1 row operations adds
+    (p-1)^2 to every lane after it: its lanes reach the bound `_lanes`
+    sizes them for, and its last lane decides whether it is dependent
+    (rank ncols - 1) or not (rank ncols)."""
+    rows = [[0] * i + [1] + [p - 1] * (ncols - i - 1) for i in range(ncols - 1)]
+    last = [(1 - j) % p for j in range(ncols)]
+    last[-1] = (1 - ncols - (not dependent)) % p
+    return rows + [last]
+
+
+@st.composite
+def walk_matrices(draw):
+    """GF(p) rows up to 60 columns wide for `Matrix._walk`, with entries
+    drawn in [0, p) or anywhere in (-3p, 3p), and a right-hand side:
+    - "view": sparse or dense rows, unit rows and repeats, up to 70 of them;
+    - "triangular": lower-triangular rows with every entry p-1, so the last
+      row meets a row operation at every column but its own;
+    - "lane bound": `lane_bound_rows`."""
+    p = draw(st.sampled_from(WALK_PRIMES))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["view", "triangular", "lane bound"]))
+    ncols = draw(st.integers(1, 60))
+    if kind == "triangular":
+        rows = [[p - 1] * (i + 1) + [0] * (ncols - i - 1) for i in range(ncols)]
+    elif kind == "lane bound":
+        rows = lane_bound_rows(p, ncols, draw(st.booleans()))
+    else:
+        zero_share = draw(st.sampled_from([0.0, 0.5, 0.9]))
+        rows = []
+        for _ in range(draw(st.integers(1, 70))):
+            if rows and rng.random() < 0.2:
+                rows.append(rows[rng.randrange(len(rows))][:])
+            elif rng.random() < 0.2:
+                rows.append([0] * ncols)
+                rows[-1][rng.randrange(ncols)] = rng.choice([1, rng.randrange(1, p)])
+            else:
+                rows.append([0 if rng.random() < zero_share else rng.randrange(p)
+                             for _ in range(ncols)])
+    if draw(st.booleans()):
+        rhs = F.Matrix(F.prime_field(p), rows).matvec([rng.randrange(p) for _ in range(ncols)])
+    else:
+        rhs = [rng.randrange(p) for _ in rows]
+    if draw(st.booleans()):  # the same rows and rhs, entries moved outside [0, p)
+        rows = [[a + p * rng.randrange(-2, 3) for a in row] for row in rows]
+        rhs = [a + p * rng.randrange(-2, 3) for a in rhs]
+    return F.prime_field(p), rows, rhs
+
+
+def check_packed_walk(f, raw, raw_rhs):
+    """Rank, pivots, solve (NoSolutionError too), nullspace and inverse of
+    the packed walk on `raw` against the per-entry reference on its reduced
+    rows; rows packed ahead (`Matrix._of`, as a view's) give the same
+    profile, and `_echelon` returns reduced entries only, its dependent rows
+    zero with their aug entries reduced."""
+    p, ncols = f.p, len(raw[0])
+    rows = [[a % p for a in row] for row in raw]
+    rhs = [a % p for a in raw_rhs]
+    mat = F.Matrix(f, raw)
+    _, _, pivots = echelon_per_op(f, rows)
+    assert mat.rank_profile() == (len(pivots), pivots) == \
+        F.Matrix._of(f, F.pack_rows(p, ncols, raw), ncols).rank_profile()
+    got = outcome(mat.solve, raw_rhs)
+    assert got == outcome(solve_per_op, f, rows, ncols, rhs)
+    assert mat.nullspace() == nullspace_per_op(f, rows, ncols)
+    augs = [[[v] for v in raw_rhs]]
+    if len(raw) == ncols:
+        got = outcome(mat.inverse)
+        assert (got.rows if isinstance(got, F.Matrix) else got) == outcome(inverse_per_op, f, rows)
+        augs.append([[3 * p - 1 if i == j else -j for j in range(ncols)] for i in range(ncols)])
+    for aug in augs:
+        a, b, got_pivots = mat._echelon(aug)
+        assert got_pivots == pivots and len(a) == len(b) == len(raw)
+        assert all(0 <= x < p for row in a + b for x in row)
+        assert all(not any(row) for row in a[len(pivots):])
+
+
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+@given(walk_matrices())
+def test_packed_walk_matches_per_op_reference(case):
+    check_packed_walk(*case)
+
+
+# at 2^31 - 1 the lanes turn 128-bit past 4 columns: 6 to 8 columns overflow
+# 64-bit lanes only at the bound
+@pytest.mark.parametrize("p", WALK_PRIMES)
+@pytest.mark.parametrize("ncols", [1, 2, 5, 6, 7, 8, 9, 16, 33, 60])
+def test_packed_walk_at_the_lane_bound(p, ncols):
+    f = F.prime_field(p)
+    for dependent in (True, False):
+        rows = lane_bound_rows(p, ncols, dependent)
+        rank = ncols - dependent
+        assert F.Matrix(f, rows).rank_profile() == (rank, list(range(rank)))
+        x = [(7 * j + 1) % p for j in range(ncols)]
+        rhs = F.Matrix(f, rows).matvec(x)
+        if not dependent:
+            assert F.Matrix(f, rows).solve(rhs) == x
+        check_packed_walk(f, rows, rhs)
+        check_packed_walk(f, rows, [v + 1 for v in rhs])
+
+
+def row_operations(fn, *args):
+    """(fn(*args), the row operations `Matrix._walk` ran meanwhile): the
+    executions of its multiply-add line, counted by a line tracer."""
+    walk = F.Matrix._walk
+    lines, first = inspect.getsourcelines(walk)
+    (target,) = [first + i for i, line in enumerate(lines) if "(p - v) * lead" in line]
+    count = 0
+
+    def on_line(frame, event, arg):
+        nonlocal count
+        if event == "line" and frame.f_lineno == target:
+            count += 1
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is walk.__code__ else None)
+    try:
+        return fn(*args), count
+    finally:
+        sys.settrace(previous)
+
+
+def test_elimination_stops_at_full_column_rank_but_solve_sees_every_row():
     f = F.prime_field(11)
     # the unit rows reach full column rank; the last row is then inconsistent
     rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [3, 4, 5], [1, 1, 1]]
     rhs = [1, 2, 3, (3 + 8 + 15) % 11, 5]
-    ops = []
-    sub_scaled = F.PrimeField._sub_scaled
-
-    def counting(self, row, v, lead, start):
-        ops.append(start)
-        return sub_scaled(self, row, v, lead, start)
-
-    monkeypatch.setattr(F.PrimeField, "_sub_scaled", counting)
     mat = F.Matrix(f, rows)
-    assert mat.rank_profile() == (3, [0, 1, 2])
-    assert ops == []  # the walk stopped after the three unit rows
-    assert outcome(mat.solve, rhs) is outcome(solve_per_op, f, rows, 3, rhs) is F.NoSolutionError
-    assert len(ops) == 6  # rows 4 and 5 each reduced at all three columns
+    profile, ops = row_operations(mat.rank_profile)
+    assert profile == (3, [0, 1, 2])
+    assert ops == 0  # the walk stopped after the three unit rows
+    solved, ops = row_operations(outcome, mat.solve, rhs)
+    assert solved is outcome(solve_per_op, f, rows, 3, rhs) is F.NoSolutionError
+    assert ops == 6  # rows 4 and 5 each reduced at all three columns
     assert F.Matrix(f, rows[:4]).solve(rhs[:4]) == [1, 2, 3]
     assert F.Matrix(f, rows).nullspace() == []
 

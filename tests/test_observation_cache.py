@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coopdss import sim
-from coopdss.codes import base, make_scheme, mbcr_bivariate
+from coopdss.codes import SCHEME_CLASSES, base, make_scheme, mbcr_bivariate
 from coopdss.codes.base import (DOWNLOAD_ROWS, STORED_ROWS, PlanCache, PointObservation,
                                 RepairTranscript, SchemeParams)
 from coopdss.codes.mbcr_bivariate import MONOMIAL_ROWS
+from coopdss.field import pack_rows
 from coopdss.secrecy import rank_leakage
 
 from oracles import observation_rows_and_labels
@@ -55,9 +56,14 @@ def cold_tables():
 
 
 def _entries(table, params):
-    """The (key, value) entries of a row table under `params`, whose keys
-    start with the params' repr."""
-    return [(key, value) for key, (value, _) in table._plans.items() if key[0] == repr(params)]
+    """The (key, rows) entries of a row table under `params`, whose keys
+    start with the params' repr; each entry's packed rows are its rows
+    packed (`pack_rows`)."""
+    p = SCHEME_CLASSES[params.scheme].node_format(params)[0]
+    entries = [(key, value) for key, (value, _) in table._plans.items() if key[0] == repr(params)]
+    for _, (rows, packed) in entries:
+        assert packed == tuple(pack_rows(p, len(rows[0]), rows))
+    return [(key, rows) for key, (rows, _) in entries]
 
 
 def _one_round(scheme, failed, helpers):
@@ -118,7 +124,7 @@ def lifetime_views(draw):
 
 
 def _table_entries():
-    """Every (key, rows) entry of the stored and download row tables."""
+    """Every (key, (rows, packed rows)) entry of the stored and download row tables."""
     return [(key, value) for table in (STORED_ROWS, DOWNLOAD_ROWS)
             for key, (value, _) in table._plans.items()]
 

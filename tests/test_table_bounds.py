@@ -1,8 +1,9 @@
 """Every process-wide table filled past its bound: the six `PlanCache`s, the
-`lru_cache`s, `_FIELD_CACHE` and `_BASIS_MOORE_TABLES`.  Each stays at its
-bound, and a value it evicted is built again, equal, on its next request;
-compiled GF(p^m) repair plans still equal the per-step reference after
-eviction and rebuild.  The `PlanCache`s are swapped for empty tables of
+`lru_cache`s (the packed-row lane layouts `_lanes` among them),
+`_FIELD_CACHE` and `_BASIS_MOORE_TABLES`.  Each stays at its bound, and a
+value it evicted is built again, equal, on its next request; compiled
+GF(p^m) repair plans still equal the per-step reference after eviction and
+rebuild.  The `PlanCache`s are swapped for empty tables of
 the same bound, so the test leaves the process's own tables as they were."""
 
 import random
@@ -42,6 +43,7 @@ LRU_TABLES = {
                                  lambda: ((257, (i, i + 1, i + 2)) for i in range(300))),
     "lagrange_row": (F.lagrange_row, lambda: ((4099, (1, 2, 3, 5), x) for x in range(5000))),
     "_lane_constants": (precode._lane_constants, lambda: ((lanes,) for lanes in range(1, 20))),
+    "_lanes": (F._lanes, lambda: ((q, lanes) for q in (5003, 2 ** 31 - 1) for lanes in range(1, 61))),
     "_field_descriptor": (nodeio._field_descriptor, lambda: ((q, 2) for q in _odd_primes(80))),
     "_header": (nodeio._header, _valid_headers),
     "_phi_block_rows": (_phi_block_rows, lambda: ((find_structure(8, 7, 56)[0], 7, cols, 3)
@@ -199,7 +201,9 @@ def test_stored_rows_past_their_bound(monkeypatch):
     keys = list(range(1, table.maxsize + 2))
     (first, _), (again, _) = _past_bound(table, keys, scheme._node_rows,
                                          lambda i: (scheme._key, i))
-    assert again == first == tuple(map(tuple, scheme._stored_rows(1))) and again is not first
+    rows = tuple(map(tuple, scheme._stored_rows(1)))
+    assert again == first == (rows, tuple(F.pack_rows(scheme.field.p, scheme.file_size, rows)))
+    assert again is not first
 
 
 def test_download_rows_past_their_bound(monkeypatch):
