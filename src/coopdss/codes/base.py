@@ -5,6 +5,13 @@ alpha symbols each, reconstructs u from any k nodes, repairs any t
 simultaneous failures exactly with per-newcomer bandwidth d*beta+(t-1)*beta',
 and exposes the eavesdropper's view as an explicit linear map e = A_u u + A_r r.
 
+Every scheme encodes, reconstructs and repairs through one executor
+(`_encode_nodes`, `_decode`, `_repair`): it runs a `RepairPlan` that the
+scheme writes from its construction and public parameters alone
+(`_encode_plan`, `_reconstruct_plan`, `_repair_plan`).  Bounded process-wide
+`PlanCache`s keep the plans and the observation rows for every instance of
+the same params; each table states its key and size where it is defined.
+
 Observation row order:
 
   1. for each node in sorted(E1): its alpha stored symbols in segment order;

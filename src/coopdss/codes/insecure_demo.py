@@ -2,9 +2,9 @@
 
 Three nodes over GF(5), M = 2, Ms = 1: node 1 stores the secret symbol in
 the clear, node 2 the random symbol, node 3 their sum.  Any two nodes
-reconstruct; a single failure is repaired by reading both survivors
-(d = 2, t = 1, beta = 1).  Eavesdropping node 1 leaks the whole secret;
-any verifier that fails to flag it is broken.
+reconstruct, and a single failure is repaired from both survivors (d = 2,
+t = 1, beta = 1), by rows of the inverse of their 2x2 system in cached
+plans.  Eavesdropping node 1 leaks the secret; verifiers must flag it.
 """
 
 from __future__ import annotations
@@ -12,10 +12,13 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from ..field import Matrix, prime_field
+from ..precode import coefficients
 from .base import (
     NodeContent,
     ObservationMatrix,
     ParameterError,
+    PlanBuilder,
+    RepairPlan,
     RepairTranscript,
     Scheme,
     SchemeParams,
@@ -47,35 +50,42 @@ class InsecureDemoScheme(Scheme):
 
     def encode(self, u: Sequence[int], r: Sequence[int]) -> list[NodeContent]:
         self._check_inputs(u, r)
-        f = self.field
-        vals = {i: f.add(f.mul(cu, u[0]), f.mul(cr, r[0]))
-                for i, (cr, cu) in self._rows.items()}
-        return [NodeContent(i, (vals[i],), self.layout) for i in (1, 2, 3)]
+        return self._encode_nodes(coefficients(u, r))
+
+    def _encode_plan(self, b=None) -> RepairPlan:
+        """Node i's symbol: its (r, u) row over r || u."""
+        b = b or PlanBuilder(self.alpha, self.field)
+        x = (b.symbol(0, 0), b.symbol(0, 1))
+        return b.plan((i, [b.step(row, x)]) for i, row in self._rows.items())
+
+    def _inverse_rows(self, ids: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The inverse of the 2x2 system of the (r, u) rows of nodes `ids`."""
+        return tuple(map(tuple, Matrix(self.field, [list(self._rows[i]) for i in ids]).inverse().rows))
 
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
-        by_id = {c.node_id: c for c in contents}
-        if len(by_id) < 2:
-            raise ParameterError("need k=2 nodes")
-        ids = sorted(by_id)[:2]
-        m = Matrix(self.field, [list(self._rows[i]) for i in ids])
-        _, u0 = m.solve([by_id[i].symbols[0] for i in ids])
-        return (u0,)
+        return self._decode(contents)
+
+    def _reconstruct_plan(self, ids: tuple[int, ...], b=None) -> RepairPlan:
+        """u: the inverse's u row over the two contacted symbols."""
+        b = b or PlanBuilder(self.secure_size, self.field)
+        x = [b.symbol(i, 0) for i in ids]
+        return b.plan([(0, [b.step(self._inverse_rows(ids)[1], x)])])
 
     def cooperative_repair(self, failed: Iterable[int],
                            survivors: Mapping[int, NodeContent],
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
-        f = self.field
-        failed = self._validate_failed(failed, survivors)
-        helpers = self._pick_helpers(failed, survivors, helpers)
-        (i,) = tuple(failed)
-        live = {(h, i): (survivors[h].symbols[0],) for h in helpers}
-        m = Matrix(f, [list(self._rows[h]) for h in helpers])
-        r0, u0 = m.solve([survivors[h].symbols[0] for h in helpers])
-        cr, cu = self._rows[i]
-        val = f.add(f.mul(cu, u0), f.mul(cr, r0))
-        return RepairTranscript(failed=failed, helpers=helpers, live_transfers=live,
-                                coop_transfers={},
-                                results=(NodeContent(i, (val,), self.layout),))
+        return self._repair(failed, survivors, helpers)
+
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
+        """Each helper sends its symbol; r and u are the inverse's rows over
+        the two downloads, and the newcomer stores its own row over them."""
+        (i,) = failed
+        b = PlanBuilder(self.alpha, self.field)
+        for h in helpers:
+            b.live[(h, i)] = [b.symbol(h, 0)]
+        downloads = [b.live[(h, i)][0] for h in helpers]
+        ru = [b.step(row, downloads) for row in self._inverse_rows(helpers)]
+        return b.plan([(i, [b.step(self._rows[i], ru)])])
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:

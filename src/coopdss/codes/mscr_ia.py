@@ -36,10 +36,12 @@ write D_uv[j] = pa_u[j] pb_v[j] - pa_v[j] pb_u[j].  By Cramer's rule
 survivor m stores s_m = (D_mY sX + D_Xm sY) / D_XY per coordinate.  Helper m
 sends X the one symbol (w^(e_X j) / D_Xm[j]) . s_m, whoever the partner is;
 its value is row_m . sX + c_X . sY with c_X[j] = w^(e_X j) / D_XY[j], so the
-sY interference aligns onto c_X . sY.  Y sends one combination of its own
-downloads whose sY part is a multiple of c_X . sY, and X solves alpha+1
-equations in {sX, c_X . sY}.  One symbol per helper and per peer:
-beta = beta' = 1, gamma = d + 1.
+sY interference aligns onto c_X . sY.  Y sends one combination lam of its
+own downloads whose sY part is a multiple of c_X . sY, and X's alpha+1
+equations in {sX, c_X . sY} are regular, so each symbol of sX is a row of
+their inverse (`_repair_strategy`, once per pair) over X's downloads.  One
+symbol per helper and per peer: beta = beta' = 1, gamma = d + 1.  Encoding,
+decoding and repair run as cached plans (`codes.base.RepairPlan`).
 
 Modulo X's own content, every symbol a helper ever sends X is one and the
 same functional (of b, or of a for node 2), and each peer's symbol is a
@@ -54,12 +56,15 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..field import Matrix, prime_field
+from ..field import Matrix, UnderdeterminedError, prime_field
+from ..precode import coefficients
 from .base import (
     NodeContent,
     ObservationMatrix,
     ParameterError,
+    PlanBuilder,
     RepairInfeasibleError,
+    RepairPlan,
     RepairTranscript,
     Scheme,
     SchemeParams,
@@ -111,12 +116,8 @@ class MscrIaScheme(Scheme):
         self.file_size = 2 * self.alpha
         self.beta = 1
         self.beta_prime = 1
-        if (params.l1, params.l2) == (1, 0):
-            self.secure_size = self.alpha
-        elif (params.l1, params.l2) == (0, 1):
-            self.secure_size = self.alpha - 1
-        else:
-            self.secure_size = self.file_size
+        self.secure_size = {(1, 0): self.alpha, (0, 1): self.alpha - 1}.get(
+            (params.l1, params.l2), self.file_size)
 
         self.field = prime_field(q)
         _, profile, self.exponents = _PLACEMENTS[params.n]
@@ -144,49 +145,38 @@ class MscrIaScheme(Scheme):
             self._packing = (tuple((j,) for j in range(alpha))
                              + tuple((j, nr + j) if j < ms else (alpha,) for j in range(alpha)))
 
-    # -- file packing -------------------------------------------------------------
-
-    def _file_vectors(self, u: Sequence[int], r: Sequence[int]) -> tuple[list[int], list[int]]:
-        p = self.field.p
-        c = (*r, *u)
-        x = [sum(c[i] for i in slots) % p for slots in self._packing]
-        return x[:self.alpha], x[self.alpha:]
-
-    # -- encode / reconstruct --------------------------------------------------------
+    # -- encode / reconstruct ----------------------------------------------------
 
     def encode(self, u: Sequence[int], r: Sequence[int]) -> list[NodeContent]:
         self._check_inputs(u, r)
-        f = self.field
-        a, b = self._file_vectors(u, r)
-        nodes = [NodeContent(1, tuple(a), self.layout), NodeContent(2, tuple(b), self.layout)]
-        for i in range(1, self.alpha + 1):
-            syms = tuple(f.add(a[j], f.mul(self.multipliers[i - 1][j], b[j]))
-                         for j in range(self.alpha))
-            nodes.append(NodeContent(i + 2, syms, self.layout))
-        return nodes
+        return self._encode_nodes(coefficients(u, r))
 
-    def _solve_file(self, c1: NodeContent, c2: NodeContent) -> tuple[list[int], list[int]]:
-        """(a, b) from two nodes' contents, by Cramer's rule per coordinate."""
-        p = self.field.p
-        u, v = c1.node_id, c2.node_id
-        a, b = [], []
-        for j, duv in enumerate(self._det(u, v)):
-            inv = pow(duv, -1, p)
-            su, sv = c1.symbols[j], c2.symbols[j]
-            a.append((su * self._pb[v][j] - self._pb[u][j] * sv) * inv % p)
-            b.append((self._pa[u][j] * sv - su * self._pa[v][j]) * inv % p)
-        return a, b
+    def _encode_plan(self, b=None) -> RepairPlan:
+        """The file symbols as the `_packing` sums over r || u, then node v's
+        symbol j as pa_v[j] a_j + pb_v[j] b_j."""
+        alpha, b = self.alpha, b or PlanBuilder(self.alpha, self.field)
+        x = [b.symbol(0, i) for i in range(self.file_size)]
+        file = [b.step((1,) * len(slots), [x[i] for i in slots]) for slots in self._packing]
+        return b.plan((v, [b.step((self._pa[v][j], self._pb[v][j]), (file[j], file[alpha + j]))
+                           for j in range(alpha)])
+                      for v in range(1, self.params.n + 1))
 
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
-        f = self.field
-        by_id = {c.node_id: c for c in contents}
-        if len(by_id) < 2:
-            raise ParameterError("need k=2 distinct nodes")
-        ids = sorted(by_id)[:2]
-        a, b = self._solve_file(by_id[ids[0]], by_id[ids[1]])
+        return self._decode(contents)
+
+    def _reconstruct_plan(self, ids: tuple[int, ...], b=None) -> RepairPlan:
+        """(a_j, b_j) from the two contacted nodes' symbol j by Cramer's rule,
+        then u: u_j = b_j - a_j, or (a || b) itself when there is no pad."""
+        p, (v, w), pa, pb = self.field.p, ids, self._pa, self._pb
+        b = b or PlanBuilder(self.secure_size, self.field)
+        xa, xb = [], []
+        for j, det in enumerate(self._det(v, w)):
+            inv, s = pow(det, -1, p), (b.symbol(v, j), b.symbol(w, j))
+            xa.append(b.step((pb[w][j] * inv % p, -pb[v][j] * inv % p), s))
+            xb.append(b.step((-pa[w][j] * inv % p, pa[v][j] * inv % p), s))
         if self.n_random == 0:
-            return tuple(a + b)
-        return tuple(f.sub(b[j], a[j]) for j in range(self.secure_size))  # u_j = b_j - a_j
+            return b.plan([(0, xa + xb)])
+        return b.plan([(0, [b.step((p - 1, 1), ab) for ab in zip(xa[:self.secure_size], xb)])])
 
     # -- repair -------------------------------------------------------------------------
 
@@ -196,16 +186,16 @@ class MscrIaScheme(Scheme):
         return [(au * bv - av * bu) % p
                 for au, bu, av, bv in zip(self._pa[u], self._pb[u], self._pa[v], self._pb[v])]
 
-    def _transfer(self, helper: int, newcomer: int) -> list[int]:
+    def _transfer(self, helper: int, newcomer: int) -> tuple[int, ...]:
         """Coefficients w^(e_N j) / D_Nm[j] of the one symbol helper m sends
         newcomer N, the same in every repair of N whoever its partner is."""
         p = self.field.p
         e = self.exponents[newcomer - 1]
-        return [pow(self.w, e * j, p) * pow(djm, -1, p) % p
-                for j, djm in enumerate(self._det(newcomer, helper))]
+        return tuple(pow(self.w, e * j, p) * pow(djm, -1, p) % p
+                     for j, djm in enumerate(self._det(newcomer, helper)))
 
-    def _repair_strategy(self, pair: tuple[int, int]) -> dict[int, tuple[list[int], list[list[int]]]]:
-        """newcomer -> (lam, rows of its (alpha+1)-system) for one failed pair.
+    def _repair_strategy(self, pair: tuple[int, int]) -> dict[int, tuple[tuple, tuple]]:
+        """newcomer -> (lam, its (alpha+1)-system's inverse rows) for one failed pair.
 
         With partner P, helper m's symbol for N reads row_m . sN + c_N . sP
         with c_N[j] = w^(e_N j) / D_NP[j] and row_m[j] = transfer[j] D_mP[j] /
@@ -235,9 +225,12 @@ class MscrIaScheme(Scheme):
                 lam, mu = vec[:alpha], vec[alpha]
                 sys_rows = [row + [1] for row in rows[newcomer]]
                 sys_rows.append([sum(lam) * c % p for c in targets[peer]] + [mu])
-                if Matrix(f, sys_rows, ncols=alpha + 1).rank() == alpha + 1:
-                    strategy[newcomer] = lam, sys_rows
-                    break
+                try:
+                    inverse = Matrix(f, sys_rows, ncols=alpha + 1).inverse()
+                except UnderdeterminedError:
+                    continue
+                strategy[newcomer] = tuple(lam), tuple(map(tuple, inverse.rows))
+                break
             else:
                 raise RepairInfeasibleError(f"no alignment strategy for failed pair {list(pair)}")
         self._strategies[pair] = strategy
@@ -246,43 +239,40 @@ class MscrIaScheme(Scheme):
     def cooperative_repair(self, failed: Iterable[int],
                            survivors: Mapping[int, NodeContent],
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
-        f = self.field
-        failed = self._validate_failed(failed, survivors)
-        helpers = self._pick_helpers(failed, survivors, helpers)
+        return self._repair(failed, survivors, helpers)
+
+    def _check_helpers(self, helpers: tuple[int, ...],
+                       survivors: Mapping[int, NodeContent]) -> None:
         if set(helpers) != set(survivors):
             raise ParameterError(f"{self.name} repair contacts all d = n-t survivors")
+
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
+        """Helper m sends each newcomer its `_transfer` row over m's symbols;
+        the peer sends lam over its own downloads; each rebuilt symbol is a
+        row of the inverse of the newcomer's system over its downloads."""
         pair = tuple(sorted(failed))
         strategy = self._repair_strategy(pair)
-        live: dict[tuple[int, int], tuple[int, ...]] = {}
+        b = PlanBuilder(self.alpha, self.field)
         for m in helpers:
+            stored = [b.symbol(m, j) for j in range(self.alpha)]
             for newcomer in pair:
-                live[(m, newcomer)] = (f.dot(self._transfer(m, newcomer), survivors[m].symbols),)
-        coop: dict[tuple[int, int], tuple[int, ...]] = {}
+                b.live[(m, newcomer)] = [b.step(self._transfer(m, newcomer), stored)]
         results = []
         for newcomer, peer in (pair, pair[::-1]):
-            lam, sys_rows = strategy[newcomer]
-            peer_val = sum(lm * live[(m, peer)][0] for lm, m in zip(lam, helpers)) % f.p
-            coop[(peer, newcomer)] = (peer_val,)
-            rhs = [live[(m, newcomer)][0] for m in helpers] + [peer_val]
-            sol = Matrix(f, sys_rows, ncols=self.alpha + 1).solve(rhs)
-            results.append(NodeContent(newcomer, tuple(sol[:self.alpha]), self.layout))
-        return RepairTranscript(failed=failed, helpers=helpers,
-                                live_transfers=live, coop_transfers=coop,
-                                results=tuple(results))
+            lam, inverse = strategy[newcomer]
+            b.coop[(peer, newcomer)] = [b.step(lam, [b.live[(m, peer)][0] for m in helpers])]
+            downloads = [b.live[(m, newcomer)][0] for m in helpers] + b.coop[(peer, newcomer)]
+            results.append((newcomer, [b.step(row, downloads) for row in inverse[:self.alpha]]))
+        return b.plan(results)
 
     # -- observation ------------------------------------------------------------------------
 
     def _stored_rows(self, node: int) -> list[list[int]]:
         """Row j is pa_v[j] a_j + pb_v[j] b_j over (r || u)."""
-        p, alpha = self.field.p, self.alpha
-        out = []
-        for j in range(alpha):
-            row = [0] * self.file_size
-            for coef, s in ((self._pa[node][j], j), (self._pb[node][j], alpha + j)):
-                for idx in self._packing[s]:
-                    row[idx] += coef
-            out.append([x % p for x in row])
-        return out
+        file = [[int(i in slots) for i in range(self.file_size)] for slots in self._packing]
+        a, b = file[:self.alpha], file[self.alpha:]
+        return [self._combine_rows((self._pa[node][j], self._pb[node][j]), (a[j], b[j]))
+                for j in range(self.alpha)]
 
     def _combine_rows(self, coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
         """sum_i coeffs[i] rows[i] over GF(p)."""

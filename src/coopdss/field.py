@@ -82,15 +82,13 @@ and the inputs are chunked when it passes 64 bits.  mscr-dk and
 mbcr-bivariate repair never solve for coefficients at all: each symbol they
 send or rebuild is one polynomial value, one step of a Lagrange row
 (`lagrange_row`, the inverse Vandermonde evaluated at the wanted point) with
-the values downloaded.  Two small
-schemes do eliminate: every mscr-ia repair solves each newcomer's
-(alpha+1)-system with `Matrix.solve`, and insecure-demo solves a 2x2 system
-with it in both reconstruct and repair.  The closed forms depend only on
-public points, so bounded process-wide caches keep them as immutable
-tuples: `vandermonde_inverse_rows` (256 entries, keyed by the prime and the
-point tuple) and `lagrange_row` (4096 entries, keyed by the prime, the
-point tuple and the point wanted), each sized from the benchmark's working
-sets (at most 34 and about 1640 keys).
+the values downloaded.  mscr-ia and insecure-demo invert their small
+systems (`Matrix.inverse`) as they write a plan, not per operation.  The
+closed forms depend only on public points, so bounded process-wide caches
+keep them as immutable tuples: `vandermonde_inverse_rows` (256 entries,
+keyed by the prime and the point tuple) and `lagrange_row` (4096 entries,
+keyed by the prime, the point tuple and the point wanted), each sized from
+the benchmark's working sets (at most 34 and about 1640 keys).
 
 The Gabidulin precoding map, the Moore matrix of a field's canonical basis,
 and its inverse are never built as matrices.  On a binomial field every
@@ -1122,7 +1120,8 @@ class Matrix:
         return len(pivots), pivots
 
     def solve(self, rhs: Sequence[int]) -> list[int]:
-        """Solve self @ x = rhs.
+        """Solve self @ x = rhs: no program code calls it; the tests' oracles
+        and the benchmark's tracer, which wraps it by name, do.
 
         Raises NoSolutionError if inconsistent, UnderdeterminedError if the
         solution is not unique.

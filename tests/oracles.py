@@ -28,16 +28,18 @@ for the straight-line code that `compile_plan` generates, and `random_symbols` d
 `draw_mod` call per coordinate, the reference for the inline loop of
 `coopdss.precode.random_symbols`.
 
-`mbcr_exact_repair`, `mscr_dk_repair` and `mbcr_bivariate_repair` repair on
-the values, one `dot` or `lagrange_at` per symbol as the data arrives: the
-reference for the cached repair plans that the program runs
-(`coopdss.codes.base.RepairPlan`).  `REFERENCE_ENCODES` and
+`REFERENCE_REPAIRS` repair on the values, one `dot` or `lagrange_at` per
+symbol as the data arrives, and mscr-ia and insecure-demo by `Matrix.solve`
+of each newcomer's system (mscr-ia's from `mscr_ia_systems`, the strategy
+search with a rank check): the reference for the cached repair plans that
+the program runs (`coopdss.codes.base.RepairPlan`).  `REFERENCE_ENCODES` and
 `REFERENCE_RECONSTRUCTS` are the same for encoding and decoding, the loops
 the schemes ran before their encode and reconstruct plans: mbcr-exact's
 primaries and z values, mscr-dk's shares and Vandermonde solve (each decode
-applying the whole inverse Moore map, then slicing u), and mbcr-bivariate's
-Horner evaluation and interpolation chain.  `segment` reads a node's layout
-segment by name.
+applying the whole inverse Moore map, then slicing u), mbcr-bivariate's
+Horner evaluation and interpolation chain, mscr-ia's file packing and
+Cramer's rule per coordinate, and insecure-demo's rows and 2x2 solve.
+`segment` reads a node's layout segment by name.
 
 `brute_force_int64` enumerates every joint (u, r) assignment with one
 int64 code each: every probed coordinate row, zero and repeated ones
@@ -457,16 +459,87 @@ def mbcr_bivariate_reconstruct(scheme, contents):
     return tuple(phi[j][i] for i, j in scheme.u_support)
 
 
+def mscr_ia_file_vectors(scheme, u, r):
+    """(a, b): each file symbol the sum of its `_packing` coordinates of r || u."""
+    p = scheme.field.p
+    c = (*r, *u)
+    x = [sum(c[i] for i in slots) % p for slots in scheme._packing]
+    return x[:scheme.alpha], x[scheme.alpha:]
+
+
+def mscr_ia_encode(scheme, u, r):
+    """Nodes 1 and 2 store a and b, redundancy node i + 2 stores a + B_i b."""
+    scheme._check_inputs(u, r)
+    f = scheme.field
+    a, b = mscr_ia_file_vectors(scheme, u, r)
+    nodes = [NodeContent(1, tuple(a), scheme.layout), NodeContent(2, tuple(b), scheme.layout)]
+    for i in range(1, scheme.alpha + 1):
+        syms = tuple(f.add(a[j], f.mul(scheme.multipliers[i - 1][j], b[j]))
+                     for j in range(scheme.alpha))
+        nodes.append(NodeContent(i + 2, syms, scheme.layout))
+    return nodes
+
+
+def mscr_ia_solve_file(scheme, c1, c2):
+    """(a, b) from two nodes' contents, by Cramer's rule per coordinate."""
+    p = scheme.field.p
+    pa, pb = scheme._pa, scheme._pb
+    u, v = c1.node_id, c2.node_id
+    a, b = [], []
+    for j, duv in enumerate(scheme._det(u, v)):
+        inv = pow(duv, -1, p)
+        su, sv = c1.symbols[j], c2.symbols[j]
+        a.append((su * pb[v][j] - pb[u][j] * sv) * inv % p)
+        b.append((pa[u][j] * sv - su * pa[v][j]) * inv % p)
+    return a, b
+
+
+def mscr_ia_reconstruct(scheme, contents):
+    f = scheme.field
+    by_id = {c.node_id: c for c in contents}
+    if len(by_id) < 2:
+        raise ParameterError(f"need k=2 distinct nodes, got {len(by_id)}")
+    ids = sorted(by_id)[:2]
+    a, b = mscr_ia_solve_file(scheme, by_id[ids[0]], by_id[ids[1]])
+    if scheme.n_random == 0:
+        return tuple(a + b)
+    return tuple(f.sub(b[j], a[j]) for j in range(scheme.secure_size))  # u_j = b_j - a_j
+
+
+def insecure_demo_encode(scheme, u, r):
+    scheme._check_inputs(u, r)
+    f = scheme.field
+    return [NodeContent(i, (f.add(f.mul(cu, u[0]), f.mul(cr, r[0])),), scheme.layout)
+            for i, (cr, cu) in scheme._rows.items()]
+
+
+def insecure_demo_solve(scheme, ids, values):
+    """(r, u) from the symbols `values` of the nodes `ids`, by `Matrix.solve`."""
+    return Matrix(scheme.field, [list(scheme._rows[i]) for i in ids]).solve(list(values))
+
+
+def insecure_demo_reconstruct(scheme, contents):
+    by_id = {c.node_id: c for c in contents}
+    if len(by_id) < 2:
+        raise ParameterError(f"need k=2 distinct nodes, got {len(by_id)}")
+    ids = sorted(by_id)[:2]
+    return (insecure_demo_solve(scheme, ids, [by_id[i].symbols[0] for i in ids])[1],)
+
+
 REFERENCE_ENCODES = {
     "mbcr-exact": mbcr_exact_encode,
     "mscr-dk": mscr_dk_encode,
     "mbcr-bivariate": mbcr_bivariate_encode,
+    "mscr-ia": mscr_ia_encode,
+    "insecure-demo": insecure_demo_encode,
 }
 
 REFERENCE_RECONSTRUCTS = {
     "mbcr-exact": mbcr_exact_reconstruct,
     "mscr-dk": mscr_dk_reconstruct,
     "mbcr-bivariate": mbcr_bivariate_reconstruct,
+    "mscr-ia": mscr_ia_reconstruct,
+    "insecure-demo": insecure_demo_reconstruct,
 }
 
 
@@ -589,10 +662,80 @@ def mbcr_bivariate_repair(scheme, failed, survivors, helpers=None):
     return _transcript(failed, helpers, live, coop, results)
 
 
+def mscr_ia_systems(scheme, pair):
+    """newcomer -> (lam, rows of its (alpha+1)-system) for one failed pair:
+    the search of `_repair_strategy`, each candidate lam checked by the
+    rank of the system rather than by inverting it."""
+    f = scheme.field
+    p, alpha = f.p, scheme.alpha
+    helpers = [m for m in range(1, scheme.params.n + 1) if m not in pair]
+    targets, rows = {}, {}
+    for newcomer, peer in (pair, pair[::-1]):
+        inv_dnp = [pow(x, -1, p) for x in scheme._det(newcomer, peer)]
+        e = scheme.exponents[newcomer - 1]
+        targets[newcomer] = [pow(scheme.w, e * j, p) * x % p for j, x in enumerate(inv_dnp)]
+        rows[newcomer] = [[c * dmp * x % p for c, dmp, x in
+                           zip(scheme._transfer(m, newcomer), scheme._det(m, peer), inv_dnp)]
+                          for m in helpers]
+    systems = {}
+    for newcomer, peer in (pair, pair[::-1]):
+        null_rows = [[row[j] for row in rows[peer]] + [-targets[newcomer][j] % p]
+                     for j in range(alpha)]
+        for vec in Matrix(f, null_rows, ncols=alpha + 1).nullspace():
+            lam, mu = vec[:alpha], vec[alpha]
+            sys_rows = [row + [1] for row in rows[newcomer]]
+            sys_rows.append([sum(lam) * c % p for c in targets[peer]] + [mu])
+            if Matrix(f, sys_rows, ncols=alpha + 1).rank() == alpha + 1:
+                systems[newcomer] = lam, sys_rows
+                break
+    return systems
+
+
+def mscr_ia_repair(scheme, failed, survivors, helpers=None):
+    """mscr-ia repair computed on the values: each helper's one `dot` per
+    newcomer, the peer's lam over its own downloads, then `Matrix.solve` of
+    the newcomer's (alpha+1)-system."""
+    f = scheme.field
+    failed = scheme._validate_failed(failed, survivors)
+    helpers = scheme._pick_helpers(failed, survivors, helpers)
+    if set(helpers) != set(survivors):
+        raise ParameterError(f"{scheme.name} repair contacts all d = n-t survivors")
+    pair = tuple(sorted(failed))
+    systems = mscr_ia_systems(scheme, pair)
+    live, coop, results = {}, {}, []
+    for m in helpers:
+        for newcomer in pair:
+            live[(m, newcomer)] = (f.dot(scheme._transfer(m, newcomer), survivors[m].symbols),)
+    for newcomer, peer in (pair, pair[::-1]):
+        lam, sys_rows = systems[newcomer]
+        peer_val = sum(lm * live[(m, peer)][0] for lm, m in zip(lam, helpers)) % f.p
+        coop[(peer, newcomer)] = (peer_val,)
+        rhs = [live[(m, newcomer)][0] for m in helpers] + [peer_val]
+        sol = Matrix(f, sys_rows, ncols=scheme.alpha + 1).solve(rhs)
+        results.append(NodeContent(newcomer, tuple(sol[:scheme.alpha]), scheme.layout))
+    return _transcript(failed, helpers, live, coop, results)
+
+
+def insecure_demo_repair(scheme, failed, survivors, helpers=None):
+    """insecure-demo repair computed on the values: (r, u) by `Matrix.solve`
+    from both survivors' symbols, then the newcomer's own row."""
+    f = scheme.field
+    failed = scheme._validate_failed(failed, survivors)
+    helpers = scheme._pick_helpers(failed, survivors, helpers)
+    (i,) = tuple(failed)
+    live = {(h, i): (survivors[h].symbols[0],) for h in helpers}
+    r0, u0 = insecure_demo_solve(scheme, helpers, [survivors[h].symbols[0] for h in helpers])
+    cr, cu = scheme._rows[i]
+    val = f.add(f.mul(cu, u0), f.mul(cr, r0))
+    return _transcript(failed, helpers, live, {}, [NodeContent(i, (val,), scheme.layout)])
+
+
 REFERENCE_REPAIRS = {
     "mbcr-exact": mbcr_exact_repair,
     "mscr-dk": mscr_dk_repair,
     "mbcr-bivariate": mbcr_bivariate_repair,
+    "mscr-ia": mscr_ia_repair,
+    "insecure-demo": insecure_demo_repair,
 }
 
 

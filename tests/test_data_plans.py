@@ -25,6 +25,9 @@ PLAN_SCHEMES = [
     ("mscr-dk", (7, 3, 3, 3)),
     ("mbcr-bivariate", (7, 3, 4, 2)),
     ("mbcr-bivariate", (8, 3, 4, 2)),
+    ("insecure-demo", (3, 2, 2, 1)),
+    # mscr-ia at both n in each of its three packings (l1, l2)
+    *[("mscr-ia", (n, 2, n - 2, 2, l1, l2)) for n in (4, 5) for l1, l2 in ((0, 0), (1, 0), (0, 1))],
 ]
 
 
@@ -36,9 +39,16 @@ def scheme_for(name, n, k, d, t, l1=1, l2=0):
 def plan_instances(draw):
     """A plan scheme with small random params, a seed and a set of k or more
     contacted nodes."""
-    name = draw(st.sampled_from(["mbcr-exact", "mscr-dk", "mbcr-bivariate"]))
+    name = draw(st.sampled_from(["mbcr-exact", "mscr-dk", "mbcr-bivariate", "mscr-ia",
+                                 "insecure-demo"]))
     t = draw(st.integers(1, 2))
-    if name == "mscr-dk":
+    if name == "insecure-demo":
+        n, k, d, t, l1, l2 = 3, 2, 2, 1, 1, 0
+    elif name == "mscr-ia":
+        n, k, t = draw(st.integers(4, 5)), 2, 2
+        d = n - 2
+        l1, l2 = draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
+    elif name == "mscr-dk":
         k = d = draw(st.integers(1, 3))
         t = draw(st.integers(1, 3))
         n = draw(st.integers(k + t, k + t + 2))
@@ -46,8 +56,9 @@ def plan_instances(draw):
         k = draw(st.integers(1, 3))
         d = draw(st.integers(k, 4))
         n = d + t if name == "mbcr-exact" else draw(st.integers(d + t, d + t + 2))
-    l2 = draw(st.integers(0, min(1, k - 1, t - 1 if name == "mscr-dk" else 1)))
-    l1 = draw(st.integers(0, k - 1 - l2))
+    if name in ("mbcr-exact", "mscr-dk", "mbcr-bivariate"):
+        l2 = draw(st.integers(0, min(1, k - 1, t - 1 if name == "mscr-dk" else 1)))
+        l1 = draw(st.integers(0, k - 1 - l2))
     ids = draw(st.lists(st.integers(1, n), min_size=k, max_size=n, unique=True))
     return SchemeParams(n=n, k=k, d=d, t=t, l1=l1, l2=l2, scheme=name), \
         draw(st.integers(0, 2**32)), ids
@@ -273,7 +284,7 @@ def test_reconstruct_table_stays_at_its_bound():
 def test_scheme_construction_builds_no_plan(name, nkdt):
     tables = (ENCODE_PLANS, RECONSTRUCT_PLANS, REPAIR_PLANS)
     before = [(len(t), t.hits, t.misses) for t in tables]
-    scheme_for(name, *nkdt, l1=0)
+    scheme_for(name, *nkdt)
     assert [(len(t), t.hits, t.misses) for t in tables] == before
 
 

@@ -4,8 +4,8 @@ import math
 import pytest
 
 from coopdss import sim as sim_mod
-from coopdss.codes import make_scheme, mscr_ia
-from coopdss.codes.base import ParameterError, RepairInfeasibleError, SchemeParams
+from coopdss.codes import base, make_scheme, mscr_ia
+from coopdss.codes.base import ParameterError, PlanCache, RepairInfeasibleError, SchemeParams
 from coopdss.codes.mscr_ia import find_placement
 from coopdss.field import Matrix, prime_field
 from coopdss.secrecy import brute_force_leakage, rank_leakage
@@ -97,10 +97,26 @@ def exponent_tables(n, q, feasible, prefix=()):
             yield from exponent_tables(n, q, feasible, prefix + (e,))
 
 
+# the process-wide tables a candidate placement must not share
+TABLES = ("STORED_ROWS", "DOWNLOAD_ROWS", "REPAIR_PLANS", "ENCODE_PLANS", "RECONSTRUCT_PLANS")
+
+
 def validate_placement(n, entry, monkeypatch):
     """Every reconstruction and cooperative repair works, the Case-1 secrecy
     rank check passes for every node, and the Case-2 one passes for every E2
-    node over its all-partners lifetime, under the table entry `entry`."""
+    node over its all-partners lifetime, under the table entry `entry`.
+
+    The process-wide row and plan tables key by the params alone, which the
+    patched entry does not change, so each candidate runs against empty
+    tables of the same bounds and never reads another placement's rows."""
+    with monkeypatch.context() as patch:
+        for name in TABLES:
+            table = getattr(base, name)
+            patch.setattr(base, name, PlanCache(table.maxsize, table.build_on_reuse))
+        return _validate_placement(n, entry, monkeypatch)
+
+
+def _validate_placement(n, entry, monkeypatch):
     for l1, l2 in ((1, 0), (0, 1)):
         scheme = placed_scheme(n, entry, monkeypatch, l1, l2)
         u, r = scheme.random_inputs(0x1A)
@@ -122,6 +138,8 @@ def validate_placement(n, entry, monkeypatch):
                       for e in range(1, n + 1)]
         for e1, e2, trs in checks:
             obs = scheme.observation_matrix(e1, e2, trs)
+            (e,) = e1 + e2
+            assert obs.rows[:scheme.alpha] == [tuple(row) for row in scheme._stored_rows(e)]
             rank, pivots = obs.matrix.rank_profile()
             if rank != sum(1 for c in pivots if c < obs.n_random):
                 return False

@@ -35,6 +35,9 @@ PLAN_SCHEMES = [
     ("mscr-dk", (7, 3, 3, 3)),
     ("mbcr-bivariate", (7, 3, 4, 2)),
     ("mbcr-bivariate", (8, 3, 4, 2)),
+    ("insecure-demo", (3, 2, 2, 1)),
+    # mscr-ia at both n in each of its three packings (l1, l2)
+    *[("mscr-ia", (n, 2, n - 2, 2, l1, l2)) for n in (4, 5) for l1, l2 in ((0, 0), (1, 0), (0, 1))],
 ]
 
 
@@ -46,8 +49,10 @@ def test_executor_transcripts_equal_the_reference_repair(name, nkdt):
     rounds = 0
     for failed, helpers in every_round(scheme):
         survivors = {i: c for i, c in nodes.items() if i not in failed}
-        got = scheme.cooperative_repair(failed, survivors, helpers)
-        assert got == reference(scheme, failed, survivors, helpers), (failed, helpers)
+        want = reference(scheme, failed, survivors, helpers)
+        for _ in range(3):  # the plan built, then cached
+            got = scheme.cooperative_repair(failed, survivors, helpers)
+            assert got == want, (failed, helpers)
         assert got.results == tuple(nodes[i] for i in sorted(failed))
         rounds += 1
     assert rounds > 0
