@@ -5,12 +5,13 @@ alpha symbols each, reconstructs u from any k nodes, repairs any t
 simultaneous failures exactly with per-newcomer bandwidth d*beta+(t-1)*beta',
 and exposes the eavesdropper's view as an explicit linear map e = A_u u + A_r r.
 
-Every scheme encodes, reconstructs and repairs through one executor
-(`_encode_nodes`, `_decode`, `_repair`): it runs a `RepairPlan` that the
-scheme writes from its construction and public parameters alone
-(`_encode_plan`, `_reconstruct_plan`, `_repair_plan`).  Bounded process-wide
-`PlanCache`s keep the plans and the observation rows for every instance of
-the same params; each table states its key and size where it is defined.
+Every scheme encodes, reconstructs and repairs through one executor,
+`Scheme._run_plan`, behind one node id and size check (`_check_nodes`).  The
+scheme writes each map once from its construction and public parameters
+(`_encode_plan`, `_reconstruct_plan`, `_repair_plan`, given a builder): a
+key's first request evaluates it, its second builds it as a `RepairPlan`.
+Bounded process-wide `PlanCache`s keep the plans and the observation rows for
+every instance of the same params; each table states its key and size there.
 
 Observation row order:
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..field import (
@@ -260,19 +261,6 @@ class PlanCache:
         return value
 
 
-# Worst case: 256 plans.  A plan holds about t alpha steps, each a row of
-# at most d + t ints below p and as many slot ints: O(t (d + t)^2) ints.
-# Its rows are the row caches' own tuples (`lagrange_row`,
-# `_phi_block_rows`), which it keeps alive after those caches evict them.
-# Measured with its rows: 5-9 KB per plan at the benchmark's lifetime sizes
-# (a lifetime pass meets 56-58 keys, about 360 KB), so about 2 MB for a
-# full cache of them; about 50 KB per plan at mbcr-bivariate (20,4,8,4),
-# 13 MB for 256 of those.  A GF(p^m) plan also keeps its compiled code
-# (`ExtField.compile_plan`): 2-5 KB more at the benchmark's sizes (9.6 KB
-# in all at mscr-dk (6,3,3,3), 13 KB at mbcr-exact (6,3,4,2)), 11 KB more
-# at mbcr-exact (9,5,7,2) over GF(331^55) (tracemalloc, rows excluded).
-REPAIR_PLANS = PlanCache(256)
-
 # Observation rows by (params, node) and (params, failed, helpers, newcomer):
 # at most 1024 entries of alpha rows and 512 of gamma rows of M ints, each
 # entry the rows as tuples and each row packed into one int (`pack_rows`).
@@ -285,33 +273,40 @@ REPAIR_PLANS = PlanCache(256)
 STORED_ROWS = PlanCache(1024)
 DOWNLOAD_ROWS = PlanCache(512)
 
-# Encode plans by params, reconstruct plans by (params, the k sorted
-# contacted ids), each built on its key's second request: the first, in a
-# one-shot command or a set-up's warm-up, evaluates (`_Evaluator`).
-# Measured with their rows: 9-42 KB per encode plan and 5-22 KB per
-# reconstruct plan at the benchmark's sizes, so 1.3 MB and 5.6 MB for the
-# tables full; at mbcr-bivariate (20,4,8,4) 292 KB and 66 KB, 9.3 MB and
-# 17 MB full.  An encode plan grows with n alpha: 6.9 MB at n = 2000.
-# A GF(p^m) plan's compiled code adds 1.6-7 KB at the benchmark's sizes
-# (an encode plan 8-16 KB in all without its rows, a reconstruct plan 5-9
-# KB), 24 KB to an encode plan at mbcr-exact (9,5,7,2) over GF(331^55).
+# Repair plans by (params, failed, helpers), encode plans by params and
+# reconstruct plans by (params, the k sorted contacted ids), each built on
+# its key's second request: the first, in a one-shot command, a set-up's
+# warm-up or a lifetime's run, evaluates (`_Evaluator`) and leaves a key of
+# under 0.5 KB with no value.  A lifetime's replay asks again, so a
+# lifetime benchmark pass builds all 56-58 repair plans it meets.
+# Measured with their rows, which are the row caches' own tuples (kept alive
+# after those caches evict them): 5-9 KB per repair plan at the benchmark's
+# lifetime sizes, O(t (d + t)^2) ints, 9-42 KB per encode plan and 5-22 KB
+# per reconstruct plan, so 2, 1.3 and 5.6 MB for the tables full; at
+# mbcr-bivariate (20,4,8,4) 50, 292 and 66 KB, 13, 9.3 and 17 MB full.  An
+# encode plan grows with n alpha: 6.9 MB at n = 2000.  A GF(p^m) plan's
+# compiled code adds 1.6-7 KB at the benchmark's sizes, 11 KB to a repair
+# and 24 KB to an encode plan at mbcr-exact (9,5,7,2) over GF(331^55).
+REPAIR_PLANS = PlanCache(256, build_on_reuse=True)
 ENCODE_PLANS = PlanCache(32, build_on_reuse=True)
 RECONSTRUCT_PLANS = PlanCache(256, build_on_reuse=True)
 
 
 class _Evaluator:
     """`PlanBuilder`'s interface, evaluating a construction as it goes: a
-    symbol is its stored value and a step the `dot` of its row with its
-    sources' values; `plan` returns the result records."""
+    symbol is its stored value, a step the `dot` of its row with its sources'
+    values; `plan` returns the records a plan's run would (`Scheme._run_plan`)."""
 
-    def __init__(self, field, symbols: Mapping[int, Sequence[int]]):
-        self.step, self.symbols = field.dot, symbols
+    def __init__(self, field, nodes: Mapping[int, NodeContent]):
+        self.step, self.nodes = field.dot, nodes
+        self.live: dict[tuple[int, int], list[int]] = {}
+        self.coop: dict[tuple[int, int], list[int]] = {}
 
     def symbol(self, node: int, index: int) -> int:
-        return self.symbols[node][index]
+        return self.nodes[node].symbols[index]
 
     def plan(self, results: Iterable[tuple[int, Sequence[int]]]) -> list:
-        return [(i, tuple(v)) for i, v in results]
+        return [(key, tuple(v)) for key, v in chain(self.live.items(), self.coop.items(), results)]
 
 
 def _record(cls, **fields):
@@ -448,56 +443,52 @@ class Scheme:
 
     def _repair(self, failed: Iterable[int], survivors: Mapping[int, NodeContent],
                 helpers: Sequence[int] | None) -> RepairTranscript:
-        """Run one repair round by the scheme's cached `_repair_plan`.
-
-        Validation runs on every call, before the plan is looked up: the
-        failed set, the helpers and `_check_helpers`.  The plan comes from
-        `REPAIR_PLANS`, keyed by (params, failed, helpers); the executor
-        gathers its inputs from the survivors, runs the plan (`run`) and
-        assembles the transfers and the newcomers' contents from its one
-        tuple, cut by the plan's slices (`_record`)."""
+        """Run one repair round by `_repair_plan` through `_run_plan`, keyed
+        (params, failed, helpers) in `REPAIR_PLANS`, after the failed set,
+        the helpers, `_check_helpers` and the survivors (`_check_nodes`) are
+        validated.  Its records are each helper's transfer to each newcomer,
+        the newcomers' transfers to each other, then the t rebuilt nodes."""
         failed = self._validate_failed(failed, survivors)
         helpers = self._pick_helpers(failed, survivors, helpers)
         self._check_helpers(helpers, survivors)
-        plan = REPAIR_PLANS.get((self._key, failed, helpers), self._repair_plan, failed, helpers)
-        out = plan.run([survivors[h].symbols[s] for h, s in plan.inputs])
-        layout = self.layout
+        self._check_nodes(survivors, survivors)
+        records = self._run_plan(REPAIR_PLANS, (self._key, failed, helpers), self._repair_plan,
+                                 survivors, failed, helpers)
+        n_live, n_sent = len(helpers) * len(failed), len(records) - len(failed)
         return _record(
             RepairTranscript, failed=failed, helpers=helpers,
-            live_transfers={key: out[cut] for key, cut in plan.live_cuts},
-            coop_transfers={key: out[cut] for key, cut in plan.coop_cuts},
-            results=tuple([_record(NodeContent, node_id=i, symbols=out[cut], layout=layout)
-                           for i, cut in plan.result_cuts]))
+            live_transfers=dict(records[:n_live]), coop_transfers=dict(records[n_live:n_sent]),
+            results=tuple([_record(NodeContent, node_id=i, symbols=v, layout=self.layout)
+                           for i, v in records[n_sent:]]))
 
-    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
-        """The `RepairPlan` of one round: (failed, helpers) validated, no
-        survivor data."""
-        raise NotImplementedError
-
-    def _run_plan(self, table: PlanCache, key, build, symbols, *args) -> list:
-        """The result records of the plan `build(*args)`, kept in `table`
-        under `key`, run on the inputs it reads from `symbols` (node id ->
-        stored symbols, 0 for an encoding's inputs); a key's first request
-        evaluates the construction (`build(*args, _Evaluator(...))`)."""
+    def _run_plan(self, table: PlanCache, key, build, nodes: Mapping[int, NodeContent],
+                  *args) -> list:
+        """The records, (key, symbols) per transfer and then per result, of
+        the plan `build(*args)` kept in `table` under `key`, run on the
+        symbols it reads from `nodes` (node 0 holds an encoding's inputs):
+        the one place a plan runs.  A key's first request evaluates the
+        construction instead (`build(*args, _Evaluator(...))`)."""
         plan = table.get(key, build, *args)
         if plan is None:
-            return build(*args, _Evaluator(self.field, symbols))
-        out = plan.run([symbols[h][s] for h, s in plan.inputs])
-        return [(i, out[cut]) for i, cut in plan.result_cuts]
+            return build(*args, _Evaluator(self.field, nodes))
+        out = plan.run([nodes[h].symbols[s] for h, s in plan.inputs])
+        return [(k, out[cut]) for k, cut in chain(plan.live_cuts, plan.coop_cuts, plan.result_cuts)]
 
     def _encode_nodes(self, x: list[int]) -> list[NodeContent]:
         """Every node's content from the encode plan's inputs x, the M
         precoded symbols or (r || u) (`ENCODE_PLANS`)."""
         layout = self.layout
+        inputs = _record(NodeContent, node_id=0, symbols=x, layout=(("inputs", len(x)),))
         return [_record(NodeContent, node_id=i, symbols=syms, layout=layout) for i, syms
-                in self._run_plan(ENCODE_PLANS, self._key, self._encode_plan, {0: x})]
+                in self._run_plan(ENCODE_PLANS, self._key, self._encode_plan, {0: inputs})]
 
     def _decode(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
         """u, or a Gabidulin scheme's M evaluations, from the k lowest
         distinct node ids given (`RECONSTRUCT_PLANS`, keyed by those ids)."""
-        by_id = {c.node_id: c.symbols for c in contents}
+        by_id = {c.node_id: c for c in contents}
         if len(by_id) < self.params.k:
             raise ParameterError(f"need k={self.params.k} distinct nodes, got {len(by_id)}")
+        self._check_nodes(by_id, by_id)
         ids = tuple(sorted(by_id)[:self.params.k])
         return self._run_plan(RECONSTRUCT_PLANS, (self._key, ids), self._reconstruct_plan,
                               by_id, ids)[0][1]
@@ -512,8 +503,8 @@ class Scheme:
         d = self.params.d
         if len(survivors) < d:
             raise RepairInfeasibleError(f"need {d} survivors, have {len(survivors)}")
-        if helpers is None:
-            helpers = sorted(survivors)[:d]
+        if helpers is None:  # d distinct survivors, none failed (`_validate_failed`)
+            return tuple(sorted(survivors)[:d])
         helpers = tuple(sorted(helpers))
         if (len(helpers) != d or len(set(helpers)) != d or not failed.isdisjoint(helpers)
                 or not all(map(survivors.__contains__, helpers))):
@@ -527,9 +518,19 @@ class Scheme:
             raise ParameterError(f"exactly t={self.params.t} failures required")
         if not failed.isdisjoint(survivors):
             raise ParameterError("a failed node cannot also be a survivor")
-        if min(failed) < 1 or max(failed) > self.params.n:
-            raise ParameterError("node ids must lie in [1, n]")
+        self._check_nodes(failed)
         return failed
+
+    def _check_nodes(self, ids: Iterable[int], nodes: Mapping[int, NodeContent] = ()) -> None:
+        """The data path's one node boundary, checked before a plan table
+        lookup so that no bad key enters a table: every id lies in [1, n],
+        and every node of `nodes` holds alpha symbols."""
+        if not self._ids.issuperset(ids):
+            raise ParameterError("node ids must lie in [1, n]")
+        alpha = self.alpha
+        for i in nodes:
+            if len(nodes[i].symbols) != alpha:
+                raise ParameterError(f"node {i} holds {len(nodes[i].symbols)} symbols, alpha is {alpha}")
 
     @cached_property
     def _ids(self) -> frozenset[int]:

@@ -76,11 +76,11 @@ class InsecureDemoScheme(Scheme):
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
         return self._repair(failed, survivors, helpers)
 
-    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None) -> RepairPlan:
         """Each helper sends its symbol; r and u are the inverse's rows over
         the two downloads, and the newcomer stores its own row over them."""
         (i,) = failed
-        b = PlanBuilder(self.alpha, self.field)
+        b = b or PlanBuilder(self.alpha, self.field)
         for h in helpers:
             b.live[(h, i)] = [b.symbol(h, 0)]
         downloads = [b.live[(h, i)][0] for h in helpers]

@@ -19,15 +19,14 @@ pinned by its d column evidences f_h(y_j) at the helpers' x_h; i then holds
 d+t row evaluations of f_i (helpers, peers, own g_i(x_i)).  Every transfer
 and every rebuilt symbol is one value of a polynomial at one point, so repair
 never builds a polynomial.  It runs as a repair plan (`_repair_plan`, see
-`codes.base.RepairPlan`), built once per (params, failed, helpers) and kept
-in the process-wide plan cache: a value at one of the polynomial's own
-evaluation points (y_i in helper h's row window, x_i in its column window,
-every row point of f_i when n = d+t) is a reference to the slot that holds
-it, and any other is one step, the dot of a Lagrange row with the slots of
-the values it is known by.  The row depends on the points alone and comes
-from the bounded process-wide cache `lagrange_row` (4096 entries, keyed by
-(q, points, x)); the plan keeps the cached tuple itself.  A round then
-gathers only the helper symbols the plan reads and runs its steps.
+`Scheme._run_plan`): a value at one of the polynomial's own evaluation
+points (y_i in helper h's row window, x_i in its column window, every row
+point of f_i when n = d+t) is a reference to the slot that holds it, and
+any other is one step, the dot of a Lagrange row with the slots of the
+values it is known by.  The row depends on the points alone and comes from
+the bounded process-wide cache `lagrange_row` (4096 entries, keyed by (q,
+points, x)); the plan keeps the cached tuple itself.  A round then gathers
+only the helper symbols the plan reads and runs its steps.
 
 Encoding and reconstruction are plans too (`_encode_plan`,
 `_reconstruct_plan`, see `Scheme._run_plan`), over r || u and over the k
@@ -220,13 +219,13 @@ class MbcrBivariateScheme(Scheme):
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
         return self._repair(failed, survivors, helpers)
 
-    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None) -> RepairPlan:
         """Every transfer and rebuilt symbol is the value at one point of a
         polynomial known by its values at others (`at`)."""
         q, d, t = self.field.p, self.params.d, self.params.t
         x, y = self.x_points, self.y_points
         newcomers = sorted(failed)
-        b = PlanBuilder(self.alpha, self.field)
+        b = b or PlanBuilder(self.alpha, self.field)
 
         def at(xs: tuple[int, ...], slots: Sequence[int], pt: int) -> int:
             """The slot of the value at pt of the polynomial of degree

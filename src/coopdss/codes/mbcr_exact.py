@@ -297,7 +297,7 @@ class MbcrExactScheme(GabidulinScheme):
         if set(helpers) != set(survivors):
             raise ParameterError(f"{self.name} repair contacts all d = n-t survivors")
 
-    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None) -> RepairPlan:
         """Each helper h sends its stored z value for newcomer i (symbol
         d + its Phi column of i, verbatim); the d of them give i's primary
         through the inverse Phi block.  Then h sends the z value i stores
@@ -305,7 +305,7 @@ class MbcrExactScheme(GabidulinScheme):
         newcomer m the one from m's rebuilt primary: one step each."""
         d, p = self.params.d, self.base.p
         order = sorted(failed)
-        b = PlanBuilder(self.alpha, self.field)
+        b = b or PlanBuilder(self.alpha, self.field)
         primary = {h: [b.symbol(h, s) for s in range(d)] for h in helpers}
         z_from = {}  # (source, newcomer) -> slot of the z value source sends
         for i in order:

@@ -11,11 +11,9 @@ m_s^T g_i is g_i^T V_H^-1 applied to the k downloaded shares, with V_H the
 k x k Vandermonde on the helpers' points, and g_i^T V_H^-1 is the Lagrange
 row of node i's point over those points (from the bounded process-wide
 cache `lagrange_row`, keyed by (p, helper points, node point)).  The round
-runs as a repair plan (`_repair_plan`, see `codes.base.RepairPlan`), built
-once per (params, failed, helpers) and kept in the process-wide plan
-cache: the downloads are slot references with no step, and each rebuilt
-or sent share is one step, the dot of a Lagrange row with k slots: t^2 per
-repair.  Encoding and reconstruction are plans too (see `Scheme._run_plan`):
+runs as a repair plan (`_repair_plan`, see `Scheme._run_plan`): the
+downloads are slot references with no step, and each rebuilt or sent share
+is one step, the dot of a Lagrange row with k slots: t^2 per repair.  Encoding and reconstruction are plans too (see `Scheme._run_plan`):
 node i's share of m_j is one step, g_i over m_j's k evaluations, and
 reconstruction solves for every m_j with the closed-form inverse of the
 Vandermonde on the contacted nodes' points, one step per symbol, from the
@@ -132,14 +130,14 @@ class MscrDkScheme(GabidulinScheme):
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
         return self._repair(failed, survivors, helpers)
 
-    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None) -> RepairPlan:
         """The newcomer at sorted position s downloads each helper's share
         s, verbatim.  Its Lagrange row over the helpers' points maps the
         shares of every vector m_s2 to m_s2^T g_i, one step each: its own
         symbol s2, and what the newcomer at s2 sends it."""
         order = sorted(failed)
         points = tuple(h - 1 for h in helpers)
-        b = PlanBuilder(self.alpha, self.field)
+        b = b or PlanBuilder(self.alpha, self.field)
         downloads = []
         for s, i in enumerate(order):
             got = [b.symbol(h, s) for h in helpers]

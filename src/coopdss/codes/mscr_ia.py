@@ -41,7 +41,7 @@ own downloads whose sY part is a multiple of c_X . sY, and X's alpha+1
 equations in {sX, c_X . sY} are regular, so each symbol of sX is a row of
 their inverse (`_repair_strategy`, once per pair) over X's downloads.  One
 symbol per helper and per peer: beta = beta' = 1, gamma = d + 1.  Encoding,
-decoding and repair run as cached plans (`codes.base.RepairPlan`).
+decoding and repair run as plans (`Scheme._run_plan`).
 
 Modulo X's own content, every symbol a helper ever sends X is one and the
 same functional (of b, or of a for node 2), and each peer's symbol is a
@@ -246,13 +246,13 @@ class MscrIaScheme(Scheme):
         if set(helpers) != set(survivors):
             raise ParameterError(f"{self.name} repair contacts all d = n-t survivors")
 
-    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...]) -> RepairPlan:
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None) -> RepairPlan:
         """Helper m sends each newcomer its `_transfer` row over m's symbols;
         the peer sends lam over its own downloads; each rebuilt symbol is a
         row of the inverse of the newcomer's system over its downloads."""
         pair = tuple(sorted(failed))
         strategy = self._repair_strategy(pair)
-        b = PlanBuilder(self.alpha, self.field)
+        b = b or PlanBuilder(self.alpha, self.field)
         for m in helpers:
             stored = [b.symbol(m, j) for j in range(self.alpha)]
             for newcomer in pair:

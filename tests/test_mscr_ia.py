@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -183,6 +184,51 @@ def test_exponent_table_gap_is_refused(monkeypatch):
     pair = next(pair for pair, ok in feasible.items() if (0, 0) not in ok)
     with pytest.raises(RepairInfeasibleError, match="no alignment strategy"):
         scheme._repair_strategy(pair)
+
+
+def _refusals(request):
+    """The (type, message) of the refusal of each of three requests."""
+    out = []
+    for _ in range(3):
+        with pytest.raises((ParameterError, RepairInfeasibleError)) as err:
+            request()
+        out.append((type(err.value), str(err.value)))
+    return out
+
+
+def test_a_refusal_is_the_same_on_every_request(monkeypatch):
+    # a key's first request evaluates the construction, its second builds
+    # the plan, and a build that raised kept nothing, so the third builds
+    # again: each refuses alike.  The infeasible pair's placement shares
+    # the real one's params, so it runs against empty tables
+    for name in TABLES:
+        table = getattr(base, name)
+        monkeypatch.setattr(base, name, PlanCache(table.maxsize, table.build_on_reuse))
+    scheme = placed_scheme(4, (7, "arithmetic", (0, 0, 0, 0)), monkeypatch)
+    nodes = {c.node_id: c for c in scheme.encode(*scheme.random_inputs(3))}
+    pair = next(pair for pair in itertools.combinations(range(1, 5), 2)
+                if not _has_strategy(scheme, pair))
+    survivors = {i: c for i, c in nodes.items() if i not in pair}
+    refusals = _refusals(lambda: scheme.cooperative_repair(pair, survivors))
+    assert refusals == [(RepairInfeasibleError, f"no alignment strategy for failed pair "
+                                                f"{list(pair)}")] * 3
+    demo = make_scheme(SchemeParams(n=3, k=2, d=2, t=1, l1=1, scheme="insecure-demo"))
+    nodes = {c.node_id: c for c in demo.encode(*demo.random_inputs(3))}
+    wide = dataclasses.replace(nodes[3], symbols=nodes[3].symbols * 2, layout=(("shares", 2),))
+    for survivors, helpers in (({1: nodes[1], 2: nodes[2]}, None),
+                               ({2: nodes[2], 3: nodes[3]}, (2, 2)),
+                               ({2: nodes[2], 4: nodes[3]}, None),
+                               ({2: nodes[2], 3: wide}, None)):
+        refusals = _refusals(lambda: demo.cooperative_repair({1}, survivors, helpers))
+        assert refusals == [refusals[0]] * 3
+
+
+def _has_strategy(scheme, pair):
+    try:
+        scheme._repair_strategy(pair)
+    except RepairInfeasibleError:
+        return False
+    return True
 
 
 def test_requires_k_t_two_and_n_d_plus_t():

@@ -1,10 +1,13 @@
 """Repair plans: the executor against the value-level reference repairs of
 `oracles`, the plan's shape, and the bounded process-wide plan cache."""
 
+from dataclasses import replace
+from functools import cache
 from itertools import combinations
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopdss.codes import base, make_scheme
 from coopdss.codes.base import (REPAIR_PLANS, NodeContent, ParameterError, PlanBuilder,
@@ -123,17 +126,19 @@ def test_single_output_plan_gathers_a_tuple():
 
 @pytest.mark.parametrize("name,nkdt", PLAN_SCHEMES)
 def test_plans_hold_no_data(name, nkdt):
-    # one plan serves two files: the second repair is a cache hit, and its
-    # transcript is the reference's for the second file
+    # one plan serves two files: the first file's requests evaluate, build
+    # and then read the plan, the second file's are all cache hits, and
+    # each transcript is the reference's for its file
     scheme = scheme_for(name, *nkdt)
     failed, helpers = next(every_round(scheme))
     for seed in (1, 2):
         nodes = {c.node_id: c for c in scheme.encode(*scheme.random_inputs(seed))}
         survivors = {i: c for i, c in nodes.items() if i not in failed}
         hits = REPAIR_PLANS.hits
-        got = scheme.cooperative_repair(failed, survivors, helpers)
-        assert got == O.REFERENCE_REPAIRS[name](scheme, failed, survivors, helpers)
-    assert REPAIR_PLANS.hits == hits + 1
+        for _ in range(3):  # evaluated, then built, then cached
+            got = scheme.cooperative_repair(failed, survivors, helpers)
+            assert got == O.REFERENCE_REPAIRS[name](scheme, failed, survivors, helpers)
+    assert REPAIR_PLANS.hits == hits + 3
 
 
 @pytest.mark.parametrize("name,nkdt", PLAN_SCHEMES)
@@ -213,3 +218,87 @@ def test_plan_cache_stays_at_its_bound():
     scheme.cooperative_repair(failed, {i: c for i, c in nodes.items() if i not in failed},
                               helpers)
     assert REPAIR_PLANS.misses == misses + 1
+
+
+# every process-wide table a repair or a reconstruct request can reach
+DATA_TABLES = ("REPAIR_PLANS", "ENCODE_PLANS", "RECONSTRUCT_PLANS", "STORED_ROWS", "DOWNLOAD_ROWS")
+
+
+def _table_states():
+    return [(list(table._plans), table.hits, table.misses)
+            for table in (getattr(base, name) for name in DATA_TABLES)]
+
+
+@cache
+def _encoded(name, nkdt):
+    scheme = scheme_for(name, *nkdt)
+    return scheme, {c.node_id: c for c in scheme.encode(*scheme.random_inputs(11))}
+
+
+def _resized(c, extra):
+    """Node c with alpha -/+ 1 symbols, its layout one segment."""
+    symbols = c.symbols[:-1] if extra < 0 else c.symbols + c.symbols[:1]
+    return NodeContent(c.node_id, symbols, (("symbols", len(symbols)),))
+
+
+@st.composite
+def bad_requests(draw):
+    """A `PLAN_SCHEMES` scheme and a repair or reconstruct request with one
+    defect: an id outside [1, n] among the survivors, the explicit helpers
+    or the contents, or a survivor or content of alpha -/+ 1 symbols."""
+    name, nkdt = draw(st.sampled_from(PLAN_SCHEMES))
+    scheme, nodes = _encoded(name, nkdt)
+    n, k, d, t = nkdt[:4]
+    bad = draw(st.integers(-2, 0) | st.integers(n + 1, n + 100))
+    extra = draw(st.sampled_from([-1, 1]))
+    defect = draw(st.sampled_from(["survivor", "helper", "survivor size", "content",
+                                   "content size"]))
+    if defect.startswith("content"):
+        contents = [nodes[i] for i in draw(st.lists(st.integers(1, n), min_size=k, max_size=n,
+                                                    unique=True))]
+        j = draw(st.integers(0, len(contents) - 1))
+        contents[j] = (_resized(contents[j], extra) if defect == "content size"
+                       else replace(contents[j], node_id=bad))
+        return scheme, lambda: scheme.reconstruct(contents)
+    failed = frozenset(draw(st.sets(st.integers(1, n), min_size=t, max_size=t)))
+    survivors = {i: c for i, c in nodes.items() if i not in failed}
+    victim = draw(st.sampled_from(sorted(survivors)))
+    helpers = None
+    if defect == "survivor size":
+        survivors[victim] = _resized(survivors[victim], extra)
+    else:
+        survivors[bad] = survivors.pop(victim)
+    if defect == "helper":
+        helpers = (bad, *draw(st.permutations(sorted(set(survivors) - {bad})))[:d - 1])
+    return scheme, lambda: scheme.cooperative_repair(failed, survivors, helpers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_requests())
+def test_node_boundary_refuses_before_any_table(request):
+    # never a KeyError, IndexError or bare ValueError, never a transcript
+    # from a node that is not there, and no table sees the request
+    scheme, call = request
+    before = _table_states()
+    with pytest.raises(ParameterError):
+        call()
+    assert _table_states() == before
+
+
+@pytest.mark.parametrize("name,nkdt", PLAN_SCHEMES)
+def test_a_survivor_or_content_keyed_99_is_refused(name, nkdt):
+    # a real survivor's key, or a content's id, replaced by 99: mscr-dk
+    # (6,3,3,3) used to repair at the wrong point, other schemes raised
+    # KeyError or IndexError
+    scheme, nodes = _encoded(name, nkdt)
+    failed, helpers = next(every_round(scheme))
+    survivors = {i: c for i, c in nodes.items() if i not in failed}
+    survivors[99] = survivors.pop(helpers[0])
+    for given_helpers in (None, (99, *helpers[1:])):
+        with pytest.raises(ParameterError, match=r"node ids must lie in \[1, n\]"):
+            scheme.cooperative_repair(failed, survivors, given_helpers)
+    contents = [replace(nodes[1], node_id=99), *(nodes[i] for i in range(2, nkdt[1] + 1))]
+    with pytest.raises(ParameterError, match=r"node ids must lie in \[1, n\]"):
+        scheme.reconstruct(contents)
+    with pytest.raises(ParameterError, match=f"node 1 holds {scheme.alpha + 1} symbols"):
+        scheme.reconstruct([_resized(nodes[1], 1), *contents[1:]])

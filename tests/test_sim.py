@@ -173,9 +173,11 @@ def test_replay_check_flags_tampering_with_warm_caches(scheme, nkdt, cache):
     n, k, d, t = nkdt
     cfg = config_for(scheme, n, k, d, t, l1=1, rounds=6, seed=5, helper_mode="random")
     trace = sim_mod.run(cfg)
+    # a round's plan is evaluated (run), then built (a copy's replay), then cached
+    assert sim_mod.replay_check(dataclasses.replace(trace)) == (True, [])
     hits = cache.hits
     assert sim_mod.replay_check(trace) == (True, [])
-    assert cache.hits > hits  # the replay read plans run() cached
+    assert cache.hits > hits  # the replay read plans cached before it
     f = make_scheme(cfg.params).field
     last = len(trace.transcripts) - 1
     tr = trace.transcripts[last]

@@ -4,14 +4,19 @@
 value it evicted is built again, equal, on its next request; compiled
 GF(p^m) repair plans still equal the per-step reference after eviction and
 rebuild.  The `PlanCache`s are swapped for empty tables of
-the same bound, so the test leaves the process's own tables as they were."""
+the same bound, so the test leaves the process's own tables as they were.
+A walk of every coopdss module's globals finds each such table, and each
+must have its test here (`PAST_BOUND_TESTS`)."""
 
+import importlib
+import pkgutil
 import random
 import struct
 from itertools import combinations, islice, permutations
 
 import pytest
 
+import coopdss
 from coopdss import field as F, precode
 from coopdss.codes import SCHEME_CLASSES, base, make_scheme, mbcr_bivariate, nodeio
 from coopdss.codes.base import PlanCache, RepairTranscript, SchemeParams
@@ -232,3 +237,42 @@ def test_monomial_rows_past_their_bound(monkeypatch):
 
     (first, _), (again, _) = _past_bound(table, keys, request, lambda key: (scheme._key, *key))
     assert again == first and again is not first
+
+
+# each table of the program by its global name, and the test that fills it
+PAST_BOUND_TESTS = {
+    **{name: test_lru_table_past_its_bound for name in LRU_TABLES},
+    "_FIELD_CACHE": test_field_cache_past_its_bound,
+    "_BASIS_MOORE_TABLES": test_basis_moore_tables_past_their_bound,
+    "REPAIR_PLANS": test_repair_plans_of_gabidulin_fields_past_their_bound,
+    "ENCODE_PLANS": test_encode_plans_past_their_bound,
+    "RECONSTRUCT_PLANS": test_reconstruct_plans_past_their_bound,
+    "STORED_ROWS": test_stored_rows_past_their_bound,
+    "DOWNLOAD_ROWS": test_download_rows_past_their_bound,
+    "MONOMIAL_ROWS": test_monomial_rows_past_their_bound,
+}
+
+
+def _program_tables():
+    """name -> table for every `PlanCache`, `lru_cache` wrapper,
+    `_FIELD_CACHE` and `_BASIS_MOORE_TABLES` among the globals of every
+    coopdss module; a table imported into another module is one table."""
+    found = {}
+    for info in pkgutil.walk_packages(coopdss.__path__, "coopdss."):
+        for name, value in vars(importlib.import_module(info.name)).items():
+            if (isinstance(value, PlanCache) or hasattr(value, "cache_info")
+                    or name in ("_FIELD_CACHE", "_BASIS_MOORE_TABLES")):
+                assert found.setdefault(name, value) is value, name
+    return found
+
+
+def test_every_table_has_a_past_its_bound_test():
+    tables = _program_tables()
+    assert sorted(tables) == sorted(PAST_BOUND_TESTS)
+    for name, table in tables.items():
+        if hasattr(table, "cache_info"):
+            assert table.cache_info().maxsize is not None, name
+            assert LRU_TABLES[name][0] is table, name
+    assert all(getattr(base, name) is tables[name] for name in
+               ("REPAIR_PLANS", "ENCODE_PLANS", "RECONSTRUCT_PLANS", "STORED_ROWS", "DOWNLOAD_ROWS"))
+    assert mbcr_bivariate.MONOMIAL_ROWS is tables["MONOMIAL_ROWS"]
