@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, count
+from itertools import count
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..field import (
@@ -138,29 +138,27 @@ class RepairPlan(NamedTuple):
     and `results` the slots of each result record, keyed by node (alpha
     each in a repair or an encoding).  A symbol sent or stored verbatim is a
     slot reference with no step.  Rows are the coefficient caches' own
-    tuples.  `run` is the field's compiled form (`compile_plan`): it maps
-    the input values to the live, coop and result slots' values as one
-    tuple, cut into records by the slices of the `*_cuts`.  GF(p^m) runs
-    the steps as generated straight-line code, GF(p) one packed product of
-    the composed map."""
+    tuples.  `run` is the field's compiled form (`compile_plan`), one
+    generated function of node id -> `NodeContent` that reads each input
+    itself and returns the records shaped: the live and the coop transfers
+    as dicts in builder order, and the results as (node, symbols) pairs.
+    GF(p^m) runs the steps as straight-line code, GF(p) one packed product
+    of the composed map."""
 
     inputs: tuple[tuple[int, int], ...]
     steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     live: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
     coop: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
     results: tuple[tuple[int, tuple[int, ...]], ...]
-    live_cuts: tuple[tuple[tuple[int, int], slice], ...]
-    coop_cuts: tuple[tuple[tuple[int, int], slice], ...]
-    result_cuts: tuple[tuple[int, slice], ...]
-    run: Callable[[list[int]], tuple[int, ...]]
+    run: Callable[[Mapping[int, NodeContent]], tuple[dict, dict, tuple]]
 
 
 class PlanBuilder:
     """Assembles a `RepairPlan` over `field` whose result records have
     `alpha` slots each.  `symbol` and `step` return slots in the order they
-    are asked for; `plan` renumbers them so that the inputs come first, as
-    the executor gathers them, and drops every input that no step or output
-    reads."""
+    are asked for; `plan` renumbers them so that the inputs come first,
+    drops every input that no step or output reads, and compiles the plan
+    once into the field's one generated function (`compile_plan`)."""
 
     def __init__(self, alpha: int, field):
         self.alpha = alpha
@@ -186,8 +184,8 @@ class PlanBuilder:
         return slot
 
     def plan(self, results: Iterable[tuple[int, Sequence[int]]]) -> RepairPlan:
-        """The plan with its transfers (`live`, `coop`) and `results`, in
-        the slot order the executor uses; ValueError unless each result has alpha slots."""
+        """The plan with its transfers (`live`, `coop`) and `results`,
+        compiled; ValueError unless each result has alpha slots."""
         results = [(i, tuple(v)) for i, v in results]
         for i, v in results:
             if len(v) != self.alpha:
@@ -202,19 +200,12 @@ class PlanBuilder:
         def slots(old):
             return tuple(map(get, old))
 
-        live, coop, res = ([(key, slots(v)) for key, v in group]
+        inputs = tuple(inputs)
+        live, coop, res = (tuple([(key, slots(v)) for key, v in group])
                            for group in (self.live.items(), self.coop.items(), results))
-        records = live + coop + res
-        ends = accumulate(len(v) for _, v in records)
-        cuts = [(key, slice(end - len(v), end)) for (key, v), end in zip(records, ends)]
-        n_live, n_coop = len(live), len(live) + len(coop)
         steps = tuple([(row, slots(src)) for row, src in self._steps])
-        return RepairPlan(
-            inputs=tuple(inputs), steps=steps,
-            live=tuple(live), coop=tuple(coop), results=tuple(res),
-            live_cuts=tuple(cuts[:n_live]), coop_cuts=tuple(cuts[n_live:n_coop]),
-            result_cuts=tuple(cuts[n_coop:]),
-            run=self.field.compile_plan(len(inputs), steps, [j for _, v in records for j in v]))
+        return RepairPlan(inputs=inputs, steps=steps, live=live, coop=coop, results=res,
+                          run=self.field.compile_plan(inputs, steps, live, coop, res))
 
 
 class PlanCache:
@@ -280,13 +271,14 @@ DOWNLOAD_ROWS = PlanCache(512)
 # under 0.5 KB with no value.  A lifetime's replay asks again, so a
 # lifetime benchmark pass builds all 56-58 repair plans it meets.
 # Measured with their rows, which are the row caches' own tuples (kept alive
-# after those caches evict them): 5-9 KB per repair plan at the benchmark's
-# lifetime sizes, O(t (d + t)^2) ints, 9-42 KB per encode plan and 5-22 KB
-# per reconstruct plan, so 2, 1.3 and 5.6 MB for the tables full; at
-# mbcr-bivariate (20,4,8,4) 50, 292 and 66 KB, 13, 9.3 and 17 MB full.  An
-# encode plan grows with n alpha: 6.9 MB at n = 2000.  A GF(p^m) plan's
-# compiled code adds 1.6-7 KB at the benchmark's sizes, 11 KB to a repair
-# and 24 KB to an encode plan at mbcr-exact (9,5,7,2) over GF(331^55).
+# after those caches evict them), and their generated code (tracemalloc,
+# mean of up to 4 plans in a fresh process): 10-18 KB per repair plan at the
+# benchmark's lifetime sizes, O(t (d + t)^2) ints, 9-25 KB per encode plan
+# and 5-17 KB per reconstruct plan, so 4.6, 0.8 and 4.4 MB for the tables
+# full; at mbcr-bivariate (20,4,8,4) 162, 230 and 58 KB, 41, 7.4 and 15 MB.
+# An encode plan grows with n alpha: 6.2 MB at mbcr-bivariate n = 2000.  A
+# GF(p) plan's code is 1.1-2.1 KB of that; a GF(p^m) plan's 1.6-7 KB, 11 KB
+# of a repair and 24 KB of an encode plan at mbcr-exact (9,5,7,2), GF(331^55).
 REPAIR_PLANS = PlanCache(256, build_on_reuse=True)
 ENCODE_PLANS = PlanCache(32, build_on_reuse=True)
 RECONSTRUCT_PLANS = PlanCache(256, build_on_reuse=True)
@@ -295,7 +287,7 @@ RECONSTRUCT_PLANS = PlanCache(256, build_on_reuse=True)
 class _Evaluator:
     """`PlanBuilder`'s interface, evaluating a construction as it goes: a
     symbol is its stored value, a step the `dot` of its row with its sources'
-    values; `plan` returns the records a plan's run would (`Scheme._run_plan`)."""
+    values; `plan` returns the records as a plan's `run` shapes them."""
 
     def __init__(self, field, nodes: Mapping[int, NodeContent]):
         self.step, self.nodes = field.dot, nodes
@@ -305,8 +297,9 @@ class _Evaluator:
     def symbol(self, node: int, index: int) -> int:
         return self.nodes[node].symbols[index]
 
-    def plan(self, results: Iterable[tuple[int, Sequence[int]]]) -> list:
-        return [(key, tuple(v)) for key, v in chain(self.live.items(), self.coop.items(), results)]
+    def plan(self, results: Iterable[tuple[int, Sequence[int]]]) -> tuple[dict, dict, tuple]:
+        live, coop = ({key: tuple(v) for key, v in group.items()} for group in (self.live, self.coop))
+        return live, coop, tuple([(key, tuple(v)) for key, v in results])
 
 
 def _record(cls, **fields):
@@ -452,27 +445,25 @@ class Scheme:
         helpers = self._pick_helpers(failed, survivors, helpers)
         self._check_helpers(helpers, survivors)
         self._check_nodes(survivors, survivors)
-        records = self._run_plan(REPAIR_PLANS, (self._key, failed, helpers), self._repair_plan,
-                                 survivors, failed, helpers)
-        n_live, n_sent = len(helpers) * len(failed), len(records) - len(failed)
-        return _record(
-            RepairTranscript, failed=failed, helpers=helpers,
-            live_transfers=dict(records[:n_live]), coop_transfers=dict(records[n_live:n_sent]),
-            results=tuple([_record(NodeContent, node_id=i, symbols=v, layout=self.layout)
-                           for i, v in records[n_sent:]]))
+        live, coop, results = self._run_plan(REPAIR_PLANS, (self._key, failed, helpers),
+                                             self._repair_plan, survivors, failed, helpers)
+        return _record(RepairTranscript, failed=failed, helpers=helpers,
+                       live_transfers=live, coop_transfers=coop,
+                       results=tuple([_record(NodeContent, node_id=i, symbols=v, layout=self.layout)
+                                      for i, v in results]))
 
     def _run_plan(self, table: PlanCache, key, build, nodes: Mapping[int, NodeContent],
-                  *args) -> list:
-        """The records, (key, symbols) per transfer and then per result, of
-        the plan `build(*args)` kept in `table` under `key`, run on the
-        symbols it reads from `nodes` (node 0 holds an encoding's inputs):
-        the one place a plan runs.  A key's first request evaluates the
+                  *args) -> tuple[dict, dict, tuple]:
+        """The records of the plan `build(*args)` kept in `table` under
+        `key`, run on `nodes` (node 0 holds an encoding's inputs): the live
+        and coop transfers as dicts keyed (sender, receiver), then the
+        results as (node, symbols) pairs.  The one place a plan runs, one
+        call of its compiled function; a key's first request evaluates the
         construction instead (`build(*args, _Evaluator(...))`)."""
         plan = table.get(key, build, *args)
         if plan is None:
             return build(*args, _Evaluator(self.field, nodes))
-        out = plan.run([nodes[h].symbols[s] for h, s in plan.inputs])
-        return [(k, out[cut]) for k, cut in chain(plan.live_cuts, plan.coop_cuts, plan.result_cuts)]
+        return plan.run(nodes)
 
     def _encode_nodes(self, x: list[int]) -> list[NodeContent]:
         """Every node's content from the encode plan's inputs x, the M
@@ -480,7 +471,7 @@ class Scheme:
         layout = self.layout
         inputs = _record(NodeContent, node_id=0, symbols=x, layout=(("inputs", len(x)),))
         return [_record(NodeContent, node_id=i, symbols=syms, layout=layout) for i, syms
-                in self._run_plan(ENCODE_PLANS, self._key, self._encode_plan, {0: inputs})]
+                in self._run_plan(ENCODE_PLANS, self._key, self._encode_plan, {0: inputs})[2]]
 
     def _decode(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
         """u, or a Gabidulin scheme's M evaluations, from the k lowest
@@ -491,7 +482,7 @@ class Scheme:
         self._check_nodes(by_id, by_id)
         ids = tuple(sorted(by_id)[:self.params.k])
         return self._run_plan(RECONSTRUCT_PLANS, (self._key, ids), self._reconstruct_plan,
-                              by_id, ids)[0][1]
+                              by_id, ids)[2][0][1]
 
     def _check_helpers(self, helpers: tuple[int, ...],
                        survivors: Mapping[int, NodeContent]) -> None:

@@ -63,8 +63,10 @@ The mbcr-exact, mscr-dk and mbcr-bivariate repair and reconstruct systems
 run no elimination: they are base-field Vandermonde and Cauchy matrices,
 whose inverses are closed forms (`vandermonde_inverse`, `cauchy_inverse`)
 applied as the steps of a cached plan (`codes.base.RepairPlan`), which
-each field compiles once (`compile_plan`).  GF(p^m) generates one
-straight-line Python function per plan: each step is one statement, a
+each field compiles once (`compile_plan`) into one generated Python
+function of the node contents: it reads its inputs and returns its records
+as dict and tuple displays (`_plan_source`).  GF(p^m) writes straight-line
+code: each step is one statement, a
 GF(p)-scaled sum of earlier slots, already word-parallel over the m digits,
 then the `_reduction_plan` for its own digit bound L (p-1)^2 (a 4-term row
 on GF(43^21) takes one quotient step and no fold), with its constants
@@ -104,7 +106,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from math import prod
 from operator import index, mul as _int_mul
 from typing import Callable, Iterable, Sequence
@@ -307,16 +309,19 @@ class PrimeField:
         """sum_i xs[i] * ys[i], reduced once."""
         return sum(map(_int_mul, xs, ys)) % self.p
 
-    def compile_plan(self, n_in: int, steps, out: Sequence[int]
-                     ) -> Callable[[Sequence[int]], tuple[int, ...]]:
-        """A plan (`codes.base.RepairPlan`: `n_in` inputs, its `steps`, the
-        slots `out` it returns) as one packed product (see the module
-        docstring; Dumas, Fousse & Salvy, JSC 2011), composed by the same
-        kernel, slot j's row over the inputs a packed int, then transposed,
-        in the narrower lanes whose `_reduction_plan` covers the longest
-        step and a chunk of terms plus the reduced total.  An input outside
-        [0, p) is first reduced, as a step's `% p` would; a p too large for
-        64-bit lanes runs the steps as generated code, as GF(p^m) does."""
+    def compile_plan(self, inputs, steps, live, coop, results) -> Callable:
+        """A plan (`codes.base.RepairPlan`: its `inputs`, `steps` and output
+        records) as one generated function of the node contents whose core
+        is one packed product (see the module docstring; Dumas, Fousse &
+        Salvy, JSC 2011), composed by the same kernel, slot j's row over the
+        inputs a packed int, then transposed, in the narrower lanes whose
+        `_reduction_plan` covers the longest step and a chunk of terms plus
+        the reduced total; each record is a slice of the unpacked lanes
+        (`_plan_source`).  An input outside [0, p) is first reduced, as a
+        step's `% p` would; a p too large for 64-bit lanes runs the steps as
+        straight-line code, as GF(p^m) does."""
+        n_in, records = len(inputs), (*live, *coop, *results)
+        out = [j for _, slots in records for j in slots]
         p, sq = self.p, max(1, (self.p - 1) ** 2)
         cap = ((1 << 64) - 1) // sq  # terms a 64-bit lane holds
         chunk = n_in if n_in <= cap else cap - 1
@@ -330,7 +335,7 @@ class PrimeField:
             except ValueError:
                 pass
         else:  # straight-line steps, each reduced by % p
-            return ExtField.compile_plan(self, n_in, steps, out)
+            return ExtField.compile_plan(self, inputs, steps, live, coop, results)
         vecs = [1 << db * i for i in range(n_in)]
         get = vecs.__getitem__
         for row, src in steps:
@@ -341,20 +346,23 @@ class PrimeField:
         code, w = ("I", 4) if db == 32 else ("Q", 8)
         table = memoryview(b"".join([vecs[j].to_bytes(n_in * w, "little") for j in out])).cast(code)
         columns = [int.from_bytes(table[i::n_in].tobytes(), "little") for i in range(n_in)]
-        chunks = [(start, columns[start:start + chunk]) for start in range(0, n_in, chunk)]
-        unpack, size = struct.Struct(f"<{len(out)}{code}").unpack, len(out) * w
-
-        def run(vals):
-            if min(vals) < 0 or max(vals) >= p:  # the lane bound needs reduced inputs
-                vals = [v % p for v in vals]
-            acc = 0
-            for start, cols in chunks:
-                v = acc + sum(map(_int_mul, islice(vals, start, None) if start else vals, cols))
-                for h, hi, r, lo in folds:
-                    v = ((v >> h) & hi) * r + (v & lo)
-                acc = v - p * (((v * c) >> s) & q)
-            return unpack(acc.to_bytes(size, "little"))
-        return run
+        scope = {"mul": _int_mul, "islice": islice, "q": q,
+                 "unpack": struct.Struct(f"<{len(out)}{code}").unpack}
+        lens = [len(slots) for _, slots in records]
+        cuts = zip(accumulate(lens, initial=0), accumulate(lens))  # each record's lanes, in order
+        head, exprs, ret = _plan_source(inputs, live, coop, results, lambda _: "o[%d:%d]" % next(cuts))
+        lines = [head, " vals = [%s]\n" % ", ".join(exprs),  # the lane bound needs reduced inputs
+                 " if min(vals) < 0 or max(vals) >= %d:\n  vals = [v %% %d for v in vals]\n" % (p, p)]
+        for i, start in enumerate(range(0, n_in, chunk)):
+            scope["c%d" % i] = columns[start:start + chunk]
+            lines.append(" v = %ssum(map(mul, %s, c%d))\n" % (
+                "v + " if start else "", "islice(vals, %d, None)" % start if start else "vals", i))
+            for f, (h, hi, r, lo) in enumerate(folds):
+                scope["hi%d" % f], scope["lo%d" % f] = hi, lo
+                lines.append(" v = ((v >> %d) & hi%d) * %d + (v & lo%d)\n" % (h, f, r, f))
+            lines.append(" v = v - %d * (((v * %d) >> %d) & q)\n" % (p, c, s))
+        lines += [" o = unpack(v.to_bytes(%d, 'little'))\n" % (len(out) * w), ret]
+        return _define("".join(lines), scope, "PrimeField.compile_plan.<locals>.run")
 
     def _reduce(self, v: int) -> int:
         """A nonnegative sum of products back into [0, p)."""
@@ -559,21 +567,22 @@ class ExtField:
             acc = reduce(acc + sum(map(_int_mul, xs[i:i + step], ys[i:i + step])))
         return acc
 
-    def compile_plan(self, n_in: int, steps, out: Sequence[int]
-                     ) -> Callable[[Sequence[int]], tuple[int, ...]]:
-        """A plan (`codes.base.RepairPlan`: `n_in` inputs, its `steps`, the
-        slots `out` it returns) as one generated straight-line function of
-        its reduced input values, compiled once: slot j is the local vj,
-        and each step one statement, the GF(p)-scaled sum of its sources,
-        then that sum's own reduction.  A GF(p) scalar scales each digit of
-        a reduced element, so an L-term sum has no digit above X^(m-1) and
-        every digit at most L (p-1)^2: the `_step_plan` for L reduces it,
-        the quotient step alone for short rows, its constants bound once
-        per plan.  Every literal is an int written by `%d`, so a non-int
-        coefficient or slot raises TypeError before any source is compiled;
-        a row of more than `_FLAT_TERMS` terms is one `sum(map(...))` over a
-        constant tuple, and a row past the word bound calls `dot`.  GF(p)
-        too wide for packed lanes comes here too, reduced by `% p`."""
+    def compile_plan(self, inputs, steps, live, coop, results) -> Callable:
+        """A plan (`codes.base.RepairPlan`: its `inputs`, `steps` and output
+        records) as one generated straight-line function of the node
+        contents, compiled once: slot j is the local vj, input j read from
+        its node (`_plan_source`), and each step one statement, the
+        GF(p)-scaled sum of its sources, then that sum's own reduction; the
+        records are displays of their slots.  A GF(p) scalar scales each
+        digit of a reduced element, so an L-term sum of reduced inputs has
+        no digit above X^(m-1) and every digit at most L (p-1)^2: the
+        `_step_plan` for L reduces it, the quotient step alone for short
+        rows, its constants bound once per plan.  Every literal is an int
+        written by `%d`, so a non-int coefficient, slot or key raises
+        TypeError before any source is compiled; a row of more than
+        `_FLAT_TERMS` terms is one `sum(map(...))` over a constant tuple,
+        and a row past the word bound calls `dot`.  GF(p) too wide for
+        packed lanes comes here too, reduced by `% p`."""
         p, names = self.p, {}
 
         def const(value) -> str:  # the global name of a constant the code reads
@@ -594,8 +603,9 @@ class ExtField:
             return "(%s)" % "".join(["v%d, " % j for j in map(index, js)])
 
         reductions = {length: reduction(length) for length in {len(row) for row, _ in steps}}
-        lines = ["def run(vals):\n %s = vals\n" % slots(range(n_in))]
-        for slot, (row, src) in enumerate(steps, n_in):
+        head, exprs, ret = _plan_source(inputs, live, coop, results, slots)
+        lines = [head, *[" v%d = %s\n" % pair for pair in enumerate(exprs)]]
+        for slot, (row, src) in enumerate(steps, len(exprs)):
             row, red = tuple(map(index, row)), reductions[len(row)]
             if red is None:
                 lines.append(" v%d = dot(%s, %s)\n" % (slot, const(row), slots(src)))
@@ -605,13 +615,10 @@ class ExtField:
             else:
                 total = " + ".join(["%d * v%d" % (a, j) for a, j in zip(row, map(index, src)) if a])
             lines.append(" v = %s\n%s v%d = %s\n" % (total or "0", red[0], slot, red[1]))
-        lines.append(" return %s" % slots(out))
+        lines.append(ret)
         scope = {name: value for value, name in names.items()}
         scope.update(mul=_int_mul, dot=self.dot)
-        exec(compile("".join(lines), "<plan>", "exec"), scope)
-        run = scope["run"]
-        run.__qualname__ = "ExtField.compile_plan.<locals>.run"
-        return run
+        return _define("".join(lines), scope, "ExtField.compile_plan.<locals>.run")
 
     def _sub_scaled(self, row: list[int], v: int, lead: Sequence[int], start: int) -> None:
         """row[j] -= v * lead[j] for j >= start, in place, every entry
@@ -783,6 +790,33 @@ _RANGE_BYTES = 4096
 # the longest plan row `ExtField.compile_plan` writes as a chain of + (it
 # compiles 1000 terms in about 4 ms; 3000 exceed the compiler's recursion limit)
 _FLAT_TERMS = 64
+
+
+def _plan_source(inputs, live, coop, results, record: Callable[[Sequence[int]], str]
+                 ) -> tuple[str, list[str], str]:
+    """What both fields' generated plan functions `run(nodes)` share: the
+    head, which binds the symbols of each node that `inputs` read, the
+    expression of each input (h, s), `nodes[h].symbols[s]`, and the return
+    statement: the live and coop transfers as dict displays keyed by
+    (sender, receiver) and the results as a tuple display of (node,
+    symbols) pairs, each record's symbols the expression `record(slots)`,
+    asked for in that order.  Ids and indices are written by `%d` after
+    `operator.index`."""
+    heads: dict[int, str] = {}
+    exprs = ["%s[%d]" % (heads.setdefault(index(h), "n%d" % len(heads)), index(s))
+             for h, s in inputs]
+    head = "def run(nodes):\n" + "".join(
+        [" %s = nodes[%d].symbols\n" % (name, h) for h, name in heads.items()])
+    live, coop = ("".join(["(%d, %d): %s, " % (*map(index, key), record(slots))
+                           for key, slots in group]) for group in (live, coop))
+    results = "".join(["(%d, %s), " % (index(key), record(slots)) for key, slots in results])
+    return head, exprs, " return {%s}, {%s}, (%s)\n" % (live, coop, results)
+
+
+def _define(source: str, scope: dict, qualname: str) -> Callable:  # `run`, over `scope`
+    exec(compile(source, "<plan>", "exec"), scope)
+    scope["run"].__qualname__ = qualname
+    return scope["run"]
 
 
 def _check_coords(coords: Sequence[int], p: int) -> None:

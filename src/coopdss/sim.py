@@ -153,15 +153,17 @@ def run(config: SimConfig) -> SimTrace:
     states: dict[int, NodeContent] = {c.node_id: c for c in initial}
     transcripts = []
     bandwidth = []
+    expected = config.params.t * scheme.gamma
     for round_idx, failed in enumerate(plan):
         survivors = {i: c for i, c in states.items() if i not in failed}
         helpers = _choose_helpers(scheme, survivors, round_idx, config)
         tr = scheme.cooperative_repair(failed, survivors, helpers)
         transcripts.append(tr)
-        # every symbol sent to a newcomer, in one pass over the transfers
-        bw = sum(len(v) for transfers in (tr.live_transfers, tr.coop_transfers)
-                 for (_, dst), v in transfers.items() if dst in failed)
-        expected = config.params.t * scheme.gamma
+        bw = 0  # every symbol sent to a newcomer, in one plain pass over the transfers
+        for transfers in (tr.live_transfers, tr.coop_transfers):
+            for (_, dst), v in transfers.items():
+                if dst in failed:
+                    bw += len(v)
         if bw != expected:
             raise ProtocolError(f"round {round_idx}: bandwidth {bw} != t*gamma {expected}")
         bandwidth.append(bw)
@@ -266,22 +268,23 @@ def trace_to_text(trace: SimTrace) -> str:
     transfer record takes its slice of that text."""
     f = _scheme_of(trace).field
     p = trace.config.params
-    rounds = [[(src, dst, kind, transfers[(src, dst)])
-               for kind, transfers in (("live", tr.live_transfers), ("coop", tr.coop_transfers))
-               for (src, dst) in sorted(transfers)]
-              for tr in trace.transcripts]
-    hexed = f.symbols_to_bytes([v for records in rounds for *_, vals in records
-                                for v in vals]).hex(":", f.symbol_bytes)
+    heads = []  # (line head, the symbols of its transfer that follow it)
+    symbols: list[int] = []
+    for round_idx, tr in enumerate(trace.transcripts):
+        for kind, transfers in (("live", tr.live_transfers), ("coop", tr.coop_transfers)):
+            for (src, dst), vals in sorted(transfers.items()):  # keys are distinct
+                heads.append((f"transfer,{round_idx},{src},{dst},{kind},", len(vals)))
+                symbols += vals
+        heads.append((f"summary,{round_idx},{trace.bandwidth[round_idx]}", 0))
+    hexed = f.symbols_to_bytes(symbols).hex(":", f.symbol_bytes)
     width = 2 * f.symbol_bytes + 1  # one symbol's hex and its ':'
     lines = [f"header,{p.scheme},{p.n},{p.k},{p.d},{p.t},{p.l1},{p.l2},"
              f"{trace.config.rounds},{trace.config.seed}"]
     start = 0
-    for round_idx, records in enumerate(rounds):
-        for src, dst, kind, vals in records:
-            end = start + len(vals) * width
-            lines.append(f"transfer,{round_idx},{src},{dst},{kind},{hexed[start:end - 1]}")
-            start = end
-        lines.append(f"summary,{round_idx},{trace.bandwidth[round_idx]}")
+    for head, count in heads:
+        end = start + count * width
+        lines.append(head + hexed[start:end - 1] if count else head)
+        start = end
     ok, _ = replay_check(trace)
     lines.append(f"final,{'ok' if ok else 'MISMATCH'}")
     return "\n".join(lines) + "\n"

@@ -24,7 +24,9 @@ the primary points coordinate by coordinate.
 `normalize_per_digit` is the per-digit pass that `ExtField._normalize`
 replaces with word-parallel folds (unpack every word, take it mod p, pack
 again), `run_steps` interprets a plan's steps one at a time, the reference
-for the straight-line code that `compile_plan` generates, and `random_symbols` draws from the `splitmix64` generator one
+for the straight-line code that `compile_plan` generates (`plan_values`
+and `compile_values` feed a compiled plan a value list and flatten its
+records for that comparison), and `random_symbols` draws from the `splitmix64` generator one
 `draw_mod` call per coordinate, the reference for the inline loop of
 `coopdss.precode.random_symbols`.
 
@@ -51,6 +53,7 @@ narrow codes.
 """
 
 from operator import mul
+from types import SimpleNamespace
 
 from coopdss.codes.base import (NodeContent, ObservationMatrix, ParameterError,
                                 PointObservation, RepairTranscript)
@@ -91,6 +94,40 @@ def run_steps(field, steps, vals):
         for h, hi, r, lo in folds:
             v = ((v >> h) & hi) * r + (v & lo)
         append(v - p * (((v * c) >> s) & q))
+
+
+def run_on_values(run, inputs, vals):
+    """A compiled plan function `run` (`compile_plan`) fed value j at input
+    `inputs[j]` = (node, index), its records flattened into one tuple in
+    record order (live, coop, results): the value-level form the tests
+    compare with `run_steps`."""
+    nodes = {}
+    for (h, s), v in zip(inputs, vals):
+        symbols = nodes.setdefault(h, [])
+        symbols += [None] * (s + 1 - len(symbols))
+        symbols[s] = v
+    live, coop, results = run({h: SimpleNamespace(symbols=symbols) for h, symbols in nodes.items()})
+    return tuple(v for group in (live.values(), coop.values(), (v for _, v in results))
+                 for record in group for v in record)
+
+
+def plan_values(plan, vals):
+    """`plan.run` fed the value list `vals` in the order of `plan.inputs`,
+    flattened (`run_on_values`)."""
+    return run_on_values(plan.run, plan.inputs, vals)
+
+
+def compile_values(field, n_in, steps, out):
+    """`field.compile_plan` of `n_in` inputs, `steps` and the slots `out` as
+    one record, as a function of the `n_in` input values (input j read as
+    symbol j of node 0) returning the values of `out` as one tuple."""
+    inputs = tuple((0, j) for j in range(n_in))
+    run = field.compile_plan(inputs, steps, (), (), ((0, tuple(out)),))
+
+    def values(vals):
+        return run_on_values(run, inputs, vals)
+    values.__qualname__ = run.__qualname__
+    return values
 
 
 def draw_mod(stream, p):

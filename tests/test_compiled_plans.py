@@ -37,7 +37,7 @@ def _run_long_row(field, length, seed):
     src = tuple(rng.randrange(8) for _ in range(length))
     row = tuple(p - 1 if i % 2 else rng.randrange(p) for i in range(length))
     steps = [(row, src), ((p - 1,) * 3, (7, 7, 8))]
-    run = field.compile_plan(8, steps, [8, 9, 0])
+    run = O.compile_values(field, 8, steps, [8, 9, 0])
     want = _reference(field, 8, steps, [8, 9, 0], vals)
     assert want[0] == field.dot(row, [vals[j] for j in src])
     assert run(vals) == want
@@ -69,7 +69,7 @@ def random_plans(draw):
 @given(random_plans())
 def test_compiled_plan_equals_per_step_reference(instance):
     field, n_in, steps, out, vals = instance
-    run = field.compile_plan(n_in, steps, out)
+    run = O.compile_values(field, n_in, steps, out)
     want = _reference(field, n_in, steps, out, vals)
     assert run(list(vals)) == want and run(tuple(vals)) == want
     assert run.__qualname__.startswith("ExtField.compile_plan")
@@ -103,7 +103,7 @@ def test_a_prime_too_wide_for_packed_lanes_reduces_by_mod_p():
         steps.append((tuple(rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in src), src))
         n_slots += 1
     out = list(range(n_slots))[::-1]
-    run = f.compile_plan(5, steps, out)
+    run = O.compile_values(f, 5, steps, out)
     assert run.__qualname__.startswith("ExtField.compile_plan")  # not the packed kernel
     vals = [p - 1, p - 2, 0, 1, rng.randrange(p)]
     assert run(vals) == _reference(f, 5, steps, out, vals)
@@ -118,14 +118,14 @@ def test_a_non_int_is_refused_before_any_source_is_compiled(bad, where, monkeypa
     row, src, out = [3, 5], [0, 1], [2]
     {"row": row, "src": src, "out": out}[where][0] = bad
     with pytest.raises(TypeError):
-        f.compile_plan(2, [(tuple(row), tuple(src))], out)
+        O.compile_values(f, 2, [(tuple(row), tuple(src))], out)
     assert compiled == []
 
 
 def test_plan_of_no_inputs_and_no_outputs():
     f = F.ext_field(7, 9)
-    assert f.compile_plan(0, [], [])([]) == ()
-    assert f.compile_plan(0, [((), ())], [0])([]) == (0,)
+    assert O.compile_values(f, 0, [], [])([]) == ()
+    assert O.compile_values(f, 0, [((), ())], [0])([]) == (0,)
 
 
 # the Gabidulin instances of the benchmark
@@ -143,4 +143,4 @@ def test_scheme_plans_equal_the_per_step_reference(name, n, k, d, t):
                  scheme._reconstruct_plan(tuple(range(n - k + 1, n + 1)))):
         out = [j for _, slots in plan.live + plan.coop + plan.results for j in slots]
         vals = [_element(f, rng) for _ in plan.inputs]
-        assert plan.run(vals) == _reference(f, len(plan.inputs), plan.steps, out, vals)
+        assert O.plan_values(plan, vals) == _reference(f, len(plan.inputs), plan.steps, out, vals)

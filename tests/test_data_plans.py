@@ -106,7 +106,7 @@ def test_encode_plan_rows_equal_the_stored_rows(name, nkdt):
     m = scheme.file_size
     plan = scheme._encode_plan()
     assert plan.inputs == tuple((0, j) for j in range(m))
-    columns = [plan.run(_unit(m, j)) for j in range(m)]
+    columns = [O.plan_values(plan, _unit(m, j)) for j in range(m)]
     stored = [row for i in range(1, scheme.params.n + 1) for row in scheme._node_rows(i)]
     assert [tuple(col[s] for col in columns) for s in range(len(stored))] == stored
 
@@ -123,7 +123,7 @@ def test_reconstruct_plan_inverts_the_stored_rows(name, nkdt):
         rows = [scheme._node_rows(i)[s] for i, s in plan.inputs]
         for j in range(m):
             want = _unit(m, j) if gabidulin else _unit(m, j)[scheme.n_random:]
-            assert list(plan.run([row[j] for row in rows])) == want, (ids, j)
+            assert list(O.plan_values(plan, [row[j] for row in rows])) == want, (ids, j)
 
 
 def _reference_run(field, plan, vals):
@@ -152,7 +152,7 @@ def random_prime_plans(draw):
 def test_packed_kernel_equals_per_step_execution(instance):
     p, plan, vals = instance
     want = _reference_run(prime_field(p), plan, vals)
-    assert plan.run(vals) == want and plan.run(vals) == want
+    assert O.plan_values(plan, vals) == want and O.plan_values(plan, vals) == want
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -174,7 +174,7 @@ def test_packed_kernel_at_and_past_the_64_bit_lane_bound(extra):
     assert len(plan.inputs) == cap + extra
     assert plan.run.__qualname__.startswith("PrimeField.compile_plan")  # packed, not per step
     vals = [rng.randrange(p) for _ in plan.inputs]
-    assert plan.run(vals) == _reference_run(prime_field(p), plan, vals)
+    assert O.plan_values(plan, vals) == _reference_run(prime_field(p), plan, vals)
 
 
 @pytest.mark.parametrize("bad", [-1, 11, 11 ** 6 + 3])
@@ -209,7 +209,7 @@ def test_a_prime_too_large_for_64_bit_lanes_runs_the_steps():
     plan = b.plan([(0, [slots[-1]]), (1, [slots[3]])])
     assert plan.run.__qualname__.startswith("ExtField.compile_plan")
     vals = [p - 1, p - 2, 5, 7]
-    assert plan.run(list(vals)) == _reference_run(prime_field(p), plan, vals)
+    assert O.plan_values(plan, list(vals)) == _reference_run(prime_field(p), plan, vals)
 
 
 def test_a_new_entry_survives_a_table_of_hot_entries():

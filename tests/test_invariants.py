@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from coopdss import field as F
 from coopdss import sim as sim_mod
-from coopdss.codes import make_scheme, nodeio
-from coopdss.codes.base import ParameterError, SchemeParams
+from coopdss.codes import base, make_scheme, nodeio
+from coopdss.codes.base import ParameterError, PlanCache, SchemeParams
 
 from oracles import a_r, a_u, linear_view
 
@@ -168,6 +168,36 @@ def test_wide_word_field_goldens():
     assert len(text) == 27895
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "89b7d2a29a32d40b5b3b1e712482ed54342598828c9073b773a63b063df8d5fe"
+
+
+# the same lifetimes of the two schemes that invert their systems as they
+# write their plans (digests taken before plans returned shaped records)
+ELIMINATING_GOLDEN_TRACE = [
+    (SchemeParams(n=5, k=2, d=3, t=2, l1=1, scheme="mscr-ia"), "lowest", 824,
+     "006537d17d3ff1fcdd5d5c8d95daf776d24368ffbc8a9a91f71ca2e6076b2803"),
+    (SchemeParams(n=3, k=2, d=2, t=1, l1=1, scheme="insecure-demo"), "lowest", 278,
+     "668a29d78a75c4955e08864b44cd712ce80ab0903eff5ec12b353dba5a54ef93"),
+]
+EVERY_GOLDEN_TRACE = GOLDEN_TRACE + ELIMINATING_GOLDEN_TRACE + [
+    (WIDE_WORD_PARAMS, "lowest", 27895,
+     "89b7d2a29a32d40b5b3b1e712482ed54342598828c9073b773a63b063df8d5fe")]
+
+
+@pytest.mark.parametrize("params,helper_mode,size,digest", EVERY_GOLDEN_TRACE,
+                         ids=[f"{p.scheme}-{p.n}" for p, _, _, _ in EVERY_GOLDEN_TRACE])
+def test_trace_golden_on_every_plan_path(params, helper_mode, size, digest, monkeypatch):
+    # against empty plan tables, the first lifetime's run evaluates every
+    # repair key and its replay builds the plans; the second encodes through
+    # a plan built then and repairs through cached plans; the third reads
+    # every plan cached.  Each trace must be the golden text.
+    for name in ("ENCODE_PLANS", "RECONSTRUCT_PLANS", "REPAIR_PLANS"):
+        real = getattr(base, name)
+        monkeypatch.setattr(base, name, PlanCache(real.maxsize, real.build_on_reuse))
+    config = sim_mod.SimConfig(params=params, rounds=4, seed=3, helper_mode=helper_mode)
+    texts = [sim_mod.trace_to_text(sim_mod.run(config)).encode() for _ in range(3)]
+    assert [(len(t), hashlib.sha256(t).hexdigest()) for t in texts] == [(size, digest)] * 3
+    assert base.ENCODE_PLANS.hits == 1 and base.REPAIR_PLANS.hits > 0
+    assert all(plan is not None for plan, _ in base.REPAIR_PLANS._plans.values())
 
 
 def test_params_validation():

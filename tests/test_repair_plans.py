@@ -13,6 +13,7 @@ from coopdss.codes import base, make_scheme
 from coopdss.codes.base import (REPAIR_PLANS, NodeContent, ParameterError, PlanBuilder,
                                 PlanCache, RepairTranscript, SchemeParams)
 from coopdss.field import ext_field, prime_field
+from coopdss.precode import coefficients
 
 import oracles as O
 
@@ -81,6 +82,49 @@ def test_executor_records_equal_constructed_ones(name, nkdt):
                                               *got.coop_transfers.values()])
 
 
+def _shape(records):
+    """Records as the executor returns them, with each dict's key order
+    and the type of every symbol run made visible."""
+    live, coop, results = records
+    return ([(key, type(v), v) for key, v in live.items()],
+            [(key, type(v), v) for key, v in coop.items()],
+            type(results), [(key, type(v), v) for key, v in results])
+
+
+@pytest.mark.parametrize("name,nkdt", PLAN_SCHEMES)
+def test_every_plan_kind_returns_the_same_records_on_every_path(name, nkdt, monkeypatch):
+    # against empty tables, each request is evaluated, then built and run,
+    # then run cached: the encode, every reconstruct and every repair round
+    # must give the same records each time, transfer dicts in the same key
+    # order, and the plan keeps no cut list beside its compiled function
+    assert not [field for field in base.RepairPlan._fields if field.endswith("_cuts")]
+    scheme = scheme_for(name, *nkdt)
+    n, k = scheme.params.n, scheme.params.k
+    u, r = scheme.random_inputs(3)
+    x = scheme._precode(u, r) if hasattr(scheme, "base") else coefficients(u, r)
+    nodes = {c.node_id: c for c in scheme.encode(u, r)}
+    tables = {}
+    for table in ("ENCODE_PLANS", "RECONSTRUCT_PLANS", "REPAIR_PLANS"):
+        real = getattr(base, table)
+        tables[table] = PlanCache(real.maxsize, real.build_on_reuse)
+        monkeypatch.setattr(base, table, tables[table])
+    requests = [(tables["ENCODE_PLANS"], scheme._key, scheme._encode_plan,
+                 {0: NodeContent(0, tuple(x), (("inputs", len(x)),))})]
+    for ids in combinations(range(1, n + 1), k):
+        requests.append((tables["RECONSTRUCT_PLANS"], (scheme._key, ids), scheme._reconstruct_plan,
+                         {i: nodes[i] for i in ids}, ids))
+    for failed, helpers in every_round(scheme):
+        requests.append((tables["REPAIR_PLANS"], (scheme._key, failed, helpers), scheme._repair_plan,
+                         {i: c for i, c in nodes.items() if i not in failed}, failed, helpers))
+    for table, key, build, given, *args in requests:
+        got = [_shape(scheme._run_plan(table, key, build, given, *args)) for _ in range(3)]
+        assert got[0] == got[1] == got[2], key
+        assert type(table._plans[key][0]) is base.RepairPlan
+        assert all(t is tuple for group in (got[0][0], got[0][1], got[0][3]) for _, t, _ in group)
+    for table in tables.values():  # each key: evaluated and built (two misses), then a hit
+        assert table.misses == 2 * table.hits > 0
+
+
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_plan_refuses_a_result_of_other_than_alpha_slots(extra):
     b = PlanBuilder(3, prime_field(11))
@@ -89,7 +133,7 @@ def test_plan_refuses_a_result_of_other_than_alpha_slots(extra):
     result = slots[:2] if extra < 0 else slots + [b.step((1, 1), slots[:2])]
     with pytest.raises(ValueError, match=f"newcomer 1 gets {3 + extra} result slots, alpha is 3"):
         b.plan([(1, result)])
-    assert b.plan([(1, slots)]).result_cuts == ((1, slice(1, 4)),)
+    assert O.plan_values(b.plan([(1, slots)]), [7, 8, 9]) == (7, 7, 8, 9)
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -121,7 +165,7 @@ def test_single_output_plan_gathers_a_tuple():
     for field in (prime_field(11), ext_field(7, 2)):
         b = PlanBuilder(1, field)
         plan = b.plan([(1, [b.symbol(2, 0)])])
-        assert plan.run([7]) == (7,) and plan.result_cuts == ((1, slice(0, 1)),)
+        assert plan.run({2: NodeContent(2, (7,), (("x", 1),))}) == ({}, {}, ((1, (7,)),))
 
 
 @pytest.mark.parametrize("name,nkdt", PLAN_SCHEMES)

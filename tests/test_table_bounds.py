@@ -139,7 +139,7 @@ def _same_plans(first, again, field, rng):
     out = [j for _, slots in first.live + first.coop + first.results for j in slots]
     reference = list(vals)
     O.run_steps(field, first.steps, reference)
-    assert again.run(vals) == first.run(vals) == tuple(reference[j] for j in out)
+    assert O.plan_values(again, vals) == O.plan_values(first, vals) == tuple(reference[j] for j in out)
 
 
 def test_repair_plans_of_gabidulin_fields_past_their_bound(monkeypatch):
