@@ -22,13 +22,16 @@ Observation row order:
      (symbols in transfer order), then cooperative downloads grouped by
      peer id ascending.
 
-`Scheme._observation_rows` is the one implementation of this order.  A
-scheme supplies one row of `file_size` ints per symbol (`_stored_rows`,
+`Scheme._view` is the one implementation of this order: it takes the
+rounds as a tuple once (an iterator of them is read whole), validates E1,
+E2 and the rounds in one pass and builds the view as one record.  A scheme
+supplies one row of `file_size` ints per symbol (`_stored_rows`,
 `_download_rows`): its row of [A_r | A_u] over (r || u), or, for a
 Gabidulin scheme, the GF(p) coordinates of its evaluation point.  Either
 way the view (`ObservationMatrix`, `PointObservation`) holds the row
-tables' own tuples and builds its `matrix` (a copy) and `labels` on first
-use.  The base labels every row itself (`Scheme._observation_labels`):
+tables' own tuples and packed ints, and walks its `labels` on first use
+from the scheme, E1, E2 and rounds it keeps.  The base labels every row
+itself (`Scheme._observation_labels`):
 
   ("stored", node, idx)            idx < alpha, a stored symbol;
   ("live", round, helper, newcomer, idx)
@@ -44,7 +47,7 @@ and the faithfulness checks compare two independent walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import count
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -305,8 +308,8 @@ class _Evaluator:
 def _record(cls, **fields):
     """A record built without `__init__` (`NodeContent`'s sums its layout; a frozen
     dataclass's sets each field through `object.__setattr__`), only for records
-    right by construction: a plan's (`PlanBuilder.plan`), a node file's, a
-    view's, a rank verdict's (`secrecy.rank_leakage`)."""
+    right by construction: a repair's transcript and nodes (`_repair`), an
+    encoding's nodes, a node file's, a rank verdict's (`secrecy.rank_leakage`)."""
     rec = object.__new__(cls)
     rec.__dict__.update(fields)
     return rec
@@ -323,9 +326,11 @@ class ObservationMatrix:
     A view holds its rows as tuples of `ncols` ints over `field` (a scheme's,
     the row tables' own) and, over GF(p), each row packed into one int
     (`packed`, `pack_rows`, the tables' own too), which the verdict
-    eliminates as they are; `matrix`, a copy, and `labels` are built on
-    first use (`Scheme._view`).  Over GF(p^m), only the tests' Moore-row
-    oracle builds a view, and `packed` is None."""
+    eliminates as they are.  `Scheme._view` builds a view as one `__dict__`,
+    with no `__init__`, that also keeps the scheme, E1, E2 and rounds;
+    `matrix`, a copy, and `labels`, walked from those, are built on first
+    use.  Over GF(p^m), only the tests' Moore-row oracle builds a view
+    (through `__init__`), and `packed` is None."""
 
     def __init__(self, matrix: Matrix, n_random: int, labels: Sequence[tuple]):
         if matrix.nrows != len(labels):
@@ -344,7 +349,7 @@ class ObservationMatrix:
 
     @cached_property
     def labels(self) -> tuple:
-        return self._label_walk()
+        return self._scheme._observation_labels(self._e1, self._e2, self._rounds)
 
     @property
     def n_rows(self) -> int:
@@ -527,20 +532,24 @@ class Scheme:
     def _ids(self) -> frozenset[int]:
         return frozenset(range(1, self.params.n + 1))
 
-    def _validate_eaves(self, e1, e2, transcripts):
-        """E1 and E2 as sorted tuples of distinct ids, checked in one pass."""
-        n, d, t, ids = self.params.n, self.params.d, self.params.t, self._ids
-        e1, e2 = set(e1), set(e2)
+    def _validate_eaves(self, e1, e2, rounds: tuple):
+        """E1 and E2 as sorted tuples of distinct ids, checked in one pass with
+        the tuple `rounds`: with no E2 and no rounds, a range check and a sort."""
+        n, ids = self.params.n, self._ids
+        e1 = set(e1)
+        if not e2 and not rounds:
+            if not ids.issuperset(e1):
+                raise ParameterError(f"eavesdropped node ids must lie in [1, {n}]")
+            return tuple(sorted(e1)), ()
+        e2 = set(e2)
         if not ids.issuperset(e1) or not ids.issuperset(e2):
             raise ParameterError(f"eavesdropped node ids must lie in [1, {n}]")
         if not e1.isdisjoint(e2):
             raise ParameterError("E1 and E2 must be disjoint")
-        unrepaired = e2.copy()
-        for tr in transcripts:
-            helpers = set(tr.helpers)
-            if (len(tr.failed) != t or len(tr.helpers) != d or len(helpers) != d
-                    or not helpers.isdisjoint(tr.failed) or not ids.issuperset(tr.failed)
-                    or not ids.issuperset(helpers)):
+        d, t, unrepaired = self.params.d, self.params.t, e2.copy()
+        for tr in rounds:  # t failed and d helpers, d + t distinct ids in all
+            if (len(tr.failed) != t or len(tr.helpers) != d
+                    or len(ends := tr.failed.union(tr.helpers)) != d + t or not ids.issuperset(ends)):
                 raise ParameterError(
                     f"a repair needs t={t} failed ids and d={d} distinct helper ids, "
                     f"all in [1, {n}] and no helper failed")
@@ -556,13 +565,9 @@ class Scheme:
         raise NotImplementedError
 
     def _node_rows(self, node: int) -> tuple:
-        """`_stored_rows(node)` as a tuple of tuples (see `_node_entry`)."""
-        return self._node_entry(node)[0]
-
-    def _node_entry(self, node: int) -> tuple[tuple, tuple]:
         """`_stored_rows(node)` as `_row_entry` makes it, kept in
-        `STORED_ROWS`; `node` must be a validated id in [1, n]."""
-        return STORED_ROWS.get((self._key, node), self._row_entry, self._stored_rows, node)
+        `STORED_ROWS`: the tuples; `node` must be a validated id in [1, n]."""
+        return STORED_ROWS.get((self._key, node), self._row_entry, self._stored_rows, node)[0]
 
     def _row_entry(self, rows, *args) -> tuple[tuple, tuple]:
         """`rows(*args)` as a tuple of tuples, and each row packed over the
@@ -578,41 +583,15 @@ class Scheme:
         raise NotImplementedError
 
     def _newcomer_rows(self, tr: RepairTranscript, newcomer: int) -> tuple:
-        """`_download_rows` as a tuple of tuples (see `_newcomer_entry`)."""
-        return self._newcomer_entry(tr, newcomer)[0]
-
-    def _newcomer_entry(self, tr: RepairTranscript, newcomer: int) -> tuple[tuple, tuple]:
-        """`_download_rows` as `_row_entry` makes it, kept in `DOWNLOAD_ROWS`."""
+        """`_download_rows` as `_row_entry` makes it, kept in `DOWNLOAD_ROWS`: the tuples."""
         key = (self._key, frozenset(tr.failed), tuple(tr.helpers), newcomer)
-        return DOWNLOAD_ROWS.get(key, self._row_entry, self._download_rows, tr, newcomer)
+        return DOWNLOAD_ROWS.get(key, self._row_entry, self._download_rows, tr, newcomer)[0]
 
-    def _observation_rows(self, e1: tuple[int, ...], e2: tuple[int, ...],
-                          transcripts: Sequence[RepairTranscript]) -> tuple[list, list]:
-        """The eavesdropper's rows in the shared row order, for E1 and E2 as
-        `_validate_eaves` returns them: (rows, packed rows).
-
-        Rows depend on public parameters alone, so bounded process-wide
-        tables keep them (`_node_entry`, `_newcomer_entry`) for every later
-        observation and every instance of the same params: a sweep observes
-        the same nodes again and again, and each lifetime builds a scheme.
-        The lists hold the tables' own tuples and ints."""
-        rows: list = []
-        packed: list = []
-        for node in e1 + e2:
-            tuples, ints = self._node_entry(node)
-            rows += tuples
-            packed += ints
-        for tr in transcripts:
-            for i in sorted(tr.failed.intersection(e2)):
-                tuples, ints = self._newcomer_entry(tr, i)
-                rows += tuples
-                packed += ints
-        return rows, packed
-
-    def _observation_labels(self, e1, e2, transcripts) -> tuple[tuple, ...]:
-        """The label of each row of `_observation_rows`, walked apart."""
+    def _observation_labels(self, e1, e2, rounds) -> tuple[tuple, ...]:
+        """The label of each row of a view, in the shared row order, walked
+        apart from its rows."""
         labels = [("stored", node, idx) for node in e1 + e2 for idx in range(self.alpha)]
-        for rnd, tr in enumerate(transcripts):
+        for rnd, tr in enumerate(rounds):
             for i in sorted(tr.failed.intersection(e2)):
                 labels += [("live", rnd, h, i, idx) for h in tr.helpers for idx in range(self.beta)]
                 labels += [("coop", rnd, m, i, idx) for m in sorted(tr.failed - {i})
@@ -620,17 +599,32 @@ class Scheme:
         return tuple(labels)
 
     def _view(self, cls, field, e1, e2, transcripts) -> ObservationMatrix:
-        """The observation as a `cls` view of its rows over `field`."""
-        e1, e2 = self._validate_eaves(e1, e2, transcripts)
-        rows, packed = self._observation_rows(e1, e2, transcripts)
-        return _record(cls, field=field, rows=rows, packed=packed, ncols=self.file_size,
-                       n_random=self.n_random, n_secret=self.secure_size,
-                       _label_walk=partial(self._observation_labels, e1, e2, transcripts))
-
-    def _linear_observation(self, e1: Iterable[int], e2: Iterable[int],
-                            transcripts: Sequence[RepairTranscript]) -> ObservationMatrix:
-        """The observation as [A_r | A_u] over the scheme's field GF(p)."""
-        return self._view(ObservationMatrix, self.field, e1, e2, transcripts)
+        """The observation as a `cls` view over `field` in the shared row
+        order: its rows and packed rows list the row tables' own tuples and
+        ints (`STORED_ROWS`, `DOWNLOAD_ROWS`, under the keys of `_node_rows`
+        and `_newcomer_rows`), kept for every later view of the same params.
+        The rounds are taken as a tuple once, so that an iterator of them is
+        validated and read alike."""
+        rounds = tuple(transcripts)
+        e1, e2 = self._validate_eaves(e1, e2, rounds)
+        key, entry, get = self._key, self._row_entry, STORED_ROWS.get
+        stored, rows, packed = self._stored_rows, [], []
+        for node in e1 + e2:
+            tuples, ints = get((key, node), entry, stored, node)
+            rows += tuples
+            packed += ints
+        get, download = DOWNLOAD_ROWS.get, self._download_rows
+        for tr in rounds:
+            for i in sorted(tr.failed.intersection(e2)):
+                tuples, ints = get((key, frozenset(tr.failed), tuple(tr.helpers), i),
+                                   entry, download, tr, i)
+                rows += tuples
+                packed += ints
+        view = object.__new__(cls)
+        view.__dict__ = {"field": field, "rows": rows, "packed": packed, "ncols": self.file_size,
+                         "n_random": self.n_random, "n_secret": self.secure_size,
+                         "_scheme": self, "_e1": e1, "_e2": e2, "_rounds": rounds}
+        return view
 
     def observed_symbols(self, u: Sequence[int], r: Sequence[int],
                          e1: Iterable[int], e2: Iterable[int],
@@ -671,9 +665,9 @@ class GabidulinScheme(Scheme):
     coopdss.field, with no product of two GF(p^M) elements.
 
     Subclasses give the points as `_stored_rows` and `_download_rows`, and
-    each still defines `observation_matrix` (as `_point_observation`) in its
-    own class body, like the other contract methods, because the
-    benchmark's tracer wraps those per scheme class.
+    each defines `observation_matrix`, a `PointObservation` over `base`
+    from `Scheme._view`, in its own class body, because the benchmark's
+    tracer wraps the contract methods per scheme class.
     """
 
     base: object  # the prime field GF(p) of the point coordinates
@@ -689,11 +683,6 @@ class GabidulinScheme(Scheme):
         the inverse applied in closed form from the same table
         (`basis_moore_inverse_apply`).  Raises ValueError unless |x| = M."""
         return tuple(basis_moore_inverse_apply(self.field, x, self.n_random))
-
-    def _point_observation(self, e1: Iterable[int], e2: Iterable[int],
-                           transcripts: Sequence[RepairTranscript]) -> PointObservation:
-        """The observation as GF(p) evaluation points."""
-        return self._view(PointObservation, self.base, e1, e2, transcripts)
 
     def observation_point_matrix(self, e1: Iterable[int], e2: Iterable[int],
                                  transcripts: Sequence[RepairTranscript] = ()) -> Matrix:

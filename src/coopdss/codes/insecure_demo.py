@@ -89,7 +89,7 @@ class InsecureDemoScheme(Scheme):
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
-        return self._linear_observation(e1, e2, transcripts)
+        return self._view(ObservationMatrix, self.field, e1, e2, transcripts)
 
     def _stored_rows(self, node: int) -> list[tuple[int, int]]:
         return [self._rows[node]]

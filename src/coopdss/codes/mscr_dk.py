@@ -167,4 +167,4 @@ class MscrDkScheme(GabidulinScheme):
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> PointObservation:
-        return self._point_observation(e1, e2, transcripts)
+        return self._view(PointObservation, self.base, e1, e2, transcripts)

@@ -296,4 +296,4 @@ class MscrIaScheme(Scheme):
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:
-        return self._linear_observation(e1, e2, transcripts)
+        return self._view(ObservationMatrix, self.field, e1, e2, transcripts)

@@ -181,6 +181,7 @@ def brute_force_leakage(scheme: Scheme, e1: Iterable[int], e2: Iterable[int],
         raise InstanceTooLargeError(
             f"|F|^M = {order}^{scheme.file_size} exceeds the "
             f"2^{BRUTE_FORCE_GUARD.bit_length() - 1} brute-force guard")
+    transcripts = tuple(transcripts)  # validated, then replayed
     if isinstance(scheme, Scheme):  # the tests' toy maps have no node ids
         e1, e2 = scheme._validate_eaves(e1, e2, transcripts)
     import numpy as np

@@ -13,7 +13,10 @@ builds its GF(p^M) Moore rows, the [A_r | A_u] that
 `coopdss.secrecy.joint_rank_leakage` eliminates, so the point-rank verdict
 has an extension-field oracle.  `observation_rows_and_labels` walks the
 row order once for rows and labels together, the reference for a view's
-labels, which the program walks apart from its rows on first use.  `a_u`
+labels, which the program walks apart from its rows on first use.  It
+checks its arguments with `validate_eaves`, which runs every eavesdropper
+check on every call: the reference for the program's one-pass check and
+its refusals.  `a_u`
 and `a_r` slice a linear view's [A_r | A_u] into its secret and random
 columns, for the checks that replay e = A_u u + A_r r.
 
@@ -173,12 +176,39 @@ def linear_view(obs):
     return ObservationMatrix(Matrix(f, rows, ncols=points.ncols), obs.n_random, obs.labels)
 
 
+def validate_eaves(scheme, e1, e2, transcripts):
+    """E1 and E2 as sorted tuples of distinct ids, every check run on every
+    call: the reference for `Scheme._validate_eaves`, whose pass with no E2
+    and no rounds is a range check and a sort, with the same refusals."""
+    n, d, t, ids = scheme.params.n, scheme.params.d, scheme.params.t, scheme._ids
+    e1, e2 = set(e1), set(e2)
+    if not ids.issuperset(e1) or not ids.issuperset(e2):
+        raise ParameterError(f"eavesdropped node ids must lie in [1, {n}]")
+    if not e1.isdisjoint(e2):
+        raise ParameterError("E1 and E2 must be disjoint")
+    unrepaired = e2.copy()
+    for tr in transcripts:
+        helpers = set(tr.helpers)
+        if (len(tr.failed) != t or len(tr.helpers) != d or len(helpers) != d
+                or not helpers.isdisjoint(tr.failed) or not ids.issuperset(tr.failed)
+                or not ids.issuperset(helpers)):
+            raise ParameterError(
+                f"a repair needs t={t} failed ids and d={d} distinct helper ids, "
+                f"all in [1, {n}] and no helper failed")
+        unrepaired -= tr.failed
+    if unrepaired:
+        raise ParameterError(
+            f"E2 nodes {sorted(unrepaired)} never appear as newcomers in the transcripts")
+    return tuple(sorted(e1)), tuple(sorted(e2))
+
+
 def observation_rows_and_labels(scheme, e1, e2, transcripts=()):
     """The eavesdropper's rows and their labels in one eager walk of the
     shared row order, as views were built before their labels were walked
-    on first use: the reference for `ObservationMatrix.labels` and for the
-    rows a view holds."""
-    e1, e2 = scheme._validate_eaves(e1, e2, transcripts)
+    on first use, after the reference checks (`validate_eaves`; a sequence
+    of transcripts, walked twice): the reference for
+    `ObservationMatrix.labels` and for the rows a view holds."""
+    e1, e2 = validate_eaves(scheme, e1, e2, transcripts)
     rows, labels = [], []
     for node in e1 + e2:
         rows += scheme._node_rows(node)
