@@ -7,10 +7,12 @@ deterministic given flags and seed (no timestamps).
 Exit codes: 0 success/secure, 1 secrecy violation, 2 usage or parameter
 error (in `verify-secrecy` and `simulate` also more eavesdroppers than the
 scheme claims secrecy for, |E1| > l1 or |E2| > l2, a failure plan group
-that is not t distinct node ids in [1, n], and in `simulate` a config
+that is not t distinct node ids in [1, n], in `verify-secrecy --trace` a
+payload that is not beta or beta' symbols, and in `simulate` a config
 section or key it does not use, each named), 3 I/O error or a program
 fault: in `simulate` a replay mismatch, in `simulate` or
-`verify-secrecy --e2` a repair round whose bandwidth is not t*gamma, in
+`verify-secrecy --e2` a repair round whose bandwidth is not t*gamma or
+whose plan does not rebuild the newcomers' stored rows, in
 `verify-secrecy --mode both` a rank verdict that differs from the
 brute-force one in leakage or in either lemma flag, and any other exception,
 named on one line.  COOPDSS_SEED provides the default seed.
@@ -80,6 +82,16 @@ def _failure_plan(text: str, params: SchemeParams) -> tuple[frozenset[int], ...]
                              f"node ids in [1, {params.n}]")
         plan.append(frozenset(ids))
     return tuple(plan)
+
+
+def _payload_symbols(field, text: str, count: int) -> list[int]:
+    """The `count` symbols of trace payload text as `sim.trace_to_text`
+    writes them, hex with ':' between symbols, by the field's checked codec."""
+    width = 2 * field.symbol_bytes
+    if (len(text) != max(0, count * (width + 1) - 1) or text[width::width + 1].strip(":")
+            or len(data := bytes.fromhex(text.replace(":", ""))) != count * field.symbol_bytes):
+        raise ValueError(f"want {count} symbol(s) of {width} hex digits, ':' between symbols")
+    return field.symbols_from_bytes(data)
 
 
 def _pack_bytes_to_symbols(field, data: bytes) -> list[int]:
@@ -328,6 +340,17 @@ def cmd_verify_secrecy(ns) -> int:
                               t=header["t"], l1=header["l1"], l2=header["l2"],
                               scheme=header["scheme"])
         scheme = make_scheme(params)
+        per = {"live": scheme.beta, "coop": scheme.beta_prime}
+        try:  # every payload in one pass; on a fault, the first bad one is named
+            _payload_symbols(scheme.field, ":".join([tr[4] for tr in transfers]),
+                             sum([per[tr[3]] for tr in transfers]))
+        except ValueError:
+            for round_idx, src, dst, kind, payload in transfers:
+                try:
+                    _payload_symbols(scheme.field, payload, per[kind])
+                except ValueError as exc:
+                    raise UsageError(f"trace round {round_idx}: {kind} payload from node {src} "
+                                     f"to node {dst}: {exc}") from None
         by_round: dict[int, dict[str, set]] = {}
         for round_idx, src, dst, kind, _ in transfers:
             rec = by_round.setdefault(round_idx, {"failed": set(), "helpers": set()})

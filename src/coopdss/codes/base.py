@@ -9,7 +9,7 @@ Every scheme encodes, reconstructs and repairs through one executor,
 `Scheme._run_plan`, behind one node id and size check (`_check_nodes`).  The
 scheme writes each map once from its construction and public parameters
 (`_encode_plan`, `_reconstruct_plan`, `_repair_plan`, given a builder): a
-key's first request evaluates it, its second builds it as a `RepairPlan`.
+key's first request evaluates it, its second compiles it (`PlanBuilder`).
 Bounded process-wide `PlanCache`s keep the plans and the observation rows for
 every instance of the same params; each table states its key and size there.
 
@@ -24,14 +24,16 @@ Observation row order:
 
 `Scheme._view` is the one implementation of this order: it takes the
 rounds as a tuple once (an iterator of them is read whole), validates E1,
-E2 and the rounds in one pass and builds the view as one record.  A scheme
-supplies one row of `file_size` ints per symbol (`_stored_rows`,
-`_download_rows`): its row of [A_r | A_u] over (r || u), or, for a
-Gabidulin scheme, the GF(p) coordinates of its evaluation point.  Either
-way the view (`ObservationMatrix`, `PointObservation`) holds the row
-tables' own tuples and packed ints, and walks its `labels` on first use
-from the scheme, E1, E2 and rounds it keeps.  The base labels every row
-itself (`Scheme._observation_labels`):
+E2 and the rounds in one pass and builds the view as one record.  Each
+symbol has one row of `file_size` ints: its row of [A_r | A_u] over
+(r || u), or, for a Gabidulin scheme, the GF(p) coordinates of its
+evaluation point.  A scheme writes its stored rows (`_stored_rows`); a
+round's download rows are its `_repair_plan` run on stored rows
+(`_round_rows`), which also checks exact repair for all data.  The view
+(`ObservationMatrix`, `PointObservation`) holds the row tables' own tuples
+and packed ints, and walks its `labels` on first use from the scheme, E1,
+E2 and rounds it keeps.  The base labels every row itself
+(`Scheme._observation_labels`):
 
   ("stored", node, idx)            idx < alpha, a stored symbol;
   ("live", round, helper, newcomer, idx)
@@ -49,11 +51,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from operator import mul
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..field import (
     Matrix,
     PrimeField,
+    _lanes,
+    _reduce_lanes,
+    _unpack_lanes,
     basis_moore_apply,
     basis_moore_inverse_apply,
     pack_rows,
@@ -127,41 +133,15 @@ class RepairTranscript:
         return live + coop
 
 
-class RepairPlan(NamedTuple):
-    """A linear map of a scheme as a straight-line program over stored
-    symbols, built from public parameters alone, so it holds no data: one
-    repair round (keyed by failed and helpers), the encoding (input j keyed
-    (0, j): the M precoded symbols, or r || u), or a decoding (keyed by the
-    contacted nodes).
-
-    Slots 0 .. len(inputs)-1 hold the gathered symbols, survivor h's symbol
-    at index s for each (h, s) of `inputs`; each (row, src) of `steps` then
-    appends one slot, the dot of the GF(p) row with the slots `src`.  `live`
-    and `coop` give the slots of each transfer, keyed (sender, newcomer),
-    and `results` the slots of each result record, keyed by node (alpha
-    each in a repair or an encoding).  A symbol sent or stored verbatim is a
-    slot reference with no step.  Rows are the coefficient caches' own
-    tuples.  `run` is the field's compiled form (`compile_plan`), one
-    generated function of node id -> `NodeContent` that reads each input
-    itself and returns the records shaped: the live and the coop transfers
-    as dicts in builder order, and the results as (node, symbols) pairs.
-    GF(p^m) runs the steps as straight-line code, GF(p) one packed product
-    of the composed map."""
-
-    inputs: tuple[tuple[int, int], ...]
-    steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    live: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
-    coop: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
-    results: tuple[tuple[int, tuple[int, ...]], ...]
-    run: Callable[[Mapping[int, NodeContent]], tuple[dict, dict, tuple]]
-
-
 class PlanBuilder:
-    """Assembles a `RepairPlan` over `field` whose result records have
-    `alpha` slots each.  `symbol` and `step` return slots in the order they
-    are asked for; `plan` renumbers them so that the inputs come first,
-    drops every input that no step or output reads, and compiles the plan
-    once into the field's one generated function (`compile_plan`)."""
+    """Assembles a plan: a linear map of a scheme (a repair round, the
+    encoding of node 0's inputs, or a decoding) as a straight-line program
+    of GF(p)-row steps over stored symbols, from public parameters alone.
+    `symbol` and `step` return slots in the order asked; `live` and `coop`
+    hold each transfer's slots, keyed (sender, newcomer); a result has
+    `alpha` slots.  `plan` compiles it into the field's one function of node
+    id -> `NodeContent` (`compile_plan`), which returns the live and coop
+    transfers as dicts in builder order, the results as (node, symbols)."""
 
     def __init__(self, alpha: int, field):
         self.alpha = alpha
@@ -186,9 +166,15 @@ class PlanBuilder:
         self._step_slots.append(slot)
         return slot
 
-    def plan(self, results: Iterable[tuple[int, Sequence[int]]]) -> RepairPlan:
+    def plan(self, results: Iterable[tuple[int, Sequence[int]]]) -> Callable:
         """The plan with its transfers (`live`, `coop`) and `results`,
         compiled; ValueError unless each result has alpha slots."""
+        return self.field.compile_plan(*self._renumbered(results))
+
+    def _renumbered(self, results) -> tuple[tuple, ...]:
+        """(inputs, steps, live, coop, results): slots 0 .. len(inputs)-1 hold
+        survivor h's symbol s for each (h, s) of `inputs` that a step or an
+        output reads, and each (row, src) of `steps` appends one slot."""
         results = [(i, tuple(v)) for i, v in results]
         for i, v in results:
             if len(v) != self.alpha:
@@ -203,17 +189,15 @@ class PlanBuilder:
         def slots(old):
             return tuple(map(get, old))
 
-        inputs = tuple(inputs)
         live, coop, res = (tuple([(key, slots(v)) for key, v in group])
                            for group in (self.live.items(), self.coop.items(), results))
         steps = tuple([(row, slots(src)) for row, src in self._steps])
-        return RepairPlan(inputs=inputs, steps=steps, live=live, coop=coop, results=res,
-                          run=self.field.compile_plan(inputs, steps, live, coop, res))
+        return tuple(inputs), steps, live, coop, res
 
 
 class PlanCache:
     """A bounded map from a key of public parameters to what they alone
-    determine (a `RepairPlan`, observation rows), shared by every scheme
+    determine (a compiled plan, observation rows), shared by every scheme
     instance in the process, so a lifetime, its replay and later lifetimes
     of the same parameters reuse it.  `get` takes the builder and its
     arguments, so a hit makes no closure and hashes its key once, marking
@@ -255,15 +239,13 @@ class PlanCache:
         return value
 
 
-# Observation rows by (params, node) and (params, failed, helpers, newcomer):
-# at most 1024 entries of alpha rows and 512 of gamma rows of M ints, each
-# entry the rows as tuples and each row packed into one int (`pack_rows`).
-# c rows take about c (8M + 56) bytes as tuples (28 more per int >= 257)
-# and at most c (M W/8 + 36) more packed, W the lane width (`_lanes`, 32 bits
-# at every benchmark size).  An entry is 1.1-3.2 KB in all at the lifetime
-# benchmark's sizes, its packed rows 0.8-1.4 KB of it (tracemalloc), so about
-# 4.7 MB for both tables full; at (20,4,8,4) the packed rows (19 of 64
-# lanes) add up to 5.5 KB to an 11 KB entry, about 25 MB for both full.
+# Observation rows: stored rows by (params, node), at most 1024 entries of
+# alpha rows, and every newcomer's download rows of a round by (params,
+# failed, helpers), at most 512 entries of t gamma rows; each row of M ints
+# kept as a tuple and packed into one int (`pack_rows`).  At the lifetime
+# benchmark's sizes a stored entry takes about 1.7 KB and a round entry 3-6
+# KB (tracemalloc), so 1.7 and 3 MB for the tables full; at mbcr-bivariate
+# (20,4,8,4) 2.6 KB besides the point table's tuples and 60 KB, 2.6 and 31 MB.
 STORED_ROWS = PlanCache(1024)
 DOWNLOAD_ROWS = PlanCache(512)
 
@@ -272,33 +254,26 @@ DOWNLOAD_ROWS = PlanCache(512)
 # its key's second request: the first, in a one-shot command, a set-up's
 # warm-up or a lifetime's run, evaluates (`_Evaluator`) and leaves a key of
 # under 0.5 KB with no value.  A lifetime's replay asks again, so a
-# lifetime benchmark pass builds all 56-58 repair plans it meets.
-# Measured with their rows, which are the row caches' own tuples (kept alive
-# after those caches evict them), and their generated code (tracemalloc,
-# mean of up to 4 plans in a fresh process): 10-18 KB per repair plan at the
-# benchmark's lifetime sizes, O(t (d + t)^2) ints, 9-25 KB per encode plan
-# and 5-17 KB per reconstruct plan, so 4.6, 0.8 and 4.4 MB for the tables
-# full; at mbcr-bivariate (20,4,8,4) 162, 230 and 58 KB, 41, 7.4 and 15 MB.
-# An encode plan grows with n alpha: 6.2 MB at mbcr-bivariate n = 2000.  A
-# GF(p) plan's code is 1.1-2.1 KB of that; a GF(p^m) plan's 1.6-7 KB, 11 KB
-# of a repair and 24 KB of an encode plan at mbcr-exact (9,5,7,2), GF(331^55).
+# lifetime benchmark pass builds all 56-58 repair plans it meets.  A plan is
+# its compiled function, code and constants (tracemalloc, one plan of each
+# kind in a fresh process): 4-10 KB at the benchmark's lifetime sizes, so
+# about 2.3, 0.3 and 1.8 MB for the tables full; at mbcr-bivariate
+# (20,4,8,4) 115, 112 and 21 KB, 29, 3.6 and 5.4 MB; at mbcr-exact
+# (9,5,7,2), GF(331^55), 14, 29 and 19 KB.  An encode plan grows with n alpha.
 REPAIR_PLANS = PlanCache(256, build_on_reuse=True)
 ENCODE_PLANS = PlanCache(32, build_on_reuse=True)
 RECONSTRUCT_PLANS = PlanCache(256, build_on_reuse=True)
 
 
 class _Evaluator:
-    """`PlanBuilder`'s interface, evaluating a construction as it goes: a
-    symbol is its stored value, a step the `dot` of its row with its sources'
-    values; `plan` returns the records as a plan's `run` shapes them."""
+    """`PlanBuilder`'s interface evaluated as it goes, by `symbol(node, index)`
+    and `step(row, values)`: stored values and the field's `dot` (`_run_plan`),
+    or packed stored rows and a packed dot (`_round_rows`)."""
 
-    def __init__(self, field, nodes: Mapping[int, NodeContent]):
-        self.step, self.nodes = field.dot, nodes
+    def __init__(self, step: Callable, symbol: Callable[[int, int], int]):
+        self.step, self.symbol = step, symbol
         self.live: dict[tuple[int, int], list[int]] = {}
         self.coop: dict[tuple[int, int], list[int]] = {}
-
-    def symbol(self, node: int, index: int) -> int:
-        return self.nodes[node].symbols[index]
 
     def plan(self, results: Iterable[tuple[int, Sequence[int]]]) -> tuple[dict, dict, tuple]:
         live, coop = ({key: tuple(v) for key, v in group.items()} for group in (self.live, self.coop))
@@ -467,8 +442,8 @@ class Scheme:
         construction instead (`build(*args, _Evaluator(...))`)."""
         plan = table.get(key, build, *args)
         if plan is None:
-            return build(*args, _Evaluator(self.field, nodes))
-        return plan.run(nodes)
+            return build(*args, _Evaluator(self.field.dot, lambda h, s: nodes[h].symbols[s]))
+        return plan(nodes)
 
     def _encode_nodes(self, x: list[int]) -> list[NodeContent]:
         """Every node's content from the encode plan's inputs x, the M
@@ -561,31 +536,36 @@ class Scheme:
 
     def _stored_rows(self, node: int) -> list:
         """One observation row per symbol stored at `node`, in segment order:
-        a sequence of `file_size` ints.  Read through `_node_rows`."""
+        a sequence of `file_size` ints.  Read through `_row_entry`."""
         raise NotImplementedError
 
-    def _node_rows(self, node: int) -> tuple:
-        """`_stored_rows(node)` as `_row_entry` makes it, kept in
-        `STORED_ROWS`: the tuples; `node` must be a validated id in [1, n]."""
-        return STORED_ROWS.get((self._key, node), self._row_entry, self._stored_rows, node)[0]
-
-    def _row_entry(self, rows, *args) -> tuple[tuple, tuple]:
-        """`rows(*args)` as a tuple of tuples, and each row packed over the
-        view's GF(p) (`pack_rows`, `file_size` lanes), built once for every
-        verdict that reads the entry."""
-        rows = tuple(map(tuple, rows(*args)))
+    def _row_entry(self, node: int) -> tuple[tuple, tuple]:
+        """`STORED_ROWS`' entry for `node`, a validated id: `_stored_rows(node)`
+        as a tuple of tuples, and each row packed over the view's GF(p)
+        (`pack_rows`, `file_size` lanes), built once for every verdict."""
+        rows = tuple(map(tuple, self._stored_rows(node)))
         return rows, tuple(pack_rows(self.field.char, self.file_size, rows))
 
-    def _download_rows(self, tr: RepairTranscript, newcomer: int) -> list:
-        """One observation row per symbol `newcomer` downloaded in `tr`, in
-        transfer order: beta per helper of `tr.helpers`, then beta' per
-        fellow newcomer ascending, from `tr.failed` and `tr.helpers` alone."""
-        raise NotImplementedError
-
-    def _newcomer_rows(self, tr: RepairTranscript, newcomer: int) -> tuple:
-        """`_download_rows` as `_row_entry` makes it, kept in `DOWNLOAD_ROWS`: the tuples."""
-        key = (self._key, frozenset(tr.failed), tuple(tr.helpers), newcomer)
-        return DOWNLOAD_ROWS.get(key, self._row_entry, self._download_rows, tr, newcomer)[0]
+    def _round_rows(self, failed: frozenset[int], helpers: tuple[int, ...]) -> dict:
+        """newcomer -> (its download rows in transfer order as tuples, packed):
+        `_repair_plan` run by `_Evaluator` on the helpers' packed stored rows,
+        each step one dot of at most M packed rows, which the `lazy` plan of
+        `_lanes(p, M)` reduces.  RuntimeError, a program fault, unless each
+        rebuilt row is the newcomer's stored row: exact repair for all data."""
+        p, m, key, entry, get = self.field.char, self.file_size, self._key, self._row_entry, STORED_ROWS.get
+        layout = _lanes(p, m)
+        lazy, packed = layout[2], {h: get((key, h), entry, h)[1] for h in helpers}
+        live, coop, results = self._repair_plan(failed, helpers, _Evaluator(
+            lambda row, src: _reduce_lanes(sum(map(mul, row, src)), lazy, p), lambda h, s: packed[h][s]))
+        rows = {}
+        for i, rebuilt in results:
+            if rebuilt != get((key, i), entry, i)[1]:
+                raise RuntimeError(f"{self.name} {self.params}: repairing {sorted(failed)} from "
+                                   f"{list(helpers)} does not rebuild node {i}'s stored rows")
+            ints = (*[v for h in helpers for v in live[(h, i)]],
+                    *[v for j in sorted(failed - {i}) for v in coop[(j, i)]])
+            rows[i] = tuple([tuple(_unpack_lanes(layout, v, m)) for v in ints]), ints
+        return rows
 
     def _observation_labels(self, e1, e2, rounds) -> tuple[tuple, ...]:
         """The label of each row of a view, in the shared row order, walked
@@ -601,25 +581,26 @@ class Scheme:
     def _view(self, cls, field, e1, e2, transcripts) -> ObservationMatrix:
         """The observation as a `cls` view over `field` in the shared row
         order: its rows and packed rows list the row tables' own tuples and
-        ints (`STORED_ROWS`, `DOWNLOAD_ROWS`, under the keys of `_node_rows`
-        and `_newcomer_rows`), kept for every later view of the same params.
+        ints (`STORED_ROWS` by (params, node), `DOWNLOAD_ROWS` by (params,
+        failed, helpers)), kept for every later view of the same params.
         The rounds are taken as a tuple once, so that an iterator of them is
         validated and read alike."""
         rounds = tuple(transcripts)
         e1, e2 = self._validate_eaves(e1, e2, rounds)
-        key, entry, get = self._key, self._row_entry, STORED_ROWS.get
-        stored, rows, packed = self._stored_rows, [], []
+        key, entry, get, rows, packed = self._key, self._row_entry, STORED_ROWS.get, [], []
         for node in e1 + e2:
-            tuples, ints = get((key, node), entry, stored, node)
+            tuples, ints = get((key, node), entry, node)
             rows += tuples
             packed += ints
-        get, download = DOWNLOAD_ROWS.get, self._download_rows
+        get, round_rows = DOWNLOAD_ROWS.get, self._round_rows
         for tr in rounds:
-            for i in sorted(tr.failed.intersection(e2)):
-                tuples, ints = get((key, frozenset(tr.failed), tuple(tr.helpers), i),
-                                   entry, download, tr, i)
-                rows += tuples
-                packed += ints
+            if newcomers := sorted(tr.failed.intersection(e2)):
+                failed, helpers = frozenset(tr.failed), tuple(tr.helpers)
+                by_newcomer = get((key, failed, helpers), round_rows, failed, helpers)
+                for i in newcomers:
+                    tuples, ints = by_newcomer[i]
+                    rows += tuples
+                    packed += ints
         view = object.__new__(cls)
         view.__dict__ = {"field": field, "rows": rows, "packed": packed, "ncols": self.file_size,
                          "n_random": self.n_random, "n_secret": self.secure_size,
@@ -664,10 +645,10 @@ class GabidulinScheme(Scheme):
     the field alone: both run from the per-field monomial table in
     coopdss.field, with no product of two GF(p^M) elements.
 
-    Subclasses give the points as `_stored_rows` and `_download_rows`, and
-    each defines `observation_matrix`, a `PointObservation` over `base`
-    from `Scheme._view`, in its own class body, because the benchmark's
-    tracer wraps the contract methods per scheme class.
+    Subclasses give the points as `_stored_rows`, and each defines
+    `observation_matrix`, a `PointObservation` over `base` from
+    `Scheme._view`, in its own class body, because the benchmark's tracer
+    wraps the contract methods per scheme class.
     """
 
     base: object  # the prime field GF(p) of the point coordinates

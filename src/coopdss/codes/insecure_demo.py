@@ -18,7 +18,6 @@ from .base import (
     ObservationMatrix,
     ParameterError,
     PlanBuilder,
-    RepairPlan,
     RepairTranscript,
     Scheme,
     SchemeParams,
@@ -52,7 +51,7 @@ class InsecureDemoScheme(Scheme):
         self._check_inputs(u, r)
         return self._encode_nodes(coefficients(u, r))
 
-    def _encode_plan(self, b=None) -> RepairPlan:
+    def _encode_plan(self, b=None):
         """Node i's symbol: its (r, u) row over r || u."""
         b = b or PlanBuilder(self.alpha, self.field)
         x = (b.symbol(0, 0), b.symbol(0, 1))
@@ -65,7 +64,7 @@ class InsecureDemoScheme(Scheme):
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
         return self._decode(contents)
 
-    def _reconstruct_plan(self, ids: tuple[int, ...], b=None) -> RepairPlan:
+    def _reconstruct_plan(self, ids: tuple[int, ...], b=None):
         """u: the inverse's u row over the two contacted symbols."""
         b = b or PlanBuilder(self.secure_size, self.field)
         x = [b.symbol(i, 0) for i in ids]
@@ -76,7 +75,7 @@ class InsecureDemoScheme(Scheme):
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
         return self._repair(failed, survivors, helpers)
 
-    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None) -> RepairPlan:
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None):
         """Each helper sends its symbol; r and u are the inverse's rows over
         the two downloads, and the newcomer stores its own row over them."""
         (i,) = failed
@@ -93,6 +92,3 @@ class InsecureDemoScheme(Scheme):
 
     def _stored_rows(self, node: int) -> list[tuple[int, int]]:
         return [self._rows[node]]
-
-    def _download_rows(self, tr: RepairTranscript, newcomer: int) -> list[tuple[int, int]]:
-        return [row for h in tr.helpers for row in self._node_rows(h)]

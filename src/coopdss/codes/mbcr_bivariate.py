@@ -53,7 +53,6 @@ from .base import (
     ParameterError,
     PlanBuilder,
     PlanCache,
-    RepairPlan,
     RepairTranscript,
     Scheme,
     SchemeParams,
@@ -66,7 +65,7 @@ MAX_FILE_SIZE = 1 << 16  # largest M = k(2d+t-k) a scheme is built for
 # 4096 entries hold every point of one params up to n = 64.  A row of
 # M = k(2d+t-k) ints takes 8M + 56 bytes while q <= 257: 0.2 KB at the
 # benchmark's (7,3,4,2) (M = 21), 0.6 KB at (20,4,8,4) (M = 64), 2.3 MB
-# for 4096 of those.  The stored and download row tables keep these tuples.
+# for 4096 of those.  The stored row table keeps these tuples.
 MONOMIAL_ROWS = PlanCache(4096)
 
 
@@ -123,8 +122,8 @@ class MbcrBivariateScheme(Scheme):
 
     def _monomial_row(self, xi: int, yi: int) -> tuple[int, ...]:
         """The row x^i y^j of the point (x_xi, y_yi) over the r then the u
-        support, built once per point and params (`MONOMIAL_ROWS`): the
-        stored and download rows of every node are such rows."""
+        support, built once per point and params (`MONOMIAL_ROWS`): every
+        stored row is such a row."""
         return MONOMIAL_ROWS.get((self._key, xi, yi), self._build_monomial_row, xi, yi)
 
     def _build_monomial_row(self, xi: int, yi: int) -> tuple[int, ...]:
@@ -141,7 +140,7 @@ class MbcrBivariateScheme(Scheme):
         self._check_inputs(u, r)
         return self._encode_nodes(coefficients(u, r))
 
-    def _encode_plan(self, b=None) -> RepairPlan:
+    def _encode_plan(self, b=None):
         """F at each stored point in two stages: the Y-polynomial of each
         X-degree i at y (its Y powers over its coefficients: one step per
         (i, y)), then those values at x (the X powers: one step per point)."""
@@ -181,7 +180,7 @@ class MbcrBivariateScheme(Scheme):
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
         return self._decode(contents)
 
-    def _reconstruct_plan(self, ids: tuple[int, ...], b=None) -> RepairPlan:
+    def _reconstruct_plan(self, ids: tuple[int, ...], b=None):
         """u by the interpolation chain, each step a closed-form inverse
         Vandermonde row: f_i(Y) (degree < d+t) and g_i(X) (degree < d) of
         each node from its stored values; phi_j(X), the X-polynomial of Y^j,
@@ -219,7 +218,7 @@ class MbcrBivariateScheme(Scheme):
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
         return self._repair(failed, survivors, helpers)
 
-    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None) -> RepairPlan:
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None):
         """Every transfer and rebuilt symbol is the value at one point of a
         polynomial known by its values at others (`at`)."""
         q, d, t = self.field.p, self.params.d, self.params.t
@@ -274,13 +273,6 @@ class MbcrBivariateScheme(Scheme):
 
     def _stored_rows(self, i: int) -> list[tuple[int, ...]]:
         return [self._monomial_row(*pt) for pt in self._stored_points(i)]
-
-    def _download_rows(self, tr: RepairTranscript, i: int) -> list[tuple[int, ...]]:
-        points = []
-        for h in tr.helpers:
-            points += [(h, i), (i, h)]                                # f_h(y_i), g_h(x_i)
-        points += [(i, j) for j in sorted(tr.failed - {i})]           # g_j(x_i)
-        return [self._monomial_row(*pt) for pt in points]
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:

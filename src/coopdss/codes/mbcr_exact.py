@@ -46,7 +46,7 @@ entries, keyed by (p, points)) and `_phi_block_rows` (64 entries, keyed by
 (p, d, Phi columns, size)).
 
 Encoding after the precoding, reconstruction before its inverse, and every
-repair round run as plans (see `codes.base.RepairPlan`), straight-line
+repair round run as plans (see `codes.base.PlanBuilder`), straight-line
 programs of GF(p)-row steps over stored symbols, each step a GF(p)-scaled
 sum reduced once.  The encode plan (`_encode_plan`, keyed by params) stores
 the x blocks verbatim and makes each y value (a y-code column over its
@@ -84,7 +84,6 @@ from .base import (
     ParameterError,
     PlanBuilder,
     PointObservation,
-    RepairPlan,
     RepairTranscript,
     SchemeParams,
 )
@@ -240,7 +239,7 @@ class MbcrExactScheme(GabidulinScheme):
         self._check_inputs(u, r)
         return self._encode_nodes(self._precode(u, r))
 
-    def _encode_plan(self, b=None) -> RepairPlan:
+    def _encode_plan(self, b=None):
         """Node i stores its x block verbatim, its y value of each part-b
         group (its y-code column over the group: one step each), then the z
         value each peer makes for it from the peer's primary (a Phi column
@@ -258,7 +257,7 @@ class MbcrExactScheme(GabidulinScheme):
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
         return self._secret_from_evaluations(self._decode(contents))
 
-    def _reconstruct_plan(self, ids: tuple[int, ...], b=None) -> RepairPlan:
+    def _reconstruct_plan(self, ids: tuple[int, ...], b=None):
         """x from the nodes `ids`: their x blocks verbatim; each part-b
         group by the inverse y-code over their y values of it; every other
         node i's x block by the inverse Phi block over the z values i made
@@ -297,7 +296,7 @@ class MbcrExactScheme(GabidulinScheme):
         if set(helpers) != set(survivors):
             raise ParameterError(f"{self.name} repair contacts all d = n-t survivors")
 
-    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None) -> RepairPlan:
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None):
         """Each helper h sends its stored z value for newcomer i (symbol
         d + its Phi column of i, verbatim); the d of them give i's primary
         through the inverse Phi block.  Then h sends the z value i stores
@@ -326,12 +325,6 @@ class MbcrExactScheme(GabidulinScheme):
                       for i in order)
 
     # -- observation ----------------------------------------------------------------
-
-    def _download_rows(self, tr: RepairTranscript, i: int) -> list[list[int]]:
-        rows = []
-        for h in tr.helpers:
-            rows += [self._z_point(i, h), self._z_point(h, i)]
-        return rows + [self._z_point(m, i) for m in sorted(tr.failed - {i})]
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> PointObservation:

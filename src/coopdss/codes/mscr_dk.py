@@ -47,7 +47,6 @@ from .base import (
     PlanBuilder,
     PointObservation,
     PositiveSecrecyImpossibleError,
-    RepairPlan,
     RepairTranscript,
     SchemeParams,
 )
@@ -103,7 +102,7 @@ class MscrDkScheme(GabidulinScheme):
         self._check_inputs(u, r)
         return self._encode_nodes(self._precode(u, r))
 
-    def _encode_plan(self, b=None) -> RepairPlan:
+    def _encode_plan(self, b=None):
         """Node i's share of m_j is g_i over m_j's k slots: one step each."""
         k, t = self.params.k, self.params.t
         b = b or PlanBuilder(self.alpha, self.field)
@@ -115,7 +114,7 @@ class MscrDkScheme(GabidulinScheme):
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
         return self._secret_from_evaluations(self._decode(contents))
 
-    def _reconstruct_plan(self, ids: tuple[int, ...], b=None) -> RepairPlan:
+    def _reconstruct_plan(self, ids: tuple[int, ...], b=None):
         """Each m_j from the nodes' shares of it, by the inverse Vandermonde
         on their points: one step per symbol of m_j."""
         inv = vandermonde_inverse_rows(self.base.p, tuple(i - 1 for i in ids))
@@ -130,7 +129,7 @@ class MscrDkScheme(GabidulinScheme):
                            helpers: Sequence[int] | None = None) -> RepairTranscript:
         return self._repair(failed, survivors, helpers)
 
-    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None) -> RepairPlan:
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None):
         """The newcomer at sorted position s downloads each helper's share
         s, verbatim.  Its Lagrange row over the helpers' points maps the
         shares of every vector m_s2 to m_s2^T g_i, one step each: its own
@@ -155,15 +154,6 @@ class MscrDkScheme(GabidulinScheme):
         return b.plan(results)
 
     # -- observation ------------------------------------------------------------------
-
-    def _download_rows(self, tr: RepairTranscript, newcomer: int) -> list[list[int]]:
-        order = sorted(tr.failed)
-        s = order.index(newcomer)
-        rows = [self._share_point(h, s) for h in tr.helpers]
-        for s2, peer in enumerate(order):
-            if peer != newcomer:
-                rows.append(self._share_point(newcomer, s2))
-        return rows
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> PointObservation:

@@ -64,7 +64,6 @@ from .base import (
     ParameterError,
     PlanBuilder,
     RepairInfeasibleError,
-    RepairPlan,
     RepairTranscript,
     Scheme,
     SchemeParams,
@@ -151,7 +150,7 @@ class MscrIaScheme(Scheme):
         self._check_inputs(u, r)
         return self._encode_nodes(coefficients(u, r))
 
-    def _encode_plan(self, b=None) -> RepairPlan:
+    def _encode_plan(self, b=None):
         """The file symbols as the `_packing` sums over r || u, then node v's
         symbol j as pa_v[j] a_j + pb_v[j] b_j."""
         alpha, b = self.alpha, b or PlanBuilder(self.alpha, self.field)
@@ -164,7 +163,7 @@ class MscrIaScheme(Scheme):
     def reconstruct(self, contents: Sequence[NodeContent]) -> tuple[int, ...]:
         return self._decode(contents)
 
-    def _reconstruct_plan(self, ids: tuple[int, ...], b=None) -> RepairPlan:
+    def _reconstruct_plan(self, ids: tuple[int, ...], b=None):
         """(a_j, b_j) from the two contacted nodes' symbol j by Cramer's rule,
         then u: u_j = b_j - a_j, or (a || b) itself when there is no pad."""
         p, (v, w), pa, pb = self.field.p, ids, self._pa, self._pb
@@ -246,11 +245,12 @@ class MscrIaScheme(Scheme):
         if set(helpers) != set(survivors):
             raise ParameterError(f"{self.name} repair contacts all d = n-t survivors")
 
-    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None) -> RepairPlan:
+    def _repair_plan(self, failed: frozenset[int], helpers: tuple[int, ...], b=None):
         """Helper m sends each newcomer its `_transfer` row over m's symbols;
         the peer sends lam over its own downloads; each rebuilt symbol is a
-        row of the inverse of the newcomer's system over its downloads."""
-        pair = tuple(sorted(failed))
+        row of the inverse of the newcomer's system over its downloads, all
+        over the helpers in ascending order, as the strategy's rows are."""
+        pair, helpers = tuple(sorted(failed)), sorted(helpers)
         strategy = self._repair_strategy(pair)
         b = b or PlanBuilder(self.alpha, self.field)
         for m in helpers:
@@ -268,31 +268,16 @@ class MscrIaScheme(Scheme):
     # -- observation ------------------------------------------------------------------------
 
     def _stored_rows(self, node: int) -> list[list[int]]:
-        """Row j is pa_v[j] a_j + pb_v[j] b_j over (r || u)."""
-        file = [[int(i in slots) for i in range(self.file_size)] for slots in self._packing]
-        a, b = file[:self.alpha], file[self.alpha:]
-        return [self._combine_rows((self._pa[node][j], self._pb[node][j]), (a[j], b[j]))
-                for j in range(self.alpha)]
-
-    def _combine_rows(self, coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
-        """sum_i coeffs[i] rows[i] over GF(p)."""
-        out = [0] * self.file_size
-        for c, row in zip(coeffs, rows):
-            for idx, x in enumerate(row):
-                out[idx] += c * x
-        p = self.field.p
-        return [x % p for x in out]
-
-    def _download_rows(self, tr: RepairTranscript, newcomer: int) -> list[list[int]]:
-        (peer,) = tr.failed - {newcomer}
-        lam, _ = self._repair_strategy(tuple(sorted(tr.failed)))[newcomer]
-        own_rows, peer_rows = [], []
-        for m in tr.helpers:
-            stored = self._node_rows(m)
-            own_rows.append(self._combine_rows(self._transfer(m, newcomer), stored))
-            peer_rows.append(self._combine_rows(self._transfer(m, peer), stored))
-        # the peer's one cooperative symbol combines its own phase-1 downloads
-        return own_rows + [self._combine_rows(lam, peer_rows)]
+        """Row j is pa_v[j] a_j + pb_v[j] b_j over (r || u), a file symbol
+        the sum of the coordinates in its `_packing`."""
+        p, alpha, rows = self.field.p, self.alpha, []
+        for j in range(alpha):
+            row = [0] * self.file_size
+            for c, s in ((self._pa[node][j], j), (self._pb[node][j], alpha + j)):
+                for i in self._packing[s]:
+                    row[i] = (row[i] + c) % p
+            rows.append(row)
+        return rows
 
     def observation_matrix(self, e1: Iterable[int], e2: Iterable[int],
                            transcripts: Sequence[RepairTranscript] = ()) -> ObservationMatrix:

@@ -62,7 +62,7 @@ nothing.  GF(p^m) keeps its per-entry kernel pair (`_sub_scaled`,
 The mbcr-exact, mscr-dk and mbcr-bivariate repair and reconstruct systems
 run no elimination: they are base-field Vandermonde and Cauchy matrices,
 whose inverses are closed forms (`vandermonde_inverse`, `cauchy_inverse`)
-applied as the steps of a cached plan (`codes.base.RepairPlan`), which
+applied as the steps of a cached plan (`codes.base.PlanBuilder`), which
 each field compiles once (`compile_plan`) into one generated Python
 function of the node contents: it reads its inputs and returns its records
 as dict and tuple displays (`_plan_source`).  GF(p^m) writes straight-line
@@ -310,7 +310,7 @@ class PrimeField:
         return sum(map(_int_mul, xs, ys)) % self.p
 
     def compile_plan(self, inputs, steps, live, coop, results) -> Callable:
-        """A plan (`codes.base.RepairPlan`: its `inputs`, `steps` and output
+        """A plan (`codes.base.PlanBuilder`: its `inputs`, `steps` and output
         records) as one generated function of the node contents whose core
         is one packed product (see the module docstring; Dumas, Fousse &
         Salvy, JSC 2011), composed by the same kernel, slot j's row over the
@@ -568,7 +568,7 @@ class ExtField:
         return acc
 
     def compile_plan(self, inputs, steps, live, coop, results) -> Callable:
-        """A plan (`codes.base.RepairPlan`: its `inputs`, `steps` and output
+        """A plan (`codes.base.PlanBuilder`: its `inputs`, `steps` and output
         records) as one generated straight-line function of the node
         contents, compiled once: slot j is the local vj, input j read from
         its node (`_plan_source`), and each step one statement, the

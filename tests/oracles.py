@@ -13,7 +13,11 @@ builds its GF(p^M) Moore rows, the [A_r | A_u] that
 `coopdss.secrecy.joint_rank_leakage` eliminates, so the point-rank verdict
 has an extension-field oracle.  `observation_rows_and_labels` walks the
 row order once for rows and labels together, the reference for a view's
-labels, which the program walks apart from its rows on first use.  It
+labels, which the program walks apart from its rows on first use.  Its
+download rows are `download_rows`, each scheme's closed form of what a
+newcomer downloads (mbcr-exact's from `mbcr_exact_z_point`): the reference
+for the rows the program derives by running its repair plan on stored rows
+(`Scheme._round_rows`).  It
 checks its arguments with `validate_eaves`, which runs every eavesdropper
 check on every call: the reference for the program's one-pass check and
 its refusals.  `a_u`
@@ -26,7 +30,10 @@ the primary points coordinate by coordinate.
 
 `normalize_per_digit` is the per-digit pass that `ExtField._normalize`
 replaces with word-parallel folds (unpack every word, take it mod p, pack
-again), `run_steps` interprets a plan's steps one at a time, the reference
+again).  A program plan is its compiled function alone; `DescribingBuilder`
+builds a scheme's plan as a `Plan`, its renumbered inputs, steps and
+records beside that function, for the tests that read a plan's shape
+(`describe`).  `run_steps` interprets a plan's steps one at a time, the reference
 for the straight-line code that `compile_plan` generates (`plan_values`
 and `compile_values` feed a compiled plan a value list and flatten its
 records for that comparison), and `random_symbols` draws from the `splitmix64` generator one
@@ -37,7 +44,7 @@ records for that comparison), and `random_symbols` draws from the `splitmix64` g
 symbol as the data arrives, and mscr-ia and insecure-demo by `Matrix.solve`
 of each newcomer's system (mscr-ia's from `mscr_ia_systems`, the strategy
 search with a rank check): the reference for the cached repair plans that
-the program runs (`coopdss.codes.base.RepairPlan`).  `REFERENCE_ENCODES` and
+the program runs (`coopdss.codes.base.PlanBuilder`).  `REFERENCE_ENCODES` and
 `REFERENCE_RECONSTRUCTS` are the same for encoding and decoding, the loops
 the schemes ran before their encode and reconstruct plans: mbcr-exact's
 primaries and z values, mscr-dk's shares and Vandermonde solve (each decode
@@ -57,8 +64,10 @@ narrow codes.
 
 from operator import mul
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
-from coopdss.codes.base import (NodeContent, ObservationMatrix, ParameterError,
+from coopdss.codes import base as codes_base
+from coopdss.codes.base import (NodeContent, ObservationMatrix, ParameterError, PlanBuilder,
                                 PointObservation, RepairTranscript)
 from coopdss.codes.mbcr_exact import _phi_block_rows
 from coopdss.field import (Matrix, PrimeField, basis_moore_inverse_apply, ext_field,
@@ -118,6 +127,37 @@ def plan_values(plan, vals):
     """`plan.run` fed the value list `vals` in the order of `plan.inputs`,
     flattened (`run_on_values`)."""
     return run_on_values(plan.run, plan.inputs, vals)
+
+
+class Plan(NamedTuple):
+    """A plan as `PlanBuilder._renumbered` lays it out, with `run`, the
+    field's compiled function of it, the program's whole plan."""
+
+    inputs: tuple
+    steps: tuple
+    live: tuple
+    coop: tuple
+    results: tuple
+    run: Callable
+
+
+class DescribingBuilder(PlanBuilder):
+    """`PlanBuilder` whose `plan` returns the `Plan` it compiles."""
+
+    def plan(self, results):
+        parts = self._renumbered(results)
+        return Plan(*parts, self.field.compile_plan(*parts))
+
+
+def describe(scheme, kind, *args):
+    """The scheme's `kind` plan ("encode", "reconstruct" over the ids
+    `args[0]`, or "repair" of (failed, helpers) `args`) as a `Plan`.  A
+    decoding's one record holds the M evaluations of a Gabidulin scheme,
+    u otherwise."""
+    width = scheme.alpha
+    if kind == "reconstruct":
+        width = scheme.file_size if hasattr(scheme, "base") else scheme.secure_size
+    return getattr(scheme, f"_{kind}_plan")(*args, DescribingBuilder(width, scheme.field))
 
 
 def compile_values(field, n_in, steps, out):
@@ -202,6 +242,12 @@ def validate_eaves(scheme, e1, e2, transcripts):
     return tuple(sorted(e1)), tuple(sorted(e2))
 
 
+def node_rows(scheme, node):
+    """The stored rows of `node`, the tuples of the scheme's `STORED_ROWS`
+    entry, which a miss enters (`Scheme._row_entry`)."""
+    return codes_base.STORED_ROWS.get((scheme._key, node), scheme._row_entry, node)[0]
+
+
 def observation_rows_and_labels(scheme, e1, e2, transcripts=()):
     """The eavesdropper's rows and their labels in one eager walk of the
     shared row order, as views were built before their labels were walked
@@ -211,12 +257,12 @@ def observation_rows_and_labels(scheme, e1, e2, transcripts=()):
     e1, e2 = validate_eaves(scheme, e1, e2, transcripts)
     rows, labels = [], []
     for node in e1 + e2:
-        rows += scheme._node_rows(node)
+        rows += node_rows(scheme, node)
         for idx in range(scheme.alpha):
             labels.append(("stored", node, idx))
     for rnd, tr in enumerate(transcripts):
         for i in sorted(tr.failed & set(e2)):
-            rows += scheme._newcomer_rows(tr, i)
+            rows += download_rows(scheme, tr.failed, tr.helpers, i)
             for h in tr.helpers:
                 for idx in range(scheme.beta):
                     labels.append(("live", rnd, h, i, idx))
@@ -342,6 +388,80 @@ def mbcr_exact_stored_rows(scheme, i):
     others = [j for j in range(1, scheme.params.n + 1) if j != i]
     return (mbcr_exact_primary_points(scheme, i)
             + [mbcr_exact_z_point(scheme, src, i) for src in others])
+
+
+# ---------------------------------------------------------------------------
+# closed-form download rows: the reference for `Scheme._round_rows`
+# ---------------------------------------------------------------------------
+
+def _mbcr_exact_download_rows(scheme, failed, helpers, i):
+    """Each helper's z value for i and the one i stores for it, then each
+    fellow newcomer's z value for i."""
+    rows = []
+    for h in helpers:
+        rows += [mbcr_exact_z_point(scheme, i, h), mbcr_exact_z_point(scheme, h, i)]
+    return rows + [mbcr_exact_z_point(scheme, m, i) for m in sorted(failed - {i})]
+
+
+def _mscr_dk_download_rows(scheme, failed, helpers, i):
+    """Share s of each helper, s i's sorted position, then i's own share of
+    each other vector, from the newcomer at that vector's position."""
+    order = sorted(failed)
+    s = order.index(i)
+    rows = [scheme._share_point(h, s) for h in helpers]
+    return rows + [scheme._share_point(i, s2) for s2, peer in enumerate(order) if peer != i]
+
+
+def _mbcr_bivariate_download_rows(scheme, failed, helpers, i):
+    """f_h(y_i) and g_h(x_i) of each helper h, then g_j(x_i) of each fellow
+    newcomer j: monomial rows at those points."""
+    points = []
+    for h in helpers:
+        points += [(h, i), (i, h)]
+    points += [(i, j) for j in sorted(failed - {i})]
+    return [scheme._monomial_row(*pt) for pt in points]
+
+
+def _mscr_ia_download_rows(scheme, failed, helpers, i):
+    """Each helper's transfer row over its stored rows, then the peer's lam
+    over its own phase-1 downloads."""
+    p = scheme.field.p
+
+    def combine(coeffs, rows):
+        return [sum(c * row[idx] for c, row in zip(coeffs, rows)) % p
+                for idx in range(scheme.file_size)]
+
+    (peer,) = failed - {i}
+    lam, _ = scheme._repair_strategy(tuple(sorted(failed)))[i]
+    own, theirs = [], []
+    for m in sorted(helpers):  # the order of the strategy's rows
+        stored = node_rows(scheme, m)
+        own.append(combine(scheme._transfer(m, i), stored))
+        theirs.append(combine(scheme._transfer(m, peer), stored))
+    own = [own[sorted(helpers).index(m)] for m in helpers]  # transfer order
+    return own + [combine(lam, theirs)]
+
+
+def _insecure_demo_download_rows(scheme, failed, helpers, i):
+    """Each helper's one stored row."""
+    return [row for h in helpers for row in node_rows(scheme, h)]
+
+
+DOWNLOAD_ROW_FORMS = {
+    "mbcr-exact": _mbcr_exact_download_rows,
+    "mscr-dk": _mscr_dk_download_rows,
+    "mbcr-bivariate": _mbcr_bivariate_download_rows,
+    "mscr-ia": _mscr_ia_download_rows,
+    "insecure-demo": _insecure_demo_download_rows,
+}
+
+
+def download_rows(scheme, failed, helpers, newcomer):
+    """The rows, as tuples, of what `newcomer` downloads in the round
+    (failed, helpers), in transfer order (beta per helper, then beta' per
+    fellow newcomer ascending), in the scheme's closed form."""
+    rows = DOWNLOAD_ROW_FORMS[scheme.name](scheme, frozenset(failed), tuple(helpers), newcomer)
+    return [tuple(row) for row in rows]
 
 
 def segment(content, name):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import importlib
 import io
 import os
 import resource
@@ -477,6 +478,57 @@ def test_verify_secrecy_forged_trace_exit2(tmp_path, edit, line, message):
     assert f"trace line {line}: {message}" in err and "Traceback" not in err
 
 
+def _payload_edit(payload, edit):
+    if edit == "non-hex":
+        return "zz-not-hex"
+    if edit == "wrong-width":
+        return payload[:-2]
+    if edit == "coordinate-past-p":  # both traces run over GF(5^m)
+        return "05" + payload[2:]
+    if edit == "misplaced-separator":  # ':' one digit early, the length kept
+        cut = payload.index(":")
+        return payload[:cut - 1] + ":" + payload[cut - 1] + payload[cut + 1:]
+    return payload + ":" + payload  # twice the symbols
+
+
+@pytest.mark.parametrize("scheme,edit,reason", [
+    ("mscr-dk", "non-hex", "want 1 symbol(s) of 8 hex digits"),
+    ("mscr-dk", "wrong-width", "want 1 symbol(s) of 8 hex digits"),
+    ("mscr-dk", "coordinate-past-p", "out of range"),
+    ("mscr-dk", "wrong-count", "want 1 symbol(s) of 8 hex digits"),
+    ("mbcr-exact", "misplaced-separator", "want 2 symbol(s) of 16 hex digits"),
+])
+def test_verify_secrecy_bad_trace_payload_exit2(tmp_path, scheme, edit, reason):
+    # every payload is decoded before any verdict: a bad one is refused,
+    # exit 2, naming its round, sender and receiver; a payload of
+    # `zz-not-hex` was once dropped unread and the trace verified, exit 0
+    lines = _simulate_trace(scheme).splitlines()
+    assert lines[0].startswith(f"header,{scheme},4,2,2,2,1,0,2,")
+    _, rnd, src, dst, kind, payload = lines[1].split(",")
+    assert (rnd, kind) == ("0", "live")
+    lines[1] = ",".join(["transfer", rnd, src, dst, kind, _payload_edit(payload, edit)])
+    trace_file = tmp_path / "trace.log"
+    trace_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["verify-secrecy", "--trace", str(trace_file), "--e1", "3"])
+    assert (code, out) == (2, "")
+    assert f"trace round 0: live payload from node {src} to node {dst}: " in err
+    assert reason in err and "Traceback" not in err
+
+
+def test_verify_secrecy_decodes_every_clean_payload(tmp_path):
+    # the traces of every scheme decode cleanly, coop payloads and
+    # GF(p^m) symbols of several coordinate bytes included
+    for name, (n, k, d, t) in [("mscr-dk", (4, 2, 2, 2)), ("mbcr-exact", (4, 2, 2, 2)),
+                               ("mbcr-bivariate", (4, 2, 2, 2)), ("mscr-ia", (4, 2, 2, 2)),
+                               ("insecure-demo", (3, 2, 2, 1)),
+                               ("mbcr-exact", (9, 5, 7, 2))]:
+        config = sim_mod.SimConfig(params=SchemeParams(n, k, d, t, 1, 0, name), rounds=2, seed=3)
+        trace_file = tmp_path / f"{name}.log"
+        trace_file.write_text(sim_mod.trace_to_text(sim_mod.run(config)))
+        code, out, err = run_cli(["verify-secrecy", "--trace", str(trace_file), "--e1", "1"])
+        assert code in (0, 1) and err == "", (name, err)
+
+
 @functools.lru_cache(maxsize=None)
 def _simulate_trace(scheme_name):
     """The trace text `simulate` writes for a two-round lifetime."""
@@ -765,6 +817,40 @@ def test_verify_secrecy_e2_bandwidth_fault_exit3(monkeypatch):
                               "--d", "2", "--t", "2", "--l2", "1", "--e2", "1"])
     assert code == 3 and out == ""
     assert "protocol fault: round 0: bandwidth 5 != t*gamma 6" in err
+
+
+@pytest.mark.parametrize("module,coefficients", [("mscr_dk", "lagrange_row"),
+                                                  ("mbcr_exact", "_phi_block_rows")])
+def test_verify_secrecy_perturbed_repair_coefficient_exit3(monkeypatch, module, coefficients):
+    # one repair coefficient off by one: the lifetime still runs, but the
+    # round's repair plan, run on stored rows for the E2 view, no longer
+    # rebuilds the newcomers' stored rows, a program fault: exit 3, never a
+    # verdict.  Empty plan and row tables keep the perturbed rows out of
+    # the process's own
+    from coopdss.codes import base
+    scheme_module = importlib.import_module(f"coopdss.codes.{module}")
+    real = getattr(scheme_module, coefficients)
+
+    def perturbed(p, *args):
+        rows = real(p, *args)
+        if isinstance(rows[0], tuple):  # a block of rows: perturb its first
+            return (perturbed_row(p, rows[0]), *rows[1:])
+        return perturbed_row(p, rows)
+
+    def perturbed_row(p, row):
+        return ((row[0] + 1) % p, *row[1:])
+
+    for table in ("REPAIR_PLANS", "DOWNLOAD_ROWS"):
+        real_table = getattr(base, table)
+        monkeypatch.setattr(base, table, base.PlanCache(real_table.maxsize,
+                                                        real_table.build_on_reuse))
+    monkeypatch.setattr(scheme_module, coefficients, perturbed)
+    name = module.replace("_", "-")
+    code, out, err = run_cli(["verify-secrecy", "--scheme", name, "--n", "4", "--k", "2",
+                              "--d", "2", "--t", "2", "--l2", "1", "--e2", "1"])
+    assert (code, out) == (3, "")
+    assert f"program fault: RuntimeError: {name} " in err
+    assert "does not rebuild node 1's stored rows" in err and "Traceback" not in err
 
 
 def test_verify_secrecy_sweep_exit_codes():

@@ -139,8 +139,8 @@ def test_scheme_plans_equal_the_per_step_reference(name, n, k, d, t):
     f, rng = scheme.field, random.Random(n * k + d * t)
     failed = frozenset(range(2, 2 + t))
     helpers = tuple(i for i in range(1, n + 1) if i not in failed)[:d]
-    for plan in (scheme._repair_plan(failed, helpers), scheme._encode_plan(),
-                 scheme._reconstruct_plan(tuple(range(n - k + 1, n + 1)))):
+    for plan in (O.describe(scheme, "repair", failed, helpers), O.describe(scheme, "encode"),
+                 O.describe(scheme, "reconstruct", tuple(range(n - k + 1, n + 1)))):
         out = [j for _, slots in plan.live + plan.coop + plan.results for j in slots]
         vals = [_element(f, rng) for _ in plan.inputs]
         assert O.plan_values(plan, vals) == _reference(f, len(plan.inputs), plan.steps, out, vals)

@@ -101,13 +101,13 @@ def _unit(size, j):
 def test_encode_plan_rows_equal_the_stored_rows(name, nkdt):
     # every symbol is GF(p)-linear in the plan's inputs (the evaluations of a
     # Gabidulin scheme, r || u otherwise): run on unit inputs, the plan gives
-    # the columns of its composite matrix, whose rows must be `_node_rows`
+    # the columns of its composite matrix, whose rows must be the stored rows
     scheme = scheme_for(name, *nkdt)
     m = scheme.file_size
-    plan = scheme._encode_plan()
+    plan = O.describe(scheme, "encode")
     assert plan.inputs == tuple((0, j) for j in range(m))
     columns = [O.plan_values(plan, _unit(m, j)) for j in range(m)]
-    stored = [row for i in range(1, scheme.params.n + 1) for row in scheme._node_rows(i)]
+    stored = [row for i in range(1, scheme.params.n + 1) for row in O.node_rows(scheme, i)]
     assert [tuple(col[s] for col in columns) for s in range(len(stored))] == stored
 
 
@@ -119,8 +119,8 @@ def test_reconstruct_plan_inverts_the_stored_rows(name, nkdt):
     m, n, k = scheme.file_size, scheme.params.n, scheme.params.k
     gabidulin = hasattr(scheme, "base")
     for ids in list(combinations(range(1, n + 1), k))[::7]:
-        plan = scheme._reconstruct_plan(ids)
-        rows = [scheme._node_rows(i)[s] for i, s in plan.inputs]
+        plan = O.describe(scheme, "reconstruct", ids)
+        rows = [O.node_rows(scheme, i)[s] for i, s in plan.inputs]
         for j in range(m):
             want = _unit(m, j) if gabidulin else _unit(m, j)[scheme.n_random:]
             assert list(O.plan_values(plan, [row[j] for row in rows])) == want, (ids, j)
@@ -136,7 +136,7 @@ def _reference_run(field, plan, vals):
 def random_prime_plans(draw):
     """A random straight-line program over GF(p) and input values."""
     p = draw(st.sampled_from([2, 11, 65537]))
-    b = PlanBuilder(1, prime_field(p))
+    b = O.DescribingBuilder(1, prime_field(p))
     slots = [b.symbol(h, 0) for h in range(draw(st.integers(1, 12)))]
     for _ in range(draw(st.integers(0, 15))):
         src = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=6))
@@ -163,7 +163,7 @@ def test_packed_kernel_at_and_past_the_64_bit_lane_bound(extra):
     cap = ((1 << 64) - 1) // (p - 1) ** 2
     assert cap == 1023 and (cap + 1) * (p - 1) ** 2 >= 1 << 64
     rng = random.Random(extra)
-    b = PlanBuilder(1, prime_field(p))
+    b = O.DescribingBuilder(1, prime_field(p))
     layer = [b.symbol(h, 0) for h in range(cap + extra)]
     outs = layer[:3]
     while len(layer) > 1:  # a tree of short steps that reads every input
@@ -203,7 +203,7 @@ def test_symbols_outside_the_prime_field(bad):
 def test_a_prime_too_large_for_64_bit_lanes_runs_the_steps():
     # 2^31 - 1: no 64-bit reduction plan covers two terms of (p-1)^2
     p = (1 << 31) - 1
-    b = PlanBuilder(1, prime_field(p))
+    b = O.DescribingBuilder(1, prime_field(p))
     slots = [b.symbol(h, 0) for h in range(4)]
     slots.append(b.step((p - 1, 2, p - 3), slots[:3]))
     plan = b.plan([(0, [slots[-1]]), (1, [slots[3]])])

@@ -1,8 +1,8 @@
 """Observation rows depend on public parameters alone, so bounded
 process-wide tables keep them: a node's stored rows under (params, node)
-(`STORED_ROWS`, read by `Scheme._node_rows`), a newcomer's download rows
-under (params, failed, helpers, newcomer) (`DOWNLOAD_ROWS`, read by
-`Scheme._newcomer_rows`) and mbcr-bivariate's monomial row of each point
+(`STORED_ROWS`, filled by `Scheme._row_entry`), every newcomer's download
+rows of a round under (params, failed, helpers) (`DOWNLOAD_ROWS`, filled by
+`Scheme._round_rows`) and mbcr-bivariate's monomial row of each point
 under (params, point) (`MONOMIAL_ROWS`).  The rows they return must equal
 rows built with every table empty, no caller may alter them, every table
 stays at its bound, and building more instances of the same params adds
@@ -26,7 +26,7 @@ from coopdss.codes.mbcr_bivariate import MONOMIAL_ROWS
 from coopdss.field import pack_rows
 from coopdss.secrecy import rank_leakage
 
-from oracles import observation_rows_and_labels
+from oracles import download_rows, observation_rows_and_labels
 
 PARAMS = {
     "mbcr-exact": SchemeParams(5, 3, 3, 2, 1, 1, "mbcr-exact"),
@@ -57,13 +57,18 @@ def cold_tables():
 
 def _entries(table, params):
     """The (key, rows) entries of a row table under `params`, whose keys
-    start with the params' repr; each entry's packed rows are its rows
-    packed (`pack_rows`)."""
+    start with the params' repr, a download entry's rows by newcomer; each
+    entry's packed rows are its rows packed (`pack_rows`)."""
     p = SCHEME_CLASSES[params.scheme].node_format(params)[0]
     entries = [(key, value) for key, (value, _) in table._plans.items() if key[0] == repr(params)]
-    for _, (rows, packed) in entries:
-        assert packed == tuple(pack_rows(p, len(rows[0]), rows))
-    return [(key, rows) for key, (rows, _) in entries]
+    out = []
+    for key, value in entries:
+        by_newcomer = value if isinstance(value, dict) else {None: value}
+        for rows, packed in by_newcomer.values():
+            assert packed == tuple(pack_rows(p, len(rows[0]), rows))
+        out.append((key, {i: rows for i, (rows, _) in by_newcomer.items()}
+                    if isinstance(value, dict) else value[0]))
+    return out
 
 
 def _one_round(scheme, failed, helpers):
@@ -146,7 +151,9 @@ def test_view_keeps_table_rows_and_builds_labels_on_first_use(view):
     assert obs.n_rows == len(rows) == len(obs.rows)
     assert "labels" not in vars(obs) and "matrix" not in vars(obs)
     assert _table_entries() == before
-    assert all(got is want for got, want in zip(obs.rows, rows))
+    assert obs.rows == rows
+    stored = (len(e1) + len(e2)) * scheme.alpha  # the reference reads these from the table
+    assert all(got is want for got, want in zip(obs.rows[:stored], rows[:stored], strict=True))
     assert obs.labels == tuple(labels)
     assert obs.matrix.rows == [list(row) for row in rows]
     rank, pivots = obs.matrix.rank_profile()
@@ -226,8 +233,10 @@ def test_instances_leave_no_rows_behind(name):
 
 def test_bivariate_lifetime_rows_from_a_bounded_point_table():
     # a lifetime view repeats download points; the warm instance's view
-    # equals one built with every table empty, and the point table holds one
-    # tuple per point, at most n^2 of them per params
+    # equals one built with every table empty, and the point table, which
+    # the stored rows of the view's nodes and of each round's helpers and
+    # newcomers read, holds one tuple per point, at most n^2 of them per
+    # params
     params = SchemeParams(7, 3, 4, 2, 1, 1, "mbcr-bivariate")
     plan = tuple(frozenset({2, 3 + r % 5} if r % 2 == 0 else {3 + r % 5, 4 + r % 4})
                  for r in range(10))
@@ -241,7 +250,9 @@ def test_bivariate_lifetime_rows_from_a_bounded_point_table():
                 fresh = make_scheme(params).observation_matrix((1,), (2,), trace.transcripts)
             assert _rows(view) == _rows(fresh) and view.labels == fresh.labels
         table = mbcr_bivariate.MONOMIAL_ROWS
-        assert len(set(map(tuple, view.matrix.rows))) == len(table) < view.n_rows
+        assert len(set(map(tuple, view.matrix.rows))) < view.n_rows
+        assert len(table) == len(set(pt for i in range(1, params.n + 1)
+                                     for pt in warm._stored_points(i))) <= params.n ** 2
         assert all(type(row) is tuple and len(row) == warm.file_size
                    for row, _ in table._plans.values())
         # every point of the grid fills the table to n^2 and no further
@@ -273,8 +284,8 @@ def test_download_rows_read_only_the_round_keys(name):
 
 def test_download_row_table_stays_at_its_bound():
     # mbcr-bivariate (12,3,4,2) has C(12,2) C(10,4) = 13860 rounds: 1000
-    # distinct (failed, helpers, newcomer) keys overfill the table, which
-    # keeps the newest maxsize of them, each equal to its row built afresh
+    # distinct (failed, helpers) keys overfill the table, which keeps the
+    # newest maxsize of them, each newcomer's rows the closed-form ones
     params = SchemeParams(12, 3, 4, 2, 1, 1, "mbcr-bivariate")
     scheme = make_scheme(params)
     keys = [(frozenset(failed), helpers, failed[0])
@@ -287,10 +298,11 @@ def test_download_row_table_stays_at_its_bound():
         assert len(DOWNLOAD_ROWS) <= DOWNLOAD_ROWS.maxsize
     assert len(DOWNLOAD_ROWS) == DOWNLOAD_ROWS.maxsize
     newest = _entries(DOWNLOAD_ROWS, params)
-    assert [key[1:] for key, _ in newest[-3:]] == keys[-3:]
-    for (_, failed, helpers, newcomer), rows in newest[-3:]:
-        tr = RepairTranscript(failed, helpers, {}, {}, ())
-        assert rows == tuple(map(tuple, scheme._download_rows(tr, newcomer)))
+    assert [(*key[1:], min(key[1])) for key, _ in newest[-3:]] == keys[-3:]
+    for (_, failed, helpers), by_newcomer in newest[-3:]:
+        assert sorted(by_newcomer) == sorted(failed)
+        for newcomer, rows in by_newcomer.items():
+            assert list(rows) == download_rows(scheme, failed, helpers, newcomer)
     # an evicted key is built again on its next use
     misses = DOWNLOAD_ROWS.misses
     failed, helpers, newcomer = keys[0]

@@ -4,6 +4,7 @@
 from dataclasses import replace
 from functools import cache
 from itertools import combinations
+from types import FunctionType
 from unittest import mock
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from coopdss.codes import base, make_scheme
 from coopdss.codes.base import (REPAIR_PLANS, NodeContent, ParameterError, PlanBuilder,
                                 PlanCache, RepairTranscript, SchemeParams)
-from coopdss.field import ext_field, prime_field
+from coopdss.field import ext_field, pack_rows, prime_field
 from coopdss.precode import coefficients
 
 import oracles as O
@@ -96,8 +97,7 @@ def test_every_plan_kind_returns_the_same_records_on_every_path(name, nkdt, monk
     # against empty tables, each request is evaluated, then built and run,
     # then run cached: the encode, every reconstruct and every repair round
     # must give the same records each time, transfer dicts in the same key
-    # order, and the plan keeps no cut list beside its compiled function
-    assert not [field for field in base.RepairPlan._fields if field.endswith("_cuts")]
+    # order, and the table keeps the plan as its compiled function alone
     scheme = scheme_for(name, *nkdt)
     n, k = scheme.params.n, scheme.params.k
     u, r = scheme.random_inputs(3)
@@ -119,7 +119,7 @@ def test_every_plan_kind_returns_the_same_records_on_every_path(name, nkdt, monk
     for table, key, build, given, *args in requests:
         got = [_shape(scheme._run_plan(table, key, build, given, *args)) for _ in range(3)]
         assert got[0] == got[1] == got[2], key
-        assert type(table._plans[key][0]) is base.RepairPlan
+        assert type(table._plans[key][0]) is FunctionType
         assert all(t is tuple for group in (got[0][0], got[0][1], got[0][3]) for _, t, _ in group)
     for table in tables.values():  # each key: evaluated and built (two misses), then a hit
         assert table.misses == 2 * table.hits > 0
@@ -127,7 +127,7 @@ def test_every_plan_kind_returns_the_same_records_on_every_path(name, nkdt, monk
 
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_plan_refuses_a_result_of_other_than_alpha_slots(extra):
-    b = PlanBuilder(3, prime_field(11))
+    b = O.DescribingBuilder(3, prime_field(11))
     slots = [b.symbol(5, s) for s in range(3)]
     b.live[(5, 1)] = slots[:1]
     result = slots[:2] if extra < 0 else slots + [b.step((1, 1), slots[:2])]
@@ -160,12 +160,12 @@ def test_scheme_plan_of_a_wrong_result_width_is_refused_and_not_kept(extra):
 
 
 def test_single_output_plan_gathers_a_tuple():
-    # itemgetter of one slot returns the bare value; the plan's run still
+    # itemgetter of one slot returns the bare value; the compiled plan still
     # returns a 1-tuple, packed over GF(p) and run by the steps over GF(p^m)
     for field in (prime_field(11), ext_field(7, 2)):
         b = PlanBuilder(1, field)
         plan = b.plan([(1, [b.symbol(2, 0)])])
-        assert plan.run({2: NodeContent(2, (7,), (("x", 1),))}) == ({}, {}, ((1, (7,)),))
+        assert plan({2: NodeContent(2, (7,), (("x", 1),))}) == ({}, {}, ((1, (7,)),))
 
 
 @pytest.mark.parametrize("name,nkdt", PLAN_SCHEMES)
@@ -191,7 +191,7 @@ def test_plan_slots_are_inputs_then_steps(name, nkdt):
     # appends the next one; every input is read by a step or an output
     scheme = scheme_for(name, *nkdt)
     for failed, helpers in list(every_round(scheme))[:20]:
-        plan = scheme._repair_plan(failed, helpers)
+        plan = O.describe(scheme, "repair", failed, helpers)
         n_in = len(plan.inputs)
         assert all(h in helpers and 0 <= s < scheme.alpha for h, s in plan.inputs)
         for pos, (row, src) in enumerate(plan.steps):
@@ -207,7 +207,7 @@ def test_mbcr_exact_steps_per_round():
     # t(2d+t-1) steps: t d primary symbols, then t d helper z values and
     # t(t-1) cooperative ones; the first-phase z values are verbatim
     scheme = scheme_for("mbcr-exact", 6, 3, 4, 2)
-    plan = scheme._repair_plan(frozenset({1, 4}), (2, 3, 5, 6))
+    plan = O.describe(scheme, "repair", frozenset({1, 4}), (2, 3, 5, 6))
     assert len(plan.steps) == 2 * (2 * 4 + 2 - 1)
     assert len(plan.inputs) == 4 * 2 + 4 * 4
 
@@ -346,3 +346,66 @@ def test_a_survivor_or_content_keyed_99_is_refused(name, nkdt):
         scheme.reconstruct(contents)
     with pytest.raises(ParameterError, match=f"node 1 holds {scheme.alpha + 1} symbols"):
         scheme.reconstruct([_resized(nodes[1], 1), *contents[1:]])
+
+
+# -- a round's download rows are its repair plan run on stored rows -------------
+
+@cache
+def _scheme(name, nkdt):
+    return scheme_for(name, *nkdt)
+
+
+@st.composite
+def plan_rounds(draw):
+    """A `PLAN_SCHEMES` scheme, a random failed set and d random helpers
+    among its survivors (every survivor where the scheme contacts them
+    all), sorted as the program picks them or in any order, as a view may
+    be given them."""
+    name, nkdt = draw(st.sampled_from(PLAN_SCHEMES))
+    scheme = _scheme(name, nkdt)
+    n, d, t = scheme.params.n, scheme.params.d, scheme.params.t
+    failed = frozenset(draw(st.permutations(range(1, n + 1)))[:t])
+    survivors = [i for i in range(1, n + 1) if i not in failed]
+    helpers = draw(st.permutations(survivors))[:d]
+    return scheme, failed, tuple(sorted(helpers) if draw(st.booleans()) else helpers)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(plan_rounds())
+def test_round_rows_are_the_closed_form_download_rows(drawn):
+    # `_round_rows` runs the round's own repair plan on packed stored rows:
+    # every newcomer's download rows are the scheme's closed form, packed
+    # alike, and the run rebuilt every newcomer's stored rows (else it
+    # raises), which is exact repair for all data
+    scheme, failed, helpers = drawn
+    rows = scheme._round_rows(failed, helpers)
+    assert sorted(rows) == sorted(failed)
+    for i, (tuples, packed) in rows.items():
+        assert len(tuples) == scheme.gamma
+        assert list(tuples) == O.download_rows(scheme, failed, helpers, i)
+        assert packed == tuple(pack_rows(scheme.field.char, scheme.file_size, tuples))
+
+
+@pytest.mark.parametrize("name,nkdt", PLAN_SCHEMES)
+def test_views_leave_the_repair_plan_table_as_it_was(name, nkdt):
+    # download rows come from `_repair_plan` itself, never through
+    # `REPAIR_PLANS` or `_run_plan`: views of repaired rounds, built with an
+    # empty download row table, leave its keys, values, hits and misses
+    scheme = scheme_for(name, *nkdt)
+    nodes = {c.node_id: c for c in scheme.encode(*scheme.random_inputs(6))}
+    rounds = []
+    for failed, helpers in list(every_round(scheme))[:4]:
+        survivors = {i: c for i, c in nodes.items() if i not in failed}
+        rounds.append(scheme.cooperative_repair(failed, survivors, helpers))
+
+    def state():
+        return ([(key, id(value), used) for key, (value, used) in REPAIR_PLANS._plans.items()],
+                REPAIR_PLANS.hits, REPAIR_PLANS.misses)
+
+    before = state()
+    with mock.patch.object(base, "DOWNLOAD_ROWS", PlanCache(base.DOWNLOAD_ROWS.maxsize)) as table:
+        for tr in rounds:
+            view = scheme.observation_matrix((), (min(tr.failed),), [tr])
+            assert view.n_rows == scheme.alpha + scheme.gamma
+        assert table.misses == len({(tr.failed, tr.helpers) for tr in rounds}) > 0
+    assert state() == before

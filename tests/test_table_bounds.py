@@ -132,14 +132,17 @@ def _past_bound(table, keys, request, table_key):
     return first, (table._plans[table_key(keys[0])][0], got)
 
 
-def _same_plans(first, again, field, rng):
-    assert again is not first and again[:-1] == first[:-1]
+def _same_plans(first, again, plan, field, rng):
+    """The compiled plans `first` and `again` of the plan described by
+    `plan` (`oracles.describe`) give its per-step reference's records."""
+    assert again is not first
     vals = [field.from_coords([rng.randrange(field.p) for _ in range(field.degree)])
-            for _ in first.inputs]
-    out = [j for _, slots in first.live + first.coop + first.results for j in slots]
+            for _ in plan.inputs]
+    out = [j for _, slots in plan.live + plan.coop + plan.results for j in slots]
     reference = list(vals)
-    O.run_steps(field, first.steps, reference)
-    assert O.plan_values(again, vals) == O.plan_values(first, vals) == tuple(reference[j] for j in out)
+    O.run_steps(field, plan.steps, reference)
+    assert O.run_on_values(again, plan.inputs, vals) == O.run_on_values(first, plan.inputs, vals) \
+        == tuple(reference[j] for j in out)
 
 
 def test_repair_plans_of_gabidulin_fields_past_their_bound(monkeypatch):
@@ -167,7 +170,8 @@ def test_repair_plans_of_gabidulin_fields_past_their_bound(monkeypatch):
     (first, want), (again, got) = _past_bound(table, keys, request,
                                               lambda key: (scheme._key, *key))
     assert want == got == reference(keys[0])
-    _same_plans(first, again, scheme.field, random.Random(12))
+    _same_plans(first, again, O.describe(scheme, "repair", *keys[0]), scheme.field,
+                random.Random(12))
 
 
 def test_encode_plans_past_their_bound(monkeypatch):
@@ -180,7 +184,8 @@ def test_encode_plans_past_their_bound(monkeypatch):
 
     (first, want), (again, got) = _past_bound(table, keys, request, lambda i: schemes[i]._key)
     assert got == want
-    _same_plans(first, again, schemes[0].field, random.Random(4))
+    _same_plans(first, again, O.describe(schemes[0], "encode"), schemes[0].field,
+                random.Random(4))
 
 
 def test_reconstruct_plans_past_their_bound(monkeypatch):
@@ -197,14 +202,15 @@ def test_reconstruct_plans_past_their_bound(monkeypatch):
     (first, want), (again, got) = _past_bound(table, keys, request,
                                               lambda ids: (scheme._key, ids))
     assert want == got == u
-    _same_plans(first, again, scheme.field, random.Random(13))
+    _same_plans(first, again, O.describe(scheme, "reconstruct", keys[0]), scheme.field,
+                random.Random(13))
 
 
 def test_stored_rows_past_their_bound(monkeypatch):
     table = _swap(monkeypatch, base, "STORED_ROWS")
     scheme = make_scheme(SchemeParams(1030, 2, 3, 1, 1, 0, "mbcr-bivariate"))
     keys = list(range(1, table.maxsize + 2))
-    (first, _), (again, _) = _past_bound(table, keys, scheme._node_rows,
+    (first, _), (again, _) = _past_bound(table, keys, lambda i: O.node_rows(scheme, i),
                                          lambda i: (scheme._key, i))
     rows = tuple(map(tuple, scheme._stored_rows(1)))
     assert again == first == (rows, tuple(F.pack_rows(scheme.field.p, scheme.file_size, rows)))
@@ -212,19 +218,25 @@ def test_stored_rows_past_their_bound(monkeypatch):
 
 
 def test_download_rows_past_their_bound(monkeypatch):
+    # one entry per round key (params, failed, helpers), read by a view of
+    # the round's first newcomer; its rows are the closed-form reference's
     table = _swap(monkeypatch, base, "DOWNLOAD_ROWS")
     scheme = make_scheme(SchemeParams(12, 3, 4, 2, 1, 1, "mbcr-bivariate"))
-    keys = [(frozenset(failed), helpers, failed[0])
+    keys = [(frozenset(failed), helpers)
             for failed in combinations(range(1, 13), 2)
             for helpers in islice(combinations(sorted(set(range(1, 13)) - set(failed)), 4), 8)]
     keys = keys[:table.maxsize + 1]
 
     def request(key):
-        failed, helpers, newcomer = key
-        return scheme._newcomer_rows(RepairTranscript(failed, helpers, {}, {}, ()), newcomer)
+        failed, helpers = key
+        return scheme.observation_matrix((), (min(failed),),
+                                         [RepairTranscript(failed, helpers, {}, {}, ())]).rows
 
-    (first, _), (again, _) = _past_bound(table, keys, request, lambda key: (scheme._key, *key))
+    (first, rows), (again, _) = _past_bound(table, keys, request, lambda key: (scheme._key, *key))
     assert again == first and again is not first
+    failed, helpers = keys[0]
+    assert sorted(first) == sorted(failed)
+    assert rows[scheme.alpha:] == O.download_rows(scheme, failed, helpers, min(failed))
 
 
 def test_monomial_rows_past_their_bound(monkeypatch):

@@ -20,7 +20,7 @@ from coopdss.codes.mbcr_bivariate import MONOMIAL_ROWS
 from coopdss.field import Matrix, pack_rows
 from coopdss.secrecy import brute_force_leakage, rank_leakage
 
-from oracles import observation_rows_and_labels, validate_eaves
+from oracles import node_rows, observation_rows_and_labels, validate_eaves
 
 PARAMS = {
     "mbcr-exact": SchemeParams(5, 3, 3, 2, 1, 1, "mbcr-exact"),
@@ -158,16 +158,20 @@ def test_view_is_the_reference_walk(drawn, cold):
 @pytest.mark.parametrize("name", sorted(PARAMS))
 def test_a_view_and_the_row_reads_share_their_table_entries(name):
     # `_view` binds the row tables' lookups itself: what it enters under a
-    # key, `_node_rows` and `_newcomer_rows` find under theirs
+    # key, `oracles.node_rows` finds under its own, and its download rows are the
+    # round entry's own tuples, keyed (params, failed, helpers)
     p = PARAMS[name]
     with cold_tables():
         scheme = make_scheme(p)
         rounds = _lifetime(scheme, [(frozenset(range(1, p.t + 1)), None)])
         view = scheme.observation_matrix((p.n,), (1,), rounds)
         misses = (base.STORED_ROWS.misses, base.DOWNLOAD_ROWS.misses)
-        rows, _ = observation_rows_and_labels(scheme, (p.n,), (1,), rounds)
+        tr = rounds[0]
+        round_rows = base.DOWNLOAD_ROWS._plans[(scheme._key, tr.failed, tr.helpers)][0]
+        rows = [*node_rows(scheme, p.n), *node_rows(scheme, 1), *round_rows[1][0]]
         assert (base.STORED_ROWS.misses, base.DOWNLOAD_ROWS.misses) == misses
     assert all(a is b for a, b in zip(view.rows, rows, strict=True))
+    assert rows == observation_rows_and_labels(scheme, (p.n,), (1,), rounds)[0]
 
 
 # -- every refusal is the reference's --------------------------------------------
