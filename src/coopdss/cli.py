@@ -341,16 +341,12 @@ def cmd_verify_secrecy(ns) -> int:
                               scheme=header["scheme"])
         scheme = make_scheme(params)
         per = {"live": scheme.beta, "coop": scheme.beta_prime}
-        try:  # every payload in one pass; on a fault, the first bad one is named
-            _payload_symbols(scheme.field, ":".join([tr[4] for tr in transfers]),
-                             sum([per[tr[3]] for tr in transfers]))
-        except ValueError:
-            for round_idx, src, dst, kind, payload in transfers:
-                try:
-                    _payload_symbols(scheme.field, payload, per[kind])
-                except ValueError as exc:
-                    raise UsageError(f"trace round {round_idx}: {kind} payload from node {src} "
-                                     f"to node {dst}: {exc}") from None
+        for round_idx, src, dst, kind, payload in transfers:
+            try:
+                _payload_symbols(scheme.field, payload, per[kind])
+            except ValueError as exc:
+                raise UsageError(f"trace round {round_idx}: {kind} payload from node {src} "
+                                 f"to node {dst}: {exc}") from None
         by_round: dict[int, dict[str, set]] = {}
         for round_idx, src, dst, kind, _ in transfers:
             rec = by_round.setdefault(round_idx, {"failed": set(), "helpers": set()})

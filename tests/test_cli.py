@@ -515,6 +515,26 @@ def test_verify_secrecy_bad_trace_payload_exit2(tmp_path, scheme, edit, reason):
     assert reason in err and "Traceback" not in err
 
 
+def test_verify_secrecy_symbol_moved_between_payloads_exit2(tmp_path):
+    # each payload is held to its own beta: one symbol moved from the first
+    # live payload into the next keeps the joined text of all payloads as
+    # it was, yet the first payload now has three symbols where beta is 2
+    lines = _simulate_trace("mbcr-exact").splitlines()
+    first, second = lines[1].split(","), lines[2].split(",")
+    assert first[4] == second[4] == "live" and first[1] == second[1] == "0"
+    moved = second[5].split(":")
+    assert len(first[5].split(":")) == len(moved) == 2
+    first[5] += ":" + moved[0]
+    second[5] = moved[1]
+    lines[1], lines[2] = ",".join(first), ",".join(second)
+    trace_file = tmp_path / "trace.log"
+    trace_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["verify-secrecy", "--trace", str(trace_file), "--e1", "3"])
+    assert (code, out) == (2, "")
+    assert (f"trace round 0: live payload from node {first[2]} to node {first[3]}: "
+            "want 2 symbol(s) of 16 hex digits") in err and "Traceback" not in err
+
+
 def test_verify_secrecy_decodes_every_clean_payload(tmp_path):
     # the traces of every scheme decode cleanly, coop payloads and
     # GF(p^m) symbols of several coordinate bytes included
